@@ -21,6 +21,13 @@ from .report import (SUBCOMMANDS, error_document, parse_config,
 from .sod import preset
 
 
+def _preset_int(text: str, context: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise InputError(f"bad preset integer {text!r} in {context!r}") from None
+
+
 def _parse_preset_spec(spec: str):
     """Parse preset strings like pfaffian:n=1,h=3 | determinantal:n=2,h=3 |
     sl2:3,1 | toric | toric:1,1,-1,-1."""
@@ -30,20 +37,20 @@ def _parse_preset_spec(spec: str):
         params = {}
         for part in filter(None, (p.strip() for p in rest.split(","))):
             key, _, val = part.partition("=")
-            if key.strip() not in ("n", "h") or not val.strip().lstrip("-").isdigit():
+            if key.strip() not in ("n", "h"):
                 raise InputError(f"bad preset parameter {part!r}")
-            params[key.strip()] = int(val)
+            params[key.strip()] = _preset_int(val, part)
         if set(params) != {"n", "h"}:
             raise InputError(f"preset {name} needs n=<int>,h=<int>")
         return preset(name, **params)
     if name == "sl2":
         if not rest.strip():
             raise InputError("sl2 preset needs a degree list, e.g. sl2:3 or sl2:1,2")
-        degrees = [int(p) for p in rest.split(",")]
+        degrees = [_preset_int(p, spec) for p in rest.split(",")]
         return preset("sl2", degrees=degrees)
     if name == "toric":
         if rest.strip():
-            weights = [((int(p),), 1) for p in rest.split(",")]
+            weights = [((_preset_int(p, spec),), 1) for p in rest.split(",")]
         else:
             weights = None
         return preset("toric", weights=weights)

@@ -66,10 +66,6 @@ def is_integral(a: Vec) -> bool:
     return all(x.denominator == 1 for x in a)
 
 
-def mat(rows: Iterable[Iterable]) -> Mat:
-    return tuple(vec(r) for r in rows)
-
-
 def identity(n: int) -> Mat:
     return tuple(tuple(ONE if i == j else ZERO for j in range(n)) for i in range(n))
 
@@ -91,12 +87,6 @@ def mat_add(a: Mat, b: Mat) -> Mat:
 
 def mat_scale(c: Fraction, a: Mat) -> Mat:
     return tuple(vscale(c, r) for r in a)
-
-
-def transpose(a: Mat) -> Mat:
-    if not a:
-        return ()
-    return tuple(zip(*a))
 
 
 def rref(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
@@ -171,11 +161,6 @@ def in_span(vectors: Sequence[Vec], target: Vec) -> bool:
         return True
     base = [list(v) for v in vectors]
     return rank(base + [list(target)]) == rank(base)
-
-
-def span_contains_space(big: Sequence[Vec], small: Sequence[Vec]) -> bool:
-    """Whether span(small) is contained in span(big)."""
-    return all(in_span(big, v) for v in small)
 
 
 def span_basis(vectors: Sequence[Vec], dim: int) -> list[Vec]:

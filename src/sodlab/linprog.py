@@ -6,6 +6,14 @@ as equality rows plus per-variable bounds; each finite bound may be marked
 open, which matters for strict feasibility (membership in half-open boxes)
 but is ignored by the closed relaxation that the simplex solves.
 
+The simplex is split in two.  ``_phase1`` prepares a constraint system once
+and returns a feasible basis; ``_phase2`` warm-starts one objective from a
+copy of it.  A plain solve is the composition of the two, and
+``forced_tight`` runs phase 1 once per system and phase 2 once per bound
+objective that no known feasible point already rules out.  The reduced-cost
+row is built once per phase and updated with each pivot, and a pivot touches
+only the nonzero columns of its row.
+
 Strictness is decided by slack maximization: a point satisfying every open
 bound strictly exists iff each open bound individually admits positive slack
 over the closed region, because averaging witnesses keeps all slacks positive.
@@ -109,16 +117,13 @@ def _simplex_iterate(tab, rhs, basis, cost):
     """Run Bland-rule pivots in place.  Returns "optimal" or "unbounded"."""
     m = len(tab)
     ncols = len(cost)
+    # Reduced costs c_B B^-1 A - c, built once and updated with each pivot.
+    zrow = [-c for c in cost]
+    for i in range(m):
+        cb = cost[basis[i]]
+        if cb != 0:
+            zrow = [z + cb * a if a != 0 else z for z, a in zip(zrow, tab[i])]
     while True:
-        # Reduced costs, recomputed each round; cheap at the sizes we solve.
-        zrow = [-cost[j] for j in range(ncols)]
-        for i in range(m):
-            cb = cost[basis[i]]
-            if cb != 0:
-                row = tab[i]
-                for j in range(ncols):
-                    if row[j] != 0:
-                        zrow[j] += cb * row[j]
         enter = -1
         for j in range(ncols):
             if zrow[j] < 0:
@@ -139,24 +144,34 @@ def _simplex_iterate(tab, rhs, basis, cost):
         if leave < 0:
             return "unbounded"
         _pivot(tab, rhs, basis, leave, enter)
+        f = zrow[enter]
+        zrow = [z - f * y if y != 0 else z for z, y in zip(zrow, tab[leave])]
 
 
 def _pivot(tab, rhs, basis, r, c):
     pv = tab[r][c]
-    tab[r] = [x / pv for x in tab[r]]
+    prow = tab[r] = [x / pv if x != 0 else x for x in tab[r]]
     rhs[r] = rhs[r] / pv
+    nz = [k for k, y in enumerate(prow) if y != 0]
     for i in range(len(tab)):
-        if i != r and tab[i][c] != 0:
-            f = tab[i][c]
-            tab[i] = [x - f * y for x, y in zip(tab[i], tab[r])]
+        f = tab[i][c]
+        if i != r and f != 0:
+            row = tab[i]
+            for k in nz:
+                row[k] -= f * prow[k]
             rhs[i] = rhs[i] - f * rhs[r]
     basis[r] = c
 
 
-def _solve_standard(rows, rhs_in, obj):
-    """max obj.x s.t. rows x = rhs, x >= 0.  -> (status, x, value)."""
+def _phase1(rows, rhs_in, n):
+    """A feasible basis of rows x = rhs, x >= 0 over n columns.
+
+    Returns (tab, rhs, basis) in canonical form for ``basis``, with every
+    artificial column gone and redundant equality rows dropped, or None when
+    the system is infeasible.  The result is shared by any number of
+    objectives through ``_phase2``, which never modifies it.
+    """
     m = len(rows)
-    n = len(obj)
     tab = []
     rhs = []
     for i in range(m):
@@ -168,11 +183,10 @@ def _solve_standard(rows, rhs_in, obj):
         tab.append(row + [ONE if k == i else ZERO for k in range(m)])
         rhs.append(b)
     basis = [n + i for i in range(m)]
-    phase1 = [ZERO] * n + [-ONE] * m
-    _simplex_iterate(tab, rhs, basis, phase1)
+    _simplex_iterate(tab, rhs, basis, [ZERO] * n + [-ONE] * m)
     art_total = sum((rhs[i] for i in range(m) if basis[i] >= n), ZERO)
     if art_total != 0:
-        return "infeasible", None, None
+        return None
     # Drive leftover zero-value artificials out of the basis.
     drop = []
     for i in range(m):
@@ -184,15 +198,34 @@ def _solve_standard(rows, rhs_in, obj):
                 _pivot(tab, rhs, basis, i, piv)
     for i in sorted(drop, reverse=True):
         del tab[i], rhs[i], basis[i]
-    tab = [row[:n] for row in tab]
-    status = _simplex_iterate(tab, rhs, basis, list(obj))
-    if status == "unbounded":
-        return "unbounded", None, None
+    return [row[:n] for row in tab], rhs, basis
+
+
+def _basic_solution(rhs, basis, n):
     x = [ZERO] * n
     for i, bi in enumerate(basis):
         x[bi] = rhs[i]
-    value = sum((obj[j] * x[j] for j in range(n) if x[j] != 0), ZERO)
-    return "optimal", tuple(x), value
+    return tuple(x)
+
+
+def _phase2(start, obj, n):
+    """max obj.x from the feasible basis ``start`` of ``_phase1``, which is
+    copied, not changed.  -> (status, optimal x or None)."""
+    tab0, rhs0, basis0 = start
+    tab = [list(row) for row in tab0]
+    rhs = list(rhs0)
+    basis = list(basis0)
+    if _simplex_iterate(tab, rhs, basis, obj) == "unbounded":
+        return "unbounded", None
+    return "optimal", _basic_solution(rhs, basis, n)
+
+
+def _solve_standard(rows, rhs, obj):
+    """max obj.x s.t. rows x = rhs, x >= 0.  -> (status, optimal x or None)."""
+    start = _phase1(rows, rhs, len(obj))
+    if start is None:
+        return "infeasible", None
+    return _phase2(start, obj, len(obj))
 
 
 # ---------------------------------------------------------------------------
@@ -284,7 +317,7 @@ def _optimize_closed(prog: BoxedLinearProgram, coeffs: Sequence[Fraction],
         return "infeasible", None, None
     rows, rhs, ncols, decode, encode_obj = std
     obj = encode_obj(coeffs if maximize else [-c for c in coeffs])
-    status, x, _ = _solve_standard(rows, rhs, obj)
+    status, x = _solve_standard(rows, rhs, obj)
     if status != "optimal":
         return status, None, None
     witness = decode(x)
@@ -392,26 +425,39 @@ def strict_feasible(prog: BoxedLinearProgram) -> bool:
 
 
 def forced_tight(prog: BoxedLinearProgram) -> TightnessReport:
-    """Which variables sit at a bound in every feasible point."""
+    """Which variables sit at a bound in every feasible point.
+
+    One phase 1 prepares the system; each finite bound then costs at most one
+    warm-started phase 2.  A bound is skipped when a feasible point already
+    known (the phase-1 vertex or an earlier optimum) leaves it.
+    """
     n = prog.nvars
-    if feasible_point(prog) is None:
-        return TightnessReport(False, (False,) * n, (False,) * n)
+    infeasible = TightnessReport(False, (False,) * n, (False,) * n)
+    std = _to_standard(prog)
+    if std is None:
+        return infeasible
+    rows, rhs, ncols, decode, encode_obj = std
+    start = _phase1(rows, rhs, ncols)
+    if start is None:
+        return infeasible
+    known = [decode(_basic_solution(start[1], start[2], ncols))]
+
+    def forced(j: int, bound: Bound, sign: Fraction) -> bool:
+        if bound is None or any(x[j] != bound for x in known):
+            return False
+        obj = [ZERO] * n
+        obj[j] = sign
+        status, x = _phase2(start, encode_obj(obj), ncols)
+        if status != "optimal":
+            return False
+        known.append(decode(x))
+        return known[-1][j] == bound
+
     lower_forced = []
     upper_forced = []
     for j in range(n):
-        obj = [ZERO] * n
-        obj[j] = ONE
-        lo, up = prog.lower[j], prog.upper[j]
-        if lo is None:
-            lower_forced.append(False)
-        else:
-            status, value, _ = _optimize_closed(prog, obj, maximize=True)
-            lower_forced.append(status == "optimal" and value == lo)
-        if up is None:
-            upper_forced.append(False)
-        else:
-            status, value, _ = _optimize_closed(prog, obj, maximize=False)
-            upper_forced.append(status == "optimal" and value == up)
+        lower_forced.append(forced(j, prog.lower[j], ONE))
+        upper_forced.append(forced(j, prog.upper[j], -ONE))
     return TightnessReport(True, tuple(lower_forced), tuple(upper_forced))
 
 

@@ -301,8 +301,20 @@ def _base_document(subcommand: str, cfg: JobConfig) -> dict:
     }
 
 
+def _check_rank(cfg: JobConfig, rank: int) -> None:
+    """Every configured weight-space vector must have one entry per rank.
+    TwistData already holds its basis square, so its offset speaks for it."""
+    offset = None if cfg.twist is None else cfg.twist.coset_offset
+    for name, v in (("nu", cfg.nu), ("epsilon", cfg.epsilon),
+                    ("twist coset_offset", offset)):
+        if v is not None and len(v) != rank:
+            raise InputError(f"{name} has {len(v)} entries, but "
+                             f"{cfg.group} has rank {rank}")
+
+
 def build_objects(cfg: JobConfig):
     datum = build_group(cfg.group)
+    _check_rank(cfg, datum.rank)
     rep = construct_rep(datum, cfg.representation)
     threshold = STANDARD if cfg.mode == "standard" else HALF_OPEN_MODE
     profile = make_profile(datum, cfg.nu, threshold)

@@ -11,7 +11,8 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from sodlab.linprog import BoxedLinearProgram, LpBuilder, lp_optimize, \
+from sodlab.linprog import BoxedLinearProgram, LpBuilder, \
+    TightnessReport, _optimize_closed, feasible_point, lp_optimize, \
     strict_feasible
 
 F = Fraction
@@ -103,6 +104,35 @@ def vertex_forced(prog: BoxedLinearProgram):
     lower = tuple(max(v[j] for v in verts) == prog.lower[j] for j in range(n))
     upper = tuple(min(v[j] for v in verts) == prog.upper[j] for j in range(n))
     return True, lower, upper
+
+
+# ---------------------------------------------------------------------------
+# Per-bound forced tightness: one full two-phase solve per finite bound.
+# ---------------------------------------------------------------------------
+
+def forced_tight_reference(prog: BoxedLinearProgram) -> TightnessReport:
+    """Forced tightness with no shared phase 1 and no witness pruning: a
+    feasibility solve, then one cold max resp. min solve per finite bound."""
+    n = prog.nvars
+    if feasible_point(prog) is None:
+        return TightnessReport(False, (False,) * n, (False,) * n)
+    lower_forced = []
+    upper_forced = []
+    for j in range(n):
+        obj = [F(0)] * n
+        obj[j] = F(1)
+        lo, up = prog.lower[j], prog.upper[j]
+        if lo is None:
+            lower_forced.append(False)
+        else:
+            status, value, _ = _optimize_closed(prog, obj, maximize=True)
+            lower_forced.append(status == "optimal" and value == lo)
+        if up is None:
+            upper_forced.append(False)
+        else:
+            status, value, _ = _optimize_closed(prog, obj, maximize=False)
+            upper_forced.append(status == "optimal" and value == up)
+    return TightnessReport(True, tuple(lower_forced), tuple(upper_forced))
 
 
 # ---------------------------------------------------------------------------
@@ -269,6 +299,42 @@ def signature_to_value_counts(rep, sig):
 # ---------------------------------------------------------------------------
 # Random bounded programs.
 # ---------------------------------------------------------------------------
+
+def random_mixed_program(rng):
+    """A random program with the shapes ``random_bounded_program`` never
+    makes: free variables, one-sided bounds, pinned variables (lower ==
+    upper), duplicated equality rows, and (about one time in five) an
+    inconsistent pair of rows."""
+    n = rng.randint(2, 6)
+    b = LpBuilder()
+    point = []
+    for _ in range(n):
+        v = F(rng.randint(-6, 6), rng.choice([1, 2, 3]))
+        point.append(v)
+        kind = rng.choice(("free", "lower", "upper", "pinned", "box", "box"))
+        if kind == "free":
+            b.add_var()
+        elif kind == "lower":
+            b.add_var(lower=v - rng.randint(0, 2))
+        elif kind == "upper":
+            b.add_var(upper=v + rng.randint(0, 2))
+        elif kind == "pinned":
+            b.add_var(lower=v, upper=v)
+        else:
+            b.add_var(lower=v - rng.randint(0, 2), upper=v + rng.randint(0, 2))
+    rows = []
+    for _ in range(rng.randint(1, min(3, n))):
+        coeffs = {j: F(rng.randint(-2, 2)) for j in range(n)}
+        rows.append((coeffs, sum(coeffs[j] * point[j] for j in range(n))))
+    if rng.random() < 0.5:
+        rows.append(rows[rng.randrange(len(rows))])  # duplicated row
+    if rng.random() < 0.2:
+        coeffs, rhs = rows[rng.randrange(len(rows))]
+        rows.append((coeffs, rhs + 1))  # contradicts its twin
+    for coeffs, rhs in rows:
+        b.add_eq(coeffs, rhs)
+    return b.build()
+
 
 def random_bounded_program(rng, nvars=None, max_den=32):
     """A random fully bounded program with small rational data."""

@@ -130,6 +130,34 @@ class TestCliProcess:
     def test_unknown_preset_exits_two(self):
         assert main(["sod", "--preset", "octonion:n=1"]) == 2
 
+    @pytest.mark.parametrize("spec", ["sl2:a", "toric:1.5", "pfaffian:n=x,h=3"])
+    def test_non_integer_preset_exits_two(self, spec, capsys):
+        assert main(["nccr", "--preset", spec]) == 2
+        assert "configuration error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value", [
+        ("nu", ["1"]),
+        ("epsilon", ["1", "2", "3"]),
+        ("twist", {"sublattice_basis": [["2"]], "coset_offset": ["1"]}),
+        ("twist", {"sublattice_basis": [["2", "0", "0"], ["0", "2", "0"],
+                                        ["0", "0", "2"]],
+                   "coset_offset": ["1", "0", "0"]}),
+    ])
+    def test_vector_of_wrong_rank_exits_two(self, tmp_path, capsys, key, value):
+        cfg = {"group": "GL(2)",
+               "representation": [{"kind": "vector_power", "h": 2},
+                                  {"kind": "dual_vector_power", "h": 2}],
+               "box_radius": 1, key: value}
+        assert main(["sod", "--config", write_config(tmp_path, cfg)]) == 2
+        assert "rank" in capsys.readouterr().err
+
+    def test_long_epsilon_on_rank_one_exits_two(self, tmp_path, capsys):
+        cfg = {"group": "Torus(1)", "representation": [{"kind": "weights", "weights": [
+            {"weight": [1], "mult": 1}, {"weight": [-1], "mult": 1}]}],
+            "epsilon": ["1", "2"], "box_radius": 1}
+        assert main(["sod", "--config", write_config(tmp_path, cfg)]) == 2
+        assert "rank" in capsys.readouterr().err
+
     def test_precondition_exits_three_with_report(self, tmp_path, capsys):
         cfg = {
             "group": "Torus(1)",

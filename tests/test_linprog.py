@@ -3,7 +3,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from oracles import (grid_strict_search, random_bounded_program,
+from oracles import (forced_tight_reference, grid_strict_search,
+                     random_bounded_program, random_mixed_program,
                      vertex_forced, vertex_optimize)
 from sodlab.linprog import (BoxedLinearProgram, InputError, LpBuilder,
                             enumerate_lattice, forced_tight, lp_optimize,
@@ -195,3 +196,19 @@ class TestRandomizedAgainstOracles:
                         assert w[j] > p.lower[j]
                     if p.upper_open[j]:
                         assert w[j] < p.upper[j]
+
+    def test_forced_matches_per_bound_reference(self):
+        # free, one-sided and pinned variables, duplicated and contradictory
+        # rows: shapes the fully bounded generator never produces
+        rng = random.Random(505)
+        outcomes = set()
+        for _ in range(200):
+            p = random_mixed_program(rng)
+            rep = forced_tight(p)
+            assert rep == forced_tight_reference(p)
+            outcomes.add(rep.feasible)
+            if rep.feasible:
+                outcomes.update(("lower", f) for f in rep.lower_forced)
+                outcomes.update(("upper", f) for f in rep.upper_forced)
+        assert outcomes == {False, True, ("lower", False), ("lower", True),
+                            ("upper", False), ("upper", True)}

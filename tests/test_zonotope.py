@@ -4,12 +4,14 @@ from fractions import Fraction as F
 
 import pytest
 
+from oracles import forced_tight_reference
 from sodlab.linalg import vec, vscale
-from sodlab.linprog import InputError
+from sodlab.linprog import InputError, forced_tight
 from sodlab.reps import construct_rep, rep_spec, weight_signs
 from sodlab.rootdata import build_group
 from sodlab.zonotope import (CLOSED, HALF_OPEN, REL_INT, EpsShift,
-                             ZonotopeQuery, face_signature_at, is_generic,
+                             ZonotopeQuery, _coefficient_program,
+                             face_signature_at, is_generic,
                              is_weakly_generic, member, member_eps,
                              min_radius, supporting_lambda)
 
@@ -50,21 +52,18 @@ class TestMember:
         rng = random.Random(6)
         gens = (vec([1, 0]), vec([0, 1]), vec([-1, -1]))
         r = F(1)
+        reachable = []
+        for den in (1, 2, 4, 8, 16, 32):
+            steps = [F(-k, den) for k in range(den + 1)]
+            reachable.append({
+                (sum(c * g[0] for c, g in zip(combo, gens)),
+                 sum(c * g[1] for c, g in zip(combo, gens)))
+                for combo in itertools.product(steps, repeat=len(gens))})
         for _ in range(25):
             p = vec([F(rng.randint(-3, 3), rng.choice([1, 2])),
                      F(rng.randint(-3, 3), rng.choice([1, 2]))])
             got = member(q(gens, r, [0, 0], CLOSED), p)
-            found = False
-            for den in (1, 2, 4, 8, 16, 32):
-                steps = [F(-k, den) for k in range(den + 1)]
-                for combo in itertools.product(steps, repeat=len(gens)):
-                    cand = (sum(c * g[0] for c, g in zip(combo, gens)),
-                            sum(c * g[1] for c, g in zip(combo, gens)))
-                    if cand == tuple(p):
-                        found = True
-                        break
-                if found:
-                    break
+            found = any(tuple(p) in grid for grid in reachable)
             # coefficient denominators stay small on this instance family,
             # so the grid search is conclusive in both directions
             assert got == found
@@ -129,6 +128,23 @@ class TestFaceSignature:
         rest = tuple(G22[i] for i in sig.s_zero)
         target = vec([a - b for a, b in zip(p, pinned)])
         assert member(q(rest, sig.r, [0, 0], REL_INT), target)
+
+    def test_forced_tight_matches_reference_on_face_programs(self):
+        # the closed coefficient program at the minimal radius, exactly as
+        # face_signature_at builds it
+        sp4 = build_group("Sp(4)")
+        cases = [(G4, vec([0]), [vec([p]) for p in range(-3, 4)]),
+                 (G22, vec([0, 0]), [vec([2, 1]), vec([-1, 3]), vec([0, 2])]),
+                 (construct_rep(sp4, [("vector_power", 2)]).expanded,
+                  vec([-2, -1]), [vec([1, 0]), vec([2, 2]), vec([3, 1])])]
+        for gens, shift, points in cases:
+            for p in points:
+                r = min_radius(gens, shift, p)
+                if not r:
+                    continue
+                b, _, _, _ = _coefficient_program(gens, r, shift, p, CLOSED, ())
+                prog = b.build()
+                assert forced_tight(prog) == forced_tight_reference(prog)
 
 
 class TestSupportingLambda:
