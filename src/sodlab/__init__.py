@@ -12,6 +12,8 @@ Submodules:
     report/cli  deterministic reporting and the command line tool
 """
 
+__version__ = "0.1.0"  # pyproject.toml must match (tests/test_cli.py)
+
 from .linprog import (BoxedLinearProgram, InputError, LpBuilder,
                       TightnessReport, enumerate_lattice, forced_tight,
                       lp_optimize, strict_feasible)
@@ -33,5 +35,3 @@ from .characters import (CharacterTable, GradedDims, hom_block_dims,
                          irr_character, sym_power_character, weyl_dim)
 from .sod import (NccrCertificate, SodComponent, SodResult, certify_nccr,
                   enumerate_sod, preset, refine_lambda_combination)
-
-__version__ = "0.1.0"

@@ -8,15 +8,20 @@ but is ignored by the closed relaxation that the simplex solves.
 
 The simplex is split in two.  ``_phase1`` prepares a constraint system once
 and returns a feasible basis; ``_phase2`` warm-starts one objective from a
-copy of it.  A plain solve is the composition of the two, and
-``forced_tight`` runs phase 1 once per system and phase 2 once per bound
-objective that no known feasible point already rules out.  The reduced-cost
+copy of it.  A plain solve is the composition of the two.  The reduced-cost
 row is built once per phase and updated with each pivot, and a pivot touches
 only the nonzero columns of its row.
 
-Strictness is decided by slack maximization: a point satisfying every open
-bound strictly exists iff each open bound individually admits positive slack
-over the closed region, because averaging witnesses keeps all slacks positive.
+Forced tightness, strictness and attainment are read from one fact: which
+bounds every feasible point of the closed relaxation attains.
+``_bound_sweep`` answers it for a list of bounds with one phase 1 and at most
+one warm-started phase 2 per bound, none for a bound that a feasible point
+already found leaves.  ``forced_tight`` sweeps every bound.  A point meeting
+every open bound strictly exists iff the system is feasible and no open bound
+is attained by every feasible point, because averaging one witness per open
+bound keeps all slacks positive; so ``strict_feasible`` sweeps the open
+bounds.  An optimum is attained by the half-open set iff its optimal face has
+such a point.
 """
 
 from __future__ import annotations
@@ -71,24 +76,11 @@ class BoxedLinearProgram:
     def nvars(self) -> int:
         return len(self.lower)
 
-    def with_objective(self, obj: Sequence[Fraction]) -> "BoxedLinearProgram":
-        return BoxedLinearProgram(
-            self.eq_rows, self.eq_rhs, self.lower, self.upper,
-            self.lower_open, self.upper_open, tuple(obj))
-
     def with_extra_eq(self, row: Sequence[Fraction], rhs: Fraction) -> "BoxedLinearProgram":
         return BoxedLinearProgram(
             self.eq_rows + (tuple(row),), self.eq_rhs + (rhs,),
             self.lower, self.upper, self.lower_open, self.upper_open,
             self.objective)
-
-    def with_bounds(self, j: int, lower: Bound, upper: Bound) -> "BoxedLinearProgram":
-        lo = list(self.lower)
-        up = list(self.upper)
-        lo[j], up[j] = lower, upper
-        return BoxedLinearProgram(
-            self.eq_rows, self.eq_rhs, tuple(lo), tuple(up),
-            self.lower_open, self.upper_open, self.objective)
 
 
 @dataclass(frozen=True)
@@ -345,120 +337,66 @@ def lp_optimize(prog: BoxedLinearProgram, sense: str) -> LpResult:
         prog, prog.objective, maximize=(sense == "max"))
     if status != "optimal":
         return LpResult(status, None, None, False)
-    attained = True
-    open_bounds = [(j, "lower") for j in range(prog.nvars) if prog.lower_open[j]]
-    open_bounds += [(j, "upper") for j in range(prog.nvars) if prog.upper_open[j]]
-    if open_bounds:
-        face = prog.with_extra_eq(prog.objective, value)
-        for j, side in open_bounds:
-            bound = prog.lower[j] if side == "lower" else prog.upper[j]
-            if side == "lower" and witness[j] > bound:
-                continue
-            if side == "upper" and witness[j] < bound:
-                continue
-            slack = _max_bound_slack(face, j, side)
-            if slack == 0:
-                attained = False
-                break
+    attained = not _open_bounds(prog) or strict_feasible(
+        prog.with_extra_eq(prog.objective, value))
     return LpResult("optimal", value, witness, attained)
 
 
-def _max_bound_slack(prog: BoxedLinearProgram, j: int, side: str) -> Fraction:
-    """max of (x_j - lower_j) resp. (upper_j - x_j), capped at 1.
-
-    The cap keeps the problem bounded; only positivity of the slack matters.
-    Assumes prog is feasible; a capped problem that turns infeasible means
-    every feasible point clears the cap, i.e. the slack exceeds 1.
-    """
-    lo, up = prog.lower[j], prog.upper[j]
-    obj = [ZERO] * prog.nvars
-    obj[j] = ONE
-    if side == "lower":
-        capped = prog.with_bounds(
-            j, lo, up if up is not None and up <= lo + 1 else lo + 1)
-        status, value, _ = _optimize_closed(capped, obj, maximize=True)
-        return value - lo if status == "optimal" else ONE
-    capped = prog.with_bounds(
-        j, lo if lo is not None and lo >= up - 1 else up - 1, up)
-    status, value, _ = _optimize_closed(capped, obj, maximize=False)
-    return up - value if status == "optimal" else ONE
-
-
-def strict_point(prog: BoxedLinearProgram) -> Vec | None:
-    """A point satisfying the equalities, all closed bounds, and every open
-    bound strictly; None when no such point exists."""
-    base = feasible_point(prog)
-    if base is None:
-        return None
-    witnesses = [base]
-    for j in range(prog.nvars):
-        for side, is_open in (("lower", prog.lower_open[j]),
-                              ("upper", prog.upper_open[j])):
-            if not is_open:
-                continue
-            bound = prog.lower[j] if side == "lower" else prog.upper[j]
-            slack = _max_bound_slack(prog, j, side)
-            if slack == 0:
-                return None
-            # Recover a witness realizing the slack for the averaging step.
-            step = min(slack, ONE)
-            pinned = (prog.with_bounds(j, bound + step, prog.upper[j])
-                      if side == "lower"
-                      else prog.with_bounds(j, prog.lower[j], bound - step))
-            w = feasible_point(pinned)
-            if w is None:  # unreachable: the slack level set is nonempty
-                return None
-            witnesses.append(w)
-    k = Fraction(1, len(witnesses))
-    avg = tuple(sum((w[i] for w in witnesses), ZERO) * k
-                for i in range(prog.nvars))
-    for j in range(prog.nvars):
-        if prog.lower_open[j] and not avg[j] > prog.lower[j]:
-            return None
-        if prog.upper_open[j] and not avg[j] < prog.upper[j]:
-            return None
-    return avg
+def _open_bounds(prog: BoxedLinearProgram) -> list[tuple[int, str]]:
+    out = [(j, "lower") for j in range(prog.nvars) if prog.lower_open[j]]
+    return out + [(j, "upper") for j in range(prog.nvars) if prog.upper_open[j]]
 
 
 def strict_feasible(prog: BoxedLinearProgram) -> bool:
-    return strict_point(prog) is not None
+    """Whether some point satisfies the equalities, all closed bounds, and
+    every open bound strictly."""
+    sweep = _bound_sweep(prog, _open_bounds(prog))
+    return sweep is not None and not any(sweep)
 
 
 def forced_tight(prog: BoxedLinearProgram) -> TightnessReport:
-    """Which variables sit at a bound in every feasible point.
+    """Which variables sit at a bound in every feasible point."""
+    n = prog.nvars
+    sweep = _bound_sweep(
+        prog, [(j, side) for j in range(n) for side in ("lower", "upper")])
+    if sweep is None:
+        return TightnessReport(False, (False,) * n, (False,) * n)
+    flags = list(sweep)
+    return TightnessReport(True, tuple(flags[0::2]), tuple(flags[1::2]))
 
-    One phase 1 prepares the system; each finite bound then costs at most one
+
+def _bound_sweep(prog: BoxedLinearProgram, bounds: Sequence[tuple[int, str]]):
+    """For each (variable, "lower" | "upper") in ``bounds``, whether every
+    feasible point of the closed relaxation attains that bound (False for an
+    infinite bound), as a lazy iterator; None when the relaxation is
+    infeasible.
+
+    One phase 1 prepares the system; each bound then costs at most one
     warm-started phase 2.  A bound is skipped when a feasible point already
     known (the phase-1 vertex or an earlier optimum) leaves it.
     """
-    n = prog.nvars
-    infeasible = TightnessReport(False, (False,) * n, (False,) * n)
     std = _to_standard(prog)
     if std is None:
-        return infeasible
+        return None
     rows, rhs, ncols, decode, encode_obj = std
     start = _phase1(rows, rhs, ncols)
     if start is None:
-        return infeasible
+        return None
     known = [decode(_basic_solution(start[1], start[2], ncols))]
 
-    def forced(j: int, bound: Bound, sign: Fraction) -> bool:
+    def forced(j: int, side: str) -> bool:
+        bound = prog.lower[j] if side == "lower" else prog.upper[j]
         if bound is None or any(x[j] != bound for x in known):
             return False
-        obj = [ZERO] * n
-        obj[j] = sign
+        obj = [ZERO] * prog.nvars
+        obj[j] = ONE if side == "lower" else -ONE
         status, x = _phase2(start, encode_obj(obj), ncols)
         if status != "optimal":
             return False
         known.append(decode(x))
         return known[-1][j] == bound
 
-    lower_forced = []
-    upper_forced = []
-    for j in range(n):
-        lower_forced.append(forced(j, prog.lower[j], ONE))
-        upper_forced.append(forced(j, prog.upper[j], -ONE))
-    return TightnessReport(True, tuple(lower_forced), tuple(upper_forced))
+    return (forced(j, side) for j, side in bounds)
 
 
 # ---------------------------------------------------------------------------
@@ -545,3 +483,20 @@ def enumerate_lattice(predicate: Callable[[Vec], bool],
         if predicate(point):
             out.append(point)
     return out
+
+
+_INTEGRAL_SEARCH_CAP = 64
+
+
+def lex_minimal_integral(n: int, ok: Callable[[Vec], bool]) -> Vec:
+    """First integral vector of length n, by growing sup-norm then
+    lexicographic order, satisfying the predicate; InputError when none has
+    sup-norm up to the search cap or n is 0."""
+    if n == 0:
+        raise InputError("no nonzero vector exists in rank 0")
+    for bound in range(1, _INTEGRAL_SEARCH_CAP + 1):
+        for cand in itertools.product(range(-bound, bound + 1), repeat=n):
+            v = tuple(Fraction(c) for c in cand)
+            if ok(v):
+                return v
+    raise InputError("integral search cap exceeded")

@@ -13,14 +13,15 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linalg import Vec, ZERO, frac, vadd, vscale, vsub, vec, zero_vec
+from .linalg import Vec, ZERO, vadd, vscale, vsub, vec, zero_vec
 from .linprog import (InputError, LpBuilder, enumerate_lattice, lp_optimize)
 from .reps import (RepSpec, find_destabilizer, has_t_stable_point,
                    weight_signs)
 from .rootdata import (RootDatum, full_levi, is_dominant, levi, pairing,
                        star_dominate)
 from .zonotope import (REL_INT, FaceSignature, ZonotopeQuery,
-                       face_signature_at, member, supporting_lambda)
+                       coefficient_system, face_signature_at, member,
+                       supporting_lambda)
 
 
 class PreconditionError(RuntimeError):
@@ -114,33 +115,19 @@ def _pinned_coords(datum: RootDatum) -> tuple[int, ...]:
 def window_box(datum: RootDatum, generators, r, shift):
     """Per-coordinate bounds of the closed window over canonical section
     representatives (pinned SL coordinates forced to zero)."""
-    n = datum.rank
     pinned = set(_pinned_coords(datum))
-    classes: dict[Vec, int] = {}
-    for g in generators:
-        classes[tuple(g)] = classes.get(tuple(g), 0) + 1
+    b = LpBuilder()
+    _, _, rows = coefficient_system(
+        b, generators, datum.central_directions,
+        [-shift[k] if k in pinned else None for k in range(datum.rank)], r)
     box = []
-    for k in range(n):
+    for k, row in enumerate(rows):
         if k in pinned:
             box.append((ZERO, ZERO))
             continue
         bounds = []
         for sense in ("min", "max"):
-            b = LpBuilder()
-            cols = {v: b.add_var(lower=-frac(r) * m, upper=0)
-                    for v, m in classes.items()}
-            tcols = [b.add_var() for _ in datum.central_directions]
-            for p in pinned:
-                row = {cols[v]: v[p] for v in cols if v[p] != 0}
-                for c, col in zip(datum.central_directions, tcols):
-                    if c[p] != 0:
-                        row[col] = c[p]
-                b.add_eq(row, -shift[p])
-            obj = {cols[v]: v[k] for v in cols if v[k] != 0}
-            for c, col in zip(datum.central_directions, tcols):
-                if c[k] != 0:
-                    obj[col] = c[k]
-            res = lp_optimize(b.build(obj), sense)
+            res = lp_optimize(b.build(row), sense)
             if res.status != "optimal":
                 raise InputError("window is unbounded; cannot enumerate")
             bounds.append(res.value + shift[k])

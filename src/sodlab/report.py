@@ -11,6 +11,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 
+from . import __version__
 from .linalg import Vec, frac, is_integral, vec
 from .linprog import InputError
 from .characters import hom_block_dims
@@ -23,7 +24,6 @@ from .sod import (NccrCertificate, Preset, SodComponent, certify_nccr,
                   enumerate_sod, pick_epsilon)
 
 TOOL_NAME = "sodlab"
-TOOL_VERSION = "0.1.0"
 
 SUBCOMMANDS = ("analyze", "partition", "sod", "nccr", "hilbert")
 
@@ -98,7 +98,7 @@ def parse_config(raw: dict) -> JobConfig:
     twist = _parse_twist(raw.get("twist"))
     r_max = parse_rational(raw["r_max"]) if raw.get("r_max") is not None else None
     box_radius = raw.get("box_radius", 6)
-    if not isinstance(box_radius, int) or box_radius < 0:
+    if not _is_int(box_radius) or box_radius < 0:
         raise InputError("'box_radius' must be a nonnegative integer")
     mode = raw.get("mode", "standard")
     if mode not in ("standard", "quasi_symmetric"):
@@ -107,7 +107,7 @@ def parse_config(raw: dict) -> JobConfig:
     if assertion is not None and not isinstance(assertion, bool):
         raise InputError("'genericity_assertion' must be a boolean or null")
     degree_bound = raw.get("degree_bound", 6)
-    if not isinstance(degree_bound, int) or degree_bound < 0:
+    if not _is_int(degree_bound) or degree_bound < 0:
         raise InputError("'degree_bound' must be a nonnegative integer")
     prazno_mode = raw.get("prazno_mode", "set")
     if prazno_mode not in ("set", "minkowski"):
@@ -134,7 +134,7 @@ def _parse_rep(raw) -> tuple:
                     raise InputError("weight entries are {'weight': [...], 'mult': n}")
                 w = tuple(parse_rational(x) for x in e["weight"])
                 m = e.get("mult", 1)
-                if not isinstance(m, int) or m < 1:
+                if not _is_int(m) or m < 1:
                     raise InputError("weight multiplicities are positive integers")
                 pairs.append((w, m))
             pieces.append(("weights", tuple(pairs)))
@@ -149,9 +149,14 @@ def _parse_rep(raw) -> tuple:
     return tuple(pieces)
 
 
+def _is_int(v) -> bool:
+    """JSON integers only: ``true``/``false`` load as bool, a subclass of int."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def _positive_int(item: dict, key: str) -> int:
     v = item.get(key)
-    if not isinstance(v, int) or v < 1:
+    if not _is_int(v) or v < 1:
         raise InputError(f"piece {item.get('kind')!r} needs a positive integer {key!r}")
     return v
 
@@ -295,7 +300,7 @@ def _destabilizer_json(report) -> dict:
 
 def _base_document(subcommand: str, cfg: JobConfig) -> dict:
     return {
-        "tool": {"name": TOOL_NAME, "version": TOOL_VERSION},
+        "tool": {"name": TOOL_NAME, "version": __version__},
         "subcommand": subcommand,
         "input": config_json(cfg),
     }
@@ -457,7 +462,7 @@ def _render_text(doc: dict) -> str:
 
 
 def error_document(subcommand: str, cfg: JobConfig | None, exc: Exception) -> dict:
-    doc = {"tool": {"name": TOOL_NAME, "version": TOOL_VERSION},
+    doc = {"tool": {"name": TOOL_NAME, "version": __version__},
            "subcommand": subcommand,
            "error": {"message": str(exc)}}
     if cfg is not None:

@@ -14,9 +14,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .linalg import (Mat, Vec, ZERO, ONE, is_integral, is_zero_vec, mat_vec,
-                     nullspace, primitive, solve, vadd, vdot, vneg, vscale,
-                     vec, zero_vec)
-from .linprog import InputError, LpBuilder, feasible_point
+                     nullspace, primitive, rank as mat_rank, solve, vadd, vdot,
+                     vneg, vscale, vec, zero_vec)
+from .linprog import InputError, LpBuilder, feasible_point, lex_minimal_integral
 from .rootdata import RootDatum, full_levi, pairing
 
 
@@ -31,13 +31,6 @@ class RepSpec:
     @property
     def dim(self) -> int:
         return len(self.expanded)
-
-    def value_classes(self) -> list[tuple[Vec, list[int]]]:
-        """Distinct weight values with their expanded index lists."""
-        groups: dict[Vec, list[int]] = {}
-        for i, w in enumerate(self.expanded):
-            groups.setdefault(w, []).append(i)
-        return sorted(groups.items())
 
 
 def rep_spec(datum: RootDatum, weights) -> RepSpec:
@@ -133,16 +126,13 @@ class DestabilizerReport:
     sigma_annihilates_all: bool
 
 
-_DESTAB_SEARCH_CAP = 64
-
-
 def find_destabilizer(rep: RepSpec) -> DestabilizerReport:
     datum = rep.datum
     n = datum.rank
     if has_t_stable_point(rep):
         return DestabilizerReport(None, zero_vec(n), "HasStablePoint", False)
     values = [w for w, _ in rep.weights]
-    sigma = _lex_minimal_integral(
+    sigma = lex_minimal_integral(
         n,
         lambda s: (not is_zero_vec(s)
                    and datum.coweight_ok(s)
@@ -152,19 +142,6 @@ def find_destabilizer(rep: RepSpec) -> DestabilizerReport:
     case = "CentralAttractor" if not is_zero_vec(nu) else "TrivialActingSubgroup"
     annihilates = all(vdot(sigma, w) == 0 for w in values)
     return DestabilizerReport(sigma, nu, case, annihilates)
-
-
-def _lex_minimal_integral(n: int, ok) -> Vec:
-    """First integral vector, by growing sup-norm then lexicographic order,
-    satisfying the predicate.  The caller guarantees one exists."""
-    if n == 0:
-        raise InputError("no nonzero vector exists in rank 0")
-    for bound in range(1, _DESTAB_SEARCH_CAP + 1):
-        for cand in itertools.product(range(-bound, bound + 1), repeat=n):
-            v = tuple(Fraction(c) for c in cand)
-            if ok(v):
-                return v
-    raise InputError("integral search cap exceeded")
 
 
 # ---------------------------------------------------------------------------
@@ -215,7 +192,6 @@ class TwistData:
                 raise InputError("sublattice basis must be integral")
         if not is_integral(self.coset_offset):
             raise InputError("coset offset must be integral")
-        from .linalg import rank as mat_rank
         if mat_rank([list(r) for r in self.sublattice_basis]) != n:
             raise InputError("sublattice basis must have full rank")
 

@@ -19,9 +19,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .linalg import (Mat, Vec, ZERO, ONE, identity, is_zero_vec, mat_add,
-                     mat_mul, mat_scale, mat_vec, span_basis, vadd, vdot,
-                     vscale, vsub, vec, zero_vec)
+from .linalg import (Mat, Vec, ZERO, ONE, identity, in_span, is_zero_vec,
+                     mat_add, mat_mul, mat_scale, mat_vec, span_basis, vadd,
+                     vdot, vscale, vsub, vec, zero_vec)
 from .linprog import InputError
 
 
@@ -350,7 +350,7 @@ class LeviDatum:
         central = list(self.datum.central_directions)
         out = []
         for v in image:
-            if not _in_span_of(central + out, v):
+            if not in_span(central + out, v):
                 out.append(self.datum.normalize_weight(v))
         return [v for v in out if not is_zero_vec(v)]
 
@@ -359,11 +359,6 @@ class LeviDatum:
 
     def label(self) -> str:
         return _levi_label(self)
-
-
-def _in_span_of(vectors, target) -> bool:
-    from .linalg import in_span
-    return in_span(vectors, target)
 
 
 @lru_cache(maxsize=None)

@@ -12,9 +12,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
-from .linalg import Vec, ZERO, ONE, frac, in_span, is_zero_vec, vadd, \
-    vscale, vsub, vec, zero_vec
+from .linalg import Vec, ZERO, ONE, frac, in_span, is_zero_vec, primitive, \
+    vadd, vscale, vsub, vec, zero_vec
 from .linprog import InputError, enumerate_lattice
 from .characters import weyl_dim
 from .partition import (HALF_OPEN_MODE, STANDARD, PartitionCell,
@@ -25,8 +26,9 @@ from .reps import (RepSpec, TwistData, coinvariant_rep, construct_rep,
 from .rootdata import LeviDatum, RootDatum, build_group, full_levi, \
     is_dominant, levi, pairing
 from .zonotope import (CLOSED, HALF_OPEN, REL_INT, EpsShift, FaceSignature,
-                       ZonotopeQuery, is_generic, is_weakly_generic, member,
-                       member_eps, realizable_face_patterns)
+                       ZonotopeQuery, invariants_in_span, is_generic,
+                       is_weakly_generic, member, member_eps,
+                       realizable_face_patterns)
 
 
 @dataclass(frozen=True)
@@ -58,10 +60,8 @@ class SodResult:
 def pick_epsilon(rep: RepSpec, lv: LeviDatum, generators) -> Vec:
     """Default epsilon: zero when no invariant direction is parallel to the
     window zonotope, else the sum of a basis of the parallel invariants."""
-    from .zonotope import _invariants_in_span
-
     central = rep.datum.central_directions
-    inv = _invariants_in_span(lv, generators, central)
+    inv = invariants_in_span(lv, generators, central)
     if not inv:
         return zero_vec(rep.datum.rank)
     total = zero_vec(rep.datum.rank)
@@ -191,8 +191,6 @@ class NccrCertificate:
 def _toric_two_per_side(coinv: RepSpec) -> bool:
     """Every line carrying a nonzero neutral weight has at least two weights
     (with multiplicity) on each of its sides."""
-    from .linalg import primitive
-
     sides: dict[Vec, list[int]] = {}
     for w, m in coinv.weights:
         if is_zero_vec(w):
@@ -211,8 +209,6 @@ def _toric_two_per_side(coinv: RepSpec) -> bool:
 def _zonotope_vertices(generators, central) -> list[Vec]:
     """Vertex set of the closed unit-coefficient zonotope (coefficients of
     positively paired generators pinned at -1, negatively paired at 0)."""
-    from .linalg import primitive
-
     gens = [vec(g) for g in generators]
     dim = len(gens[0]) if gens else 0
     lines = []
@@ -462,8 +458,6 @@ def refine_lambda_combination(rep: RepSpec, lam_outer: Vec, lam_inner: Vec) -> V
         cand = vadd(lam_outer, vscale(b, lam_inner))
         if _signs_refine(rep, cand, lam_outer, lam_inner) and \
                 all(pairing(cand, a) <= 0 for a in datum.positive_roots):
-            from math import lcm
-
             scale = lcm(*(x.denominator for x in cand)) if cand else 1
             return vscale(Fraction(scale), cand)
         b = b / 2

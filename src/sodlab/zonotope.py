@@ -20,9 +20,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .linalg import (Vec, ZERO, ONE, frac, in_span, is_zero_vec, primitive,
-                     vdot, vec, vscale, vsub, zero_vec)
-from .linprog import (InputError, LpBuilder, feasible_point,
-                      forced_tight, lp_optimize, strict_feasible)
+                     subspace_intersection, vdot, vec, vscale, vsub, zero_vec)
+from .linprog import (InputError, LpBuilder, feasible_point, forced_tight,
+                      lex_minimal_integral, lp_optimize, strict_feasible)
 from .rootdata import LeviDatum, RootDatum, full_levi
 
 Central = tuple[Vec, ...]
@@ -85,39 +85,46 @@ def _classes(generators) -> list[tuple[Vec, list[int]]]:
     return sorted(groups.items())
 
 
-def _coefficient_program(generators, radius, shift, p, variant, central,
-                         builder: LpBuilder | None = None):
-    """LP whose feasibility is membership of p in shift + radius * variant."""
-    b = builder or LpBuilder()
+def coefficient_system(b: LpBuilder, generators, central, target,
+                       radius=None, lower_open=False, upper_open=False,
+                       extra=()):
+    """Add the system  sum_v c_v v + sum_c t_c c + sum_e s_e e = target  to b.
+
+    One column c_v <= 0 per class of m equal generators, bounded below by
+    -radius * m unless ``radius`` is None and open at the flagged ends; one
+    free column t_c per central direction; then one column s_e per pair
+    (vector e, ``LpBuilder.add_var`` keywords) in ``extra``.  ``target``
+    holds, per coordinate, the right-hand side of its equality row, or None
+    for no row.  Returns (classes, class columns, the sparse row of every
+    coordinate).
+    """
     classes = _classes(generators)
-    cols = []
-    for v, idx in classes:
-        m = len(idx)
-        lo = -frac(radius) * m
-        if variant == CLOSED:
-            cols.append(b.add_var(lower=lo, upper=0))
-        elif variant == HALF_OPEN:
-            cols.append(b.add_var(lower=lo, upper=0, lower_open=True))
-        else:
-            cols.append(b.add_var(lower=lo, upper=0, lower_open=True, upper_open=True))
-    tcols = [b.add_var() for _ in central]
-    n = len(p)
-    target = vsub(vec(p), vec(shift))
-    for k in range(n):
-        row = {}
-        for (v, _), col in zip(classes, cols):
-            if v[k] != 0:
-                row[col] = v[k]
-        for c, col in zip(central, tcols):
-            if c[k] != 0:
-                row[col] = c[k]
-        b.add_eq(row, target[k])
-    return b, classes, cols, tcols
+    cols = [b.add_var(lower=None if radius is None else -frac(radius) * len(idx),
+                      upper=0, lower_open=lower_open, upper_open=upper_open)
+            for _, idx in classes]
+    terms = [(v, col) for (v, _), col in zip(classes, cols)]
+    terms += [(c, b.add_var()) for c in central]
+    terms += [(e, b.add_var(**bounds)) for e, bounds in extra]
+    rows = [{col: v[k] for v, col in terms if v[k] != 0}
+            for k in range(len(target))]
+    for row, rhs in zip(rows, target):
+        if rhs is not None:
+            b.add_eq(row, rhs)
+    return classes, cols, rows
+
+
+def _coefficient_program(generators, radius, shift, p, variant, central):
+    """LP whose feasibility is membership of p in shift + radius * variant."""
+    b = LpBuilder()
+    classes, cols, _ = coefficient_system(
+        b, generators, central, vsub(vec(p), vec(shift)), radius,
+        lower_open=variant != CLOSED, upper_open=variant == REL_INT)
+    return b, classes, cols
 
 
 def member(q: ZonotopeQuery, p: Vec) -> bool:
     """Exact membership of p in shift + r * (variant of the zonotope)."""
-    b, _, _, _ = _coefficient_program(
+    b, _, _ = _coefficient_program(
         q.generators, q.radius, q.shift, p, q.variant, q.central)
     prog = b.build()
     if q.variant == CLOSED:
@@ -129,21 +136,10 @@ def min_radius(generators, shift, p, central: Central = ()) -> Fraction | None:
     """Least r >= 0 with p in shift + r * (closed zonotope); None when p is
     not reachable at any radius."""
     b = LpBuilder()
-    classes = _classes(generators)
-    cols = [b.add_var(upper=0) for _ in classes]
+    classes, cols, _ = coefficient_system(
+        b, generators, central, vsub(vec(p), vec(shift)))
     rcol = b.add_var(lower=0)
-    tcols = [b.add_var() for _ in central]
-    target = vsub(vec(p), vec(shift))
-    for k in range(len(p)):
-        row = {}
-        for (v, _), col in zip(classes, cols):
-            if v[k] != 0:
-                row[col] = v[k]
-        for c, col in zip(central, tcols):
-            if c[k] != 0:
-                row[col] = c[k]
-        b.add_eq(row, target[k])
-    for (v, idx), col in zip(classes, cols):
+    for (_, idx), col in zip(classes, cols):
         b.add_ge({col: ONE, rcol: Fraction(len(idx))}, 0)  # c_v >= -m r
     res = lp_optimize(b.build({rcol: ONE}), "min")
     return res.value if res.status == "optimal" else None
@@ -158,7 +154,7 @@ def face_signature_at(generators, shift, p, central: Central = ()) -> FaceSignat
         raise InputError("point lies outside the span of the generators")
     if r == 0:
         return FaceSignature(ZERO, (), (), (), True)
-    b, classes, cols, _ = _coefficient_program(
+    b, classes, cols = _coefficient_program(
         generators, r, shift, p, CLOSED, central)
     report = forced_tight(b.build())
     if not report.feasible:  # unreachable: r came from a feasible program
@@ -232,19 +228,7 @@ def supporting_lambda(sig: FaceSignature, datum: RootDatum, generators) -> Vec:
                 return False
         return all(vdot(cand, a) <= 0 for a in datum.positive_roots)
 
-    return _lex_minimal_integral(n, ok)
-
-
-_SEARCH_CAP = 64
-
-
-def _lex_minimal_integral(n: int, ok) -> Vec:
-    for bound in range(1, _SEARCH_CAP + 1):
-        for cand in itertools.product(range(-bound, bound + 1), repeat=n):
-            v = tuple(Fraction(c) for c in cand)
-            if ok(v):
-                return v
-    raise InputError("integral canonicalization cap exceeded")
+    return lex_minimal_integral(n, ok)
 
 
 # ---------------------------------------------------------------------------
@@ -255,26 +239,9 @@ def _eps_direction_ok(generators, r, shift, eps_vec, p, central) -> bool:
     """Whether p is in the union over t > 0 of Delta intersect (t eps + Delta),
     for Delta = shift + r * closed zonotope, given that p is in Delta."""
     b = LpBuilder()
-    classes = _classes(generators)
-    cols = [b.add_var(lower=-frac(r) * len(idx), upper=0) for _, idx in classes]
-    tcols = [b.add_var() for _ in central]
-    tcol = b.add_var(lower=0)
-    target = vsub(vec(p), vec(shift))
-    for k in range(len(p)):
-        row = {}
-        for (v, _), col in zip(classes, cols):
-            if v[k] != 0:
-                row[col] = v[k]
-        for c, col in zip(central, tcols):
-            if c[k] != 0:
-                row[col] = c[k]
-        if eps_vec[k] != 0:
-            row[tcol] = eps_vec[k]
-        b.add_eq(row, target[k])
-    res = lp_optimize(b.build({tcol: ONE}), "max")
-    if res.status == "unbounded":
-        return True
-    return res.status == "optimal" and res.value > 0
+    coefficient_system(b, generators, central, vsub(vec(p), vec(shift)), r,
+                       extra=[(eps_vec, {"lower": 0, "lower_open": True})])
+    return strict_feasible(b.build())
 
 
 def member_eps(generators, r, shift, e: EpsShift, p, central: Central = ()) -> bool:
@@ -381,7 +348,7 @@ def is_weakly_generic(eps, source: RootDatum | LeviDatum, generators,
     eps = vec(eps)
     src = _weyl_source(source)
     _eps_preconditions(eps, src, generators, central)
-    inv = _invariants_in_span(src, generators, central)
+    inv = invariants_in_span(src, generators, central)
     if not inv:
         return True  # every face direction space trivially qualifies
     for _, zero_gens in realizable_face_patterns(generators, central):
@@ -404,11 +371,9 @@ def is_generic(eps, source: RootDatum | LeviDatum, generators,
     return True
 
 
-def _invariants_in_span(src: LeviDatum, generators, central) -> list[Vec]:
+def invariants_in_span(src: LeviDatum, generators, central) -> list[Vec]:
     """Basis of (invariant subspace) intersect (span of the zonotope), both
     taken in ambient coordinates together with the quotient directions."""
-    from .linalg import subspace_intersection
-
     dim = len(central[0]) if central else (
         len(generators[0]) if generators else src.datum.rank)
     inv_amb = list(src.invariant_vectors()) + list(central)

@@ -3,17 +3,19 @@
 The linear-algebra routines here are deliberately local so the vertex and
 grid oracles do not share code with the solver they check.  The signature
 oracle enumerates sign-pattern splits exhaustively and uses the LP kernel
-only for the per-pattern radius minimization.
+only for the per-pattern radius minimization; its strictness check is the
+slack-maximization reference below, not the kernel's bound sweep.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 from fractions import Fraction
 
-from sodlab.linprog import BoxedLinearProgram, LpBuilder, \
-    TightnessReport, _optimize_closed, feasible_point, lp_optimize, \
-    strict_feasible
+from sodlab.linalg import in_span
+from sodlab.linprog import BoxedLinearProgram, LpBuilder, LpResult, \
+    TightnessReport, _optimize_closed, feasible_point, lp_optimize
 
 F = Fraction
 
@@ -136,6 +138,148 @@ def forced_tight_reference(prog: BoxedLinearProgram) -> TightnessReport:
 
 
 # ---------------------------------------------------------------------------
+# Strictness and attainment by slack maximization: cold solves on programs
+# whose bounds are capped or pinned, one open bound at a time.
+# ---------------------------------------------------------------------------
+
+def _with_bounds(prog: BoxedLinearProgram, j, lower, upper):
+    lo = list(prog.lower)
+    up = list(prog.upper)
+    lo[j], up[j] = lower, upper
+    return dataclasses.replace(prog, lower=tuple(lo), upper=tuple(up))
+
+
+def max_bound_slack_reference(prog: BoxedLinearProgram, j, side):
+    """max of (x_j - lower_j) resp. (upper_j - x_j), capped at 1.
+
+    The cap keeps the problem bounded; only positivity of the slack matters.
+    Assumes prog is feasible; a capped problem that turns infeasible means
+    every feasible point clears the cap, i.e. the slack exceeds 1.
+    """
+    lo, up = prog.lower[j], prog.upper[j]
+    obj = [F(0)] * prog.nvars
+    obj[j] = F(1)
+    if side == "lower":
+        capped = _with_bounds(
+            prog, j, lo, up if up is not None and up <= lo + 1 else lo + 1)
+        status, value, _ = _optimize_closed(capped, obj, maximize=True)
+        return value - lo if status == "optimal" else F(1)
+    capped = _with_bounds(
+        prog, j, lo if lo is not None and lo >= up - 1 else up - 1, up)
+    status, value, _ = _optimize_closed(capped, obj, maximize=False)
+    return up - value if status == "optimal" else F(1)
+
+
+def strict_point_reference(prog: BoxedLinearProgram):
+    """A point satisfying the equalities, all closed bounds, and every open
+    bound strictly, as the average of one witness per open bound; None when
+    no such point exists."""
+    base = feasible_point(prog)
+    if base is None:
+        return None
+    witnesses = [base]
+    for j in range(prog.nvars):
+        for side, is_open in (("lower", prog.lower_open[j]),
+                              ("upper", prog.upper_open[j])):
+            if not is_open:
+                continue
+            bound = prog.lower[j] if side == "lower" else prog.upper[j]
+            slack = max_bound_slack_reference(prog, j, side)
+            if slack == 0:
+                return None
+            # Recover a witness realizing the slack for the averaging step.
+            step = min(slack, F(1))
+            pinned = (_with_bounds(prog, j, bound + step, prog.upper[j])
+                      if side == "lower"
+                      else _with_bounds(prog, j, prog.lower[j], bound - step))
+            w = feasible_point(pinned)
+            if w is None:  # unreachable: the slack level set is nonempty
+                return None
+            witnesses.append(w)
+    k = F(1, len(witnesses))
+    avg = tuple(sum((w[i] for w in witnesses), F(0)) * k
+                for i in range(prog.nvars))
+    for j in range(prog.nvars):
+        if prog.lower_open[j] and not avg[j] > prog.lower[j]:
+            return None
+        if prog.upper_open[j] and not avg[j] < prog.upper[j]:
+            return None
+    return avg
+
+
+def lp_optimize_reference(prog: BoxedLinearProgram, sense: str) -> LpResult:
+    """Optimum of the closed relaxation; attained unless some open bound that
+    the optimal witness meets has zero slack over the optimal face."""
+    status, value, witness = _optimize_closed(
+        prog, prog.objective, maximize=(sense == "max"))
+    if status != "optimal":
+        return LpResult(status, None, None, False)
+    face = prog.with_extra_eq(prog.objective, value)
+    for j in range(prog.nvars):
+        for side, is_open, bound in (
+                ("lower", prog.lower_open[j], prog.lower[j]),
+                ("upper", prog.upper_open[j], prog.upper[j])):
+            if is_open and witness[j] == bound \
+                    and max_bound_slack_reference(face, j, side) == 0:
+                return LpResult("optimal", value, witness, False)
+    return LpResult("optimal", value, witness, True)
+
+
+# ---------------------------------------------------------------------------
+# Epsilon-shifted membership by maximizing the push along epsilon.
+# ---------------------------------------------------------------------------
+
+def _value_classes(generators):
+    """Distinct generator values with their index lists, sorted by value."""
+    groups: dict = {}
+    for i, g in enumerate(generators):
+        groups.setdefault(tuple(g), []).append(i)
+    return sorted(groups.items())
+
+
+def _closed_coefficients(generators, r, shift, p, central, direction=None):
+    """Builder holding  sum c_v v + sum t_c c (+ t direction) = p - shift
+    with c_v in [-r m, 0], t_c free and t >= 0; returns (builder, t)."""
+    b = LpBuilder()
+    classes = _value_classes(generators)
+    cols = [b.add_var(lower=-F(r) * len(idx), upper=0) for _, idx in classes]
+    tcols = [b.add_var() for _ in central]
+    tcol = b.add_var(lower=0) if direction is not None else None
+    for k in range(len(p)):
+        row = {}
+        for (v, _), col in zip(classes, cols):
+            if v[k] != 0:
+                row[col] = v[k]
+        for c, col in zip(central, tcols):
+            if c[k] != 0:
+                row[col] = c[k]
+        if direction is not None and direction[k] != 0:
+            row[tcol] = direction[k]
+        b.add_eq(row, p[k] - shift[k])
+    return b, tcol
+
+
+def member_eps_reference(generators, r, shift, e, p, central=()):
+    """Closed membership, then max t with p - t*eps in the closed set is
+    positive or unbounded (and likewise for -eps in plus_minus mode)."""
+    if not in_span(list(generators) + list(central), e.epsilon):
+        raise ValueError("epsilon is not parallel to the zonotope")
+    b, _ = _closed_coefficients(generators, r, shift, p, central)
+    if feasible_point(b.build()) is None:
+        return False
+    signs = (1, -1) if e.mode == "plus_minus" else (1,)
+    for sign in signs:
+        direction = tuple(sign * x for x in e.epsilon)
+        b, tcol = _closed_coefficients(generators, r, shift, p, central,
+                                       direction)
+        res = lp_optimize(b.build({tcol: F(1)}), "max")
+        if res.status != "unbounded" and not (
+                res.status == "optimal" and res.value > 0):
+            return False
+    return True
+
+
+# ---------------------------------------------------------------------------
 # Grid oracle for strict feasibility.
 # ---------------------------------------------------------------------------
 
@@ -199,7 +343,7 @@ def brute_force_signature(rep, shift, chi, central=()):
     weight classes; the radius of each split is LP-minimized and the winning
     split must admit a strictly interior coefficient block.  Returns
     'trivial' or (r, plus_counts_per_value, minus_counts_per_value)."""
-    classes = rep.value_classes()
+    classes = _value_classes(rep.expanded)
     diff = tuple(c - s for c, s in zip(chi, shift))
     n = len(diff)
 
@@ -252,7 +396,7 @@ def brute_force_signature(rep, shift, chi, central=()):
                 if c[k] != 0:
                     row[col] = c[k]
             b.add_eq(row, diff[k] - const)
-        return strict_feasible(b.build())
+        return strict_point_reference(b.build()) is not None
 
     options = [[(kp, km, len(idx) - kp - km)
                 for kp in range(len(idx) + 1)
@@ -334,6 +478,16 @@ def random_mixed_program(rng):
     for coeffs, rhs in rows:
         b.add_eq(coeffs, rhs)
     return b.build()
+
+
+def with_random_open_flags(rng, prog: BoxedLinearProgram):
+    """``prog`` with each finite bound marked open with probability 1/2."""
+    return dataclasses.replace(
+        prog,
+        lower_open=tuple(lo is not None and rng.random() < 0.5
+                         for lo in prog.lower),
+        upper_open=tuple(up is not None and rng.random() < 0.5
+                         for up in prog.upper))
 
 
 def random_bounded_program(rng, nvars=None, max_den=32):

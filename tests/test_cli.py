@@ -1,7 +1,10 @@
 import json
+import tomllib
+from pathlib import Path
 
 import pytest
 
+import sodlab
 from sodlab.cli import main
 from sodlab.linprog import InputError
 from sodlab.report import (parse_config, parse_rational, rational_str,
@@ -151,6 +154,23 @@ class TestCliProcess:
         assert main(["sod", "--config", write_config(tmp_path, cfg)]) == 2
         assert "rank" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, value", [
+        ("box_radius", True),
+        ("degree_bound", False),
+        ("representation", [{"kind": "vector_power", "h": True}]),
+        ("representation", [{"kind": "sym_power", "d": True}]),
+        ("representation", [{"kind": "trivial", "copies": True}]),
+        ("representation", [{"kind": "weights", "weights": [
+            {"weight": [1, 0], "mult": True}, {"weight": [-1, 0]}]}]),
+    ])
+    def test_boolean_for_integer_exits_two(self, tmp_path, capsys, key, value):
+        cfg = {"group": "GL(2)",
+               "representation": [{"kind": "vector_power", "h": 2},
+                                  {"kind": "dual_vector_power", "h": 2}],
+               "box_radius": 1, key: value}
+        assert main(["partition", "--config", write_config(tmp_path, cfg)]) == 2
+        assert "configuration error" in capsys.readouterr().err
+
     def test_long_epsilon_on_rank_one_exits_two(self, tmp_path, capsys):
         cfg = {"group": "Torus(1)", "representation": [{"kind": "weights", "weights": [
             {"weight": [1], "mult": 1}, {"weight": [-1], "mult": 1}]}],
@@ -180,3 +200,11 @@ class TestCliProcess:
         assert main(["analyze", "--config", cfgp]) == 0
         out = capsys.readouterr().out
         assert json.loads(out)["analysis"]["has_t_stable_point"] is True
+
+
+def test_version_matches_pyproject():
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    with open(pyproject, "rb") as f:
+        assert tomllib.load(f)["project"]["version"] == sodlab.__version__
+    doc = run_job("analyze", parse_config(PFAFFIAN_CFG))
+    assert doc["tool"]["version"] == sodlab.__version__

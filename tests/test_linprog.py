@@ -4,11 +4,12 @@ from fractions import Fraction as F
 import pytest
 
 from oracles import (forced_tight_reference, grid_strict_search,
-                     random_bounded_program, random_mixed_program,
-                     vertex_forced, vertex_optimize)
+                     lp_optimize_reference, random_bounded_program,
+                     random_mixed_program, strict_point_reference,
+                     vertex_forced, vertex_optimize, with_random_open_flags)
 from sodlab.linprog import (BoxedLinearProgram, InputError, LpBuilder,
                             enumerate_lattice, forced_tight, lp_optimize,
-                            strict_feasible, strict_point)
+                            strict_feasible)
 
 
 def box_program(bounds, eqs=(), objective=None, opens=()):
@@ -100,7 +101,7 @@ class TestStrict:
                         opens=[("lower", 0), ("upper", 0),
                                ("lower", 1), ("upper", 1)])
         assert strict_feasible(p) is True
-        w = strict_point(p)
+        w = strict_point_reference(p)
         assert w[0] - w[1] == 1
         assert -2 < w[0] < 0 and -2 < w[1] < 0
 
@@ -165,8 +166,10 @@ class TestRandomizedAgainstOracles:
             for j in range(p.nvars):
                 obj = {k: F(0) for k in range(p.nvars)}
                 obj[j] = F(1)
-                top = lp_optimize(p.with_objective(
-                    tuple(obj[k] for k in range(p.nvars))), "max")
+                top = lp_optimize(BoxedLinearProgram(
+                    p.eq_rows, p.eq_rhs, p.lower, p.upper, p.lower_open,
+                    p.upper_open, tuple(obj[k] for k in range(p.nvars))),
+                    "max")
                 assert rep.lower_forced[j] == (top.value == p.lower[j])
 
     def test_strict_grid_consistency(self):
@@ -186,7 +189,7 @@ class TestRandomizedAgainstOracles:
             found = grid_strict_search(p, max_den=16)
             if found is not None:
                 assert strict_feasible(p)
-            w = strict_point(p)
+            w = strict_point_reference(p)
             assert (w is not None) == strict_feasible(p)
             if w is not None:
                 for row, rhs in zip(p.eq_rows, p.eq_rhs):
@@ -212,3 +215,29 @@ class TestRandomizedAgainstOracles:
                 outcomes.update(("upper", f) for f in rep.upper_forced)
         assert outcomes == {False, True, ("lower", False), ("lower", True),
                             ("upper", False), ("upper", True)}
+
+    def test_strict_matches_slack_reference(self):
+        # the mixed shapes above, with random open flags on finite bounds
+        rng = random.Random(606)
+        verdicts = set()
+        for _ in range(200):
+            p = with_random_open_flags(rng, random_mixed_program(rng))
+            got = strict_feasible(p)
+            assert got == (strict_point_reference(p) is not None)
+            verdicts.add(got)
+        assert verdicts == {False, True}
+
+    def test_attained_matches_slack_reference(self):
+        rng = random.Random(707)
+        outcomes = set()
+        for _ in range(150):
+            p = with_random_open_flags(rng, random_mixed_program(rng))
+            obj = tuple(F(rng.randint(-2, 2)) for _ in range(p.nvars))
+            p = BoxedLinearProgram(p.eq_rows, p.eq_rhs, p.lower, p.upper,
+                                   p.lower_open, p.upper_open, obj)
+            for sense in ("min", "max"):
+                res = lp_optimize(p, sense)
+                assert res == lp_optimize_reference(p, sense)
+                if res.status == "optimal":
+                    outcomes.add(res.attained)
+        assert outcomes == {False, True}

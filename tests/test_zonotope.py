@@ -4,7 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from oracles import forced_tight_reference
+from oracles import forced_tight_reference, member_eps_reference
 from sodlab.linalg import vec, vscale
 from sodlab.linprog import InputError, forced_tight
 from sodlab.reps import construct_rep, rep_spec, weight_signs
@@ -142,7 +142,7 @@ class TestFaceSignature:
                 r = min_radius(gens, shift, p)
                 if not r:
                     continue
-                b, _, _, _ = _coefficient_program(gens, r, shift, p, CLOSED, ())
+                b, _, _ = _coefficient_program(gens, r, shift, p, CLOSED, ())
                 prog = b.build()
                 assert forced_tight(prog) == forced_tight_reference(prog)
 
@@ -193,6 +193,36 @@ class TestMemberEps:
         assert not member_eps(gens, F(1), vec([0]), e, vec([3]))
         assert not member_eps(gens, F(1), vec([0]), e, vec([-3]))
         assert member_eps(gens, F(1), vec([0]), e, vec([2]))
+
+    def test_matches_push_maximization_reference(self):
+        gl2 = build_group("GL(2)")
+        sp4 = build_group("Sp(4)")
+        sl2 = build_group("SL(2)")
+        cases = [
+            ((vec([1]),) * 3 + (vec([-1]),) * 3, vec([0]), (), [vec([1])]),
+            (G22, vec([0, 0]), (), [vec([1, 0]), vec([1, 1]), vec([2, -1])]),
+            (construct_rep(gl2, [("vector_power", 2),
+                                 ("dual_vector_power", 2)]).expanded,
+             vec([F(-1, 2), F(1, 2)]), (), [vec([1, 1]), vec([1, -1])]),
+            (construct_rep(sp4, [("vector_power", 2)]).expanded,
+             vec([-2, -1]), (), [vec([1, 0]), vec([0, 1])]),
+            (construct_rep(sl2, [("sym_power", 1), ("sym_power", 2)]).expanded,
+             vec([F(-1, 2), F(1, 2)]), sl2.central_directions, [vec([1, 0])]),
+        ]
+        verdicts = set()
+        for gens, shift, central, epsilons in cases:
+            dim = len(shift)
+            for eps in epsilons:
+                for mode in ("plus", "plus_minus"):
+                    e = EpsShift(eps, mode)
+                    for r in (F(1), F(1, 2)):
+                        for p in itertools.product(range(-3, 4), repeat=dim):
+                            p = vec(p)
+                            got = member_eps(gens, r, shift, e, p, central)
+                            assert got == member_eps_reference(
+                                gens, r, shift, e, p, central)
+                            verdicts.add(got)
+        assert verdicts == {False, True}
 
     def test_eps_must_be_parallel(self):
         gens = (vec([1, 0]), vec([-1, 0]))
