@@ -1,9 +1,9 @@
 """Exact character arithmetic for catalog groups and their Levis.
 
 Irreducible weight multiplicities come from the Freudenthal recursion over
-the (Levi-)root system; symmetric powers from a degree-tracking dynamic
-program over the weight multiset; multiplicities of an irreducible inside a
-Weyl-symmetric character from the alternating sum over the Weyl group.
+the (Levi-)root system; symmetric powers from one degree-tracking dynamic
+program per representation; Hom-block dimensions from Sym^d looked up at the
+Weyl orbit of mu + rho, without building the product character.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .linalg import Vec, ZERO, mat_vec, solve, vadd, vdot, vscale, vsub, vec, zero_vec
 from .linprog import InputError
@@ -26,10 +27,11 @@ class CharacterTable:
     datum: RootDatum
     entries: tuple[tuple[Vec, int], ...]
 
-    def mult(self, w: Vec) -> int:
-        return dict(self.entries).get(self.datum.normalize_weight(vec(w)), 0)
-
     def as_dict(self) -> dict[Vec, int]:
+        return dict(self.entries)
+
+    @cached_property
+    def _index(self) -> dict[Vec, int]:
         return dict(self.entries)
 
     @property
@@ -164,58 +166,72 @@ def irr_character(datum: RootDatum, chi: Vec,
     return _table(datum, full)
 
 
+# Sym^0..Sym^top per representation: immutable, the same whatever top built
+# them, and kept for the process like the lru_caches of rootdata.
+_SYM_TABLES: dict[RepSpec, tuple[CharacterTable, ...]] = {}
+
+
 def sym_power_character(rep: RepSpec, d: int) -> CharacterTable:
-    """Weight table of the d-th symmetric power of the weight multiset."""
-    datum = rep.datum
+    """Weight table of the d-th symmetric power of the weight multiset.
+
+    The dynamic program to degree d yields the tables of every lower degree
+    as well, and all of them are kept: asking for the top degree first builds
+    each table of a representation once."""
     if d < 0:
         raise InputError("symmetric power degree must be >= 0")
-    layers: list[dict[Vec, int]] = [dict() for _ in range(d + 1)]
+    tables = _SYM_TABLES.get(rep, ())
+    if d >= len(tables):
+        tables = _SYM_TABLES[rep] = _sym_power_tables(rep, d)
+    return tables[d]
+
+
+def _sym_power_tables(rep: RepSpec, top: int) -> tuple[CharacterTable, ...]:
+    datum = rep.datum
+    layers: list[dict[Vec, int]] = [dict() for _ in range(top + 1)]
     layers[0][zero_vec(datum.rank)] = 1
     for w, m in rep.weights:
-        nxt: list[dict[Vec, int]] = [dict() for _ in range(d + 1)]
-        for j in range(d + 1):
+        # k copies of w: shift k*w, and C(k+m-1, m-1) monomials among m copies
+        steps = [(vscale(Fraction(k), w), math.comb(k + m - 1, m - 1))
+                 for k in range(top + 1)]
+        nxt: list[dict[Vec, int]] = [dict() for _ in range(top + 1)]
+        for j in range(top + 1):
             for wt, cnt in layers[j].items():
-                for k in range(d - j + 1):
-                    c = cnt * math.comb(k + m - 1, m - 1)
-                    key = vadd(wt, vscale(Fraction(k), w)) if k else wt
-                    nxt[j + k][key] = nxt[j + k].get(key, 0) + c
+                for k in range(top - j + 1):
+                    shift, c = steps[k]
+                    key = vadd(wt, shift) if k else wt
+                    nxt[j + k][key] = nxt[j + k].get(key, 0) + cnt * c
         layers = nxt
-    return _table(datum, layers[d])
-
-
-def multiplicity_in(datum: RootDatum, table: dict[Vec, int], mu: Vec,
-                    lv: LeviDatum) -> int:
-    """Multiplicity of the irreducible V(mu) inside a Weyl-symmetric
-    character, by the alternating Weyl sum."""
-    rho = lv.rho_bar_lambda
-    total = 0
-    for w, _, det in lv.weyl_elements():
-        key = datum.normalize_weight(vsub(mat_vec(w, vadd(mu, rho)), rho))
-        total += det * table.get(key, 0)
-    return total
+    return tuple(_table(datum, layer) for layer in layers)
 
 
 def hom_block_dims(datum: RootDatum, mu: Vec, mu_prime: Vec, coinv: RepSpec,
                    levi: LeviDatum | None = None, up_to: int = 6) -> GradedDims:
     """Graded dimensions of Hom(V(mu), V(mu') tensor Sym^d of the neutral
-    weights), for d = 0..up_to."""
+    weights), for d = 0..up_to.
+
+    The multiplicity of V(mu) in ch(mu') * Sym^d is the alternating sum over
+    w of the product's entry at w(mu + rho) - rho, and that entry is the sum
+    over weights w1 of ch(mu') of m1 * Sym^d[w(mu + rho) - rho - w1].  The
+    pairs (key, coefficient) of that double sum do not depend on d."""
     lv = levi or full_levi(datum)
     mu = datum.normalize_weight(vec(mu))
     mu_prime = datum.normalize_weight(vec(mu_prime))
     for m in (mu, mu_prime):
         if not is_dominant(datum, m, lv):
             raise InputError(f"{m} is not dominant for the Levi")
-    ch_prime = irr_character(datum, mu_prime, lv).as_dict()
-    out = []
-    for d in range(up_to + 1):
-        sym = sym_power_character(coinv, d).as_dict()
-        prod: dict[Vec, int] = {}
-        for w1, m1 in ch_prime.items():
-            for w2, m2 in sym.items():
-                key = datum.normalize_weight(vadd(w1, w2))
-                prod[key] = prod.get(key, 0) + m1 * m2
-        dim = multiplicity_in(datum, prod, mu, lv)
-        if dim < 0:
-            raise InputError("negative multiplicity: character data corrupt")
-        out.append((d, dim))
-    return GradedDims(tuple(out))
+    ch_prime = irr_character(datum, mu_prime, lv).entries
+    rho = lv.rho_bar_lambda
+    shifted = vadd(mu, rho)
+    kernel: dict[Vec, int] = {}
+    for w, _, det in lv.weyl_elements():
+        point = datum.normalize_weight(vsub(mat_vec(w, shifted), rho))
+        for w1, m1 in ch_prime:   # both in section form, so is the key
+            key = vsub(point, w1)
+            kernel[key] = kernel.get(key, 0) + det * m1
+    dims = [0] * (up_to + 1)
+    for d in range(up_to, -1, -1):   # top degree first: one program for all
+        index = sym_power_character(coinv, d)._index
+        dims[d] = sum(c * index.get(key, 0) for key, c in kernel.items())
+    if any(dim < 0 for dim in dims):
+        raise InputError("negative multiplicity: character data corrupt")
+    return GradedDims(tuple(enumerate(dims)))

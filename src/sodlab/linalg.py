@@ -81,14 +81,6 @@ def mat_mul(a: Mat, b: Mat) -> Mat:
     return tuple(tuple(vdot(row, col) for col in cols) for row in a)
 
 
-def mat_add(a: Mat, b: Mat) -> Mat:
-    return tuple(vadd(r, s) for r, s in zip(a, b, strict=True))
-
-
-def mat_scale(c: Fraction, a: Mat) -> Mat:
-    return tuple(vscale(c, r) for r in a)
-
-
 def rref(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
     """Reduced row echelon form.  Returns (reduced rows, pivot columns)."""
     m = [list(r) for r in rows]

@@ -17,11 +17,11 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .linalg import (Mat, Vec, ZERO, ONE, identity, in_span, is_zero_vec,
-                     mat_add, mat_mul, mat_scale, mat_vec, span_basis, vadd,
-                     vdot, vscale, vsub, vec, zero_vec)
+                     mat_mul, mat_vec, nullspace, rref, span_basis, vadd,
+                     vdot, vneg, vscale, vsub, vec, zero_vec)
 from .linprog import InputError
 
 
@@ -56,6 +56,16 @@ class RootDatum:
             if mat_mul(mat_mul(_transpose(g), self.gram), g) != self.gram:
                 raise InputError("reflection does not preserve the form")
 
+    @cached_property
+    def coroots(self) -> dict[Vec, Vec]:
+        """Coroot of every root, computed once per datum.  Kept out of the
+        dataclass fields, so hashing and equality see only the datum."""
+        return {a: _coroot_under(self.gram, a) for a in self.roots}
+
+    @cached_property
+    def positive_coroots(self) -> tuple[Vec, ...]:
+        return tuple(self.coroots[a] for a in self.positive_roots)
+
     @property
     def central_directions(self) -> tuple[Vec, ...]:
         return tuple(c for c, _ in self.quotient_pairs)
@@ -86,10 +96,15 @@ def _unit(n: int, i: int) -> Vec:
     return tuple(ONE if j == i else ZERO for j in range(n))
 
 
+def _coroot_under(gram: Mat, alpha: Vec) -> Vec:
+    q = mat_vec(gram, alpha)
+    return vscale(Fraction(2) / vdot(alpha, q), q)
+
+
 def coroot(datum: RootDatum, alpha: Vec) -> Vec:
     """Coroot of alpha under the stored invariant form."""
-    q = mat_vec(datum.gram, alpha)
-    return vscale(Fraction(2) / vdot(alpha, q), q)
+    cr = datum.coroots.get(alpha)
+    return cr if cr is not None else _coroot_under(datum.gram, alpha)
 
 
 def coroot_pairing(datum: RootDatum, alpha: Vec, chi: Vec) -> Fraction:
@@ -97,8 +112,11 @@ def coroot_pairing(datum: RootDatum, alpha: Vec, chi: Vec) -> Fraction:
 
 
 def reflection_matrix(datum: RootDatum, alpha: Vec) -> Mat:
-    cr = coroot(datum, alpha)
-    n = datum.rank
+    return _reflection(alpha, coroot(datum, alpha))
+
+
+def _reflection(alpha: Vec, cr: Vec) -> Mat:
+    n = len(alpha)
     return tuple(
         tuple((ONE if i == j else ZERO) - alpha[i] * cr[j] for j in range(n))
         for i in range(n))
@@ -115,6 +133,20 @@ def _build_torus(n: int) -> RootDatum:
         rho_bar=zero_vec(n))
 
 
+def _from_positive_roots(label: str, n: int, pos: list[Vec], simple: list[Vec],
+                         quotient_pairs=()) -> RootDatum:
+    """Root datum under the identity form, generated by its simple
+    reflections."""
+    gram = identity(n)
+    return RootDatum(
+        label=label, rank=n, roots=tuple(pos) + tuple(vneg(a) for a in pos),
+        positive_roots=tuple(pos), simple_roots=tuple(simple), gram=gram,
+        weyl_generators=tuple(_reflection(a, _coroot_under(gram, a))
+                              for a in simple),
+        rho_bar=vscale(Fraction(1, 2), _vec_sum(pos, n)),
+        quotient_pairs=quotient_pairs)
+
+
 def _type_a_roots(n: int):
     pos = [vsub(_unit(n, i), _unit(n, j)) for i in range(n) for j in range(i + 1, n)]
     simple = [vsub(_unit(n, i), _unit(n, i + 1)) for i in range(n - 1)]
@@ -122,23 +154,12 @@ def _type_a_roots(n: int):
 
 
 def _build_gl(n: int) -> RootDatum:
-    pos, simple = _type_a_roots(n)
-    roots = tuple(pos) + tuple(tuple(-x for x in a) for a in pos)
-    datum = RootDatum(
-        label=f"GL({n})", rank=n, roots=roots, positive_roots=tuple(pos),
-        simple_roots=tuple(simple), gram=identity(n),
-        weyl_generators=(), rho_bar=vscale(Fraction(1, 2), _vec_sum(pos, n)))
-    return _with_generators(datum)
+    return _from_positive_roots(f"GL({n})", n, *_type_a_roots(n))
 
 
 def _build_sl(n: int) -> RootDatum:
-    base = _build_gl(n)
-    return RootDatum(
-        label=f"SL({n})", rank=n, roots=base.roots,
-        positive_roots=base.positive_roots, simple_roots=base.simple_roots,
-        gram=base.gram, weyl_generators=base.weyl_generators,
-        rho_bar=base.rho_bar,
-        quotient_pairs=(((ONE,) * n, n - 1),))
+    return _from_positive_roots(f"SL({n})", n, *_type_a_roots(n),
+                                quotient_pairs=(((ONE,) * n, n - 1),))
 
 
 def _build_sp(two_n: int) -> RootDatum:
@@ -150,21 +171,7 @@ def _build_sp(two_n: int) -> RootDatum:
     pos += [vscale(Fraction(2), _unit(n, i)) for i in range(n)]
     simple = [vsub(_unit(n, i), _unit(n, i + 1)) for i in range(n - 1)]
     simple.append(vscale(Fraction(2), _unit(n, n - 1)))
-    roots = tuple(pos) + tuple(tuple(-x for x in a) for a in pos)
-    datum = RootDatum(
-        label=f"Sp({two_n})", rank=n, roots=roots, positive_roots=tuple(pos),
-        simple_roots=tuple(simple), gram=identity(n), weyl_generators=(),
-        rho_bar=vscale(Fraction(1, 2), _vec_sum(pos, n)))
-    return _with_generators(datum)
-
-
-def _with_generators(datum: RootDatum) -> RootDatum:
-    gens = tuple(reflection_matrix(datum, a) for a in datum.simple_roots)
-    return RootDatum(
-        label=datum.label, rank=datum.rank, roots=datum.roots,
-        positive_roots=datum.positive_roots, simple_roots=datum.simple_roots,
-        gram=datum.gram, weyl_generators=gens, rho_bar=datum.rho_bar,
-        quotient_pairs=datum.quotient_pairs)
+    return _from_positive_roots(f"Sp({two_n})", n, pos, simple)
 
 
 def _embed(v: Vec, offset: int, rank: int) -> Vec:
@@ -255,8 +262,8 @@ def pairing(lam: Vec, chi: Vec) -> Fraction:
 
 
 def is_dominant(datum: RootDatum, chi: Vec, levi: "LeviDatum | None" = None) -> bool:
-    positives = datum.positive_roots if levi is None else levi.phi_lambda_plus
-    return all(coroot_pairing(datum, a, chi) >= 0 for a in positives)
+    coroots = datum.positive_coroots if levi is None else levi.positive_coroots
+    return all(vdot(c, chi) >= 0 for c in coroots)
 
 
 @lru_cache(maxsize=None)
@@ -321,7 +328,9 @@ def star_dominate(datum: RootDatum, chi: Vec,
 @dataclass(frozen=True)
 class LeviDatum:
     """Centralizer data of a one-parameter subgroup: the roots vanishing on
-    it, their positive half, and the corresponding Weyl subgroup."""
+    it, their positive half, and the corresponding Weyl subgroup, given by
+    the reflections in its simple roots.  Fixed spaces and projections come
+    from those generators; only `weyl_elements` enumerates the group."""
 
     datum: RootDatum
     lam: Vec
@@ -334,22 +343,40 @@ class LeviDatum:
     def weyl_elements(self):
         return _levi_elements(self.datum.rank, self.weyl_generators)
 
+    @cached_property
+    def positive_coroots(self) -> tuple[Vec, ...]:
+        return tuple(coroot(self.datum, a) for a in self.phi_lambda_plus)
+
+    def _fixed_basis(self) -> list[Vec]:
+        """Canonical basis of the common kernel of (g - I) over the
+        generators: the Weyl-fixed subspace of the ambient coordinates."""
+        n = self.datum.rank
+        rows = [[g[i][j] - (ONE if i == j else ZERO) for j in range(n)]
+                for g in self.weyl_generators for i in range(n)]
+        return span_basis(nullspace(rows, n), n)
+
     def invariant_projector(self) -> Mat:
-        """Averaging projector over the Levi Weyl subgroup."""
-        elements = self.weyl_elements()
-        total = None
-        for m, _, _ in elements:
-            total = m if total is None else mat_add(total, m)
-        return mat_scale(Fraction(1, len(elements)), total)
+        """Projection onto the Weyl-fixed subspace, orthogonal under the
+        stored form: B (B^T G B)^-1 B^T G for a basis B of the fixed space.
+        The group preserves the form, so this is the Weyl-group average."""
+        n = self.datum.rank
+        basis = self._fixed_basis()
+        gb = [mat_vec(self.datum.gram, b) for b in basis]   # rows of B^T G
+        k = len(basis)
+        red, _ = rref([[vdot(basis[i], gb[j]) for j in range(k)] + list(gb[i])
+                       for i in range(k)])
+        coeffs = [row[k:] for row in red]                   # (B^T G B)^-1 B^T G
+        return tuple(
+            tuple(sum((basis[t][i] * coeffs[t][j] for t in range(k)), ZERO)
+                  for j in range(n))
+            for i in range(n))
 
     def invariant_vectors(self) -> list[Vec]:
         """Canonical basis of Weyl-fixed directions of X(T)_R, taken modulo
         the quotient directions of SL blocks."""
-        proj = self.invariant_projector()
-        image = span_basis(list(proj), self.datum.rank)
         central = list(self.datum.central_directions)
         out = []
-        for v in image:
+        for v in self._fixed_basis():
             if not in_span(central + out, v):
                 out.append(self.datum.normalize_weight(v))
         return [v for v in out if not is_zero_vec(v)]

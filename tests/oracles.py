@@ -4,7 +4,10 @@ The linear-algebra routines here are deliberately local so the vertex and
 grid oracles do not share code with the solver they check.  The signature
 oracle enumerates sign-pattern splits exhaustively and uses the LP kernel
 only for the per-pattern radius minimization; its strictness check is the
-slack-maximization reference below, not the kernel's bound sweep.
+slack-maximization reference below, not the kernel's bound sweep.  The
+root-data references average or alternate over every element of the Weyl
+group; the package reads the same facts from the simple reflections and
+from the orbit of mu + rho.
 """
 
 from __future__ import annotations
@@ -13,7 +16,9 @@ import dataclasses
 import itertools
 from fractions import Fraction
 
-from sodlab.linalg import in_span
+from sodlab.characters import irr_character, sym_power_character
+from sodlab.linalg import (in_span, is_zero_vec, mat_vec, span_basis, vadd,
+                           vec, vsub)
 from sodlab.linprog import BoxedLinearProgram, LpBuilder, LpResult, \
     TightnessReport, _optimize_closed, feasible_point, lp_optimize
 
@@ -438,6 +443,62 @@ def signature_to_value_counts(rep, sig):
         w = rep.expanded[i]
         minus[w] = minus.get(w, 0) + 1
     return plus, minus
+
+
+# ---------------------------------------------------------------------------
+# Whole-Weyl-group references for the root-system kernels.
+# ---------------------------------------------------------------------------
+
+def invariant_projector_reference(lv):
+    """Average of every element of the Levi Weyl group."""
+    elements = lv.weyl_elements()
+    n = lv.datum.rank
+    total = [[F(0)] * n for _ in range(n)]
+    for m, _, _ in elements:
+        for i in range(n):
+            for j in range(n):
+                total[i][j] += m[i][j]
+    return tuple(tuple(x / len(elements) for x in row) for row in total)
+
+
+def invariant_vectors_reference(lv):
+    """RREF basis of the rows of the averaged projector, modulo the SL
+    quotient directions, as `LeviDatum.invariant_vectors` reports it."""
+    datum = lv.datum
+    image = span_basis(list(invariant_projector_reference(lv)), datum.rank)
+    central = list(datum.central_directions)
+    out = []
+    for v in image:
+        if not in_span(central + out, v):
+            out.append(datum.normalize_weight(v))
+    return [v for v in out if not is_zero_vec(v)]
+
+
+def multiplicity_in_reference(datum, table, mu, lv):
+    """Multiplicity of the irreducible V(mu) inside a Weyl-symmetric
+    character, by the alternating Weyl sum."""
+    rho = lv.rho_bar_lambda
+    total = 0
+    for w, _, det in lv.weyl_elements():
+        key = datum.normalize_weight(vsub(mat_vec(w, vadd(mu, rho)), rho))
+        total += det * table.get(key, 0)
+    return total
+
+
+def hom_block_dims_reference(datum, mu, mu_prime, coinv, lv, up_to):
+    """Graded Hom-block dimensions from the full product table
+    ch(mu') * Sym^d, one alternating Weyl sum per degree."""
+    mu = datum.normalize_weight(vec(mu))
+    ch_prime = irr_character(datum, vec(mu_prime), lv).as_dict()
+    dims = []
+    for d in range(up_to + 1):
+        prod = {}
+        for w1, m1 in ch_prime.items():
+            for w2, m2 in sym_power_character(coinv, d).entries:
+                key = datum.normalize_weight(vadd(w1, w2))
+                prod[key] = prod.get(key, 0) + m1 * m2
+        dims.append(multiplicity_in_reference(datum, prod, mu, lv))
+    return dims
 
 
 # ---------------------------------------------------------------------------

@@ -3,12 +3,15 @@ import math
 
 import pytest
 
-from sodlab.characters import (hom_block_dims, irr_character,
-                               multiplicity_in, sym_power_character, weyl_dim)
+from oracles import hom_block_dims_reference, multiplicity_in_reference
+from sodlab.characters import (_sym_power_tables, hom_block_dims,
+                               irr_character, sym_power_character, weyl_dim)
 from sodlab.linalg import mat_vec, vec
 from sodlab.linprog import InputError
+from sodlab.report import build_objects, parse_config
 from sodlab.reps import construct_rep, rep_spec
 from sodlab.rootdata import build_group, full_levi, levi
+from sodlab.sod import enumerate_sod
 
 T1 = build_group("Torus(1)")
 SL2 = build_group("SL(2)")
@@ -85,6 +88,12 @@ class TestSymPower:
         table = sym_power_character(rep, 3)
         assert scalar_weights(table) == [(-3, 1), (-1, 1), (1, 1), (3, 1)]
 
+    def test_top_degree_first_gives_each_table(self):
+        rep = construct_rep(SP4, [("vector_power", 2), ("sym_power", 2)])
+        top = [sym_power_character(rep, d) for d in range(6, -1, -1)][::-1]
+        for d in range(7):
+            assert top[d] == _sym_power_tables(rep, d)[d]
+
     def test_mass_is_binomial(self):
         rep = construct_rep(SP4, [("vector_power", 1)])
         for d in range(5):
@@ -117,7 +126,7 @@ class TestHomBlocks:
         lv = full_levi(SL2)
         for d in range(5):
             table = sym_power_character(w, d).as_dict()
-            got = multiplicity_in(SL2, table, vec([0, 0]), lv)
+            got = multiplicity_in_reference(SL2, table, vec([0, 0]), lv)
             counts = {}
             scalars = [int(x[0] - x[1]) for x in w.expanded]
             for combo in itertools.combinations_with_replacement(scalars, d):
@@ -131,3 +140,66 @@ class TestHomBlocks:
         dims = hom_block_dims(SP2, vec([0]), vec([0]), w, up_to=4)
         degs = [d for d, _ in dims.entries]
         assert degs == sorted(set(degs))
+
+
+def _vd(h):
+    return [{"kind": "vector_power", "h": h},
+            {"kind": "dual_vector_power", "h": h}]
+
+
+# The hilbert jobs of the benchmark's roots workload (box radius 0).
+HILBERT_CONFIGS = [
+    ("GL(2)", _vd(3), ["1", "1"]),
+    ("Sp(4)", [{"kind": "vector_power", "h": 5}], ["0", "0"]),
+    ("SL(2)", [{"kind": "sym_power", "d": 3}], ["0", "0"]),
+    ("GL(3)", _vd(4), ["1", "1", "1"]),
+]
+
+
+class TestHomBlockLookup:
+    """The orbit lookup against the product table plus the alternating
+    Weyl sum over it."""
+
+    @pytest.mark.parametrize("group, rep, eps", HILBERT_CONFIGS,
+                             ids=[c[0] for c in HILBERT_CONFIGS])
+    def test_hilbert_tail_blocks(self, group, rep, eps):
+        cfg = parse_config({"group": group, "representation": rep,
+                            "box_radius": 0, "mode": "quasi_symmetric",
+                            "epsilon": eps})
+        datum, w, profile = build_objects(cfg)
+        result = enumerate_sod(w, profile, r_max=cfg.r_max,
+                               box_radius=cfg.box_radius,
+                               epsilon=cfg.epsilon, twist=cfg.twist)
+        tail = result.components[-1]
+        lv = full_levi(datum)
+        nonzero = 0
+        for mu in tail.window:
+            for mu2 in tail.window:
+                got = hom_block_dims(datum, mu, mu2, tail.coinvariants, lv,
+                                     up_to=4).dims()
+                assert got == hom_block_dims_reference(
+                    datum, mu, mu2, tail.coinvariants, lv, 4)
+                nonzero += any(got)
+        assert nonzero > 0
+
+    def test_sl3_keys_need_normalizing(self):
+        # For SL(3), w(mu + rho) - rho leaves the section (last coordinate
+        # zero) for most w, so the lookup finds nothing unless normalized.
+        sl3 = build_group("SL(3)")
+        lv = full_levi(sl3)
+        w = construct_rep(sl3, [("vector_power", 1), ("dual_vector_power", 1),
+                                ("sym_power", 2)])
+        rho = lv.rho_bar_lambda
+        moved = [m for m, _, _ in lv.weyl_elements()
+                 if mat_vec(m, rho)[2] != rho[2]]
+        assert moved
+        weights = [vec(x) for x in ([0, 0, 0], [1, 0, 0], [1, 1, 0], [2, 0, 0])]
+        totals = []
+        for mu in weights:
+            for mu2 in weights:
+                got = hom_block_dims(sl3, mu, mu2, w, up_to=4).dims()
+                assert got == hom_block_dims_reference(sl3, mu, mu2, w, lv, 4)
+                totals.append(sum(got))
+        assert hom_block_dims(sl3, weights[0], weights[0], w,
+                              up_to=2).dims() == [1, 0, 1]
+        assert min(totals) > 0

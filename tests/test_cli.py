@@ -1,5 +1,6 @@
 import json
-import tomllib
+import re
+import time
 from pathlib import Path
 
 import pytest
@@ -202,9 +203,41 @@ class TestCliProcess:
         assert json.loads(out)["analysis"]["has_t_stable_point"] is True
 
 
+def _project_version(pyproject: Path) -> str:
+    """The version key of the [project] table (tomllib needs Python 3.11)."""
+    table = None
+    for line in pyproject.read_text().splitlines():
+        header = re.fullmatch(r"\s*\[([^\]]+)\]\s*", line)
+        if header:
+            table = header.group(1).strip()
+        elif table == "project":
+            m = re.fullmatch(r'\s*version\s*=\s*"([^"]*)"\s*', line)
+            if m:
+                return m.group(1)
+    raise AssertionError("no version in the [project] table")
+
+
 def test_version_matches_pyproject():
     pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
-    with open(pyproject, "rb") as f:
-        assert tomllib.load(f)["project"]["version"] == sodlab.__version__
+    assert _project_version(pyproject) == sodlab.__version__
     doc = run_job("analyze", parse_config(PFAFFIAN_CFG))
     assert doc["tool"]["version"] == sodlab.__version__
+
+
+@pytest.mark.parametrize("group, invariants", [
+    ("GL(7)", [["1"] * 7]),
+    ("Sp(10)", []),
+])
+def test_analyze_high_rank_is_fast(tmp_path, group, invariants):
+    # |W| is 5,040 for GL(7) and 3,840 for Sp(10); the fixed space comes
+    # from the simple reflections, so no group element is enumerated.
+    cfgp = write_config(tmp_path, {
+        "group": group,
+        "representation": [{"kind": "vector_power", "h": 1},
+                           {"kind": "dual_vector_power", "h": 1}]})
+    out = tmp_path / "report.json"
+    start = time.perf_counter()
+    assert main(["analyze", "--config", cfgp, "--out", str(out)]) == 0
+    assert time.perf_counter() - start < 5
+    analysis = json.loads(out.read_text())["analysis"]
+    assert analysis["invariant_subspace"] == invariants

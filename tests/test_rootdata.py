@@ -1,9 +1,11 @@
 import math
+import random
 from fractions import Fraction as F
 
 import pytest
 
-from sodlab.linalg import mat_vec, vec
+from oracles import invariant_projector_reference, invariant_vectors_reference
+from sodlab.linalg import mat_vec, vdot, vec
 from sodlab.linprog import InputError
 from sodlab.rootdata import (RootDatum, build_group, coroot_pairing,
                              full_levi, invariant_subspace, is_dominant, levi,
@@ -168,6 +170,40 @@ class TestInvariantSubspace:
                     assert mat_vec(g, v) == v
 
 
+# Every catalog family up to rank 4 (L coordinates), plus products.
+SMALL_CATALOG = ("Torus(1)", "Torus(3)", "GL(1)", "GL(2)", "GL(3)", "GL(4)",
+                 "SL(2)", "SL(3)", "SL(4)", "Sp(2)", "Sp(4)", "Sp(6)", "Sp(8)",
+                 "Product(SL(2),Torus(1))", "Product(GL(2),Sp(4))",
+                 "Product(SL(2),SL(2))")
+
+
+def _seeded_coweights(datum, rng, count):
+    """Random integral coweights, made sum-zero on every SL block."""
+    out = []
+    for _ in range(count):
+        lam = [rng.randint(-2, 2) for _ in range(datum.rank)]
+        for c, pin in datum.quotient_pairs:
+            lam[pin] -= vdot(vec(lam), c)
+        out.append(vec(lam))
+    return out
+
+
+class TestFixedSpaceKernels:
+    """Fixed spaces from the simple reflections against the average over
+    the whole Weyl group."""
+
+    @pytest.mark.parametrize("tag", SMALL_CATALOG)
+    def test_matches_group_average(self, tag):
+        datum = build_group(tag)
+        rng = random.Random(tag)
+        levis = [full_levi(datum)] + [
+            levi(datum, lam) for lam in _seeded_coweights(datum, rng, 6)]
+        assert any(lv.weyl_generators for lv in levis) == bool(datum.roots)
+        for lv in levis:
+            assert lv.invariant_projector() == invariant_projector_reference(lv)
+            assert lv.invariant_vectors() == invariant_vectors_reference(lv)
+
+
 class TestFormRescaling:
     """Downstream quantities must not depend on the scale of the invariant
     form; rebuilding Sp(4) with a tripled form must change nothing."""
@@ -193,3 +229,10 @@ class TestFormRescaling:
         assert weyl_dim(scaled, vec([2, 1])) == weyl_dim(SP4, vec([2, 1]))
         assert irr_character(scaled, vec([1, 1])).entries == \
             irr_character(SP4, vec([1, 1])).entries
+
+    def test_invariant_projector(self):
+        scaled = self._scaled_sp4()
+        for lam in (vec([0, 0]), vec([-1, -1]), vec([1, 0])):
+            lv = levi(scaled, lam)
+            assert lv.invariant_projector() == invariant_projector_reference(lv)
+            assert lv.invariant_projector() == levi(SP4, lam).invariant_projector()
