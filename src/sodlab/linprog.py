@@ -488,15 +488,36 @@ def enumerate_lattice(predicate: Callable[[Vec], bool],
 _INTEGRAL_SEARCH_CAP = 64
 
 
+def integral_shell(n: int, bound: int):
+    """The integral vectors of length n first reached at sup-norm ``bound``,
+    in lexicographic order: all of [-1, 1]^n for bound 1 (the zero vector
+    included), else those with some entry of absolute value ``bound``."""
+    inner = bound - 1 if bound > 1 else -1
+    full = tuple(Fraction(c) for c in range(-bound, bound + 1))
+
+    def shell(k: int):
+        for c in full:
+            if abs(c) > inner:
+                rests = itertools.product(full, repeat=k - 1)
+            elif k > 1:
+                rests = shell(k - 1)
+            else:
+                continue
+            for rest in rests:
+                yield (c,) + rest
+
+    if n > 0:
+        yield from shell(n)
+
+
 def lex_minimal_integral(n: int, ok: Callable[[Vec], bool]) -> Vec:
     """First integral vector of length n, by growing sup-norm then
     lexicographic order, satisfying the predicate; InputError when none has
-    sup-norm up to the search cap or n is 0."""
+    sup-norm up to the search cap or n is 0.  Each candidate is tested once."""
     if n == 0:
         raise InputError("no nonzero vector exists in rank 0")
     for bound in range(1, _INTEGRAL_SEARCH_CAP + 1):
-        for cand in itertools.product(range(-bound, bound + 1), repeat=n):
-            v = tuple(Fraction(c) for c in cand)
+        for v in integral_shell(n, bound):
             if ok(v):
                 return v
     raise InputError("integral search cap exceeded")

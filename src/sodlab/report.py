@@ -44,6 +44,14 @@ def parse_rational(s) -> Fraction:
     raise InputError(f"bad rational {s!r} (floats are not accepted)")
 
 
+def _parse_vector(raw, name: str) -> tuple[Fraction, ...]:
+    """A JSON array of rationals; anything else (a string, a number) is an
+    InputError rather than being iterated or indexed."""
+    if not isinstance(raw, list):
+        raise InputError(f"{name} must be a JSON array of rationals")
+    return tuple(parse_rational(x) for x in raw)
+
+
 def weight_json(w: Vec):
     if is_integral(w):
         return [int(x) for x in w]
@@ -92,9 +100,9 @@ def parse_config(raw: dict) -> JobConfig:
     if not isinstance(group, str):
         raise InputError("'group' must be a catalog tag string")
     rep_pieces = _parse_rep(raw["representation"])
-    nu = tuple(parse_rational(x) for x in raw["nu"]) if "nu" in raw and raw["nu"] is not None else None
-    epsilon = tuple(parse_rational(x) for x in raw["epsilon"]) \
-        if "epsilon" in raw and raw["epsilon"] is not None else None
+    nu = _parse_vector(raw["nu"], "'nu'") if raw.get("nu") is not None else None
+    epsilon = _parse_vector(raw["epsilon"], "'epsilon'") \
+        if raw.get("epsilon") is not None else None
     twist = _parse_twist(raw.get("twist"))
     r_max = parse_rational(raw["r_max"]) if raw.get("r_max") is not None else None
     box_radius = raw.get("box_radius", 6)
@@ -132,7 +140,7 @@ def _parse_rep(raw) -> tuple:
             for e in entries:
                 if not isinstance(e, dict) or "weight" not in e:
                     raise InputError("weight entries are {'weight': [...], 'mult': n}")
-                w = tuple(parse_rational(x) for x in e["weight"])
+                w = _parse_vector(e["weight"], "'weight'")
                 m = e.get("mult", 1)
                 if not _is_int(m) or m < 1:
                     raise InputError("weight multiplicities are positive integers")
@@ -167,11 +175,11 @@ def _parse_twist(raw) -> TwistData | None:
     if not isinstance(raw, dict):
         raise InputError("'twist' must be an object")
     basis = raw.get("sublattice_basis")
-    offset = raw.get("coset_offset")
-    if not isinstance(basis, list) or not isinstance(offset, list):
-        raise InputError("twist needs 'sublattice_basis' and 'coset_offset'")
-    return TwistData(tuple(tuple(parse_rational(x) for x in row) for row in basis),
-                     tuple(parse_rational(x) for x in offset))
+    if not isinstance(basis, list):
+        raise InputError("'sublattice_basis' must be a JSON array of rows")
+    return TwistData(tuple(_parse_vector(row, "a sublattice_basis row")
+                           for row in basis),
+                     _parse_vector(raw.get("coset_offset"), "'coset_offset'"))
 
 
 def config_json(cfg: JobConfig) -> dict:
@@ -210,22 +218,9 @@ def config_json(cfg: JobConfig) -> dict:
 
 def preset_config(p: Preset, box_radius: int = 6) -> JobConfig:
     """A JobConfig mirroring a preset's worked-example conventions."""
-    if p.family == "pfaffian":
-        rep = (("vector_power", p.expected["h"]),)
-        assertion = True
-    elif p.family == "determinantal":
-        rep = (("vector_power", p.expected["h"]),
-               ("dual_vector_power", p.expected["h"]))
-        assertion = True
-    elif p.family == "sl2":
-        rep = tuple(("sym_power", d) if d > 0 else ("trivial", 1)
-                    for d in p.expected["degrees"])
-        assertion = None
-    else:
-        rep = (("weights", p.rep.weights),)
-        assertion = None
+    assertion = True if p.family in ("pfaffian", "determinantal") else None
     return JobConfig(
-        group=p.datum.label, representation=rep, nu=None,
+        group=p.datum.label, representation=p.pieces, nu=None,
         epsilon=p.recommended_eps, twist=None, r_max=Fraction(3),
         box_radius=box_radius, mode="quasi_symmetric"
         if is_quasi_symmetric(p.rep) else "standard",

@@ -33,13 +33,21 @@ class RepSpec:
         return len(self.expanded)
 
 
+def _checked_weight(datum: RootDatum, w) -> Vec:
+    """w normalized modulo the quotient directions, once its length has been
+    checked against the rank."""
+    w = vec(w)
+    if len(w) != datum.rank:
+        raise InputError(f"weight has {len(w)} entries, but "
+                         f"{datum.label} has rank {datum.rank}")
+    return datum.normalize_weight(w)
+
+
 def rep_spec(datum: RootDatum, weights) -> RepSpec:
     """Build a RepSpec from (weight, multiplicity) pairs."""
     pairs = []
     for w, m in weights:
-        w = datum.normalize_weight(vec(w))
-        if len(w) != datum.rank:
-            raise InputError("weight has wrong dimension")
+        w = _checked_weight(datum, w)
         if not is_integral(w):
             raise InputError(f"weight {w} is not a lattice element")
         m = int(m)
@@ -264,7 +272,7 @@ def construct_rep(datum: RootDatum, pieces) -> RepSpec:
         kind, arg = piece
         if kind == "weights":
             for w, m in arg:
-                counts[datum.normalize_weight(vec(w))] += int(m)
+                counts[_checked_weight(datum, w)] += int(m)
         elif kind == "vector_power":
             for w in defining_weights(datum):
                 counts[datum.normalize_weight(w)] += int(arg)

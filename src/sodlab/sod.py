@@ -9,14 +9,13 @@ half-size epsilon window in quasi-symmetric mode.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
 from .linalg import Vec, ZERO, ONE, frac, in_span, is_zero_vec, primitive, \
     vadd, vscale, vsub, vec, zero_vec
-from .linprog import InputError, enumerate_lattice
+from .linprog import InputError, enumerate_lattice, integral_shell
 from .characters import weyl_dim
 from .partition import (HALF_OPEN_MODE, STANDARD, PartitionCell,
                         PreconditionError, ShiftProfile, cell_members,
@@ -25,10 +24,9 @@ from .reps import (RepSpec, TwistData, coinvariant_rep, construct_rep,
                    is_quasi_symmetric, rep_spec, weight_signs)
 from .rootdata import LeviDatum, RootDatum, build_group, full_levi, \
     is_dominant, levi, pairing
-from .zonotope import (CLOSED, HALF_OPEN, REL_INT, EpsShift, FaceSignature,
+from .zonotope import (HALF_OPEN, REL_INT, EpsShift, FaceSignature,
                        ZonotopeQuery, invariants_in_span, is_generic,
-                       is_weakly_generic, member, member_eps,
-                       realizable_face_patterns)
+                       is_weakly_generic, member, member_eps)
 
 
 @dataclass(frozen=True)
@@ -206,35 +204,6 @@ def _toric_two_per_side(coinv: RepSpec) -> bool:
     return all(pos >= 2 and neg >= 2 for pos, neg in sides.values())
 
 
-def _zonotope_vertices(generators, central) -> list[Vec]:
-    """Vertex set of the closed unit-coefficient zonotope (coefficients of
-    positively paired generators pinned at -1, negatively paired at 0)."""
-    gens = [vec(g) for g in generators]
-    dim = len(gens[0]) if gens else 0
-    lines = []
-    for g in gens:
-        if is_zero_vec(g):
-            continue
-        key = primitive(g)
-        if key not in lines:
-            lines.append(key)
-    vertices = set()
-    for pattern, zero_gens in realizable_face_patterns(generators, central):
-        if any(not is_zero_vec(g) for g in zero_gens):
-            continue  # not a vertex
-        v = zero_vec(dim)
-        for g in gens:
-            if is_zero_vec(g):
-                continue
-            key = primitive(g)
-            k = next(i for i in range(dim) if key[i] != 0)
-            orient = 1 if g[k] > 0 else -1
-            if pattern[lines.index(key)] * orient > 0:
-                v = vsub(v, g)
-        vertices.add(v)
-    return sorted(vertices)
-
-
 def certify_nccr(rep: RepSpec, lam: Vec, nu: Vec, eps: Vec,
                  twist: TwistData | None = None,
                  genericity_assertion: bool | None = None,
@@ -246,6 +215,13 @@ def certify_nccr(rep: RepSpec, lam: Vec, nu: Vec, eps: Vec,
     window, and emptiness of the shifted boundary window; the genericity of
     the neutral representation is decided by the toric rule when the Levi has
     no roots and is otherwise taken from the caller's assertion.
+
+    The boundary window holds the dominant points of the box that are in the
+    plus-minus epsilon window but not in the half-open one ("set"), or
+    ("minkowski") those with 2(p - shift) + v in Z + span(central) for every
+    vertex v of the closed unit zonotope Z.  Z is convex and compact, so no
+    translate of it by a vector outside span(central) fits inside it: the
+    Minkowski test is p = shift modulo the SL directions.
     """
     if prazno_mode not in ("set", "minkowski"):
         raise InputError(f"unknown prazno mode {prazno_mode!r}")
@@ -286,9 +262,12 @@ def certify_nccr(rep: RepSpec, lam: Vec, nu: Vec, eps: Vec,
     half_open_query = ZonotopeQuery(gens, half, shift, HALF_OPEN, central) \
         if gens else None
 
+    def at_shift(p: Vec) -> bool:
+        return datum.normalize_weight(vsub(p, shift)) == zero_vec(datum.rank)
+
     def in_half_open(p: Vec) -> bool:
         if half_open_query is None:
-            return datum.normalize_weight(vsub(p, shift)) == zero_vec(datum.rank)
+            return at_shift(p)
         return member(half_open_query, p)
 
     if prazno_mode == "set":
@@ -298,22 +277,8 @@ def certify_nccr(rep: RepSpec, lam: Vec, nu: Vec, eps: Vec,
             return (member_eps(gens, half, shift, pm_shift, p, central)
                     and not in_half_open(p))
     else:
-        vertices = _zonotope_vertices(gens, central)
-        closed = ZonotopeQuery(gens, ONE, zero_vec(datum.rank), CLOSED, central) \
-            if gens else None
-
         def in_boundary(p: Vec) -> bool:
-            if not is_dominant(datum, p, lv):
-                return False
-            doubled = vscale(Fraction(2), vsub(p, shift))
-            for v in vertices:
-                target = vadd(doubled, v)
-                if closed is None:
-                    if datum.normalize_weight(target) != zero_vec(datum.rank):
-                        return False
-                elif not member(closed, target):
-                    return False
-            return True
+            return is_dominant(datum, p, lv) and at_shift(p)
 
     prazno_points = tuple(enumerate_lattice(in_boundary, box, coset=twist))
     prazno_empty = not prazno_points
@@ -349,6 +314,7 @@ def certify_nccr(rep: RepSpec, lam: Vec, nu: Vec, eps: Vec,
 class Preset:
     family: str
     datum: RootDatum
+    pieces: tuple      # the construction pieces ``rep`` was built from
     rep: RepSpec
     recommended_eps: Vec
     expected: dict
@@ -374,27 +340,30 @@ def preset(family: str, **params) -> Preset:
         if not 2 * n < h:
             raise InputError("pfaffian preset needs 2n < h")
         datum = build_group(f"Sp({2 * n})")
-        rep = construct_rep(datum, [("vector_power", h)])
+        pieces = (("vector_power", h),)
+        rep = construct_rep(datum, pieces)
         expected = {"family": "pfaffian", "n": n, "h": h,
                     "prazno_empty": h % 2 == 1,
                     "verdict": "TwistedNCCR" if h % 2 == 1 else "FiniteGlobalDimOnly"}
-        return Preset("pfaffian", datum, rep, zero_vec(n), expected)
+        return Preset("pfaffian", datum, pieces, rep, zero_vec(n), expected)
     if family == "determinantal":
         n, h = int(params["n"]), int(params["h"])
         if not n < h:
             raise InputError("determinantal preset needs n < h")
         datum = build_group(f"GL({n})")
-        rep = construct_rep(datum, [("vector_power", h), ("dual_vector_power", h)])
+        pieces = (("vector_power", h), ("dual_vector_power", h))
+        rep = construct_rep(datum, pieces)
         eps = (ONE,) * n
         expected = {"family": "determinantal", "n": n, "h": h,
                     "prazno_empty": True, "verdict": "TwistedNCCR"}
-        return Preset("determinantal", datum, rep, eps, expected)
+        return Preset("determinantal", datum, pieces, rep, eps, expected)
     if family == "sl2":
         degrees = [int(d) for d in params["degrees"]]
         if any(d < 0 for d in degrees):
             raise InputError("sl2 preset degrees must be >= 0")
         datum = build_group("SL(2)")
-        pieces = [("sym_power", d) if d > 0 else ("trivial", 1) for d in degrees]
+        pieces = tuple(("sym_power", d) if d > 0 else ("trivial", 1)
+                       for d in degrees)
         rep = construct_rep(datum, pieces)
         c = sum(1 for d in degrees if d == 0)
         s = sum(_sl2_part_sum(d) for d in degrees)
@@ -408,7 +377,7 @@ def preset(family: str, **params) -> Preset:
         expected = {"family": "sl2", "degrees": degrees, "c": c, "s": s,
                     "case": case,
                     "half_window_size": (s - 1) // 2 if s % 2 == 1 else None}
-        return Preset("sl2", datum, rep, zero_vec(2), expected)
+        return Preset("sl2", datum, pieces, rep, zero_vec(2), expected)
     if family == "toric":
         weights = params.get("weights") or [((1,), 2), ((-1,), 2)]
         rank = len(vec(weights[0][0]))
@@ -419,7 +388,8 @@ def preset(family: str, **params) -> Preset:
                     "two_per_side": _toric_two_per_side(rep),
                     "verdict": "TwistedNCCR" if _toric_two_per_side(rep)
                     and is_quasi_symmetric(rep) else "Unknown"}
-        return Preset("toric", datum, rep, eps, expected)
+        return Preset("toric", datum, (("weights", rep.weights),), rep, eps,
+                      expected)
     raise InputError(f"unknown preset family {family!r}")
 
 
@@ -428,8 +398,7 @@ def _toric_recommended_eps(datum: RootDatum, rep: RepSpec) -> Vec:
     n = datum.rank
     gens = rep.expanded
     for bound in range(1, 4):
-        for cand in itertools.product(range(-bound, bound + 1), repeat=n):
-            v = tuple(Fraction(c) for c in cand)
+        for v in integral_shell(n, bound):
             if is_zero_vec(v) or not in_span(list(gens), v):
                 continue
             if is_generic(v, datum, gens):

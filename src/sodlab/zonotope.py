@@ -15,12 +15,12 @@ variables, so all sets are effectively computed in the character quotient.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .linalg import (Vec, ZERO, ONE, frac, in_span, is_zero_vec, primitive,
-                     subspace_intersection, vdot, vec, vscale, vsub, zero_vec)
+                     span_basis, subspace_intersection, vdot, vec, vscale,
+                     vsub, zero_vec)
 from .linprog import (InputError, LpBuilder, feasible_point, forced_tight,
                       lex_minimal_integral, lp_optimize, strict_feasible)
 from .rootdata import LeviDatum, RootDatum, full_levi
@@ -263,71 +263,49 @@ def member_eps(generators, r, shift, e: EpsShift, p, central: Central = ()) -> b
 
 
 # ---------------------------------------------------------------------------
-# Faces as realizable sign patterns, and genericity of epsilon.
+# Faces as flats of the generator lines, and genericity of epsilon.
+#
+# The direction space of a proper face of the closed zonotope is the span of
+# the generators that a functional lam (vanishing on ``central``) annihilates,
+# and those generator sets are exactly the proper flats of the line
+# configuration modulo ``central`` (Ziegler, Lectures on Polytopes, ch. 7):
+# the sets F of distinct lines holding every line in span(F + central), short
+# of the full set.  So the faces come from span arithmetic alone.
 # ---------------------------------------------------------------------------
 
-def _line_data(generators):
-    """Distinct generator lines with the orientation of each generator."""
-    lines: list[Vec] = []
-    index: dict[Vec, int] = {}
-    orient: list[tuple[int, int]] = []  # (line index, +-1) per generator
-    for g in generators:
-        key = primitive(vec(g))
-        if is_zero_vec(key):
-            continue
-        if key not in index:
-            index[key] = len(lines)
-            lines.append(key)
-        # sign of g against the primitive representative
-        k = next(i for i in range(len(key)) if key[i] != 0)
-        orient.append((index[key], 1 if g[k] > 0 else -1))
-    return lines, orient
-
-
 def realizable_face_patterns(generators, central: Central = ()):
-    """All realizable sign patterns of proper faces of the closed zonotope.
+    """Direction generators of the proper faces of the closed zonotope.
 
-    Yields (pattern, zero_generators): pattern maps each distinct generator
-    line to a sign in {+1, 0, -1} realizable by some functional lam in the
-    coweight space, and zero_generators lists the generators annihilated by
-    lam (the direction span of the face).  The all-zero pattern is the whole
+    Returns one generator list per proper flat of the distinct nonzero
+    generator lines modulo ``central``, each flat once: the generators on the
+    flat's lines followed by every zero generator (zero generators lie in
+    every face direction space).  The flats grow from the closure of the
+    empty set by closure(F + line); a flat holding every line is the whole
     zonotope, not a proper face, and is skipped.
     """
     gens = [vec(g) for g in generators]
-    lines, orient = _line_data(gens)
-    nonzero_gens = [g for g in gens if not is_zero_vec(g)]
+    keys = [None if is_zero_vec(g) else primitive(g) for g in gens]
+    lines = sorted({k for k in keys if k is not None})
+    line_of = [None if k is None else lines.index(k) for k in keys]
+    zeros = [g for g, li in zip(gens, line_of) if li is None]
+    everything = frozenset(range(len(lines)))
+    dim = len(gens[0]) if gens else 0
+
+    def closure(subset) -> frozenset:
+        base = span_basis([lines[i] for i in subset] + list(central), dim)
+        return frozenset(i for i, line in enumerate(lines) if in_span(base, line))
+
     out = []
-    for pattern in itertools.product((1, 0, -1), repeat=len(lines)):
-        if all(s == 0 for s in pattern):
+    seen = set()
+    stack = [closure(())]
+    while stack:
+        flat = stack.pop()
+        if flat in seen or flat == everything:
             continue
-        if not _pattern_realizable(lines, pattern, central):
-            continue
-        zero_gens = [g for g, (li, _) in zip(nonzero_gens, orient)
-                     if pattern[li] == 0]
-        # generators equal to zero lie in every face direction space
-        zero_gens += [g for g in gens if is_zero_vec(g)]
-        out.append((pattern, zero_gens))
+        seen.add(flat)
+        out.append([g for g, li in zip(gens, line_of) if li in flat] + zeros)
+        stack.extend(closure(flat | {i}) for i in sorted(everything - flat))
     return out
-
-
-def _pattern_realizable(lines, pattern, central) -> bool:
-    dim = len(lines[0]) if lines else len(central[0]) if central else 0
-    b = LpBuilder()
-    lam = [b.add_var() for _ in range(dim)]
-
-    def lincomb(v):
-        return {lam[k]: v[k] for k in range(dim) if v[k] != 0}
-
-    for c in central:
-        b.add_eq(lincomb(c), 0)
-    for line, s in zip(lines, pattern):
-        if s > 0:
-            b.add_ge(lincomb(line), 1)
-        elif s < 0:
-            b.add_le(lincomb(line), -1)
-        else:
-            b.add_eq(lincomb(line), 0)
-    return feasible_point(b.build()) is not None
 
 
 def _weyl_source(source: RootDatum | LeviDatum) -> LeviDatum:
@@ -351,7 +329,7 @@ def is_weakly_generic(eps, source: RootDatum | LeviDatum, generators,
     inv = invariants_in_span(src, generators, central)
     if not inv:
         return True  # every face direction space trivially qualifies
-    for _, zero_gens in realizable_face_patterns(generators, central):
+    for zero_gens in realizable_face_patterns(generators, central):
         dspan = zero_gens + list(central)
         if in_span(dspan, eps) and not all(in_span(dspan, v) for v in inv):
             return False
@@ -365,7 +343,7 @@ def is_generic(eps, source: RootDatum | LeviDatum, generators,
     eps = vec(eps)
     src = _weyl_source(source)
     _eps_preconditions(eps, src, generators, central)
-    for _, zero_gens in realizable_face_patterns(generators, central):
+    for zero_gens in realizable_face_patterns(generators, central):
         if in_span(zero_gens + list(central), eps):
             return False
     return True

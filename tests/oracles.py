@@ -4,10 +4,11 @@ The linear-algebra routines here are deliberately local so the vertex and
 grid oracles do not share code with the solver they check.  The signature
 oracle enumerates sign-pattern splits exhaustively and uses the LP kernel
 only for the per-pattern radius minimization; its strictness check is the
-slack-maximization reference below, not the kernel's bound sweep.  The
-root-data references average or alternate over every element of the Weyl
-group; the package reads the same facts from the simple reflections and
-from the orbit of mu + rho.
+slack-maximization reference below, not the kernel's bound sweep.  The face
+references test every sign pattern of the generator lines by LP; the package
+reads the same faces from the flats of the lines.  The root-data references
+average or alternate over every element of the Weyl group; the package reads
+the same facts from the simple reflections and from the orbit of mu + rho.
 """
 
 from __future__ import annotations
@@ -17,8 +18,8 @@ import itertools
 from fractions import Fraction
 
 from sodlab.characters import irr_character, sym_power_character
-from sodlab.linalg import (in_span, is_zero_vec, mat_vec, span_basis, vadd,
-                           vec, vsub)
+from sodlab.linalg import (in_span, is_zero_vec, mat_vec, primitive,
+                           span_basis, vadd, vec, vsub)
 from sodlab.linprog import BoxedLinearProgram, LpBuilder, LpResult, \
     TightnessReport, _optimize_closed, feasible_point, lp_optimize
 
@@ -446,6 +447,108 @@ def signature_to_value_counts(rep, sig):
 
 
 # ---------------------------------------------------------------------------
+# Faces by sign patterns: one feasibility LP per sign pattern of the lines.
+# ---------------------------------------------------------------------------
+
+def _line_data(generators):
+    """Distinct generator lines with the orientation of each nonzero
+    generator against its line's primitive representative."""
+    lines = []
+    index = {}
+    orient = []  # (line index, +-1) per nonzero generator
+    for g in generators:
+        key = primitive(vec(g))
+        if is_zero_vec(key):
+            continue
+        if key not in index:
+            index[key] = len(lines)
+            lines.append(key)
+        k = next(i for i in range(len(key)) if key[i] != 0)
+        orient.append((index[key], 1 if g[k] > 0 else -1))
+    return lines, orient
+
+
+def _pattern_realizable(lines, pattern, central):
+    """Whether some functional vanishing on ``central`` pairs with each line
+    with the pattern's sign."""
+    dim = len(lines[0]) if lines else len(central[0]) if central else 0
+    b = LpBuilder()
+    lam = [b.add_var() for _ in range(dim)]
+
+    def lincomb(v):
+        return {lam[k]: v[k] for k in range(dim) if v[k] != 0}
+
+    for c in central:
+        b.add_eq(lincomb(c), 0)
+    for line, s in zip(lines, pattern):
+        if s > 0:
+            b.add_ge(lincomb(line), 1)
+        elif s < 0:
+            b.add_le(lincomb(line), -1)
+        else:
+            b.add_eq(lincomb(line), 0)
+    return feasible_point(b.build()) is not None
+
+
+def realizable_face_patterns_reference(generators, central=()):
+    """(pattern, zero generators) for every realizable nonzero sign pattern
+    of the distinct generator lines, testing all 3^L - 1 patterns by LP; the
+    zero generators are those on the pattern's zero lines plus every zero
+    generator."""
+    gens = [vec(g) for g in generators]
+    lines, orient = _line_data(gens)
+    nonzero_gens = [g for g in gens if not is_zero_vec(g)]
+    out = []
+    for pattern in itertools.product((1, 0, -1), repeat=len(lines)):
+        if all(s == 0 for s in pattern):
+            continue
+        if not _pattern_realizable(lines, pattern, central):
+            continue
+        zero_gens = [g for g, (li, _) in zip(nonzero_gens, orient)
+                     if pattern[li] == 0]
+        zero_gens += [g for g in gens if is_zero_vec(g)]
+        out.append((pattern, zero_gens))
+    return out
+
+
+def zonotope_vertices_reference(generators, central=()):
+    """Vertices of the closed unit-coefficient zonotope, one per realizable
+    pattern with no zero line: the coefficients of positively paired
+    generators pinned at -1, of negatively paired ones at 0."""
+    gens = [vec(g) for g in generators]
+    lines, orient = _line_data(gens)
+    nonzero_gens = [g for g in gens if not is_zero_vec(g)]
+    dim = len(gens[0]) if gens else 0
+    vertices = set()
+    for pattern, zero_gens in realizable_face_patterns_reference(gens, central):
+        if any(not is_zero_vec(g) for g in zero_gens):
+            continue  # not a vertex
+        v = (F(0),) * dim
+        for g, (li, sign) in zip(nonzero_gens, orient):
+            if pattern[li] * sign > 0:
+                v = vsub(v, g)
+        vertices.add(v)
+    return sorted(vertices)
+
+
+# ---------------------------------------------------------------------------
+# Integral search that rescans every smaller candidate at each bound.
+# ---------------------------------------------------------------------------
+
+def lex_minimal_integral_reference(n, ok):
+    """First integral vector of length n by growing sup-norm, then
+    lexicographic order, with a predicate hit; each bound scans the whole
+    cube [-bound, bound]^n again.  None when nothing up to sup-norm 64
+    hits."""
+    for bound in range(1, 65):
+        for cand in itertools.product(range(-bound, bound + 1), repeat=n):
+            v = tuple(F(c) for c in cand)
+            if ok(v):
+                return v
+    return None
+
+
+# ---------------------------------------------------------------------------
 # Whole-Weyl-group references for the root-system kernels.
 # ---------------------------------------------------------------------------
 
@@ -578,3 +681,40 @@ def random_bounded_program(rng, nvars=None, max_den=32):
         b.add_eq(coeffs, rhs)
     obj = {j: F(rng.randint(-3, 3)) for j in range(n)}
     return b.build(obj)
+
+
+# ---------------------------------------------------------------------------
+# Random generator configurations.
+# ---------------------------------------------------------------------------
+
+def random_generators(rng, datum, max_lines=5):
+    """Small weights with repeated, opposite, zero and central-shifted
+    copies; central shifts give distinct lines that agree modulo the SL
+    directions.  At most ``max_lines`` distinct lines, so that the
+    reference tests at most 3^max_lines - 1 sign patterns."""
+    while True:
+        gens = _random_generators(rng, datum)
+        if len({primitive(g) for g in gens if any(g)}) <= max_lines:
+            return gens
+
+
+def _random_generators(rng, datum):
+    n = datum.rank
+    central = datum.central_directions
+    base = [tuple(F(rng.randint(-2, 2)) for _ in range(n))
+            for _ in range(rng.randint(1, 4))]
+    gens = []
+    for w in base:
+        gens.append(w)
+        roll = rng.random()
+        if roll < 0.25:
+            gens.append(w)
+        elif roll < 0.5:
+            gens.append(tuple(-x for x in w))
+        elif roll < 0.7 and central:
+            c = rng.choice(central)
+            gens.append(tuple(x + rng.choice((-1, 1)) * y for x, y in zip(w, c)))
+    if rng.random() < 0.3:
+        gens.append((F(0),) * n)
+    rng.shuffle(gens)
+    return tuple(gens)

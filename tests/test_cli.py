@@ -172,6 +172,30 @@ class TestCliProcess:
         assert main(["partition", "--config", write_config(tmp_path, cfg)]) == 2
         assert "configuration error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("group, key, value", [
+        ("GL(2)", "nu", "00"),
+        ("GL(2)", "nu", 5),
+        ("GL(2)", "epsilon", "11"),
+        ("GL(2)", "representation", [{"kind": "weights", "weights": [
+            {"weight": 5}, {"weight": [-1, 0]}]}]),
+        ("GL(2)", "twist", {"sublattice_basis": ["20", "02"],
+                            "coset_offset": ["0", "0"]}),
+        ("GL(2)", "twist", {"sublattice_basis": [2, 2],
+                            "coset_offset": ["0", "0"]}),
+        ("SL(3)", "representation", [{"kind": "weights", "weights": [
+            {"weight": [1, 0]}, {"weight": [-1, 0]}]}]),
+    ])
+    def test_malformed_vector_exits_two(self, tmp_path, capsys, group, key,
+                                        value):
+        cfg = {"group": group,
+               "representation": [{"kind": "vector_power", "h": 2}]
+               if group == "SL(3)" else
+               [{"kind": "vector_power", "h": 2},
+                {"kind": "dual_vector_power", "h": 2}],
+               "box_radius": 1, key: value}
+        assert main(["sod", "--config", write_config(tmp_path, cfg)]) == 2
+        assert "configuration error" in capsys.readouterr().err
+
     def test_long_epsilon_on_rank_one_exits_two(self, tmp_path, capsys):
         cfg = {"group": "Torus(1)", "representation": [{"kind": "weights", "weights": [
             {"weight": [1], "mult": 1}, {"weight": [-1], "mult": 1}]}],

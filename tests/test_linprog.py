@@ -4,11 +4,13 @@ from fractions import Fraction as F
 import pytest
 
 from oracles import (forced_tight_reference, grid_strict_search,
-                     lp_optimize_reference, random_bounded_program,
-                     random_mixed_program, strict_point_reference,
+                     lex_minimal_integral_reference, lp_optimize_reference,
+                     random_bounded_program, random_mixed_program,
+                     strict_point_reference,
                      vertex_forced, vertex_optimize, with_random_open_flags)
 from sodlab.linprog import (BoxedLinearProgram, InputError, LpBuilder,
-                            enumerate_lattice, forced_tight, lp_optimize,
+                            enumerate_lattice, forced_tight,
+                            lex_minimal_integral, lp_optimize,
                             strict_feasible)
 
 
@@ -241,3 +243,35 @@ class TestRandomizedAgainstOracles:
                 if res.status == "optimal":
                     outcomes.add(res.attained)
         assert outcomes == {False, True}
+
+
+class TestLexMinimalIntegral:
+    def test_matches_rescanning_reference_with_fewer_calls(self):
+        rng = random.Random(23)
+        saved = 0
+        for _ in range(60):
+            n = rng.randint(1, 3)
+            hits = {tuple(F(rng.randint(-3, 3)) for _ in range(n))
+                    for _ in range(rng.randint(1, 4))}
+            calls = ([], [])
+
+            def counted(k):
+                def ok(v):
+                    calls[k].append(v)
+                    return v in hits
+                return ok
+
+            got = lex_minimal_integral(n, counted(0))
+            assert got == lex_minimal_integral_reference(n, counted(1))
+            assert len(set(calls[0])) == len(calls[0])  # each tested once
+            assert set(calls[0]) == set(calls[1])
+            saved += len(calls[1]) - len(calls[0])
+        assert saved > 0
+
+    def test_zero_vector_is_a_candidate(self):
+        assert lex_minimal_integral(2, lambda v: not any(v)) == (F(0), F(0))
+        assert lex_minimal_integral(1, lambda v: v[0] > 1) == (F(2),)
+
+    def test_rank_zero_raises(self):
+        with pytest.raises(InputError):
+            lex_minimal_integral(0, lambda v: True)

@@ -1,14 +1,17 @@
+import random
 from fractions import Fraction as F
 
 import pytest
 
-from sodlab.linalg import vec, vscale
-from sodlab.linprog import InputError
-from sodlab.partition import PreconditionError, make_profile
+from oracles import random_generators, zonotope_vertices_reference
+from sodlab.linalg import vadd, vec, vscale, vsub
+from sodlab.linprog import InputError, enumerate_lattice
+from sodlab.partition import PreconditionError, make_profile, window_box
 from sodlab.reps import rep_spec
-from sodlab.rootdata import build_group
+from sodlab.rootdata import build_group, is_dominant, levi
 from sodlab.sod import (certify_nccr, enumerate_sod, preset,
                         refine_lambda_combination)
+from sodlab.zonotope import CLOSED, ZonotopeQuery, member
 
 T1 = build_group("Torus(1)")
 
@@ -73,8 +76,6 @@ class TestEnumerateSod:
         assert beyond == [F(3, 2), F(3, 2), F(2), F(2)]
 
     def test_nu_levi_invariance(self):
-        from sodlab.rootdata import levi
-
         p = preset("pfaffian", n=2, h=5)
         prof = make_profile(p.datum, threshold="half_open")
         res = enumerate_sod(p.rep, prof, box_radius=3)
@@ -231,3 +232,73 @@ class TestRefineLambda:
                 assert i in combined.t_minus
             else:
                 assert i in combined.t_zero
+
+
+MINKOWSKI_GROUPS = ("Torus(1)", "Torus(2)", "SL(2)", "SL(3)",
+                    "Product(SL(2),Torus(1))", "Product(SL(2),SL(2))")
+
+
+def minkowski_reference(datum, gens, central, x):
+    """Whether x + v lies in the closed unit zonotope plus span(central) for
+    every vertex v of that zonotope."""
+    closed = ZonotopeQuery(tuple(gens), F(1), (F(0),) * datum.rank, CLOSED,
+                           central)
+    return all(member(closed, vadd(x, v))
+               for v in zonotope_vertices_reference(gens, central))
+
+
+class TestMinkowski:
+    def test_closed_form_matches_vertices(self):
+        rng = random.Random(17)
+        verdicts = set()
+        for tag in MINKOWSKI_GROUPS:
+            datum = build_group(tag)
+            n = datum.rank
+            central = datum.central_directions
+            zero = (F(0),) * n
+            for _ in range(4):
+                # normalized, as certify_nccr receives them: a nonzero
+                # generator inside span(central) would leave the reference
+                # without vertices
+                gens = tuple(datum.normalize_weight(g) for g in
+                             random_generators(rng, datum, max_lines=4))
+                if all(g == zero for g in gens):
+                    continue  # no vertex; the box is the shift point
+                points = [zero]
+                for den in (1, 1, 2, 2):
+                    points.append(tuple(F(rng.randint(-3, 3), den)
+                                        for _ in range(n)))
+                for c in central:
+                    points.append(vscale(F(rng.randint(1, 3)), c))
+                for x in points:
+                    want = minkowski_reference(datum, gens, central, x)
+                    assert (datum.normalize_weight(x) == zero) == want, \
+                        (tag, gens, x)
+                    verdicts.add(want)
+        assert verdicts == {True, False}
+
+    @pytest.mark.parametrize("group, weights, nu", [
+        ("Torus(1)", [((1,), 2), ((-1,), 2)], (0,)),
+        ("Torus(1)", [((1,), 2), ((-1,), 2)], (F(1, 2),)),
+        ("Torus(2)", [((1, 0), 1), ((-1, 0), 1), ((1, 1), 1), ((-1, -1), 1)],
+         (1, 0)),
+        ("SL(2)", [((2, 0), 1), ((0, 0), 1), ((-2, 0), 1)], (0, 0)),
+        ("GL(2)", [((1, 0), 2), ((0, 1), 2), ((-1, 0), 2), ((0, -1), 2)],
+         (F(1, 2), F(1, 2))),
+    ])
+    def test_certificate_matches_vertex_test(self, group, weights, nu):
+        datum = build_group(group)
+        rep = rep_spec(datum, weights)
+        lam = (F(0),) * datum.rank
+        cert = certify_nccr(rep, lam, vec(nu), lam, prazno_mode="minkowski")
+        lv = levi(datum, lam)
+        shift = vsub(vec(nu), lv.rho_bar_lambda)
+        central = datum.central_directions
+
+        def in_boundary(p):
+            x = vscale(F(2), vsub(p, shift))
+            return (is_dominant(datum, p, lv)
+                    and minkowski_reference(datum, rep.expanded, central, x))
+
+        box = window_box(datum, rep.expanded, F(1, 2), shift)
+        assert cert.prazno_points == tuple(enumerate_lattice(in_boundary, box))

@@ -4,16 +4,19 @@ from fractions import Fraction as F
 
 import pytest
 
-from oracles import forced_tight_reference, member_eps_reference
-from sodlab.linalg import vec, vscale
+from oracles import (forced_tight_reference, member_eps_reference,
+                     random_generators, realizable_face_patterns_reference)
+from sodlab import zonotope
+from sodlab.linalg import span_basis, vadd, vec, vscale
 from sodlab.linprog import InputError, forced_tight
 from sodlab.reps import construct_rep, rep_spec, weight_signs
-from sodlab.rootdata import build_group
+from sodlab.rootdata import build_group, full_levi
 from sodlab.zonotope import (CLOSED, HALF_OPEN, REL_INT, EpsShift,
                              ZonotopeQuery, _coefficient_program,
-                             face_signature_at, is_generic,
-                             is_weakly_generic, member, member_eps,
-                             min_radius, supporting_lambda)
+                             face_signature_at, invariants_in_span,
+                             is_generic, is_weakly_generic, member,
+                             member_eps, min_radius,
+                             realizable_face_patterns, supporting_lambda)
 
 T1 = build_group("Torus(1)")
 T2 = build_group("Torus(2)")
@@ -259,3 +262,76 @@ class TestGenericity:
             a = is_weakly_generic(e, T2, rep.expanded)
             b = is_weakly_generic(vscale(F(7, 3), e), T2, rep.expanded)
             assert a == b
+
+
+# ---------------------------------------------------------------------------
+# Faces from flats against the sign-pattern LP reference.
+# ---------------------------------------------------------------------------
+
+FLAT_GROUPS = ("Torus(1)", "Torus(2)", "Torus(3)", "SL(2)", "SL(3)",
+               "Product(SL(2),Torus(1))", "Product(SL(2),SL(2))")
+
+
+def face_spans(lists, central, dim):
+    return [tuple(span_basis(list(z) + list(central), dim)) for z in lists]
+
+
+def eps_status(eps, datum, gens, central):
+    if is_generic(eps, datum, gens, central):
+        return "Generic"
+    if is_weakly_generic(eps, datum, gens, central):
+        return "WeaklyGeneric"
+    return "Fails"
+
+
+def candidate_eps(rng, datum, gens, central):
+    """Weyl-invariant vectors parallel to the zonotope: zero, central
+    directions, and small combinations of the parallel invariants."""
+    inv = invariants_in_span(full_levi(datum), gens, central)
+    out = [(F(0),) * datum.rank] + list(central)
+    for _ in range(6):
+        v = (F(0),) * datum.rank
+        for b in inv:
+            v = vadd(v, vscale(F(rng.randint(-2, 2)), b))
+        out.append(v)
+    return out
+
+
+class TestFlats:
+    def test_no_lines_no_proper_faces(self):
+        assert realizable_face_patterns(()) == []
+        assert realizable_face_patterns((vec([0, 0]),) * 2) == []
+
+    def test_flats_match_sign_patterns(self, monkeypatch):
+        """Each proper face span comes once, the spans are those of the
+        realizable sign patterns, and genericity agrees on both."""
+        rng = random.Random(3)
+        seen = set()
+        cases = 0
+        for tag in FLAT_GROUPS:
+            datum = build_group(tag)
+            central = datum.central_directions
+            for _ in range(8):
+                gens = random_generators(rng, datum)
+                flats = realizable_face_patterns(gens, central)
+                ref = [z for _, z in
+                       realizable_face_patterns_reference(gens, central)]
+                spans = face_spans(flats, central, datum.rank)
+                assert len(set(spans)) == len(spans)
+                assert set(spans) == set(face_spans(ref, central, datum.rank)), \
+                    (tag, gens)
+                zeros = [g for g in gens if not any(g)]
+                assert all(z[len(z) - len(zeros):] == zeros for z in flats)
+
+                eps_list = candidate_eps(rng, datum, gens, central)
+                got = [eps_status(e, datum, gens, central) for e in eps_list]
+                with monkeypatch.context() as m:
+                    m.setattr(zonotope, "realizable_face_patterns",
+                              lambda g, c=(), _ref=ref: _ref)
+                    want = [eps_status(e, datum, gens, central)
+                            for e in eps_list]
+                assert got == want, (tag, gens)
+                seen.update(got)
+                cases += len(got)
+        assert seen == {"Generic", "WeaklyGeneric", "Fails"}
+        assert cases > 300
