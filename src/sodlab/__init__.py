@@ -3,7 +3,8 @@
 Submodules:
     linalg      exact vectors and Gaussian elimination
     linprog     rational simplex, forced tightness, lattice enumeration
-    rootdata    catalog root data, Weyl actions, Levi subdata
+    rootdata    catalog root data, simple-reflection descent and orbits,
+                Levi subdata
     reps        weight multisets, stability, quasi-symmetry, twists
     zonotope    scaled weight zonotopes, face signatures, genericity
     partition   the dominant-weight partition by face signatures

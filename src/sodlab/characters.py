@@ -3,7 +3,10 @@
 Irreducible weight multiplicities come from the Freudenthal recursion over
 the (Levi-)root system; symmetric powers from one degree-tracking dynamic
 program per representation; Hom-block dimensions from Sym^d looked up at the
-Weyl orbit of mu + rho, without building the product character.
+Weyl orbit of mu + rho, without building the product character.  Every Weyl
+fact (lowest weight, dominant conjugate, orbit with signs) comes from the
+simple reflections via `rootdata.descend` and `rootdata.orbit`; the group is
+never enumerated.
 """
 
 from __future__ import annotations
@@ -17,7 +20,8 @@ from functools import cached_property
 from .linalg import Vec, ZERO, mat_vec, solve, vadd, vdot, vscale, vsub, vec, zero_vec
 from .linprog import InputError
 from .reps import RepSpec
-from .rootdata import LeviDatum, RootDatum, full_levi, is_dominant
+from .rootdata import (LeviDatum, RootDatum, descend, full_levi, is_dominant,
+                       orbit)
 
 
 @dataclass(frozen=True)
@@ -78,14 +82,8 @@ def weyl_dim(datum: RootDatum, chi: Vec, levi: LeviDatum | None = None) -> int:
 def _simple_coeff_bounds(datum: RootDatum, lv: LeviDatum, chi: Vec) -> list[int]:
     """Coefficient box: dominant mu <= chi satisfy chi - mu = sum c_i alpha_i
     with 0 <= c_i <= coefficients of chi - (lowest weight)."""
-    lowest = chi
-    for m, _, _ in lv.weyl_elements():
-        img = mat_vec(m, chi)
-        if _height(datum, lv, vsub(chi, img)) > _height(datum, lv, vsub(chi, lowest)):
-            lowest = img
+    lowest, _ = descend(lv.simple_pairs, chi, lowest=True)
     simples = lv.simple_roots
-    if not simples:
-        return []
     rows = [[s[k] for s in simples] for k in range(datum.rank)]
     target = vsub(chi, lowest)
     coeffs = solve(rows, list(target))
@@ -127,14 +125,6 @@ def irr_character(datum: RootDatum, chi: Vec,
             dominants.append(mu)
     dominants.sort(key=lambda mu: -_height(datum, lv, mu))  # chi first
     mults: dict[Vec, int] = {}
-
-    def lookup(nu: Vec) -> int:
-        for w, _, _ in lv.weyl_elements():
-            img = mat_vec(w, nu)
-            if is_dominant(datum, img, lv):
-                return mults.get(img, 0)
-        return 0
-
     for mu in dominants:
         if mu == dominants[0]:
             mults[mu] = 1
@@ -147,7 +137,7 @@ def irr_character(datum: RootDatum, chi: Vec,
             k = 1
             while True:
                 nu = vadd(mu, vscale(Fraction(k), a))
-                m = lookup(nu)
+                m = mults.get(descend(lv.simple_pairs, nu)[0], 0)
                 if m == 0 and _form(datum, vadd(nu, rho), vadd(nu, rho)) > top:
                     break
                 rhs += m * _form(datum, nu, a)
@@ -161,13 +151,13 @@ def irr_character(datum: RootDatum, chi: Vec,
     for mu, m in mults.items():
         if m <= 0:
             continue
-        for w, _, _ in lv.weyl_elements():
-            full[datum.normalize_weight(mat_vec(w, mu))] = m
+        for point, _ in orbit(lv.simple_pairs, mu):
+            full[datum.normalize_weight(point)] = m
     return _table(datum, full)
 
 
 # Sym^0..Sym^top per representation: immutable, the same whatever top built
-# them, and kept for the process like the lru_caches of rootdata.
+# them, and kept for the process.
 _SYM_TABLES: dict[RepSpec, tuple[CharacterTable, ...]] = {}
 
 
@@ -223,8 +213,9 @@ def hom_block_dims(datum: RootDatum, mu: Vec, mu_prime: Vec, coinv: RepSpec,
     rho = lv.rho_bar_lambda
     shifted = vadd(mu, rho)
     kernel: dict[Vec, int] = {}
-    for w, _, det in lv.weyl_elements():
-        point = datum.normalize_weight(vsub(mat_vec(w, shifted), rho))
+    # mu + rho is regular, so its orbit has one point per w, signed by det w
+    for image, det in orbit(lv.simple_pairs, shifted):
+        point = datum.normalize_weight(vsub(image, rho))
         for w1, m1 in ch_prime:   # both in section form, so is the key
             key = vsub(point, w1)
             kernel[key] = kernel.get(key, 0) + det * m1

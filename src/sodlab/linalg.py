@@ -74,13 +74,6 @@ def mat_vec(m: Mat, v: Vec) -> Vec:
     return tuple(vdot(row, v) for row in m)
 
 
-def mat_mul(a: Mat, b: Mat) -> Mat:
-    if not a:
-        return ()
-    cols = list(zip(*b)) if b else []
-    return tuple(tuple(vdot(row, col) for col in cols) for row in a)
-
-
 def rref(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
     """Reduced row echelon form.  Returns (reduced rows, pivot columns)."""
     m = [list(r) for r in rows]

@@ -14,13 +14,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .linalg import Vec, ZERO, vadd, vscale, vsub, vec, zero_vec
-from .linprog import (InputError, LpBuilder, enumerate_lattice, lp_optimize)
+from .linprog import InputError, enumerate_lattice
 from .reps import (RepSpec, find_destabilizer, has_t_stable_point,
                    weight_signs)
 from .rootdata import (RootDatum, full_levi, is_dominant, levi, pairing,
                        star_dominate)
 from .zonotope import (REL_INT, FaceSignature, ZonotopeQuery,
-                       coefficient_system, face_signature_at, member,
+                       face_signature_at, member,
                        supporting_lambda)
 
 
@@ -114,25 +114,15 @@ def _pinned_coords(datum: RootDatum) -> tuple[int, ...]:
 
 def window_box(datum: RootDatum, generators, r, shift):
     """Per-coordinate bounds of the closed window over canonical section
-    representatives (pinned SL coordinates forced to zero)."""
-    pinned = set(_pinned_coords(datum))
-    b = LpBuilder()
-    _, _, rows = coefficient_system(
-        b, generators, datum.central_directions,
-        [-shift[k] if k in pinned else None for k in range(datum.rank)], r)
-    box = []
-    for k, row in enumerate(rows):
-        if k in pinned:
-            box.append((ZERO, ZERO))
-            continue
-        bounds = []
-        for sense in ("min", "max"):
-            res = lp_optimize(b.build(row), sense)
-            if res.status != "optimal":
-                raise InputError("window is unbounded; cannot enumerate")
-            bounds.append(res.value + shift[k])
-        box.append((bounds[0], bounds[1]))
-    return box
+    representatives (pinned SL coordinates forced to zero).  The section
+    map N is linear, so coordinate k spans N(shift)_k - r * sum max(0, N(v)_k)
+    to N(shift)_k + r * sum max(0, -N(v)_k)."""
+    r = Fraction(r)
+    centre = datum.normalize_weight(vec(shift))
+    images = [datum.normalize_weight(vec(v)) for v in generators]
+    return [(centre[k] - r * sum((v[k] for v in images if v[k] > 0), ZERO),
+             centre[k] - r * sum((v[k] for v in images if v[k] < 0), ZERO))
+            for k in range(datum.rank)]
 
 
 def cell_members(rep: RepSpec, cell: PartitionCell, profile: ShiftProfile,

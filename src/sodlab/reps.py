@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .linalg import (Mat, Vec, ZERO, ONE, is_integral, is_zero_vec, mat_vec,
                      nullspace, primitive, rank as mat_rank, solve, vadd, vdot,
-                     vneg, vscale, vec, zero_vec)
+                     vneg, vscale, vsub, vec, zero_vec)
 from .linprog import InputError, LpBuilder, feasible_point, lex_minimal_integral
 from .rootdata import RootDatum, full_levi, pairing
 
@@ -266,6 +266,9 @@ def construct_rep(datum: RootDatum, pieces) -> RepSpec:
       ("sym_power", d)             d-th symmetric power of the defining rep
       ("dual_vector_power", h)     h copies of the dual defining rep
       ("trivial", c)               c copies of the trivial character
+
+    The assembled multiset must be Weyl-symmetric: every simple reflection
+    keeps each weight's multiplicity.
     """
     counts: Counter = Counter()
     for piece in pieces:
@@ -286,5 +289,12 @@ def construct_rep(datum: RootDatum, pieces) -> RepSpec:
             counts[zero_vec(datum.rank)] += int(arg)
         else:
             raise InputError(f"unknown construction piece {kind!r}")
-    pairs = sorted(counts.items())
-    return rep_spec(datum, pairs)
+    rep = rep_spec(datum, sorted(counts.items()))
+    for w, m in rep.weights:
+        for a, cr in datum.simple_pairs:
+            image = datum.normalize_weight(vsub(w, vscale(vdot(cr, w), a)))
+            if counts[image] != m:
+                raise InputError(f"weights are not Weyl-symmetric: weight "
+                                 f"{list(map(str, w))} has multiplicity {m} "
+                                 f"but its reflection has {counts[image]}")
+    return rep

@@ -10,6 +10,10 @@ with last block coordinate zero.
 Positive roots are L_i - L_j (i < j) for GL/SL and additionally L_i + L_j
 (i < j) and 2 L_i for Sp(2n); dominant weights have non-increasing block
 coordinates (and a nonnegative tail coordinate for Sp).
+
+The Weyl group is never enumerated: dominant conjugates, signed orbits and
+fixed spaces all come from the simple reflections s_a(v) = v - <a^vee, v> a
+(Humphreys, *Introduction to Lie Algebras and Representation Theory*, 10).
 """
 
 from __future__ import annotations
@@ -17,11 +21,11 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 from .linalg import (Mat, Vec, ZERO, ONE, identity, in_span, is_zero_vec,
-                     mat_mul, mat_vec, nullspace, rref, span_basis, vadd,
-                     vdot, vneg, vscale, vsub, vec, zero_vec)
+                     mat_vec, nullspace, rref, span_basis, vadd, vdot, vneg,
+                     vscale, vsub, vec, zero_vec)
 from .linprog import InputError
 
 
@@ -35,7 +39,6 @@ class RootDatum:
     positive_roots: tuple[Vec, ...]
     simple_roots: tuple[Vec, ...]
     gram: Mat
-    weyl_generators: tuple[Mat, ...]
     rho_bar: Vec
     # Character directions modded out (one per SL block), paired with the
     # block coordinate pinned to zero by the canonical section.
@@ -52,9 +55,6 @@ class RootDatum:
         for a in self.roots:
             if coroot_pairing(self, a, a) != 2:
                 raise InputError("coroot normalization broken")
-        for g in self.weyl_generators:
-            if mat_mul(mat_mul(_transpose(g), self.gram), g) != self.gram:
-                raise InputError("reflection does not preserve the form")
 
     @cached_property
     def coroots(self) -> dict[Vec, Vec]:
@@ -65,6 +65,11 @@ class RootDatum:
     @cached_property
     def positive_coroots(self) -> tuple[Vec, ...]:
         return tuple(self.coroots[a] for a in self.positive_roots)
+
+    @cached_property
+    def simple_pairs(self) -> tuple[tuple[Vec, Vec], ...]:
+        """(simple root, coroot) pairs: the simple reflections."""
+        return tuple((a, self.coroots[a]) for a in self.simple_roots)
 
     @property
     def central_directions(self) -> tuple[Vec, ...]:
@@ -79,10 +84,6 @@ class RootDatum:
         for c, pin in self.quotient_pairs:
             chi = vsub(chi, vscale(chi[pin], c))
         return chi
-
-
-def _transpose(m: Mat) -> Mat:
-    return tuple(zip(*m)) if m else ()
 
 
 def _vec_sum(vectors, n: int) -> Vec:
@@ -111,17 +112,6 @@ def coroot_pairing(datum: RootDatum, alpha: Vec, chi: Vec) -> Fraction:
     return vdot(coroot(datum, alpha), chi)
 
 
-def reflection_matrix(datum: RootDatum, alpha: Vec) -> Mat:
-    return _reflection(alpha, coroot(datum, alpha))
-
-
-def _reflection(alpha: Vec, cr: Vec) -> Mat:
-    n = len(alpha)
-    return tuple(
-        tuple((ONE if i == j else ZERO) - alpha[i] * cr[j] for j in range(n))
-        for i in range(n))
-
-
 # ---------------------------------------------------------------------------
 # Catalog constructors.
 # ---------------------------------------------------------------------------
@@ -129,20 +119,15 @@ def _reflection(alpha: Vec, cr: Vec) -> Mat:
 def _build_torus(n: int) -> RootDatum:
     return RootDatum(
         label=f"Torus({n})", rank=n, roots=(), positive_roots=(),
-        simple_roots=(), gram=identity(n), weyl_generators=(),
-        rho_bar=zero_vec(n))
+        simple_roots=(), gram=identity(n), rho_bar=zero_vec(n))
 
 
 def _from_positive_roots(label: str, n: int, pos: list[Vec], simple: list[Vec],
                          quotient_pairs=()) -> RootDatum:
-    """Root datum under the identity form, generated by its simple
-    reflections."""
-    gram = identity(n)
+    """Root datum under the identity form."""
     return RootDatum(
         label=label, rank=n, roots=tuple(pos) + tuple(vneg(a) for a in pos),
-        positive_roots=tuple(pos), simple_roots=tuple(simple), gram=gram,
-        weyl_generators=tuple(_reflection(a, _coroot_under(gram, a))
-                              for a in simple),
+        positive_roots=tuple(pos), simple_roots=tuple(simple), gram=identity(n),
         rho_bar=vscale(Fraction(1, 2), _vec_sum(pos, n)),
         quotient_pairs=quotient_pairs)
 
@@ -183,7 +168,6 @@ def _product(factors: list[RootDatum]) -> RootDatum:
     roots: list[Vec] = []
     pos: list[Vec] = []
     simple: list[Vec] = []
-    gens: list[Mat] = []
     quo: list[tuple[Vec, int]] = []
     rho = zero_vec(rank)
     offset = 0
@@ -191,12 +175,6 @@ def _product(factors: list[RootDatum]) -> RootDatum:
         roots += [_embed(a, offset, rank) for a in f.roots]
         pos += [_embed(a, offset, rank) for a in f.positive_roots]
         simple += [_embed(a, offset, rank) for a in f.simple_roots]
-        for g in f.weyl_generators:
-            big = [list(r) for r in identity(rank)]
-            for i in range(f.rank):
-                for j in range(f.rank):
-                    big[offset + i][offset + j] = g[i][j]
-            gens.append(tuple(tuple(r) for r in big))
         for c, pin in f.quotient_pairs:
             quo.append((_embed(c, offset, rank), offset + pin))
         rho = vadd(rho, _embed(f.rho_bar, offset, rank))
@@ -204,8 +182,8 @@ def _product(factors: list[RootDatum]) -> RootDatum:
     label = "Product(" + ",".join(f.label for f in factors) + ")"
     return RootDatum(
         label=label, rank=rank, roots=tuple(roots), positive_roots=tuple(pos),
-        simple_roots=tuple(simple), gram=identity(rank),
-        weyl_generators=tuple(gens), rho_bar=rho, quotient_pairs=tuple(quo))
+        simple_roots=tuple(simple), gram=identity(rank), rho_bar=rho,
+        quotient_pairs=tuple(quo))
 
 
 _TAG = re.compile(r"^\s*(torus|gl|sl|sp)\s*\(\s*(\d+)\s*\)\s*$", re.IGNORECASE)
@@ -266,42 +244,48 @@ def is_dominant(datum: RootDatum, chi: Vec, levi: "LeviDatum | None" = None) -> 
     return all(vdot(c, chi) >= 0 for c in coroots)
 
 
-@lru_cache(maxsize=None)
-def weyl_elements(datum: RootDatum) -> tuple[tuple[Mat, tuple[int, ...], int], ...]:
-    """All Weyl group elements as (matrix, reduced word, determinant sign),
-    enumerated breadth-first so that shorter words come first and ties are
-    broken lexicographically.  Deterministic."""
-    return _generate_group(identity(datum.rank), datum.weyl_generators)
+def descend(simple_pairs, chi: Vec, lowest: bool = False):
+    """Dominant (antidominant when ``lowest``) conjugate of chi under the
+    Weyl group of the (simple root, coroot) pairs, and a reduced word of the
+    unique shortest w taking chi there: w = s_{word[0]} ... s_{word[-1]}.
+    Each step reflects in a simple root whose coroot pairs negatively
+    (positively) with the point, one positive root fewer doing so."""
+    applied: list[int] = []
+    while True:
+        for i, (a, cr) in enumerate(simple_pairs):
+            c = vdot(cr, chi)
+            if (c > 0) if lowest else (c < 0):
+                chi = vsub(chi, vscale(c, a))
+                applied.append(i)
+                break
+        else:
+            return chi, tuple(reversed(applied))
 
 
-def _generate_group(ident: Mat, gens: tuple[Mat, ...]):
-    seen = {ident: ()}
-    order = [(ident, (), 1)]
-    frontier = [(ident, ())]
+def orbit(simple_pairs, chi: Vec) -> list[tuple[Vec, int]]:
+    """Every point of the Weyl orbit of chi with the sign (-1)^l, for l the
+    length of the shortest element reaching it, found breadth-first from chi
+    by simple reflections.  At a regular point the points are the w(chi),
+    one per element w, and the sign is det w."""
+    signs, frontier, sign = {chi: 1}, [chi], 1
     while frontier:
-        nxt = []
-        for m, word in frontier:
-            for i, g in enumerate(gens):
-                m2 = mat_mul(m, g)
-                if m2 not in seen:
-                    w2 = word + (i,)
-                    seen[m2] = w2
-                    order.append((m2, w2, -1 if len(w2) % 2 else 1))
-                    nxt.append((m2, w2))
+        sign, nxt = -sign, []
+        for v in frontier:
+            for a, cr in simple_pairs:
+                u = vsub(v, vscale(vdot(cr, v), a))
+                if u not in signs:
+                    signs[u] = sign
+                    nxt.append(u)
         frontier = nxt
-    return tuple(order)
+    return list(signs.items())
 
 
 def make_dominant(datum: RootDatum, chi: Vec,
                   levi: "LeviDatum | None" = None) -> tuple[Vec, tuple[int, ...]]:
-    """Dominant representative of the plain Weyl orbit together with the word
-    of the chosen element (shortest, then lexicographically first)."""
-    elements = weyl_elements(datum) if levi is None else levi.weyl_elements()
-    for m, word, _ in elements:
-        image = mat_vec(m, chi)
-        if is_dominant(datum, image, levi):
-            return datum.normalize_weight(image), word
-    raise InputError("weyl orbit contains no dominant element")  # unreachable
+    """Dominant representative of the plain Weyl orbit together with a
+    reduced word of the unique shortest element taking chi there."""
+    dom, word = descend((datum if levi is None else levi).simple_pairs, chi)
+    return datum.normalize_weight(dom), word
 
 
 def star_dominate(datum: RootDatum, chi: Vec,
@@ -309,7 +293,8 @@ def star_dominate(datum: RootDatum, chi: Vec,
     """Dominant representative under w * chi = w(chi + rho) - rho.
 
     Returns (chi_plus, sign, word) or None when chi + rho lies on a
-    reflection wall, in which case no representative is defined.
+    reflection wall, in which case no representative is defined.  The word
+    is a reduced word of the unique shortest w, and the sign is det w.
     """
     rho = datum.rho_bar if levi is None else levi.rho_bar_lambda
     shifted = vadd(chi, rho)
@@ -328,9 +313,10 @@ def star_dominate(datum: RootDatum, chi: Vec,
 @dataclass(frozen=True)
 class LeviDatum:
     """Centralizer data of a one-parameter subgroup: the roots vanishing on
-    it, their positive half, and the corresponding Weyl subgroup, given by
-    the reflections in its simple roots.  Fixed spaces and projections come
-    from those generators; only `weyl_elements` enumerates the group."""
+    it, their positive half and its simple roots.  The Levi Weyl group is
+    present only through the reflections in those simple roots; fixed
+    spaces, projections, dominant conjugates and orbits all come from them,
+    and the group itself is never enumerated."""
 
     datum: RootDatum
     lam: Vec
@@ -338,22 +324,21 @@ class LeviDatum:
     phi_lambda_plus: tuple[Vec, ...]
     simple_roots: tuple[Vec, ...]
     rho_bar_lambda: Vec
-    weyl_generators: tuple[Mat, ...]
-
-    def weyl_elements(self):
-        return _levi_elements(self.datum.rank, self.weyl_generators)
 
     @cached_property
     def positive_coroots(self) -> tuple[Vec, ...]:
         return tuple(coroot(self.datum, a) for a in self.phi_lambda_plus)
 
+    @cached_property
+    def simple_pairs(self) -> tuple[tuple[Vec, Vec], ...]:
+        return tuple((a, coroot(self.datum, a)) for a in self.simple_roots)
+
     def _fixed_basis(self) -> list[Vec]:
-        """Canonical basis of the common kernel of (g - I) over the
-        generators: the Weyl-fixed subspace of the ambient coordinates."""
+        """Canonical basis of the Weyl-fixed subspace of the ambient
+        coordinates.  s_a - I is v -> -<a^vee, v> a, so the fixed space is
+        the common kernel of the simple coroots."""
         n = self.datum.rank
-        rows = [[g[i][j] - (ONE if i == j else ZERO) for j in range(n)]
-                for g in self.weyl_generators for i in range(n)]
-        return span_basis(nullspace(rows, n), n)
+        return span_basis(nullspace([cr for _, cr in self.simple_pairs], n), n)
 
     def invariant_projector(self) -> Mat:
         """Projection onto the Weyl-fixed subspace, orthogonal under the
@@ -382,15 +367,10 @@ class LeviDatum:
         return [v for v in out if not is_zero_vec(v)]
 
     def is_invariant(self, v: Vec) -> bool:
-        return all(mat_vec(g, v) == v for g in self.weyl_generators)
+        return all(vdot(cr, v) == 0 for _, cr in self.simple_pairs)
 
     def label(self) -> str:
         return _levi_label(self)
-
-
-@lru_cache(maxsize=None)
-def _levi_elements(rank: int, gens: tuple[Mat, ...]):
-    return _generate_group(identity(rank), gens)
 
 
 def levi(datum: RootDatum, lam: Vec) -> LeviDatum:
@@ -407,8 +387,7 @@ def levi(datum: RootDatum, lam: Vec) -> LeviDatum:
         a for a in plus
         if not any(vsub(a, b) in plus_set for b in plus if b != a))
     rho = vscale(Fraction(1, 2), _vec_sum(plus, datum.rank))
-    gens = tuple(reflection_matrix(datum, a) for a in simple)
-    return LeviDatum(datum, lam, phi, plus, simple, rho, gens)
+    return LeviDatum(datum, lam, phi, plus, simple, rho)
 
 
 def full_levi(datum: RootDatum) -> LeviDatum:

@@ -94,9 +94,8 @@ def coefficient_system(b: LpBuilder, generators, central, target,
     -radius * m unless ``radius`` is None and open at the flagged ends; one
     free column t_c per central direction; then one column s_e per pair
     (vector e, ``LpBuilder.add_var`` keywords) in ``extra``.  ``target``
-    holds, per coordinate, the right-hand side of its equality row, or None
-    for no row.  Returns (classes, class columns, the sparse row of every
-    coordinate).
+    holds the right-hand side of each coordinate's equality row.  Returns
+    (classes, class columns).
     """
     classes = _classes(generators)
     cols = [b.add_var(lower=None if radius is None else -frac(radius) * len(idx),
@@ -105,18 +104,15 @@ def coefficient_system(b: LpBuilder, generators, central, target,
     terms = [(v, col) for (v, _), col in zip(classes, cols)]
     terms += [(c, b.add_var()) for c in central]
     terms += [(e, b.add_var(**bounds)) for e, bounds in extra]
-    rows = [{col: v[k] for v, col in terms if v[k] != 0}
-            for k in range(len(target))]
-    for row, rhs in zip(rows, target):
-        if rhs is not None:
-            b.add_eq(row, rhs)
-    return classes, cols, rows
+    for k, rhs in enumerate(target):
+        b.add_eq({col: v[k] for v, col in terms if v[k] != 0}, rhs)
+    return classes, cols
 
 
 def _coefficient_program(generators, radius, shift, p, variant, central):
     """LP whose feasibility is membership of p in shift + radius * variant."""
     b = LpBuilder()
-    classes, cols, _ = coefficient_system(
+    classes, cols = coefficient_system(
         b, generators, central, vsub(vec(p), vec(shift)), radius,
         lower_open=variant != CLOSED, upper_open=variant == REL_INT)
     return b, classes, cols
@@ -136,7 +132,7 @@ def min_radius(generators, shift, p, central: Central = ()) -> Fraction | None:
     """Least r >= 0 with p in shift + r * (closed zonotope); None when p is
     not reachable at any radius."""
     b = LpBuilder()
-    classes, cols, _ = coefficient_system(
+    classes, cols = coefficient_system(
         b, generators, central, vsub(vec(p), vec(shift)))
     rcol = b.add_var(lower=0)
     for (_, idx), col in zip(classes, cols):

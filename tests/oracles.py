@@ -7,21 +7,27 @@ only for the per-pattern radius minimization; its strictness check is the
 slack-maximization reference below, not the kernel's bound sweep.  The face
 references test every sign pattern of the generator lines by LP; the package
 reads the same faces from the flats of the lines.  The root-data references
-average or alternate over every element of the Weyl group; the package reads
-the same facts from the simple reflections and from the orbit of mu + rho.
+average or alternate over every element of the Weyl group, enumerated
+breadth-first as reflection matrices; the package reads the same facts from
+the simple reflections by descent and orbit search.  The window-box reference
+bounds each coordinate by LP; the package has the closed form.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import itertools
+import math
 from fractions import Fraction
 
-from sodlab.characters import irr_character, sym_power_character
-from sodlab.linalg import (in_span, is_zero_vec, mat_vec, primitive,
-                           span_basis, vadd, vec, vsub)
-from sodlab.linprog import BoxedLinearProgram, LpBuilder, LpResult, \
-    TightnessReport, _optimize_closed, feasible_point, lp_optimize
+from sodlab.characters import (_form, _height, _table, irr_character,
+                               sym_power_character)
+from sodlab.linalg import (identity, in_span, is_zero_vec,
+                           mat_vec, primitive, solve, span_basis, vadd,
+                           vdot, vec, vscale, vsub)
+from sodlab.linprog import BoxedLinearProgram, InputError, LpBuilder, \
+    LpResult, TightnessReport, _optimize_closed, feasible_point, lp_optimize
+from sodlab.rootdata import LeviDatum, full_levi, is_dominant
 
 F = Fraction
 
@@ -552,9 +558,117 @@ def lex_minimal_integral_reference(n, ok):
 # Whole-Weyl-group references for the root-system kernels.
 # ---------------------------------------------------------------------------
 
+def _mat_mul(a, b):
+    cols = list(zip(*b))
+    return tuple(tuple(vdot(row, col) for col in cols) for row in a)
+
+
+def weyl_generators_reference(data):
+    """Reflection matrices I - alpha (alpha^vee)^T of the simple roots of a
+    RootDatum or a LeviDatum, with alpha^vee = 2 G alpha / (alpha, G alpha)
+    under the datum's own form."""
+    datum = data.datum if isinstance(data, LeviDatum) else data
+    n = datum.rank
+    gens = []
+    for a in data.simple_roots:
+        q = mat_vec(datum.gram, a)
+        cr = vscale(F(2) / vdot(a, q), q)
+        gens.append(tuple(tuple((F(i == j)) - a[i] * cr[j] for j in range(n))
+                          for i in range(n)))
+    return tuple(gens)
+
+
+def weyl_elements_reference(data):
+    """Every Weyl group element of a RootDatum or LeviDatum as (matrix,
+    word, det), breadth-first over products of the simple reflections:
+    shorter words first, ties broken lexicographically.  The matrix of a
+    word is the product of its letters' matrices in word order."""
+    rank = (data.datum if isinstance(data, LeviDatum) else data).rank
+    gens = weyl_generators_reference(data)
+    ident = identity(rank)
+    seen = {ident}
+    order = [(ident, (), 1)]
+    frontier = [(ident, ())]
+    while frontier:
+        nxt = []
+        for m, word in frontier:
+            for i, g in enumerate(gens):
+                m2 = _mat_mul(m, g)
+                if m2 not in seen:
+                    w2 = word + (i,)
+                    seen.add(m2)
+                    order.append((m2, w2, -1 if len(w2) % 2 else 1))
+                    nxt.append((m2, w2))
+        frontier = nxt
+    return tuple(order)
+
+
+def irr_character_reference(datum, chi, levi=None):
+    """Freudenthal recursion that finds every lowest weight, dominant
+    conjugate and orbit by scanning the whole (Levi) Weyl group."""
+    lv = levi or full_levi(datum)
+    chi = datum.normalize_weight(vec(chi))
+    if not lv.phi_lambda_plus:
+        return _table(datum, {chi: 1})
+    elements = weyl_elements_reference(lv)
+    rho = lv.rho_bar_lambda
+    top = _form(datum, vadd(chi, rho), vadd(chi, rho))
+    lowest = chi
+    for m, _, _ in elements:
+        img = mat_vec(m, chi)
+        if _height(datum, lv, vsub(chi, img)) > _height(datum, lv, vsub(chi, lowest)):
+            lowest = img
+    simples = lv.simple_roots
+    coeffs = solve([[a[k] for a in simples] for k in range(datum.rank)],
+                   list(vsub(chi, lowest)))
+    bounds = [max(0, math.ceil(c)) for c in coeffs]
+    dominants = []
+    for combo in itertools.product(*(range(b + 1) for b in bounds)):
+        mu = chi
+        for c, a in zip(combo, simples):
+            mu = vsub(mu, vscale(F(c), a))
+        if mu not in dominants and is_dominant(datum, mu, lv):
+            dominants.append(mu)
+    dominants.sort(key=lambda mu: -_height(datum, lv, mu))
+    mults = {}
+
+    def lookup(nu):
+        for w, _, _ in elements:
+            img = mat_vec(w, nu)
+            if is_dominant(datum, img, lv):
+                return mults.get(img, 0)
+        return 0
+
+    for mu in dominants:
+        if mu == chi:
+            mults[mu] = 1
+            continue
+        denom = top - _form(datum, vadd(mu, rho), vadd(mu, rho))
+        rhs = F(0)
+        for a in lv.phi_lambda_plus:
+            k = 1
+            while True:
+                nu = vadd(mu, vscale(F(k), a))
+                m = lookup(nu)
+                if m == 0 and _form(datum, vadd(nu, rho), vadd(nu, rho)) > top:
+                    break
+                rhs += m * _form(datum, nu, a)
+                k += 1
+        val = 2 * rhs / denom
+        assert val.denominator == 1
+        if val:
+            mults[mu] = int(val)
+    full = {}
+    for mu, m in mults.items():
+        if m > 0:
+            for w, _, _ in elements:
+                full[datum.normalize_weight(mat_vec(w, mu))] = m
+    return _table(datum, full)
+
+
 def invariant_projector_reference(lv):
     """Average of every element of the Levi Weyl group."""
-    elements = lv.weyl_elements()
+    elements = weyl_elements_reference(lv)
     n = lv.datum.rank
     total = [[F(0)] * n for _ in range(n)]
     for m, _, _ in elements:
@@ -582,7 +696,7 @@ def multiplicity_in_reference(datum, table, mu, lv):
     character, by the alternating Weyl sum."""
     rho = lv.rho_bar_lambda
     total = 0
-    for w, _, det in lv.weyl_elements():
+    for w, _, det in weyl_elements_reference(lv):
         key = datum.normalize_weight(vsub(mat_vec(w, vadd(mu, rho)), rho))
         total += det * table.get(key, 0)
     return total
@@ -602,6 +716,38 @@ def hom_block_dims_reference(datum, mu, mu_prime, coinv, lv, up_to):
                 prod[key] = prod.get(key, 0) + m1 * m2
         dims.append(multiplicity_in_reference(datum, prod, mu, lv))
     return dims
+
+
+# ---------------------------------------------------------------------------
+# Window box by LP.
+# ---------------------------------------------------------------------------
+
+def window_box_reference(datum, generators, r, shift):
+    """Per-coordinate bounds of shift + r * (closed zonotope) + span(central)
+    restricted to pinned SL coordinates zero: two LPs per free coordinate
+    over the coefficient system."""
+    pinned = {pin for _, pin in datum.quotient_pairs}
+    b = LpBuilder()
+    terms = [(v, b.add_var(lower=-F(r) * len(idx), upper=0))
+             for v, idx in _value_classes(generators)]
+    terms += [(c, b.add_var()) for c in datum.central_directions]
+    rows = [{col: v[k] for v, col in terms if v[k] != 0}
+            for k in range(datum.rank)]
+    for k in sorted(pinned):
+        b.add_eq(rows[k], -shift[k])
+    box = []
+    for k, row in enumerate(rows):
+        if k in pinned:
+            box.append((F(0), F(0)))
+            continue
+        bounds = []
+        for sense in ("min", "max"):
+            res = lp_optimize(b.build(row), sense)
+            if res.status != "optimal":
+                raise InputError("window is unbounded; cannot enumerate")
+            bounds.append(res.value + shift[k])
+        box.append(tuple(bounds))
+    return box
 
 
 # ---------------------------------------------------------------------------

@@ -1,16 +1,19 @@
 import itertools
 import math
+import random
 
 import pytest
 
-from oracles import hom_block_dims_reference, multiplicity_in_reference
+from oracles import (hom_block_dims_reference, irr_character_reference,
+                     multiplicity_in_reference, weyl_elements_reference,
+                     weyl_generators_reference)
 from sodlab.characters import (_sym_power_tables, hom_block_dims,
                                irr_character, sym_power_character, weyl_dim)
 from sodlab.linalg import mat_vec, vec
 from sodlab.linprog import InputError
 from sodlab.report import build_objects, parse_config
 from sodlab.reps import construct_rep, rep_spec
-from sodlab.rootdata import build_group, full_levi, levi
+from sodlab.rootdata import build_group, full_levi, levi, make_dominant
 from sodlab.sod import enumerate_sod
 
 T1 = build_group("Torus(1)")
@@ -46,7 +49,7 @@ class TestIrrCharacter:
     def test_weyl_symmetry(self):
         for chi in [vec([2, 0]), vec([2, 2]), vec([3, 1])]:
             table = irr_character(SP4, chi).as_dict()
-            for g in SP4.weyl_generators:
+            for g in weyl_generators_reference(SP4):
                 for w, m in table.items():
                     assert table.get(SP4.normalize_weight(mat_vec(g, w)), 0) == m
 
@@ -55,6 +58,26 @@ class TestIrrCharacter:
         table = irr_character(SP4, vec([1, -1]), lv)
         assert dict(table.entries) == {vec([1, -1]): 1, vec([-1, 1]): 1,
                                        vec([0, 0]): 1}
+
+
+@pytest.mark.parametrize("tag", ["GL(3)", "SL(3)", "GL(4)", "Sp(4)", "Sp(6)",
+                                 "Product(GL(2),Sp(4))",
+                                 "Product(SL(2),SL(2))"])
+def test_irr_character_matches_whole_group_reference(tag):
+    datum = build_group(tag)
+    rng = random.Random("irr " + tag)
+    levis = [full_levi(datum)]
+    for _ in range(2):
+        lam = [rng.randint(-1, 1) for _ in range(datum.rank)]
+        for c, pin in datum.quotient_pairs:
+            lam[pin] -= sum(x * y for x, y in zip(lam, c))
+        levis.append(levi(datum, vec(lam)))
+    for lv in levis:
+        for _ in range(3):
+            w = vec(rng.randint(-2, 2) for _ in range(datum.rank))
+            chi, _ = make_dominant(datum, w, lv)
+            assert irr_character(datum, chi, lv).entries == \
+                irr_character_reference(datum, chi, lv).entries
 
 
 class TestWeylDim:
@@ -190,7 +213,7 @@ class TestHomBlockLookup:
         w = construct_rep(sl3, [("vector_power", 1), ("dual_vector_power", 1),
                                 ("sym_power", 2)])
         rho = lv.rho_bar_lambda
-        moved = [m for m, _, _ in lv.weyl_elements()
+        moved = [m for m, _, _ in weyl_elements_reference(lv)
                  if mat_vec(m, rho)[2] != rho[2]]
         assert moved
         weights = [vec(x) for x in ([0, 0, 0], [1, 0, 0], [1, 1, 0], [2, 0, 0])]

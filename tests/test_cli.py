@@ -196,6 +196,17 @@ class TestCliProcess:
         assert main(["sod", "--config", write_config(tmp_path, cfg)]) == 2
         assert "configuration error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("subcommand", ["analyze", "partition", "sod",
+                                            "nccr", "hilbert"])
+    def test_weights_that_are_not_weyl_symmetric_exit_two(
+            self, tmp_path, capsys, subcommand):
+        cfg = {"group": "GL(2)", "representation": [
+            {"kind": "weights", "weights": [
+                {"weight": [-2, 0]}, {"weight": [1, -1]},
+                {"weight": [2, 2], "mult": 2}]}], "box_radius": 1}
+        assert main([subcommand, "--config", write_config(tmp_path, cfg)]) == 2
+        assert "not Weyl-symmetric" in capsys.readouterr().err
+
     def test_long_epsilon_on_rank_one_exits_two(self, tmp_path, capsys):
         cfg = {"group": "Torus(1)", "representation": [{"kind": "weights", "weights": [
             {"weight": [1], "mult": 1}, {"weight": [-1], "mult": 1}]}],

@@ -1,15 +1,18 @@
 import itertools
+import random
 from fractions import Fraction as F
 
 import pytest
 
-from oracles import brute_force_signature, signature_to_value_counts
+from oracles import (brute_force_signature, random_generators,
+                     signature_to_value_counts, weyl_generators_reference,
+                     window_box_reference)
 from sodlab.linalg import mat_vec, vec, vsub
 from sodlab.linprog import InputError
 from sodlab.partition import (PreconditionError, build_cell, cell_members,
                               dominant_box_points, make_profile, order_key,
                               partition_region, signature_of,
-                              validate_reduction_setting)
+                              validate_reduction_setting, window_box)
 from sodlab.reps import construct_rep, rep_spec, weight_signs
 from sodlab.rootdata import build_group, is_dominant, levi, pairing
 from sodlab.zonotope import FaceSignature
@@ -192,9 +195,24 @@ class TestMonotonicity:
             lv = levi(SP4, cell.lam)
             for part in (cell.signature.s_plus, cell.signature.s_minus):
                 values = sorted(rep.expanded[i] for i in part)
-                for g in lv.weyl_generators:
+                for g in weyl_generators_reference(lv):
                     moved = sorted(mat_vec(g, rep.expanded[i]) for i in part)
                     assert moved == values
+
+
+@pytest.mark.parametrize("tag", ["Torus(2)", "GL(2)", "GL(3)", "SL(2)", "SL(3)",
+                                 "Sp(4)", "Product(SL(2),Torus(1))",
+                                 "Product(GL(2),SL(3))"])
+def test_window_box_matches_lp_reference(tag):
+    datum = build_group(tag)
+    rng = random.Random("box " + tag)
+    for _ in range(6):
+        gens = random_generators(rng, datum)
+        for den in (1, 2):
+            shift = vec(F(rng.randint(-4, 4), den) for _ in range(datum.rank))
+            for r in (F(1, 2), F(1)):
+                assert window_box(datum, gens, r, shift) == \
+                    window_box_reference(datum, gens, r, shift)
 
 
 class TestValidateReductionSetting:

@@ -4,13 +4,15 @@ from fractions import Fraction as F
 
 import pytest
 
-from oracles import invariant_projector_reference, invariant_vectors_reference
+from oracles import (invariant_projector_reference,
+                     invariant_vectors_reference, weyl_elements_reference,
+                     weyl_generators_reference)
 from sodlab.linalg import mat_vec, vdot, vec
 from sodlab.linprog import InputError
 from sodlab.rootdata import (RootDatum, build_group, coroot_pairing,
                              full_levi, invariant_subspace, is_dominant, levi,
-                             make_dominant, pairing, star_dominate,
-                             weyl_elements)
+                             descend, make_dominant, orbit, pairing,
+                             star_dominate)
 
 SP4 = build_group("Sp(4)")
 SL2 = build_group("SL(2)")
@@ -40,11 +42,12 @@ class TestBuildGroup:
         assert p.quotient_pairs == ((vec([1, 1, 0]), 1),)
 
     def test_weyl_orders(self):
-        assert len(weyl_elements(build_group("GL(3)"))) == math.factorial(3)
-        assert len(weyl_elements(build_group("SL(3)"))) == math.factorial(3)
-        assert len(weyl_elements(SP4)) == 2 ** 2 * 2
-        assert len(weyl_elements(build_group("Sp(6)"))) == 2 ** 3 * 6
-        assert len(weyl_elements(build_group("GL(4)"))) == 24
+        elements = weyl_elements_reference
+        assert len(elements(build_group("GL(3)"))) == math.factorial(3)
+        assert len(elements(build_group("SL(3)"))) == math.factorial(3)
+        assert len(elements(SP4)) == 2 ** 2 * 2
+        assert len(elements(build_group("Sp(6)"))) == 2 ** 3 * 6
+        assert len(elements(build_group("GL(4)"))) == 24
 
 
 class TestPairing:
@@ -95,7 +98,7 @@ class TestStarDominate:
             if out is None:
                 continue
             plus = out[0]
-            for m, _, _ in weyl_elements(SP4):
+            for m, _, _ in weyl_elements_reference(SP4):
                 shifted = mat_vec(m, vec([x + r for x, r in zip(chi, SP4.rho_bar)]))
                 again = star_dominate(
                     SP4, vec([x - r for x, r in zip(shifted, SP4.rho_bar)]))
@@ -141,7 +144,7 @@ class TestLevi:
         # Levi-invariant quantity is the difference with the full half-sum.
         lv = levi(SP4, vec([-1, -1]))
         diff = vec([a - b for a, b in zip(lv.rho_bar_lambda, SP4.rho_bar)])
-        for g in lv.weyl_generators:
+        for g in weyl_generators_reference(lv):
             assert mat_vec(g, diff) == diff
 
     def test_coweight_constraint_enforced(self):
@@ -166,7 +169,7 @@ class TestInvariantSubspace:
         for tag in ("GL(2)", "GL(3)", "Torus(2)"):
             datum = build_group(tag)
             for v in invariant_subspace(datum):
-                for g in datum.weyl_generators:
+                for g in weyl_generators_reference(datum):
                     assert mat_vec(g, v) == v
 
 
@@ -198,10 +201,85 @@ class TestFixedSpaceKernels:
         rng = random.Random(tag)
         levis = [full_levi(datum)] + [
             levi(datum, lam) for lam in _seeded_coweights(datum, rng, 6)]
-        assert any(lv.weyl_generators for lv in levis) == bool(datum.roots)
+        assert any(weyl_generators_reference(lv) for lv in levis) == \
+            bool(datum.roots)
         for lv in levis:
             assert lv.invariant_projector() == invariant_projector_reference(lv)
             assert lv.invariant_vectors() == invariant_vectors_reference(lv)
+
+
+def _seeded_weights(datum, rng, count):
+    """Random weights with integral and half-integral entries."""
+    return [vec(F(rng.randint(-6, 6), rng.choice((1, 2)))
+                for _ in range(datum.rank)) for _ in range(count)]
+
+
+def _product(matrices, rank):
+    out = tuple(tuple(F(i == j) for j in range(rank)) for i in range(rank))
+    for m in matrices:
+        out = tuple(tuple(sum((row[t] * m[t][j] for t in range(rank)), F(0))
+                          for j in range(rank)) for row in out)
+    return out
+
+
+def _weyl_cases(tag):
+    datum = build_group(tag)
+    rng = random.Random("weyl " + tag)
+    levis = [None, full_levi(datum)] + [
+        levi(datum, lam) for lam in _seeded_coweights(datum, rng, 4)]
+    return datum, rng, levis
+
+
+class TestWeylKernels:
+    """Descent and orbit search over the simple reflections against the
+    breadth-first enumeration of the group as reflection matrices."""
+
+    @pytest.mark.parametrize("tag", SMALL_CATALOG)
+    def test_orbit_and_signs(self, tag):
+        datum, rng, levis = _weyl_cases(tag)
+        for lv in levis:
+            pairs = datum.simple_pairs if lv is None else lv.simple_pairs
+            elements = weyl_elements_reference(datum if lv is None else lv)
+            for chi in _seeded_weights(datum, rng, 5):
+                points = orbit(pairs, chi)
+                assert len({p for p, _ in points}) == len(points)
+                assert {p for p, _ in points} == \
+                    {mat_vec(m, chi) for m, _, _ in elements}
+                coroots = (datum if lv is None else lv).positive_coroots
+                if all(vdot(cr, chi) != 0 for cr in coroots):
+                    # regular: one point per element, signed by det w
+                    assert len(points) == len(elements)
+                    det = {mat_vec(m, chi): sign for m, _, sign in elements}
+                    assert all(det[p] == sign for p, sign in points)
+
+    @pytest.mark.parametrize("tag", SMALL_CATALOG)
+    def test_descent_finds_shortest_element(self, tag):
+        datum, rng, levis = _weyl_cases(tag)
+        for lv in levis:
+            data = datum if lv is None else lv
+            pairs = data.simple_pairs
+            elements = weyl_elements_reference(data)
+            gens = weyl_generators_reference(data)
+            for chi in _seeded_weights(datum, rng, 5):
+                dom, word = descend(pairs, chi)
+                m, ref_word, _ = next(e for e in elements
+                                      if is_dominant(datum, mat_vec(e[0], chi), lv))
+                assert dom == mat_vec(m, chi)
+                assert len(word) == len(ref_word)
+                assert _product([gens[i] for i in word], datum.rank) == m
+                assert make_dominant(datum, chi, lv) == \
+                    (datum.normalize_weight(dom), word)
+                low, _ = descend(pairs, chi, lowest=True)
+                assert all(vdot(cr, low) <= 0 for _, cr in pairs)
+                assert low in {mat_vec(m, chi) for m, _, _ in elements}
+
+    def test_reference_reflections_preserve_the_form(self):
+        tripled = TestFormRescaling()._scaled_sp4()
+        for datum in [build_group(tag) for tag in SMALL_CATALOG] + [tripled]:
+            g_form = datum.gram
+            for g in weyl_generators_reference(datum):
+                gt = tuple(zip(*g))
+                assert _product([gt, g_form, g], datum.rank) == g_form
 
 
 class TestFormRescaling:
@@ -213,8 +291,7 @@ class TestFormRescaling:
         return RootDatum(
             label=SP4.label, rank=SP4.rank, roots=SP4.roots,
             positive_roots=SP4.positive_roots, simple_roots=SP4.simple_roots,
-            gram=tripled, weyl_generators=SP4.weyl_generators,
-            rho_bar=SP4.rho_bar, quotient_pairs=SP4.quotient_pairs)
+            gram=tripled, rho_bar=SP4.rho_bar, quotient_pairs=SP4.quotient_pairs)
 
     def test_dominance_and_star(self):
         scaled = self._scaled_sp4()
