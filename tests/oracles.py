@@ -22,9 +22,8 @@ from fractions import Fraction
 
 from sodlab.characters import (_form, _height, _table, irr_character,
                                sym_power_character)
-from sodlab.linalg import (identity, in_span, is_zero_vec,
-                           mat_vec, primitive, solve, span_basis, vadd,
-                           vdot, vec, vscale, vsub)
+from sodlab.linalg import (identity, in_span, is_zero_vec, mat_vec, primitive,
+                           solve, span_basis, vadd, vdot, vec, vscale, vsub)
 from sodlab.linprog import BoxedLinearProgram, InputError, LpBuilder, \
     LpResult, TightnessReport, _optimize_closed, feasible_point, lp_optimize
 from sodlab.rootdata import LeviDatum, full_levi, is_dominant
