@@ -6,7 +6,8 @@ Submodules:
     rootdata    catalog root data, simple-reflection descent and orbits,
                 Levi subdata
     reps        weight multisets, stability, quasi-symmetry, twists
-    zonotope    scaled weight zonotopes, face signatures, genericity
+    zonotope    scaled weight zonotopes, face signatures, genericity,
+                facet tables for epsilon-shifted windows
     partition   the dominant-weight partition by face signatures
     characters  Freudenthal multiplicities, Weyl dimension, Hom blocks
     sod         decomposition components, NCCR certificates, presets

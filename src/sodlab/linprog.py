@@ -461,21 +461,32 @@ class LpBuilder:
 # Lattice points.
 # ---------------------------------------------------------------------------
 
+# Most integer points a box may hold for ``enumerate_lattice``.  Every point
+# can cost a zonotope membership LP, and the window boxes of the presets,
+# tests and benchmark jobs hold at most a few hundred points; a box past the
+# cap is refused before the scan rather than scanned for minutes.
+LATTICE_BOX_CAP = 20_000
+
+
 def enumerate_lattice(predicate: Callable[[Vec], bool],
                       box: Sequence[tuple[Fraction, Fraction]],
                       coset=None) -> list[Vec]:
     """Integer points (optionally restricted to a sublattice coset) inside a
     finite coordinate box that pass ``predicate``, in lexicographic order.
+    InputError when the box holds more than ``LATTICE_BOX_CAP`` points.
 
     ``coset`` is any object exposing ``contains(point) -> bool``.
     """
-    ranges = []
+    spans = []
     for lo, hi in box:
         if lo is None or hi is None:
             raise InputError("enumerate_lattice needs a finite bounding box")
-        lo_i = math.ceil(lo)
-        hi_i = math.floor(hi)
-        ranges.append([Fraction(k) for k in range(lo_i, hi_i + 1)])
+        spans.append(range(math.ceil(lo), math.floor(hi) + 1))
+    count = math.prod(len(s) for s in spans)
+    if count > LATTICE_BOX_CAP:
+        raise InputError(f"lattice box holds {count} points, above the cap "
+                         f"of {LATTICE_BOX_CAP}")
+    ranges = [[Fraction(k) for k in s] for s in spans]
     out: list[Vec] = []
     for point in itertools.product(*ranges):
         if coset is not None and not coset.contains(point):

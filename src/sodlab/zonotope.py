@@ -11,6 +11,14 @@ copies.  Index sets in face signatures always refer to the expanded list.
 For SL blocks the ambient coordinates carry redundant directions; those are
 passed as ``central`` vectors and enter every membership system as free
 variables, so all sets are effectively computed in the character quotient.
+
+Epsilon-shifted membership (``member_eps``) reads no LP: it uses a facet
+table built once per (generators, central, ambient dimension) and kept in a
+process memo, an annihilator basis of span(generators + central) plus both
+signed normals of every hyperplane flat with their support values, and
+decides each point with exact arithmetic on those pairings.  Membership in
+the half-open and relative-interior variants (``member``), the minimal
+radius and the face signature still solve LPs over the coefficient system.
 """
 
 from __future__ import annotations
@@ -18,9 +26,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linalg import (Vec, ZERO, ONE, frac, in_span, is_zero_vec, primitive,
-                     span_basis, subspace_intersection, vdot, vec, vscale,
-                     vsub, zero_vec)
+from .linalg import (Vec, ZERO, ONE, frac, in_span, is_zero_vec, nullspace,
+                     primitive, span_basis, subspace_intersection, vdot, vec,
+                     vneg, vsub, zero_vec)
 from .linprog import (InputError, LpBuilder, feasible_point, forced_tight,
                       lex_minimal_integral, lp_optimize, strict_feasible)
 from .rootdata import LeviDatum, RootDatum, full_levi
@@ -228,33 +236,80 @@ def supporting_lambda(sig: FaceSignature, datum: RootDatum, generators) -> Vec:
 
 
 # ---------------------------------------------------------------------------
-# Epsilon-shifted membership.
+# Epsilon-shifted membership by facet arithmetic.
+#
+# Within V = span(generators + central) the set r * Z + span(central) is cut
+# out by its facets.  Their normals are the functionals lam that vanish on
+# central and on a hyperplane flat of the generator lines (the flats below
+# of corank one in V), taken with both signs, and the support function of Z
+# at lam is h(lam) = sum max(0, -<lam, v>) over the expanded generators.  So
+# d = p - shift is in the closed set iff d pairs to zero with the
+# annihilator of V and <lam, d> <= r * h(lam) on every facet, and -eps points
+# into the set at such a d iff <lam, eps> >= 0 on every facet tight at d.
 # ---------------------------------------------------------------------------
 
-def _eps_direction_ok(generators, r, shift, eps_vec, p, central) -> bool:
-    """Whether p is in the union over t > 0 of Delta intersect (t eps + Delta),
-    for Delta = shift + r * closed zonotope, given that p is in Delta."""
-    b = LpBuilder()
-    coefficient_system(b, generators, central, vsub(vec(p), vec(shift)), r,
-                       extra=[(eps_vec, {"lower": 0, "lower_open": True})])
-    return strict_feasible(b.build())
+@dataclass(frozen=True)
+class FacetTable:
+    """Z + span(central) by its facets within V: ``annihilator`` spans the
+    functionals vanishing on V, ``facets`` holds one (lam, h(lam)) pair per
+    facet (both signs of every hyperplane-flat normal)."""
+
+    annihilator: tuple[Vec, ...]
+    facets: tuple[tuple[Vec, Fraction], ...]
+
+
+_FACET_TABLES: dict[tuple, FacetTable] = {}
+
+
+def facet_table(generators, central: Central, dim: int) -> FacetTable:
+    """The facet table of (generators, central) in ambient dimension dim,
+    built once per value and kept for the life of the process."""
+    key = (tuple(map(tuple, generators)), tuple(map(tuple, central)), dim)
+    table = _FACET_TABLES.get(key)
+    if table is None:
+        table = _FACET_TABLES[key] = _build_facet_table(*key)
+    return table
+
+
+def _build_facet_table(generators, central, dim) -> FacetTable:
+    gens = [vec(g) for g in generators]
+    central = [vec(c) for c in central]
+    span = span_basis(gens + central, dim)
+    facets = []
+    for _, base in _proper_flats(_lines(gens), central, dim):
+        if len(base) != len(span) - 1:
+            continue
+        lam = primitive(next(n for n in nullspace(base, dim)
+                             if any(vdot(n, v) for v in span)))
+        for normal in (lam, vneg(lam)):
+            h = sum((max(ZERO, -vdot(normal, g)) for g in gens), ZERO)
+            facets.append((normal, h))
+    return FacetTable(tuple(nullspace(span, dim)), tuple(facets))
 
 
 def member_eps(generators, r, shift, e: EpsShift, p, central: Central = ()) -> bool:
     """Membership in the eps-shifted region: the part of the closed set that
     can be pushed along eps (and along -eps in plus_minus mode) while staying
-    inside."""
-    span_gens = list(generators) + list(central)
-    if not in_span(span_gens, vec(e.epsilon)):
+    inside.  Exact arithmetic on the facet table of the generators."""
+    shift = vec(shift)
+    table = facet_table(generators, central, len(shift))
+    eps = vec(e.epsilon)
+    if any(vdot(a, eps) for a in table.annihilator):
         raise InputError("epsilon is not parallel to the zonotope")
-    closed = ZonotopeQuery(tuple(generators), frac(r), vec(shift), CLOSED, central)
-    if not member(closed, p):
+    r = frac(r)
+    if r <= 0:
+        raise InputError("zonotope radius must be positive")
+    d = vsub(vec(p), shift)
+    if any(vdot(a, d) for a in table.annihilator):
         return False
-    if not _eps_direction_ok(generators, r, shift, vec(e.epsilon), p, central):
-        return False
-    if e.mode == "plus_minus":
-        return _eps_direction_ok(
-            generators, r, shift, vscale(Fraction(-1), vec(e.epsilon)), p, central)
+    for lam, h in table.facets:
+        s = r * h - vdot(lam, d)
+        if s < 0:
+            return False
+        if s == 0:
+            t = vdot(lam, eps)
+            if t < 0 or (t != 0 and e.mode == "plus_minus"):
+                return False
     return True
 
 
@@ -269,39 +324,52 @@ def member_eps(generators, r, shift, e: EpsShift, p, central: Central = ()) -> b
 # of the full set.  So the faces come from span arithmetic alone.
 # ---------------------------------------------------------------------------
 
+def _lines(gens) -> list[Vec]:
+    """The distinct nonzero generator lines, as sorted primitive vectors."""
+    return sorted({primitive(g) for g in gens if not is_zero_vec(g)})
+
+
+def _proper_flats(lines, central, dim) -> list[tuple[frozenset, list[Vec]]]:
+    """Each proper flat of the lines modulo ``central`` once, as (line
+    indices, RREF basis of span(flat + central)).  The flats grow from the
+    closure of the empty set by closure(F + line); a flat holding every
+    line is the whole zonotope, not a proper face, and is skipped."""
+    everything = frozenset(range(len(lines)))
+
+    def closure(subset):
+        base = span_basis([lines[i] for i in subset] + list(central), dim)
+        return frozenset(i for i, line in enumerate(lines)
+                         if in_span(base, line)), base
+
+    out = []
+    seen = set()
+    stack = [closure(())]
+    while stack:
+        flat, base = stack.pop()
+        if flat in seen or flat == everything:
+            continue
+        seen.add(flat)
+        out.append((flat, base))
+        stack.extend(closure(flat | {i}) for i in sorted(everything - flat))
+    return out
+
+
 def realizable_face_patterns(generators, central: Central = ()):
     """Direction generators of the proper faces of the closed zonotope.
 
     Returns one generator list per proper flat of the distinct nonzero
     generator lines modulo ``central``, each flat once: the generators on the
     flat's lines followed by every zero generator (zero generators lie in
-    every face direction space).  The flats grow from the closure of the
-    empty set by closure(F + line); a flat holding every line is the whole
-    zonotope, not a proper face, and is skipped.
+    every face direction space).
     """
     gens = [vec(g) for g in generators]
-    keys = [None if is_zero_vec(g) else primitive(g) for g in gens]
-    lines = sorted({k for k in keys if k is not None})
-    line_of = [None if k is None else lines.index(k) for k in keys]
+    lines = _lines(gens)
+    line_of = [None if is_zero_vec(g) else lines.index(primitive(g))
+               for g in gens]
     zeros = [g for g, li in zip(gens, line_of) if li is None]
-    everything = frozenset(range(len(lines)))
     dim = len(gens[0]) if gens else 0
-
-    def closure(subset) -> frozenset:
-        base = span_basis([lines[i] for i in subset] + list(central), dim)
-        return frozenset(i for i, line in enumerate(lines) if in_span(base, line))
-
-    out = []
-    seen = set()
-    stack = [closure(())]
-    while stack:
-        flat = stack.pop()
-        if flat in seen or flat == everything:
-            continue
-        seen.add(flat)
-        out.append([g for g, li in zip(gens, line_of) if li in flat] + zeros)
-        stack.extend(closure(flat | {i}) for i in sorted(everything - flat))
-    return out
+    return [[g for g, li in zip(gens, line_of) if li in flat] + zeros
+            for flat, _ in _proper_flats(lines, central, dim)]
 
 
 def _weyl_source(source: RootDatum | LeviDatum) -> LeviDatum:

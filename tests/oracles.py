@@ -10,7 +10,9 @@ reads the same faces from the flats of the lines.  The root-data references
 average or alternate over every element of the Weyl group, enumerated
 breadth-first as reflection matrices; the package reads the same facts from
 the simple reflections by descent and orbit search.  The window-box reference
-bounds each coordinate by LP; the package has the closed form.
+bounds each coordinate by LP; the package has the closed form.  The two
+epsilon-window references decide membership by LP (one by maximizing the push
+along epsilon, one by strict sweeps); the package reads it from the facets.
 """
 
 from __future__ import annotations
@@ -25,8 +27,10 @@ from sodlab.characters import (_form, _height, _table, irr_character,
 from sodlab.linalg import (identity, in_span, is_zero_vec, mat_vec, primitive,
                            solve, span_basis, vadd, vdot, vec, vscale, vsub)
 from sodlab.linprog import BoxedLinearProgram, InputError, LpBuilder, \
-    LpResult, TightnessReport, _optimize_closed, feasible_point, lp_optimize
+    LpResult, TightnessReport, _optimize_closed, feasible_point, \
+    lp_optimize, strict_feasible
 from sodlab.rootdata import LeviDatum, full_levi, is_dominant
+from sodlab.zonotope import CLOSED, ZonotopeQuery, coefficient_system, member
 
 F = Fraction
 
@@ -286,6 +290,28 @@ def member_eps_reference(generators, r, shift, e, p, central=()):
         res = lp_optimize(b.build({tcol: F(1)}), "max")
         if res.status != "unbounded" and not (
                 res.status == "optimal" and res.value > 0):
+            return False
+    return True
+
+
+def member_eps_strict_reference(generators, r, shift, e, p, central=()):
+    """The LP form of ``member_eps``: closed membership by one feasibility
+    LP, then per direction (eps, and -eps in plus_minus mode) one strict
+    sweep of the coefficient system with an extra column s > 0 on that
+    direction, i.e. p - s * direction in the closed set for some s > 0."""
+    if not in_span(list(generators) + list(central), vec(e.epsilon)):
+        raise InputError("epsilon is not parallel to the zonotope")
+    closed = ZonotopeQuery(tuple(generators), F(r), vec(shift), CLOSED, central)
+    if not member(closed, p):
+        return False
+    signs = (1, -1) if e.mode == "plus_minus" else (1,)
+    for sign in signs:
+        b = LpBuilder()
+        coefficient_system(
+            b, generators, central, vsub(vec(p), vec(shift)), r,
+            extra=[(vscale(F(sign), vec(e.epsilon)),
+                    {"lower": 0, "lower_open": True})])
+        if not strict_feasible(b.build()):
             return False
     return True
 

@@ -7,7 +7,7 @@ import pytest
 
 import sodlab
 from sodlab.cli import main
-from sodlab.linprog import InputError
+from sodlab.linprog import LATTICE_BOX_CAP, InputError
 from sodlab.report import (parse_config, parse_rational, rational_str,
                            render, run_job)
 
@@ -213,6 +213,22 @@ class TestCliProcess:
             "epsilon": ["1", "2"], "box_radius": 1}
         assert main(["sod", "--config", write_config(tmp_path, cfg)]) == 2
         assert "rank" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("subcommand", ["sod", "nccr"])
+    def test_window_box_past_the_cap_exits_two_fast(self, tmp_path, capsys,
+                                                    subcommand):
+        # weights +-n with n even: the half-size tail window box is
+        # [-n/2, n/2], which holds n + 1 = LATTICE_BOX_CAP + 1 points
+        n = LATTICE_BOX_CAP
+        assert n % 2 == 0
+        cfg = {"group": "Torus(1)", "representation": [{"kind": "weights", "weights": [
+            {"weight": [n]}, {"weight": [-n]}]}],
+            "mode": "quasi_symmetric", "epsilon": ["0"]}
+        cfgp = write_config(tmp_path, cfg)
+        start = time.perf_counter()
+        assert main([subcommand, "--config", cfgp]) == 2
+        assert time.perf_counter() - start < 1
+        assert f"holds {n + 1} points" in capsys.readouterr().err
 
     def test_precondition_exits_three_with_report(self, tmp_path, capsys):
         cfg = {

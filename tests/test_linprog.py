@@ -8,9 +8,9 @@ from oracles import (forced_tight_reference, grid_strict_search,
                      random_bounded_program, random_mixed_program,
                      strict_point_reference,
                      vertex_forced, vertex_optimize, with_random_open_flags)
-from sodlab.linprog import (BoxedLinearProgram, InputError, LpBuilder,
-                            enumerate_lattice, forced_tight,
-                            lex_minimal_integral, lp_optimize,
+from sodlab.linprog import (LATTICE_BOX_CAP, BoxedLinearProgram,
+                            InputError, LpBuilder, enumerate_lattice,
+                            forced_tight, lex_minimal_integral, lp_optimize,
                             strict_feasible)
 
 
@@ -128,6 +128,17 @@ class TestEnumerateLattice:
     def test_requires_finite_box(self):
         with pytest.raises(InputError):
             enumerate_lattice(lambda v: True, [(None, F(1))])
+
+    def test_box_cap(self):
+        assert len(enumerate_lattice(
+            lambda v: True, [(F(1), F(LATTICE_BOX_CAP))])) == LATTICE_BOX_CAP
+        tested = []
+        for box in ([(F(0), F(LATTICE_BOX_CAP))],
+                    [(F(-1, 2), F(LATTICE_BOX_CAP // 2)), (F(0), F(1))],
+                    [(F(0), F(10 ** 9))] * 3):
+            with pytest.raises(InputError, match="cap"):
+                enumerate_lattice(tested.append, box)
+        assert tested == []
 
     def test_sorted_and_unique(self):
         pts = enumerate_lattice(lambda v: True,

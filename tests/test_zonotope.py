@@ -5,7 +5,8 @@ from fractions import Fraction as F
 import pytest
 
 from oracles import (forced_tight_reference, member_eps_reference,
-                     random_generators, realizable_face_patterns_reference)
+                     member_eps_strict_reference, random_generators,
+                     realizable_face_patterns_reference)
 from sodlab import zonotope
 from sodlab.linalg import span_basis, vadd, vec, vscale
 from sodlab.linprog import InputError, forced_tight
@@ -228,10 +229,97 @@ class TestMemberEps:
         assert verdicts == {False, True}
 
     def test_eps_must_be_parallel(self):
-        gens = (vec([1, 0]), vec([-1, 0]))
+        central = build_group("SL(2)").central_directions
+        cases = [((vec([1, 0]), vec([-1, 0])), vec([0, 1]), "plus", ()),
+                 ((vec([1, 1]), vec([-1, -1])), vec([1, 0]), "plus_minus", ()),
+                 ((vec([1, 1]), vec([-1, -1])), vec([1, 0]), "plus", central),
+                 ((), vec([1, 0]), "plus", central)]
+        for gens, eps, mode, cen in cases:
+            with pytest.raises(InputError):
+                member_eps(gens, F(1), vec([0, 0]), EpsShift(eps, mode),
+                           vec([0, 0]), cen)
+
+    def test_radius_must_be_positive(self):
+        for r in (F(0), F(-1, 2), 0):
+            for p in (vec([0]), vec([1])):
+                with pytest.raises(InputError):
+                    member_eps(G4, r, vec([0]), EpsShift(vec([1]), "plus"), p)
         with pytest.raises(InputError):
-            member_eps(gens, F(1), vec([0, 0]), EpsShift(vec([0, 1]), "plus"),
-                       vec([0, 0]))
+            member_eps((), F(0), vec([0, 0]), EpsShift(vec([0, 0]), "plus"),
+                       vec([0, 0]), build_group("SL(2)").central_directions)
+
+    def test_facets_match_both_lp_references(self):
+        """The facet test equals the push-maximization and the strict-sweep
+        references on grids through the boundary, and permuting the
+        generators (a separate facet table) changes no verdict."""
+        rng = random.Random(11)
+        verdicts = set()
+        tight_only = {"plus": 0, "plus_minus": 0}
+        for gens, shift, central, epsilons, ranges in eps_oracle_cases():
+            perm = list(gens)
+            rng.shuffle(perm)
+            grid = [vec(p) for p in itertools.product(*ranges)]
+            for r in (F(1, 2), F(1), F(3, 2)):
+                closed = q(gens, r, shift, CLOSED, central)
+                for p in grid:
+                    in_closed = member(closed, p)
+                    for eps in epsilons:
+                        for mode in ("plus", "plus_minus"):
+                            e = EpsShift(eps, mode)
+                            got = member_eps(gens, r, shift, e, p, central)
+                            case = (gens, central, r, eps, mode, p)
+                            assert got == member_eps_reference(
+                                gens, r, shift, e, p, central), case
+                            assert got == member_eps_strict_reference(
+                                gens, r, shift, e, p, central), case
+                            assert got == member_eps(
+                                perm, r, shift, e, p, central), case
+                            verdicts.add(got)
+                            if in_closed and not got:
+                                tight_only[mode] += 1
+        assert verdicts == {False, True}
+        assert all(tight_only.values()), tight_only
+
+
+def eps_oracle_cases():
+    """(generators, shift, central, epsilons, grid coordinate ranges) with
+    repeated, opposite, zero and central-shifted generators, a generator
+    span short of the ambient space, and an empty generator list.  The SL
+    grids fix the pinned quotient coordinate at zero, since a step along a
+    central direction changes no verdict."""
+    sl2 = build_group("SL(2)")
+    sl3 = build_group("SL(3)")
+    sl2t = build_group("Product(SL(2),Torus(1))")
+
+    def gs(*rows):
+        return tuple(vec(row) for row in rows)
+
+    return [
+        (gs([1], [1], [-1], [0], [2]), vec([0]), (),
+         [vec([1]), vec([-1]), vec([0])], [range(-5, 6)]),
+        (gs([1, 0], [1, 0], [-1, 0], [0, 1], [1, 1], [0, 0], [-1, -1]),
+         vec([0, 0]), (), [vec([1, 0]), vec([1, -1])], [range(-2, 2)] * 2),
+        (gs([1, 1], [1, 1], [-1, -1], [0, 0]), vec([0, 0]), (),
+         [vec([1, 1])], [range(-3, 4)] * 2),
+        (gs([1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, 1, 0], [0, 0, 1],
+            [1, 1, 1], [0, 0, 0]), vec([0, 0, 0]), (),
+         [vec([1, 1, 0])], [range(-1, 2)] * 3),
+        (construct_rep(sl2, [("sym_power", 1), ("sym_power", 2)]).expanded,
+         vscale(F(-1), sl2.rho_bar), sl2.central_directions,
+         [vec([1, 0]), vec([1, -1])], [range(-3, 4), range(0, 1)]),
+        (construct_rep(sl3, [("vector_power", 1),
+                             ("dual_vector_power", 1)]).expanded,
+         vscale(F(-1), sl3.rho_bar), sl3.central_directions,
+         [vec([1, 0, 0]), vec([1, -1, 0])],
+         [range(-1, 2), range(-1, 2), range(0, 1)]),
+        (gs([1, -1, 1], [-1, 1, 1], [0, 0, -1], [0, 0, -1], [2, 0, 0],
+            [0, 0, 0]),
+         vec([0, 0, F(1, 2)]), sl2t.central_directions,
+         [vec([0, 0, 1]), vec([1, -1, 1])],
+         [range(-1, 2), range(0, 1), range(-1, 2)]),
+        ((), vec([F(1, 2), F(-1, 2)]), sl2.central_directions,
+         [vec([0, 0]), vec([1, 1])], [range(-2, 3)] * 2),
+    ]
 
 
 class TestGenericity:
