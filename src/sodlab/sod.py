@@ -248,8 +248,7 @@ def certify_nccr(rep: RepSpec, lam: Vec, nu: Vec, eps: Vec,
         eps_status = "Fails"
     shift = vsub(nu, lv.rho_bar_lambda)
     half = Fraction(1, 2)
-    box = window_box(datum, gens, half, shift) if gens else \
-        [(shift[k], shift[k]) for k in range(datum.rank)]
+    box = window_box(datum, gens, half, shift)
     plus_shift = EpsShift(eps, "plus")
     pm_shift = EpsShift(eps, "plus_minus")
 

@@ -1,9 +1,11 @@
+import json
 import random
 from fractions import Fraction as F
 
 import pytest
 
 from oracles import random_generators, zonotope_vertices_reference
+from sodlab.cli import main
 from sodlab.linalg import vadd, vec, vscale, vsub
 from sodlab.linprog import InputError, enumerate_lattice
 from sodlab.partition import PreconditionError, make_profile, window_box
@@ -156,6 +158,21 @@ class TestCertify:
                             prazno_mode="minkowski")
         assert cert.prazno_mode == "minkowski"
         assert cert.prazno_empty  # nu - rho is half-integral here
+
+    @pytest.mark.parametrize("spec", ["sl2:1", "sl2:3"])
+    def test_window_without_neutral_weights_is_the_sod_window(self, spec,
+                                                              tmp_path):
+        # with no lam-neutral weight both windows are the shift point modulo
+        # the SL directions, whose raw coordinates need not be integral
+        out = tmp_path / "report.json"
+        assert main(["nccr", "--preset", spec, "--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        certs = {c["component_index"]: c["certificate"] for c in doc["nccr"]}
+        bare = [c for c in doc["sod"]["components"]
+                if not c["coinvariant_weights"]]
+        assert bare
+        for comp in bare:
+            assert certs[comp["index"]]["window"] == comp["window"] != []
 
 
 class TestPresets:
