@@ -11,13 +11,12 @@ never enumerated.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .linalg import Vec, ZERO, mat_vec, solve, vadd, vdot, vscale, vsub, vec, zero_vec
+from .linalg import Vec, ZERO, mat_vec, vadd, vdot, vscale, vsub, vec, zero_vec
 from .linprog import InputError
 from .reps import RepSpec
 from .rootdata import (LeviDatum, RootDatum, descend, full_levi, is_dominant,
@@ -79,19 +78,6 @@ def weyl_dim(datum: RootDatum, chi: Vec, levi: LeviDatum | None = None) -> int:
     return int(value)
 
 
-def _simple_coeff_bounds(datum: RootDatum, lv: LeviDatum, chi: Vec) -> list[int]:
-    """Coefficient box: dominant mu <= chi satisfy chi - mu = sum c_i alpha_i
-    with 0 <= c_i <= coefficients of chi - (lowest weight)."""
-    lowest, _ = descend(lv.simple_pairs, chi, lowest=True)
-    simples = lv.simple_roots
-    rows = [[s[k] for s in simples] for k in range(datum.rank)]
-    target = vsub(chi, lowest)
-    coeffs = solve(rows, list(target))
-    if coeffs is None:
-        raise InputError("orbit difference not in the Levi root lattice")
-    return [max(0, math.ceil(c)) for c in coeffs]
-
-
 def _height(datum: RootDatum, lv: LeviDatum, v: Vec) -> Fraction:
     # any positive functional on the positive span works for ordering
     return vdot(v, vadd(lv.rho_bar_lambda, lv.rho_bar_lambda)) if lv.phi_lambda_plus else ZERO
@@ -109,24 +95,23 @@ def irr_character(datum: RootDatum, chi: Vec,
         return _table(datum, {chi: 1})
     rho = lv.rho_bar_lambda
     top = _form(datum, vadd(chi, rho), vadd(chi, rho))
-    bounds = _simple_coeff_bounds(datum, lv, chi)
-    simples = lv.simple_roots
-    # All weights stay inside chi's coset of the root lattice; the stored
-    # form is only coset-consistent, so no section normalization here.
-    dominants: list[Vec] = []
-    seen: set[Vec] = set()
-    for combo in itertools.product(*(range(b + 1) for b in bounds)):
-        mu = chi
-        for c, a in zip(combo, simples):
-            if c:
-                mu = vsub(mu, vscale(Fraction(c), a))
-        if mu not in seen and is_dominant(datum, mu, lv):
-            seen.add(mu)
-            dominants.append(mu)
-    dominants.sort(key=lambda mu: -_height(datum, lv, mu))  # chi first
+    # Every dominant weight below chi is reached from chi by subtracting
+    # positive roots through dominant weights only (Stembridge, "The partial
+    # order of dominant weights", 1998).  All weights stay inside chi's coset
+    # of the root lattice; the stored form is only coset-consistent, so no
+    # section normalization here.
+    found, stack = {chi}, [chi]
+    while stack:
+        mu = stack.pop()
+        for a in lv.phi_lambda_plus:
+            below = vsub(mu, a)
+            if below not in found and is_dominant(datum, below, lv):
+                found.add(below)
+                stack.append(below)
+    dominants = sorted(found, key=lambda mu: (-_height(datum, lv, mu), mu))
     mults: dict[Vec, int] = {}
     for mu in dominants:
-        if mu == dominants[0]:
+        if mu == chi:
             mults[mu] = 1
             continue
         denom = top - _form(datum, vadd(mu, rho), vadd(mu, rho))

@@ -5,6 +5,13 @@ nu - rho_bar + r * (closed zonotope of all weights), computed at the minimal
 radius.  Cells collect weights sharing a signature; each cell carries the
 canonical antidominant one-parameter subgroup realizing its signature, the
 Levi-invariant shift of its window, and a total order key.
+
+Every window of the package is enumerated by ``window_points``: the
+Levi-dominant lattice points of a shift plus r times one variant of the
+zonotope of the lam-neutral weights (``neutral_weights``), modulo the SL
+directions, in a twist coset.  The cells, the tail component and the NCCR
+window and boundary differ only in the membership predicate they pass.  With
+no lam-neutral weight a window is the shift point modulo the SL directions.
 """
 
 from __future__ import annotations
@@ -12,13 +19,14 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
-from .linalg import Vec, ZERO, vadd, vscale, vsub, vec, zero_vec
+from .linalg import Vec, ZERO, ONE, vadd, vscale, vsub, vec, zero_vec
 from .linprog import InputError, enumerate_lattice
 from .reps import (RepSpec, find_destabilizer, has_t_stable_point,
                    weight_signs)
-from .rootdata import (RootDatum, full_levi, is_dominant, levi, pairing,
-                       star_dominate)
+from .rootdata import (LeviDatum, RootDatum, full_levi, is_dominant, levi,
+                       pairing, star_dominate)
 from .zonotope import (REL_INT, FaceSignature, ZonotopeQuery,
                        face_signature_at, member,
                        supporting_lambda)
@@ -125,36 +133,39 @@ def window_box(datum: RootDatum, generators, r, shift):
             for k in range(datum.rank)]
 
 
+def neutral_weights(rep: RepSpec, lam: Vec) -> tuple[Vec, ...]:
+    """The lam-neutral weights with multiplicity: the generators of every
+    window at lam."""
+    return tuple(rep.expanded[i] for i in weight_signs(rep, lam).t_zero)
+
+
+def window_points(datum: RootDatum, lv: LeviDatum, gens, r, shift, inside,
+                  twist=None) -> list[Vec]:
+    """The lattice points of a window, in lexicographic order: the points of
+    the twist coset in the box of shift + r * Z(gens) modulo the SL
+    directions that are dominant for the Levi ``lv`` and pass the membership
+    predicate ``inside``.  With no generators the box is the shift point."""
+    box = window_box(datum, gens, r, shift)
+    return enumerate_lattice(
+        lambda p: is_dominant(datum, p, lv) and inside(p), box, coset=twist)
+
+
 def cell_members(rep: RepSpec, cell: PartitionCell, profile: ShiftProfile,
                  twist=None) -> list[Vec]:
     """All lattice points of the cell's window: Levi-dominant weights in
     nu_levi - rho_bar_lambda + r * (open-coefficient zonotope of the
-    lam-neutral weights).  This is the full cell, independent of any box."""
+    lam-neutral weights).  This is the full cell, independent of any box.
+    The trivial cell (r = 0) is the shift point, the set of no generators."""
     datum = rep.datum
-    if cell.signature.trivial:
-        chi = datum.normalize_weight(vsub(profile.nu_global, datum.rho_bar))
-        if all(x.denominator == 1 for x in chi) and is_dominant(datum, chi):
-            if twist is None or twist.contains(chi):
-                return [chi]
-        return []
     lv = levi(datum, cell.lam)
-    signs = weight_signs(rep, cell.lam)
-    gens = tuple(rep.expanded[i] for i in signs.t_zero)
     shift = vsub(cell.nu_levi, lv.rho_bar_lambda)
-    r = cell.signature.r
-    box = window_box(datum, gens, r, shift)
-    query = ZonotopeQuery(gens, r, shift, REL_INT, datum.central_directions) \
-        if gens else None
-
-    def predicate(point: Vec) -> bool:
-        if not is_dominant(datum, point, lv):
-            return False
-        if gens:
-            return member(query, point)
-        diff = vsub(point, shift)
-        return datum.normalize_weight(diff) == zero_vec(datum.rank)
-
-    return enumerate_lattice(predicate, box, coset=twist)
+    if cell.signature.trivial:
+        gens, r = (), ONE
+    else:
+        gens, r = neutral_weights(rep, cell.lam), cell.signature.r
+    query = ZonotopeQuery(gens, r, shift, REL_INT, datum.central_directions)
+    return window_points(datum, lv, gens, r, shift, partial(member, query),
+                         twist)
 
 
 def dominant_box_points(rep: RepSpec, radius: int) -> list[Vec]:

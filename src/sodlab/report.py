@@ -16,9 +16,9 @@ from .linalg import Vec, frac, is_integral, vec
 from .linprog import InputError
 from .characters import hom_block_dims
 from .partition import (HALF_OPEN_MODE, STANDARD, PreconditionError,
-                        make_profile, partition_region)
+                        make_profile, neutral_weights, partition_region)
 from .reps import (TwistData, construct_rep, find_destabilizer,
-                   has_t_stable_point, is_quasi_symmetric, weight_signs)
+                   has_t_stable_point, is_quasi_symmetric)
 from .rootdata import build_group, full_levi, invariant_subspace, levi
 from .sod import (NccrCertificate, Preset, SodComponent, certify_nccr,
                   enumerate_sod, pick_epsilon)
@@ -365,8 +365,7 @@ def run_job(subcommand: str, cfg: JobConfig) -> dict:
         certs = []
         for comp in result.components:
             lv = levi(datum, comp.lam)
-            gens = tuple(rep.expanded[i]
-                         for i in weight_signs(rep, comp.lam).t_zero)
+            gens = neutral_weights(rep, comp.lam)
             if comp.window_kind[0] == "half_size_eps":
                 eps = comp.window_kind[1]
             elif comp.is_d0 and cfg.epsilon is not None:

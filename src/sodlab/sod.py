@@ -2,29 +2,32 @@
 
 The infinite ordered decomposition is truncated to the cells discovered in a
 dominant-weight search box, optionally capped by a maximal radius; the tail
-component (index 0) absorbs everything below the retention threshold and its
-window is the unit relative-interior window in standard mode, or the
-half-size epsilon window in quasi-symmetric mode.
+component (index 0) absorbs everything below the retention threshold.  It is
+the component at lam = 0, built like the others, and its window is the unit
+relative-interior window in standard mode, or the half-size epsilon window
+in quasi-symmetric mode.  Component windows and the NCCR window and boundary
+are all enumerated by ``partition.window_points``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from math import lcm
 
 from .linalg import Vec, ZERO, ONE, frac, in_span, is_zero_vec, primitive, \
     vadd, vscale, vsub, vec, zero_vec
-from .linprog import InputError, enumerate_lattice, integral_shell
+from .linprog import InputError, integral_shell
 from .characters import weyl_dim
 from .partition import (HALF_OPEN_MODE, STANDARD, PartitionCell,
                         PreconditionError, ShiftProfile, cell_members,
-                        partition_region, window_box)
+                        neutral_weights, partition_region, window_points)
 from .reps import (RepSpec, TwistData, coinvariant_rep, construct_rep,
-                   is_quasi_symmetric, rep_spec, weight_signs)
-from .rootdata import LeviDatum, RootDatum, build_group, full_levi, \
-    is_dominant, levi, pairing
-from .zonotope import (HALF_OPEN, REL_INT, EpsShift, FaceSignature,
+                   is_quasi_symmetric, rep_spec)
+from .rootdata import LeviDatum, RootDatum, build_group, full_levi, levi, \
+    pairing
+from .zonotope import (CLOSED, HALF_OPEN, REL_INT, EpsShift, FaceSignature,
                        ZonotopeQuery, invariants_in_span, is_generic,
                        is_weakly_generic, member, member_eps)
 
@@ -68,68 +71,54 @@ def pick_epsilon(rep: RepSpec, lv: LeviDatum, generators) -> Vec:
     return total
 
 
-def _component_from_cell(rep: RepSpec, cell: PartitionCell, index: int,
-                         profile: ShiftProfile,
-                         twist: TwistData | None = None) -> SodComponent:
+def _component(rep: RepSpec, index: int, sig: FaceSignature, lv: LeviDatum,
+               nu: Vec, kind: tuple, window) -> SodComponent:
+    """The component at lam = lv.lam with window shift nu; the tail is the
+    one with the trivial signature, at lam = 0."""
     datum = rep.datum
-    lv = levi(datum, cell.lam)
-    if not lv.is_invariant(cell.nu_levi):
+    if not lv.is_invariant(nu):
         raise InputError("window shift is not Levi-invariant")
-    window = tuple(cell_members(rep, cell, profile, twist=twist))
+    window = tuple(window)
     summands = tuple((mu, weyl_dim(datum, mu, lv)) for mu in window)
-    coinv = coinvariant_rep(rep, cell.lam)
     label = lv.label()
-    algebra = f"(End(U) ⊗ Sym W_λ)^{{{label}}}"
+    space = "W" if sig.trivial else "W_λ"
     return SodComponent(
-        index=index, signature=cell.signature, lam=cell.lam, levi_label=label,
-        nu=cell.nu_levi, window_kind=("rel_int_scaled", cell.signature.r),
-        window=window, u_summands=summands, coinvariants=coinv,
-        algebra=algebra, is_d0=False)
+        index=index, signature=sig, lam=lv.lam, levi_label=label, nu=nu,
+        window_kind=kind, window=window, u_summands=summands,
+        coinvariants=coinvariant_rep(rep, lv.lam),
+        algebra=f"(End(U) ⊗ Sym {space})^{{{label}}}", is_d0=sig.trivial)
 
 
-def _tail_window(rep: RepSpec, profile: ShiftProfile, eps: Vec,
-                 twist: TwistData | None = None) -> tuple[Vec, ...]:
-    """Window of the tail component: the unit relative-interior window in
-    standard mode, the half-size epsilon window in quasi-symmetric mode."""
+def _half_eps_window(rep: RepSpec, lv: LeviDatum, gens, shift, e: EpsShift,
+                     twist: TwistData | None = None) -> list[Vec]:
+    """The half-size epsilon window of (lv, gens, shift)."""
+    central = rep.datum.central_directions
+    half = Fraction(1, 2)
+    return window_points(
+        rep.datum, lv, gens, half, shift,
+        lambda p: member_eps(gens, half, shift, e, p, central), twist)
+
+
+def _tail_component(rep: RepSpec, lv: LeviDatum, profile: ShiftProfile,
+                    eps: Vec, twist: TwistData | None = None) -> SodComponent:
+    """The component at lam = 0, whose generators are all the weights: the
+    unit relative-interior window in standard mode, the half-size epsilon
+    window in quasi-symmetric mode."""
     datum = rep.datum
     gens = rep.expanded
-    shift = vsub(profile.nu_global, datum.rho_bar)
-    central = datum.central_directions
-    if profile.threshold == STANDARD:
-        r = ONE
-        box = window_box(datum, gens, r, shift)
-        query = ZonotopeQuery(gens, r, shift, REL_INT, central)
-
-        def predicate(p: Vec) -> bool:
-            return is_dominant(datum, p) and member(query, p)
-    else:
-        r = Fraction(1, 2)
-        box = window_box(datum, gens, r, shift)
-        shift_e = EpsShift(eps, "plus")
-
-        def predicate(p: Vec) -> bool:
-            return (is_dominant(datum, p)
-                    and member_eps(gens, r, shift, shift_e, p, central))
-    return tuple(enumerate_lattice(predicate, box, coset=twist))
-
-
-def _tail_component(rep: RepSpec, profile: ShiftProfile, eps: Vec,
-                    twist: TwistData | None = None,
-                    index: int = 0) -> SodComponent:
-    datum = rep.datum
-    lv = full_levi(datum)
-    window = _tail_window(rep, profile, eps, twist=twist)
-    summands = tuple((mu, weyl_dim(datum, mu, lv)) for mu in window)
-    trivial_sig = FaceSignature(ZERO, (), (), (), True)
+    shift = vsub(profile.nu_global, lv.rho_bar_lambda)
     if profile.threshold == STANDARD:
         kind = ("rel_int_scaled", ONE)
+        query = ZonotopeQuery(gens, ONE, shift, REL_INT,
+                              datum.central_directions)
+        window = window_points(datum, lv, gens, ONE, shift,
+                               partial(member, query), twist)
     else:
         kind = ("half_size_eps", eps)
-    return SodComponent(
-        index=index, signature=trivial_sig, lam=zero_vec(datum.rank),
-        levi_label=datum.label, nu=profile.nu_global, window_kind=kind,
-        window=window, u_summands=summands, coinvariants=rep,
-        algebra=f"(End(U) ⊗ Sym W)^{{{datum.label}}}", is_d0=True)
+        window = _half_eps_window(rep, lv, gens, shift, EpsShift(eps, "plus"),
+                                  twist)
+    trivial = FaceSignature(ZERO, (), (), (), True)
+    return _component(rep, 0, trivial, lv, profile.nu_global, kind, window)
 
 
 def enumerate_sod(rep: RepSpec, profile: ShiftProfile,
@@ -147,8 +136,9 @@ def enumerate_sod(rep: RepSpec, profile: ShiftProfile,
         raise PreconditionError(
             "half-open threshold requires a quasi-symmetric weight multiset")
     cells = partition_region(rep, profile, box_radius)  # raises without T-stable point
+    lv0 = full_levi(datum)
     eps = vec(epsilon) if epsilon is not None \
-        else pick_epsilon(rep, full_levi(datum), rep.expanded)
+        else pick_epsilon(rep, lv0, rep.expanded)
     kept, absorbed, frontier = [], [], []
     for cell in cells:
         if not profile.keeps(cell.signature.r):
@@ -159,10 +149,12 @@ def enumerate_sod(rep: RepSpec, profile: ShiftProfile,
             kept.append(cell)
     kept.sort(key=lambda c: c.key, reverse=True)
     components = [
-        _component_from_cell(rep, cell, index=-(len(kept) - i),
-                             profile=profile, twist=twist)
+        _component(rep, -(len(kept) - i), cell.signature,
+                   levi(datum, cell.lam), cell.nu_levi,
+                   ("rel_int_scaled", cell.signature.r),
+                   cell_members(rep, cell, profile, twist=twist))
         for i, cell in enumerate(kept)]
-    components.append(_tail_component(rep, profile, eps, twist=twist))
+    components.append(_tail_component(rep, lv0, profile, eps, twist=twist))
     return SodResult(tuple(components), tuple(absorbed), tuple(frontier),
                      eps, profile.threshold, box_radius,
                      None if r_max is None else frac(r_max))
@@ -216,12 +208,12 @@ def certify_nccr(rep: RepSpec, lam: Vec, nu: Vec, eps: Vec,
     the neutral representation is decided by the toric rule when the Levi has
     no roots and is otherwise taken from the caller's assertion.
 
-    The boundary window holds the dominant points of the box that are in the
-    plus-minus epsilon window but not in the half-open one ("set"), or
-    ("minkowski") those with 2(p - shift) + v in Z + span(central) for every
-    vertex v of the closed unit zonotope Z.  Z is convex and compact, so no
-    translate of it by a vector outside span(central) fits inside it: the
-    Minkowski test is p = shift modulo the SL directions.
+    The "set" boundary window holds the points of the plus-minus epsilon
+    window that are not in the half-open one.  The "minkowski" one holds the
+    p with 2(p - shift) + v in Z + span(central) for every vertex v of the
+    closed unit zonotope Z.  Z is convex and compact, so no translate of it
+    by a vector outside span(central) fits inside it: that boundary is the
+    window of no generators, the shift point modulo the SL directions.
     """
     if prazno_mode not in ("set", "minkowski"):
         raise InputError(f"unknown prazno mode {prazno_mode!r}")
@@ -235,8 +227,7 @@ def certify_nccr(rep: RepSpec, lam: Vec, nu: Vec, eps: Vec,
     if not lv.is_invariant(eps):
         raise InputError("epsilon is not invariant under the Levi Weyl group")
     central = datum.central_directions
-    signs = weight_signs(rep, lam)
-    gens = tuple(rep.expanded[i] for i in signs.t_zero)
+    gens = neutral_weights(rep, lam)
     if not in_span(list(gens) + list(central), eps):
         raise InputError("epsilon is not parallel to the neutral zonotope")
     quasi = is_quasi_symmetric(rep)
@@ -248,38 +239,19 @@ def certify_nccr(rep: RepSpec, lam: Vec, nu: Vec, eps: Vec,
         eps_status = "Fails"
     shift = vsub(nu, lv.rho_bar_lambda)
     half = Fraction(1, 2)
-    box = window_box(datum, gens, half, shift)
-    plus_shift = EpsShift(eps, "plus")
-    pm_shift = EpsShift(eps, "plus_minus")
-
-    def in_half_eps(p: Vec) -> bool:
-        return member_eps(gens, half, shift, plus_shift, p, central)
-
-    window = tuple(enumerate_lattice(
-        lambda p: is_dominant(datum, p, lv) and in_half_eps(p), box, coset=twist))
-
-    half_open_query = ZonotopeQuery(gens, half, shift, HALF_OPEN, central) \
-        if gens else None
-
-    def at_shift(p: Vec) -> bool:
-        return datum.normalize_weight(vsub(p, shift)) == zero_vec(datum.rank)
-
-    def in_half_open(p: Vec) -> bool:
-        if half_open_query is None:
-            return at_shift(p)
-        return member(half_open_query, p)
-
+    window = tuple(_half_eps_window(rep, lv, gens, shift,
+                                    EpsShift(eps, "plus"), twist))
     if prazno_mode == "set":
-        def in_boundary(p: Vec) -> bool:
-            if not is_dominant(datum, p, lv):
-                return False
-            return (member_eps(gens, half, shift, pm_shift, p, central)
-                    and not in_half_open(p))
+        half_open = ZonotopeQuery(gens, half, shift, HALF_OPEN, central)
+        both_ways = EpsShift(eps, "plus_minus")
+        prazno_points = tuple(window_points(
+            datum, lv, gens, half, shift,
+            lambda p: (member_eps(gens, half, shift, both_ways, p, central)
+                       and not member(half_open, p)), twist))
     else:
-        def in_boundary(p: Vec) -> bool:
-            return is_dominant(datum, p, lv) and at_shift(p)
-
-    prazno_points = tuple(enumerate_lattice(in_boundary, box, coset=twist))
+        at_shift = ZonotopeQuery((), half, shift, CLOSED, central)
+        prazno_points = tuple(window_points(
+            datum, lv, (), half, shift, partial(member, at_shift), twist))
     prazno_empty = not prazno_points
 
     coinv = coinvariant_rep(rep, lam)

@@ -18,7 +18,9 @@ process memo, an annihilator basis of span(generators + central) plus both
 signed normals of every hyperplane flat with their support values, and
 decides each point with exact arithmetic on those pairings.  Membership in
 the half-open and relative-interior variants (``member``), the minimal
-radius and the face signature still solve LPs over the coefficient system.
+radius and the face signature still solve LPs over the coefficient system;
+with no generators every variant is shift + span(central), and ``member``
+decides it by span arithmetic.
 """
 
 from __future__ import annotations
@@ -127,7 +129,11 @@ def _coefficient_program(generators, radius, shift, p, variant, central):
 
 
 def member(q: ZonotopeQuery, p: Vec) -> bool:
-    """Exact membership of p in shift + r * (variant of the zonotope)."""
+    """Exact membership of p in shift + r * (variant of the zonotope).  With
+    no generators every variant is shift + span(central), decided without
+    an LP."""
+    if not q.generators:
+        return in_span(q.central, vsub(vec(p), vec(q.shift)))
     b, _, _ = _coefficient_program(
         q.generators, q.radius, q.shift, p, q.variant, q.central)
     prog = b.build()

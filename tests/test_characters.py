@@ -60,14 +60,16 @@ class TestIrrCharacter:
                                        vec([0, 0]): 1}
 
 
-@pytest.mark.parametrize("tag", ["GL(3)", "SL(3)", "GL(4)", "Sp(4)", "Sp(6)",
-                                 "Product(GL(2),Sp(4))",
-                                 "Product(SL(2),SL(2))"])
+@pytest.mark.parametrize("tag", ["GL(3)", "SL(3)", "GL(4)", "SL(4)", "Sp(4)",
+                                 "Sp(6)", "Product(GL(2),Sp(4))",
+                                 "Product(SL(2),SL(2))",
+                                 "Product(SL(3),Torus(1))",
+                                 "Product(GL(2),SL(3))"])
 def test_irr_character_matches_whole_group_reference(tag):
     datum = build_group(tag)
     rng = random.Random("irr " + tag)
     levis = [full_levi(datum)]
-    for _ in range(2):
+    for _ in range(4):
         lam = [rng.randint(-1, 1) for _ in range(datum.rank)]
         for c, pin in datum.quotient_pairs:
             lam[pin] -= sum(x * y for x, y in zip(lam, c))

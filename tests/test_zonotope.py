@@ -9,7 +9,8 @@ from oracles import (forced_tight_reference, member_eps_reference,
                      realizable_face_patterns_reference)
 from sodlab import zonotope
 from sodlab.linalg import span_basis, vadd, vec, vscale
-from sodlab.linprog import InputError, forced_tight
+from sodlab.linprog import (InputError, feasible_point, forced_tight,
+                            strict_feasible)
 from sodlab.reps import construct_rep, rep_spec, weight_signs
 from sodlab.rootdata import build_group, full_levi
 from sodlab.zonotope import (CLOSED, HALF_OPEN, REL_INT, EpsShift,
@@ -24,6 +25,7 @@ T2 = build_group("Torus(2)")
 
 G4 = (vec([-1]), vec([-1]), vec([1]), vec([1]))
 G22 = (vec([1, 0]), vec([-1, 0]), vec([0, 1]), vec([0, -1]))
+VARIANTS = (CLOSED, HALF_OPEN, REL_INT)
 
 
 def q(gens, r, shift, variant, central=()):
@@ -71,6 +73,31 @@ class TestMember:
             # coefficient denominators stay small on this instance family,
             # so the grid search is conclusive in both directions
             assert got == found
+
+    @pytest.mark.parametrize("tag", ["SL(2)", "Product(SL(2),Torus(1))",
+                                     "Torus(2)"])
+    def test_no_generators_matches_lp(self, tag):
+        # with no generators every variant is shift + span(central)
+        datum = build_group(tag)
+        central = datum.central_directions
+        rng = random.Random("no generators " + tag)
+        verdicts = set()
+        for _ in range(6):
+            shift = vec(F(rng.randint(-3, 3), rng.choice([1, 2]))
+                        for _ in range(datum.rank))
+            on = [shift] + [vadd(shift, vscale(F(rng.randint(-2, 2)), c))
+                            for c in central]
+            off = [vadd(shift, vec(F(rng.randint(-2, 2), rng.choice([1, 3]))
+                                   for _ in range(datum.rank)))]
+            for p, variant in itertools.product(on + off, VARIANTS):
+                prog = _coefficient_program((), F(1, 2), shift, p, variant,
+                                            central)[0].build()
+                lp = feasible_point(prog) is not None if variant == CLOSED \
+                    else strict_feasible(prog)
+                got = member(q((), F(1, 2), shift, variant, central), p)
+                assert got == lp, (tag, shift, p, variant)
+                verdicts.add(got)
+        assert verdicts == {True, False}
 
 
 class TestMinRadius:
