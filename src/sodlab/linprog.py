@@ -1,16 +1,19 @@
 """Exact rational linear programming and lattice point enumeration.
 
-The solver is a dense two-phase primal simplex over ``Fraction`` with Bland's
-rule, so it terminates on every input and never rounds.  Problems are stated
-as equality rows plus per-variable bounds; each finite bound may be marked
-open, which matters for strict feasibility (membership in half-open boxes)
-but is ignored by the closed relaxation that the simplex solves.
+The solver is a dense two-phase primal simplex with Bland's rule, so it
+terminates on every input and never rounds.  Problems are stated as equality
+rows plus per-variable bounds; each finite bound may be marked open, which
+matters for strict feasibility (membership in half-open boxes) but is ignored
+by the closed relaxation that the simplex solves.
 
-The simplex is split in two.  ``_phase1`` prepares a constraint system once
+The tableau is fraction-free: each row is a list of ints, right-hand side
+last, over one positive denominator, and a pivot cross-multiplies and
+cancels each row's gcd, so ``Fraction`` appears only when a vertex is read
+off.  The rows stand for the rationals of the textbook tableau, so Bland's
+rule makes the same pivots.  ``_phase1`` prepares a constraint system once
 and returns a feasible basis; ``_phase2`` warm-starts one objective from a
-copy of it.  A plain solve is the composition of the two.  The reduced-cost
-row is built once per phase and updated with each pivot, and a pivot touches
-only the nonzero columns of its row.
+copy of it.  The reduced-cost row (integers over a positive scale: only its
+signs are read) is built once per phase and updated with each pivot.
 
 Forced tightness, strictness and attainment are read from one fact: which
 bounds every feasible point of the closed relaxation attains.
@@ -103,121 +106,140 @@ class LpResult:
 
 # ---------------------------------------------------------------------------
 # Core simplex on standard form: max c.x  s.t.  A x = b, x >= 0.
+#
+# A tableau is (tab, den, basis): row i of ``tab`` is a list of ints whose
+# last entry is the right-hand side, and it stands for tab[i] / den[i] with
+# den[i] > 0.
 # ---------------------------------------------------------------------------
 
-def _simplex_iterate(tab, rhs, basis, cost):
-    """Run Bland-rule pivots in place.  Returns "optimal" or "unbounded"."""
+def _int_row(values):
+    """(ints, d) with ints / d == values and d > 0 the least such."""
+    d = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (d // v.denominator) for v in values], d
+
+
+def _simplex_iterate(tab, den, basis, cost):
+    """Run Bland-rule pivots in place for max cost.x, with ``cost`` integers
+    (any positive multiple of the objective).  Returns "optimal" or
+    "unbounded"."""
     m = len(tab)
-    ncols = len(cost)
-    # Reduced costs c_B B^-1 A - c, built once and updated with each pivot.
-    zrow = [-c for c in cost]
+    # Reduced costs c_B B^-1 A - c over a positive scale, built once and
+    # updated with each pivot; only their signs are ever read.
+    scale = math.lcm(*(den[i] for i in range(m) if cost[basis[i]]))
+    zrow = [-c * scale for c in cost]
     for i in range(m):
         cb = cost[basis[i]]
-        if cb != 0:
-            zrow = [z + cb * a if a != 0 else z for z, a in zip(zrow, tab[i])]
+        if cb:
+            f = cb * (scale // den[i])
+            zrow = [z + f * a if a else z for z, a in zip(zrow, tab[i])]
     while True:
-        enter = -1
-        for j in range(ncols):
-            if zrow[j] < 0:
-                enter = j
-                break
+        enter = next((j for j, z in enumerate(zrow) if z < 0), -1)
         if enter < 0:
             return "optimal"
+        # Ratio test: rhs_i / a_i shares row i's denominator, so compare
+        # the integer quotients by cross-multiplication.
         leave = -1
-        best = None
         for i in range(m):
             a = tab[i][enter]
             if a > 0:
-                ratio = rhs[i] / a
-                if best is None or ratio < best or (
-                        ratio == best and basis[i] < basis[leave]):
-                    best = ratio
-                    leave = i
+                t = tab[i][-1]
+                if leave < 0 or t * best_a < best_t * a or (
+                        t * best_a == best_t * a and basis[i] < basis[leave]):
+                    leave, best_t, best_a = i, t, a
         if leave < 0:
             return "unbounded"
-        _pivot(tab, rhs, basis, leave, enter)
-        f = zrow[enter]
-        zrow = [z - f * y if y != 0 else z for z, y in zip(zrow, tab[leave])]
+        _pivot(tab, den, basis, leave, enter)
+        prow = tab[leave]
+        g = math.gcd(prow[enter], zrow[enter])
+        p, f = prow[enter] // g, zrow[enter] // g
+        zrow = [p * z - f * y if y else p * z for z, y in zip(zrow, prow)]
+        g = math.gcd(*zrow)
+        if g > 1:
+            zrow = [z // g for z in zrow]
 
 
-def _pivot(tab, rhs, basis, r, c):
-    pv = tab[r][c]
-    prow = tab[r] = [x / pv if x != 0 else x for x in tab[r]]
-    rhs[r] = rhs[r] / pv
-    nz = [k for k, y in enumerate(prow) if y != 0]
+def _pivot(tab, den, basis, r, c):
+    prow = tab[r]
+    if prow[c] < 0:
+        prow = [-x for x in prow]
+    g = math.gcd(*prow)
+    if g > 1:
+        prow = [x // g for x in prow]
+    tab[r] = prow
+    p = den[r] = prow[c]
+    nz = [k for k, y in enumerate(prow) if y]
     for i in range(len(tab)):
         f = tab[i][c]
-        if i != r and f != 0:
-            row = tab[i]
+        if i != r and f:
+            # row_i/den_i - (f/den_i) prow/p = (p row_i - f prow)/(den_i p),
+            # with p and f first divided by their gcd
+            g = math.gcd(p, f)
+            a, f = p // g, f // g
+            row = tab[i] if a == 1 else [a * x for x in tab[i]]
             for k in nz:
                 row[k] -= f * prow[k]
-            rhs[i] = rhs[i] - f * rhs[r]
+            d = den[i] * a
+            g = math.gcd(d, *row)
+            if g > 1:
+                row = [x // g for x in row]
+                d //= g
+            tab[i] = row
+            den[i] = d
     basis[r] = c
 
 
 def _phase1(rows, rhs_in, n):
     """A feasible basis of rows x = rhs, x >= 0 over n columns.
 
-    Returns (tab, rhs, basis) in canonical form for ``basis``, with every
-    artificial column gone and redundant equality rows dropped, or None when
-    the system is infeasible.  The result is shared by any number of
-    objectives through ``_phase2``, which never modifies it.
+    Returns the tableau (tab, den, basis) in canonical form for ``basis``,
+    with every artificial column gone and redundant equality rows dropped,
+    or None when the system is infeasible.  The result is shared by any
+    number of objectives through ``_phase2``, which never modifies it.
     """
     m = len(rows)
     tab = []
-    rhs = []
+    den = []
     for i in range(m):
-        row = list(rows[i])
-        b = rhs_in[i]
-        if b < 0:
+        row, d = _int_row(tuple(rows[i]) + (rhs_in[i],))
+        if row[-1] < 0:
             row = [-x for x in row]
-            b = -b
-        tab.append(row + [ONE if k == i else ZERO for k in range(m)])
-        rhs.append(b)
+        tab.append(row[:n] + [d if k == i else 0 for k in range(m)] + row[n:])
+        den.append(d)
     basis = [n + i for i in range(m)]
-    _simplex_iterate(tab, rhs, basis, [ZERO] * n + [-ONE] * m)
-    art_total = sum((rhs[i] for i in range(m) if basis[i] >= n), ZERO)
-    if art_total != 0:
+    _simplex_iterate(tab, den, basis, [0] * n + [-1] * m)
+    if any(tab[i][-1] for i in range(m) if basis[i] >= n):  # rhs >= 0
         return None
     # Drive leftover zero-value artificials out of the basis.
     drop = []
     for i in range(m):
         if basis[i] >= n:
-            piv = next((j for j in range(n) if tab[i][j] != 0), None)
+            piv = next((j for j in range(n) if tab[i][j]), None)
             if piv is None:
                 drop.append(i)  # redundant equality row
             else:
-                _pivot(tab, rhs, basis, i, piv)
+                _pivot(tab, den, basis, i, piv)
     for i in sorted(drop, reverse=True):
-        del tab[i], rhs[i], basis[i]
-    return [row[:n] for row in tab], rhs, basis
+        del tab[i], den[i], basis[i]
+    return [row[:n] + row[-1:] for row in tab], den, basis
 
 
-def _basic_solution(rhs, basis, n):
+def _basic_solution(tab, den, basis, n):
     x = [ZERO] * n
-    for i, bi in enumerate(basis):
-        x[bi] = rhs[i]
+    for row, d, bi in zip(tab, den, basis):
+        x[bi] = Fraction(row[-1], d)
     return tuple(x)
 
 
 def _phase2(start, obj, n):
     """max obj.x from the feasible basis ``start`` of ``_phase1``, which is
     copied, not changed.  -> (status, optimal x or None)."""
-    tab0, rhs0, basis0 = start
+    tab0, den0, basis0 = start
     tab = [list(row) for row in tab0]
-    rhs = list(rhs0)
+    den = list(den0)
     basis = list(basis0)
-    if _simplex_iterate(tab, rhs, basis, obj) == "unbounded":
+    if _simplex_iterate(tab, den, basis, _int_row(obj)[0]) == "unbounded":
         return "unbounded", None
-    return "optimal", _basic_solution(rhs, basis, n)
-
-
-def _solve_standard(rows, rhs, obj):
-    """max obj.x s.t. rows x = rhs, x >= 0.  -> (status, optimal x or None)."""
-    start = _phase1(rows, rhs, len(obj))
-    if start is None:
-        return "infeasible", None
-    return _phase2(start, obj, len(obj))
+    return "optimal", _basic_solution(tab, den, basis, n)
 
 
 # ---------------------------------------------------------------------------
@@ -227,8 +249,9 @@ def _solve_standard(rows, rhs, obj):
 def _to_standard(prog: BoxedLinearProgram):
     """Rewrite bounded variables as nonnegative ones.
 
-    Returns (rows, rhs, ncols, decode) where decode maps a standard-form point
-    back to original coordinates, or None when a bound pair is contradictory.
+    Returns (rows, rhs, ncols, decode, encode_obj) where decode maps a
+    standard-form point back to original coordinates and encode_obj maps an
+    objective forward, or None when a bound pair is contradictory.
     """
     n = prog.nvars
     terms: list[list[tuple[int, int]]] = []  # var -> [(col, sign)]
@@ -301,26 +324,39 @@ def _to_standard(prog: BoxedLinearProgram):
     return rows, rhs, ncols, decode, encode_obj
 
 
+def _prepare(prog: BoxedLinearProgram):
+    """(phase-1 tableau, ncols, decode, encode_obj) of the closed relaxation
+    in standard form, or None when it is infeasible."""
+    std = _to_standard(prog)
+    if std is None:
+        return None
+    rows, rhs, ncols, decode, encode_obj = std
+    start = _phase1(rows, rhs, ncols)
+    return None if start is None else (start, ncols, decode, encode_obj)
+
+
 def _optimize_closed(prog: BoxedLinearProgram, coeffs: Sequence[Fraction],
                      maximize: bool):
     """(status, value, witness) for the closed relaxation."""
-    std = _to_standard(prog)
-    if std is None:
+    prepared = _prepare(prog)
+    if prepared is None:
         return "infeasible", None, None
-    rows, rhs, ncols, decode, encode_obj = std
+    start, ncols, decode, encode_obj = prepared
     obj = encode_obj(coeffs if maximize else [-c for c in coeffs])
-    status, x = _solve_standard(rows, rhs, obj)
+    status, x = _phase2(start, obj, ncols)
     if status != "optimal":
         return status, None, None
     witness = decode(x)
-    value = vdot(tuple(coeffs), witness)
-    return "optimal", value, witness
+    return "optimal", vdot(tuple(coeffs), witness), witness
 
 
 def feasible_point(prog: BoxedLinearProgram) -> Vec | None:
-    """A point of the closed relaxation, or None."""
-    status, _, witness = _optimize_closed(prog, [ZERO] * prog.nvars, True)
-    return witness if status == "optimal" else None
+    """A point of the closed relaxation (the phase-1 vertex), or None."""
+    prepared = _prepare(prog)
+    if prepared is None:
+        return None
+    start, ncols, decode, _ = prepared
+    return decode(_basic_solution(*start, ncols))
 
 
 def lp_optimize(prog: BoxedLinearProgram, sense: str) -> LpResult:
@@ -375,14 +411,11 @@ def _bound_sweep(prog: BoxedLinearProgram, bounds: Sequence[tuple[int, str]]):
     warm-started phase 2.  A bound is skipped when a feasible point already
     known (the phase-1 vertex or an earlier optimum) leaves it.
     """
-    std = _to_standard(prog)
-    if std is None:
+    prepared = _prepare(prog)
+    if prepared is None:
         return None
-    rows, rhs, ncols, decode, encode_obj = std
-    start = _phase1(rows, rhs, ncols)
-    if start is None:
-        return None
-    known = [decode(_basic_solution(start[1], start[2], ncols))]
+    start, ncols, decode, encode_obj = prepared
+    known = [decode(_basic_solution(*start, ncols))]
 
     def forced(j: int, side: str) -> bool:
         bound = prog.lower[j] if side == "lower" else prog.upper[j]
@@ -468,6 +501,13 @@ class LpBuilder:
 LATTICE_BOX_CAP = 20_000
 
 
+def check_box_size(count: int) -> None:
+    """InputError when a box of ``count`` lattice points exceeds the cap."""
+    if count > LATTICE_BOX_CAP:
+        raise InputError(f"lattice box holds {count} points, above the cap "
+                         f"of {LATTICE_BOX_CAP}")
+
+
 def enumerate_lattice(predicate: Callable[[Vec], bool],
                       box: Sequence[tuple[Fraction, Fraction]],
                       coset=None) -> list[Vec]:
@@ -482,10 +522,7 @@ def enumerate_lattice(predicate: Callable[[Vec], bool],
         if lo is None or hi is None:
             raise InputError("enumerate_lattice needs a finite bounding box")
         spans.append(range(math.ceil(lo), math.floor(hi) + 1))
-    count = math.prod(len(s) for s in spans)
-    if count > LATTICE_BOX_CAP:
-        raise InputError(f"lattice box holds {count} points, above the cap "
-                         f"of {LATTICE_BOX_CAP}")
+    check_box_size(math.prod(len(s) for s in spans))
     ranges = [[Fraction(k) for k in s] for s in spans]
     out: list[Vec] = []
     for point in itertools.product(*ranges):

@@ -22,7 +22,7 @@ from fractions import Fraction
 from functools import partial
 
 from .linalg import Vec, ZERO, ONE, vadd, vscale, vsub, vec, zero_vec
-from .linprog import InputError, enumerate_lattice
+from .linprog import InputError, check_box_size, enumerate_lattice
 from .reps import (RepSpec, find_destabilizer, has_t_stable_point,
                    weight_signs)
 from .rootdata import (LeviDatum, RootDatum, full_levi, is_dominant, levi,
@@ -170,9 +170,11 @@ def cell_members(rep: RepSpec, cell: PartitionCell, profile: ShiftProfile,
 
 def dominant_box_points(rep: RepSpec, radius: int) -> list[Vec]:
     """Dominant lattice weights with all coordinates in [-radius, radius],
-    pinned SL coordinates zero, in lexicographic order."""
+    pinned SL coordinates zero, in lexicographic order.  InputError when the
+    box holds more than ``LATTICE_BOX_CAP`` points."""
     datum = rep.datum
     pinned = set(_pinned_coords(datum))
+    check_box_size((2 * radius + 1) ** (datum.rank - len(pinned)))
     ranges = []
     for k in range(datum.rank):
         ranges.append([Fraction(0)] if k in pinned

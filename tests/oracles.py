@@ -13,6 +13,8 @@ the simple reflections by descent and orbit search.  The window-box reference
 bounds each coordinate by LP; the package has the closed form.  The two
 epsilon-window references decide membership by LP (one by maximizing the push
 along epsilon, one by strict sweeps); the package reads it from the facets.
+The phase-1 and phase-2 references run the simplex over Fraction entries,
+pivot by pivot as the package's integer-row kernel must.
 """
 
 from __future__ import annotations
@@ -773,6 +775,110 @@ def window_box_reference(datum, generators, r, shift):
             bounds.append(res.value + shift[k])
         box.append(tuple(bounds))
     return box
+
+
+# ---------------------------------------------------------------------------
+# The simplex over Fraction entries that the integer-row kernel replaced.
+# ---------------------------------------------------------------------------
+
+def _simplex_iterate_reference(tab, rhs, basis, cost):
+    """Bland-rule pivots in place on a Fraction tableau."""
+    m = len(tab)
+    zrow = [-c for c in cost]
+    for i in range(m):
+        cb = cost[basis[i]]
+        if cb != 0:
+            zrow = [z + cb * a if a != 0 else z for z, a in zip(zrow, tab[i])]
+    while True:
+        enter = -1
+        for j in range(len(cost)):
+            if zrow[j] < 0:
+                enter = j
+                break
+        if enter < 0:
+            return "optimal"
+        leave = -1
+        best = None
+        for i in range(m):
+            a = tab[i][enter]
+            if a > 0:
+                ratio = rhs[i] / a
+                if best is None or ratio < best or (
+                        ratio == best and basis[i] < basis[leave]):
+                    best = ratio
+                    leave = i
+        if leave < 0:
+            return "unbounded"
+        _pivot_reference(tab, rhs, basis, leave, enter)
+        f = zrow[enter]
+        zrow = [z - f * y if y != 0 else z for z, y in zip(zrow, tab[leave])]
+
+
+def _pivot_reference(tab, rhs, basis, r, c):
+    pv = tab[r][c]
+    prow = tab[r] = [x / pv if x != 0 else x for x in tab[r]]
+    rhs[r] = rhs[r] / pv
+    nz = [k for k, y in enumerate(prow) if y != 0]
+    for i in range(len(tab)):
+        f = tab[i][c]
+        if i != r and f != 0:
+            row = tab[i]
+            for k in nz:
+                row[k] -= f * prow[k]
+            rhs[i] = rhs[i] - f * rhs[r]
+    basis[r] = c
+
+
+def phase1_reference(rows, rhs_in, n):
+    """(tab, rhs, basis) of a feasible basis of rows x = rhs, x >= 0, with
+    artificial columns and redundant rows gone, or None when infeasible."""
+    m = len(rows)
+    tab = []
+    rhs = []
+    for i in range(m):
+        row = [F(x) for x in rows[i]]
+        b = F(rhs_in[i])
+        if b < 0:
+            row = [-x for x in row]
+            b = -b
+        tab.append(row + [F(k == i) for k in range(m)])
+        rhs.append(b)
+    basis = [n + i for i in range(m)]
+    _simplex_iterate_reference(tab, rhs, basis, [F(0)] * n + [F(-1)] * m)
+    if sum((rhs[i] for i in range(m) if basis[i] >= n), F(0)) != 0:
+        return None
+    drop = []
+    for i in range(m):
+        if basis[i] >= n:
+            piv = next((j for j in range(n) if tab[i][j] != 0), None)
+            if piv is None:
+                drop.append(i)
+            else:
+                _pivot_reference(tab, rhs, basis, i, piv)
+    for i in sorted(drop, reverse=True):
+        del tab[i], rhs[i], basis[i]
+    return [row[:n] for row in tab], rhs, basis
+
+
+def basic_solution_reference(start, n):
+    _, rhs, basis = start
+    x = [F(0)] * n
+    for i, bi in enumerate(basis):
+        x[bi] = rhs[i]
+    return tuple(x)
+
+
+def phase2_reference(start, obj, n):
+    """max obj.x from a ``phase1_reference`` basis, which is not changed.
+    -> (status, optimal x or None)."""
+    tab0, rhs0, basis0 = start
+    tab = [list(row) for row in tab0]
+    rhs = list(rhs0)
+    basis = list(basis0)
+    if _simplex_iterate_reference(tab, rhs, basis,
+                                  [F(c) for c in obj]) == "unbounded":
+        return "unbounded", None
+    return "optimal", basic_solution_reference((tab, rhs, basis), n)
 
 
 # ---------------------------------------------------------------------------

@@ -230,6 +230,18 @@ class TestCliProcess:
         assert time.perf_counter() - start < 1
         assert f"holds {n + 1} points" in capsys.readouterr().err
 
+    def test_partition_box_past_the_cap_exits_two_fast(self, tmp_path,
+                                                       capsys):
+        # 601^2 = 361,201 dominant-box points, each a face-signature problem
+        cfg = {"group": "Torus(2)", "representation": [{"kind": "weights", "weights": [
+            {"weight": [1, 0]}, {"weight": [-1, 0]},
+            {"weight": [0, 1]}, {"weight": [0, -1]}]}], "box_radius": 300}
+        cfgp = write_config(tmp_path, cfg)
+        start = time.perf_counter()
+        assert main(["partition", "--config", cfgp]) == 2
+        assert time.perf_counter() - start < 1
+        assert "holds 361201 points" in capsys.readouterr().err
+
     def test_precondition_exits_three_with_report(self, tmp_path, capsys):
         cfg = {
             "group": "Torus(1)",

@@ -2,15 +2,19 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from oracles import (forced_tight_reference, grid_strict_search,
-                     lex_minimal_integral_reference, lp_optimize_reference,
-                     random_bounded_program, random_mixed_program,
-                     strict_point_reference,
+from oracles import (basic_solution_reference, forced_tight_reference,
+                     grid_strict_search, lex_minimal_integral_reference,
+                     lp_optimize_reference, phase1_reference,
+                     phase2_reference, random_bounded_program,
+                     random_mixed_program, strict_point_reference,
                      vertex_forced, vertex_optimize, with_random_open_flags)
 from sodlab.linprog import (LATTICE_BOX_CAP, BoxedLinearProgram,
-                            InputError, LpBuilder, enumerate_lattice,
-                            forced_tight, lex_minimal_integral, lp_optimize,
+                            InputError, LpBuilder, _basic_solution, _phase1,
+                            _phase2, _to_standard, enumerate_lattice,
+                            feasible_point, forced_tight,
+                            lex_minimal_integral, lp_optimize,
                             strict_feasible)
 
 
@@ -254,6 +258,109 @@ class TestRandomizedAgainstOracles:
                 if res.status == "optimal":
                     outcomes.add(res.attained)
         assert outcomes == {False, True}
+
+
+def kernels_agree(rows, rhs, n, objectives):
+    """Run the integer-row kernel and the Fraction reference on rows x = rhs,
+    x >= 0 and assert the same phase-1 outcome, basis, tableau and vertex,
+    and the same phase-2 result for every objective.  Returns the statuses
+    seen."""
+    got = _phase1(rows, rhs, n)
+    ref = phase1_reference(rows, rhs, n)
+    assert (got is None) == (ref is None)
+    if ref is None:
+        return {"infeasible"}
+    tab, den, basis = got
+    assert basis == ref[2]
+    assert all(d > 0 for d in den)
+    assert [[F(x, d) for x in row] for row, d in zip(tab, den)] == \
+        [list(row) + [b] for row, b in zip(ref[0], ref[1])]
+    assert _basic_solution(*got, n) == basic_solution_reference(ref, n)
+    frozen = ([list(row) for row in tab], list(den), list(basis))
+    statuses = set()
+    for obj in objectives:
+        result = _phase2(got, obj, n)
+        assert result == phase2_reference(ref, obj, n)
+        statuses.add(result[0])
+    assert got == frozen  # phase 2 works on a copy of its start
+    return statuses
+
+
+small = st.builds(F, st.integers(-3, 3), st.sampled_from((1, 1, 2, 3)))
+entry = st.one_of(st.just(F(0)), small)
+
+
+@st.composite
+def standard_systems(draw):
+    """rows x = rhs over n columns with zero-heavy data (degenerate vertices),
+    negative right-hand sides, and sometimes a combination of two rows
+    appended: redundant, or inconsistent when offset."""
+    n = draw(st.integers(1, 5))
+    m = draw(st.integers(1, 4))
+    rows = [draw(st.lists(entry, min_size=n, max_size=n)) for _ in range(m)]
+    rhs = draw(st.lists(entry, min_size=m, max_size=m))
+    if draw(st.booleans()):
+        i, j = draw(st.integers(0, m - 1)), draw(st.integers(0, m - 1))
+        c = draw(small)
+        rows.append([a + c * b for a, b in zip(rows[i], rows[j])])
+        rhs.append(rhs[i] + c * rhs[j] + draw(st.sampled_from((0, 0, 1))))
+    objectives = draw(st.lists(st.lists(small, min_size=n, max_size=n),
+                               min_size=1, max_size=3))
+    return rows, rhs, n, objectives
+
+
+class TestIntegerKernelAgainstFractionReference:
+    @pytest.mark.parametrize("rows, rhs, n, obj, statuses", [
+        # negative right-hand side: x0 - x1 = 2, max -x0 at (2, 0)
+        ([[-1, 1]], [-2], 2, [-1, 0], {"optimal"}),
+        # unbounded ray along (1, 1)
+        ([[1, -1]], [0], 2, [1, 0], {"unbounded"}),
+        ([[1, 1]], [-1], 2, [1, 0], {"infeasible"}),
+        # redundant row: its artificial stays basic at zero and is dropped
+        ([[1, 1], [2, 2]], [1, 2], 2, [1, 2], {"optimal"}),
+        # inconsistent twin rows
+        ([[1, 1], [2, 2]], [1, 3], 2, [1, 2], {"infeasible"}),
+        # degenerate vertex: x0 + x1 = 0 pins both, so basic values are 0
+        ([[1, 1, 0, 0], [1, 0, 1, 0], [0, 1, 0, 1]], [0, 1, 1], 4,
+         [1, 1, 0, 0], {"optimal"}),
+        # rational data, optimum at (5/3, 0, 0)
+        ([[F(1, 2), F(-2, 3), 3]], [F(5, 6)], 3, [F(1, 3), -1, -1],
+         {"optimal"}),
+    ])
+    def test_named_shapes(self, rows, rhs, n, obj, statuses):
+        rows = [[F(x) for x in row] for row in rows]
+        got = kernels_agree(rows, [F(b) for b in rhs], n,
+                            [[F(c) for c in obj]])
+        assert got == statuses
+
+    @settings(max_examples=300, deadline=None)
+    @given(standard_systems())
+    def test_random_standard_systems(self, system):
+        kernels_agree(*system)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.randoms(use_true_random=False), st.booleans())
+    def test_random_programs_in_standard_form(self, rng, mixed):
+        prog = (random_mixed_program(rng) if mixed
+                else random_bounded_program(rng))
+        std = _to_standard(prog)
+        if std is None:
+            return
+        rows, rhs, ncols, _, encode_obj = std
+        objectives = [encode_obj([F(rng.randint(-3, 3), rng.choice((1, 2)))
+                                  for _ in range(prog.nvars)])
+                      for _ in range(3)]
+        kernels_agree(rows, rhs, ncols, objectives)
+
+    def test_feasible_point_is_the_phase1_vertex(self):
+        rng = random.Random(808)
+        for _ in range(100):
+            prog = random_mixed_program(rng)
+            std = _to_standard(prog)
+            ref = None if std is None else phase1_reference(*std[:3])
+            expect = None if ref is None else std[3](
+                basic_solution_reference(ref, std[2]))
+            assert feasible_point(prog) == expect
 
 
 class TestLexMinimalIntegral:

@@ -8,7 +8,7 @@ from oracles import (brute_force_signature, random_generators,
                      signature_to_value_counts, weyl_generators_reference,
                      window_box_reference)
 from sodlab.linalg import mat_vec, vec, vsub
-from sodlab.linprog import InputError
+from sodlab.linprog import LATTICE_BOX_CAP, InputError
 from sodlab.partition import (PreconditionError, build_cell, cell_members,
                               dominant_box_points, make_profile, order_key,
                               partition_region, signature_of,
@@ -103,6 +103,19 @@ class TestPartitionRegion:
         box = dominant_box_points(TORUS_4, 3)
         assert sorted(seen) == sorted(box)
         assert len(seen) == len(set(seen))
+
+    def test_box_cap_counts_the_free_coordinates(self):
+        # Torus(2): (2r + 1)^2 points, 19,881 at r = 70 and 20,449 at r = 71
+        t2 = rep_spec(build_group("Torus(2)"), [((1, 0), 1), ((-1, 0), 1)])
+        assert len(dominant_box_points(t2, 70)) == 141 ** 2 <= LATTICE_BOX_CAP
+        with pytest.raises(InputError, match="holds 20449 points"):
+            dominant_box_points(t2, 71)
+        # SL(2) pins one of its two coordinates: 2r + 1 points
+        sl2 = construct_rep(SL2, [("sym_power", 1)])
+        r = LATTICE_BOX_CAP // 2
+        assert dominant_box_points(sl2, r - 1)
+        with pytest.raises(InputError, match=f"holds {2 * r + 1} points"):
+            dominant_box_points(sl2, r)
 
     def test_cells_sorted(self):
         cells = partition_region(TORUS_4, PROF_T1, 4)
