@@ -17,8 +17,7 @@ Submodules:
 __version__ = "0.1.0"  # pyproject.toml must match (tests/test_cli.py)
 
 from .linprog import (BoxedLinearProgram, InputError, LpBuilder,
-                      TightnessReport, enumerate_lattice, forced_tight,
-                      lp_optimize, strict_feasible)
+                      enumerate_lattice, lp_optimize)
 from .rootdata import (LeviDatum, RootDatum, build_group, invariant_subspace,
                        is_dominant, levi, make_dominant, pairing,
                        star_dominate)

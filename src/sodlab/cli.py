@@ -10,6 +10,7 @@ failure (the report with the failure context is still emitted).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -57,7 +58,11 @@ def _parse_preset_spec(spec: str):
     raise InputError(f"unknown preset {name!r}")
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: a parser is a web of
+    reference cycles, so one per call would be garbage for the cycle
+    collector after every job."""
     parser = argparse.ArgumentParser(
         prog="sodlab",
         description="Exact combinatorics of windowed ordered decompositions "
@@ -69,7 +74,11 @@ def main(argv=None) -> int:
                              "sl2:d1,d2,... | toric[:w1,w2,...]")
     parser.add_argument("--out", help="output path (default: stdout)")
     parser.add_argument("--format", choices=("json", "text"), default="json")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
 
     cfg = None
     try:

@@ -8,6 +8,7 @@ kernels and span membership.  No floating point is used anywhere.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -56,6 +57,12 @@ def vscale(c: Fraction, a: Vec) -> Vec:
 
 def vdot(a: Vec, b: Vec) -> Fraction:
     return sum((x * y for x, y in zip(a, b, strict=True)), ZERO)
+
+
+def int_row(values: Sequence[Fraction]) -> tuple[list[int], int]:
+    """(ints, d) with ints / d == values and d > 0 the least such."""
+    d = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (d // v.denominator) for v in values], d
 
 
 def is_zero_vec(a: Vec) -> bool:

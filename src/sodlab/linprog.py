@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .linalg import Vec, ZERO, ONE, frac, vdot
+from .linalg import Vec, ZERO, ONE, frac, int_row, vdot
 
 Bound = Fraction | None
 
@@ -111,12 +111,6 @@ class LpResult:
 # last entry is the right-hand side, and it stands for tab[i] / den[i] with
 # den[i] > 0.
 # ---------------------------------------------------------------------------
-
-def _int_row(values):
-    """(ints, d) with ints / d == values and d > 0 the least such."""
-    d = math.lcm(*(v.denominator for v in values))
-    return [v.numerator * (d // v.denominator) for v in values], d
-
 
 def _simplex_iterate(tab, den, basis, cost):
     """Run Bland-rule pivots in place for max cost.x, with ``cost`` integers
@@ -200,7 +194,7 @@ def _phase1(rows, rhs_in, n):
     tab = []
     den = []
     for i in range(m):
-        row, d = _int_row(tuple(rows[i]) + (rhs_in[i],))
+        row, d = int_row(tuple(rows[i]) + (rhs_in[i],))
         if row[-1] < 0:
             row = [-x for x in row]
         tab.append(row[:n] + [d if k == i else 0 for k in range(m)] + row[n:])
@@ -237,7 +231,7 @@ def _phase2(start, obj, n):
     tab = [list(row) for row in tab0]
     den = list(den0)
     basis = list(basis0)
-    if _simplex_iterate(tab, den, basis, _int_row(obj)[0]) == "unbounded":
+    if _simplex_iterate(tab, den, basis, int_row(obj)[0]) == "unbounded":
         return "unbounded", None
     return "optimal", _basic_solution(tab, den, basis, n)
 
@@ -512,10 +506,14 @@ def enumerate_lattice(predicate: Callable[[Vec], bool],
                       box: Sequence[tuple[Fraction, Fraction]],
                       coset=None) -> list[Vec]:
     """Integer points (optionally restricted to a sublattice coset) inside a
-    finite coordinate box that pass ``predicate``, in lexicographic order.
-    InputError when the box holds more than ``LATTICE_BOX_CAP`` points.
+    finite coordinate box that pass ``predicate``, in lexicographic order,
+    as tuples of ``Fraction``.  InputError when the box holds more than
+    ``LATTICE_BOX_CAP`` points.
 
-    ``coset`` is any object exposing ``contains(point) -> bool``.
+    ``coset`` is any object exposing ``contains(point) -> bool``.  The coset
+    test and ``predicate`` see each point as a tuple of Python ints, so they
+    can decide it with integer arithmetic; only accepted points are turned
+    into ``Fraction`` tuples.
     """
     spans = []
     for lo, hi in box:
@@ -523,14 +521,10 @@ def enumerate_lattice(predicate: Callable[[Vec], bool],
             raise InputError("enumerate_lattice needs a finite bounding box")
         spans.append(range(math.ceil(lo), math.floor(hi) + 1))
     check_box_size(math.prod(len(s) for s in spans))
-    ranges = [[Fraction(k) for k in s] for s in spans]
-    out: list[Vec] = []
-    for point in itertools.product(*ranges):
-        if coset is not None and not coset.contains(point):
-            continue
-        if predicate(point):
-            out.append(point)
-    return out
+    points = itertools.product(*spans)
+    if coset is not None:
+        points = filter(coset.contains, points)
+    return [tuple(map(Fraction, p)) for p in filter(predicate, points)]
 
 
 _INTEGRAL_SEARCH_CAP = 64
@@ -540,22 +534,24 @@ def integral_shell(n: int, bound: int):
     """The integral vectors of length n first reached at sup-norm ``bound``,
     in lexicographic order: all of [-1, 1]^n for bound 1 (the zero vector
     included), else those with some entry of absolute value ``bound``."""
-    inner = bound - 1 if bound > 1 else -1
-    full = tuple(Fraction(c) for c in range(-bound, bound + 1))
-
-    def shell(k: int):
-        for c in full:
-            if abs(c) > inner:
-                rests = itertools.product(full, repeat=k - 1)
-            elif k > 1:
-                rests = shell(k - 1)
-            else:
-                continue
-            for rest in rests:
-                yield (c,) + rest
-
     if n > 0:
-        yield from shell(n)
+        inner = bound - 1 if bound > 1 else -1
+        full = tuple(Fraction(c) for c in range(-bound, bound + 1))
+        yield from _shell(n, full, inner)
+
+
+def _shell(k: int, full, inner: int):
+    """The length-k tuples over ``full`` with some entry of absolute value
+    above ``inner``, in lexicographic order."""
+    for c in full:
+        if abs(c) > inner:
+            rests = itertools.product(full, repeat=k - 1)
+        elif k > 1:
+            rests = _shell(k - 1, full, inner)
+        else:
+            continue
+        for rest in rests:
+            yield (c,) + rest
 
 
 def lex_minimal_integral(n: int, ok: Callable[[Vec], bool]) -> Vec:

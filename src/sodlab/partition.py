@@ -144,7 +144,8 @@ def window_points(datum: RootDatum, lv: LeviDatum, gens, r, shift, inside,
     """The lattice points of a window, in lexicographic order: the points of
     the twist coset in the box of shift + r * Z(gens) modulo the SL
     directions that are dominant for the Levi ``lv`` and pass the membership
-    predicate ``inside``.  With no generators the box is the shift point."""
+    predicate ``inside``, which sees each point as a tuple of ints.  With no
+    generators the box is the shift point."""
     box = window_box(datum, gens, r, shift)
     return enumerate_lattice(
         lambda p: is_dominant(datum, p, lv) and inside(p), box, coset=twist)

@@ -12,10 +12,12 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from operator import mul
 
-from .linalg import (Mat, Vec, ZERO, ONE, is_integral, is_zero_vec, mat_vec,
-                     nullspace, primitive, rank as mat_rank, solve, vadd, vdot,
-                     vneg, vscale, vsub, vec, zero_vec)
+from .linalg import (Mat, Vec, ZERO, ONE, int_row, is_integral, is_zero_vec,
+                     mat_vec, nullspace, primitive, rank as mat_rank, solve,
+                     vadd, vdot, vneg, vscale, vsub, vec, zero_vec)
 from .linprog import InputError, LpBuilder, feasible_point, lex_minimal_integral
 from .rootdata import RootDatum, full_levi, pairing
 
@@ -185,7 +187,9 @@ class TwistData:
     """A coset of a finite-index sublattice of the weight lattice.
 
     ``sublattice_basis`` holds the generating vectors (one per row); the coset
-    is offset + span_Z(basis).  Membership reduces to an exact integral solve.
+    is offset + span_Z(basis).  chi is in it iff B^-T (chi - offset) is
+    integral, for B the basis matrix: an integer test against d * B^-T,
+    built once per coset.
     """
 
     sublattice_basis: Mat
@@ -203,15 +207,26 @@ class TwistData:
         if mat_rank([list(r) for r in self.sublattice_basis]) != n:
             raise InputError("sublattice basis must have full rank")
 
+    @cached_property
+    def _integer_inverse(self) -> tuple[tuple[int, ...], list[list[int]], int]:
+        """(offset, rows, d): the offset as ints and the int rows of
+        d * B^-T for the least d > 0 making them integral."""
+        n = len(self.coset_offset)
+        basis_t = [vec(self.sublattice_basis[j][i] for j in range(n))
+                   for i in range(n)]
+        columns = [solve(basis_t, [ONE if i == k else ZERO for i in range(n)])
+                   for k in range(n)]
+        ints, d = int_row([columns[k][i] for i in range(n) for k in range(n)])
+        offset = tuple(int(o) for o in self.coset_offset)
+        return offset, [ints[i * n:(i + 1) * n] for i in range(n)], d
+
     def contains(self, chi: Vec) -> bool:
-        target = vec(chi)
-        diff = tuple(t - o for t, o in zip(target, self.coset_offset, strict=True))
-        n = len(diff)
-        if n == 0:
-            return True
-        rows = [[self.sublattice_basis[j][i] for j in range(n)] for i in range(n)]
-        x = solve(rows, diff)
-        return x is not None and is_integral(x)
+        """Whether chi (ints or Fractions) lies in the coset.  A non-integral
+        chi is not: B is integral, so an integral B^-T (chi - offset) would
+        make chi - offset integral."""
+        offset, rows, d = self._integer_inverse
+        diff = [t - o for t, o in zip(chi, offset, strict=True)]
+        return all(sum(map(mul, row, diff)) % d == 0 for row in rows)
 
 
 def trivial_twist(rank: int) -> TwistData:

@@ -22,10 +22,11 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from operator import mul
 
-from .linalg import (Mat, Vec, ZERO, ONE, identity, in_span, is_zero_vec,
-                     mat_vec, nullspace, rref, span_basis, vadd, vdot, vneg,
-                     vscale, vsub, vec, zero_vec)
+from .linalg import (Mat, Vec, ZERO, ONE, identity, in_span, int_row,
+                     is_zero_vec, mat_vec, nullspace, rref, span_basis, vadd,
+                     vdot, vneg, vscale, vsub, vec, zero_vec)
 from .linprog import InputError
 
 
@@ -63,13 +64,13 @@ class RootDatum:
         return {a: _coroot_under(self.gram, a) for a in self.roots}
 
     @cached_property
-    def positive_coroots(self) -> tuple[Vec, ...]:
-        return tuple(self.coroots[a] for a in self.positive_roots)
-
-    @cached_property
     def simple_pairs(self) -> tuple[tuple[Vec, Vec], ...]:
         """(simple root, coroot) pairs: the simple reflections."""
         return tuple((a, self.coroots[a]) for a in self.simple_roots)
+
+    @cached_property
+    def dominance_rows(self) -> tuple[tuple[int, ...], ...]:
+        return _dominance_rows(self.simple_pairs)
 
     @property
     def central_directions(self) -> tuple[Vec, ...]:
@@ -84,6 +85,13 @@ class RootDatum:
         for c, pin in self.quotient_pairs:
             chi = vsub(chi, vscale(chi[pin], c))
         return chi
+
+
+def _dominance_rows(simple_pairs) -> tuple[tuple[int, ...], ...]:
+    """The simple coroots, each scaled by a positive integer to an int
+    tuple.  Every positive coroot is a nonnegative combination of the simple
+    ones, so a weight is dominant iff it pairs nonnegatively with these."""
+    return tuple(tuple(int_row(cr)[0]) for _, cr in simple_pairs)
 
 
 def _vec_sum(vectors, n: int) -> Vec:
@@ -240,8 +248,10 @@ def pairing(lam: Vec, chi: Vec) -> Fraction:
 
 
 def is_dominant(datum: RootDatum, chi: Vec, levi: "LeviDatum | None" = None) -> bool:
-    coroots = datum.positive_coroots if levi is None else levi.positive_coroots
-    return all(vdot(c, chi) >= 0 for c in coroots)
+    """Whether chi (ints or Fractions) pairs nonnegatively with every
+    positive coroot of the datum, or of the Levi when one is given."""
+    rows = (datum if levi is None else levi).dominance_rows
+    return all(sum(map(mul, c, chi)) >= 0 for c in rows)
 
 
 def descend(simple_pairs, chi: Vec, lowest: bool = False):
@@ -326,12 +336,12 @@ class LeviDatum:
     rho_bar_lambda: Vec
 
     @cached_property
-    def positive_coroots(self) -> tuple[Vec, ...]:
-        return tuple(coroot(self.datum, a) for a in self.phi_lambda_plus)
-
-    @cached_property
     def simple_pairs(self) -> tuple[tuple[Vec, Vec], ...]:
         return tuple((a, coroot(self.datum, a)) for a in self.simple_roots)
+
+    @cached_property
+    def dominance_rows(self) -> tuple[tuple[int, ...], ...]:
+        return _dominance_rows(self.simple_pairs)
 
     def _fixed_basis(self) -> list[Vec]:
         """Canonical basis of the Weyl-fixed subspace of the ambient

@@ -92,11 +92,9 @@ def _component(rep: RepSpec, index: int, sig: FaceSignature, lv: LeviDatum,
 def _half_eps_window(rep: RepSpec, lv: LeviDatum, gens, shift, e: EpsShift,
                      twist: TwistData | None = None) -> list[Vec]:
     """The half-size epsilon window of (lv, gens, shift)."""
-    central = rep.datum.central_directions
     half = Fraction(1, 2)
-    return window_points(
-        rep.datum, lv, gens, half, shift,
-        lambda p: member_eps(gens, half, shift, e, p, central), twist)
+    inside = member_eps(gens, half, shift, e, rep.datum.central_directions)
+    return window_points(rep.datum, lv, gens, half, shift, inside, twist)
 
 
 def _tail_component(rep: RepSpec, lv: LeviDatum, profile: ShiftProfile,
@@ -243,11 +241,11 @@ def certify_nccr(rep: RepSpec, lam: Vec, nu: Vec, eps: Vec,
                                     EpsShift(eps, "plus"), twist))
     if prazno_mode == "set":
         half_open = ZonotopeQuery(gens, half, shift, HALF_OPEN, central)
-        both_ways = EpsShift(eps, "plus_minus")
+        both_ways = member_eps(gens, half, shift, EpsShift(eps, "plus_minus"),
+                               central)
         prazno_points = tuple(window_points(
             datum, lv, gens, half, shift,
-            lambda p: (member_eps(gens, half, shift, both_ways, p, central)
-                       and not member(half_open, p)), twist))
+            lambda p: both_ways(p) and not member(half_open, p), twist))
     else:
         at_shift = ZonotopeQuery((), half, shift, CLOSED, central)
         prazno_points = tuple(window_points(

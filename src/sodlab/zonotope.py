@@ -12,11 +12,13 @@ For SL blocks the ambient coordinates carry redundant directions; those are
 passed as ``central`` vectors and enter every membership system as free
 variables, so all sets are effectively computed in the character quotient.
 
-Epsilon-shifted membership (``member_eps``) reads no LP: it uses a facet
-table built once per (generators, central, ambient dimension) and kept in a
-process memo, an annihilator basis of span(generators + central) plus both
-signed normals of every hyperplane flat with their support values, and
-decides each point with exact arithmetic on those pairings.  Membership in
+Epsilon-shifted membership reads no LP.  A facet table is built once per
+(generators, central, ambient dimension) and kept in a process memo: an
+annihilator basis of span(generators + central) plus both signed normals
+of every hyperplane flat with their support values, all normals primitive
+integer vectors.  ``member_eps`` builds one integer predicate per window
+from it, and that predicate decides each lattice point with integer
+arithmetic on those pairings.  Membership in
 the half-open and relative-interior variants (``member``), the minimal
 radius and the face signature still solve LPs over the coefficient system;
 with no generators every variant is shift + span(central), and ``member``
@@ -27,6 +29,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
+from typing import Callable
 
 from .linalg import (Vec, ZERO, ONE, frac, in_span, is_zero_vec, nullspace,
                      primitive, span_basis, subspace_intersection, vdot, vec,
@@ -258,10 +262,11 @@ def supporting_lambda(sig: FaceSignature, datum: RootDatum, generators) -> Vec:
 class FacetTable:
     """Z + span(central) by its facets within V: ``annihilator`` spans the
     functionals vanishing on V, ``facets`` holds one (lam, h(lam)) pair per
-    facet (both signs of every hyperplane-flat normal)."""
+    facet (both signs of every hyperplane-flat normal).  The annihilator
+    rows and the normals lam are primitive integer vectors (int tuples)."""
 
-    annihilator: tuple[Vec, ...]
-    facets: tuple[tuple[Vec, Fraction], ...]
+    annihilator: tuple[tuple[int, ...], ...]
+    facets: tuple[tuple[tuple[int, ...], Fraction], ...]
 
 
 _FACET_TABLES: dict[tuple, FacetTable] = {}
@@ -277,6 +282,10 @@ def facet_table(generators, central: Central, dim: int) -> FacetTable:
     return table
 
 
+def _int_primitive(v: Vec) -> tuple[int, ...]:
+    return tuple(int(x) for x in primitive(v))
+
+
 def _build_facet_table(generators, central, dim) -> FacetTable:
     gens = [vec(g) for g in generators]
     central = [vec(c) for c in central]
@@ -285,18 +294,34 @@ def _build_facet_table(generators, central, dim) -> FacetTable:
     for _, base in _proper_flats(_lines(gens), central, dim):
         if len(base) != len(span) - 1:
             continue
-        lam = primitive(next(n for n in nullspace(base, dim)
-                             if any(vdot(n, v) for v in span)))
+        lam = _int_primitive(next(n for n in nullspace(base, dim)
+                                  if any(vdot(n, v) for v in span)))
         for normal in (lam, vneg(lam)):
             h = sum((max(ZERO, -vdot(normal, g)) for g in gens), ZERO)
             facets.append((normal, h))
-    return FacetTable(tuple(nullspace(span, dim)), tuple(facets))
+    return FacetTable(tuple(map(_int_primitive, nullspace(span, dim))),
+                      tuple(facets))
 
 
-def member_eps(generators, r, shift, e: EpsShift, p, central: Central = ()) -> bool:
-    """Membership in the eps-shifted region: the part of the closed set that
-    can be pushed along eps (and along -eps in plus_minus mode) while staying
-    inside.  Exact arithmetic on the facet table of the generators."""
+def _scaled_row(lam: tuple[int, ...], bound: Fraction):
+    """(den * lam, num) for bound = num / den: <lam, p> compared with bound
+    is den * <lam, p> compared with num, integer arithmetic at int p."""
+    return tuple(bound.denominator * x for x in lam), bound.numerator
+
+
+def member_eps(generators, r, shift, e: EpsShift,
+               central: Central = ()) -> Callable[[Vec], bool]:
+    """The membership predicate of the eps-shifted region: the part of the
+    closed set shift + r * Z + span(central) that can be pushed along eps
+    (and along -eps in plus_minus mode) while staying inside.
+
+    Built once per window from the facet table of the generators: p must
+    pair with each annihilator row as the shift does, and stay at or below
+    each facet's bound r * h(lam) + <lam, shift>, strictly below where -eps
+    (or eps) leaves through that facet.  The predicate takes int or
+    Fraction points; at int points it is integer arithmetic.  InputError
+    when eps is not parallel to the zonotope or r <= 0.
+    """
     shift = vec(shift)
     table = facet_table(generators, central, len(shift))
     eps = vec(e.epsilon)
@@ -305,18 +330,27 @@ def member_eps(generators, r, shift, e: EpsShift, p, central: Central = ()) -> b
     r = frac(r)
     if r <= 0:
         raise InputError("zonotope radius must be positive")
-    d = vsub(vec(p), shift)
-    if any(vdot(a, d) for a in table.annihilator):
-        return False
+    equal = [_scaled_row(a, vdot(a, shift)) for a in table.annihilator]
+    closed, strict = [], []
     for lam, h in table.facets:
-        s = r * h - vdot(lam, d)
-        if s < 0:
-            return False
-        if s == 0:
-            t = vdot(lam, eps)
-            if t < 0 or (t != 0 and e.mode == "plus_minus"):
+        t = vdot(lam, eps)
+        may_be_tight = t == 0 or (t > 0 and e.mode == "plus")
+        (closed if may_be_tight else strict).append(
+            _scaled_row(lam, r * h + vdot(lam, shift)))
+
+    def inside(p) -> bool:
+        for a, target in equal:
+            if sum(map(mul, a, p)) != target:
                 return False
-    return True
+        for lam, bound in closed:
+            if sum(map(mul, lam, p)) > bound:
+                return False
+        for lam, bound in strict:
+            if sum(map(mul, lam, p)) >= bound:
+                return False
+        return True
+
+    return inside
 
 
 # ---------------------------------------------------------------------------

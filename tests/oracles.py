@@ -12,7 +12,11 @@ breadth-first as reflection matrices; the package reads the same facts from
 the simple reflections by descent and orbit search.  The window-box reference
 bounds each coordinate by LP; the package has the closed form.  The two
 epsilon-window references decide membership by LP (one by maximizing the push
-along epsilon, one by strict sweeps); the package reads it from the facets.
+along epsilon, one by strict sweeps); the package reads it from the facets,
+and the facet reference repeats its rational per-point test.  Dominance is
+checked against every positive coroot and coset membership by one solve per
+point; the package tests the simple coroots and multiplies by an inverse
+built once per coset, both in integer arithmetic.
 The phase-1 and phase-2 references run the simplex over Fraction entries,
 pivot by pivot as the package's integer-row kernel must.
 """
@@ -31,8 +35,9 @@ from sodlab.linalg import (identity, in_span, is_zero_vec, mat_vec, primitive,
 from sodlab.linprog import BoxedLinearProgram, InputError, LpBuilder, \
     LpResult, TightnessReport, _optimize_closed, feasible_point, \
     lp_optimize, strict_feasible
-from sodlab.rootdata import LeviDatum, full_levi, is_dominant
-from sodlab.zonotope import CLOSED, ZonotopeQuery, coefficient_system, member
+from sodlab.rootdata import LeviDatum, coroot, full_levi
+from sodlab.zonotope import (CLOSED, ZonotopeQuery, coefficient_system,
+                              facet_table, member)
 
 F = Fraction
 
@@ -293,6 +298,32 @@ def member_eps_reference(generators, r, shift, e, p, central=()):
         if res.status != "unbounded" and not (
                 res.status == "optimal" and res.value > 0):
             return False
+    return True
+
+
+def member_eps_facet_reference(generators, r, shift, e, p, central=()):
+    """The per-point facet test ``member_eps`` builds its predicate from:
+    d = p - shift over the facet table in exact rationals, every check
+    repeated for each point."""
+    shift = vec(shift)
+    table = facet_table(generators, central, len(shift))
+    eps = vec(e.epsilon)
+    if any(vdot(a, eps) for a in table.annihilator):
+        raise InputError("epsilon is not parallel to the zonotope")
+    r = F(r)
+    if r <= 0:
+        raise InputError("zonotope radius must be positive")
+    d = vsub(vec(p), shift)
+    if any(vdot(a, d) for a in table.annihilator):
+        return False
+    for lam, h in table.facets:
+        s = r * h - vdot(lam, d)
+        if s < 0:
+            return False
+        if s == 0:
+            t = vdot(lam, eps)
+            if t < 0 or (t != 0 and e.mode == "plus_minus"):
+                return False
     return True
 
 
@@ -630,6 +661,27 @@ def weyl_elements_reference(data):
     return tuple(order)
 
 
+def is_dominant_reference(datum, chi, levi=None):
+    """Dominance against every positive coroot of the datum or the Levi;
+    the package tests the simple coroots only."""
+    positive = datum.positive_roots if levi is None else levi.phi_lambda_plus
+    return all(vdot(coroot(datum, a), chi) >= 0 for a in positive)
+
+
+def twist_contains_reference(twist, chi):
+    """Coset membership by one exact solve of B^T x = chi - offset per
+    point, for B the basis matrix; the package multiplies by a scaled
+    inverse built once per coset."""
+    diff = tuple(t - o for t, o in zip(vec(chi), twist.coset_offset,
+                                       strict=True))
+    n = len(diff)
+    if n == 0:
+        return True
+    rows = [[twist.sublattice_basis[j][i] for j in range(n)] for i in range(n)]
+    x = solve(rows, diff)
+    return x is not None and all(v.denominator == 1 for v in x)
+
+
 def irr_character_reference(datum, chi, levi=None):
     """Freudenthal recursion that finds every lowest weight, dominant
     conjugate and orbit by scanning the whole (Levi) Weyl group."""
@@ -654,7 +706,7 @@ def irr_character_reference(datum, chi, levi=None):
         mu = chi
         for c, a in zip(combo, simples):
             mu = vsub(mu, vscale(F(c), a))
-        if mu not in dominants and is_dominant(datum, mu, lv):
+        if mu not in dominants and is_dominant_reference(datum, mu, lv):
             dominants.append(mu)
     dominants.sort(key=lambda mu: -_height(datum, lv, mu))
     mults = {}
@@ -662,7 +714,7 @@ def irr_character_reference(datum, chi, levi=None):
     def lookup(nu):
         for w, _, _ in elements:
             img = mat_vec(w, nu)
-            if is_dominant(datum, img, lv):
+            if is_dominant_reference(datum, img, lv):
                 return mults.get(img, 0)
         return 0
 

@@ -84,7 +84,7 @@ def test_criterion_2_determinantal_windows():
                 q = vec(point)
                 if not is_dominant(datum, q):
                     continue
-                if member_eps(gens, F(1, 2), shift, pm, q):
+                if member_eps(gens, F(1, 2), shift, pm)(q):
                     pm_points.append(q)
                 if member(ho, q):
                     ho_points.append(q)

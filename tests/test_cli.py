@@ -1,3 +1,4 @@
+import gc
 import json
 import re
 import time
@@ -254,6 +255,26 @@ class TestCliProcess:
         doc = json.loads(out.read_text())
         assert "torus-stable" in doc["error"]["message"]
         assert doc["error"]["destabilizer"]["sigma"] == [-1]
+
+    def test_job_leaves_no_parser_or_shell_cycles(self, tmp_path):
+        """A partition job (its cells search integral subgroups through
+        ``integral_shell``) leaves no argparse object and no shell closure
+        for the cycle collector."""
+        args = ["partition", "--preset", "pfaffian:n=1,h=3",
+                "--out", str(tmp_path / "report.json")]
+        assert main(args) == 0  # the first call builds the process's parser
+        gc.collect()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            assert main(args) == 0
+            gc.collect()
+            garbage = list(gc.garbage)
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+        assert not [o for o in garbage if type(o).__module__ == "argparse"]
+        assert not [o for o in garbage
+                    if "shell" in getattr(o, "__qualname__", "")]
 
     def test_config_and_preset_conflict(self, tmp_path):
         cfgp = write_config(tmp_path, PFAFFIAN_CFG)

@@ -52,6 +52,9 @@ def test_reports_match_golden_digests():
     expected = json.loads(GOLDEN.read_text())
     actual = digests()
     assert sorted(actual) == sorted(expected), "golden run list changed"
+    exits = [key for key in expected
+             if actual[key].split(":")[0] != expected[key].split(":")[0]]
+    assert not exits, f"exit codes changed for: {', '.join(exits)}"
     moved = [key for key in expected if actual[key] != expected[key]]
     assert not moved, f"reports changed for: {', '.join(moved)}"
 

@@ -144,6 +144,27 @@ class TestEnumerateLattice:
                 enumerate_lattice(tested.append, box)
         assert tested == []
 
+    def test_predicate_sees_ints_and_result_is_fractions(self):
+        seen, coset_seen = [], []
+
+        class NonzeroFirst:
+            def contains(self, v):
+                coset_seen.append(v)
+                return v[0] != 0
+
+        def even(v):
+            seen.append(v)
+            return sum(v) % 2 == 0
+
+        pts = enumerate_lattice(even, [(F(-3, 2), F(1)), (F(0), F(5, 2))],
+                                NonzeroFirst())
+        assert all(type(x) is int for v in seen + coset_seen for x in v)
+        assert all(type(x) is F for v in pts for x in v)
+        assert coset_seen == sorted(coset_seen) and len(coset_seen) == 9
+        assert seen == [v for v in coset_seen if v[0] != 0]
+        assert pts == [tuple(map(F, v)) for v in seen if sum(v) % 2 == 0]
+        assert pts == [(F(-1), F(1)), (F(1), F(1))]
+
     def test_sorted_and_unique(self):
         pts = enumerate_lattice(lambda v: True,
                                 [(F(-1), F(1)), (F(-1), F(1))])

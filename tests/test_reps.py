@@ -2,9 +2,10 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from oracles import weyl_elements_reference
-from sodlab.linalg import mat_vec, vdot, vec
+from oracles import twist_contains_reference, weyl_elements_reference
+from sodlab.linalg import mat_vec, rank, vdot, vec
 from sodlab.linprog import InputError
 from sodlab.reps import (TwistData, coinvariant_rep, construct_rep,
                          find_destabilizer, has_t_stable_point,
@@ -150,6 +151,36 @@ class TestTwist:
     def test_integrality_required(self):
         with pytest.raises(InputError):
             twist_member(trivial_twist(1), vec([F(1, 2)]))
+
+    @settings(derandomize=True, database=None, max_examples=300,
+              deadline=None)
+    @given(st.data())
+    def test_contains_matches_solve_reference(self, data):
+        """The integer inverse built once per coset against one exact solve
+        per point, at int points and at Fraction points with integral,
+        half-integral and third-integral entries."""
+        n = data.draw(st.integers(1, 3))
+        ints = st.integers(-3, 3)
+        basis = tuple(tuple(F(x) for x in data.draw(
+            st.lists(ints, min_size=n, max_size=n))) for _ in range(n))
+        assume(rank(basis) == n)
+        t = TwistData(basis, vec(data.draw(
+            st.lists(ints, min_size=n, max_size=n))))
+        chi = tuple(F(data.draw(st.integers(-9, 9)),
+                      data.draw(st.sampled_from((1, 1, 2, 3))))
+                    for _ in range(n))
+        want = twist_contains_reference(t, chi)
+        assert t.contains(chi) == want
+        if all(x.denominator == 1 for x in chi):
+            assert t.contains(tuple(int(x) for x in chi)) == want
+        else:
+            assert not want
+
+    def test_contains_rank_zero_and_int_points(self):
+        assert TwistData((), ()).contains(())
+        t = TwistData(((F(2), F(0)), (F(1), F(3))), (F(1), F(-1)))
+        for chi in [(1, -1), (3, -1), (2, 2), (0, 0), (F(1, 2), 0)]:
+            assert t.contains(chi) == twist_contains_reference(t, chi)
 
     def test_index_two_sublattice_rank2(self):
         # sublattice {(a, b): a + b even}, offset (1, 0)

@@ -1,12 +1,15 @@
+import functools
+import itertools
 import math
 import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from oracles import (invariant_projector_reference,
-                     invariant_vectors_reference, weyl_elements_reference,
-                     weyl_generators_reference)
+                     invariant_vectors_reference, is_dominant_reference,
+                     weyl_elements_reference, weyl_generators_reference)
 from sodlab.linalg import mat_vec, vdot, vec
 from sodlab.linprog import InputError
 from sodlab.rootdata import (RootDatum, build_group, coroot_pairing,
@@ -230,6 +233,48 @@ def _weyl_cases(tag):
     return datum, rng, levis
 
 
+@functools.cache
+def _standard_levis(tag):
+    """The datum and one Levi per set of simple roots that an antidominant
+    integral coweight in [-rank, rank]^rank annihilates: every standard Levi
+    of a catalog group of rank at most 4."""
+    datum = build_group(tag)
+    simple = [tuple(map(int, a)) for a in datum.simple_roots]
+    found = {}
+    for lam in itertools.product(range(-datum.rank, datum.rank + 1),
+                                 repeat=datum.rank):
+        pairings = [sum(x * y for x, y in zip(lam, a)) for a in simple]
+        key = tuple(x == 0 for x in pairings)
+        if key not in found and max(pairings, default=0) <= 0 \
+                and datum.coweight_ok(lam):
+            found[key] = levi(datum, vec(lam))
+    assert len(found) == 2 ** len(simple)
+    return datum, list(found.values())
+
+
+class TestDominanceBySimpleCoroots:
+    """Dominance from the simple coroots scaled to integers against every
+    positive coroot, for every catalog group and each of its standard
+    Levis."""
+
+    @pytest.mark.parametrize("tag", SMALL_CATALOG)
+    @settings(derandomize=True, database=None, max_examples=40,
+              deadline=None)
+    @given(data=st.data())
+    def test_matches_positive_coroot_reference(self, tag, data):
+        datum, levis = _standard_levis(tag)
+        chi = tuple(F(data.draw(st.integers(-6, 6)),
+                      data.draw(st.sampled_from((1, 2))))
+                    for _ in range(datum.rank))
+        as_ints = tuple(int(x) for x in chi) \
+            if all(x.denominator == 1 for x in chi) else None
+        for lv in [None] + levis:
+            want = is_dominant_reference(datum, chi, lv)
+            assert is_dominant(datum, chi, lv) == want, (lv, chi)
+            if as_ints is not None:
+                assert is_dominant(datum, as_ints, lv) == want, (lv, chi)
+
+
 class TestWeylKernels:
     """Descent and orbit search over the simple reflections against the
     breadth-first enumeration of the group as reflection matrices."""
@@ -245,8 +290,9 @@ class TestWeylKernels:
                 assert len({p for p, _ in points}) == len(points)
                 assert {p for p, _ in points} == \
                     {mat_vec(m, chi) for m, _, _ in elements}
-                coroots = (datum if lv is None else lv).positive_coroots
-                if all(vdot(cr, chi) != 0 for cr in coroots):
+                positive = datum.positive_roots if lv is None \
+                    else lv.phi_lambda_plus
+                if all(coroot_pairing(datum, a, chi) != 0 for a in positive):
                     # regular: one point per element, signed by det w
                     assert len(points) == len(elements)
                     det = {mat_vec(m, chi): sign for m, _, sign in elements}

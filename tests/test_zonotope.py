@@ -3,10 +3,11 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from oracles import (forced_tight_reference, member_eps_reference,
-                     member_eps_strict_reference, random_generators,
-                     realizable_face_patterns_reference)
+from oracles import (forced_tight_reference, member_eps_facet_reference,
+                     member_eps_reference, member_eps_strict_reference,
+                     random_generators, realizable_face_patterns_reference)
 from sodlab import zonotope
 from sodlab.linalg import span_basis, vadd, vec, vscale
 from sodlab.linprog import (InputError, feasible_point, forced_tight,
@@ -208,22 +209,22 @@ class TestMemberEps:
     def test_half_open_side(self):
         gens = (vec([1]),) * 3 + (vec([-1]),) * 3
         e = EpsShift(vec([1]), "plus")
-        assert member_eps(gens, F(1), vec([0]), e, vec([3]))
-        assert not member_eps(gens, F(1), vec([0]), e, vec([-3]))
+        assert member_eps(gens, F(1), vec([0]), e)(vec([3]))
+        assert not member_eps(gens, F(1), vec([0]), e)(vec([-3]))
 
     def test_zero_eps_is_closed(self):
         gens = (vec([1]),) * 3 + (vec([-1]),) * 3
         e = EpsShift(vec([0]), "plus")
         for p in range(-4, 5):
-            assert member_eps(gens, F(1), vec([0]), e, vec([p])) == \
+            assert member_eps(gens, F(1), vec([0]), e)(vec([p])) == \
                 member(q(gens, 1, [0], CLOSED), vec([p]))
 
     def test_plus_minus_opens_both_sides(self):
         gens = (vec([1]),) * 3 + (vec([-1]),) * 3
         e = EpsShift(vec([1]), "plus_minus")
-        assert not member_eps(gens, F(1), vec([0]), e, vec([3]))
-        assert not member_eps(gens, F(1), vec([0]), e, vec([-3]))
-        assert member_eps(gens, F(1), vec([0]), e, vec([2]))
+        assert not member_eps(gens, F(1), vec([0]), e)(vec([3]))
+        assert not member_eps(gens, F(1), vec([0]), e)(vec([-3]))
+        assert member_eps(gens, F(1), vec([0]), e)(vec([2]))
 
     def test_matches_push_maximization_reference(self):
         gl2 = build_group("GL(2)")
@@ -249,7 +250,7 @@ class TestMemberEps:
                     for r in (F(1), F(1, 2)):
                         for p in itertools.product(range(-3, 4), repeat=dim):
                             p = vec(p)
-                            got = member_eps(gens, r, shift, e, p, central)
+                            got = member_eps(gens, r, shift, e, central)(p)
                             assert got == member_eps_reference(
                                 gens, r, shift, e, p, central)
                             verdicts.add(got)
@@ -264,16 +265,52 @@ class TestMemberEps:
         for gens, eps, mode, cen in cases:
             with pytest.raises(InputError):
                 member_eps(gens, F(1), vec([0, 0]), EpsShift(eps, mode),
-                           vec([0, 0]), cen)
+                           cen)(vec([0, 0]))
+            # the error fires when the predicate is built, before any point
+            with pytest.raises(InputError, match="parallel"):
+                member_eps(gens, F(1), vec([0, 0]), EpsShift(eps, mode), cen)
 
     def test_radius_must_be_positive(self):
         for r in (F(0), F(-1, 2), 0):
             for p in (vec([0]), vec([1])):
                 with pytest.raises(InputError):
-                    member_eps(G4, r, vec([0]), EpsShift(vec([1]), "plus"), p)
+                    member_eps(G4, r, vec([0]), EpsShift(vec([1]), "plus"))(p)
+            with pytest.raises(InputError, match="positive"):
+                member_eps(G4, r, vec([0]), EpsShift(vec([1]), "plus"))
         with pytest.raises(InputError):
             member_eps((), F(0), vec([0, 0]), EpsShift(vec([0, 0]), "plus"),
-                       vec([0, 0]), build_group("SL(2)").central_directions)
+                       build_group("SL(2)").central_directions)(vec([0, 0]))
+
+    @settings(derandomize=True, database=None, max_examples=200,
+              deadline=None)
+    @given(st.data())
+    def test_predicate_matches_per_point_references(self, data):
+        """The predicate built once per window against the per-point facet
+        test and the strict-sweep LP reference, at int and Fraction points,
+        with shifts moved off the lattice along a generator or anywhere,
+        in both modes."""
+        gens, shift, central, epsilons, ranges = data.draw(
+            st.sampled_from(EPS_CASES))
+        small = st.builds(F, st.integers(-3, 3), st.sampled_from((1, 2, 3)))
+        move = data.draw(st.sampled_from(("none", "along", "anywhere")))
+        if move == "along" and gens:
+            shift = vadd(shift, vscale(data.draw(small),
+                                       data.draw(st.sampled_from(gens))))
+        elif move == "anywhere":
+            shift = vadd(shift, tuple(data.draw(small) for _ in shift))
+        r = data.draw(st.sampled_from((F(1, 2), F(1), F(3, 2), F(2, 3))))
+        e = EpsShift(data.draw(st.sampled_from(epsilons)),
+                     data.draw(st.sampled_from(("plus", "plus_minus"))))
+        inside = member_eps(gens, r, shift, e, central)
+        p = tuple(data.draw(st.sampled_from(span)) for span in ranges)
+        off = tuple(F(data.draw(st.integers(0, 1)), 2) for _ in p)
+        for point in (p, vec(p), vadd(vec(p), off)):
+            want = member_eps_facet_reference(gens, r, shift, e, point,
+                                              central)
+            case = (gens, r, shift, e, point)
+            assert inside(point) == want, case
+            assert want == member_eps_strict_reference(
+                gens, r, shift, e, point, central), case
 
     def test_facets_match_both_lp_references(self):
         """The facet test equals the push-maximization and the strict-sweep
@@ -293,14 +330,14 @@ class TestMemberEps:
                     for eps in epsilons:
                         for mode in ("plus", "plus_minus"):
                             e = EpsShift(eps, mode)
-                            got = member_eps(gens, r, shift, e, p, central)
+                            got = member_eps(gens, r, shift, e, central)(p)
                             case = (gens, central, r, eps, mode, p)
                             assert got == member_eps_reference(
                                 gens, r, shift, e, p, central), case
                             assert got == member_eps_strict_reference(
                                 gens, r, shift, e, p, central), case
                             assert got == member_eps(
-                                perm, r, shift, e, p, central), case
+                                perm, r, shift, e, central)(p), case
                             verdicts.add(got)
                             if in_closed and not got:
                                 tight_only[mode] += 1
@@ -347,6 +384,9 @@ def eps_oracle_cases():
         ((), vec([F(1, 2), F(-1, 2)]), sl2.central_directions,
          [vec([0, 0]), vec([1, 1])], [range(-2, 3)] * 2),
     ]
+
+
+EPS_CASES = eps_oracle_cases()
 
 
 class TestGenericity:
