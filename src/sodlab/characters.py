@@ -7,6 +7,13 @@ Weyl orbit of mu + rho, without building the product character.  Every Weyl
 fact (lowest weight, dominant conjugate, orbit with signs) comes from the
 simple reflections via `rootdata.descend` and `rootdata.orbit`; the group is
 never enumerated.
+
+A table holds its weights as int tuples at one common scale: the weights
+times the least common denominator D of the representation's weights (D = 1
+for every catalog representation).  The symmetric-power program and the
+Hom-block lookup work on those ints; sorted `Fraction` keys are built only
+when `entries` is read.  The Weyl dimension is an integer product over the
+primitive integer rows of the Levi's positive coroots.
 """
 
 from __future__ import annotations
@@ -15,35 +22,62 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from operator import add, mul
 
-from .linalg import Vec, ZERO, mat_vec, vadd, vdot, vscale, vsub, vec, zero_vec
+from .linalg import (Vec, ZERO, int_row, int_rows, mat_vec, vadd, vdot,
+                     vscale, vsub, vec)
 from .linprog import InputError
 from .reps import RepSpec
 from .rootdata import (LeviDatum, RootDatum, descend, full_levi, is_dominant,
                        orbit)
 
+# Most entries the symmetric-power program may write in one build: the
+# top + 1 degree tables, then one per (entry, degree step) update, each pass
+# over a weight counted before it runs.  The largest build of the tests, golden presets and
+# benchmark jobs counts 9,086 (degree 6); past the cap a `degree_bound` is
+# refused before anything is allocated, not left to exhaust memory.
+SYM_TABLE_CAP = 200_000
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, eq=False)
 class CharacterTable:
-    """Finite weight-multiplicity table, keys in canonical section form."""
+    """Finite weight-multiplicity table in canonical section form.
+
+    ``counts`` maps each weight times ``scale`` (a positive int) to its
+    nonzero multiplicity; ``entries`` lists the weights as sorted `Fraction`
+    tuples.  Tables are equal when their datum and entries are."""
 
     datum: RootDatum
-    entries: tuple[tuple[Vec, int], ...]
+    counts: dict[tuple[int, ...], int]
+    scale: int
+
+    @cached_property
+    def entries(self) -> tuple[tuple[Vec, int], ...]:
+        s = self.scale
+        return tuple((tuple(Fraction(x, s) for x in w), m)
+                     for w, m in sorted(self.counts.items()))
 
     def as_dict(self) -> dict[Vec, int]:
         return dict(self.entries)
 
-    @cached_property
-    def _index(self) -> dict[Vec, int]:
-        return dict(self.entries)
-
     @property
     def total(self) -> int:
-        return sum(m for _, m in self.entries)
+        return sum(self.counts.values())
+
+    def __eq__(self, other):
+        if not isinstance(other, CharacterTable):
+            return NotImplemented
+        return self.datum == other.datum and self.entries == other.entries
+
+    def __hash__(self):
+        return hash(self.entries)
 
 
 def _table(datum: RootDatum, d: dict[Vec, int]) -> CharacterTable:
-    return CharacterTable(datum, tuple(sorted((w, m) for w, m in d.items() if m)))
+    weights = [w for w, m in d.items() if m]
+    ints, scale = int_rows(weights)
+    return CharacterTable(datum, {k: d[w] for k, w in zip(ints, weights)},
+                          scale)
 
 
 @dataclass(frozen=True)
@@ -66,16 +100,19 @@ def weyl_dim(datum: RootDatum, chi: Vec, levi: LeviDatum | None = None) -> int:
     chi = datum.normalize_weight(vec(chi))
     if not is_dominant(datum, chi, lv):
         raise InputError(f"{chi} is not dominant for the Levi")
-    rho = lv.rho_bar_lambda
-    num = Fraction(1)
-    den = Fraction(1)
-    for a in lv.phi_lambda_plus:
-        num *= _form(datum, vadd(chi, rho), a)
-        den *= _form(datum, rho, a)
-    value = num / den
-    if value.denominator != 1:
+    # chi and rho at one scale, which cancels in the quotient, as does the
+    # scale of each coroot row
+    ints = int_row(chi + lv.rho_bar_lambda)[0]
+    rho = ints[datum.rank:]
+    shifted = list(map(add, ints, rho))
+    num = den = 1
+    for row in lv.weyl_rows:
+        num *= sum(map(mul, row, shifted))
+        den *= sum(map(mul, row, rho))
+    value, rest = divmod(num, den)
+    if rest:
         raise InputError("Weyl dimension came out non-integral")
-    return int(value)
+    return value
 
 
 def _height(datum: RootDatum, lv: LeviDatum, v: Vec) -> Fraction:
@@ -151,7 +188,8 @@ def sym_power_character(rep: RepSpec, d: int) -> CharacterTable:
 
     The dynamic program to degree d yields the tables of every lower degree
     as well, and all of them are kept: asking for the top degree first builds
-    each table of a representation once."""
+    each table of a representation once.  InputError when the program would
+    write more than ``SYM_TABLE_CAP`` entries."""
     if d < 0:
         raise InputError("symmetric power degree must be >= 0")
     tables = _SYM_TABLES.get(rep, ())
@@ -160,23 +198,46 @@ def sym_power_character(rep: RepSpec, d: int) -> CharacterTable:
     return tables[d]
 
 
+def _check_sym_work(work: int, top: int) -> None:
+    if work > SYM_TABLE_CAP:
+        raise InputError(f"symmetric powers up to degree {top} need at least "
+                         f"{work} table entries, above the cap of "
+                         f"{SYM_TABLE_CAP}")
+
+
+def _weight_ints(rep: RepSpec) -> tuple[list[tuple[int, ...]], int]:
+    """The weights of ``rep.weights`` as int tuples at their common scale,
+    and that scale."""
+    return int_rows([w for w, _ in rep.weights])
+
+
 def _sym_power_tables(rep: RepSpec, top: int) -> tuple[CharacterTable, ...]:
-    datum = rep.datum
-    layers: list[dict[Vec, int]] = [dict() for _ in range(top + 1)]
-    layers[0][zero_vec(datum.rank)] = 1
-    for w, m in rep.weights:
+    """Sym^0..Sym^top of the weight multiset on int tuples at the scale of
+    its weights.  The work is counted before it is allocated."""
+    work = top + 1
+    _check_sym_work(work, top)
+    steps, scale = _weight_ints(rep)
+    layers: list[dict[tuple[int, ...], int]] = [{} for _ in range(top + 1)]
+    layers[0][(0,) * rep.datum.rank] = 1
+    for step, (_, m) in zip(steps, rep.weights):
+        work += sum(len(layer) * (top - j + 1)
+                    for j, layer in enumerate(layers))
+        _check_sym_work(work, top)
         # k copies of w: shift k*w, and C(k+m-1, m-1) monomials among m copies
-        steps = [(vscale(Fraction(k), w), math.comb(k + m - 1, m - 1))
-                 for k in range(top + 1)]
-        nxt: list[dict[Vec, int]] = [dict() for _ in range(top + 1)]
-        for j in range(top + 1):
-            for wt, cnt in layers[j].items():
-                for k in range(top - j + 1):
-                    shift, c = steps[k]
-                    key = vadd(wt, shift) if k else wt
-                    nxt[j + k][key] = nxt[j + k].get(key, 0) + cnt * c
+        shifts = [step]
+        for _ in range(top - 1):
+            shifts.append(tuple(map(add, shifts[-1], step)))
+        counts = [math.comb(k + m - 1, m - 1) for k in range(1, top + 1)]
+        nxt: list[dict[tuple[int, ...], int]] = [{} for _ in range(top + 1)]
+        for j, layer in enumerate(layers):
+            for wt, cnt in layer.items():
+                target = nxt[j]
+                target[wt] = target.get(wt, 0) + cnt
+                for shift, c, target in zip(shifts, counts, nxt[j + 1:]):
+                    key = tuple(map(add, wt, shift))
+                    target[key] = target.get(key, 0) + cnt * c
         layers = nxt
-    return tuple(_table(datum, layer) for layer in layers)
+    return tuple(CharacterTable(rep.datum, layer, scale) for layer in layers)
 
 
 def hom_block_dims(datum: RootDatum, mu: Vec, mu_prime: Vec, coinv: RepSpec,
@@ -204,10 +265,18 @@ def hom_block_dims(datum: RootDatum, mu: Vec, mu_prime: Vec, coinv: RepSpec,
         for w1, m1 in ch_prime:   # both in section form, so is the key
             key = vsub(point, w1)
             kernel[key] = kernel.get(key, 0) + det * m1
-    dims = [0] * (up_to + 1)
-    for d in range(up_to, -1, -1):   # top degree first: one program for all
-        index = sym_power_character(coinv, d)._index
-        dims[d] = sum(c * index.get(key, 0) for key, c in kernel.items())
+    # the keys at the tables' int scale; one off that lattice has entry 0
+    scale = _weight_ints(coinv)[1]
+    scaled = [(tuple(x.numerator * (scale // x.denominator) for x in key), c)
+              for key, c in kernel.items()
+              if c and all(scale % x.denominator == 0 for x in key)]
+    # top degree first: one program builds every table, and a degree past
+    # the table cap is refused before anything per degree is allocated
+    dims = []
+    for d in range(up_to, -1, -1):
+        counts = sym_power_character(coinv, d).counts
+        dims.append(sum(c * counts.get(key, 0) for key, c in scaled))
+    dims.reverse()
     if any(dim < 0 for dim in dims):
         raise InputError("negative multiplicity: character data corrupt")
     return GradedDims(tuple(enumerate(dims)))

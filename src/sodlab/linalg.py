@@ -65,6 +65,14 @@ def int_row(values: Sequence[Fraction]) -> tuple[list[int], int]:
     return [v.numerator * (d // v.denominator) for v in values], d
 
 
+def int_rows(rows: Sequence[Sequence[Fraction]]) -> tuple[list[tuple[int, ...]], int]:
+    """(ints, d) with each ints[i] / d == rows[i] and d > 0 the least
+    common denominator of every entry."""
+    d = math.lcm(*(v.denominator for row in rows for v in row))
+    return [tuple(v.numerator * (d // v.denominator) for v in row)
+            for row in rows], d
+
+
 def is_zero_vec(a: Vec) -> bool:
     return all(x == 0 for x in a)
 

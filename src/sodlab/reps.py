@@ -9,6 +9,7 @@ input order breaking ties, once, at construction.
 from __future__ import annotations
 
 import itertools
+import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -258,8 +259,22 @@ def defining_weights(datum: RootDatum) -> list[Vec]:
     raise InputError(f"no defining representation for {label}")
 
 
+# Most weight additions a ``sym_power`` piece may make: each of the
+# C(n + d - 1, d) monomials in the n defining weights is a sum of d of them.
+# The largest piece of the tests, golden presets and benchmark jobs makes 20
+# (5 monomials of degree 4); past the cap a piece is refused before the
+# enumeration starts.
+SYM_PIECE_CAP = 100_000
+
+
 def sym_power_weight_counts(base: list[Vec], d: int) -> Counter:
-    """Weight multiset of the d-th symmetric power of a weight list."""
+    """Weight multiset of the d-th symmetric power of a weight list.
+    InputError when it needs more than ``SYM_PIECE_CAP`` weight additions."""
+    monomials = math.comb(len(base) + d - 1, d)
+    if monomials * d > SYM_PIECE_CAP:
+        raise InputError(f"sym_power of degree {d} sums {monomials} monomials "
+                         f"of {d} weights each, above the cap of "
+                         f"{SYM_PIECE_CAP} weight additions")
     counts: Counter = Counter()
     if d == 0:
         counts[zero_vec(len(base[0]) if base else 0)] = 1

@@ -18,15 +18,18 @@ fixed spaces all come from the simple reflections s_a(v) = v - <a^vee, v> a
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from operator import mul
+from itertools import compress
+from operator import mul, sub
 
 from .linalg import (Mat, Vec, ZERO, ONE, identity, in_span, int_row,
-                     is_zero_vec, mat_vec, nullspace, rref, span_basis, vadd,
-                     vdot, vneg, vscale, vsub, vec, zero_vec)
+                     int_rows, is_zero_vec, mat_vec, nullspace, rref,
+                     span_basis, vadd, vdot, vneg, vscale, vsub, vec,
+                     zero_vec)
 from .linprog import InputError
 
 
@@ -46,22 +49,40 @@ class RootDatum:
     quotient_pairs: tuple[tuple[Vec, int], ...] = ()
 
     def __post_init__(self):
-        root_set = set(self.roots)
-        for a in self.roots:
-            if tuple(-x for x in a) not in root_set:
-                raise InputError("roots not closed under negation")
-        half = vscale(Fraction(1, 2), _vec_sum(self.positive_roots, self.rank))
-        if half != self.rho_bar:
+        scale, roots, positives = self.root_ints
+        root_set = set(roots)
+        if any(tuple(-x for x in a) not in root_set for a in roots):
+            raise InputError("roots not closed under negation")
+        if _half_sum(scale, positives, self.rank) != self.rho_bar:
             raise InputError("rho_bar is not half the sum of positive roots")
-        for a in self.roots:
-            if coroot_pairing(self, a, a) != 2:
+        # <a^vee, a> = 2 for 2 G a / (a . G a) unless a . G a vanishes
+        gram = self.gram_ints
+        for a in roots:
+            if not sum(x * sum(map(mul, row, a)) for x, row in zip(a, gram)):
                 raise InputError("coroot normalization broken")
+
+    @cached_property
+    def gram_ints(self) -> tuple[tuple[int, ...], ...]:
+        """The stored form times its least common denominator: integer
+        rows, one scale for the whole matrix."""
+        return tuple(int_rows(self.gram)[0])
+
+    @cached_property
+    def root_ints(self) -> tuple[int, tuple[tuple[int, ...], ...],
+                                 tuple[tuple[int, ...], ...]]:
+        """(d, roots, positive roots): every root times d, one common
+        positive integer, as an int tuple, in the order of ``roots`` and
+        ``positive_roots``.  Zero pairings, sums and differences of roots
+        read the same at that scale."""
+        ints, d = int_rows(self.roots + self.positive_roots)
+        n = len(self.roots)
+        return d, tuple(ints[:n]), tuple(ints[n:])
 
     @cached_property
     def coroots(self) -> dict[Vec, Vec]:
         """Coroot of every root, computed once per datum.  Kept out of the
         dataclass fields, so hashing and equality see only the datum."""
-        return {a: _coroot_under(self.gram, a) for a in self.roots}
+        return {a: _coroot_under(self.gram_ints, a) for a in self.roots}
 
     @cached_property
     def simple_pairs(self) -> tuple[tuple[Vec, Vec], ...]:
@@ -70,7 +91,7 @@ class RootDatum:
 
     @cached_property
     def dominance_rows(self) -> tuple[tuple[int, ...], ...]:
-        return _dominance_rows(self.simple_pairs)
+        return _coroot_rows(self, self.simple_roots)
 
     @property
     def central_directions(self) -> tuple[Vec, ...]:
@@ -87,33 +108,43 @@ class RootDatum:
         return chi
 
 
-def _dominance_rows(simple_pairs) -> tuple[tuple[int, ...], ...]:
-    """The simple coroots, each scaled by a positive integer to an int
-    tuple.  Every positive coroot is a nonnegative combination of the simple
-    ones, so a weight is dominant iff it pairs nonnegatively with these."""
-    return tuple(tuple(int_row(cr)[0]) for _, cr in simple_pairs)
+def _coroot_rows(datum: RootDatum, roots) -> tuple[tuple[int, ...], ...]:
+    """The coroots of the given roots, each scaled by a positive rational to
+    a primitive int tuple: the ray of G a.  With the simple roots these are
+    the dominance rows, since every positive coroot is a nonnegative
+    combination of the simple ones."""
+    rows = []
+    for a in roots:
+        ints = int_row(coroot(datum, a))[0]
+        g = math.gcd(*ints)
+        rows.append(tuple(x // g for x in ints))
+    return tuple(rows)
 
 
-def _vec_sum(vectors, n: int) -> Vec:
-    total = zero_vec(n)
-    for v in vectors:
-        total = vadd(total, v)
-    return total
+def _half_sum(scale: int, ints, rank: int) -> Vec:
+    """Half the sum of the roots whose int tuples at ``scale`` are given."""
+    total = [sum(col) for col in zip(*ints)] or [0] * rank
+    return tuple(Fraction(x, 2 * scale) for x in total)
 
 
 def _unit(n: int, i: int) -> Vec:
     return tuple(ONE if j == i else ZERO for j in range(n))
 
 
-def _coroot_under(gram: Mat, alpha: Vec) -> Vec:
-    q = mat_vec(gram, alpha)
-    return vscale(Fraction(2) / vdot(alpha, q), q)
+def _coroot_under(gram_ints, alpha: Vec) -> Vec:
+    """2 G alpha / (alpha . G alpha) for G a positive multiple of
+    ``gram_ints``: with alpha = a / t for an int tuple a, it is
+    2 t (G a) / (a . G a), and the scale of G cancels."""
+    a, t = int_row(alpha)
+    q = [sum(map(mul, row, a)) for row in gram_ints]
+    norm = sum(map(mul, a, q))
+    return tuple(Fraction(2 * t * x, norm) for x in q)
 
 
 def coroot(datum: RootDatum, alpha: Vec) -> Vec:
     """Coroot of alpha under the stored invariant form."""
     cr = datum.coroots.get(alpha)
-    return cr if cr is not None else _coroot_under(datum.gram, alpha)
+    return cr if cr is not None else _coroot_under(datum.gram_ints, alpha)
 
 
 def coroot_pairing(datum: RootDatum, alpha: Vec, chi: Vec) -> Fraction:
@@ -133,10 +164,11 @@ def _build_torus(n: int) -> RootDatum:
 def _from_positive_roots(label: str, n: int, pos: list[Vec], simple: list[Vec],
                          quotient_pairs=()) -> RootDatum:
     """Root datum under the identity form."""
+    ints, scale = int_rows(pos)
     return RootDatum(
         label=label, rank=n, roots=tuple(pos) + tuple(vneg(a) for a in pos),
         positive_roots=tuple(pos), simple_roots=tuple(simple), gram=identity(n),
-        rho_bar=vscale(Fraction(1, 2), _vec_sum(pos, n)),
+        rho_bar=_half_sum(scale, ints, n),
         quotient_pairs=quotient_pairs)
 
 
@@ -341,7 +373,13 @@ class LeviDatum:
 
     @cached_property
     def dominance_rows(self) -> tuple[tuple[int, ...], ...]:
-        return _dominance_rows(self.simple_pairs)
+        return _coroot_rows(self.datum, self.simple_roots)
+
+    @cached_property
+    def weyl_rows(self) -> tuple[tuple[int, ...], ...]:
+        """One primitive int row on the ray of each positive coroot, in the
+        order of ``phi_lambda_plus``: the factors of the Weyl product."""
+        return _coroot_rows(self.datum, self.phi_lambda_plus)
 
     def _fixed_basis(self) -> list[Vec]:
         """Canonical basis of the Weyl-fixed subspace of the ambient
@@ -390,13 +428,19 @@ def levi(datum: RootDatum, lam: Vec) -> LeviDatum:
         raise InputError("coweight has wrong dimension")
     if not datum.coweight_ok(lam):
         raise InputError("coweight not in Y(T) (fails SL block constraints)")
-    phi = tuple(a for a in datum.roots if pairing(lam, a) == 0)
-    plus = tuple(a for a in datum.positive_roots if pairing(lam, a) == 0)
-    plus_set = set(plus)
-    simple = tuple(
-        a for a in plus
-        if not any(vsub(a, b) in plus_set for b in plus if b != a))
-    rho = vscale(Fraction(1, 2), _vec_sum(plus, datum.rank))
+    row = int_row(lam)[0]
+    scale, roots, positives = datum.root_ints
+    phi = tuple(compress(datum.roots,
+                         [not sum(map(mul, row, a)) for a in roots]))
+    on_wall = [not sum(map(mul, row, a)) for a in positives]
+    plus = tuple(compress(datum.positive_roots, on_wall))
+    plus_ints = list(compress(positives, on_wall))
+    # a positive root is simple iff it is no positive root plus another
+    plus_set = set(plus_ints)
+    simple = tuple(a for a, ai in zip(plus, plus_ints)
+                   if not any(tuple(map(sub, ai, b)) in plus_set
+                              for b in plus_ints))
+    rho = _half_sum(scale, plus_ints, datum.rank)
     return LeviDatum(datum, lam, phi, plus, simple, rho)
 
 

@@ -16,7 +16,9 @@ along epsilon, one by strict sweeps); the package reads it from the facets,
 and the facet reference repeats its rational per-point test.  Dominance is
 checked against every positive coroot and coset membership by one solve per
 point; the package tests the simple coroots and multiplies by an inverse
-built once per coset, both in integer arithmetic.
+built once per coset, both in integer arithmetic.  Coroots, Levi subdata,
+Weyl dimensions and symmetric-power tables are computed here over `Fraction`
+vectors; the package computes them on int tuples at one common scale.
 The phase-1 and phase-2 references run the simplex over Fraction entries,
 pivot by pivot as the package's integer-row kernel must.
 """
@@ -28,14 +30,13 @@ import itertools
 import math
 from fractions import Fraction
 
-from sodlab.characters import (_form, _height, _table, irr_character,
-                               sym_power_character)
+from sodlab.characters import _form, _height, _table, irr_character
 from sodlab.linalg import (identity, in_span, is_zero_vec, mat_vec, primitive,
                            solve, span_basis, vadd, vdot, vec, vscale, vsub)
 from sodlab.linprog import BoxedLinearProgram, InputError, LpBuilder, \
     LpResult, TightnessReport, _optimize_closed, feasible_point, \
     lp_optimize, strict_feasible
-from sodlab.rootdata import LeviDatum, coroot, full_levi
+from sodlab.rootdata import LeviDatum, coroot, full_levi, is_dominant
 from sodlab.zonotope import (CLOSED, ZonotopeQuery, coefficient_system,
                               facet_table, member)
 
@@ -783,18 +784,84 @@ def multiplicity_in_reference(datum, table, mu, lv):
 
 def hom_block_dims_reference(datum, mu, mu_prime, coinv, lv, up_to):
     """Graded Hom-block dimensions from the full product table
-    ch(mu') * Sym^d, one alternating Weyl sum per degree."""
+    ch(mu') * Sym^d, one alternating Weyl sum per degree, with the
+    `Fraction` symmetric-power tables."""
     mu = datum.normalize_weight(vec(mu))
     ch_prime = irr_character(datum, vec(mu_prime), lv).as_dict()
+    tables = sym_power_tables_reference(coinv, up_to)
     dims = []
     for d in range(up_to + 1):
         prod = {}
         for w1, m1 in ch_prime.items():
-            for w2, m2 in sym_power_character(coinv, d).entries:
+            for w2, m2 in tables[d].items():
                 key = datum.normalize_weight(vadd(w1, w2))
                 prod[key] = prod.get(key, 0) + m1 * m2
         dims.append(multiplicity_in_reference(datum, prod, mu, lv))
     return dims
+
+
+# ---------------------------------------------------------------------------
+# Root-data and character kernels over Fraction vectors.
+# ---------------------------------------------------------------------------
+
+def coroot_reference(gram, alpha):
+    """2 G alpha / (alpha . G alpha) over Fractions."""
+    q = mat_vec(gram, alpha)
+    return vscale(F(2) / vdot(alpha, q), q)
+
+
+def levi_reference(datum, lam):
+    """Levi subdatum by Fraction pairings and Fraction differences: the
+    roots that vanish on lam, their positive half, the positive roots that
+    are no positive root plus another, and half their sum."""
+    lam = vec(lam)
+    phi = tuple(a for a in datum.roots if vdot(lam, a) == 0)
+    plus = tuple(a for a in datum.positive_roots if vdot(lam, a) == 0)
+    plus_set = set(plus)
+    simple = tuple(a for a in plus
+                   if not any(vsub(a, b) in plus_set for b in plus if b != a))
+    rho = vec([0] * datum.rank)
+    for a in plus:
+        rho = vadd(rho, a)
+    return LeviDatum(datum, lam, phi, plus, simple, vscale(F(1, 2), rho))
+
+
+def weyl_dim_reference(datum, chi, levi=None):
+    """Weyl's product over the positive Levi roots, as a quotient of two
+    Fraction products of form values."""
+    lv = levi or full_levi(datum)
+    chi = datum.normalize_weight(vec(chi))
+    if not is_dominant(datum, chi, lv):
+        raise InputError(f"{chi} is not dominant for the Levi")
+    rho = lv.rho_bar_lambda
+    num = den = F(1)
+    for a in lv.phi_lambda_plus:
+        num *= _form(datum, vadd(chi, rho), a)
+        den *= _form(datum, rho, a)
+    value = num / den
+    if value.denominator != 1:
+        raise InputError("Weyl dimension came out non-integral")
+    return int(value)
+
+
+def sym_power_tables_reference(rep, top):
+    """Sym^0..Sym^top by the degree dynamic program on Fraction vectors, as
+    one {weight: multiplicity} dict per degree."""
+    datum = rep.datum
+    layers = [dict() for _ in range(top + 1)]
+    layers[0][vec([0] * datum.rank)] = 1
+    for w, m in rep.weights:
+        steps = [(vscale(F(k), w), math.comb(k + m - 1, m - 1))
+                 for k in range(top + 1)]
+        nxt = [dict() for _ in range(top + 1)]
+        for j in range(top + 1):
+            for wt, cnt in layers[j].items():
+                for k in range(top - j + 1):
+                    shift, c = steps[k]
+                    key = vadd(wt, shift) if k else wt
+                    nxt[j + k][key] = nxt[j + k].get(key, 0) + cnt * c
+        layers = nxt
+    return tuple(layers)
 
 
 # ---------------------------------------------------------------------------

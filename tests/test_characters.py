@@ -1,20 +1,27 @@
 import itertools
 import math
 import random
+from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from oracles import (hom_block_dims_reference, irr_character_reference,
-                     multiplicity_in_reference, weyl_elements_reference,
-                     weyl_generators_reference)
-from sodlab.characters import (_sym_power_tables, hom_block_dims,
+                     multiplicity_in_reference, sym_power_tables_reference,
+                     weyl_elements_reference, weyl_generators_reference)
+from sodlab import characters
+from sodlab.characters import (SYM_TABLE_CAP, CharacterTable, _table,
+                               _sym_power_tables, hom_block_dims,
                                irr_character, sym_power_character, weyl_dim)
 from sodlab.linalg import mat_vec, vec
 from sodlab.linprog import InputError
 from sodlab.report import build_objects, parse_config
-from sodlab.reps import construct_rep, rep_spec
+from sodlab.reps import (SYM_PIECE_CAP, RepSpec, coinvariant_rep,
+                         construct_rep, defining_weights, rep_spec,
+                         sym_power_weight_counts)
 from sodlab.rootdata import build_group, full_levi, levi, make_dominant
 from sodlab.sod import enumerate_sod
+from test_rootdata import SMALL_CATALOG
 
 T1 = build_group("Torus(1)")
 SL2 = build_group("SL(2)")
@@ -228,3 +235,96 @@ class TestHomBlockLookup:
         assert hom_block_dims(sl3, weights[0], weights[0], w,
                               up_to=2).dims() == [1, 0, 1]
         assert min(totals) > 0
+
+
+def _weight_multiset(datum, pairs):
+    """A RepSpec straight from (weight, multiplicity) pairs, which may have
+    non-integral entries (``rep_spec`` refuses those)."""
+    pairs = tuple((datum.normalize_weight(vec(w)), m) for w, m in pairs)
+    expanded = tuple(sorted(w for w, m in pairs for _ in range(m)))
+    return RepSpec(datum, pairs, expanded)
+
+
+class TestSymPowerKernel:
+    """The integer program against the Fraction program it replaced, and
+    the table contract: sorted Fraction keys, whatever the scale."""
+
+    @settings(derandomize=True, database=None, max_examples=120,
+              deadline=None)
+    @given(data=st.data())
+    def test_tables_match_reference(self, data):
+        datum = build_group(data.draw(st.sampled_from(SMALL_CATALOG)))
+        dens = data.draw(st.sampled_from(((1,), (1, 2), (2, 3))))
+        weights = {}
+        for _ in range(data.draw(st.integers(0, 4))):
+            w = tuple(F(data.draw(st.integers(-3, 3)),
+                        data.draw(st.sampled_from(dens)))
+                      for _ in range(datum.rank))
+            weights[w] = data.draw(st.integers(1, 3))
+        rep = _weight_multiset(datum, weights.items())
+        top = data.draw(st.integers(0, 4))
+        tables = _sym_power_tables(rep, top)
+        assert len(tables) == top + 1
+        for table, want in zip(tables, sym_power_tables_reference(rep, top)):
+            keys = [w for w, _ in table.entries]
+            assert keys == sorted(keys)
+            assert all(type(x) is F for w in keys for x in w)
+            assert table.entries == tuple(sorted(want.items()))
+            assert table.as_dict() == want
+            assert table.total == sum(want.values())
+
+    def test_equality_ignores_the_scale(self):
+        halves = CharacterTable(T1, {(1,): 2, (-2,): 1}, 2)
+        quarters = CharacterTable(T1, {(2,): 2, (-4,): 1}, 4)
+        assert halves.entries == ((vec([-1]), 1), (vec([F(1, 2)]), 2))
+        assert halves == quarters and hash(halves) == hash(quarters)
+        assert halves == _table(T1, {vec([F(1, 2)]): 2, vec([-1]): 1})
+        assert halves != CharacterTable(T1, {(1,): 2}, 2)
+
+    def test_non_integral_coinvariants_match_reference(self):
+        # half-integral weights, some of them neutral for lam = (1, 1), so
+        # the tables live at scale 2 and integral kernel keys meet them
+        rep = _weight_multiset(GL2, [
+            (("1/2", "1/2"), 2), (("-1/2", "-1/2"), 2),
+            (("1/2", "-1/2"), 1), (("-1/2", "1/2"), 1),
+            ((1, 0), 1), ((0, 1), 1), ((0, 0), 2)])
+        coinv = coinvariant_rep(rep, vec([1, 1]))
+        assert {w for w, _ in coinv.weights} == {
+            vec(["1/2", "-1/2"]), vec(["-1/2", "1/2"]), vec([0, 0])}
+        lv = full_levi(GL2)
+        mus = [vec(x) for x in ([0, 0], [1, -1], ["1/2", "-1/2"], [1, 0])]
+        nonzero = 0
+        for mu in mus:
+            for mu2 in mus:
+                got = hom_block_dims(GL2, mu, mu2, coinv, lv, up_to=4).dims()
+                assert got == hom_block_dims_reference(GL2, mu, mu2, coinv,
+                                                       lv, 4)
+                nonzero += any(got)
+        assert nonzero > 0
+
+
+class TestSymPowerGuards:
+    def test_table_cap_counts_the_work(self, monkeypatch):
+        # weights 1 and -1 to degree 4: 5 tables, 5 updates for the first
+        # weight, then 5 + 4 + 3 + 2 + 1 for the second: 25 entries
+        rep = rep_spec(T1, [((1,), 1), ((-1,), 1)])
+        monkeypatch.setattr(characters, "SYM_TABLE_CAP", 25)
+        assert [t.total for t in _sym_power_tables(rep, 4)] == [1, 2, 3, 4, 5]
+        monkeypatch.setattr(characters, "SYM_TABLE_CAP", 24)
+        with pytest.raises(InputError, match="cap of 24"):
+            _sym_power_tables(rep, 4)
+
+    def test_degree_past_the_cap_is_refused_before_allocating(self):
+        rep = rep_spec(T1, [((1,), 1)])
+        with pytest.raises(InputError, match=f"at least {SYM_TABLE_CAP + 1}"):
+            _sym_power_tables(rep, SYM_TABLE_CAP)
+        with pytest.raises(InputError):
+            sym_power_character(rep, 10 ** 9)
+
+    def test_piece_cap(self):
+        # GL(1) has one defining weight: Sym^d is one monomial of d weights
+        base = defining_weights(build_group("GL(1)"))
+        assert sym_power_weight_counts(base, SYM_PIECE_CAP) == \
+            {vec([SYM_PIECE_CAP]): 1}
+        with pytest.raises(InputError, match="cap of"):
+            sym_power_weight_counts(base, SYM_PIECE_CAP + 1)

@@ -9,6 +9,7 @@ import pytest
 import sodlab
 from sodlab.cli import main
 from sodlab.linprog import LATTICE_BOX_CAP, InputError
+from sodlab.reps import SYM_PIECE_CAP
 from sodlab.report import (parse_config, parse_rational, rational_str,
                            render, run_job)
 
@@ -242,6 +243,22 @@ class TestCliProcess:
         assert main(["partition", "--config", cfgp]) == 2
         assert time.perf_counter() - start < 1
         assert "holds 361201 points" in capsys.readouterr().err
+
+    def test_huge_degree_bound_exits_two_fast(self, tmp_path, capsys):
+        cfgp = write_config(tmp_path, dict(PFAFFIAN_CFG, degree_bound=10 ** 9))
+        start = time.perf_counter()
+        assert main(["hilbert", "--config", cfgp]) == 2
+        assert time.perf_counter() - start < 1
+        assert "table entries, above the cap" in capsys.readouterr().err
+
+    def test_sym_power_piece_past_the_cap_exits_two(self, tmp_path, capsys):
+        # Sym^d of the 2 weights of GL(2): d + 1 monomials of d weights
+        d = 316
+        assert d * (d - 1) <= SYM_PIECE_CAP < (d + 1) * d
+        cfg = {"group": "GL(2)",
+               "representation": [{"kind": "sym_power", "d": d}]}
+        assert main(["analyze", "--config", write_config(tmp_path, cfg)]) == 2
+        assert "weight additions" in capsys.readouterr().err
 
     def test_precondition_exits_three_with_report(self, tmp_path, capsys):
         cfg = {

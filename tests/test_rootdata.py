@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import itertools
 import math
@@ -7,12 +8,14 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import (invariant_projector_reference,
+from oracles import (coroot_reference, invariant_projector_reference,
                      invariant_vectors_reference, is_dominant_reference,
+                     levi_reference, weyl_dim_reference,
                      weyl_elements_reference, weyl_generators_reference)
+from sodlab.characters import weyl_dim
 from sodlab.linalg import mat_vec, vdot, vec
 from sodlab.linprog import InputError
-from sodlab.rootdata import (RootDatum, build_group, coroot_pairing,
+from sodlab.rootdata import (RootDatum, build_group, coroot, coroot_pairing,
                              full_levi, invariant_subspace, is_dominant, levi,
                              descend, make_dominant, orbit, pairing,
                              star_dominate)
@@ -359,3 +362,90 @@ class TestFormRescaling:
             lv = levi(scaled, lam)
             assert lv.invariant_projector() == invariant_projector_reference(lv)
             assert lv.invariant_projector() == levi(SP4, lam).invariant_projector()
+
+
+def _rescaled(datum, factor, root_factor=F(1)):
+    """The datum with its invariant form multiplied by ``factor`` and its
+    roots, so also rho, by ``root_factor``."""
+    def scaled(vectors):
+        return tuple(tuple(root_factor * x for x in v) for v in vectors)
+    return dataclasses.replace(
+        datum, gram=tuple(tuple(factor * x for x in row) for row in datum.gram),
+        roots=scaled(datum.roots), positive_roots=scaled(datum.positive_roots),
+        simple_roots=scaled(datum.simple_roots),
+        rho_bar=scaled([datum.rho_bar])[0])
+
+
+# The catalog form, the tripled form and a halved (rational) form.
+FORM_FACTORS = (F(1), F(3), F(1, 2))
+# Catalog roots, and rational multiples of them: the root scale is no
+# longer 1.
+ROOT_FACTORS = (F(1), F(1, 2), F(2, 3))
+
+RATIONALS = st.builds(F, st.integers(-6, 6), st.integers(1, 6))
+
+
+def _outcome(kernel, *args):
+    """The kernel's value, or InputError when it raises one."""
+    try:
+        return kernel(*args)
+    except InputError:
+        return InputError
+
+
+class TestIntegerRootKernels:
+    """Coroots, Levi subdata and Weyl dimensions on int tuples against the
+    Fraction kernels they replaced."""
+
+    @pytest.mark.parametrize("tag", SMALL_CATALOG)
+    def test_coroots_match_reference(self, tag):
+        for factor, root_factor in itertools.product(FORM_FACTORS,
+                                                     ROOT_FACTORS):
+            datum = _rescaled(build_group(tag), factor, root_factor)
+            for a in datum.roots:
+                assert datum.coroots[a] == coroot_reference(datum.gram, a)
+
+    @settings(derandomize=True, database=None, max_examples=60,
+              deadline=None)
+    @given(data=st.data())
+    def test_coroot_under_a_rational_form(self, data):
+        # a symmetric form whose rows have different denominators, and a
+        # rational vector that is no root
+        n = data.draw(st.integers(1, 4))
+        gram = [[F(0)] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                gram[i][j] = gram[j][i] = data.draw(RATIONALS)
+        alpha = tuple(data.draw(RATIONALS) for _ in range(n))
+        want = coroot_reference(gram, alpha) \
+            if vdot(alpha, mat_vec(gram, alpha)) else ZeroDivisionError
+        datum = dataclasses.replace(build_group(f"Torus({n})"),
+                                    gram=tuple(map(tuple, gram)))
+        try:
+            got = coroot(datum, alpha)
+        except ZeroDivisionError:
+            got = ZeroDivisionError
+        assert got == want
+
+    @pytest.mark.parametrize("tag", SMALL_CATALOG)
+    @settings(derandomize=True, database=None, max_examples=15,
+              deadline=None)
+    @given(data=st.data())
+    def test_levi_and_weyl_dim_match_references(self, tag, data):
+        base, standard = _standard_levis(tag)
+        datum = _rescaled(base, data.draw(st.sampled_from(FORM_FACTORS)),
+                          data.draw(st.sampled_from(ROOT_FACTORS)))
+        lam = [data.draw(RATIONALS) for _ in range(datum.rank)]
+        for c, pin in datum.quotient_pairs:
+            lam[pin] -= vdot(vec(lam), c)
+        # the antidominant coweights of every standard Levi, and one random
+        # rational coweight
+        for lam in [lv.lam for lv in standard] + [vec(lam)]:
+            lv = levi(datum, lam)
+            assert lv == levi_reference(datum, lam)
+            chi = tuple(F(data.draw(st.integers(-4, 4)),
+                          data.draw(st.sampled_from((1, 2))))
+                        for _ in range(datum.rank))
+            chi, _ = make_dominant(datum, chi, lv)
+            assert _outcome(weyl_dim, datum, chi, lv) == \
+                _outcome(weyl_dim_reference, datum, chi, lv), (lam, chi)
