@@ -8,23 +8,29 @@ by the closed relaxation that the simplex solves.
 
 The tableau is fraction-free: each row is a list of ints, right-hand side
 last, over one positive denominator, and a pivot cross-multiplies and
-cancels each row's gcd, so ``Fraction`` appears only when a vertex is read
-off.  The rows stand for the rationals of the textbook tableau, so Bland's
-rule makes the same pivots.  ``_phase1`` prepares a constraint system once
-and returns a feasible basis; ``_phase2`` warm-starts one objective from a
-copy of it.  The reduced-cost row (integers over a positive scale: only its
-signs are read) is built once per phase and updated with each pivot.
+cancels each row's gcd.  ``_to_standard`` writes the closed relaxation in
+standard form straight as such rows, each over its least denominator, from
+the nonzero coefficients of the program, so ``Fraction`` appears only when
+a witness or an optimum is decoded for the caller.  The rows stand for the
+rationals of the textbook tableau, so Bland's rule makes the same pivots.
+``_phase1`` prepares a constraint system once and returns a feasible basis;
+``_phase2`` warm-starts one integer objective from a copy of it.  The
+reduced-cost row (integers over a positive scale: only its signs are read)
+is built once per phase and updated with each pivot.
 
 Forced tightness, strictness and attainment are read from one fact: which
 bounds every feasible point of the closed relaxation attains.
 ``_bound_sweep`` answers it for a list of bounds with one phase 1 and at most
 one warm-started phase 2 per bound, none for a bound that a feasible point
-already found leaves.  ``forced_tight`` sweeps every bound.  A point meeting
-every open bound strictly exists iff the system is feasible and no open bound
-is attained by every feasible point, because averaging one witness per open
-bound keeps all slacks positive; so ``strict_feasible`` sweeps the open
-bounds.  An optimum is attained by the half-open set iff its optimal face has
-such a point.
+already found leaves.  It reads both from basis columns: each bound has a
+standard-form column that is zero exactly where the variable sits at it, a
+known point is the set of columns with a nonzero basic value, and a bound is
+forced iff maximizing its column leaves it at zero.  ``forced_tight`` sweeps
+every bound.  A point meeting every open bound strictly exists iff the
+system is feasible and no open bound is attained by every feasible point,
+because averaging one witness per open bound keeps all slacks positive; so
+``strict_feasible`` sweeps the open bounds.  An optimum is attained by the
+half-open set iff its optimal face has such a point.
 """
 
 from __future__ import annotations
@@ -35,7 +41,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .linalg import Vec, ZERO, ONE, frac, int_row, vdot
+from .linalg import Vec, ZERO, ONE, frac, vdot
 
 Bound = Fraction | None
 
@@ -182,8 +188,9 @@ def _pivot(tab, den, basis, r, c):
     basis[r] = c
 
 
-def _phase1(rows, rhs_in, n):
-    """A feasible basis of rows x = rhs, x >= 0 over n columns.
+def _phase1(rows, n):
+    """A feasible basis of the standard-form rows of ``_to_standard`` over
+    n columns.
 
     Returns the tableau (tab, den, basis) in canonical form for ``basis``,
     with every artificial column gone and redundant equality rows dropped,
@@ -193,8 +200,7 @@ def _phase1(rows, rhs_in, n):
     m = len(rows)
     tab = []
     den = []
-    for i in range(m):
-        row, d = int_row(tuple(rows[i]) + (rhs_in[i],))
+    for i, (row, d) in enumerate(rows):
         if row[-1] < 0:
             row = [-x for x in row]
         tab.append(row[:n] + [d if k == i else 0 for k in range(m)] + row[n:])
@@ -224,16 +230,23 @@ def _basic_solution(tab, den, basis, n):
     return tuple(x)
 
 
-def _phase2(start, obj, n):
-    """max obj.x from the feasible basis ``start`` of ``_phase1``, which is
-    copied, not changed.  -> (status, optimal x or None)."""
+def _support(tableau) -> frozenset[int]:
+    """The columns with a nonzero value at the tableau's basic solution."""
+    tab, _, basis = tableau
+    return frozenset(bi for row, bi in zip(tab, basis) if row[-1])
+
+
+def _phase2(start, cost):
+    """max cost.x from the feasible basis ``start`` of ``_phase1``, which is
+    copied, not changed; ``cost`` is integers.  -> the optimal tableau, or
+    None when the objective is unbounded."""
     tab0, den0, basis0 = start
     tab = [list(row) for row in tab0]
     den = list(den0)
     basis = list(basis0)
-    if _simplex_iterate(tab, den, basis, int_row(obj)[0]) == "unbounded":
-        return "unbounded", None
-    return "optimal", _basic_solution(tab, den, basis, n)
+    if _simplex_iterate(tab, den, basis, cost) == "unbounded":
+        return None
+    return tab, den, basis
 
 
 # ---------------------------------------------------------------------------
@@ -241,92 +254,100 @@ def _phase2(start, obj, n):
 # ---------------------------------------------------------------------------
 
 def _to_standard(prog: BoxedLinearProgram):
-    """Rewrite bounded variables as nonnegative ones.
+    """Rewrite the closed relaxation as integer rows x = b, x >= 0.
 
-    Returns (rows, rhs, ncols, decode, encode_obj) where decode maps a
-    standard-form point back to original coordinates and encode_obj maps an
-    objective forward, or None when a bound pair is contradictory.
+    A variable x with a lower bound l becomes x = l + y, one with only an
+    upper bound u becomes x = u - y, a free one x = y+ - y-, all new columns
+    nonnegative; a variable with both bounds also gets the row y + s = u - l
+    with a slack column s, after the rows of ``prog``.
+
+    Returns (rows, ncols, decode, encode_obj, zero_cols), or None when a
+    bound pair is contradictory.  Each row is (ints, d): the coefficients
+    with the right-hand side last stand for ints / d, d > 0 the least such.
+    ``decode`` maps a standard-form point back to original coordinates and
+    ``encode_obj`` maps an objective to integer costs (a positive multiple).
+    ``zero_cols[j, side]`` is the column that is zero exactly where
+    variable j sits at that bound: y for a lower bound or an upper-only
+    bound, s for the upper bound of a doubly bounded variable; an infinite
+    bound has none.
     """
-    n = prog.nvars
-    terms: list[list[tuple[int, int]]] = []  # var -> [(col, sign)]
+    terms: list[tuple[tuple[int, int], ...]] = []  # var -> ((col, sign), ...)
     offsets: list[Fraction] = []
+    zero_cols: dict[tuple[int, str], int] = {}
+    boxed: list[tuple[int, int, Fraction]] = []  # (var, col of y, u - l)
     ncols = 0
-    extra: list[tuple[int, Fraction]] = []  # (col of y, range u-l) rows
-    for j in range(n):
-        lo, up = prog.lower[j], prog.upper[j]
-        if lo is not None and up is not None:
-            if up < lo:
-                return None
-            terms.append([(ncols, 1)])
-            offsets.append(lo)
-            extra.append((ncols, up - lo))
-            ncols += 1
-        elif lo is not None:
-            terms.append([(ncols, 1)])
+    for j, (lo, up) in enumerate(zip(prog.lower, prog.upper)):
+        if lo is not None:
+            if up is not None:
+                if up < lo:
+                    return None
+                boxed.append((j, ncols, up - lo))
+            zero_cols[j, "lower"] = ncols
+            terms.append(((ncols, 1),))
             offsets.append(lo)
             ncols += 1
         elif up is not None:
-            terms.append([(ncols, -1)])
+            zero_cols[j, "upper"] = ncols
+            terms.append(((ncols, -1),))
             offsets.append(up)
             ncols += 1
         else:
-            terms.append([(ncols, 1), (ncols + 1, -1)])
+            terms.append(((ncols, 1), (ncols + 1, -1)))
             offsets.append(ZERO)
             ncols += 2
     slack0 = ncols
-    ncols += len(extra)
+    ncols += len(boxed)
     rows = []
-    rhs = []
-    for row, b in zip(prog.eq_rows, prog.eq_rhs):
-        out = [ZERO] * ncols
-        shift = ZERO
-        for j in range(n):
-            cj = row[j]
-            if cj == 0:
-                continue
-            shift += cj * offsets[j]
+    for coeffs, b in zip(prog.eq_rows, prog.eq_rhs):
+        nz = [(j, c) for j, c in enumerate(coeffs) if c]
+        rhs = b - sum((c * offsets[j] for j, c in nz if offsets[j]), ZERO)
+        d = math.lcm(rhs.denominator, *(c.denominator for _, c in nz))
+        ints = [0] * (ncols + 1)
+        for j, c in nz:
+            v = c.numerator * (d // c.denominator)
             for col, sg in terms[j]:
-                out[col] += cj if sg > 0 else -cj
-        rows.append(out)
-        rhs.append(b - shift)
-    for k, (ycol, width) in enumerate(extra):
-        out = [ZERO] * ncols
-        out[ycol] = ONE
-        out[slack0 + k] = ONE
-        rows.append(out)
-        rhs.append(width)
+                ints[col] = v if sg > 0 else -v
+        ints[-1] = rhs.numerator * (d // rhs.denominator)
+        rows.append((ints, d))
+    for k, (j, ycol, width) in enumerate(boxed):
+        zero_cols[j, "upper"] = slack0 + k
+        d = width.denominator
+        ints = [0] * (ncols + 1)
+        ints[ycol] = ints[slack0 + k] = d
+        ints[-1] = width.numerator
+        rows.append((ints, d))
 
     def decode(x: Sequence[Fraction]) -> Vec:
         pt = []
-        for j in range(n):
-            v = offsets[j]
-            for col, sg in terms[j]:
-                v += x[col] if sg > 0 else -x[col]
-            pt.append(v)
+        for off, term in zip(offsets, terms):
+            for col, sg in term:
+                off += x[col] if sg > 0 else -x[col]
+            pt.append(off)
         return tuple(pt)
 
-    def encode_obj(coeffs: Sequence[Fraction]) -> list[Fraction]:
-        out = [ZERO] * ncols
-        for j in range(n):
-            cj = coeffs[j]
-            if cj == 0:
-                continue
-            for col, sg in terms[j]:
-                out[col] += cj if sg > 0 else -cj
-        return out
+    def encode_obj(coeffs: Sequence[Fraction]) -> list[int]:
+        d = math.lcm(*(c.denominator for c in coeffs))
+        cost = [0] * ncols
+        for c, term in zip(coeffs, terms):
+            if c:
+                v = c.numerator * (d // c.denominator)
+                for col, sg in term:
+                    cost[col] = v if sg > 0 else -v
+        return cost
 
-    return rows, rhs, ncols, decode, encode_obj
+    return rows, ncols, decode, encode_obj, zero_cols
 
 
 def _prepare(prog: BoxedLinearProgram):
-    """(phase-1 tableau, ncols, decode, encode_obj) of the closed relaxation
-    in standard form, or None when it is infeasible."""
+    """(phase-1 tableau, ncols, decode, encode_obj, zero_cols) of the closed
+    relaxation in standard form, or None when it is infeasible."""
     std = _to_standard(prog)
     if std is None:
         return None
-    rows, rhs, ncols, decode, encode_obj = std
-    start = _phase1(rows, rhs, ncols)
-    return None if start is None else (start, ncols, decode, encode_obj)
+    rows, ncols, decode, encode_obj, zero_cols = std
+    start = _phase1(rows, ncols)
+    return None if start is None else (start, ncols, decode, encode_obj,
+                                       zero_cols)
 
 
 def _optimize_closed(prog: BoxedLinearProgram, coeffs: Sequence[Fraction],
@@ -335,12 +356,12 @@ def _optimize_closed(prog: BoxedLinearProgram, coeffs: Sequence[Fraction],
     prepared = _prepare(prog)
     if prepared is None:
         return "infeasible", None, None
-    start, ncols, decode, encode_obj = prepared
-    obj = encode_obj(coeffs if maximize else [-c for c in coeffs])
-    status, x = _phase2(start, obj, ncols)
-    if status != "optimal":
-        return status, None, None
-    witness = decode(x)
+    start, ncols, decode, encode_obj, _ = prepared
+    end = _phase2(start, encode_obj(coeffs if maximize
+                                    else [-c for c in coeffs]))
+    if end is None:
+        return "unbounded", None, None
+    witness = decode(_basic_solution(*end, ncols))
     return "optimal", vdot(tuple(coeffs), witness), witness
 
 
@@ -349,7 +370,7 @@ def feasible_point(prog: BoxedLinearProgram) -> Vec | None:
     prepared = _prepare(prog)
     if prepared is None:
         return None
-    start, ncols, decode, _ = prepared
+    start, ncols, decode, _, _ = prepared
     return decode(_basic_solution(*start, ncols))
 
 
@@ -402,26 +423,29 @@ def _bound_sweep(prog: BoxedLinearProgram, bounds: Sequence[tuple[int, str]]):
     infeasible.
 
     One phase 1 prepares the system; each bound then costs at most one
-    warm-started phase 2.  A bound is skipped when a feasible point already
-    known (the phase-1 vertex or an earlier optimum) leaves it.
+    warm-started phase 2, which maximizes the bound's zero column of the
+    standard form: the bound is forced iff that column stays zero.  A known
+    feasible point (the phase-1 vertex or an earlier optimum) is kept as the
+    set of columns with a nonzero basic value, and a bound is skipped when
+    one of them leaves it.
     """
     prepared = _prepare(prog)
     if prepared is None:
         return None
-    start, ncols, decode, encode_obj = prepared
-    known = [decode(_basic_solution(*start, ncols))]
+    start, ncols, _, _, zero_cols = prepared
+    known = [_support(start)]
 
     def forced(j: int, side: str) -> bool:
-        bound = prog.lower[j] if side == "lower" else prog.upper[j]
-        if bound is None or any(x[j] != bound for x in known):
+        col = zero_cols.get((j, side))
+        if col is None or any(col in s for s in known):
             return False
-        obj = [ZERO] * prog.nvars
-        obj[j] = ONE if side == "lower" else -ONE
-        status, x = _phase2(start, encode_obj(obj), ncols)
-        if status != "optimal":
+        cost = [0] * ncols
+        cost[col] = 1
+        end = _phase2(start, cost)
+        if end is None:
             return False
-        known.append(decode(x))
-        return known[-1][j] == bound
+        known.append(_support(end))
+        return col not in known[-1]
 
     return (forced(j, side) for j, side in bounds)
 
@@ -529,6 +553,12 @@ def enumerate_lattice(predicate: Callable[[Vec], bool],
 
 _INTEGRAL_SEARCH_CAP = 64
 
+# Most candidate vectors ``lex_minimal_integral`` may test.  The shells up
+# to sup-norm b hold (2b + 1)^n vectors and each costs a predicate call; the
+# searches of the presets, tests and benchmark jobs stop within 343 (rank 3,
+# sup-norm 3), while a miss at sup-norm 64 in rank 3 would test 129^3.
+INTEGRAL_CANDIDATE_CAP = 10_000
+
 
 def integral_shell(n: int, bound: int):
     """The integral vectors of length n first reached at sup-norm ``bound``,
@@ -557,10 +587,17 @@ def _shell(k: int, full, inner: int):
 def lex_minimal_integral(n: int, ok: Callable[[Vec], bool]) -> Vec:
     """First integral vector of length n, by growing sup-norm then
     lexicographic order, satisfying the predicate; InputError when none has
-    sup-norm up to the search cap or n is 0.  Each candidate is tested once."""
+    sup-norm up to the search cap, when reaching the next shell would take
+    the candidates past ``INTEGRAL_CANDIDATE_CAP``, or when n is 0.  Each
+    candidate is tested once."""
     if n == 0:
         raise InputError("no nonzero vector exists in rank 0")
     for bound in range(1, _INTEGRAL_SEARCH_CAP + 1):
+        count = (2 * bound + 1) ** n
+        if count > INTEGRAL_CANDIDATE_CAP:
+            raise InputError(
+                f"integral search up to sup-norm {bound} tests {count} "
+                f"candidates, above the cap of {INTEGRAL_CANDIDATE_CAP}")
         for v in integral_shell(n, bound):
             if ok(v):
                 return v

@@ -20,7 +20,9 @@ built once per coset, both in integer arithmetic.  Coroots, Levi subdata,
 Weyl dimensions and symmetric-power tables are computed here over `Fraction`
 vectors; the package computes them on int tuples at one common scale.
 The phase-1 and phase-2 references run the simplex over Fraction entries,
-pivot by pivot as the package's integer-row kernel must.
+pivot by pivot as the package's integer-row kernel must, and the
+standard-form reference builds the dense Fraction rows that the package
+builds as integer rows.
 """
 
 from __future__ import annotations
@@ -998,6 +1000,84 @@ def phase2_reference(start, obj, n):
                                   [F(c) for c in obj]) == "unbounded":
         return "unbounded", None
     return "optimal", basic_solution_reference((tab, rhs, basis), n)
+
+
+def to_standard_reference(prog: BoxedLinearProgram):
+    """The dense Fraction standard form that the package now builds as
+    integer rows: (rows, rhs, ncols, decode, encode_obj), or None when a
+    bound pair is contradictory.  A variable with a lower bound l becomes
+    l + y, one with only an upper bound u becomes u - y, a free one
+    y+ - y-; each variable with both bounds adds the row y + s = u - l
+    after the rows of ``prog``."""
+    n = prog.nvars
+    terms = []  # var -> [(col, sign)]
+    offsets = []
+    ncols = 0
+    extra = []  # (col of y, range u - l)
+    for j in range(n):
+        lo, up = prog.lower[j], prog.upper[j]
+        if lo is not None and up is not None:
+            if up < lo:
+                return None
+            terms.append([(ncols, 1)])
+            offsets.append(lo)
+            extra.append((ncols, up - lo))
+            ncols += 1
+        elif lo is not None:
+            terms.append([(ncols, 1)])
+            offsets.append(lo)
+            ncols += 1
+        elif up is not None:
+            terms.append([(ncols, -1)])
+            offsets.append(up)
+            ncols += 1
+        else:
+            terms.append([(ncols, 1), (ncols + 1, -1)])
+            offsets.append(F(0))
+            ncols += 2
+    slack0 = ncols
+    ncols += len(extra)
+    rows = []
+    rhs = []
+    for row, b in zip(prog.eq_rows, prog.eq_rhs):
+        out = [F(0)] * ncols
+        shift = F(0)
+        for j in range(n):
+            cj = row[j]
+            if cj == 0:
+                continue
+            shift += cj * offsets[j]
+            for col, sg in terms[j]:
+                out[col] += cj if sg > 0 else -cj
+        rows.append(out)
+        rhs.append(b - shift)
+    for k, (ycol, width) in enumerate(extra):
+        out = [F(0)] * ncols
+        out[ycol] = F(1)
+        out[slack0 + k] = F(1)
+        rows.append(out)
+        rhs.append(width)
+
+    def decode(x):
+        pt = []
+        for j in range(n):
+            v = offsets[j]
+            for col, sg in terms[j]:
+                v += x[col] if sg > 0 else -x[col]
+            pt.append(v)
+        return tuple(pt)
+
+    def encode_obj(coeffs):
+        out = [F(0)] * ncols
+        for j in range(n):
+            cj = coeffs[j]
+            if cj == 0:
+                continue
+            for col, sg in terms[j]:
+                out[col] += cj if sg > 0 else -cj
+        return out
+
+    return rows, rhs, ncols, decode, encode_obj
 
 
 # ---------------------------------------------------------------------------

@@ -244,6 +244,20 @@ class TestCliProcess:
         assert time.perf_counter() - start < 1
         assert "holds 361201 points" in capsys.readouterr().err
 
+    def test_destabilizer_search_past_the_cap_exits_two_fast(self, tmp_path,
+                                                             capsys):
+        # no torus-stable point, and the only destabilizing direction is
+        # -(65, 1, 0), past the sup-norm the integral search scans
+        cfg = {"group": "Torus(3)", "representation": [{"kind": "weights", "weights": [
+            {"weight": [1, -65, 0]}, {"weight": [-1, 65, 0]},
+            {"weight": [0, 1, 0]}, {"weight": [0, 0, 1]},
+            {"weight": [0, 0, -1]}]}]}
+        cfgp = write_config(tmp_path, cfg)
+        start = time.perf_counter()
+        assert main(["analyze", "--config", cfgp]) == 2
+        assert time.perf_counter() - start < 1
+        assert "candidates, above the cap" in capsys.readouterr().err
+
     def test_huge_degree_bound_exits_two_fast(self, tmp_path, capsys):
         cfgp = write_config(tmp_path, dict(PFAFFIAN_CFG, degree_bound=10 ** 9))
         start = time.perf_counter()

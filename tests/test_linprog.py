@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction as F
 
@@ -9,9 +10,13 @@ from oracles import (basic_solution_reference, forced_tight_reference,
                      lp_optimize_reference, phase1_reference,
                      phase2_reference, random_bounded_program,
                      random_mixed_program, strict_point_reference,
-                     vertex_forced, vertex_optimize, with_random_open_flags)
-from sodlab.linprog import (LATTICE_BOX_CAP, BoxedLinearProgram,
-                            InputError, LpBuilder, _basic_solution, _phase1,
+                     to_standard_reference, vertex_forced, vertex_optimize,
+                     with_random_open_flags)
+from sodlab import linprog
+from sodlab.linalg import int_row
+from sodlab.linprog import (INTEGRAL_CANDIDATE_CAP, LATTICE_BOX_CAP,
+                            BoxedLinearProgram, InputError, LpBuilder,
+                            _basic_solution, _phase1,
                             _phase2, _to_standard, enumerate_lattice,
                             feasible_point, forced_tight,
                             lex_minimal_integral, lp_optimize,
@@ -281,12 +286,21 @@ class TestRandomizedAgainstOracles:
         assert outcomes == {False, True}
 
 
+def phase2_outcome(start, obj, n):
+    """(status, optimal x or None) of the integer kernel's phase 2, for
+    comparison with ``phase2_reference``."""
+    end = _phase2(start, int_row(obj)[0])
+    return ("unbounded", None) if end is None else \
+        ("optimal", _basic_solution(*end, n))
+
+
 def kernels_agree(rows, rhs, n, objectives):
     """Run the integer-row kernel and the Fraction reference on rows x = rhs,
     x >= 0 and assert the same phase-1 outcome, basis, tableau and vertex,
-    and the same phase-2 result for every objective.  Returns the statuses
-    seen."""
-    got = _phase1(rows, rhs, n)
+    and the same phase-2 result for every objective.  The kernel gets the
+    rows as ``int_row`` makes them.  Returns the statuses seen."""
+    got = _phase1([int_row(tuple(row) + (b,)) for row, b in zip(rows, rhs)],
+                  n)
     ref = phase1_reference(rows, rhs, n)
     assert (got is None) == (ref is None)
     if ref is None:
@@ -300,7 +314,7 @@ def kernels_agree(rows, rhs, n, objectives):
     frozen = ([list(row) for row in tab], list(den), list(basis))
     statuses = set()
     for obj in objectives:
-        result = _phase2(got, obj, n)
+        result = phase2_outcome(got, obj, n)
         assert result == phase2_reference(ref, obj, n)
         statuses.add(result[0])
     assert got == frozen  # phase 2 works on a copy of its start
@@ -364,7 +378,7 @@ class TestIntegerKernelAgainstFractionReference:
     def test_random_programs_in_standard_form(self, rng, mixed):
         prog = (random_mixed_program(rng) if mixed
                 else random_bounded_program(rng))
-        std = _to_standard(prog)
+        std = to_standard_reference(prog)
         if std is None:
             return
         rows, rhs, ncols, _, encode_obj = std
@@ -377,11 +391,131 @@ class TestIntegerKernelAgainstFractionReference:
         rng = random.Random(808)
         for _ in range(100):
             prog = random_mixed_program(rng)
-            std = _to_standard(prog)
+            std = to_standard_reference(prog)
             ref = None if std is None else phase1_reference(*std[:3])
             expect = None if ref is None else std[3](
                 basic_solution_reference(ref, std[2]))
             assert feasible_point(prog) == expect
+
+
+bound_value = st.builds(F, st.integers(-6, 6), st.sampled_from((1, 2, 3, 4)))
+KINDS = ("free", "lower", "upper", "pinned", "box")
+
+
+@st.composite
+def bounded_programs(draw, pinned=False):
+    """Programs over every kind of variable (free, lower-only, upper-only,
+    pinned with lower == upper, boxed) with rational bounds, sometimes a
+    contradictory pair (upper < lower) and sometimes an all-zero row;
+    ``pinned`` asks for at least one pinned variable and random open flags
+    on the finite bounds."""
+    n = draw(st.integers(1, 5))
+    kinds = draw(st.lists(st.sampled_from(KINDS), min_size=n, max_size=n))
+    if pinned:
+        kinds[draw(st.integers(0, n - 1))] = "pinned"
+    lower, upper = [], []
+    for kind in kinds:
+        lo = draw(bound_value)
+        width = draw(bound_value.map(abs))
+        lower.append(None if kind in ("free", "upper") else lo)
+        upper.append(None if kind in ("free", "lower") else
+                     lo if kind == "pinned" else lo + width)
+    if not pinned and draw(st.integers(0, 4)) == 0:
+        j = draw(st.integers(0, n - 1))
+        lower[j], upper[j] = F(1, 2), F(-1, 3)  # contradictory
+    rows = [tuple(draw(st.lists(entry, min_size=n, max_size=n)))
+            for _ in range(draw(st.integers(0, 3)))]
+    if draw(st.booleans()):
+        rows.insert(draw(st.integers(0, len(rows))), (F(0),) * n)
+    rhs = tuple(draw(entry) for _ in rows)
+
+    def flags(bounds):
+        return tuple(b is not None and pinned and draw(st.booleans())
+                     for b in bounds)
+
+    return BoxedLinearProgram(tuple(rows), rhs, tuple(lower), tuple(upper),
+                              flags(lower), flags(upper))
+
+
+def standard_forms_agree(prog, values):
+    """Assert that ``_to_standard`` builds the ``int_row`` form of each
+    reference row, decodes and encodes as the reference does, and names for
+    each finite bound the column that measures the distance to it."""
+    got = _to_standard(prog)
+    ref = to_standard_reference(prog)
+    assert (got is None) == (ref is None)
+    if ref is None:
+        return
+    rows, ncols, decode, encode_obj, zero_cols = got
+    ref_rows, ref_rhs, ref_ncols, ref_decode, ref_encode = ref
+    assert ncols == ref_ncols
+    assert rows == [int_row(tuple(row) + (b,))
+                    for row, b in zip(ref_rows, ref_rhs)]
+    assert [[F(x, d) for x in ints] for ints, d in rows] == \
+        [list(row) + [b] for row, b in zip(ref_rows, ref_rhs)]
+    # a standard-form point on every width row y + s = u - l
+    x = [F(values[k % len(values)]) for k in range(ncols)]
+    m = len(prog.eq_rows)
+    for row, width in zip(ref_rows[m:], ref_rhs[m:]):
+        y, s = [k for k, a in enumerate(row) if a]
+        x[s] = width - x[y]
+    point = decode(x)
+    assert point == ref_decode(x)
+    obj = [F(values[j % len(values)], j + 1) for j in range(prog.nvars)]
+    assert encode_obj(obj) == int_row(ref_encode(obj))[0]
+    finite = {(j, side) for j in range(prog.nvars)
+              for side, b in (("lower", prog.lower[j]),
+                              ("upper", prog.upper[j])) if b is not None}
+    assert set(zero_cols) == finite
+    for j, side in finite:
+        gap = (point[j] - prog.lower[j] if side == "lower"
+               else prog.upper[j] - point[j])
+        assert x[zero_cols[j, side]] == gap
+
+
+class TestStandardFormAgainstReference:
+    @settings(max_examples=300, deadline=None)
+    @given(bounded_programs(),
+           st.lists(st.integers(-2, 3), min_size=1, max_size=4))
+    def test_rows_match_reference(self, prog, values):
+        standard_forms_agree(prog, values)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.randoms(use_true_random=False), st.booleans(),
+           st.lists(st.integers(-2, 3), min_size=1, max_size=4))
+    def test_random_programs_match_reference(self, rng, mixed, values):
+        standard_forms_agree(random_mixed_program(rng) if mixed
+                             else random_bounded_program(rng), values)
+
+    def test_named_shapes(self):
+        # x0 free, x1 in [1/2, 5/2], x2 >= -1/3, x3 <= 2, x4 pinned at 3/2,
+        # then an all-zero row
+        half, third = F(1, 2), F(1, 3)
+        prog = BoxedLinearProgram(
+            ((F(1), F(2), F(3), F(-1), F(1, 2)), (F(0),) * 5),
+            (F(1), F(0)), (None, half, -third, None, 3 * half),
+            (None, 5 * half, None, F(2), 3 * half),
+            (False,) * 5, (False,) * 5)
+        rows, ncols, _, _, zero_cols = _to_standard(prog)
+        # columns: x0+, x0-, y1, y2, y3, y4, then the slacks of x1 and x4;
+        # rhs 1 - 2(1/2) - 3(-1/3) + 2 - (1/2)(3/2) = 9/4
+        assert ncols == 8
+        assert rows == [([4, -4, 8, 12, 4, 2, 0, 0, 9], 4),
+                        ([0] * 9, 1),
+                        ([0, 0, 1, 0, 0, 0, 1, 0, 2], 1),
+                        ([0, 0, 0, 0, 0, 1, 0, 1, 0], 1)]
+        assert zero_cols == {(1, "lower"): 2, (1, "upper"): 6,
+                             (2, "lower"): 3, (3, "upper"): 4,
+                             (4, "lower"): 5, (4, "upper"): 7}
+        assert _to_standard(dataclasses.replace(
+            prog, upper=(None, F(0), None, F(2), 3 * half))) is None
+
+    @settings(max_examples=200, deadline=None)
+    @given(bounded_programs(pinned=True))
+    def test_sweeps_with_pinned_columns_match_references(self, prog):
+        assert forced_tight(prog) == forced_tight_reference(prog)
+        assert strict_feasible(prog) == \
+            (strict_point_reference(prog) is not None)
 
 
 class TestLexMinimalIntegral:
@@ -414,3 +548,26 @@ class TestLexMinimalIntegral:
     def test_rank_zero_raises(self):
         with pytest.raises(InputError):
             lex_minimal_integral(0, lambda v: True)
+
+    def test_candidate_cap_stops_a_miss(self):
+        # rank 3: the shells up to sup-norm b hold (2b + 1)^3 vectors
+        b = 1
+        while (2 * b + 3) ** 3 <= INTEGRAL_CANDIDATE_CAP:
+            b += 1
+        tested = []
+        with pytest.raises(InputError, match="above the cap"):
+            lex_minimal_integral(3, lambda v: tested.append(v))
+        assert len(tested) == (2 * b + 1) ** 3 <= INTEGRAL_CANDIDATE_CAP
+        last = (F(b),) * 3  # the last candidate of shell b
+        assert lex_minimal_integral(3, lambda v: v == last) == last
+
+    def test_candidate_cap_just_past_its_value(self, monkeypatch):
+        # the shells up to sup-norm 4 hold 9^2 = 81 vectors in rank 2
+        last = (F(4), F(4))
+        monkeypatch.setattr(linprog, "INTEGRAL_CANDIDATE_CAP", 81)
+        assert lex_minimal_integral(2, lambda v: v == last) == last
+        monkeypatch.setattr(linprog, "INTEGRAL_CANDIDATE_CAP", 80)
+        tested = []
+        with pytest.raises(InputError, match="81 candidates"):
+            lex_minimal_integral(2, lambda v: tested.append(v) or v == last)
+        assert len(tested) == 7 ** 2

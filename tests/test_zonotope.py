@@ -178,6 +178,24 @@ class TestFaceSignature:
                 prog = b.build()
                 assert forced_tight(prog) == forced_tight_reference(prog)
 
+    @pytest.mark.parametrize("p, calls", [
+        (vec([2, 1]), {"lp_optimize": 1, "forced_tight": 1}),
+        (vec([0, 0]), {"lp_optimize": 1, "forced_tight": 0}),
+    ])
+    def test_solver_calls_by_name(self, monkeypatch, p, calls):
+        # the benchmark's layer tracer wraps these module-level names and
+        # expects them on the faces workload: one radius LP per point, then
+        # one forced-tightness sweep unless the point is the shift (r = 0)
+        seen = dict.fromkeys(calls, 0)
+        for name in calls:
+            def counted(*args, _name=name, _real=getattr(zonotope, name)):
+                seen[_name] += 1
+                return _real(*args)
+            monkeypatch.setattr(zonotope, name, counted)
+        sig = face_signature_at(G22, vec([0, 0]), p)
+        assert sig.trivial == (sig.r == 0) == (p == vec([0, 0]))
+        assert seen == calls
+
 
 class TestSupportingLambda:
     def test_rank_two(self):
