@@ -8,10 +8,12 @@ Levi-invariant shift of its window, and a total order key.
 
 Every window of the package is enumerated by ``window_points``: the
 Levi-dominant lattice points of a shift plus r times one variant of the
-zonotope of the lam-neutral weights (``neutral_weights``), modulo the SL
-directions, in a twist coset.  The cells, the tail component and the NCCR
+zonotope of the lam-neutral weights (``reps.coinvariant_rep``), modulo the
+SL directions, in a twist coset.  The cells, the tail component and the NCCR
 window and boundary differ only in the membership predicate they pass.  With
 no lam-neutral weight a window is the shift point modulo the SL directions.
+Each cell keeps the Levi datum it was built with; its window and component
+reuse it.
 """
 
 from __future__ import annotations
@@ -23,8 +25,8 @@ from functools import partial
 
 from .linalg import Vec, ZERO, ONE, vadd, vscale, vsub, vec, zero_vec
 from .linprog import InputError, check_box_size, enumerate_lattice
-from .reps import (RepSpec, find_destabilizer, has_t_stable_point,
-                   weight_signs)
+from .reps import (RepSpec, coinvariant_rep, find_destabilizer,
+                   has_t_stable_point, weight_signs)
 from .rootdata import (LeviDatum, RootDatum, full_levi, is_dominant, levi,
                        pairing, star_dominate)
 from .zonotope import (REL_INT, FaceSignature, ZonotopeQuery,
@@ -96,6 +98,7 @@ def order_key(sig: FaceSignature):
 class PartitionCell:
     signature: FaceSignature
     lam: Vec
+    levi: LeviDatum
     key: tuple
     nu_levi: Vec
     chi_p: Vec
@@ -112,7 +115,7 @@ def build_cell(rep: RepSpec, sig: FaceSignature, profile: ShiftProfile,
     lv = levi(datum, lam)
     nu_levi = vadd(vadd(vsub(profile.nu_global, datum.rho_bar),
                         lv.rho_bar_lambda), chi_p)
-    return PartitionCell(sig, lam, order_key(sig), nu_levi, chi_p,
+    return PartitionCell(sig, lam, lv, order_key(sig), nu_levi, chi_p,
                          tuple(members))
 
 
@@ -133,12 +136,6 @@ def window_box(datum: RootDatum, generators, r, shift):
             for k in range(datum.rank)]
 
 
-def neutral_weights(rep: RepSpec, lam: Vec) -> tuple[Vec, ...]:
-    """The lam-neutral weights with multiplicity: the generators of every
-    window at lam."""
-    return tuple(rep.expanded[i] for i in weight_signs(rep, lam).t_zero)
-
-
 def window_points(datum: RootDatum, lv: LeviDatum, gens, r, shift, inside,
                   twist=None) -> list[Vec]:
     """The lattice points of a window, in lexicographic order: the points of
@@ -157,13 +154,12 @@ def cell_members(rep: RepSpec, cell: PartitionCell, profile: ShiftProfile,
     nu_levi - rho_bar_lambda + r * (open-coefficient zonotope of the
     lam-neutral weights).  This is the full cell, independent of any box.
     The trivial cell (r = 0) is the shift point, the set of no generators."""
-    datum = rep.datum
-    lv = levi(datum, cell.lam)
+    datum, lv = rep.datum, cell.levi
     shift = vsub(cell.nu_levi, lv.rho_bar_lambda)
     if cell.signature.trivial:
         gens, r = (), ONE
     else:
-        gens, r = neutral_weights(rep, cell.lam), cell.signature.r
+        gens, r = coinvariant_rep(rep, cell.lam).expanded, cell.signature.r
     query = ZonotopeQuery(gens, r, shift, REL_INT, datum.central_directions)
     return window_points(datum, lv, gens, r, shift, partial(member, query),
                          twist)

@@ -16,12 +16,12 @@ from .linalg import Vec, frac, is_integral, vec
 from .linprog import InputError
 from .characters import hom_block_dims
 from .partition import (HALF_OPEN_MODE, STANDARD, PreconditionError,
-                        make_profile, neutral_weights, partition_region)
+                        make_profile, partition_region)
 from .reps import (TwistData, construct_rep, find_destabilizer,
                    has_t_stable_point, is_quasi_symmetric)
-from .rootdata import build_group, full_levi, invariant_subspace, levi
+from .rootdata import build_group, full_levi, invariant_subspace
 from .sod import (NccrCertificate, Preset, SodComponent, certify_nccr,
-                  enumerate_sod, pick_epsilon)
+                  enumerate_sod)
 
 TOOL_NAME = "sodlab"
 
@@ -254,7 +254,7 @@ def _component_json(c: SodComponent) -> dict:
         "is_d0": c.is_d0,
         "signature": _signature_json(c.signature),
         "lambda": weight_json(c.lam),
-        "levi": c.levi_label,
+        "levi": c.levi.label(),
         "nu": vector_json(c.nu),
         "window_kind": {"kind": kind,
                         "r" if kind == "rel_int_scaled" else "epsilon":
@@ -364,16 +364,10 @@ def run_job(subcommand: str, cfg: JobConfig) -> dict:
     if subcommand == "nccr":
         certs = []
         for comp in result.components:
-            lv = levi(datum, comp.lam)
-            gens = neutral_weights(rep, comp.lam)
-            if comp.window_kind[0] == "half_size_eps":
-                eps = comp.window_kind[1]
-            elif comp.is_d0 and cfg.epsilon is not None:
-                eps = cfg.epsilon
-            else:
-                eps = pick_epsilon(rep, lv, gens)
+            # the tail keeps the SOD epsilon, the others take their default
             cert = certify_nccr(
-                rep, comp.lam, comp.nu, eps, twist=cfg.twist,
+                rep, comp.lam, comp.nu,
+                result.epsilon if comp.is_d0 else None, twist=cfg.twist,
                 genericity_assertion=cfg.genericity_assertion,
                 prazno_mode=cfg.prazno_mode)
             certs.append({"component_index": comp.index,

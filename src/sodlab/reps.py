@@ -173,10 +173,13 @@ def is_quasi_symmetric(rep: RepSpec) -> bool:
 
 def coinvariant_rep(rep: RepSpec, lam: Vec) -> RepSpec:
     """Restriction of the weight multiset to the lam-neutral weights (the
-    coinvariants for the one-parameter action, as a Levi representation)."""
-    kept = [(w, m) for w, m in rep.weights if pairing(lam, w) == 0]
-    return RepSpec(rep.datum, tuple(kept),
-                   tuple(w for w in rep.expanded if pairing(lam, w) == 0))
+    coinvariants for the one-parameter action, as a Levi representation),
+    read off ``weight_signs``; its expanded list generates every window."""
+    expanded = tuple(rep.expanded[i] for i in weight_signs(rep, lam).t_zero)
+    neutral = set(expanded)
+    return RepSpec(rep.datum,
+                   tuple((w, m) for w, m in rep.weights if w in neutral),
+                   expanded)
 
 
 # ---------------------------------------------------------------------------

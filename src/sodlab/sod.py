@@ -22,7 +22,7 @@ from .linprog import InputError, integral_shell
 from .characters import weyl_dim
 from .partition import (HALF_OPEN_MODE, STANDARD, PartitionCell,
                         PreconditionError, ShiftProfile, cell_members,
-                        neutral_weights, partition_region, window_points)
+                        partition_region, window_points)
 from .reps import (RepSpec, TwistData, coinvariant_rep, construct_rep,
                    is_quasi_symmetric, rep_spec)
 from .rootdata import LeviDatum, RootDatum, build_group, full_levi, levi, \
@@ -37,7 +37,7 @@ class SodComponent:
     index: int
     signature: FaceSignature
     lam: Vec
-    levi_label: str
+    levi: LeviDatum
     nu: Vec
     window_kind: tuple  # ("rel_int_scaled", r) or ("half_size_eps", eps)
     window: tuple[Vec, ...]
@@ -61,12 +61,8 @@ class SodResult:
 def pick_epsilon(rep: RepSpec, lv: LeviDatum, generators) -> Vec:
     """Default epsilon: zero when no invariant direction is parallel to the
     window zonotope, else the sum of a basis of the parallel invariants."""
-    central = rep.datum.central_directions
-    inv = invariants_in_span(lv, generators, central)
-    if not inv:
-        return zero_vec(rep.datum.rank)
     total = zero_vec(rep.datum.rank)
-    for v in inv:
+    for v in invariants_in_span(lv, generators, rep.datum.central_directions):
         total = vadd(total, v)
     return total
 
@@ -80,13 +76,13 @@ def _component(rep: RepSpec, index: int, sig: FaceSignature, lv: LeviDatum,
         raise InputError("window shift is not Levi-invariant")
     window = tuple(window)
     summands = tuple((mu, weyl_dim(datum, mu, lv)) for mu in window)
-    label = lv.label()
     space = "W" if sig.trivial else "W_λ"
     return SodComponent(
-        index=index, signature=sig, lam=lv.lam, levi_label=label, nu=nu,
+        index=index, signature=sig, lam=lv.lam, levi=lv, nu=nu,
         window_kind=kind, window=window, u_summands=summands,
         coinvariants=coinvariant_rep(rep, lv.lam),
-        algebra=f"(End(U) ⊗ Sym {space})^{{{label}}}", is_d0=sig.trivial)
+        algebra=f"(End(U) ⊗ Sym {space})^{{{lv.label()}}}",
+        is_d0=sig.trivial)
 
 
 def _half_eps_window(rep: RepSpec, lv: LeviDatum, gens, shift, e: EpsShift,
@@ -147,9 +143,8 @@ def enumerate_sod(rep: RepSpec, profile: ShiftProfile,
             kept.append(cell)
     kept.sort(key=lambda c: c.key, reverse=True)
     components = [
-        _component(rep, -(len(kept) - i), cell.signature,
-                   levi(datum, cell.lam), cell.nu_levi,
-                   ("rel_int_scaled", cell.signature.r),
+        _component(rep, -(len(kept) - i), cell.signature, cell.levi,
+                   cell.nu_levi, ("rel_int_scaled", cell.signature.r),
                    cell_members(rep, cell, profile, twist=twist))
         for i, cell in enumerate(kept)]
     components.append(_tail_component(rep, lv0, profile, eps, twist=twist))
@@ -194,7 +189,7 @@ def _toric_two_per_side(coinv: RepSpec) -> bool:
     return all(pos >= 2 and neg >= 2 for pos, neg in sides.values())
 
 
-def certify_nccr(rep: RepSpec, lam: Vec, nu: Vec, eps: Vec,
+def certify_nccr(rep: RepSpec, lam: Vec, nu: Vec, eps: Vec | None = None,
                  twist: TwistData | None = None,
                  genericity_assertion: bool | None = None,
                  prazno_mode: str = "set") -> NccrCertificate:
@@ -204,7 +199,9 @@ def certify_nccr(rep: RepSpec, lam: Vec, nu: Vec, eps: Vec,
     epsilon for the neutral zonotope, nonemptiness of the half-size epsilon
     window, and emptiness of the shifted boundary window; the genericity of
     the neutral representation is decided by the toric rule when the Levi has
-    no roots and is otherwise taken from the caller's assertion.
+    no roots and is otherwise taken from the caller's assertion.  With
+    ``eps`` None the default epsilon of the neutral zonotope is used
+    (``pick_epsilon`` at the Levi of lam).
 
     The "set" boundary window holds the points of the plus-minus epsilon
     window that are not in the half-open one.  The "minkowski" one holds the
@@ -218,14 +215,15 @@ def certify_nccr(rep: RepSpec, lam: Vec, nu: Vec, eps: Vec,
     datum = rep.datum
     lam = vec(lam)
     nu = vec(nu)
-    eps = vec(eps)
     lv = levi(datum, lam)
+    coinv = coinvariant_rep(rep, lam)
+    gens = coinv.expanded
+    eps = pick_epsilon(rep, lv, gens) if eps is None else vec(eps)
     if not lv.is_invariant(nu):
         raise InputError("nu is not invariant under the Levi Weyl group")
     if not lv.is_invariant(eps):
         raise InputError("epsilon is not invariant under the Levi Weyl group")
     central = datum.central_directions
-    gens = neutral_weights(rep, lam)
     if not in_span(list(gens) + list(central), eps):
         raise InputError("epsilon is not parallel to the neutral zonotope")
     quasi = is_quasi_symmetric(rep)
@@ -252,9 +250,7 @@ def certify_nccr(rep: RepSpec, lam: Vec, nu: Vec, eps: Vec,
             datum, lv, (), half, shift, partial(member, at_shift), twist))
     prazno_empty = not prazno_points
 
-    coinv = coinvariant_rep(rep, lam)
-    if not lv.phi_lambda_plus and not any(
-            pairing(lam, a) == 0 for a in datum.roots):
+    if not lv.phi_lambda:
         genericity = "CheckedToricRule" if _toric_two_per_side(coinv) else "Unknown"
     elif genericity_assertion:
         genericity = "UserAsserted"

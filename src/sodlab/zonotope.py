@@ -12,17 +12,18 @@ For SL blocks the ambient coordinates carry redundant directions; those are
 passed as ``central`` vectors and enter every membership system as free
 variables, so all sets are effectively computed in the character quotient.
 
-Epsilon-shifted membership reads no LP.  A facet table is built once per
-(generators, central, ambient dimension) and kept in a process memo: an
-annihilator basis of span(generators + central) plus both signed normals
-of every hyperplane flat with their support values, all normals primitive
-integer vectors.  ``member_eps`` builds one integer predicate per window
-from it, and that predicate decides each lattice point with integer
-arithmetic on those pairings.  Membership in
-the half-open and relative-interior variants (``member``), the minimal
-radius and the face signature still solve LPs over the coefficient system;
-with no generators every variant is shift + span(central), and ``member``
-decides it by span arithmetic.
+Epsilon-shifted membership and genericity read no LP.  A facet table is
+built once per (generators, central, ambient dimension) and kept in a
+process memo: the proper flats of the generator lines (the only place they
+are enumerated; genericity reads them from the table), an annihilator basis
+of span(generators + central) plus both signed normals of every hyperplane
+flat with their support values, all normals primitive integer vectors.
+``member_eps`` builds one integer predicate per window from it, and that
+predicate decides each lattice point with integer arithmetic on those
+pairings.  Membership in the half-open and relative-interior variants
+(``member``), the minimal radius and the face signature still solve LPs
+over the coefficient system; with no generators every variant is shift +
+span(central), and ``member`` decides it by span arithmetic.
 """
 
 from __future__ import annotations
@@ -263,10 +264,14 @@ class FacetTable:
     """Z + span(central) by its facets within V: ``annihilator`` spans the
     functionals vanishing on V, ``facets`` holds one (lam, h(lam)) pair per
     facet (both signs of every hyperplane-flat normal).  The annihilator
-    rows and the normals lam are primitive integer vectors (int tuples)."""
+    rows and the normals lam are primitive integer vectors (int tuples).
+    ``flats`` holds each proper flat of the distinct nonzero generator
+    ``lines`` once, as a set of indices into ``lines``."""
 
     annihilator: tuple[tuple[int, ...], ...]
     facets: tuple[tuple[tuple[int, ...], Fraction], ...]
+    lines: tuple[Vec, ...]
+    flats: tuple[frozenset, ...]
 
 
 _FACET_TABLES: dict[tuple, FacetTable] = {}
@@ -289,18 +294,23 @@ def _int_primitive(v: Vec) -> tuple[int, ...]:
 def _build_facet_table(generators, central, dim) -> FacetTable:
     gens = [vec(g) for g in generators]
     central = [vec(c) for c in central]
+    classes = [(v, len(idx)) for v, idx in _classes(gens)]
     span = span_basis(gens + central, dim)
+    lines = _lines(gens)
+    flats = _proper_flats(lines, central, dim)
     facets = []
-    for _, base in _proper_flats(_lines(gens), central, dim):
+    for _, base in flats:
         if len(base) != len(span) - 1:
             continue
         lam = _int_primitive(next(n for n in nullspace(base, dim)
                                   if any(vdot(n, v) for v in span)))
         for normal in (lam, vneg(lam)):
-            h = sum((max(ZERO, -vdot(normal, g)) for g in gens), ZERO)
+            h = sum((m * max(0, -sum(map(mul, normal, v)))
+                     for v, m in classes), ZERO)
             facets.append((normal, h))
     return FacetTable(tuple(map(_int_primitive, nullspace(span, dim))),
-                      tuple(facets))
+                      tuple(facets), tuple(lines),
+                      tuple(flat for flat, _ in flats))
 
 
 def _scaled_row(lam: tuple[int, ...], bound: Fraction):
@@ -398,29 +408,31 @@ def realizable_face_patterns(generators, central: Central = ()):
     """Direction generators of the proper faces of the closed zonotope.
 
     Returns one generator list per proper flat of the distinct nonzero
-    generator lines modulo ``central``, each flat once: the generators on the
-    flat's lines followed by every zero generator (zero generators lie in
-    every face direction space).
+    generator lines modulo ``central``, each flat once, in the order of the
+    facet table: the generators on the flat's lines followed by every zero
+    generator (zero generators lie in every face direction space).
     """
     gens = [vec(g) for g in generators]
-    lines = _lines(gens)
-    line_of = [None if is_zero_vec(g) else lines.index(primitive(g))
+    if not gens:
+        return []
+    table = facet_table(gens, central, len(gens[0]))
+    line_of = [None if is_zero_vec(g) else table.lines.index(primitive(g))
                for g in gens]
     zeros = [g for g, li in zip(gens, line_of) if li is None]
-    dim = len(gens[0]) if gens else 0
     return [[g for g, li in zip(gens, line_of) if li in flat] + zeros
-            for flat, _ in _proper_flats(lines, central, dim)]
+            for flat in table.flats]
 
 
-def _weyl_source(source: RootDatum | LeviDatum) -> LeviDatum:
-    return full_levi(source) if isinstance(source, RootDatum) else source
-
-
-def _eps_preconditions(eps: Vec, source: LeviDatum, generators, central):
-    if not source.is_invariant(eps):
+def _eps_preconditions(eps: Vec, source: RootDatum | LeviDatum, generators,
+                       central) -> LeviDatum:
+    """The Levi of ``source`` (the full one for a root datum), once eps is
+    checked invariant under it and parallel to the zonotope."""
+    src = full_levi(source) if isinstance(source, RootDatum) else source
+    if not src.is_invariant(eps):
         raise InputError("epsilon is not Weyl-invariant")
     if not in_span(list(generators) + list(central), eps):
         raise InputError("epsilon is not parallel to the zonotope")
+    return src
 
 
 def is_weakly_generic(eps, source: RootDatum | LeviDatum, generators,
@@ -428,8 +440,7 @@ def is_weakly_generic(eps, source: RootDatum | LeviDatum, generators,
     """Whether eps avoids every face direction space that fails to contain
     the whole invariant subspace (within the span of the zonotope)."""
     eps = vec(eps)
-    src = _weyl_source(source)
-    _eps_preconditions(eps, src, generators, central)
+    src = _eps_preconditions(eps, source, generators, central)
     inv = invariants_in_span(src, generators, central)
     if not inv:
         return True  # every face direction space trivially qualifies
@@ -445,8 +456,7 @@ def is_generic(eps, source: RootDatum | LeviDatum, generators,
     """Whether eps is parallel to the zonotope but to none of its proper
     faces."""
     eps = vec(eps)
-    src = _weyl_source(source)
-    _eps_preconditions(eps, src, generators, central)
+    _eps_preconditions(eps, source, generators, central)
     for zero_gens in realizable_face_patterns(generators, central):
         if in_span(zero_gens + list(central), eps):
             return False

@@ -1,14 +1,17 @@
 import json
 import random
+import sys
 from fractions import Fraction as F
 
 import pytest
 
 from oracles import random_generators, zonotope_vertices_reference
+from sodlab import partition, report, rootdata, sod, zonotope
 from sodlab.cli import main
 from sodlab.linalg import vadd, vec, vscale, vsub
 from sodlab.linprog import InputError, enumerate_lattice
 from sodlab.partition import PreconditionError, make_profile, window_box
+from sodlab.report import build_objects, preset_config, run_job
 from sodlab.reps import rep_spec
 from sodlab.rootdata import build_group, is_dominant, levi
 from sodlab.sod import (certify_nccr, enumerate_sod, preset,
@@ -173,6 +176,46 @@ class TestCertify:
         assert bare
         for comp in bare:
             assert certs[comp["index"]]["window"] == comp["window"] != []
+
+
+def _logging(log, fn):
+    """fn, appending the name of each caller's function to log."""
+    def wrapper(*args, **kwargs):
+        log.append(sys._getframe(1).f_code.co_name)
+        return fn(*args, **kwargs)
+    return wrapper
+
+
+class TestLambdaDataOnce:
+    def test_nccr_job_builds_levi_and_flats_once(self, monkeypatch):
+        """One nccr job enumerates the proper flats once per facet table
+        built, and neither the windows, the components nor the report
+        rebuild a component's Levi: each component carries the one its cell
+        was built with."""
+        cfg = preset_config(preset("determinantal", n=2, h=3))
+        monkeypatch.setattr(zonotope, "_FACET_TABLES", {})
+        builds, flats, levi_callers = [], [], []
+        monkeypatch.setattr(zonotope, "_build_facet_table",
+                            _logging(builds, zonotope._build_facet_table))
+        monkeypatch.setattr(zonotope, "_proper_flats",
+                            _logging(flats, zonotope._proper_flats))
+        original = rootdata.levi
+        for mod in (rootdata, partition, sod, report):
+            if hasattr(mod, "levi"):
+                monkeypatch.setattr(mod, "levi",
+                                    _logging(levi_callers, original))
+        doc = run_job("nccr", cfg)
+        assert doc["nccr"] and builds
+        assert len(flats) == len(builds)
+        assert "build_cell" in levi_callers
+        assert not {"cell_members", "_component", "run_job"} & set(levi_callers)
+
+        datum, rep, profile = build_objects(cfg)
+        result = enumerate_sod(rep, profile, r_max=cfg.r_max,
+                               box_radius=cfg.box_radius, epsilon=cfg.epsilon)
+        assert len(result.components) > 1
+        for comp in result.components:
+            assert comp.levi == original(datum, comp.lam)
 
 
 class TestPresets:

@@ -9,14 +9,15 @@ from oracles import (forced_tight_reference, member_eps_facet_reference,
                      member_eps_reference, member_eps_strict_reference,
                      random_generators, realizable_face_patterns_reference)
 from sodlab import zonotope
-from sodlab.linalg import span_basis, vadd, vec, vscale
+from sodlab.linalg import span_basis, vadd, vdot, vec, vscale
 from sodlab.linprog import (InputError, feasible_point, forced_tight,
                             strict_feasible)
 from sodlab.reps import construct_rep, rep_spec, weight_signs
 from sodlab.rootdata import build_group, full_levi
 from sodlab.zonotope import (CLOSED, HALF_OPEN, REL_INT, EpsShift,
                              ZonotopeQuery, _coefficient_program,
-                             face_signature_at, invariants_in_span,
+                             face_signature_at, facet_table,
+                             invariants_in_span,
                              is_generic, is_weakly_generic, member,
                              member_eps, min_radius,
                              realizable_face_patterns, supporting_lambda)
@@ -508,3 +509,21 @@ class TestFlats:
                 cases += len(got)
         assert seen == {"Generic", "WeaklyGeneric", "Fails"}
         assert cases > 300
+
+    @settings(derandomize=True, database=None, max_examples=150,
+              deadline=None)
+    @given(st.sampled_from(FLAT_GROUPS), st.integers(0, 2 ** 32))
+    def test_generic_iff_off_every_facet_normal(self, tag, seed):
+        """eps is generic iff it pairs nonzero with every facet normal of the
+        table (zero and central eps included): every proper flat lies in a
+        hyperplane flat, whose span within V is the kernel of its normal.
+        Cross-checks the flats kept in the table against its facets."""
+        rng = random.Random(seed)
+        datum = build_group(tag)
+        central = datum.central_directions
+        gens = random_generators(rng, datum)
+        normals = [lam for lam, _ in
+                   facet_table(gens, central, datum.rank).facets]
+        for eps in candidate_eps(rng, datum, gens, central):
+            assert is_generic(eps, datum, gens, central) == all(
+                vdot(lam, eps) != 0 for lam in normals), (tag, gens, eps)
