@@ -24,9 +24,8 @@ from fractions import Fraction
 from functools import partial
 
 from .linalg import Vec, ZERO, ONE, vadd, vscale, vsub, vec, zero_vec
-from .linprog import InputError, check_box_size, enumerate_lattice
-from .reps import (RepSpec, coinvariant_rep, find_destabilizer,
-                   has_t_stable_point, weight_signs)
+from .linprog import InputError, enumerate_lattice
+from .reps import RepSpec, coinvariant_rep, find_destabilizer, weight_signs
 from .rootdata import (LeviDatum, RootDatum, full_levi, is_dominant, levi,
                        pairing, star_dominate)
 from .zonotope import (REL_INT, FaceSignature, ZonotopeQuery,
@@ -171,24 +170,17 @@ def dominant_box_points(rep: RepSpec, radius: int) -> list[Vec]:
     box holds more than ``LATTICE_BOX_CAP`` points."""
     datum = rep.datum
     pinned = set(_pinned_coords(datum))
-    check_box_size((2 * radius + 1) ** (datum.rank - len(pinned)))
-    ranges = []
-    for k in range(datum.rank):
-        ranges.append([Fraction(0)] if k in pinned
-                      else [Fraction(t) for t in range(-radius, radius + 1)])
-    out = []
-    for point in itertools.product(*ranges):
-        if is_dominant(datum, point):
-            out.append(point)
-    return out
+    box = [(0, 0) if k in pinned else (-radius, radius)
+           for k in range(datum.rank)]
+    return enumerate_lattice(partial(is_dominant, datum), box)
 
 
 def partition_region(rep: RepSpec, profile: ShiftProfile,
                      box_radius: int) -> list[PartitionCell]:
     """Assign every dominant lattice point of the box to its cell; cells are
     returned sorted by the total order key."""
-    if not has_t_stable_point(rep):
-        report = find_destabilizer(rep)
+    report = find_destabilizer(rep)
+    if report.sigma is not None:
         raise PreconditionError(
             "no torus-stable point: a nonzero one-parameter subgroup pairs "
             "nonpositively with every weight; decompose along the "

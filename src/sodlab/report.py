@@ -18,8 +18,8 @@ from .characters import hom_block_dims
 from .partition import (HALF_OPEN_MODE, STANDARD, PreconditionError,
                         make_profile, partition_region)
 from .reps import (TwistData, construct_rep, find_destabilizer,
-                   has_t_stable_point, is_quasi_symmetric)
-from .rootdata import build_group, full_levi, invariant_subspace
+                   is_quasi_symmetric)
+from .rootdata import build_group, invariant_subspace
 from .sod import (NccrCertificate, Preset, SodComponent, certify_nccr,
                   enumerate_sod)
 
@@ -328,6 +328,7 @@ def run_job(subcommand: str, cfg: JobConfig) -> dict:
     datum, rep, profile = build_objects(cfg)
     doc = _base_document(subcommand, cfg)
     if subcommand == "analyze":
+        destabilizer = find_destabilizer(rep)
         doc["analysis"] = {
             "group": datum.label,
             "rank": datum.rank,
@@ -335,8 +336,8 @@ def run_job(subcommand: str, cfg: JobConfig) -> dict:
             "weights": [{"weight": weight_json(w), "mult": m}
                         for w, m in rep.weights],
             "quasi_symmetric": is_quasi_symmetric(rep),
-            "has_t_stable_point": has_t_stable_point(rep),
-            "destabilizer": _destabilizer_json(find_destabilizer(rep)),
+            "has_t_stable_point": destabilizer.sigma is None,
+            "destabilizer": _destabilizer_json(destabilizer),
             "invariant_subspace": [vector_json(v)
                                    for v in invariant_subspace(datum)],
         }
@@ -377,12 +378,11 @@ def run_job(subcommand: str, cfg: JobConfig) -> dict:
         return doc
     # hilbert: graded Hom blocks of the tail component
     tail = result.components[-1]
-    lv = full_levi(datum)
     blocks = []
     for mu in tail.window:
         for mu2 in tail.window:
-            dims = hom_block_dims(datum, mu, mu2, tail.coinvariants, lv,
-                                  up_to=cfg.degree_bound)
+            dims = hom_block_dims(datum, mu, mu2, tail.coinvariants,
+                                  tail.levi, up_to=cfg.degree_bound)
             blocks.append({
                 "source": weight_json(mu), "target": weight_json(mu2),
                 "dims_by_degree": [d for _, d in dims.entries]})

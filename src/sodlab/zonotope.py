@@ -23,7 +23,10 @@ predicate decides each lattice point with integer arithmetic on those
 pairings.  Membership in the half-open and relative-interior variants
 (``member``), the minimal radius and the face signature still solve LPs
 over the coefficient system; with no generators every variant is shift +
-span(central), and ``member`` decides it by span arithmetic.
+span(central), and ``member`` decides it by span arithmetic.  The
+supporting subgroup of a face solves no LP: Weyl symmetry guarantees an
+antidominant one (see ``supporting_lambda``), and the integral search finds
+the canonical one directly.
 """
 
 from __future__ import annotations
@@ -203,32 +206,27 @@ def signature_classes(sig: FaceSignature, generators):
 
 def supporting_lambda(sig: FaceSignature, datum: RootDatum, generators) -> Vec:
     """Canonical antidominant one-parameter subgroup whose pairing signs with
-    the generators reproduce the signature; zero for the trivial signature."""
+    the generators reproduce the signature; zero for the trivial signature.
+
+    Such a subgroup exists for every signature that ``face_signature_at``
+    gives at a dominant chi with shift nu - rho_bar, nu Weyl-invariant and
+    the generators a Weyl-symmetric multiset.  The signature's subgroups
+    are the relative interior C of the normal cone of the face F whose
+    relative interior holds d = chi + rho_bar - nu, and d is dominant.  Let
+    w take some lam in C to the antidominant chamber.  The zonotope is
+    Weyl-invariant, so w lam is minimal on it exactly on w F, with the same
+    minimum as lam; and <w lam, d> <= <lam, d>, as d is dominant.  So d lies
+    on w F, which therefore contains F and, having its dimension, equals
+    it: w lam is in C (Humphreys, Introduction to Lie Algebras and
+    Representation Theory, 10.3; Ziegler, Lectures on Polytopes, ch. 7).
+    W fixes the central directions, and C meets the antidominant chamber in
+    a rational cone, which holds integral points.  A signature that no
+    antidominant subgroup realizes is refused by the search's caps with
+    InputError.
+    """
     if sig.trivial:
         return zero_vec(datum.rank)
     classes = signature_classes(sig, generators)
-    n = datum.rank
-    b = LpBuilder()
-    lam = [b.add_var() for _ in range(n)]
-
-    def lincomb(v):
-        return {lam[k]: v[k] for k in range(n) if v[k] != 0}
-
-    for c in datum.central_directions:
-        b.add_eq(lincomb(c), 0)
-    for v, _, mark in classes:
-        if mark == "+":
-            b.add_ge(lincomb(v), 1)
-        elif mark == "-":
-            b.add_le(lincomb(v), -1)
-        else:
-            b.add_eq(lincomb(v), 0)
-    for a in datum.positive_roots:
-        b.add_le(lincomb(a), 0)
-    witness = feasible_point(b.build())
-    if witness is None:
-        raise InputError(
-            "no antidominant one-parameter subgroup realizes this face")
 
     def ok(cand: Vec) -> bool:
         if not datum.coweight_ok(cand):
@@ -243,7 +241,7 @@ def supporting_lambda(sig: FaceSignature, datum: RootDatum, generators) -> Vec:
                 return False
         return all(vdot(cand, a) <= 0 for a in datum.positive_roots)
 
-    return lex_minimal_integral(n, ok)
+    return lex_minimal_integral(datum.rank, ok)
 
 
 # ---------------------------------------------------------------------------

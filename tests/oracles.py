@@ -10,7 +10,9 @@ reads the same faces from the flats of the lines.  The root-data references
 average or alternate over every element of the Weyl group, enumerated
 breadth-first as reflection matrices; the package reads the same facts from
 the simple reflections by descent and orbit search.  The window-box reference
-bounds each coordinate by LP; the package has the closed form.  The two
+bounds each coordinate by LP; the package has the closed form.  The
+supporting-subgroup reference decides by LP that an antidominant subgroup
+exists before its integral search; the package runs the search alone.  The two
 epsilon-window references decide membership by LP (one by maximizing the push
 along epsilon, one by strict sweeps); the package reads it from the facets,
 and the facet reference repeats its rational per-point test.  Dominance is
@@ -34,13 +36,14 @@ from fractions import Fraction
 
 from sodlab.characters import _form, _height, _table, irr_character
 from sodlab.linalg import (identity, in_span, is_zero_vec, mat_vec, primitive,
-                           solve, span_basis, vadd, vdot, vec, vscale, vsub)
+                           solve, span_basis, vadd, vdot, vec, vscale, vsub,
+                           zero_vec)
 from sodlab.linprog import BoxedLinearProgram, InputError, LpBuilder, \
     LpResult, TightnessReport, _optimize_closed, feasible_point, \
-    lp_optimize, strict_feasible
+    lex_minimal_integral, lp_optimize, strict_feasible
 from sodlab.rootdata import LeviDatum, coroot, full_levi, is_dominant
 from sodlab.zonotope import (CLOSED, ZonotopeQuery, coefficient_system,
-                              facet_table, member)
+                              facet_table, member, signature_classes)
 
 F = Fraction
 
@@ -613,6 +616,58 @@ def lex_minimal_integral_reference(n, ok):
             if ok(v):
                 return v
     return None
+
+
+# ---------------------------------------------------------------------------
+# Supporting subgroup guarded by a feasibility LP.
+# ---------------------------------------------------------------------------
+
+def supporting_lambda_reference(sig, datum, generators):
+    """Canonical antidominant one-parameter subgroup whose pairing signs with
+    the generators reproduce the signature; zero for the trivial signature.
+    An LP over the antidominant chamber first decides that one exists, and
+    refuses the signature at once when none does; the package relies on
+    Weyl symmetry for its existence and runs the integral search alone."""
+    if sig.trivial:
+        return zero_vec(datum.rank)
+    classes = signature_classes(sig, generators)
+    n = datum.rank
+    b = LpBuilder()
+    lam = [b.add_var() for _ in range(n)]
+
+    def lincomb(v):
+        return {lam[k]: v[k] for k in range(n) if v[k] != 0}
+
+    for c in datum.central_directions:
+        b.add_eq(lincomb(c), 0)
+    for v, _, mark in classes:
+        if mark == "+":
+            b.add_ge(lincomb(v), 1)
+        elif mark == "-":
+            b.add_le(lincomb(v), -1)
+        else:
+            b.add_eq(lincomb(v), 0)
+    for a in datum.positive_roots:
+        b.add_le(lincomb(a), 0)
+    witness = feasible_point(b.build())
+    if witness is None:
+        raise InputError(
+            "no antidominant one-parameter subgroup realizes this face")
+
+    def ok(cand):
+        if not datum.coweight_ok(cand):
+            return False
+        for v, _, mark in classes:
+            s = vdot(cand, v)
+            if mark == "+" and not s > 0:
+                return False
+            if mark == "-" and not s < 0:
+                return False
+            if mark == "0" and s != 0:
+                return False
+        return all(vdot(cand, a) <= 0 for a in datum.positive_roots)
+
+    return lex_minimal_integral(n, ok)
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,7 @@ GOLDEN = Path(__file__).resolve().parent / "golden" / "presets.json"
 PRESETS = ("pfaffian:n=1,h=3", "pfaffian:n=1,h=4",
            "pfaffian:n=2,h=5", "pfaffian:n=2,h=6",
            "determinantal:n=1,h=2", "determinantal:n=2,h=3",
-           "sl2:3", "sl2:1,2", "toric", "toric:1,1,-1,-1")
+           "sl2:3", "sl2:1,2", "toric", "toric:1,1,-1,-1", "toric:1,1")
 
 RUNS = tuple((preset, sub, "json") for preset in PRESETS for sub in SUBCOMMANDS) \
     + tuple((preset, "nccr", "text") for preset in PRESETS)

@@ -6,7 +6,7 @@ from fractions import Fraction as F
 import pytest
 
 from oracles import random_generators, zonotope_vertices_reference
-from sodlab import partition, report, rootdata, sod, zonotope
+from sodlab import partition, report, reps, rootdata, sod, zonotope
 from sodlab.cli import main
 from sodlab.linalg import vadd, vec, vscale, vsub
 from sodlab.linprog import InputError, enumerate_lattice
@@ -216,6 +216,25 @@ class TestLambdaDataOnce:
         assert len(result.components) > 1
         for comp in result.components:
             assert comp.levi == original(datum, comp.lam)
+
+
+class TestStabilityLpOnce:
+    @pytest.mark.parametrize("subcommand", ["analyze", "partition"])
+    def test_job_solves_the_stability_lp_once(self, subcommand, monkeypatch):
+        """toric:1,1 has no torus-stable point: analyze reports its
+        destabilizer, and partition refuses the job with it.  Either way
+        the stability LP is solved once per job."""
+        cfg = preset_config(preset("toric", weights=[((1,), 1), ((1,), 1)]))
+        calls = []
+        monkeypatch.setattr(reps, "_destabilizer_lp_feasible",
+                            _logging(calls, reps._destabilizer_lp_feasible))
+        if subcommand == "analyze":
+            doc = run_job(subcommand, cfg)
+            assert doc["analysis"]["has_t_stable_point"] is False
+        else:
+            with pytest.raises(PreconditionError):
+                run_job(subcommand, cfg)
+        assert len(calls) == 1
 
 
 class TestPresets:

@@ -1,5 +1,7 @@
 import itertools
 import random
+import time
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
@@ -7,15 +9,19 @@ from hypothesis import given, settings, strategies as st
 
 from oracles import (forced_tight_reference, member_eps_facet_reference,
                      member_eps_reference, member_eps_strict_reference,
-                     random_generators, realizable_face_patterns_reference)
+                     random_generators, realizable_face_patterns_reference,
+                     supporting_lambda_reference)
 from sodlab import zonotope
 from sodlab.linalg import span_basis, vadd, vdot, vec, vscale
 from sodlab.linprog import (InputError, feasible_point, forced_tight,
                             strict_feasible)
+from sodlab.partition import make_profile, signature_of
 from sodlab.reps import construct_rep, rep_spec, weight_signs
-from sodlab.rootdata import build_group, full_levi
+from sodlab.rootdata import (build_group, descend, full_levi,
+                             invariant_subspace, orbit)
 from sodlab.zonotope import (CLOSED, HALF_OPEN, REL_INT, EpsShift,
-                             ZonotopeQuery, _coefficient_program,
+                             FaceSignature, ZonotopeQuery,
+                             _coefficient_program,
                              face_signature_at, facet_table,
                              invariants_in_span,
                              is_generic, is_weakly_generic, member,
@@ -222,6 +228,81 @@ class TestSupportingLambda:
             assert signs.t_plus == sig.s_plus
             assert signs.t_minus == sig.s_minus
             assert signs.t_zero == sig.s_zero
+
+
+    def test_unrealizable_signature_is_refused_by_the_search_caps(self):
+        """No antidominant subgroup of GL(2) is positive on (1, 0) and
+        negative on (0, 1).  No partition produces this signature; the
+        integral search refuses it at its candidate cap."""
+        gl2 = build_group("GL(2)")
+        gens = (vec([0, 1]), vec([1, 0]))
+        sig = FaceSignature(F(1), (1,), (0,), (), False)
+        start = time.perf_counter()
+        with pytest.raises(InputError, match="above the cap"):
+            supporting_lambda(sig, gl2, gens)
+        assert time.perf_counter() - start < 5
+        mirror = FaceSignature(F(1), (0,), (1,), (), False)
+        assert supporting_lambda(mirror, gl2, gens) == vec([-1, 1])
+
+
+# Catalog groups of rank at most 3; only GL, SL and Sp have the defining
+# representation that the power pieces need.
+SIGNATURE_GROUPS = ("Torus(1)", "Torus(2)", "GL(1)", "GL(2)", "GL(3)",
+                    "SL(2)", "SL(3)", "Sp(2)", "Sp(4)", "Sp(6)",
+                    "Product(SL(2),Torus(1))", "Product(GL(1),Sp(2))",
+                    "Product(GL(1),GL(2))")
+
+
+def random_pieces(rng, datum, tag):
+    """construct_rep pieces: catalog powers where the group has a defining
+    representation (first powers only for Sp(6), whose defining weights are
+    six), and the Weyl orbits of a few small weights."""
+    pieces = []
+    if tag.startswith(("GL", "SL", "Sp")):
+        top = 1 if tag == "Sp(6)" else 2
+        for _ in range(rng.randint(1, 2)):
+            pieces.append((rng.choice(("vector_power", "dual_vector_power",
+                                       "sym_power")), rng.randint(1, top)))
+    counts = Counter()
+    for _ in range(rng.randint(0 if pieces else 1, 2)):
+        w = vec(rng.randint(-2, 2) for _ in range(datum.rank))
+        m = rng.randint(1, 2)
+        for sign in ((1, -1) if rng.random() < 0.7 else (1,)):
+            for u, _ in orbit(datum.simple_pairs, vscale(sign, w)):
+                counts[datum.normalize_weight(u)] += m
+    if counts:
+        pieces.append(("weights", sorted(counts.items())))
+    if rng.random() < 0.3:
+        pieces.append(("trivial", 1))
+    return pieces
+
+
+class TestSupportingLambdaWithoutLp:
+    @settings(derandomize=True, database=None, max_examples=100,
+              deadline=None)
+    @given(st.sampled_from(SIGNATURE_GROUPS), st.integers(0, 2 ** 32))
+    def test_partition_signatures_match_lp_guarded_reference(self, tag, seed):
+        """Every signature of a dominant weight, at a Weyl-invariant shift
+        and for a Weyl-symmetric weight multiset, is realized by an
+        antidominant subgroup (the LP of the reference never refuses it),
+        and the integral search alone finds the reference's subgroup."""
+        rng = random.Random(seed)
+        datum = build_group(tag)
+        rep = construct_rep(datum, random_pieces(rng, datum, tag))
+        nu = vec([0] * datum.rank)
+        for v in invariant_subspace(datum):
+            nu = vadd(nu, vscale(rng.randint(-2, 2), v))
+        profile = make_profile(datum, nu)
+        for _ in range(3):
+            chi = vec(rng.randint(-4, 4) for _ in range(datum.rank))
+            chi = datum.normalize_weight(descend(datum.simple_pairs, chi)[0])
+            try:
+                sig = signature_of(rep, chi, profile)
+            except InputError:  # chi - shift is off the cone of the weights
+                continue
+            want = supporting_lambda_reference(sig, datum, rep.expanded)
+            assert supporting_lambda(sig, datum, rep.expanded) == want, \
+                (tag, rep.weights, chi, sig)
 
 
 class TestMemberEps:
