@@ -25,12 +25,12 @@ from .reps import (DestabilizerReport, RepSpec, SignPartition, TwistData,
                    coinvariant_rep, construct_rep, find_destabilizer,
                    has_t_stable_point, is_quasi_symmetric, rep_spec,
                    twist_member, weight_signs)
-from .zonotope import (EpsShift, FaceSignature, ZonotopeQuery,
-                       face_signature_at, is_generic, is_weakly_generic,
-                       member, member_eps, min_radius, supporting_lambda)
+from .zonotope import (EpsShift, FaceSignature, face_signature_at,
+                       is_generic, is_weakly_generic, member, member_eps,
+                       min_radius, supporting_lambda)
 from .partition import (PartitionCell, PreconditionError, ShiftProfile,
-                        canonical_lambda, cell_members, make_profile,
-                        order_key, partition_region, signature_of,
+                        cell_members, make_profile, order_key,
+                        partition_region, signature_of,
                         validate_reduction_setting)
 from .characters import (CharacterTable, GradedDims, hom_block_dims,
                          irr_character, sym_power_character, weyl_dim)

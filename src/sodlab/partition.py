@@ -28,8 +28,7 @@ from .linprog import InputError, enumerate_lattice
 from .reps import RepSpec, coinvariant_rep, find_destabilizer, weight_signs
 from .rootdata import (LeviDatum, RootDatum, full_levi, is_dominant, levi,
                        pairing, star_dominate)
-from .zonotope import (REL_INT, FaceSignature, ZonotopeQuery,
-                       face_signature_at, member,
+from .zonotope import (REL_INT, FaceSignature, face_signature_at, member,
                        supporting_lambda)
 
 
@@ -81,11 +80,6 @@ def signature_of(rep: RepSpec, chi: Vec, profile: ShiftProfile) -> FaceSignature
                              central=datum.central_directions)
 
 
-def canonical_lambda(rep: RepSpec, sig: FaceSignature) -> Vec:
-    """Canonical antidominant subgroup of a signature (zero when trivial)."""
-    return supporting_lambda(sig, rep.datum, rep.expanded)
-
-
 def order_key(sig: FaceSignature):
     """Total order on signatures: radius, then set sizes, then the sorted
     index sets themselves as a deterministic tiebreak."""
@@ -107,7 +101,7 @@ class PartitionCell:
 def build_cell(rep: RepSpec, sig: FaceSignature, profile: ShiftProfile,
                members=()) -> PartitionCell:
     datum = rep.datum
-    lam = canonical_lambda(rep, sig)
+    lam = supporting_lambda(sig, datum, rep.expanded)
     chi_p = zero_vec(datum.rank)
     for i in sig.s_plus:
         chi_p = vsub(chi_p, vscale(sig.r, rep.expanded[i]))
@@ -159,9 +153,8 @@ def cell_members(rep: RepSpec, cell: PartitionCell, profile: ShiftProfile,
         gens, r = (), ONE
     else:
         gens, r = coinvariant_rep(rep, cell.lam).expanded, cell.signature.r
-    query = ZonotopeQuery(gens, r, shift, REL_INT, datum.central_directions)
-    return window_points(datum, lv, gens, r, shift, partial(member, query),
-                         twist)
+    inside = member(gens, r, shift, REL_INT, datum.central_directions)
+    return window_points(datum, lv, gens, r, shift, inside, twist)
 
 
 def dominant_box_points(rep: RepSpec, radius: int) -> list[Vec]:

@@ -8,7 +8,7 @@ identical inputs produce byte-identical output.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 
 from . import __version__
@@ -81,11 +81,11 @@ class JobConfig:
     prazno_mode: str
 
 
-_ALLOWED_KEYS = {
-    "group", "representation", "nu", "epsilon", "twist", "r_max",
-    "box_radius", "mode", "genericity_assertion", "degree_bound",
-    "prazno_mode",
-}
+_ALLOWED_KEYS = {f.name for f in fields(JobConfig)}
+
+# The integer key of each representation piece kind other than "weights".
+_PIECE_KEYS = {"vector_power": "h", "dual_vector_power": "h",
+               "sym_power": "d", "trivial": "copies"}
 
 
 def parse_config(raw: dict) -> JobConfig:
@@ -146,12 +146,8 @@ def _parse_rep(raw) -> tuple:
                     raise InputError("weight multiplicities are positive integers")
                 pairs.append((w, m))
             pieces.append(("weights", tuple(pairs)))
-        elif kind in ("vector_power", "dual_vector_power"):
-            pieces.append((kind, _positive_int(item, "h")))
-        elif kind == "sym_power":
-            pieces.append((kind, _positive_int(item, "d")))
-        elif kind == "trivial":
-            pieces.append((kind, _positive_int(item, "copies")))
+        elif isinstance(kind, str) and kind in _PIECE_KEYS:
+            pieces.append((kind, _positive_int(item, _PIECE_KEYS[kind])))
         else:
             raise InputError(f"unknown representation piece kind {kind!r}")
     return tuple(pieces)
@@ -190,9 +186,7 @@ def config_json(cfg: JobConfig) -> dict:
                         "weights": [{"weight": weight_json(vec(w)), "mult": m}
                                     for w, m in arg]})
         else:
-            key = {"vector_power": "h", "dual_vector_power": "h",
-                   "sym_power": "d", "trivial": "copies"}[kind]
-            rep.append({"kind": kind, key: arg})
+            rep.append({"kind": kind, _PIECE_KEYS[kind]: arg})
     out = {
         "group": cfg.group,
         "representation": rep,
@@ -367,7 +361,7 @@ def run_job(subcommand: str, cfg: JobConfig) -> dict:
         for comp in result.components:
             # the tail keeps the SOD epsilon, the others take their default
             cert = certify_nccr(
-                rep, comp.lam, comp.nu,
+                rep, comp.levi, comp.nu,
                 result.epsilon if comp.is_d0 else None, twist=cfg.twist,
                 genericity_assertion=cfg.genericity_assertion,
                 prazno_mode=cfg.prazno_mode)

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
 from math import lcm
 
 from .linalg import Vec, ZERO, ONE, frac, in_span, is_zero_vec, primitive, \
@@ -28,8 +27,8 @@ from .reps import (RepSpec, TwistData, coinvariant_rep, construct_rep,
 from .rootdata import LeviDatum, RootDatum, build_group, full_levi, levi, \
     pairing
 from .zonotope import (CLOSED, HALF_OPEN, REL_INT, EpsShift, FaceSignature,
-                       ZonotopeQuery, invariants_in_span, is_generic,
-                       is_weakly_generic, member, member_eps)
+                       invariants_in_span, is_generic, is_weakly_generic,
+                       member, member_eps)
 
 
 @dataclass(frozen=True)
@@ -103,10 +102,8 @@ def _tail_component(rep: RepSpec, lv: LeviDatum, profile: ShiftProfile,
     shift = vsub(profile.nu_global, lv.rho_bar_lambda)
     if profile.threshold == STANDARD:
         kind = ("rel_int_scaled", ONE)
-        query = ZonotopeQuery(gens, ONE, shift, REL_INT,
-                              datum.central_directions)
-        window = window_points(datum, lv, gens, ONE, shift,
-                               partial(member, query), twist)
+        inside = member(gens, ONE, shift, REL_INT, datum.central_directions)
+        window = window_points(datum, lv, gens, ONE, shift, inside, twist)
     else:
         kind = ("half_size_eps", eps)
         window = _half_eps_window(rep, lv, gens, shift, EpsShift(eps, "plus"),
@@ -189,11 +186,12 @@ def _toric_two_per_side(coinv: RepSpec) -> bool:
     return all(pos >= 2 and neg >= 2 for pos, neg in sides.values())
 
 
-def certify_nccr(rep: RepSpec, lam: Vec, nu: Vec, eps: Vec | None = None,
+def certify_nccr(rep: RepSpec, lv: LeviDatum, nu: Vec, eps: Vec | None = None,
                  twist: TwistData | None = None,
                  genericity_assertion: bool | None = None,
                  prazno_mode: str = "set") -> NccrCertificate:
-    """Certify the crepancy conditions of the half-size window at lam.
+    """Certify the crepancy conditions of the half-size window at lam =
+    lv.lam, given the Levi datum ``lv`` of lam (a component's ``levi``).
 
     Checks quasi-symmetry of the weight multiset, (weak) genericity of
     epsilon for the neutral zonotope, nonemptiness of the half-size epsilon
@@ -201,7 +199,9 @@ def certify_nccr(rep: RepSpec, lam: Vec, nu: Vec, eps: Vec | None = None,
     the neutral representation is decided by the toric rule when the Levi has
     no roots and is otherwise taken from the caller's assertion.  With
     ``eps`` None the default epsilon of the neutral zonotope is used
-    (``pick_epsilon`` at the Levi of lam).
+    (``pick_epsilon`` at ``lv``).  An epsilon that is not Levi-invariant or
+    not parallel to the neutral zonotope is refused by the genericity test
+    with InputError.
 
     The "set" boundary window holds the points of the plus-minus epsilon
     window that are not in the half-open one.  The "minkowski" one holds the
@@ -213,19 +213,13 @@ def certify_nccr(rep: RepSpec, lam: Vec, nu: Vec, eps: Vec | None = None,
     if prazno_mode not in ("set", "minkowski"):
         raise InputError(f"unknown prazno mode {prazno_mode!r}")
     datum = rep.datum
-    lam = vec(lam)
     nu = vec(nu)
-    lv = levi(datum, lam)
-    coinv = coinvariant_rep(rep, lam)
+    coinv = coinvariant_rep(rep, lv.lam)
     gens = coinv.expanded
     eps = pick_epsilon(rep, lv, gens) if eps is None else vec(eps)
     if not lv.is_invariant(nu):
         raise InputError("nu is not invariant under the Levi Weyl group")
-    if not lv.is_invariant(eps):
-        raise InputError("epsilon is not invariant under the Levi Weyl group")
     central = datum.central_directions
-    if not in_span(list(gens) + list(central), eps):
-        raise InputError("epsilon is not parallel to the neutral zonotope")
     quasi = is_quasi_symmetric(rep)
     if is_generic(eps, lv, gens, central):
         eps_status = "Generic"
@@ -238,16 +232,16 @@ def certify_nccr(rep: RepSpec, lam: Vec, nu: Vec, eps: Vec | None = None,
     window = tuple(_half_eps_window(rep, lv, gens, shift,
                                     EpsShift(eps, "plus"), twist))
     if prazno_mode == "set":
-        half_open = ZonotopeQuery(gens, half, shift, HALF_OPEN, central)
+        half_open = member(gens, half, shift, HALF_OPEN, central)
         both_ways = member_eps(gens, half, shift, EpsShift(eps, "plus_minus"),
                                central)
         prazno_points = tuple(window_points(
             datum, lv, gens, half, shift,
-            lambda p: both_ways(p) and not member(half_open, p), twist))
+            lambda p: both_ways(p) and not half_open(p), twist))
     else:
-        at_shift = ZonotopeQuery((), half, shift, CLOSED, central)
         prazno_points = tuple(window_points(
-            datum, lv, (), half, shift, partial(member, at_shift), twist))
+            datum, lv, (), half, shift,
+            member((), half, shift, CLOSED, central), twist))
     prazno_empty = not prazno_points
 
     if not lv.phi_lambda:

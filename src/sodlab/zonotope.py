@@ -20,18 +20,20 @@ of span(generators + central) plus both signed normals of every hyperplane
 flat with their support values, all normals primitive integer vectors.
 ``member_eps`` builds one integer predicate per window from it, and that
 predicate decides each lattice point with integer arithmetic on those
-pairings.  Membership in the half-open and relative-interior variants
-(``member``), the minimal radius and the face signature still solve LPs
-over the coefficient system; with no generators every variant is shift +
-span(central), and ``member`` decides it by span arithmetic.  The
-supporting subgroup of a face solves no LP: Weyl symmetry guarantees an
-antidominant one (see ``supporting_lambda``), and the integral search finds
-the canonical one directly.
+pairings.  ``member`` has the same shape: it builds one predicate per
+window for the closed, half-open or relative-interior variant, assembling
+the coefficient program once, and each point solves that program with its
+own right-hand side.  Those solves, the minimal radius and the face
+signature are the LPs left over the coefficient system; with no generators
+every variant is shift + span(central), and ``member`` decides it by span
+arithmetic.  The supporting subgroup of a face solves no LP: Weyl symmetry
+guarantees an antidominant one (see ``supporting_lambda``), and the
+integral search finds the canonical one directly.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from operator import mul
 from typing import Callable
@@ -49,21 +51,6 @@ CLOSED = "closed"
 HALF_OPEN = "half_open"
 REL_INT = "rel_int"
 _VARIANTS = (CLOSED, HALF_OPEN, REL_INT)
-
-
-@dataclass(frozen=True)
-class ZonotopeQuery:
-    generators: tuple[Vec, ...]
-    radius: Fraction
-    shift: Vec
-    variant: str
-    central: Central = ()
-
-    def __post_init__(self):
-        if self.variant not in _VARIANTS:
-            raise InputError(f"unknown variant {self.variant!r}")
-        if self.radius <= 0:
-            raise InputError("zonotope radius must be positive")
 
 
 @dataclass(frozen=True)
@@ -136,18 +123,36 @@ def _coefficient_program(generators, radius, shift, p, variant, central):
     return b, classes, cols
 
 
-def member(q: ZonotopeQuery, p: Vec) -> bool:
-    """Exact membership of p in shift + r * (variant of the zonotope).  With
-    no generators every variant is shift + span(central), decided without
-    an LP."""
-    if not q.generators:
-        return in_span(q.central, vsub(vec(p), vec(q.shift)))
-    b, _, _ = _coefficient_program(
-        q.generators, q.radius, q.shift, p, q.variant, q.central)
+def member(generators, r, shift, variant: str,
+           central: Central = ()) -> Callable[[Vec], bool]:
+    """The membership predicate of shift + r * (variant of the zonotope).
+
+    Built once per window: the coefficient program is assembled once, and
+    each point solves a copy whose only change is the right-hand side
+    p - shift (a phase-1 point for the closed variant, a strict sweep for
+    the others).  With no generators every variant is shift +
+    span(central), decided without an LP.  The predicate takes int or
+    Fraction points.  InputError for an unknown variant or r <= 0.
+    """
+    if variant not in _VARIANTS:
+        raise InputError(f"unknown variant {variant!r}")
+    if r <= 0:
+        raise InputError("zonotope radius must be positive")
+    shift = vec(shift)
+    if not generators:
+        return lambda p: in_span(central, vsub(vec(p), shift))
+    # assembled at p = shift; each point sets its own right-hand side
+    b, _, _ = _coefficient_program(generators, r, shift, shift, variant,
+                                   central)
     prog = b.build()
-    if q.variant == CLOSED:
-        return feasible_point(prog) is not None
-    return strict_feasible(prog)
+
+    def inside(p) -> bool:
+        at_p = replace(prog, eq_rhs=vsub(vec(p), shift))
+        if variant == CLOSED:
+            return feasible_point(at_p) is not None
+        return strict_feasible(at_p)
+
+    return inside
 
 
 def min_radius(generators, shift, p, central: Central = ()) -> Fraction | None:

@@ -12,10 +12,13 @@ breadth-first as reflection matrices; the package reads the same facts from
 the simple reflections by descent and orbit search.  The window-box reference
 bounds each coordinate by LP; the package has the closed form.  The
 supporting-subgroup reference decides by LP that an antidominant subgroup
-exists before its integral search; the package runs the search alone.  The two
-epsilon-window references decide membership by LP (one by maximizing the push
-along epsilon, one by strict sweeps); the package reads it from the facets,
-and the facet reference repeats its rational per-point test.  Dominance is
+exists before its integral search; the package runs the search alone.  The
+membership reference builds a fresh coefficient program for every point;
+the package builds one per window and changes only its right-hand side.
+The two epsilon-window references decide membership by LP (one by
+maximizing the push along epsilon, one by strict sweeps); the package reads
+it from the facets, and the facet reference repeats its rational per-point
+test.  Dominance is
 checked against every positive coroot and coset membership by one solve per
 point; the package tests the simple coroots and multiplies by an inverse
 built once per coset, both in integer arithmetic.  Coroots, Levi subdata,
@@ -42,7 +45,7 @@ from sodlab.linprog import BoxedLinearProgram, InputError, LpBuilder, \
     LpResult, TightnessReport, _optimize_closed, feasible_point, \
     lex_minimal_integral, lp_optimize, strict_feasible
 from sodlab.rootdata import LeviDatum, coroot, full_levi, is_dominant
-from sodlab.zonotope import (CLOSED, ZonotopeQuery, coefficient_system,
+from sodlab.zonotope import (CLOSED, HALF_OPEN, REL_INT, coefficient_system,
                               facet_table, member, signature_classes)
 
 F = Fraction
@@ -287,6 +290,27 @@ def _closed_coefficients(generators, r, shift, p, central, direction=None):
     return b, tcol
 
 
+def member_reference(generators, r, shift, variant, p, central=()):
+    """Membership of p in shift + r * (variant of the zonotope), one point
+    at a time: a fresh coefficient program per point, solved by a phase-1
+    point (closed) or a strict sweep (half-open, relative interior), and
+    span arithmetic when there are no generators."""
+    if variant not in (CLOSED, HALF_OPEN, REL_INT):
+        raise InputError(f"unknown variant {variant!r}")
+    if r <= 0:
+        raise InputError("zonotope radius must be positive")
+    if not generators:
+        return in_span(central, vsub(vec(p), vec(shift)))
+    b = LpBuilder()
+    coefficient_system(b, generators, central, vsub(vec(p), vec(shift)), r,
+                       lower_open=variant != CLOSED,
+                       upper_open=variant == REL_INT)
+    prog = b.build()
+    if variant == CLOSED:
+        return feasible_point(prog) is not None
+    return strict_feasible(prog)
+
+
 def member_eps_reference(generators, r, shift, e, p, central=()):
     """Closed membership, then max t with p - t*eps in the closed set is
     positive or unbounded (and likewise for -eps in plus_minus mode)."""
@@ -340,8 +364,8 @@ def member_eps_strict_reference(generators, r, shift, e, p, central=()):
     direction, i.e. p - s * direction in the closed set for some s > 0."""
     if not in_span(list(generators) + list(central), vec(e.epsilon)):
         raise InputError("epsilon is not parallel to the zonotope")
-    closed = ZonotopeQuery(tuple(generators), F(r), vec(shift), CLOSED, central)
-    if not member(closed, p):
+    closed = member(tuple(generators), F(r), vec(shift), CLOSED, central)
+    if not closed(p):
         return False
     signs = (1, -1) if e.mode == "plus_minus" else (1,)
     for sign in signs:

@@ -23,11 +23,11 @@ from sodlab.partition import (build_cell, cell_members, dominant_box_points,
                               signature_of, validate_reduction_setting)
 from sodlab.reps import construct_rep, is_quasi_symmetric, rep_spec, \
     weight_signs
-from sodlab.rootdata import build_group, is_dominant, pairing, \
+from sodlab.rootdata import build_group, full_levi, is_dominant, pairing, \
     star_dominate
 from sodlab.sod import certify_nccr, enumerate_sod, preset
-from sodlab.zonotope import (HALF_OPEN, EpsShift, ZonotopeQuery,
-                             is_weakly_generic, member, member_eps)
+from sodlab.zonotope import (HALF_OPEN, EpsShift, is_weakly_generic, member,
+                             member_eps)
 
 
 @contextmanager
@@ -51,7 +51,7 @@ def test_criterion_1_pfaffian_parity():
         for n in (1, 2, 3):
             for h in range(2 * n + 1, 8):
                 p = preset("pfaffian", n=n, h=h)
-                cert = certify_nccr(p.rep, vec([0] * n), vec([0] * n),
+                cert = certify_nccr(p.rep, full_levi(p.datum), vec([0] * n),
                                     vec([0] * n), genericity_assertion=True)
                 assert cert.prazno_empty == (h % 2 == 1), (n, h)
 
@@ -64,7 +64,7 @@ def test_criterion_2_determinantal_windows():
             eps = p.recommended_eps
             gens = rep.expanded
             assert is_weakly_generic(eps, datum, gens)
-            cert = certify_nccr(rep, vec([0] * n), vec([0] * n), eps,
+            cert = certify_nccr(rep, full_levi(datum), vec([0] * n), eps,
                                 genericity_assertion=True)
             assert cert.prazno_empty, (n, h)
             # double enumeration: +-eps-restricted half window versus the
@@ -74,7 +74,7 @@ def test_criterion_2_determinantal_windows():
             shift = vsub(vec([0] * n), datum.rho_bar)
             box = window_box(datum, gens, F(1, 2), shift)
             pm = EpsShift(eps, "plus_minus")
-            ho = ZonotopeQuery(gens, F(1, 2), shift, HALF_OPEN)
+            ho = member(gens, F(1, 2), shift, HALF_OPEN)
             lo = [int(a) - 1 for a, _ in box]
             hi = [int(b) + 1 for _, b in box]
             pm_points = []
@@ -86,7 +86,7 @@ def test_criterion_2_determinantal_windows():
                     continue
                 if member_eps(gens, F(1, 2), shift, pm)(q):
                     pm_points.append(q)
-                if member(ho, q):
+                if ho(q):
                     ho_points.append(q)
             assert pm_points == ho_points, (n, h)
 

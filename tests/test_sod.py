@@ -13,10 +13,10 @@ from sodlab.linprog import InputError, enumerate_lattice
 from sodlab.partition import PreconditionError, make_profile, window_box
 from sodlab.report import build_objects, preset_config, run_job
 from sodlab.reps import rep_spec
-from sodlab.rootdata import build_group, is_dominant, levi
+from sodlab.rootdata import build_group, full_levi, is_dominant, levi
 from sodlab.sod import (certify_nccr, enumerate_sod, preset,
                         refine_lambda_combination)
-from sodlab.zonotope import CLOSED, ZonotopeQuery, member
+from sodlab.zonotope import CLOSED, member
 
 T1 = build_group("Torus(1)")
 
@@ -92,7 +92,7 @@ class TestEnumerateSod:
 class TestCertify:
     def test_pfaffian_odd(self):
         p = preset("pfaffian", n=1, h=3)
-        cert = certify_nccr(p.rep, vec([0]), vec([0]), vec([0]),
+        cert = certify_nccr(p.rep, full_levi(p.datum), vec([0]), vec([0]),
                             genericity_assertion=True)
         assert cert.quasi_symmetric and cert.eps_status == "WeaklyGeneric"
         assert cert.window == (vec([0]),)
@@ -100,7 +100,7 @@ class TestCertify:
 
     def test_pfaffian_even(self):
         p = preset("pfaffian", n=1, h=4)
-        cert = certify_nccr(p.rep, vec([0]), vec([0]), vec([0]),
+        cert = certify_nccr(p.rep, full_levi(p.datum), vec([0]), vec([0]),
                             genericity_assertion=True)
         assert not cert.prazno_empty
         assert cert.prazno_points == (vec([1]),)
@@ -108,16 +108,17 @@ class TestCertify:
 
     def test_determinantal_window_equality(self):
         p = preset("determinantal", n=1, h=2)
-        cert = certify_nccr(p.rep, vec([0]), vec([0]), p.recommended_eps)
+        cert = certify_nccr(p.rep, full_levi(p.datum), vec([0]),
+                            p.recommended_eps)
         assert cert.eps_status in ("Generic", "WeaklyGeneric")
         assert cert.genericity == "CheckedToricRule"
         assert cert.prazno_empty and cert.verdict == "TwistedNCCR"
 
     def test_eps_scaling_invariance(self):
         p = preset("determinantal", n=2, h=3)
-        base = certify_nccr(p.rep, vec([0, 0]), vec([0, 0]),
+        base = certify_nccr(p.rep, full_levi(p.datum), vec([0, 0]),
                             p.recommended_eps, genericity_assertion=True)
-        scaled = certify_nccr(p.rep, vec([0, 0]), vec([0, 0]),
+        scaled = certify_nccr(p.rep, full_levi(p.datum), vec([0, 0]),
                               vscale(F(5, 3), p.recommended_eps),
                               genericity_assertion=True)
         assert (base.eps_status, base.window_nonempty, base.window,
@@ -128,13 +129,15 @@ class TestCertify:
     def test_invariance_precondition(self):
         p = preset("determinantal", n=2, h=3)
         with pytest.raises(InputError):
-            certify_nccr(p.rep, vec([0, 0]), vec([1, 0]), p.recommended_eps)
+            certify_nccr(p.rep, full_levi(p.datum), vec([1, 0]),
+                         p.recommended_eps)
         with pytest.raises(InputError):
-            certify_nccr(p.rep, vec([0, 0]), vec([0, 0]), vec([1, 0]))
+            certify_nccr(p.rep, full_levi(p.datum), vec([0, 0]), vec([1, 0]))
 
     def test_nonzero_lambda_component(self):
         p = preset("pfaffian", n=1, h=3)
-        cert = certify_nccr(p.rep, vec([-1]), vec([2]), vec([0]))
+        cert = certify_nccr(p.rep, levi(p.datum, vec([-1])), vec([2]),
+                            vec([0]))
         assert cert.window == (vec([2]),)
         assert cert.prazno_empty
         assert cert.genericity == "CheckedToricRule"  # empty neutral rep
@@ -145,18 +148,18 @@ class TestCertify:
 
         p = preset("pfaffian", n=1, h=4)
         odd = TwistData(((F(2),),), (F(1),))
-        cert = certify_nccr(p.rep, vec([0]), vec([0]), vec([0]), twist=odd,
-                            genericity_assertion=True)
+        cert = certify_nccr(p.rep, full_levi(p.datum), vec([0]), vec([0]),
+                            twist=odd, genericity_assertion=True)
         # the boundary point 1 is odd, so it survives the coset filter
         assert cert.prazno_points == (vec([1]),)
         even = TwistData(((F(2),),), (F(0),))
-        cert = certify_nccr(p.rep, vec([0]), vec([0]), vec([0]), twist=even,
-                            genericity_assertion=True)
+        cert = certify_nccr(p.rep, full_levi(p.datum), vec([0]), vec([0]),
+                            twist=even, genericity_assertion=True)
         assert cert.prazno_empty
 
     def test_minkowski_mode_flag(self):
         p = preset("pfaffian", n=1, h=3)
-        cert = certify_nccr(p.rep, vec([0]), vec([0]), vec([0]),
+        cert = certify_nccr(p.rep, full_levi(p.datum), vec([0]), vec([0]),
                             genericity_assertion=True,
                             prazno_mode="minkowski")
         assert cert.prazno_mode == "minkowski"
@@ -320,9 +323,8 @@ MINKOWSKI_GROUPS = ("Torus(1)", "Torus(2)", "SL(2)", "SL(3)",
 def minkowski_reference(datum, gens, central, x):
     """Whether x + v lies in the closed unit zonotope plus span(central) for
     every vertex v of that zonotope."""
-    closed = ZonotopeQuery(tuple(gens), F(1), (F(0),) * datum.rank, CLOSED,
-                           central)
-    return all(member(closed, vadd(x, v))
+    closed = member(tuple(gens), F(1), (F(0),) * datum.rank, CLOSED, central)
+    return all(closed(vadd(x, v))
                for v in zonotope_vertices_reference(gens, central))
 
 
@@ -369,8 +371,8 @@ class TestMinkowski:
         datum = build_group(group)
         rep = rep_spec(datum, weights)
         lam = (F(0),) * datum.rank
-        cert = certify_nccr(rep, lam, vec(nu), lam, prazno_mode="minkowski")
         lv = levi(datum, lam)
+        cert = certify_nccr(rep, lv, vec(nu), lam, prazno_mode="minkowski")
         shift = vsub(vec(nu), lv.rho_bar_lambda)
         central = datum.central_directions
 

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 import time
 from collections import Counter
@@ -9,10 +10,11 @@ from hypothesis import given, settings, strategies as st
 
 from oracles import (forced_tight_reference, member_eps_facet_reference,
                      member_eps_reference, member_eps_strict_reference,
-                     random_generators, realizable_face_patterns_reference,
+                     member_reference, random_generators,
+                     realizable_face_patterns_reference,
                      supporting_lambda_reference)
 from sodlab import zonotope
-from sodlab.linalg import span_basis, vadd, vdot, vec, vscale
+from sodlab.linalg import nullspace, span_basis, vadd, vdot, vec, vscale
 from sodlab.linprog import (InputError, feasible_point, forced_tight,
                             strict_feasible)
 from sodlab.partition import make_profile, signature_of
@@ -20,8 +22,7 @@ from sodlab.reps import construct_rep, rep_spec, weight_signs
 from sodlab.rootdata import (build_group, descend, full_levi,
                              invariant_subspace, orbit)
 from sodlab.zonotope import (CLOSED, HALF_OPEN, REL_INT, EpsShift,
-                             FaceSignature, ZonotopeQuery,
-                             _coefficient_program,
+                             FaceSignature, _coefficient_program,
                              face_signature_at, facet_table,
                              invariants_in_span,
                              is_generic, is_weakly_generic, member,
@@ -37,18 +38,49 @@ VARIANTS = (CLOSED, HALF_OPEN, REL_INT)
 
 
 def q(gens, r, shift, variant, central=()):
-    return ZonotopeQuery(tuple(gens), F(r), vec(shift), variant, central)
+    return member(tuple(gens), F(r), vec(shift), variant, central)
+
+
+# Catalog groups for the membership predicate, SL groups among them.
+MEMBER_GROUPS = ("Torus(1)", "Torus(2)", "GL(2)", "SL(2)", "SL(3)",
+                 "Product(SL(2),Torus(1))", "Product(SL(2),SL(2))")
+
+
+def member_points(rng, gens, r, shift, central, n):
+    """A shuffled list of test points around shift + r * Z(gens): int
+    tuples in the closed box widened by one, their Fraction copies, points
+    whose generator coefficients sit at -1 or 0 (vertices and other points
+    on several facets) or at -1/2, steps along the central directions, and
+    steps off span(gens + central) when that span is not everything."""
+    lo = [shift[k] - r * sum(max(0, g[k]) for g in gens) - 1
+          for k in range(n)]
+    hi = [shift[k] + r * sum(max(0, -g[k]) for g in gens) + 1
+          for k in range(n)]
+    ints = [tuple(rng.randint(math.floor(a), math.ceil(b))
+                  for a, b in zip(lo, hi)) for _ in range(6)]
+    points = ints + [vec(p) for p in ints[:3]]
+    for _ in range(4):
+        p = shift
+        for g in gens:
+            p = vadd(p, vscale(r * rng.choice((-1, F(-1, 2), 0)), g))
+        points.append(p)
+    points += [vadd(shift, vscale(F(rng.randint(-2, 2)), c)) for c in central]
+    span = span_basis(list(gens) + list(central), n)
+    for off in nullspace(span, n) if span else []:
+        points.append(vadd(rng.choice(points[-4:]), vscale(F(1, 2), off)))
+    rng.shuffle(points)
+    return points
 
 
 class TestMember:
     def test_boundary_closed_vs_relint(self):
-        assert member(q(G4, 1, [0], CLOSED), vec([2]))
-        assert not member(q(G4, 1, [0], REL_INT), vec([2]))
+        assert q(G4, 1, [0], CLOSED)(vec([2]))
+        assert not q(G4, 1, [0], REL_INT)(vec([2]))
 
     def test_half_open_interval(self):
         g2 = (vec([1]), vec([-1]))
-        assert not member(q(g2, 1, [0], HALF_OPEN), vec([1]))
-        assert member(q(g2, 1, [0], HALF_OPEN), vec([0]))
+        assert not q(g2, 1, [0], HALF_OPEN)(vec([1]))
+        assert q(g2, 1, [0], HALF_OPEN)(vec([0]))
 
     def test_inclusion_chain_random(self):
         rng = random.Random(5)
@@ -56,9 +88,9 @@ class TestMember:
         for _ in range(40):
             p = vec([F(rng.randint(-8, 8), rng.choice([1, 2, 4])),
                      F(rng.randint(-8, 8), rng.choice([1, 2, 4]))])
-            closed = member(q(gens, 2, [0, 0], CLOSED), p)
-            half = member(q(gens, 2, [0, 0], HALF_OPEN), p)
-            rel = member(q(gens, 2, [0, 0], REL_INT), p)
+            closed = q(gens, 2, [0, 0], CLOSED)(p)
+            half = q(gens, 2, [0, 0], HALF_OPEN)(p)
+            rel = q(gens, 2, [0, 0], REL_INT)(p)
             assert (not half or closed) and (not rel or half)
 
     def test_grid_oracle_agreement(self):
@@ -76,7 +108,7 @@ class TestMember:
         for _ in range(25):
             p = vec([F(rng.randint(-3, 3), rng.choice([1, 2])),
                      F(rng.randint(-3, 3), rng.choice([1, 2]))])
-            got = member(q(gens, r, [0, 0], CLOSED), p)
+            got = q(gens, r, [0, 0], CLOSED)(p)
             found = any(tuple(p) in grid for grid in reachable)
             # coefficient denominators stay small on this instance family,
             # so the grid search is conclusive in both directions
@@ -102,10 +134,46 @@ class TestMember:
                                             central)[0].build()
                 lp = feasible_point(prog) is not None if variant == CLOSED \
                     else strict_feasible(prog)
-                got = member(q((), F(1, 2), shift, variant, central), p)
+                got = q((), F(1, 2), shift, variant, central)(p)
                 assert got == lp, (tag, shift, p, variant)
                 verdicts.add(got)
         assert verdicts == {True, False}
+
+    @settings(derandomize=True, database=None, max_examples=150,
+              deadline=None)
+    @given(st.sampled_from(MEMBER_GROUPS), st.integers(0, 2 ** 32),
+           st.sampled_from(VARIANTS), st.sampled_from((F(1, 2), F(1), F(3, 2))))
+    def test_one_predicate_matches_per_point_reference(self, tag, seed,
+                                                       variant, r):
+        """One predicate, built once, decides a shuffled list of points as
+        the per-point reference does: int and Fraction points, vertices and
+        other points on several facets, points off span(generators +
+        central), shifts off the lattice, and no generators."""
+        rng = random.Random(seed)
+        datum = build_group(tag)
+        central = datum.central_directions
+        gens = () if rng.random() < 0.15 else random_generators(rng, datum)
+        shift = vec(F(rng.randint(-2, 2), rng.choice((1, 2, 3)))
+                    for _ in range(datum.rank))
+        points = member_points(rng, gens, r, shift, central, datum.rank)
+        inside = member(gens, r, shift, variant, central)
+        got = [inside(p) for p in points]
+        want = [member_reference(gens, r, shift, variant, p, central)
+                for p in points]
+        assert got == want, (tag, gens, r, shift, variant, points)
+
+    def test_unknown_variant_raises_when_built(self):
+        for gens in (G4, ()):
+            with pytest.raises(InputError, match="unknown variant"):
+                member(gens, F(1), vec([0]), "open")
+
+    def test_radius_must_be_positive_when_built(self):
+        for gens in (G4, ()):
+            for r, variant in itertools.product((F(0), F(-1, 2), 0),
+                                                VARIANTS):
+                with pytest.raises(InputError, match="positive"):
+                    member(gens, r, vec([0]), variant)
+
 
 
 class TestMinRadius:
@@ -166,7 +234,7 @@ class TestFaceSignature:
             pinned = vec([a - sig.r * b for a, b in zip(pinned, G22[i])])
         rest = tuple(G22[i] for i in sig.s_zero)
         target = vec([a - b for a, b in zip(p, pinned)])
-        assert member(q(rest, sig.r, [0, 0], REL_INT), target)
+        assert q(rest, sig.r, [0, 0], REL_INT)(target)
 
     def test_forced_tight_matches_reference_on_face_programs(self):
         # the closed coefficient program at the minimal radius, exactly as
@@ -317,7 +385,7 @@ class TestMemberEps:
         e = EpsShift(vec([0]), "plus")
         for p in range(-4, 5):
             assert member_eps(gens, F(1), vec([0]), e)(vec([p])) == \
-                member(q(gens, 1, [0], CLOSED), vec([p]))
+                q(gens, 1, [0], CLOSED)(vec([p]))
 
     def test_plus_minus_opens_both_sides(self):
         gens = (vec([1]),) * 3 + (vec([-1]),) * 3
@@ -426,7 +494,7 @@ class TestMemberEps:
             for r in (F(1, 2), F(1), F(3, 2)):
                 closed = q(gens, r, shift, CLOSED, central)
                 for p in grid:
-                    in_closed = member(closed, p)
+                    in_closed = closed(p)
                     for eps in epsilons:
                         for mode in ("plus", "plus_minus"):
                             e = EpsShift(eps, mode)
