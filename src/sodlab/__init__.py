@@ -3,8 +3,8 @@
 Submodules:
     linalg      exact vectors and Gaussian elimination
     linprog     rational simplex, forced tightness, lattice enumeration
-    rootdata    catalog root data, simple-reflection descent and orbits,
-                Levi subdata
+    rootdata    catalog root data, Levi subdata, descent and orbits by the
+                integer simple reflections
     reps        weight multisets, stability, quasi-symmetry, twists
     zonotope    scaled weight zonotopes, face signatures, genericity,
                 facet tables for epsilon-shifted windows

@@ -4,16 +4,18 @@ Irreducible weight multiplicities come from the Freudenthal recursion over
 the (Levi-)root system; symmetric powers from one degree-tracking dynamic
 program per representation; Hom-block dimensions from Sym^d looked up at the
 Weyl orbit of mu + rho, without building the product character.  Every Weyl
-fact (lowest weight, dominant conjugate, orbit with signs) comes from the
-simple reflections via `rootdata.descend` and `rootdata.orbit`; the group is
-never enumerated.
+fact (dominant conjugate, orbit with signs) comes from the integer simple
+reflections via `rootdata.descend` and `rootdata.orbit`; the group is never
+enumerated.
 
-A table holds its weights as int tuples at one common scale: the weights
-times the least common denominator D of the representation's weights (D = 1
-for every catalog representation).  The symmetric-power program and the
-Hom-block lookup work on those ints; sorted `Fraction` keys are built only
-when `entries` is read.  The Weyl dimension is an integer product over the
-primitive integer rows of the Levi's positive coroots.
+Everything runs on int tuples: weights times a common denominator.  A table
+holds its weights at one scale (the least common denominator D of the
+representation's weights, D = 1 for every catalog representation); sorted
+`Fraction` keys are built only when `entries` is read.  The Freudenthal walk
+runs at the scale of chi, rho and the roots, with the form ``gram_ints``;
+the Hom-block kernel is keyed at the scale of the Sym^d tables.  The Weyl
+dimension is an integer product over the primitive integer rows of the
+Levi's positive coroots.
 """
 
 from __future__ import annotations
@@ -22,10 +24,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from operator import add, mul
+from operator import add, mul, sub
 
-from .linalg import (Vec, ZERO, int_row, int_rows, mat_vec, vadd, vdot,
-                     vscale, vsub, vec)
+from .linalg import Vec, int_row, int_rows, vadd, vec
 from .linprog import InputError
 from .reps import RepSpec
 from .rootdata import (LeviDatum, RootDatum, descend, full_levi, is_dominant,
@@ -90,10 +91,6 @@ class GradedDims:
         return [m for _, m in self.entries]
 
 
-def _form(datum: RootDatum, a: Vec, b: Vec) -> Fraction:
-    return vdot(a, mat_vec(datum.gram, b))
-
-
 def weyl_dim(datum: RootDatum, chi: Vec, levi: LeviDatum | None = None) -> int:
     """Dimension of the irreducible with the given highest weight."""
     lv = levi or full_levi(datum)
@@ -115,11 +112,6 @@ def weyl_dim(datum: RootDatum, chi: Vec, levi: LeviDatum | None = None) -> int:
     return value
 
 
-def _height(datum: RootDatum, lv: LeviDatum, v: Vec) -> Fraction:
-    # any positive functional on the positive span works for ordering
-    return vdot(v, vadd(lv.rho_bar_lambda, lv.rho_bar_lambda)) if lv.phi_lambda_plus else ZERO
-
-
 def irr_character(datum: RootDatum, chi: Vec,
                   levi: LeviDatum | None = None) -> CharacterTable:
     """Weight multiplicities of the irreducible with highest weight chi,
@@ -130,52 +122,71 @@ def irr_character(datum: RootDatum, chi: Vec,
         raise InputError(f"{chi} is not dominant for the Levi")
     if not lv.phi_lambda_plus:
         return _table(datum, {chi: 1})
-    rho = lv.rho_bar_lambda
-    top = _form(datum, vadd(chi, rho), vadd(chi, rho))
+    # chi, rho and the positive roots as ints at one scale; the weights
+    # alone need only ``base``, which divides it
+    base = int_rows([chi, *lv.phi_lambda_plus])[1]
+    (chi, rho, *roots), scale = int_rows(
+        [chi, lv.rho_bar_lambda, *lv.phi_lambda_plus])
+    gram = datum.gram_ints
+
+    def form(u, v):
+        return sum(x * sum(map(mul, row, v)) for x, row in zip(u, gram))
+
+    # per root a: G a and (a, a), so that (mu + k a, a) and the norm of
+    # mu + k a + rho step in k without vector arithmetic
+    root_data = []
+    for a in roots:
+        ga = [sum(map(mul, row, a)) for row in gram]
+        root_data.append((a, ga, sum(map(mul, a, ga))))
+    top = form(tuple(map(add, chi, rho)), tuple(map(add, chi, rho)))
     # Every dominant weight below chi is reached from chi by subtracting
     # positive roots through dominant weights only (Stembridge, "The partial
-    # order of dominant weights", 1998).  All weights stay inside chi's coset
-    # of the root lattice; the stored form is only coset-consistent, so no
-    # section normalization here.
+    # order of dominant weights", 1998).  The walk stays inside chi's coset
+    # of the root lattice, in which the stored form is consistent, so the
+    # section normalization is applied to the lookup keys only.
     found, stack = {chi}, [chi]
     while stack:
         mu = stack.pop()
-        for a in lv.phi_lambda_plus:
-            below = vsub(mu, a)
+        for a in roots:
+            below = tuple(map(sub, mu, a))
             if below not in found and is_dominant(datum, below, lv):
                 found.add(below)
                 stack.append(below)
-    dominants = sorted(found, key=lambda mu: (-_height(datum, lv, mu), mu))
-    mults: dict[Vec, int] = {}
-    for mu in dominants:
-        if mu == chi:
-            mults[mu] = 1
-            continue
-        denom = top - _form(datum, vadd(mu, rho), vadd(mu, rho))
+    # any positive functional on the positive span orders the recursion
+    dominants = sorted(found, key=lambda mu: (-sum(map(mul, mu, rho)), mu))
+    normalize = datum.normalize_weight
+    mults: dict[tuple[int, ...], int] = {normalize(chi): 1}
+    for mu in dominants[1:]:
+        shifted = tuple(map(add, mu, rho))
+        norm = form(shifted, shifted)
+        denom = top - norm
         if denom == 0:  # impossible for dominant mu strictly below chi
             raise InputError("Freudenthal denominator vanished")
-        rhs = ZERO
-        for a in lv.phi_lambda_plus:
-            k = 1
+        rhs = 0
+        for a, ga, aa in root_data:
+            pair = sum(map(mul, mu, ga))
+            cross = sum(map(mul, shifted, ga))
+            nu, k = mu, 1
             while True:
-                nu = vadd(mu, vscale(Fraction(k), a))
-                m = mults.get(descend(lv.simple_pairs, nu)[0], 0)
-                if m == 0 and _form(datum, vadd(nu, rho), vadd(nu, rho)) > top:
+                nu = tuple(map(add, nu, a))
+                m = mults.get(descend(lv, nu)[0], 0)
+                if m == 0 and norm + k * (2 * cross + k * aa) > top:
                     break
-                rhs += m * _form(datum, nu, a)
+                rhs += m * (pair + k * aa)
                 k += 1
-        val = 2 * rhs / denom
-        if val.denominator != 1:
+        val, rest = divmod(2 * rhs, denom)
+        if rest:
             raise InputError("Freudenthal recursion produced a non-integer")
         if val:
-            mults[mu] = int(val)
-    full: dict[Vec, int] = {}
+            mults[normalize(mu)] = val
+    step = scale // base
+    full: dict[tuple[int, ...], int] = {}
     for mu, m in mults.items():
         if m <= 0:
             continue
-        for point, _ in orbit(lv.simple_pairs, mu):
-            full[datum.normalize_weight(point)] = m
-    return _table(datum, full)
+        for point, _ in orbit(lv, tuple(x // step for x in mu)):
+            full[point] = m
+    return CharacterTable(datum, full, base)
 
 
 # Sym^0..Sym^top per representation: immutable, the same whatever top built
@@ -240,6 +251,19 @@ def _sym_power_tables(rep: RepSpec, top: int) -> tuple[CharacterTable, ...]:
     return tuple(CharacterTable(rep.datum, layer, scale) for layer in layers)
 
 
+def _at_scale(counts: dict[tuple[int, ...], int], scale: int, target: int):
+    """The (weight, value) pairs of a dict of int tuples at ``scale``
+    re-expressed at ``target``, dropping the weights off that lattice."""
+    if scale == target:
+        return list(counts.items())
+    out = []
+    for w, m in counts.items():
+        lifted = [x * target for x in w]
+        if all(x % scale == 0 for x in lifted):
+            out.append((tuple(x // scale for x in lifted), m))
+    return out
+
+
 def hom_block_dims(datum: RootDatum, mu: Vec, mu_prime: Vec, coinv: RepSpec,
                    levi: LeviDatum | None = None, up_to: int = 6) -> GradedDims:
     """Graded dimensions of Hom(V(mu), V(mu') tensor Sym^d of the neutral
@@ -248,35 +272,36 @@ def hom_block_dims(datum: RootDatum, mu: Vec, mu_prime: Vec, coinv: RepSpec,
     The multiplicity of V(mu) in ch(mu') * Sym^d is the alternating sum over
     w of the product's entry at w(mu + rho) - rho, and that entry is the sum
     over weights w1 of ch(mu') of m1 * Sym^d[w(mu + rho) - rho - w1].  The
-    pairs (key, coefficient) of that double sum do not depend on d."""
+    pairs (key, coefficient) of that double sum do not depend on d; the keys
+    are int tuples at the scale of the Sym^d tables."""
     lv = levi or full_levi(datum)
     mu = datum.normalize_weight(vec(mu))
     mu_prime = datum.normalize_weight(vec(mu_prime))
     for m in (mu, mu_prime):
         if not is_dominant(datum, m, lv):
             raise InputError(f"{m} is not dominant for the Levi")
-    ch_prime = irr_character(datum, mu_prime, lv).entries
-    rho = lv.rho_bar_lambda
-    shifted = vadd(mu, rho)
-    kernel: dict[Vec, int] = {}
-    # mu + rho is regular, so its orbit has one point per w, signed by det w
-    for image, det in orbit(lv.simple_pairs, shifted):
-        point = datum.normalize_weight(vsub(image, rho))
-        for w1, m1 in ch_prime:   # both in section form, so is the key
-            key = vsub(point, w1)
-            kernel[key] = kernel.get(key, 0) + det * m1
-    # the keys at the tables' int scale; one off that lattice has entry 0
-    scale = _weight_ints(coinv)[1]
-    scaled = [(tuple(x.numerator * (scale // x.denominator) for x in key), c)
-              for key, c in kernel.items()
-              if c and all(scale % x.denominator == 0 for x in key)]
     # top degree first: one program builds every table, and a degree past
     # the table cap is refused before anything per degree is allocated
-    dims = []
-    for d in range(up_to, -1, -1):
-        counts = sym_power_character(coinv, d).counts
-        dims.append(sum(c * counts.get(key, 0) for key, c in scaled))
-    dims.reverse()
+    tables = [sym_power_character(coinv, d) for d in range(up_to, -1, -1)]
+    tables.reverse()
+    scale = tables[0].scale
+    ch_prime = irr_character(datum, mu_prime, lv)
+    prime = _at_scale(ch_prime.counts, ch_prime.scale, scale)
+    # mu + rho and rho in section form at one scale t; mu + rho is regular,
+    # so its orbit has one point per w, signed by det w, and each point less
+    # rho is w(mu + rho) - rho at scale t, then at the tables' scale
+    rho = datum.normalize_weight(lv.rho_bar_lambda)
+    (shifted, rho), t = int_rows([datum.normalize_weight(vadd(mu, rho)), rho])
+    points = {tuple(map(sub, image, rho)): det
+              for image, det in orbit(lv, shifted)}
+    kernel: dict[tuple[int, ...], int] = {}
+    for point, det in _at_scale(points, t, scale):
+        for w1, m1 in prime:
+            key = tuple(map(sub, point, w1))
+            kernel[key] = kernel.get(key, 0) + det * m1
+    terms = [(key, c) for key, c in kernel.items() if c]
+    dims = [sum(c * counts.get(key, 0) for key, c in terms)
+            for counts in (table.counts for table in tables)]
     if any(dim < 0 for dim in dims):
         raise InputError("negative multiplicity: character data corrupt")
     return GradedDims(tuple(enumerate(dims)))

@@ -142,17 +142,20 @@ def window_points(datum: RootDatum, lv: LeviDatum, gens, r, shift, inside,
 
 
 def cell_members(rep: RepSpec, cell: PartitionCell, profile: ShiftProfile,
-                 twist=None) -> list[Vec]:
+                 twist=None, coinv: RepSpec | None = None) -> list[Vec]:
     """All lattice points of the cell's window: Levi-dominant weights in
     nu_levi - rho_bar_lambda + r * (open-coefficient zonotope of the
-    lam-neutral weights).  This is the full cell, independent of any box.
-    The trivial cell (r = 0) is the shift point, the set of no generators."""
+    lam-neutral weights, ``coinv`` when the caller has them).  This is the
+    full cell, independent of any box.  The trivial cell (r = 0) is the
+    shift point, the set of no generators."""
     datum, lv = rep.datum, cell.levi
     shift = vsub(cell.nu_levi, lv.rho_bar_lambda)
     if cell.signature.trivial:
         gens, r = (), ONE
     else:
-        gens, r = coinvariant_rep(rep, cell.lam).expanded, cell.signature.r
+        if coinv is None:
+            coinv = coinvariant_rep(rep, cell.lam)
+        gens, r = coinv.expanded, cell.signature.r
     inside = member(gens, r, shift, REL_INT, datum.central_directions)
     return window_points(datum, lv, gens, r, shift, inside, twist)
 

@@ -364,7 +364,7 @@ def run_job(subcommand: str, cfg: JobConfig) -> dict:
                 rep, comp.levi, comp.nu,
                 result.epsilon if comp.is_d0 else None, twist=cfg.twist,
                 genericity_assertion=cfg.genericity_assertion,
-                prazno_mode=cfg.prazno_mode)
+                prazno_mode=cfg.prazno_mode, coinv=comp.coinvariants)
             certs.append({"component_index": comp.index,
                           "lambda": weight_json(comp.lam),
                           "certificate": _certificate_json(cert)})

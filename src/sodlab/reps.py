@@ -18,9 +18,9 @@ from operator import mul
 
 from .linalg import (Mat, Vec, ZERO, ONE, int_row, is_integral, is_zero_vec,
                      mat_vec, nullspace, primitive, rank as mat_rank, solve,
-                     vadd, vdot, vneg, vscale, vsub, vec, zero_vec)
+                     vadd, vdot, vneg, vscale, vec, zero_vec)
 from .linprog import InputError, LpBuilder, feasible_point, lex_minimal_integral
-from .rootdata import RootDatum, full_levi, pairing
+from .rootdata import RootDatum, full_levi, pairing, reflect
 
 
 @dataclass(frozen=True)
@@ -34,6 +34,15 @@ class RepSpec:
     @property
     def dim(self) -> int:
         return len(self.expanded)
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.datum, self.weights, self.expanded))
+
+    def __hash__(self) -> int:
+        # computed once: every lookup of the process-wide symmetric-power
+        # tables hashes the representation
+        return self._hash
 
 
 def _checked_weight(datum: RootDatum, w) -> Vec:
@@ -323,11 +332,20 @@ def construct_rep(datum: RootDatum, pieces) -> RepSpec:
         else:
             raise InputError(f"unknown construction piece {kind!r}")
     rep = rep_spec(datum, sorted(counts.items()))
-    for w, m in rep.weights:
-        for a, cr in datum.simple_pairs:
-            image = datum.normalize_weight(vsub(w, vscale(vdot(cr, w), a)))
-            if counts[image] != m:
+    _check_weyl_symmetric(rep)
+    return rep
+
+
+def _check_weyl_symmetric(rep: RepSpec) -> None:
+    """InputError unless every simple reflection keeps each weight's
+    multiplicity.  The weights are lattice elements, so this runs on their
+    int tuples through the datum's integer reflections."""
+    mults = {tuple(x.numerator for x in w): m for w, m in rep.weights}
+    reflections = full_levi(rep.datum).reflections
+    for w, m in mults.items():
+        for r in reflections:
+            count = mults.get(reflect(r, w), 0)
+            if count != m:
                 raise InputError(f"weights are not Weyl-symmetric: weight "
                                  f"{list(map(str, w))} has multiplicity {m} "
-                                 f"but its reflection has {counts[image]}")
-    return rep
+                                 f"but its reflection has {count}")

@@ -14,6 +14,10 @@ coordinates (and a nonnegative tail coordinate for Sp).
 The Weyl group is never enumerated: dominant conjugates, signed orbits and
 fixed spaces all come from the simple reflections s_a(v) = v - <a^vee, v> a
 (Humphreys, *Introduction to Lie Algebras and Representation Theory*, 10).
+Descent and orbits run on int tuples (weights times a common denominator):
+each simple reflection, followed by ``normalize_weight``, is one integer
+matrix and one positive denominator (``LeviDatum.reflections``), and the
+coroot signs come from the primitive integer ``dominance_rows``.
 """
 
 from __future__ import annotations
@@ -32,6 +36,9 @@ from .linalg import (Mat, Vec, ZERO, ONE, identity, in_span, int_row,
                      zero_vec)
 from .linprog import InputError
 
+# Integer rows and a positive denominator: the linear map v -> rows v / d.
+Reflection = tuple[tuple[tuple[int, ...], ...], int]
+
 
 @dataclass(frozen=True)
 class RootDatum:
@@ -49,6 +56,8 @@ class RootDatum:
     quotient_pairs: tuple[tuple[Vec, int], ...] = ()
 
     def __post_init__(self):
+        if any(x.denominator != 1 for c, _ in self.quotient_pairs for x in c):
+            raise InputError("quotient directions must be integral")
         scale, roots, positives = self.root_ints
         root_set = set(roots)
         if any(tuple(-x for x in a) not in root_set for a in roots):
@@ -85,11 +94,6 @@ class RootDatum:
         return {a: _coroot_under(self.gram_ints, a) for a in self.roots}
 
     @cached_property
-    def simple_pairs(self) -> tuple[tuple[Vec, Vec], ...]:
-        """(simple root, coroot) pairs: the simple reflections."""
-        return tuple((a, self.coroots[a]) for a in self.simple_roots)
-
-    @cached_property
     def dominance_rows(self) -> tuple[tuple[int, ...], ...]:
         return _coroot_rows(self, self.simple_roots)
 
@@ -101,10 +105,23 @@ class RootDatum:
         """Whether lam lies in Y(T)_R (sum-zero on SL blocks)."""
         return all(vdot(lam, c) == 0 for c in self.central_directions)
 
-    def normalize_weight(self, chi: Vec) -> Vec:
-        """Canonical section representative modulo the quotient directions."""
-        for c, pin in self.quotient_pairs:
-            chi = vsub(chi, vscale(chi[pin], c))
+    @cached_property
+    def quotient_ints(self) -> tuple[tuple[tuple[int, ...], int], ...]:
+        """``quotient_pairs`` with each (integral) direction as ints."""
+        return tuple((tuple(x.numerator for x in c), pin)
+                     for c, pin in self.quotient_pairs)
+
+    @cached_property
+    def _full_levi(self) -> "LeviDatum":
+        return levi(self, zero_vec(self.rank))
+
+    def normalize_weight(self, chi):
+        """Canonical section representative modulo the quotient directions:
+        Fraction tuples stay Fraction tuples and int tuples stay int tuples
+        (weights times any common denominator)."""
+        for c, pin in self.quotient_ints:
+            t = chi[pin]
+            chi = tuple(x - t * y for x, y in zip(chi, c, strict=True))
         return chi
 
 
@@ -286,36 +303,64 @@ def is_dominant(datum: RootDatum, chi: Vec, levi: "LeviDatum | None" = None) -> 
     return all(sum(map(mul, c, chi)) >= 0 for c in rows)
 
 
-def descend(simple_pairs, chi: Vec, lowest: bool = False):
-    """Dominant (antidominant when ``lowest``) conjugate of chi under the
-    Weyl group of the (simple root, coroot) pairs, and a reduced word of the
-    unique shortest w taking chi there: w = s_{word[0]} ... s_{word[-1]}.
-    Each step reflects in a simple root whose coroot pairs negatively
-    (positively) with the point, one positive root fewer doing so."""
+# Most points an orbit search may visit, counted as they are found.  The
+# largest orbit of the tests, golden presets and benchmark jobs has 384
+# points (a regular orbit of Sp(8), in the tests; the benchmark's largest
+# has 8); past the cap the search is refused, not left to run through a
+# Weyl group of millions of elements.
+ORBIT_CAP = 50_000
+
+
+def reflect(reflection: Reflection, x: tuple[int, ...]) -> tuple[int, ...]:
+    """Image of the int tuple x under a reflection (rows, d): rows x / d.
+    InputError when that leaves the int lattice, which the reflections of a
+    catalog group, whose roots and coroots are integral, never do."""
+    rows, d = reflection
+    y = tuple(sum(map(mul, row, x)) for row in rows)
+    if d == 1:
+        return y
+    if any(v % d for v in y):
+        raise InputError("a Weyl reflection leaves the lattice of the point")
+    return tuple(v // d for v in y)
+
+
+def descend(lv: "LeviDatum", chi: tuple[int, ...]):
+    """Dominant conjugate, in section form, of the int tuple chi under the
+    Weyl group of the Levi, and a reduced word of the unique shortest w
+    taking chi there: w = s_{word[0]} ... s_{word[-1]}.  Each step reflects
+    in a simple root whose coroot pairs negatively with the point, one
+    positive root fewer doing so."""
+    chi = lv.datum.normalize_weight(chi)
     applied: list[int] = []
     while True:
-        for i, (a, cr) in enumerate(simple_pairs):
-            c = vdot(cr, chi)
-            if (c > 0) if lowest else (c < 0):
-                chi = vsub(chi, vscale(c, a))
+        for i, row in enumerate(lv.dominance_rows):
+            if sum(map(mul, row, chi)) < 0:
+                chi = reflect(lv.reflections[i], chi)
                 applied.append(i)
                 break
         else:
             return chi, tuple(reversed(applied))
 
 
-def orbit(simple_pairs, chi: Vec) -> list[tuple[Vec, int]]:
-    """Every point of the Weyl orbit of chi with the sign (-1)^l, for l the
-    length of the shortest element reaching it, found breadth-first from chi
-    by simple reflections.  At a regular point the points are the w(chi),
-    one per element w, and the sign is det w."""
+def orbit(lv: "LeviDatum",
+          chi: tuple[int, ...]) -> list[tuple[tuple[int, ...], int]]:
+    """Every point, in section form, of the Levi Weyl orbit of the int tuple
+    chi with the sign (-1)^l, for l the length of the shortest element
+    reaching it, found breadth-first from chi by simple reflections.  At a
+    regular point the points are the w(chi), one per element w, and the sign
+    is det w.  InputError once more than ``ORBIT_CAP`` points are found."""
+    chi = lv.datum.normalize_weight(chi)
+    reflections = lv.reflections
     signs, frontier, sign = {chi: 1}, [chi], 1
     while frontier:
         sign, nxt = -sign, []
         for v in frontier:
-            for a, cr in simple_pairs:
-                u = vsub(v, vscale(vdot(cr, v), a))
+            for r in reflections:
+                u = reflect(r, v)
                 if u not in signs:
+                    if len(signs) == ORBIT_CAP:
+                        raise InputError(f"a Weyl orbit has more points "
+                                         f"than the cap of {ORBIT_CAP}")
                     signs[u] = sign
                     nxt.append(u)
         frontier = nxt
@@ -326,8 +371,9 @@ def make_dominant(datum: RootDatum, chi: Vec,
                   levi: "LeviDatum | None" = None) -> tuple[Vec, tuple[int, ...]]:
     """Dominant representative of the plain Weyl orbit together with a
     reduced word of the unique shortest element taking chi there."""
-    dom, word = descend((datum if levi is None else levi).simple_pairs, chi)
-    return datum.normalize_weight(dom), word
+    ints, d = int_row(chi)
+    dom, word = descend(levi or full_levi(datum), tuple(ints))
+    return tuple(Fraction(x, d) for x in dom), word
 
 
 def star_dominate(datum: RootDatum, chi: Vec,
@@ -374,6 +420,32 @@ class LeviDatum:
     @cached_property
     def dominance_rows(self) -> tuple[tuple[int, ...], ...]:
         return _coroot_rows(self.datum, self.simple_roots)
+
+    @cached_property
+    def reflections(self) -> tuple[Reflection, ...]:
+        """One (rows, d) per simple root, in the order of ``simple_roots``:
+        the reflection in the root followed by ``normalize_weight`` is
+        v -> rows v / d, with int rows and d > 0 the least such.  For the
+        root a = a' / t with a' an int tuple, G the int form and q = G a',
+        the coroot is 2 t q / (a' . q), so N s_a = N - 2 (N a') q^T / (a' . q)
+        for the normalization N, whose columns are the normalized units."""
+        datum = self.datum
+        n = datum.rank
+        units = [datum.normalize_weight(tuple(int(i == j) for i in range(n)))
+                 for j in range(n)]
+        out = []
+        for a in self.simple_roots:
+            a = tuple(int_row(a)[0])
+            q = [sum(map(mul, row, a)) for row in datum.gram_ints]
+            norm = sum(map(mul, a, q))
+            na = datum.normalize_weight(a)
+            rows = [[norm * u[i] - 2 * na[i] * qj for u, qj in zip(units, q)]
+                    for i in range(n)]
+            g = math.gcd(norm, *(x for row in rows for x in row))
+            g = g if norm > 0 else -g
+            out.append((tuple(tuple(x // g for x in row) for row in rows),
+                        norm // g))
+        return tuple(out)
 
     @cached_property
     def weyl_rows(self) -> tuple[tuple[int, ...], ...]:
@@ -445,7 +517,9 @@ def levi(datum: RootDatum, lam: Vec) -> LeviDatum:
 
 
 def full_levi(datum: RootDatum) -> LeviDatum:
-    return levi(datum, zero_vec(datum.rank))
+    """The Levi subdatum of the zero subgroup (the whole group), built once
+    per datum."""
+    return datum._full_levi
 
 
 def invariant_subspace(datum: RootDatum) -> list[Vec]:

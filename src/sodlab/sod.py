@@ -67,9 +67,10 @@ def pick_epsilon(rep: RepSpec, lv: LeviDatum, generators) -> Vec:
 
 
 def _component(rep: RepSpec, index: int, sig: FaceSignature, lv: LeviDatum,
-               nu: Vec, kind: tuple, window) -> SodComponent:
-    """The component at lam = lv.lam with window shift nu; the tail is the
-    one with the trivial signature, at lam = 0."""
+               nu: Vec, kind: tuple, window, coinv: RepSpec) -> SodComponent:
+    """The component at lam = lv.lam with window shift nu and the
+    coinvariants ``coinv`` of lam; the tail is the one with the trivial
+    signature, at lam = 0."""
     datum = rep.datum
     if not lv.is_invariant(nu):
         raise InputError("window shift is not Levi-invariant")
@@ -79,7 +80,7 @@ def _component(rep: RepSpec, index: int, sig: FaceSignature, lv: LeviDatum,
     return SodComponent(
         index=index, signature=sig, lam=lv.lam, levi=lv, nu=nu,
         window_kind=kind, window=window, u_summands=summands,
-        coinvariants=coinvariant_rep(rep, lv.lam),
+        coinvariants=coinv,
         algebra=f"(End(U) ⊗ Sym {space})^{{{lv.label()}}}",
         is_d0=sig.trivial)
 
@@ -109,7 +110,8 @@ def _tail_component(rep: RepSpec, lv: LeviDatum, profile: ShiftProfile,
         window = _half_eps_window(rep, lv, gens, shift, EpsShift(eps, "plus"),
                                   twist)
     trivial = FaceSignature(ZERO, (), (), (), True)
-    return _component(rep, 0, trivial, lv, profile.nu_global, kind, window)
+    return _component(rep, 0, trivial, lv, profile.nu_global, kind, window,
+                      coinvariant_rep(rep, lv.lam))
 
 
 def enumerate_sod(rep: RepSpec, profile: ShiftProfile,
@@ -139,11 +141,14 @@ def enumerate_sod(rep: RepSpec, profile: ShiftProfile,
         else:
             kept.append(cell)
     kept.sort(key=lambda c: c.key, reverse=True)
-    components = [
-        _component(rep, -(len(kept) - i), cell.signature, cell.levi,
-                   cell.nu_levi, ("rel_int_scaled", cell.signature.r),
-                   cell_members(rep, cell, profile, twist=twist))
-        for i, cell in enumerate(kept)]
+    components = []
+    for i, cell in enumerate(kept):
+        coinv = coinvariant_rep(rep, cell.lam)
+        components.append(_component(
+            rep, -(len(kept) - i), cell.signature, cell.levi, cell.nu_levi,
+            ("rel_int_scaled", cell.signature.r),
+            cell_members(rep, cell, profile, twist=twist, coinv=coinv),
+            coinv))
     components.append(_tail_component(rep, lv0, profile, eps, twist=twist))
     return SodResult(tuple(components), tuple(absorbed), tuple(frontier),
                      eps, profile.threshold, box_radius,
@@ -189,9 +194,11 @@ def _toric_two_per_side(coinv: RepSpec) -> bool:
 def certify_nccr(rep: RepSpec, lv: LeviDatum, nu: Vec, eps: Vec | None = None,
                  twist: TwistData | None = None,
                  genericity_assertion: bool | None = None,
-                 prazno_mode: str = "set") -> NccrCertificate:
+                 prazno_mode: str = "set",
+                 coinv: RepSpec | None = None) -> NccrCertificate:
     """Certify the crepancy conditions of the half-size window at lam =
-    lv.lam, given the Levi datum ``lv`` of lam (a component's ``levi``).
+    lv.lam, given the Levi datum ``lv`` of lam (a component's ``levi``) and,
+    optionally, the coinvariants ``coinv`` of lam (its ``coinvariants``).
 
     Checks quasi-symmetry of the weight multiset, (weak) genericity of
     epsilon for the neutral zonotope, nonemptiness of the half-size epsilon
@@ -214,7 +221,8 @@ def certify_nccr(rep: RepSpec, lv: LeviDatum, nu: Vec, eps: Vec | None = None,
         raise InputError(f"unknown prazno mode {prazno_mode!r}")
     datum = rep.datum
     nu = vec(nu)
-    coinv = coinvariant_rep(rep, lv.lam)
+    if coinv is None:
+        coinv = coinvariant_rep(rep, lv.lam)
     gens = coinv.expanded
     eps = pick_epsilon(rep, lv, gens) if eps is None else vec(eps)
     if not lv.is_invariant(nu):

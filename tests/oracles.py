@@ -9,7 +9,10 @@ references test every sign pattern of the generator lines by LP; the package
 reads the same faces from the flats of the lines.  The root-data references
 average or alternate over every element of the Weyl group, enumerated
 breadth-first as reflection matrices; the package reads the same facts from
-the simple reflections by descent and orbit search.  The window-box reference
+the simple reflections by descent and orbit search on int tuples.  The orbit
+reference searches by the Fraction reflections, and the Weyl-symmetry
+reference checks a weight multiset by them; the package does both through
+one integer matrix per simple reflection.  The window-box reference
 bounds each coordinate by LP; the package has the closed form.  The
 supporting-subgroup reference decides by LP that an antidominant subgroup
 exists before its integral search; the package runs the search alone.  The
@@ -37,7 +40,7 @@ import itertools
 import math
 from fractions import Fraction
 
-from sodlab.characters import _form, _height, _table, irr_character
+from sodlab.characters import _table, irr_character
 from sodlab.linalg import (identity, in_span, is_zero_vec, mat_vec, primitive,
                            solve, span_basis, vadd, vdot, vec, vscale, vsub,
                            zero_vec)
@@ -762,6 +765,52 @@ def twist_contains_reference(twist, chi):
     rows = [[twist.sublattice_basis[j][i] for j in range(n)] for i in range(n)]
     x = solve(rows, diff)
     return x is not None and all(v.denominator == 1 for v in x)
+
+
+def _form(datum, a, b):
+    """The stored invariant form of two Fraction vectors."""
+    return vdot(a, mat_vec(datum.gram, b))
+
+
+def _height(datum, lv, v):
+    """Pairing with 2 rho: a positive functional on the positive span."""
+    return vdot(v, vadd(lv.rho_bar_lambda, lv.rho_bar_lambda)) \
+        if lv.phi_lambda_plus else F(0)
+
+
+def orbit_reference(simple_pairs, chi):
+    """Every point of the Weyl orbit of the Fraction vector chi with the
+    sign (-1)^l of the shortest element reaching it, breadth-first by the
+    Fraction reflections s_a(v) = v - <a^vee, v> a, with no section
+    normalization; the package searches on int tuples by the integer
+    reflections, which normalize."""
+    signs, frontier, sign = {chi: 1}, [chi], 1
+    while frontier:
+        sign, nxt = -sign, []
+        for v in frontier:
+            for a, cr in simple_pairs:
+                u = vsub(v, vscale(vdot(cr, v), a))
+                if u not in signs:
+                    signs[u] = sign
+                    nxt.append(u)
+        frontier = nxt
+    return list(signs.items())
+
+
+def weyl_symmetry_reference(rep):
+    """The Weyl-symmetry check of ``construct_rep`` over Fraction vectors:
+    InputError, with the package's message, unless every simple reflection
+    keeps each weight's multiplicity."""
+    datum = rep.datum
+    counts = dict(rep.weights)
+    for w, m in rep.weights:
+        for a, cr in full_levi(datum).simple_pairs:
+            image = datum.normalize_weight(vsub(w, vscale(vdot(cr, w), a)))
+            if counts.get(image, 0) != m:
+                raise InputError(f"weights are not Weyl-symmetric: weight "
+                                 f"{list(map(str, w))} has multiplicity {m} "
+                                 f"but its reflection has "
+                                 f"{counts.get(image, 0)}")
 
 
 def irr_character_reference(datum, chi, levi=None):

@@ -4,10 +4,12 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from oracles import twist_contains_reference, weyl_elements_reference
+from oracles import (orbit_reference, twist_contains_reference,
+                     weyl_elements_reference, weyl_symmetry_reference)
 from sodlab.linalg import mat_vec, rank, vdot, vec
 from sodlab.linprog import InputError
-from sodlab.reps import (TwistData, coinvariant_rep, construct_rep,
+from sodlab.reps import (TwistData, _check_weyl_symmetric, coinvariant_rep,
+                         construct_rep,
                          find_destabilizer, has_t_stable_point,
                          is_quasi_symmetric, rep_spec, trivial_twist,
                          twist_member, weight_signs)
@@ -188,3 +190,56 @@ class TestTwist:
         assert twist_member(t, vec([1, 0]))
         assert twist_member(t, vec([2, 1]))
         assert not twist_member(t, vec([1, 1]))
+
+
+SYMMETRY_GROUPS = ("Torus(2)", "GL(2)", "GL(3)", "SL(2)", "SL(3)", "Sp(2)",
+                   "Sp(4)", "Product(SL(2),Torus(1))", "Product(GL(2),Sp(2))")
+
+
+def _message(kernel, *args):
+    """The InputError message the kernel raises, or None."""
+    try:
+        kernel(*args)
+    except InputError as e:
+        return str(e)
+    return None
+
+
+class TestWeylSymmetryCheck:
+    @settings(derandomize=True, database=None, max_examples=200,
+              deadline=None)
+    @given(st.sampled_from(SYMMETRY_GROUPS), st.data())
+    def test_integer_check_matches_fraction_reference(self, tag, data):
+        """The check on int tuples through the integer reflections against
+        the Fraction reflections: the same verdict and the same message,
+        on Weyl orbits with a multiplicity each (symmetric) and on those
+        with one weight dropped or one multiplicity changed."""
+        datum = build_group(tag)
+        counts = {}
+        for _ in range(data.draw(st.integers(1, 3))):
+            w = vec(data.draw(st.integers(-2, 2)) for _ in range(datum.rank))
+            m = data.draw(st.integers(1, 3))
+            for u, _ in orbit_reference(full_levi(datum).simple_pairs, w):
+                u = datum.normalize_weight(u)
+                counts[u] = counts.get(u, 0) + m
+        keys = sorted(counts)
+        broken = data.draw(st.sampled_from(("none", "drop", "bump")))
+        if broken != "none" and len(keys) > 1:
+            k = keys[data.draw(st.integers(0, len(keys) - 1))]
+            if broken == "drop":
+                del counts[k]
+            else:
+                counts[k] += 1
+        rep = rep_spec(datum, sorted(counts.items()))
+        want = _message(weyl_symmetry_reference, rep)
+        assert _message(_check_weyl_symmetric, rep) == want
+        assert _message(construct_rep, datum,
+                        [("weights", sorted(counts.items()))]) == want
+        if broken == "none":
+            assert want is None
+
+    def test_asymmetric_message(self):
+        # the weights are checked in sorted order, (0, 1) first
+        with pytest.raises(InputError, match="weight \\['0', '1'\\] has "
+                           "multiplicity 1 but its reflection has 2"):
+            construct_rep(GL2, [("weights", [((1, 0), 2), ((0, 1), 1)])])

@@ -10,10 +10,12 @@ from hypothesis import given, settings, strategies as st
 
 from oracles import (coroot_reference, invariant_projector_reference,
                      invariant_vectors_reference, is_dominant_reference,
-                     levi_reference, weyl_dim_reference,
+                     levi_reference, orbit_reference, weyl_dim_reference,
                      weyl_elements_reference, weyl_generators_reference)
+from sodlab import rootdata
 from sodlab.characters import weyl_dim
-from sodlab.linalg import mat_vec, vdot, vec
+from sodlab.cli import main
+from sodlab.linalg import int_row, mat_vec, vdot, vec
 from sodlab.linprog import InputError
 from sodlab.rootdata import (RootDatum, build_group, coroot, coroot_pairing,
                              full_levi, invariant_subspace, is_dominant, levi,
@@ -278,49 +280,76 @@ class TestDominanceBySimpleCoroots:
                 assert is_dominant(datum, as_ints, lv) == want, (lv, chi)
 
 
+# GL, SL (with its quotient direction), Sp and products of them.
+ORBIT_GROUPS = ("GL(2)", "GL(3)", "GL(4)", "SL(2)", "SL(3)", "SL(4)", "Sp(4)",
+                "Sp(6)", "Product(SL(2),Torus(1))", "Product(GL(2),Sp(4))",
+                "Product(SL(2),SL(3))")
+
+
+def _at_scale(chi):
+    """chi as an int tuple times its least common denominator d, and d."""
+    ints, d = int_row(chi)
+    return tuple(ints), d
+
+
 class TestWeylKernels:
-    """Descent and orbit search over the simple reflections against the
-    breadth-first enumeration of the group as reflection matrices."""
+    """Descent and orbit search over the integer simple reflections against
+    the breadth-first enumeration of the group as reflection matrices."""
 
     @pytest.mark.parametrize("tag", SMALL_CATALOG)
     def test_orbit_and_signs(self, tag):
         datum, rng, levis = _weyl_cases(tag)
         for lv in levis:
-            pairs = datum.simple_pairs if lv is None else lv.simple_pairs
+            data = lv or full_levi(datum)
             elements = weyl_elements_reference(datum if lv is None else lv)
             for chi in _seeded_weights(datum, rng, 5):
-                points = orbit(pairs, chi)
-                assert len({p for p, _ in points}) == len(points)
-                assert {p for p, _ in points} == \
-                    {mat_vec(m, chi) for m, _, _ in elements}
+                ints, d = _at_scale(chi)
+                points = orbit(data, ints)
+                signs = {tuple(F(x, d) for x in p): s for p, s in points}
+                assert len(signs) == len(points)
+                assert set(signs) == {datum.normalize_weight(mat_vec(m, chi))
+                                      for m, _, _ in elements}
                 positive = datum.positive_roots if lv is None \
                     else lv.phi_lambda_plus
                 if all(coroot_pairing(datum, a, chi) != 0 for a in positive):
                     # regular: one point per element, signed by det w
                     assert len(points) == len(elements)
-                    det = {mat_vec(m, chi): sign for m, _, sign in elements}
-                    assert all(det[p] == sign for p, sign in points)
+                    det = {datum.normalize_weight(mat_vec(m, chi)): sign
+                           for m, _, sign in elements}
+                    assert all(det[p] == sign for p, sign in signs.items())
 
     @pytest.mark.parametrize("tag", SMALL_CATALOG)
     def test_descent_finds_shortest_element(self, tag):
         datum, rng, levis = _weyl_cases(tag)
         for lv in levis:
-            data = datum if lv is None else lv
-            pairs = data.simple_pairs
-            elements = weyl_elements_reference(data)
-            gens = weyl_generators_reference(data)
+            data = lv or full_levi(datum)
+            elements = weyl_elements_reference(datum if lv is None else lv)
+            gens = weyl_generators_reference(datum if lv is None else lv)
             for chi in _seeded_weights(datum, rng, 5):
-                dom, word = descend(pairs, chi)
+                ints, d = _at_scale(chi)
+                dom, word = descend(data, ints)
+                dom = tuple(F(x, d) for x in dom)
                 m, ref_word, _ = next(e for e in elements
                                       if is_dominant(datum, mat_vec(e[0], chi), lv))
-                assert dom == mat_vec(m, chi)
+                assert dom == datum.normalize_weight(mat_vec(m, chi))
                 assert len(word) == len(ref_word)
                 assert _product([gens[i] for i in word], datum.rank) == m
-                assert make_dominant(datum, chi, lv) == \
-                    (datum.normalize_weight(dom), word)
-                low, _ = descend(pairs, chi, lowest=True)
-                assert all(vdot(cr, low) <= 0 for _, cr in pairs)
-                assert low in {mat_vec(m, chi) for m, _, _ in elements}
+                assert make_dominant(datum, chi, lv) == (dom, word)
+
+    @pytest.mark.parametrize("tag", SMALL_CATALOG)
+    def test_reflections_are_normalized_reflections(self, tag):
+        """Each (rows, d) of a Levi is its simple reflection followed by the
+        section normalization, on every unit vector."""
+        datum, _, levis = _weyl_cases(tag)
+        for lv in [full_levi(datum)] + levis[2:]:
+            assert len(lv.reflections) == len(lv.simple_roots)
+            for (rows, d), (a, cr) in zip(lv.reflections, lv.simple_pairs):
+                assert d > 0
+                for j in range(datum.rank):
+                    unit = vec(int(i == j) for i in range(datum.rank))
+                    want = datum.normalize_weight(
+                        tuple(x - vdot(cr, unit) * y for x, y in zip(unit, a)))
+                    assert tuple(F(row[j], d) for row in rows) == want
 
     def test_reference_reflections_preserve_the_form(self):
         tripled = TestFormRescaling()._scaled_sp4()
@@ -329,6 +358,64 @@ class TestWeylKernels:
             for g in weyl_generators_reference(datum):
                 gt = tuple(zip(*g))
                 assert _product([gt, g_form, g], datum.rank) == g_form
+
+    @settings(derandomize=True, database=None, max_examples=150,
+              deadline=None)
+    @given(st.sampled_from(ORBIT_GROUPS), st.data())
+    def test_integer_orbit_matches_fraction_reference(self, tag, data):
+        """The orbit search on int tuples against the Fraction search: the
+        same points, in section form, with the same signs, for the whole
+        group and for the Levi of a random coweight."""
+        datum = build_group(tag)
+        lam = [data.draw(st.integers(-2, 2)) for _ in range(datum.rank)]
+        for c, pin in datum.quotient_pairs:
+            lam[pin] -= vdot(vec(lam), c)
+        lv = levi(datum, vec(lam))
+        chi = tuple(F(data.draw(st.integers(-4, 4)),
+                      data.draw(st.sampled_from((1, 2))))
+                    for _ in range(datum.rank))
+        ints, d = _at_scale(chi)
+        points = orbit(lv, ints)
+        got = {tuple(F(x, d) for x in p): s for p, s in points}
+        want = {datum.normalize_weight(p): s
+                for p, s in orbit_reference(lv.simple_pairs, chi)}
+        assert len(got) == len(points) == len(want)
+        assert got == want
+
+
+    def test_reflection_off_the_lattice_is_refused(self):
+        """Under a form that is not Weyl-invariant the coroot of L1 - L2 is
+        not integral: the reflection (rows, 3) maps (1, -1) to (-1, 1) but
+        (1, 0) to (1/3, 2/3), which the integer kernels refuse rather than
+        round."""
+        skewed = dataclasses.replace(GL2, gram=((F(1), F(0)), (F(0), F(2))))
+        lv = full_levi(skewed)
+        assert lv.reflections == ((((1, 4), (2, -1)), 3),)
+        assert orbit(lv, (1, -1)) == [((1, -1), 1), ((-1, 1), -1)]
+        with pytest.raises(InputError, match="leaves the lattice"):
+            orbit(lv, (1, 0))
+
+
+class TestOrbitCap:
+    def test_cap_counts_the_points_found(self, monkeypatch):
+        gl3 = full_levi(build_group("GL(3)"))
+        monkeypatch.setattr(rootdata, "ORBIT_CAP", 6)
+        assert len(orbit(gl3, (2, 1, 0))) == 6   # regular: one per element
+        monkeypatch.setattr(rootdata, "ORBIT_CAP", 5)
+        with pytest.raises(InputError, match="than the cap of 5"):
+            orbit(gl3, (2, 1, 0))
+        assert len(orbit(gl3, (1, 1, 0))) == 3
+
+    def test_hilbert_past_the_cap_exits_two(self, monkeypatch, tmp_path,
+                                            capsys):
+        """The GL(2) orbits of determinantal:n=2,h=3 have two points."""
+        args = ["hilbert", "--preset", "determinantal:n=2,h=3",
+                "--out", str(tmp_path / "hilbert.json")]
+        monkeypatch.setattr(rootdata, "ORBIT_CAP", 2)
+        assert main(args) == 0
+        monkeypatch.setattr(rootdata, "ORBIT_CAP", 1)
+        assert main(args) == 2
+        assert "more points than the cap of 1" in capsys.readouterr().err
 
 
 class TestFormRescaling:

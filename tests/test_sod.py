@@ -1,6 +1,7 @@
 import json
 import random
 import sys
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
@@ -219,6 +220,31 @@ class TestLambdaDataOnce:
         assert len(result.components) > 1
         for comp in result.components:
             assert comp.levi == original(datum, comp.lam)
+
+    @pytest.mark.parametrize("preset_name", ["determinantal", "toric"])
+    def test_nccr_job_builds_coinvariants_once(self, preset_name,
+                                               monkeypatch):
+        """One nccr job restricts the weights to the neutral ones of lam
+        once per component at lam: the window, the component and its
+        certificate share the component's ``coinvariants``."""
+        kwargs = {"n": 2, "h": 3} if preset_name == "determinantal" else {}
+        cfg = preset_config(preset(preset_name, **kwargs))
+        calls = {}
+        original = reps.coinvariant_rep
+
+        def counting(rep, lam):
+            calls[rep, lam] = calls.get((rep, lam), 0) + 1
+            return original(rep, lam)
+        for mod in (reps, partition, sod, report):
+            if hasattr(mod, "coinvariant_rep"):
+                monkeypatch.setattr(mod, "coinvariant_rep", counting)
+        doc = run_job("nccr", cfg)
+        per_lambda = Counter(tuple(c["lambda"]) for c in doc["nccr"])
+        got = Counter()
+        for (_, lam), n in calls.items():
+            got[tuple(report.weight_json(lam))] += n
+        assert len(per_lambda) > 1 and got == per_lambda
+        assert len({rep for rep, _ in calls}) == 1
 
 
 class TestStabilityLpOnce:

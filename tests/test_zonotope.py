@@ -19,8 +19,8 @@ from sodlab.linprog import (InputError, feasible_point, forced_tight,
                             strict_feasible)
 from sodlab.partition import make_profile, signature_of
 from sodlab.reps import construct_rep, rep_spec, weight_signs
-from sodlab.rootdata import (build_group, descend, full_levi,
-                             invariant_subspace, orbit)
+from sodlab.rootdata import (build_group, full_levi, invariant_subspace,
+                             make_dominant, orbit)
 from sodlab.zonotope import (CLOSED, HALF_OPEN, REL_INT, EpsShift,
                              FaceSignature, _coefficient_program,
                              face_signature_at, facet_table,
@@ -336,8 +336,9 @@ def random_pieces(rng, datum, tag):
         w = vec(rng.randint(-2, 2) for _ in range(datum.rank))
         m = rng.randint(1, 2)
         for sign in ((1, -1) if rng.random() < 0.7 else (1,)):
-            for u, _ in orbit(datum.simple_pairs, vscale(sign, w)):
-                counts[datum.normalize_weight(u)] += m
+            point = tuple(sign * int(x) for x in w)
+            for u, _ in orbit(full_levi(datum), point):
+                counts[vec(u)] += m
     if counts:
         pieces.append(("weights", sorted(counts.items())))
     if rng.random() < 0.3:
@@ -363,7 +364,7 @@ class TestSupportingLambdaWithoutLp:
         profile = make_profile(datum, nu)
         for _ in range(3):
             chi = vec(rng.randint(-4, 4) for _ in range(datum.rank))
-            chi = datum.normalize_weight(descend(datum.simple_pairs, chi)[0])
+            chi = make_dominant(datum, chi)[0]
             try:
                 sig = signature_of(rep, chi, profile)
             except InputError:  # chi - shift is off the cone of the weights
