@@ -286,20 +286,24 @@ def hom_block_dims(datum: RootDatum, mu: Vec, mu_prime: Vec, coinv: RepSpec,
     tables.reverse()
     scale = tables[0].scale
     ch_prime = irr_character(datum, mu_prime, lv)
-    prime = _at_scale(ch_prime.counts, ch_prime.scale, scale)
     # mu + rho and rho in section form at one scale t; mu + rho is regular,
     # so its orbit has one point per w, signed by det w, and each point less
-    # rho is w(mu + rho) - rho at scale t, then at the tables' scale
+    # rho is w(mu + rho) - rho at scale t
     rho = datum.normalize_weight(lv.rho_bar_lambda)
     (shifted, rho), t = int_rows([datum.normalize_weight(vadd(mu, rho)), rho])
     points = {tuple(map(sub, image, rho)): det
               for image, det in orbit(lv, shifted)}
+    # the differences are taken at a scale every term lies on, and only
+    # then are the keys off the tables' lattice dropped: two terms off it
+    # may differ by a weight on it
+    common = math.lcm(t, ch_prime.scale, scale)
+    prime = _at_scale(ch_prime.counts, ch_prime.scale, common)
     kernel: dict[tuple[int, ...], int] = {}
-    for point, det in _at_scale(points, t, scale):
+    for point, det in _at_scale(points, t, common):
         for w1, m1 in prime:
             key = tuple(map(sub, point, w1))
             kernel[key] = kernel.get(key, 0) + det * m1
-    terms = [(key, c) for key, c in kernel.items() if c]
+    terms = [(key, c) for key, c in _at_scale(kernel, common, scale) if c]
     dims = [sum(c * counts.get(key, 0) for key, c in terms)
             for counts in (table.counts for table in tables)]
     if any(dim < 0 for dim in dims):

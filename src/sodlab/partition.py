@@ -25,7 +25,7 @@ from functools import partial
 
 from .linalg import Vec, ZERO, ONE, vadd, vscale, vsub, vec, zero_vec
 from .linprog import InputError, enumerate_lattice
-from .reps import RepSpec, coinvariant_rep, find_destabilizer, weight_signs
+from .reps import RepSpec, find_destabilizer, weight_signs
 from .rootdata import (LeviDatum, RootDatum, full_levi, is_dominant, levi,
                        pairing, star_dominate)
 from .zonotope import (REL_INT, FaceSignature, face_signature_at, member,
@@ -142,19 +142,17 @@ def window_points(datum: RootDatum, lv: LeviDatum, gens, r, shift, inside,
 
 
 def cell_members(rep: RepSpec, cell: PartitionCell, profile: ShiftProfile,
-                 twist=None, coinv: RepSpec | None = None) -> list[Vec]:
+                 coinv: RepSpec, twist=None) -> list[Vec]:
     """All lattice points of the cell's window: Levi-dominant weights in
-    nu_levi - rho_bar_lambda + r * (open-coefficient zonotope of the
-    lam-neutral weights, ``coinv`` when the caller has them).  This is the
-    full cell, independent of any box.  The trivial cell (r = 0) is the
-    shift point, the set of no generators."""
+    nu_levi - rho_bar_lambda + r * (open-coefficient zonotope of ``coinv``,
+    the lam-neutral weights, ``reps.coinvariant_rep(rep, cell.lam)``).
+    This is the full cell, independent of any box.  The trivial cell
+    (r = 0) is the shift point, the set of no generators."""
     datum, lv = rep.datum, cell.levi
     shift = vsub(cell.nu_levi, lv.rho_bar_lambda)
     if cell.signature.trivial:
         gens, r = (), ONE
     else:
-        if coinv is None:
-            coinv = coinvariant_rep(rep, cell.lam)
         gens, r = coinv.expanded, cell.signature.r
     inside = member(gens, r, shift, REL_INT, datum.central_directions)
     return window_points(datum, lv, gens, r, shift, inside, twist)

@@ -361,10 +361,10 @@ def run_job(subcommand: str, cfg: JobConfig) -> dict:
         for comp in result.components:
             # the tail keeps the SOD epsilon, the others take their default
             cert = certify_nccr(
-                rep, comp.levi, comp.nu,
+                rep, comp.levi, comp.coinvariants, comp.nu,
                 result.epsilon if comp.is_d0 else None, twist=cfg.twist,
                 genericity_assertion=cfg.genericity_assertion,
-                prazno_mode=cfg.prazno_mode, coinv=comp.coinvariants)
+                prazno_mode=cfg.prazno_mode)
             certs.append({"component_index": comp.index,
                           "lambda": weight_json(comp.lam),
                           "certificate": _certificate_json(cert)})

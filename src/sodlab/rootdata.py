@@ -94,6 +94,11 @@ class RootDatum:
         return {a: _coroot_under(self.gram_ints, a) for a in self.roots}
 
     @cached_property
+    def simple_pairs(self) -> tuple[tuple[Vec, Vec], ...]:
+        """(simple root, coroot) pairs: the simple reflections."""
+        return tuple((a, self.coroots[a]) for a in self.simple_roots)
+
+    @cached_property
     def dominance_rows(self) -> tuple[tuple[int, ...], ...]:
         return _coroot_rows(self, self.simple_roots)
 
@@ -110,10 +115,6 @@ class RootDatum:
         """``quotient_pairs`` with each (integral) direction as ints."""
         return tuple((tuple(x.numerator for x in c), pin)
                      for c, pin in self.quotient_pairs)
-
-    @cached_property
-    def _full_levi(self) -> "LeviDatum":
-        return levi(self, zero_vec(self.rank))
 
     def normalize_weight(self, chi):
         """Canonical section representative modulo the quotient directions:
@@ -324,17 +325,19 @@ def reflect(reflection: Reflection, x: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(v // d for v in y)
 
 
-def descend(lv: "LeviDatum", chi: tuple[int, ...]):
-    """Dominant conjugate, in section form, of the int tuple chi under the
-    Weyl group of the Levi, and a reduced word of the unique shortest w
-    taking chi there: w = s_{word[0]} ... s_{word[-1]}.  Each step reflects
-    in a simple root whose coroot pairs negatively with the point, one
-    positive root fewer doing so."""
+def descend(lv: "LeviDatum", chi: tuple[int, ...], lowest: bool = False):
+    """Dominant (antidominant when ``lowest``) conjugate, in section form,
+    of the int tuple chi under the Weyl group of the Levi, and a reduced
+    word of the unique shortest w taking chi there:
+    w = s_{word[0]} ... s_{word[-1]}.  Each step reflects in a simple root
+    whose coroot pairs negatively (positively) with the point, one positive
+    root fewer doing so."""
     chi = lv.datum.normalize_weight(chi)
     applied: list[int] = []
     while True:
         for i, row in enumerate(lv.dominance_rows):
-            if sum(map(mul, row, chi)) < 0:
+            c = sum(map(mul, row, chi))
+            if (c > 0) if lowest else (c < 0):
                 chi = reflect(lv.reflections[i], chi)
                 applied.append(i)
                 break
@@ -516,10 +519,19 @@ def levi(datum: RootDatum, lam: Vec) -> LeviDatum:
     return LeviDatum(datum, lam, phi, plus, simple, rho)
 
 
+# The whole-group Levi of the datum asked for last.  It is kept here, not
+# on the datum: the Levi refers back to its datum, so a cache on the datum
+# would be a cycle that only the cyclic collector frees.  Holding the Levi
+# holds its datum, so the identity test below cannot match a new object.
+_FULL_LEVI: list[LeviDatum] = []
+
+
 def full_levi(datum: RootDatum) -> LeviDatum:
     """The Levi subdatum of the zero subgroup (the whole group), built once
-    per datum."""
-    return datum._full_levi
+    per run of calls on one datum."""
+    if not (_FULL_LEVI and _FULL_LEVI[0].datum is datum):
+        _FULL_LEVI[:] = [levi(datum, zero_vec(datum.rank))]
+    return _FULL_LEVI[0]
 
 
 def invariant_subspace(datum: RootDatum) -> list[Vec]:

@@ -147,7 +147,7 @@ def enumerate_sod(rep: RepSpec, profile: ShiftProfile,
         components.append(_component(
             rep, -(len(kept) - i), cell.signature, cell.levi, cell.nu_levi,
             ("rel_int_scaled", cell.signature.r),
-            cell_members(rep, cell, profile, twist=twist, coinv=coinv),
+            cell_members(rep, cell, profile, coinv, twist=twist),
             coinv))
     components.append(_tail_component(rep, lv0, profile, eps, twist=twist))
     return SodResult(tuple(components), tuple(absorbed), tuple(frontier),
@@ -191,14 +191,14 @@ def _toric_two_per_side(coinv: RepSpec) -> bool:
     return all(pos >= 2 and neg >= 2 for pos, neg in sides.values())
 
 
-def certify_nccr(rep: RepSpec, lv: LeviDatum, nu: Vec, eps: Vec | None = None,
-                 twist: TwistData | None = None,
+def certify_nccr(rep: RepSpec, lv: LeviDatum, coinv: RepSpec, nu: Vec,
+                 eps: Vec | None = None, twist: TwistData | None = None,
                  genericity_assertion: bool | None = None,
-                 prazno_mode: str = "set",
-                 coinv: RepSpec | None = None) -> NccrCertificate:
+                 prazno_mode: str = "set") -> NccrCertificate:
     """Certify the crepancy conditions of the half-size window at lam =
-    lv.lam, given the Levi datum ``lv`` of lam (a component's ``levi``) and,
-    optionally, the coinvariants ``coinv`` of lam (its ``coinvariants``).
+    lv.lam, given the Levi datum ``lv`` of lam and the lam-neutral weights
+    ``coinv`` (``reps.coinvariant_rep(rep, lam)``): a component's ``levi``
+    and ``coinvariants``.
 
     Checks quasi-symmetry of the weight multiset, (weak) genericity of
     epsilon for the neutral zonotope, nonemptiness of the half-size epsilon
@@ -221,8 +221,6 @@ def certify_nccr(rep: RepSpec, lv: LeviDatum, nu: Vec, eps: Vec | None = None,
         raise InputError(f"unknown prazno mode {prazno_mode!r}")
     datum = rep.datum
     nu = vec(nu)
-    if coinv is None:
-        coinv = coinvariant_rep(rep, lv.lam)
     gens = coinv.expanded
     eps = pick_epsilon(rep, lv, gens) if eps is None else vec(eps)
     if not lv.is_invariant(nu):

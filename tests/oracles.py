@@ -804,7 +804,7 @@ def weyl_symmetry_reference(rep):
     datum = rep.datum
     counts = dict(rep.weights)
     for w, m in rep.weights:
-        for a, cr in full_levi(datum).simple_pairs:
+        for a, cr in datum.simple_pairs:
             image = datum.normalize_weight(vsub(w, vscale(vdot(cr, w), a)))
             if counts.get(image, 0) != m:
                 raise InputError(f"weights are not Weyl-symmetric: weight "

@@ -21,8 +21,8 @@ from sodlab.linprog import LpBuilder, feasible_point, forced_tight, \
 from sodlab.partition import (build_cell, cell_members, dominant_box_points,
                               make_profile, order_key, partition_region,
                               signature_of, validate_reduction_setting)
-from sodlab.reps import construct_rep, is_quasi_symmetric, rep_spec, \
-    weight_signs
+from sodlab.reps import coinvariant_rep, construct_rep, \
+    is_quasi_symmetric, rep_spec, weight_signs
 from sodlab.rootdata import build_group, full_levi, is_dominant, pairing, \
     star_dominate
 from sodlab.sod import certify_nccr, enumerate_sod, preset
@@ -51,8 +51,10 @@ def test_criterion_1_pfaffian_parity():
         for n in (1, 2, 3):
             for h in range(2 * n + 1, 8):
                 p = preset("pfaffian", n=n, h=h)
-                cert = certify_nccr(p.rep, full_levi(p.datum), vec([0] * n),
-                                    vec([0] * n), genericity_assertion=True)
+                zero = vec([0] * n)
+                cert = certify_nccr(p.rep, full_levi(p.datum),
+                                    coinvariant_rep(p.rep, zero), zero, zero,
+                                    genericity_assertion=True)
                 assert cert.prazno_empty == (h % 2 == 1), (n, h)
 
 
@@ -64,7 +66,9 @@ def test_criterion_2_determinantal_windows():
             eps = p.recommended_eps
             gens = rep.expanded
             assert is_weakly_generic(eps, datum, gens)
-            cert = certify_nccr(rep, full_levi(datum), vec([0] * n), eps,
+            zero = vec([0] * n)
+            cert = certify_nccr(rep, full_levi(datum),
+                                coinvariant_rep(rep, zero), zero, eps,
                                 genericity_assertion=True)
             assert cert.prazno_empty, (n, h)
             # double enumeration: +-eps-restricted half window versus the
@@ -174,7 +178,8 @@ def test_criterion_4_partition_property_suite():
                         assert signs.t_minus == sig.s_minus
                         assert signs.t_zero == sig.s_zero
                         # window members are fully dominant
-                        for mu in cell_members(rep, cell, prof):
+                        coinv = coinvariant_rep(rep, cell.lam)
+                        for mu in cell_members(rep, cell, prof, coinv):
                             assert is_dominant(datum, mu)
                             assert signature_of(rep, mu, prof) == sig
                     cache[chi] = (sig, cell)

@@ -282,6 +282,7 @@ class TestSymPowerKernel:
         assert halves != CharacterTable(T1, {(1,): 2}, 2)
 
     def test_non_integral_coinvariants_match_reference(self):
+        lv = full_levi(GL2)
         # half-integral weights, some of them neutral for lam = (1, 1), so
         # the tables live at scale 2 and integral kernel keys meet them
         rep = _weight_multiset(GL2, [
@@ -291,16 +292,28 @@ class TestSymPowerKernel:
         coinv = coinvariant_rep(rep, vec([1, 1]))
         assert {w for w, _ in coinv.weights} == {
             vec(["1/2", "-1/2"]), vec(["-1/2", "1/2"]), vec([0, 0])}
-        lv = full_levi(GL2)
         mus = [vec(x) for x in ([0, 0], [1, -1], ["1/2", "-1/2"], [1, 0])]
-        nonzero = 0
-        for mu in mus:
-            for mu2 in mus:
-                got = hom_block_dims(GL2, mu, mu2, coinv, lv, up_to=4).dims()
-                assert got == hom_block_dims_reference(GL2, mu, mu2, coinv,
-                                                       lv, 4)
-                nonzero += any(got)
-        assert nonzero > 0
+        # integral coinvariants put the tables at scale 1, while the orbit
+        # points of a half-integral mu and the weights of ch(mu') are off
+        # that lattice: only their differences are on it
+        integral = coinvariant_rep(
+            _weight_multiset(GL2, [((1, -1), 1), ((-1, 1), 1), ((0, 0), 1),
+                                   ((1, 0), 1), ((0, 1), 1)]), vec([1, 1]))
+        assert sym_power_character(integral, 0).scale == 1
+        halves = [vec(x) for x in (["1/2", "-1/2"], ["3/2", "-1/2"],
+                                   ["3/2", "-3/2"])]
+        for coinv, mus in ((coinv, mus), (integral, halves)):
+            nonzero = 0
+            for mu in mus:
+                for mu2 in mus:
+                    got = hom_block_dims(GL2, mu, mu2, coinv, lv,
+                                         up_to=4).dims()
+                    assert got == hom_block_dims_reference(GL2, mu, mu2,
+                                                           coinv, lv, 4)
+                    nonzero += any(got)
+            assert nonzero > 0
+        half = vec(["1/2", "-1/2"])
+        assert hom_block_dims(GL2, half, half, integral, lv).dims()[0] == 1
 
 
 class TestSymPowerGuards:

@@ -13,7 +13,7 @@ from sodlab.partition import (PreconditionError, build_cell, cell_members,
                               dominant_box_points, make_profile, order_key,
                               partition_region, signature_of,
                               validate_reduction_setting, window_box)
-from sodlab.reps import construct_rep, rep_spec, weight_signs
+from sodlab.reps import coinvariant_rep, construct_rep, rep_spec, weight_signs
 from sodlab.rootdata import build_group, is_dominant, levi, pairing
 from sodlab.zonotope import FaceSignature
 
@@ -69,7 +69,8 @@ class TestCellMembers:
     def test_zero_dimensional_window(self):
         sig = signature_of(TORUS_4, vec([3]), PROF_T1)
         cell = build_cell(TORUS_4, sig, PROF_T1)
-        assert cell_members(TORUS_4, cell, PROF_T1) == [vec([3])]
+        coinv = coinvariant_rep(TORUS_4, cell.lam)
+        assert cell_members(TORUS_4, cell, PROF_T1, coinv) == [vec([3])]
 
     def test_members_share_the_signature(self):
         rep = construct_rep(SL2, [("sym_power", 3), ("trivial", 1)])
@@ -77,7 +78,8 @@ class TestCellMembers:
         for x in (3, 4, 5):
             sig = signature_of(rep, vec([x, 0]), prof)
             cell = build_cell(rep, sig, prof)
-            for mu in cell_members(rep, cell, prof):
+            coinv = coinvariant_rep(rep, cell.lam)
+            for mu in cell_members(rep, cell, prof, coinv):
                 assert signature_of(rep, mu, prof) == sig
 
     def test_levi_dominant_members_are_dominant(self):
@@ -89,7 +91,8 @@ class TestCellMembers:
             if cell.signature.trivial:
                 continue
             lv = levi(SP4, cell.lam)
-            for mu in cell_members(rep, cell, prof):
+            coinv = coinvariant_rep(rep, cell.lam)
+            for mu in cell_members(rep, cell, prof, coinv):
                 assert is_dominant(SP4, mu, lv)
                 assert is_dominant(SP4, mu)
 

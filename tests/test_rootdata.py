@@ -335,6 +335,11 @@ class TestWeylKernels:
                 assert len(word) == len(ref_word)
                 assert _product([gens[i] for i in word], datum.rank) == m
                 assert make_dominant(datum, chi, lv) == (dom, word)
+                low, _ = descend(data, ints, lowest=True)
+                low = tuple(F(x, d) for x in low)
+                assert all(vdot(cr, low) <= 0 for _, cr in data.simple_pairs)
+                assert low in {datum.normalize_weight(mat_vec(m, chi))
+                               for m, _, _ in elements}
 
     @pytest.mark.parametrize("tag", SMALL_CATALOG)
     def test_reflections_are_normalized_reflections(self, tag):

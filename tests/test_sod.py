@@ -13,7 +13,7 @@ from sodlab.linalg import vadd, vec, vscale, vsub
 from sodlab.linprog import InputError, enumerate_lattice
 from sodlab.partition import PreconditionError, make_profile, window_box
 from sodlab.report import build_objects, preset_config, run_job
-from sodlab.reps import rep_spec
+from sodlab.reps import coinvariant_rep, rep_spec
 from sodlab.rootdata import build_group, full_levi, is_dominant, levi
 from sodlab.sod import (certify_nccr, enumerate_sod, preset,
                         refine_lambda_combination)
@@ -90,36 +90,42 @@ class TestEnumerateSod:
             assert lv.is_invariant(c.nu)
 
 
+def _neutral(rep, lam):
+    """The lam-neutral weights of rep, which ``certify_nccr`` takes."""
+    return coinvariant_rep(rep, vec(lam))
+
+
 class TestCertify:
     def test_pfaffian_odd(self):
         p = preset("pfaffian", n=1, h=3)
-        cert = certify_nccr(p.rep, full_levi(p.datum), vec([0]), vec([0]),
-                            genericity_assertion=True)
+        cert = certify_nccr(p.rep, full_levi(p.datum), _neutral(p.rep, [0]),
+                            vec([0]), vec([0]), genericity_assertion=True)
         assert cert.quasi_symmetric and cert.eps_status == "WeaklyGeneric"
         assert cert.window == (vec([0]),)
         assert cert.prazno_empty and cert.verdict == "TwistedNCCR"
 
     def test_pfaffian_even(self):
         p = preset("pfaffian", n=1, h=4)
-        cert = certify_nccr(p.rep, full_levi(p.datum), vec([0]), vec([0]),
-                            genericity_assertion=True)
+        cert = certify_nccr(p.rep, full_levi(p.datum), _neutral(p.rep, [0]),
+                            vec([0]), vec([0]), genericity_assertion=True)
         assert not cert.prazno_empty
         assert cert.prazno_points == (vec([1]),)
         assert cert.verdict == "FiniteGlobalDimOnly"
 
     def test_determinantal_window_equality(self):
         p = preset("determinantal", n=1, h=2)
-        cert = certify_nccr(p.rep, full_levi(p.datum), vec([0]),
-                            p.recommended_eps)
+        cert = certify_nccr(p.rep, full_levi(p.datum), _neutral(p.rep, [0]),
+                            vec([0]), p.recommended_eps)
         assert cert.eps_status in ("Generic", "WeaklyGeneric")
         assert cert.genericity == "CheckedToricRule"
         assert cert.prazno_empty and cert.verdict == "TwistedNCCR"
 
     def test_eps_scaling_invariance(self):
         p = preset("determinantal", n=2, h=3)
-        base = certify_nccr(p.rep, full_levi(p.datum), vec([0, 0]),
+        coinv = _neutral(p.rep, [0, 0])
+        base = certify_nccr(p.rep, full_levi(p.datum), coinv, vec([0, 0]),
                             p.recommended_eps, genericity_assertion=True)
-        scaled = certify_nccr(p.rep, full_levi(p.datum), vec([0, 0]),
+        scaled = certify_nccr(p.rep, full_levi(p.datum), coinv, vec([0, 0]),
                               vscale(F(5, 3), p.recommended_eps),
                               genericity_assertion=True)
         assert (base.eps_status, base.window_nonempty, base.window,
@@ -129,16 +135,18 @@ class TestCertify:
 
     def test_invariance_precondition(self):
         p = preset("determinantal", n=2, h=3)
+        coinv = _neutral(p.rep, [0, 0])
         with pytest.raises(InputError):
-            certify_nccr(p.rep, full_levi(p.datum), vec([1, 0]),
+            certify_nccr(p.rep, full_levi(p.datum), coinv, vec([1, 0]),
                          p.recommended_eps)
         with pytest.raises(InputError):
-            certify_nccr(p.rep, full_levi(p.datum), vec([0, 0]), vec([1, 0]))
+            certify_nccr(p.rep, full_levi(p.datum), coinv, vec([0, 0]),
+                         vec([1, 0]))
 
     def test_nonzero_lambda_component(self):
         p = preset("pfaffian", n=1, h=3)
-        cert = certify_nccr(p.rep, levi(p.datum, vec([-1])), vec([2]),
-                            vec([0]))
+        cert = certify_nccr(p.rep, levi(p.datum, vec([-1])),
+                            _neutral(p.rep, [-1]), vec([2]), vec([0]))
         assert cert.window == (vec([2]),)
         assert cert.prazno_empty
         assert cert.genericity == "CheckedToricRule"  # empty neutral rep
@@ -149,19 +157,21 @@ class TestCertify:
 
         p = preset("pfaffian", n=1, h=4)
         odd = TwistData(((F(2),),), (F(1),))
-        cert = certify_nccr(p.rep, full_levi(p.datum), vec([0]), vec([0]),
-                            twist=odd, genericity_assertion=True)
+        cert = certify_nccr(p.rep, full_levi(p.datum), _neutral(p.rep, [0]),
+                            vec([0]), vec([0]), twist=odd,
+                            genericity_assertion=True)
         # the boundary point 1 is odd, so it survives the coset filter
         assert cert.prazno_points == (vec([1]),)
         even = TwistData(((F(2),),), (F(0),))
-        cert = certify_nccr(p.rep, full_levi(p.datum), vec([0]), vec([0]),
-                            twist=even, genericity_assertion=True)
+        cert = certify_nccr(p.rep, full_levi(p.datum), _neutral(p.rep, [0]),
+                            vec([0]), vec([0]), twist=even,
+                            genericity_assertion=True)
         assert cert.prazno_empty
 
     def test_minkowski_mode_flag(self):
         p = preset("pfaffian", n=1, h=3)
-        cert = certify_nccr(p.rep, full_levi(p.datum), vec([0]), vec([0]),
-                            genericity_assertion=True,
+        cert = certify_nccr(p.rep, full_levi(p.datum), _neutral(p.rep, [0]),
+                            vec([0]), vec([0]), genericity_assertion=True,
                             prazno_mode="minkowski")
         assert cert.prazno_mode == "minkowski"
         assert cert.prazno_empty  # nu - rho is half-integral here
@@ -398,7 +408,8 @@ class TestMinkowski:
         rep = rep_spec(datum, weights)
         lam = (F(0),) * datum.rank
         lv = levi(datum, lam)
-        cert = certify_nccr(rep, lv, vec(nu), lam, prazno_mode="minkowski")
+        cert = certify_nccr(rep, lv, coinvariant_rep(rep, lam), vec(nu), lam,
+                            prazno_mode="minkowski")
         shift = vsub(vec(nu), lv.rho_bar_lambda)
         central = datum.central_directions
 
