@@ -142,8 +142,11 @@ def enumerate_sod(rep: RepSpec, profile: ShiftProfile,
             kept.append(cell)
     kept.sort(key=lambda c: c.key, reverse=True)
     components = []
+    # one restriction per distinct lam, shared by the components at it
+    coinvs = {lam: coinvariant_rep(rep, lam)
+              for lam in {cell.lam for cell in kept}}
     for i, cell in enumerate(kept):
-        coinv = coinvariant_rep(rep, cell.lam)
+        coinv = coinvs[cell.lam]
         components.append(_component(
             rep, -(len(kept) - i), cell.signature, cell.levi, cell.nu_levi,
             ("rel_int_scaled", cell.signature.r),

@@ -14,10 +14,13 @@ variables, so all sets are effectively computed in the character quotient.
 
 Epsilon-shifted membership and genericity read no LP.  A facet table is
 built once per (generators, central, ambient dimension) and kept in a
-process memo: the proper flats of the generator lines (the only place they
-are enumerated; genericity reads them from the table), an annihilator basis
-of span(generators + central) plus both signed normals of every hyperplane
-flat with their support values, all normals primitive integer vectors.
+process memo.  Its build finds the hyperplane flats of the generator lines
+first, by a scan of line subsets, and takes both signed normals of each, with
+their support values, as the facets; every other proper flat is an
+intersection of hyperplane flats and comes by set intersection.  The table
+holds those flats (the only place they are enumerated; genericity reads them
+from it), the facets and an annihilator basis of span(generators + central),
+all normals primitive integer vectors.
 ``member_eps`` builds one integer predicate per window from it, and that
 predicate decides each lattice point with integer arithmetic on those
 pairings.  ``member`` has the same shape: it builds one predicate per
@@ -35,6 +38,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from itertools import combinations
+from math import comb
 from operator import mul
 from typing import Callable
 
@@ -254,22 +259,24 @@ def supporting_lambda(sig: FaceSignature, datum: RootDatum, generators) -> Vec:
 #
 # Within V = span(generators + central) the set r * Z + span(central) is cut
 # out by its facets.  Their normals are the functionals lam that vanish on
-# central and on a hyperplane flat of the generator lines (the flats below
-# of corank one in V), taken with both signs, and the support function of Z
-# at lam is h(lam) = sum max(0, -<lam, v>) over the expanded generators.  So
-# d = p - shift is in the closed set iff d pairs to zero with the
-# annihilator of V and <lam, d> <= r * h(lam) on every facet, and -eps points
-# into the set at such a d iff <lam, eps> >= 0 on every facet tight at d.
+# central and on a hyperplane flat of the generator lines (see
+# ``_proper_flats`` below), taken with both signs, and the support function
+# of Z at lam is h(lam) = sum max(0, -<lam, v>) over the expanded
+# generators.  So d = p - shift is in the closed set iff d pairs to zero
+# with the annihilator of V and <lam, d> <= r * h(lam) on every facet, and
+# -eps points into the set at such a d iff <lam, eps> >= 0 on every facet
+# tight at d.
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class FacetTable:
     """Z + span(central) by its facets within V: ``annihilator`` spans the
     functionals vanishing on V, ``facets`` holds one (lam, h(lam)) pair per
-    facet (both signs of every hyperplane-flat normal).  The annihilator
-    rows and the normals lam are primitive integer vectors (int tuples).
-    ``flats`` holds each proper flat of the distinct nonzero generator
-    ``lines`` once, as a set of indices into ``lines``."""
+    facet, both signs of the normal of every hyperplane flat, in the order
+    the scan finds those.  The annihilator rows and the normals lam are
+    primitive integer vectors (int tuples).  ``flats`` holds each proper
+    flat of the distinct nonzero generator ``lines`` once, as a set of
+    indices into ``lines``: the hyperplane flats and their intersections."""
 
     annihilator: tuple[tuple[int, ...], ...]
     facets: tuple[tuple[tuple[int, ...], Fraction], ...]
@@ -298,22 +305,14 @@ def _build_facet_table(generators, central, dim) -> FacetTable:
     gens = [vec(g) for g in generators]
     central = [vec(c) for c in central]
     classes = [(v, len(idx)) for v, idx in _classes(gens)]
-    span = span_basis(gens + central, dim)
     lines = _lines(gens)
-    flats = _proper_flats(lines, central, dim)
-    facets = []
-    for _, base in flats:
-        if len(base) != len(span) - 1:
-            continue
-        lam = _int_primitive(next(n for n in nullspace(base, dim)
-                                  if any(vdot(n, v) for v in span)))
-        for normal in (lam, vneg(lam)):
-            h = sum((m * max(0, -sum(map(mul, normal, v)))
-                     for v, m in classes), ZERO)
-            facets.append((normal, h))
-    return FacetTable(tuple(map(_int_primitive, nullspace(span, dim))),
-                      tuple(facets), tuple(lines),
-                      tuple(flat for flat, _ in flats))
+    flats, normals = _proper_flats(lines, central, dim)
+    facets = [(normal, sum((m * max(0, -sum(map(mul, normal, v)))
+                            for v, m in classes), ZERO))
+              for lam in normals for normal in (lam, vneg(lam))]
+    annihilator = nullspace(span_basis(gens + central, dim), dim)
+    return FacetTable(tuple(map(_int_primitive, annihilator)),
+                      tuple(facets), tuple(lines), tuple(flats))
 
 
 def _scaled_row(lam: tuple[int, ...], bound: Fraction):
@@ -374,37 +373,58 @@ def member_eps(generators, r, shift, e: EpsShift,
 # and those generator sets are exactly the proper flats of the line
 # configuration modulo ``central`` (Ziegler, Lectures on Polytopes, ch. 7):
 # the sets F of distinct lines holding every line in span(F + central), short
-# of the full set.  So the faces come from span arithmetic alone.
+# of the full set.  Span arithmetic finds the maximal ones, the hyperplane
+# flats, whose normals are the facet normals; set intersection finds the
+# rest, as every proper flat is an intersection of hyperplane flats (Oxley,
+# Matroid Theory, ch. 1).
 # ---------------------------------------------------------------------------
+
+# Most line subsets the hyperplane scan of ``_proper_flats`` may test,
+# counted as C(lines, D - c - 1) before it starts.  The tests reach 36 (6
+# outside the random comparison with the closure search), the golden presets
+# 1 and the benchmark jobs 3; quasi-symmetric Sp(8) Sym^2 needs 560.  At the
+# cap, lines in general position (141 in dimension 3, 40 in dimension 4)
+# take 2-3 s to scan and 16-22 s in all, mostly intersecting the ~10,000
+# hyperplane flats pairwise (Python 3.11, 2-core Xeon); past it the table is
+# refused, not built for minutes.
+HYPERPLANE_SCAN_CAP = 10_000
+
 
 def _lines(gens) -> list[Vec]:
     """The distinct nonzero generator lines, as sorted primitive vectors."""
     return sorted({primitive(g) for g in gens if not is_zero_vec(g)})
 
 
-def _proper_flats(lines, central, dim) -> list[tuple[frozenset, list[Vec]]]:
-    """Each proper flat of the lines modulo ``central`` once, as (line
-    indices, RREF basis of span(flat + central)).  The flats grow from the
-    closure of the empty set by closure(F + line); a flat holding every
-    line is the whole zonotope, not a proper face, and is skipped."""
-    everything = frozenset(range(len(lines)))
-
-    def closure(subset):
-        base = span_basis([lines[i] for i in subset] + list(central), dim)
-        return frozenset(i for i, line in enumerate(lines)
-                         if in_span(base, line)), base
-
-    out = []
-    seen = set()
-    stack = [closure(())]
-    while stack:
-        flat, base = stack.pop()
-        if flat in seen or flat == everything:
+def _proper_flats(lines, central, dim):
+    """(flats, normals): each proper flat of the lines modulo ``central``
+    once, as a set of line indices, and the primitive normal within V =
+    span(lines + central) of each hyperplane flat.  Those are spanned with
+    ``central`` by D - c - 1 lines (D = dim V, c = rank(central)), scanned
+    in lexicographic order past the ones inside a flat found; every proper
+    flat is an intersection of them (Oxley, Matroid Theory, ch. 1)."""
+    top = len(span_basis(lines + central, dim))
+    size = max(top - len(span_basis(central, dim)) - 1, 0)
+    if comb(len(lines), size) > HYPERPLANE_SCAN_CAP:
+        raise InputError(f"hyperplane scan of {comb(len(lines), size)} line "
+                         f"subsets exceeds the cap of {HYPERPLANE_SCAN_CAP}")
+    ints = [tuple(map(int, v)) for v in lines]
+    hyperplanes, normals, covered = [], [], set()
+    for subset in combinations(range(len(lines)), size):
+        if subset in covered:  # inside a hyperplane flat already found
             continue
-        seen.add(flat)
-        out.append((flat, base))
-        stack.extend(closure(flat | {i}) for i in sorted(everything - flat))
-    return out
+        base = span_basis([lines[i] for i in subset] + central, dim)
+        if len(base) == top - 1:
+            lam = _int_primitive(next(n for n in nullspace(base, dim)
+                                      if any(vdot(n, v) for v in lines)))
+            flat = [i for i, v in enumerate(ints) if not sum(map(mul, lam, v))]
+            covered.update(combinations(flat, size))
+            hyperplanes.append(frozenset(flat))
+            normals.append(lam)
+    flats, new = set(hyperplanes), hyperplanes
+    while new:
+        new = {f & h for f in new for h in hyperplanes} - flats
+        flats |= new
+    return sorted(flats, key=sorted), normals
 
 
 def realizable_face_patterns(generators, central: Central = ()):

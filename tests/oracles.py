@@ -6,7 +6,10 @@ oracle enumerates sign-pattern splits exhaustively and uses the LP kernel
 only for the per-pattern radius minimization; its strictness check is the
 slack-maximization reference below, not the kernel's bound sweep.  The face
 references test every sign pattern of the generator lines by LP; the package
-reads the same faces from the flats of the lines.  The root-data references
+reads the same faces from the flats of the lines.  The flat reference grows
+every flat by closure search with span arithmetic, keeping the flats of
+corank one as facets; the package scans line subsets for the hyperplane
+flats and finds the rest by set intersection.  The root-data references
 average or alternate over every element of the Weyl group, enumerated
 breadth-first as reflection matrices; the package reads the same facts from
 the simple reflections by descent and orbit search on int tuples.  The orbit
@@ -41,15 +44,16 @@ import math
 from fractions import Fraction
 
 from sodlab.characters import _table, irr_character
-from sodlab.linalg import (identity, in_span, is_zero_vec, mat_vec, primitive,
-                           solve, span_basis, vadd, vdot, vec, vscale, vsub,
-                           zero_vec)
+from sodlab.linalg import (identity, in_span, is_zero_vec, mat_vec, nullspace,
+                           primitive, solve, span_basis, vadd, vdot, vec,
+                           vscale, vsub, zero_vec)
 from sodlab.linprog import BoxedLinearProgram, InputError, LpBuilder, \
     LpResult, TightnessReport, _optimize_closed, feasible_point, \
     lex_minimal_integral, lp_optimize, strict_feasible
 from sodlab.rootdata import LeviDatum, coroot, full_levi, is_dominant
-from sodlab.zonotope import (CLOSED, HALF_OPEN, REL_INT, coefficient_system,
-                              facet_table, member, signature_classes)
+from sodlab.zonotope import (CLOSED, HALF_OPEN, REL_INT, FacetTable, _lines,
+                              coefficient_system, facet_table, member,
+                              signature_classes)
 
 F = Fraction
 
@@ -541,6 +545,59 @@ def signature_to_value_counts(rep, sig):
         w = rep.expanded[i]
         minus[w] = minus.get(w, 0) + 1
     return plus, minus
+
+
+# ---------------------------------------------------------------------------
+# Flats by closure search, and the facet table built from them.
+# ---------------------------------------------------------------------------
+
+def proper_flats_reference(lines, central, dim):
+    """Each proper flat of the lines modulo ``central`` once, as (line
+    indices, RREF basis of span(flat + central)).  The flats grow from the
+    closure of the empty set by closure(F + line); a flat holding every
+    line is the whole zonotope, not a proper face, and is skipped."""
+    everything = frozenset(range(len(lines)))
+
+    def closure(subset):
+        base = span_basis([lines[i] for i in subset] + list(central), dim)
+        return frozenset(i for i, line in enumerate(lines)
+                         if in_span(base, line)), base
+
+    out = []
+    seen = set()
+    stack = [closure(())]
+    while stack:
+        flat, base = stack.pop()
+        if flat in seen or flat == everything:
+            continue
+        seen.add(flat)
+        out.append((flat, base))
+        stack.extend(closure(flat | {i}) for i in sorted(everything - flat))
+    return out
+
+
+def facet_table_reference(generators, central, dim):
+    """The facet table with its flats from the closure search: the facets
+    are both signed normals of each flat of corank one in V."""
+    gens = [vec(g) for g in generators]
+    central = [vec(c) for c in central]
+    span = span_basis(gens + central, dim)
+    lines = _lines(gens)
+    flats = proper_flats_reference(lines, central, dim)
+    facets = []
+    for _, base in flats:
+        if len(base) != len(span) - 1:
+            continue
+        lam = next(n for n in nullspace(base, dim)
+                   if any(vdot(n, v) for v in span))
+        lam = tuple(int(x) for x in primitive(lam))
+        for normal in (lam, tuple(-x for x in lam)):
+            h = sum((max(F(0), -vdot(normal, g)) for g in gens), F(0))
+            facets.append((normal, h))
+    annihilator = tuple(tuple(int(x) for x in primitive(n))
+                        for n in nullspace(span, dim))
+    return FacetTable(annihilator, tuple(facets), tuple(lines),
+                      tuple(flat for flat, _ in flats))
 
 
 # ---------------------------------------------------------------------------

@@ -235,8 +235,8 @@ class TestLambdaDataOnce:
     def test_nccr_job_builds_coinvariants_once(self, preset_name,
                                                monkeypatch):
         """One nccr job restricts the weights to the neutral ones of lam
-        once per component at lam: the window, the component and its
-        certificate share the component's ``coinvariants``."""
+        once per distinct lam: the windows, components and certificates of
+        every component at lam share one ``coinvariants``."""
         kwargs = {"n": 2, "h": 3} if preset_name == "determinantal" else {}
         cfg = preset_config(preset(preset_name, **kwargs))
         calls = {}
@@ -253,7 +253,8 @@ class TestLambdaDataOnce:
         got = Counter()
         for (_, lam), n in calls.items():
             got[tuple(report.weight_json(lam))] += n
-        assert len(per_lambda) > 1 and got == per_lambda
+        assert len(per_lambda) > 1 and max(per_lambda.values()) > 1
+        assert got == Counter(set(per_lambda))
         assert len({rep for rep, _ in calls}) == 1
 
 

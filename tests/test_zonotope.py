@@ -6,18 +6,21 @@ from collections import Counter
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from oracles import (forced_tight_reference, member_eps_facet_reference,
-                     member_eps_reference, member_eps_strict_reference,
-                     member_reference, random_generators,
+from oracles import (facet_table_reference, forced_tight_reference,
+                     member_eps_facet_reference, member_eps_reference,
+                     member_eps_strict_reference, member_reference,
+                     random_generators,
                      realizable_face_patterns_reference,
                      supporting_lambda_reference)
 from sodlab import zonotope
+from sodlab.cli import main
 from sodlab.linalg import nullspace, span_basis, vadd, vdot, vec, vscale
 from sodlab.linprog import (InputError, feasible_point, forced_tight,
                             strict_feasible)
 from sodlab.partition import make_profile, signature_of
+from sodlab.report import parse_config, render, run_job
 from sodlab.reps import construct_rep, rep_spec, weight_signs
 from sodlab.rootdata import (build_group, full_levi, invariant_subspace,
                              make_dominant, orbit)
@@ -677,3 +680,105 @@ class TestFlats:
         for eps in candidate_eps(rng, datum, gens, central):
             assert is_generic(eps, datum, gens, central) == all(
                 vdot(lam, eps) != 0 for lam in normals), (tag, gens, eps)
+
+
+# ---------------------------------------------------------------------------
+# The facet table from its hyperplanes against the closure-search reference.
+# ---------------------------------------------------------------------------
+
+@st.composite
+def flat_inputs(draw):
+    """(dim, generators, central): up to 8 generators in dimension 1 to 4,
+    each a fresh small vector, a repeat or negation of an earlier one, a
+    zero vector or a combination of the central vectors."""
+    dim = draw(st.integers(1, 4))
+    vector = st.tuples(*[st.integers(-2, 2).map(F)] * dim)
+    central = draw(st.lists(vector, max_size=2))
+    gens = []
+    for _ in range(draw(st.integers(0, 8))):
+        kind = draw(st.sampled_from(("fresh", "repeat", "negate", "zero",
+                                     "central")))
+        if kind in ("repeat", "negate") and gens:
+            g = draw(st.sampled_from(gens))
+            gens.append(g if kind == "repeat" else tuple(-x for x in g))
+        elif kind == "zero":
+            gens.append((F(0),) * dim)
+        elif kind == "central" and central:
+            coeffs = [draw(st.integers(-2, 2)) for _ in central]
+            gens.append(tuple(sum((c * v[k] for c, v in zip(coeffs, central)),
+                                  F(0)) for k in range(dim)))
+        else:
+            gens.append(draw(vector))
+    return dim, tuple(gens), tuple(central)
+
+
+def _v(*rows):
+    return tuple(vec(r) for r in rows)
+
+
+class TestHyperplaneFlats:
+    @settings(derandomize=True, database=None, max_examples=300,
+              deadline=None)
+    @given(flat_inputs())
+    # no generators; zero generators; repeated lines; generators in
+    # span(central); dim V = 1 twice; central vectors present
+    @example((2, (), ()))
+    @example((2, _v([0, 0], [1, 0], [0, 0]), ()))
+    @example((2, _v([1, 1], [2, 2], [-1, -1], [1, 0]), ()))
+    @example((3, _v([1, 0, 1], [0, 1, 0], [0, 2, 0], [1, 1, 1]),
+              _v([1, 0, 1])))
+    @example((1, _v([1], [-2], [0]), ()))
+    @example((3, _v([1, 2, 0], [-2, -4, 0]), ()))
+    @example((3, _v([1, 0, 0], [0, 1, 0], [1, 1, 0], [0, 0, 1]),
+              _v([1, 1, 1])))
+    def test_matches_closure_search(self, case):
+        """Same facets (as (normal, h) pairs), flats, annihilator and lines
+        as the table whose flats come from the closure search, each flat
+        once."""
+        dim, gens, central = case
+        got = zonotope._build_facet_table(gens, central, dim)
+        want = facet_table_reference(gens, central, dim)
+        assert set(got.facets) == set(want.facets)
+        assert len(got.facets) == len(want.facets)
+        assert set(got.flats) == set(want.flats)
+        assert len(got.flats) == len(set(got.flats)) == len(want.flats)
+        assert got.annihilator == want.annihilator
+        assert got.lines == want.lines
+
+    def test_quasi_symmetric_nccr_report_matches_reference_flats(
+            self, monkeypatch):
+        """The quasi-symmetric Sp(6) Sym^2 nccr report at box_radius 0 (its
+        tail window reads the facet table of all the weights) has the same
+        bytes when every table comes from the closure search."""
+        cfg = parse_config({"group": "Sp(6)", "box_radius": 0,
+                            "representation": [{"kind": "sym_power", "d": 2}],
+                            "mode": "quasi_symmetric"})
+        monkeypatch.setattr(zonotope, "_FACET_TABLES", {})
+        got = render(run_job("nccr", cfg))
+        monkeypatch.setattr(zonotope, "_FACET_TABLES", {})
+        monkeypatch.setattr(zonotope, "_build_facet_table",
+                            facet_table_reference)
+        assert render(run_job("nccr", cfg)) == got
+
+
+class TestHyperplaneScanCap:
+    GENS = _v([1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 0])  # C(4, 2) = 6
+
+    def test_cap_counts_the_line_subsets(self, monkeypatch):
+        monkeypatch.setattr(zonotope, "HYPERPLANE_SCAN_CAP", 6)
+        table = zonotope._build_facet_table(self.GENS, (), 3)
+        # z = 0, and the plane through e3 and each other line
+        assert len(table.facets) == 2 * 4
+        monkeypatch.setattr(zonotope, "HYPERPLANE_SCAN_CAP", 5)
+        with pytest.raises(InputError, match="6 line subsets exceeds the "
+                                             "cap of 5"):
+            zonotope._build_facet_table(self.GENS, (), 3)
+
+    def test_nccr_past_the_cap_exits_two(self, monkeypatch, tmp_path,
+                                         capsys):
+        args = ["nccr", "--preset", "determinantal:n=2,h=3",
+                "--out", str(tmp_path / "nccr.json")]
+        monkeypatch.setattr(zonotope, "_FACET_TABLES", {})
+        monkeypatch.setattr(zonotope, "HYPERPLANE_SCAN_CAP", 0)
+        assert main(args) == 2
+        assert "exceeds the cap of 0" in capsys.readouterr().err
