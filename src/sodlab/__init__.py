@@ -35,4 +35,4 @@ from .partition import (PartitionCell, PreconditionError, ShiftProfile,
 from .characters import (CharacterTable, GradedDims, hom_block_dims,
                          irr_character, sym_power_character, weyl_dim)
 from .sod import (NccrCertificate, SodComponent, SodResult, certify_nccr,
-                  enumerate_sod, preset, refine_lambda_combination)
+                  enumerate_sod, preset)

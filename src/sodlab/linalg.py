@@ -1,9 +1,12 @@
 """Exact linear algebra over the rationals.
 
 Vectors are immutable tuples of ``fractions.Fraction``; matrices are tuples of
-row vectors.  Everything here is plain Gaussian elimination, which is all the
-rest of the package needs: solving small square systems, row reduction,
-kernels and span membership.  No floating point is used anywhere.
+row vectors.  Row reduction, rank, span membership, kernels and solving all
+run one fraction-free Gauss-Jordan elimination on integer rows: each input row
+is scaled to ints by its least common denominator, and only the results are
+turned back into ``Fraction`` tuples, so every function takes and returns
+them as before.  ``primitive`` reads the same scaled integers.  No floating
+point is used anywhere.
 """
 
 from __future__ import annotations
@@ -89,38 +92,64 @@ def mat_vec(m: Mat, v: Vec) -> Vec:
     return tuple(vdot(row, v) for row in m)
 
 
-def rref(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form.  Returns (reduced rows, pivot columns)."""
-    m = [list(r) for r in rows]
-    if not m:
-        return [], []
-    ncols = len(m[0])
+def _ray_ints(row) -> list[int]:
+    """row times its least common denominator, divided by the gcd of its
+    entries: the primitive integer row on its ray (a zero row stays zero)."""
+    ints = int_row(row)[0]
+    g = math.gcd(*ints)
+    return [x // g for x in ints] if g > 1 else ints
+
+
+def _clear(row: list[int], prow: list[int], c: int) -> list[int]:
+    """row with its column-c entry cleared by prow (pivot at c): both
+    cross-multiplied by their entries' cofactors, then divided by the gcd."""
+    p, f = prow[c], row[c]
+    g = math.gcd(p, f)
+    p, f = p // g, f // g
+    new = [p * x - f * y for x, y in zip(row, prow)]
+    g = math.gcd(*new)
+    return [x // g for x in new] if g > 1 else new
+
+
+def _eliminate(rows) -> tuple[list[list[int]], list[int]]:
+    """Fraction-free Gauss-Jordan on the rows scaled to ints (after Bareiss,
+    "Sylvester's identity and multistep integer-preserving Gaussian
+    elimination", Math. Comp. 1968, with a gcd division per updated row in
+    place of his exact division by the previous pivot).  Pivots come in the
+    textbook order: the first nonzero entry in row order, column by column.
+    Returns (rows, pivot columns) with the pivot rows first; each pivot row
+    divided by its pivot entry is the RREF row, and the rest are zero."""
+    m = [_ray_ints(row) for row in rows]
     pivots: list[int] = []
     r = 0
-    for c in range(ncols):
-        pivot_row = None
-        for i in range(r, len(m)):
-            if m[i][c] != 0:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        m[r], m[pivot_row] = m[pivot_row], m[r]
-        pv = m[r][c]
-        m[r] = [x / pv for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
+    for c in range(len(m[0]) if m else 0):
         if r == len(m):
             break
+        i = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if i is None:
+            continue
+        m[r], m[i] = m[i], m[r]
+        prow = m[r]
+        for k, row in enumerate(m):
+            if k != r and row[c]:
+                m[k] = _clear(row, prow, c)
+        pivots.append(c)
+        r += 1
     return m, pivots
 
 
+def rref(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
+    """Reduced row echelon form.  Returns (reduced rows, pivot columns); the
+    rows past the rank are zero."""
+    m, pivots = _eliminate(rows)
+    red = [[Fraction(x, row[c]) if x else ZERO for x in row]
+           for row, c in zip(m, pivots)]
+    red.extend([ZERO] * len(row) for row in m[len(pivots):])
+    return red, pivots
+
+
 def rank(rows: Sequence[Sequence[Fraction]]) -> int:
-    return len(rref(rows)[1])
+    return len(_eliminate(rows)[1])
 
 
 def nullspace(rows: Sequence[Sequence[Fraction]], ncols: int) -> list[Vec]:
@@ -156,11 +185,16 @@ def solve(a_rows: Sequence[Sequence[Fraction]], b: Sequence[Fraction]) -> Vec | 
 
 
 def in_span(vectors: Sequence[Vec], target: Vec) -> bool:
-    """Whether target lies in the linear span of the given vectors."""
+    """Whether target lies in the linear span of the given vectors: whether
+    the reduced vectors clear target in every pivot column to zero."""
     if is_zero_vec(target):
         return True
-    base = [list(v) for v in vectors]
-    return rank(base + [list(target)]) == rank(base)
+    m, pivots = _eliminate(vectors)
+    t = _ray_ints(target)
+    for prow, c in zip(m, pivots):
+        if t[c]:
+            t = _clear(t, prow, c)
+    return not any(t)
 
 
 def span_basis(vectors: Sequence[Vec], dim: int) -> list[Vec]:
@@ -199,17 +233,7 @@ def primitive(v: Vec) -> Vec:
     nonzero entry being positive.  Canonical key for lines through 0."""
     if is_zero_vec(v):
         return v
-    from math import gcd, lcm
-
-    den = lcm(*(x.denominator for x in v))
-    ints = [int(x * den) for x in v]
-    g = 0
-    for x in ints:
-        g = gcd(g, abs(x))
-    ints = [x // g for x in ints]
-    for x in ints:
-        if x != 0:
-            if x < 0:
-                ints = [-y for y in ints]
-            break
-    return tuple(Fraction(x) for x in ints)
+    ints = _ray_ints(v)
+    if next(x for x in ints if x) < 0:
+        ints = [-x for x in ints]
+    return tuple(map(Fraction, ints))

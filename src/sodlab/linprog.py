@@ -562,11 +562,12 @@ INTEGRAL_CANDIDATE_CAP = 10_000
 
 def integral_shell(n: int, bound: int):
     """The integral vectors of length n first reached at sup-norm ``bound``,
-    in lexicographic order: all of [-1, 1]^n for bound 1 (the zero vector
-    included), else those with some entry of absolute value ``bound``."""
+    in lexicographic order, as int tuples: all of [-1, 1]^n for bound 1 (the
+    zero vector included), else those with some entry of absolute value
+    ``bound``."""
     if n > 0:
         inner = bound - 1 if bound > 1 else -1
-        full = tuple(Fraction(c) for c in range(-bound, bound + 1))
+        full = range(-bound, bound + 1)
         yield from _shell(n, full, inner)
 
 
@@ -589,7 +590,8 @@ def lex_minimal_integral(n: int, ok: Callable[[Vec], bool]) -> Vec:
     lexicographic order, satisfying the predicate; InputError when none has
     sup-norm up to the search cap, when reaching the next shell would take
     the candidates past ``INTEGRAL_CANDIDATE_CAP``, or when n is 0.  Each
-    candidate is tested once."""
+    candidate is tested once, as an int tuple; the hit is returned as a
+    ``Fraction`` tuple."""
     if n == 0:
         raise InputError("no nonzero vector exists in rank 0")
     for bound in range(1, _INTEGRAL_SEARCH_CAP + 1):
@@ -600,5 +602,5 @@ def lex_minimal_integral(n: int, ok: Callable[[Vec], bool]) -> Vec:
                 f"candidates, above the cap of {INTEGRAL_CANDIDATE_CAP}")
         for v in integral_shell(n, bound):
             if ok(v):
-                return v
+                return tuple(map(Fraction, v))
     raise InputError("integral search cap exceeded")

@@ -7,7 +7,7 @@ identical inputs produce byte-identical output.
 
 from __future__ import annotations
 
-import json
+from json.encoder import encode_basestring_ascii
 from dataclasses import dataclass, fields
 from fractions import Fraction
 
@@ -390,10 +390,58 @@ def run_job(subcommand: str, cfg: JobConfig) -> dict:
 
 def render(doc: dict, fmt: str = "json") -> bytes:
     if fmt == "json":
-        return (json.dumps(doc, sort_keys=True, indent=2) + "\n").encode()
+        out: list[str] = []
+        _write_json(doc, "\n", out)
+        out.append("\n")
+        return "".join(out).encode()
     if fmt != "text":
         raise InputError(f"unknown format {fmt!r}")
     return _render_text(doc).encode()
+
+
+def _write_json(obj, newline: str, out: list[str]) -> None:
+    """Append obj to out as ``json.dumps(obj, sort_keys=True, indent=2)``
+    writes it, ``newline`` being the line break and indentation of its own
+    line.  Only strings, ints, booleans, None, lists and str-keyed dicts are
+    written; anything else is a TypeError.  It builds no encoder object, so
+    a render leaves no cyclic garbage behind (``json``'s pure-Python indent
+    encoder leaves its closures)."""
+    if isinstance(obj, str):
+        out.append(encode_basestring_ascii(obj))
+    elif obj is None:
+        out.append("null")
+    elif obj is True:
+        out.append("true")
+    elif obj is False:
+        out.append("false")
+    elif isinstance(obj, int):
+        out.append(int.__repr__(obj))
+    elif isinstance(obj, dict):
+        if not obj:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        sep = "{"
+        for key in sorted(obj):
+            if not isinstance(key, str):
+                raise TypeError(f"report key {key!r} is not a string")
+            out.append(f"{sep}{inner}{encode_basestring_ascii(key)}: ")
+            _write_json(obj[key], inner, out)
+            sep = ","
+        out.append(newline + "}")
+    elif isinstance(obj, list):
+        if not obj:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        sep = "["
+        for item in obj:
+            out.append(sep + inner)
+            _write_json(item, inner, out)
+            sep = ","
+        out.append(newline + "]")
+    else:
+        raise TypeError(f"{type(obj).__name__} is not written to a report")
 
 
 def _render_text(doc: dict) -> str:

@@ -152,11 +152,17 @@ def find_destabilizer(rep: RepSpec) -> DestabilizerReport:
     if has_t_stable_point(rep):
         return DestabilizerReport(None, zero_vec(n), "HasStablePoint", False)
     values = [w for w, _ in rep.weights]
-    sigma = lex_minimal_integral(
-        n,
-        lambda s: (not is_zero_vec(s)
-                   and datum.coweight_ok(s)
-                   and all(vdot(s, w) <= 0 for w in values)))
+    # the central directions and each weight times a positive integer: only
+    # the signs of the pairings with a candidate are read
+    central = [c for c, _ in datum.quotient_ints]
+    weights = [int_row(w)[0] for w in values]
+
+    def ok(s: tuple[int, ...]) -> bool:
+        return (any(s)
+                and not any(sum(map(mul, s, c)) for c in central)
+                and all(sum(map(mul, s, w)) <= 0 for w in weights))
+
+    sigma = lex_minimal_integral(n, ok)
     proj = full_levi(datum).invariant_projector()
     nu = mat_vec(proj, sigma)
     case = "CentralAttractor" if not is_zero_vec(nu) else "TrivialActingSubgroup"

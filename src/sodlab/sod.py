@@ -13,10 +13,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 
 from .linalg import Vec, ZERO, ONE, frac, in_span, is_zero_vec, primitive, \
-    vadd, vscale, vsub, vec, zero_vec
+    vadd, vsub, vec, zero_vec
 from .linprog import InputError, integral_shell
 from .characters import weyl_dim
 from .partition import (HALF_OPEN_MODE, STANDARD, PartitionCell,
@@ -24,8 +23,7 @@ from .partition import (HALF_OPEN_MODE, STANDARD, PartitionCell,
                         partition_region, window_points)
 from .reps import (RepSpec, TwistData, coinvariant_rep, construct_rep,
                    is_quasi_symmetric, rep_spec)
-from .rootdata import LeviDatum, RootDatum, build_group, full_levi, levi, \
-    pairing
+from .rootdata import LeviDatum, RootDatum, build_group, full_levi, levi
 from .zonotope import (CLOSED, HALF_OPEN, REL_INT, EpsShift, FaceSignature,
                        invariants_in_span, is_generic, is_weakly_generic,
                        member, member_eps)
@@ -370,43 +368,5 @@ def _toric_recommended_eps(datum: RootDatum, rep: RepSpec) -> Vec:
             if is_zero_vec(v) or not in_span(list(gens), v):
                 continue
             if is_generic(v, datum, gens):
-                return v
+                return vec(v)
     return zero_vec(n)
-
-
-# ---------------------------------------------------------------------------
-# Nested one-parameter subgroups.
-# ---------------------------------------------------------------------------
-
-def refine_lambda_combination(rep: RepSpec, lam_outer: Vec, lam_inner: Vec) -> Vec:
-    """Integral antidominant combination a (lam_outer + b lam_inner), with b
-    halved until the pairing signs refine the nested computation: the outer
-    sign where nonzero, the inner sign on the outer-neutral weights."""
-    datum = rep.datum
-    lam_outer = vec(lam_outer)
-    lam_inner = vec(lam_inner)
-    if any(pairing(lam_outer, a) > 0 for a in datum.positive_roots):
-        raise InputError("outer subgroup is not antidominant")
-    lv = levi(datum, lam_outer)
-    if any(pairing(lam_inner, a) > 0 for a in lv.phi_lambda_plus):
-        raise InputError("inner subgroup is not antidominant for the Levi")
-    b = ONE
-    for _ in range(40):
-        cand = vadd(lam_outer, vscale(b, lam_inner))
-        if _signs_refine(rep, cand, lam_outer, lam_inner) and \
-                all(pairing(cand, a) <= 0 for a in datum.positive_roots):
-            scale = lcm(*(x.denominator for x in cand)) if cand else 1
-            return vscale(Fraction(scale), cand)
-        b = b / 2
-    raise InputError("sign verification did not stabilize")
-
-
-def _signs_refine(rep: RepSpec, cand: Vec, outer: Vec, inner: Vec) -> bool:
-    def sgn(x) -> int:
-        return (x > 0) - (x < 0)
-
-    for w in rep.expanded:
-        want = sgn(pairing(outer, w)) or sgn(pairing(inner, w))
-        if sgn(pairing(cand, w)) != want:
-            return False
-    return True

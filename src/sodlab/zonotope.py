@@ -43,9 +43,9 @@ from math import comb
 from operator import mul
 from typing import Callable
 
-from .linalg import (Vec, ZERO, ONE, frac, in_span, is_zero_vec, nullspace,
-                     primitive, span_basis, subspace_intersection, vdot, vec,
-                     vneg, vsub, zero_vec)
+from .linalg import (Vec, ZERO, ONE, frac, in_span, int_row, int_rows,
+                     is_zero_vec, nullspace, primitive, span_basis,
+                     subspace_intersection, vdot, vec, vneg, vsub, zero_vec)
 from .linprog import (InputError, LpBuilder, feasible_point, forced_tight,
                       lex_minimal_integral, lp_optimize, strict_feasible)
 from .rootdata import LeviDatum, RootDatum, full_levi
@@ -236,20 +236,26 @@ def supporting_lambda(sig: FaceSignature, datum: RootDatum, generators) -> Vec:
     """
     if sig.trivial:
         return zero_vec(datum.rank)
-    classes = signature_classes(sig, generators)
+    # Each class value, positive root and central direction times a positive
+    # integer: only the signs of the pairings with a candidate are read.
+    rows = [(int_row(v)[0], mark)
+            for v, _, mark in signature_classes(sig, generators)]
+    central = [c for c, _ in datum.quotient_ints]
+    positive = datum.root_ints[2]
 
-    def ok(cand: Vec) -> bool:
-        if not datum.coweight_ok(cand):
-            return False
-        for v, _, mark in classes:
-            s = vdot(cand, v)
+    def ok(cand: tuple[int, ...]) -> bool:
+        for c in central:
+            if sum(map(mul, cand, c)):
+                return False
+        for v, mark in rows:
+            s = sum(map(mul, cand, v))
             if mark == "+" and not s > 0:
                 return False
             if mark == "-" and not s < 0:
                 return False
             if mark == "0" and s != 0:
                 return False
-        return all(vdot(cand, a) <= 0 for a in datum.positive_roots)
+        return all(sum(map(mul, cand, a)) <= 0 for a in positive)
 
     return lex_minimal_integral(datum.rank, ok)
 
@@ -304,11 +310,15 @@ def _int_primitive(v: Vec) -> tuple[int, ...]:
 def _build_facet_table(generators, central, dim) -> FacetTable:
     gens = [vec(g) for g in generators]
     central = [vec(c) for c in central]
-    classes = [(v, len(idx)) for v, idx in _classes(gens)]
+    # h(lam) = sum m * max(0, -<lam, v>) over the classes, on their values
+    # times the common denominator d
+    classes = _classes(gens)
+    values, d = int_rows([v for v, _ in classes])
+    sizes = [len(idx) for _, idx in classes]
     lines = _lines(gens)
     flats, normals = _proper_flats(lines, central, dim)
-    facets = [(normal, sum((m * max(0, -sum(map(mul, normal, v)))
-                            for v, m in classes), ZERO))
+    facets = [(normal, Fraction(sum(m * max(0, -sum(map(mul, normal, v)))
+                                    for v, m in zip(values, sizes)), d))
               for lam in normals for normal in (lam, vneg(lam))]
     annihilator = nullspace(span_basis(gens + central, dim), dim)
     return FacetTable(tuple(map(_int_primitive, annihilator)),
@@ -383,10 +393,11 @@ def member_eps(generators, r, shift, e: EpsShift,
 # counted as C(lines, D - c - 1) before it starts.  The tests reach 36 (6
 # outside the random comparison with the closure search), the golden presets
 # 1 and the benchmark jobs 3; quasi-symmetric Sp(8) Sym^2 needs 560.  At the
-# cap, lines in general position (141 in dimension 3, 40 in dimension 4)
-# take 2-3 s to scan and 16-22 s in all, mostly intersecting the ~10,000
-# hyperplane flats pairwise (Python 3.11, 2-core Xeon); past it the table is
-# refused, not built for minutes.
+# cap, lines in general position (141 in dimension 3, 40 in dimension 4,
+# entries up to 1,000) take 1.2-1.6 s to scan, 0.5 s (dimension 3) and 5 s
+# (dimension 4) to close under intersection, and 4-8 s for the whole table
+# (Python 3.11, 2-core Xeon); past it the table is refused, not built for
+# minutes.
 HYPERPLANE_SCAN_CAP = 10_000
 
 
@@ -420,10 +431,20 @@ def _proper_flats(lines, central, dim):
             covered.update(combinations(flat, size))
             hyperplanes.append(frozenset(flat))
             normals.append(lam)
+    # f & h is empty unless h passes through a line of f, and it is f itself
+    # when f holds one line, so only those pairs are intersected; the empty
+    # flat is proper exactly when no line lies in every hyperplane flat
+    through = [[] for _ in lines]
+    for h in hyperplanes:
+        for i in h:
+            through[i].append(h)
     flats, new = set(hyperplanes), hyperplanes
     while new:
-        new = {f & h for f in new for h in hyperplanes} - flats
+        new = {f & h for f in new if len(f) > 1 for i in f for h in through[i]}
+        new -= flats
         flats |= new
+    if hyperplanes and not frozenset.intersection(*hyperplanes):
+        flats.add(frozenset())
     return sorted(flats, key=sorted), normals
 
 

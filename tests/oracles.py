@@ -1,7 +1,10 @@
 """Independent oracles used by the test suite.
 
 The linear-algebra routines here are deliberately local so the vertex and
-grid oracles do not share code with the solver they check.  The signature
+grid oracles do not share code with the solver they check.  The elimination
+references run textbook Gauss-Jordan and the primitive-vector scaling over
+Fractions; the package eliminates fraction-free on integer rows and turns
+only its results back into Fractions.  The signature
 oracle enumerates sign-pattern splits exhaustively and uses the LP kernel
 only for the per-pattern radius minimization; its strictness check is the
 slack-maximization reference below, not the kernel's bound sweep.  The face
@@ -59,8 +62,56 @@ F = Fraction
 
 
 # ---------------------------------------------------------------------------
-# Local exact Gaussian elimination (kept separate from sodlab.linalg).
+# Local exact Gaussian elimination over Fractions (kept separate from
+# sodlab.linalg, whose kernel eliminates on integer rows).
 # ---------------------------------------------------------------------------
+
+def rref_reference(rows):
+    """Textbook Gauss-Jordan over Fractions: (reduced rows, pivot columns),
+    every input row kept, the rows past the rank zero."""
+    m = [list(map(F, r)) for r in rows]
+    if not m:
+        return [], []
+    ncols = len(m[0])
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pivot_row = None
+        for i in range(r, len(m)):
+            if m[i][c] != 0:
+                pivot_row = i
+                break
+        if pivot_row is None:
+            continue
+        m[r], m[pivot_row] = m[pivot_row], m[r]
+        pv = m[r][c]
+        m[r] = [x / pv for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(m):
+            break
+    return m, pivots
+
+
+def primitive_reference(v):
+    """The primitive integer vector on the ray of v by Fraction arithmetic,
+    its first nonzero entry positive; the zero vector unchanged."""
+    if all(x == 0 for x in v):
+        return tuple(v)
+    den = math.lcm(*(F(x).denominator for x in v))
+    ints = [int(F(x) * den) for x in v]
+    g = 0
+    for x in ints:
+        g = math.gcd(g, abs(x))
+    ints = [x // g for x in ints]
+    if next(x for x in ints if x) < 0:
+        ints = [-x for x in ints]
+    return tuple(F(x) for x in ints)
+
 
 def gauss_solve(rows, rhs):
     """Solve rows @ x = rhs; returns (particular solution, free columns) or

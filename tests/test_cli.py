@@ -2,9 +2,11 @@ import gc
 import json
 import re
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import sodlab
 from sodlab.cli import main
@@ -103,6 +105,43 @@ class TestRunJob:
         cfg = parse_config(PFAFFIAN_CFG)
         text = render(run_job("sod", cfg), "text").decode()
         assert "components" in text and "algebra" in text
+
+
+# what a report holds: strings (non-ASCII included), ints, booleans, None,
+# and nested lists and str-keyed dicts, empty ones among them
+DOCUMENTS = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=24)
+
+
+class TestRenderJson:
+    @settings(max_examples=150, deadline=None)
+    @given(st.dictionaries(st.text(), DOCUMENTS, max_size=5))
+    def test_bytes_match_json_dumps(self, doc):
+        want = json.dumps(doc, sort_keys=True, indent=2) + "\n"
+        assert render(doc, "json") == want.encode()
+
+    @pytest.mark.parametrize("value", [1.5, (1, 2), {1: "a"}, {"x": {2}},
+                                       Fraction(1, 2)])
+    def test_other_types_raise(self, value):
+        with pytest.raises(TypeError):
+            render({"value": value}, "json")
+
+    def test_render_leaves_no_garbage(self):
+        doc = run_job("nccr", parse_config(PFAFFIAN_CFG))
+        blob = render(doc, "json")  # warm any lazy module state first
+        gc.collect()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            assert render(doc, "json") == blob
+            gc.collect()
+            garbage = list(gc.garbage)
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+        assert garbage == []
 
 
 class TestCliProcess:

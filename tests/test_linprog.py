@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import random
 from fractions import Fraction as F
 
@@ -18,7 +19,7 @@ from sodlab.linprog import (INTEGRAL_CANDIDATE_CAP, LATTICE_BOX_CAP,
                             BoxedLinearProgram, InputError, LpBuilder,
                             _basic_solution, _phase1,
                             _phase2, _to_standard, enumerate_lattice,
-                            feasible_point, forced_tight,
+                            feasible_point, forced_tight, integral_shell,
                             lex_minimal_integral, lp_optimize,
                             strict_feasible)
 
@@ -540,6 +541,23 @@ class TestLexMinimalIntegral:
             assert set(calls[0]) == set(calls[1])
             saved += len(calls[1]) - len(calls[0])
         assert saved > 0
+
+    def test_returns_fraction_tuples(self):
+        got = lex_minimal_integral(3, lambda v: sum(v) == 2 and v[0] < 0)
+        assert got == lex_minimal_integral_reference(
+            3, lambda v: sum(v) == 2 and v[0] < 0) == (-2, 2, 2)
+        assert all(type(x) is F for x in got)
+
+    def test_shells_follow_the_reference_order_as_ints(self):
+        for n in range(1, 4):
+            for bound in range(1, 4):
+                want = [v for v in itertools.product(
+                            range(-bound, bound + 1), repeat=n)
+                        if bound == 1 or max(map(abs, v)) == bound]
+                got = list(integral_shell(n, bound))
+                assert got == want
+                assert all(type(x) is int for v in got for x in v)
+        assert list(integral_shell(0, 2)) == []
 
     def test_zero_vector_is_a_candidate(self):
         assert lex_minimal_integral(2, lambda v: not any(v)) == (F(0), F(0))

@@ -15,8 +15,7 @@ from sodlab.partition import PreconditionError, make_profile, window_box
 from sodlab.report import build_objects, preset_config, run_job
 from sodlab.reps import coinvariant_rep, rep_spec
 from sodlab.rootdata import build_group, full_levi, is_dominant, levi
-from sodlab.sod import (certify_nccr, enumerate_sod, preset,
-                        refine_lambda_combination)
+from sodlab.sod import certify_nccr, enumerate_sod, preset
 from sodlab.zonotope import CLOSED, member
 
 T1 = build_group("Torus(1)")
@@ -309,48 +308,6 @@ class TestPresets:
 
     def test_sl2_counts_trivial_summands(self):
         assert preset("sl2", degrees=[0, 0, 3]).expected["c"] == 2
-
-
-class TestRefineLambda:
-    def test_zero_inner(self):
-        rep = preset("toric").rep
-        lam = refine_lambda_combination(rep, vec([-1]), vec([0]))
-        assert lam == vec([-1])
-
-    def test_zero_outer(self):
-        rep = preset("toric").rep
-        lam = refine_lambda_combination(rep, vec([0]), vec([-1]))
-        assert lam == vec([-1])
-
-    def test_rank_two_halving(self):
-        t2 = build_group("Torus(2)")
-        rep = rep_spec(t2, [((1, 0), 1), ((0, 1), 1), ((-1, 0), 1),
-                            ((0, -1), 1), ((1, -1), 1), ((-1, 1), 1)])
-        lam = refine_lambda_combination(rep, vec([-1, 0]), vec([0, -1]))
-        assert lam == vec([-2, -1])
-
-    def test_signs_refine(self):
-        from sodlab.reps import weight_signs
-
-        t2 = build_group("Torus(2)")
-        rep = rep_spec(t2, [((1, 0), 1), ((0, 1), 1), ((-1, 0), 1),
-                            ((0, -1), 1), ((1, -1), 1), ((-1, 1), 1)])
-        outer, inner = vec([-1, 0]), vec([0, -1])
-        lam = refine_lambda_combination(rep, outer, inner)
-        combined = weight_signs(rep, lam)
-        outer_signs = weight_signs(rep, outer)
-        inner_signs = weight_signs(rep, inner)
-        for i in outer_signs.t_plus:
-            assert i in combined.t_plus
-        for i in outer_signs.t_minus:
-            assert i in combined.t_minus
-        for i in outer_signs.t_zero:
-            if i in inner_signs.t_plus:
-                assert i in combined.t_plus
-            elif i in inner_signs.t_minus:
-                assert i in combined.t_minus
-            else:
-                assert i in combined.t_zero
 
 
 MINKOWSKI_GROUPS = ("Torus(1)", "Torus(2)", "SL(2)", "SL(3)",

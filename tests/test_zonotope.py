@@ -721,7 +721,9 @@ class TestHyperplaneFlats:
               deadline=None)
     @given(flat_inputs())
     # no generators; zero generators; repeated lines; generators in
-    # span(central); dim V = 1 twice; central vectors present
+    # span(central); dim V = 1 twice; central vectors present; three
+    # hyperplane flats that meet pairwise but have no common line
+    @example((3, _v([1, 0, 0], [0, 1, 0], [0, 0, 1]), ()))
     @example((2, (), ()))
     @example((2, _v([0, 0], [1, 0], [0, 0]), ()))
     @example((2, _v([1, 1], [2, 2], [-1, -1], [1, 0]), ()))
