@@ -15,12 +15,12 @@ variables, so all sets are effectively computed in the character quotient.
 Epsilon-shifted membership and genericity read no LP.  A facet table is
 built once per (generators, central, ambient dimension) and kept in a
 process memo.  Its build finds the hyperplane flats of the generator lines
-first, by a scan of line subsets, and takes both signed normals of each, with
-their support values, as the facets; every other proper flat is an
-intersection of hyperplane flats and comes by set intersection.  The table
-holds those flats (the only place they are enumerated; genericity reads them
-from it), the facets and an annihilator basis of span(generators + central),
-all normals primitive integer vectors.
+by a scan of line subsets and takes both signed normals of each, with their
+support values, as the facets.  Those are the only faces the package
+enumerates: genericity reads them from the table too, as the span of every
+proper face is an intersection of facet spans.  The table holds the facets
+and an annihilator basis of span(generators + central), all normals
+primitive integer vectors.
 ``member_eps`` builds one integer predicate per window from it, and that
 predicate decides each lattice point with integer arithmetic on those
 pairings.  ``member`` has the same shape: it builds one predicate per
@@ -44,7 +44,7 @@ from operator import mul
 from typing import Callable
 
 from .linalg import (Vec, ZERO, ONE, frac, in_span, int_row, int_rows,
-                     is_zero_vec, nullspace, primitive, span_basis,
+                     is_zero_vec, nullspace, primitive, rank,
                      subspace_intersection, vdot, vec, vneg, vsub, zero_vec)
 from .linprog import (InputError, LpBuilder, feasible_point, forced_tight,
                       lex_minimal_integral, lp_optimize, strict_feasible)
@@ -96,16 +96,14 @@ def _classes(generators) -> list[tuple[Vec, list[int]]]:
 
 
 def coefficient_system(b: LpBuilder, generators, central, target,
-                       radius=None, lower_open=False, upper_open=False,
-                       extra=()):
-    """Add the system  sum_v c_v v + sum_c t_c c + sum_e s_e e = target  to b.
+                       radius=None, lower_open=False, upper_open=False):
+    """Add the system  sum_v c_v v + sum_c t_c c = target  to b.
 
     One column c_v <= 0 per class of m equal generators, bounded below by
-    -radius * m unless ``radius`` is None and open at the flagged ends; one
-    free column t_c per central direction; then one column s_e per pair
-    (vector e, ``LpBuilder.add_var`` keywords) in ``extra``.  ``target``
-    holds the right-hand side of each coordinate's equality row.  Returns
-    (classes, class columns).
+    -radius * m unless ``radius`` is None and open at the flagged ends; then
+    one free column t_c per central direction.  ``target`` holds the
+    right-hand side of each coordinate's equality row.  Returns (classes,
+    class columns).
     """
     classes = _classes(generators)
     cols = [b.add_var(lower=None if radius is None else -frac(radius) * len(idx),
@@ -113,7 +111,6 @@ def coefficient_system(b: LpBuilder, generators, central, target,
             for _, idx in classes]
     terms = [(v, col) for (v, _), col in zip(classes, cols)]
     terms += [(c, b.add_var()) for c in central]
-    terms += [(e, b.add_var(**bounds)) for e, bounds in extra]
     for k, rhs in enumerate(target):
         b.add_eq({col: v[k] for v, col in terms if v[k] != 0}, rhs)
     return classes, cols
@@ -266,8 +263,8 @@ def supporting_lambda(sig: FaceSignature, datum: RootDatum, generators) -> Vec:
 # Within V = span(generators + central) the set r * Z + span(central) is cut
 # out by its facets.  Their normals are the functionals lam that vanish on
 # central and on a hyperplane flat of the generator lines (see
-# ``_proper_flats`` below), taken with both signs, and the support function
-# of Z at lam is h(lam) = sum max(0, -<lam, v>) over the expanded
+# ``_hyperplane_normals`` below), taken with both signs, and the support
+# function of Z at lam is h(lam) = sum max(0, -<lam, v>) over the expanded
 # generators.  So d = p - shift is in the closed set iff d pairs to zero
 # with the annihilator of V and <lam, d> <= r * h(lam) on every facet, and
 # -eps points into the set at such a d iff <lam, eps> >= 0 on every facet
@@ -280,14 +277,13 @@ class FacetTable:
     functionals vanishing on V, ``facets`` holds one (lam, h(lam)) pair per
     facet, both signs of the normal of every hyperplane flat, in the order
     the scan finds those.  The annihilator rows and the normals lam are
-    primitive integer vectors (int tuples).  ``flats`` holds each proper
-    flat of the distinct nonzero generator ``lines`` once, as a set of
-    indices into ``lines``: the hyperplane flats and their intersections."""
+    primitive integer vectors (int tuples).  No other face is kept: the
+    direction space of every proper face is, with span(central), the
+    intersection of the facet spans containing it (see
+    ``realizable_face_patterns``)."""
 
     annihilator: tuple[tuple[int, ...], ...]
     facets: tuple[tuple[tuple[int, ...], Fraction], ...]
-    lines: tuple[Vec, ...]
-    flats: tuple[frozenset, ...]
 
 
 _FACET_TABLES: dict[tuple, FacetTable] = {}
@@ -315,14 +311,12 @@ def _build_facet_table(generators, central, dim) -> FacetTable:
     classes = _classes(gens)
     values, d = int_rows([v for v, _ in classes])
     sizes = [len(idx) for _, idx in classes]
-    lines = _lines(gens)
-    flats, normals = _proper_flats(lines, central, dim)
+    normals = _hyperplane_normals(_lines(gens), central, dim)
     facets = [(normal, Fraction(sum(m * max(0, -sum(map(mul, normal, v)))
                                     for v, m in zip(values, sizes)), d))
               for lam in normals for normal in (lam, vneg(lam))]
-    annihilator = nullspace(span_basis(gens + central, dim), dim)
-    return FacetTable(tuple(map(_int_primitive, annihilator)),
-                      tuple(facets), tuple(lines), tuple(flats))
+    annihilator = nullspace(gens + central, dim)
+    return FacetTable(tuple(map(_int_primitive, annihilator)), tuple(facets))
 
 
 def _scaled_row(lam: tuple[int, ...], bound: Fraction):
@@ -384,20 +378,19 @@ def member_eps(generators, r, shift, e: EpsShift,
 # configuration modulo ``central`` (Ziegler, Lectures on Polytopes, ch. 7):
 # the sets F of distinct lines holding every line in span(F + central), short
 # of the full set.  Span arithmetic finds the maximal ones, the hyperplane
-# flats, whose normals are the facet normals; set intersection finds the
-# rest, as every proper flat is an intersection of hyperplane flats (Oxley,
-# Matroid Theory, ch. 1).
+# flats, whose normals are the facet normals.  The rest are never
+# enumerated: genericity is decided on the hyperplane flats alone (see
+# ``realizable_face_patterns``).
 # ---------------------------------------------------------------------------
 
-# Most line subsets the hyperplane scan of ``_proper_flats`` may test,
-# counted as C(lines, D - c - 1) before it starts.  The tests reach 36 (6
-# outside the random comparison with the closure search), the golden presets
-# 1 and the benchmark jobs 3; quasi-symmetric Sp(8) Sym^2 needs 560.  At the
-# cap, lines in general position (141 in dimension 3, 40 in dimension 4,
-# entries up to 1,000) take 1.2-1.6 s to scan, 0.5 s (dimension 3) and 5 s
-# (dimension 4) to close under intersection, and 4-8 s for the whole table
-# (Python 3.11, 2-core Xeon); past it the table is refused, not built for
-# minutes.
+# Most line subsets the hyperplane scan of ``_hyperplane_normals`` may test,
+# counted as C(lines, D - c - 1) before it starts.  The tests reach 36
+# (quasi-symmetric Sp(6) Sym^2; 21 in the random comparisons with the
+# closure search), the golden presets 1 and the benchmark jobs 3;
+# quasi-symmetric Sp(8) Sym^2 needs 560.  At the cap, lines in general
+# position (141 in dimension 3, 40 in dimension 4, entries up to 1,000) take
+# 1.0-1.7 s to scan and 1.8-3.6 s for the whole table (Python 3.11, 2-core
+# Xeon); past it the table is refused, not built for minutes.
 HYPERPLANE_SCAN_CAP = 10_000
 
 
@@ -406,65 +399,64 @@ def _lines(gens) -> list[Vec]:
     return sorted({primitive(g) for g in gens if not is_zero_vec(g)})
 
 
-def _proper_flats(lines, central, dim):
-    """(flats, normals): each proper flat of the lines modulo ``central``
-    once, as a set of line indices, and the primitive normal within V =
-    span(lines + central) of each hyperplane flat.  Those are spanned with
-    ``central`` by D - c - 1 lines (D = dim V, c = rank(central)), scanned
-    in lexicographic order past the ones inside a flat found; every proper
-    flat is an intersection of them (Oxley, Matroid Theory, ch. 1)."""
-    top = len(span_basis(lines + central, dim))
-    size = max(top - len(span_basis(central, dim)) - 1, 0)
+def _hyperplane_normals(lines, central, dim):
+    """The primitive normal within V = span(lines + central) of each
+    hyperplane flat of the lines modulo ``central``.  Those flats are
+    spanned with ``central`` by D - c - 1 lines (D = dim V, c =
+    rank(central)), scanned in lexicographic order past the ones inside a
+    flat found."""
+    top = rank(lines + central)
+    size = max(top - rank(central) - 1, 0)
     if comb(len(lines), size) > HYPERPLANE_SCAN_CAP:
         raise InputError(f"hyperplane scan of {comb(len(lines), size)} line "
                          f"subsets exceeds the cap of {HYPERPLANE_SCAN_CAP}")
     ints = [tuple(map(int, v)) for v in lines]
-    hyperplanes, normals, covered = [], [], set()
+    normals, covered = [], set()
     for subset in combinations(range(len(lines)), size):
         if subset in covered:  # inside a hyperplane flat already found
             continue
-        base = span_basis([lines[i] for i in subset] + central, dim)
-        if len(base) == top - 1:
-            lam = _int_primitive(next(n for n in nullspace(base, dim)
+        rows = [lines[i] for i in subset] + central
+        if rank(rows) == top - 1:
+            lam = _int_primitive(next(n for n in nullspace(rows, dim)
                                       if any(vdot(n, v) for v in lines)))
             flat = [i for i, v in enumerate(ints) if not sum(map(mul, lam, v))]
             covered.update(combinations(flat, size))
-            hyperplanes.append(frozenset(flat))
             normals.append(lam)
-    # f & h is empty unless h passes through a line of f, and it is f itself
-    # when f holds one line, so only those pairs are intersected; the empty
-    # flat is proper exactly when no line lies in every hyperplane flat
-    through = [[] for _ in lines]
-    for h in hyperplanes:
-        for i in h:
-            through[i].append(h)
-    flats, new = set(hyperplanes), hyperplanes
-    while new:
-        new = {f & h for f in new if len(f) > 1 for i in f for h in through[i]}
-        new -= flats
-        flats |= new
-    if hyperplanes and not frozenset.intersection(*hyperplanes):
-        flats.add(frozenset())
-    return sorted(flats, key=sorted), normals
+    return normals
 
 
 def realizable_face_patterns(generators, central: Central = ()):
-    """Direction generators of the proper faces of the closed zonotope.
+    """Direction generators of the facets of the closed zonotope.
 
-    Returns one generator list per proper flat of the distinct nonzero
-    generator lines modulo ``central``, each flat once, in the order of the
-    facet table: the generators on the flat's lines followed by every zero
-    generator (zero generators lie in every face direction space).
+    Returns one generator list per hyperplane flat of the distinct nonzero
+    generator lines modulo ``central``, in the order of the facet table:
+    the nonzero generators that pair to zero with the flat's normal, then
+    every zero generator (zero generators lie in every face direction
+    space).  The facets decide genericity for every proper face: for a
+    proper flat F, span(F + central) is the intersection of span(H +
+    central) over the hyperplane flats H containing F (Oxley, Matroid
+    Theory, ch. 1; Ziegler, Lectures on Polytopes, ch. 7).  Modulo
+    span(F + central) the lines off F span the quotient, and the normals of
+    the hyperplanes spanned by a basis among them form a dual basis, so a
+    vector off span(F + central) pairs nonzero with one of them.  Hence eps
+    lies in some proper face span iff it lies in some facet span, and an
+    invariant off span(F + central) with eps on it is off some span(H +
+    central) with eps on it.
     """
     gens = [vec(g) for g in generators]
     if not gens:
         return []
     table = facet_table(gens, central, len(gens[0]))
-    line_of = [None if is_zero_vec(g) else table.lines.index(primitive(g))
-               for g in gens]
-    zeros = [g for g, li in zip(gens, line_of) if li is None]
-    return [[g for g, li in zip(gens, line_of) if li in flat] + zeros
-            for flat in table.flats]
+    line_of = [None if is_zero_vec(g) else _int_primitive(g) for g in gens]
+    lines = set(line_of) - {None}
+    zeros = [g for g, line in zip(gens, line_of) if line is None]
+    patterns = []
+    # the facets come in pairs (lam, -lam), one pair per hyperplane flat
+    for lam, _ in table.facets[::2]:
+        flat = {v for v in lines if not sum(map(mul, lam, v))}
+        patterns.append([g for g, line in zip(gens, line_of) if line in flat]
+                        + zeros)
+    return patterns
 
 
 def _eps_preconditions(eps: Vec, source: RootDatum | LeviDatum, generators,

@@ -9,18 +9,19 @@ oracle enumerates sign-pattern splits exhaustively and uses the LP kernel
 only for the per-pattern radius minimization; its strictness check is the
 slack-maximization reference below, not the kernel's bound sweep.  The face
 references test every sign pattern of the generator lines by LP; the package
-reads the same faces from the flats of the lines.  The flat reference grows
-every flat by closure search with span arithmetic, keeping the flats of
-corank one as facets; the package scans line subsets for the hyperplane
-flats and finds the rest by set intersection.  The root-data references
-average or alternate over every element of the Weyl group, enumerated
-breadth-first as reflection matrices; the package reads the same facts from
-the simple reflections by descent and orbit search on int tuples.  The orbit
-reference searches by the Fraction reflections, and the Weyl-symmetry
-reference checks a weight multiset by them; the package does both through
-one integer matrix per simple reflection.  The window-box reference
-bounds each coordinate by LP; the package has the closed form.  The
-supporting-subgroup reference decides by LP that an antidominant subgroup
+reads the facets from the hyperplane flats of the lines.  The flat reference
+grows every proper flat by closure search with span arithmetic, keeping the
+flats of corank one as facets, and the genericity references test epsilon
+against the span of every proper flat; the package scans line subsets for
+the hyperplane flats alone and decides genericity on them.  The root-data
+references average or alternate over every element of the Weyl group,
+enumerated breadth-first as reflection matrices; the package reads the same
+facts from the simple reflections by descent and orbit search on int
+tuples.  The orbit reference searches by the Fraction reflections, and the
+Weyl-symmetry reference checks a weight multiset by them; the package does
+both through one integer matrix per simple reflection.  The window-box
+reference bounds each coordinate by LP; the package has the closed form.
+The supporting-subgroup reference decides by LP that an antidominant subgroup
 exists before its integral search; the package runs the search alone.  The
 membership reference builds a fresh coefficient program for every point;
 the package builds one per window and changes only its right-hand side.
@@ -55,8 +56,8 @@ from sodlab.linprog import BoxedLinearProgram, InputError, LpBuilder, \
     lex_minimal_integral, lp_optimize, strict_feasible
 from sodlab.rootdata import LeviDatum, coroot, full_levi, is_dominant
 from sodlab.zonotope import (CLOSED, HALF_OPEN, REL_INT, FacetTable, _lines,
-                              coefficient_system, facet_table, member,
-                              signature_classes)
+                              coefficient_system, facet_table,
+                              invariants_in_span, member, signature_classes)
 
 F = Fraction
 
@@ -326,14 +327,17 @@ def _value_classes(generators):
     return sorted(groups.items())
 
 
-def _closed_coefficients(generators, r, shift, p, central, direction=None):
+def _closed_coefficients(generators, r, shift, p, central, direction=None,
+                         push_open=False):
     """Builder holding  sum c_v v + sum t_c c (+ t direction) = p - shift
-    with c_v in [-r m, 0], t_c free and t >= 0; returns (builder, t)."""
+    with c_v in [-r m, 0], t_c free and t >= 0 (t > 0 when ``push_open``);
+    returns (builder, t)."""
     b = LpBuilder()
     classes = _value_classes(generators)
     cols = [b.add_var(lower=-F(r) * len(idx), upper=0) for _, idx in classes]
     tcols = [b.add_var() for _ in central]
-    tcol = b.add_var(lower=0) if direction is not None else None
+    tcol = b.add_var(lower=0, lower_open=push_open) \
+        if direction is not None else None
     for k in range(len(p)):
         row = {}
         for (v, _), col in zip(classes, cols):
@@ -418,7 +422,7 @@ def member_eps_facet_reference(generators, r, shift, e, p, central=()):
 def member_eps_strict_reference(generators, r, shift, e, p, central=()):
     """The LP form of ``member_eps``: closed membership by one feasibility
     LP, then per direction (eps, and -eps in plus_minus mode) one strict
-    sweep of the coefficient system with an extra column s > 0 on that
+    sweep of the closed coefficient system with a last column s > 0 on that
     direction, i.e. p - s * direction in the closed set for some s > 0."""
     if not in_span(list(generators) + list(central), vec(e.epsilon)):
         raise InputError("epsilon is not parallel to the zonotope")
@@ -427,11 +431,9 @@ def member_eps_strict_reference(generators, r, shift, e, p, central=()):
         return False
     signs = (1, -1) if e.mode == "plus_minus" else (1,)
     for sign in signs:
-        b = LpBuilder()
-        coefficient_system(
-            b, generators, central, vsub(vec(p), vec(shift)), r,
-            extra=[(vscale(F(sign), vec(e.epsilon)),
-                    {"lower": 0, "lower_open": True})])
+        b, _ = _closed_coefficients(generators, r, vec(shift), vec(p), central,
+                                    vscale(F(sign), vec(e.epsilon)),
+                                    push_open=True)
         if not strict_feasible(b.build()):
             return False
     return True
@@ -628,15 +630,14 @@ def proper_flats_reference(lines, central, dim):
 
 
 def facet_table_reference(generators, central, dim):
-    """The facet table with its flats from the closure search: the facets
-    are both signed normals of each flat of corank one in V."""
+    """The facet table from the closure search: the facets are both signed
+    normals of each flat of corank one in V."""
     gens = [vec(g) for g in generators]
     central = [vec(c) for c in central]
     span = span_basis(gens + central, dim)
     lines = _lines(gens)
-    flats = proper_flats_reference(lines, central, dim)
     facets = []
-    for _, base in flats:
+    for _, base in proper_flats_reference(lines, central, dim):
         if len(base) != len(span) - 1:
             continue
         lam = next(n for n in nullspace(base, dim)
@@ -647,8 +648,35 @@ def facet_table_reference(generators, central, dim):
             facets.append((normal, h))
     annihilator = tuple(tuple(int(x) for x in primitive(n))
                         for n in nullspace(span, dim))
-    return FacetTable(annihilator, tuple(facets), tuple(lines),
-                      tuple(flat for flat, _ in flats))
+    return FacetTable(annihilator, tuple(facets))
+
+
+def _proper_face_spans_reference(generators, central):
+    """span(F + central) of every proper flat F of the generator lines, from
+    the closure search (zero generators lie in every one of them)."""
+    gens = [vec(g) for g in generators]
+    dim = len(gens[0]) if gens else len(central[0]) if central else 0
+    return [base for _, base in
+            proper_flats_reference(_lines(gens), list(central), dim)]
+
+
+def is_generic_reference(eps, generators, central=()):
+    """Whether eps (taken parallel to the zonotope) lies in the span of no
+    proper flat with ``central``, every proper flat tested."""
+    return not any(in_span(base, vec(eps)) for base in
+                   _proper_face_spans_reference(generators, central))
+
+
+def is_weakly_generic_reference(eps, source, generators, central=()):
+    """Whether no proper flat span with ``central`` holds eps (taken
+    invariant and parallel to the zonotope) but misses an invariant of
+    ``source`` within the zonotope's span, every proper flat tested."""
+    src = source if isinstance(source, LeviDatum) else full_levi(source)
+    inv = invariants_in_span(src, generators, central)
+    return not any(in_span(base, vec(eps))
+                   and not all(in_span(base, v) for v in inv)
+                   for base in _proper_face_spans_reference(generators,
+                                                            central))
 
 
 # ---------------------------------------------------------------------------

@@ -201,7 +201,7 @@ def _logging(log, fn):
 
 class TestLambdaDataOnce:
     def test_nccr_job_builds_levi_and_flats_once(self, monkeypatch):
-        """One nccr job enumerates the proper flats once per facet table
+        """One nccr job scans for the hyperplane flats once per facet table
         built, and neither the windows, the components nor the report
         rebuild a component's Levi: each component carries the one its cell
         was built with."""
@@ -210,8 +210,8 @@ class TestLambdaDataOnce:
         builds, flats, levi_callers = [], [], []
         monkeypatch.setattr(zonotope, "_build_facet_table",
                             _logging(builds, zonotope._build_facet_table))
-        monkeypatch.setattr(zonotope, "_proper_flats",
-                            _logging(flats, zonotope._proper_flats))
+        monkeypatch.setattr(zonotope, "_hyperplane_normals",
+                            _logging(flats, zonotope._hyperplane_normals))
         original = rootdata.levi
         for mod in (rootdata, partition, sod, report):
             if hasattr(mod, "levi"):

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import random
 import time
@@ -9,14 +10,16 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from oracles import (facet_table_reference, forced_tight_reference,
+                     is_generic_reference, is_weakly_generic_reference,
                      member_eps_facet_reference, member_eps_reference,
                      member_eps_strict_reference, member_reference,
-                     random_generators,
+                     proper_flats_reference, random_generators,
                      realizable_face_patterns_reference,
                      supporting_lambda_reference)
 from sodlab import zonotope
 from sodlab.cli import main
-from sodlab.linalg import nullspace, span_basis, vadd, vdot, vec, vscale
+from sodlab.linalg import (in_span, nullspace, span_basis, vadd, vdot, vec,
+                           vscale)
 from sodlab.linprog import (InputError, feasible_point, forced_tight,
                             strict_feasible)
 from sodlab.partition import make_profile, signature_of
@@ -597,10 +600,40 @@ class TestGenericity:
 
 FLAT_GROUPS = ("Torus(1)", "Torus(2)", "Torus(3)", "SL(2)", "SL(3)",
                "Product(SL(2),Torus(1))", "Product(SL(2),SL(2))")
+# groups with nonzero invariants, for the weak genericity references
+INVARIANT_GROUPS = ("Torus(2)", "GL(2)", "GL(3)", "Product(SL(2),Torus(1))",
+                    "Product(GL(2),Torus(1))")
+
+
+def _weights(*pairs):
+    return [{"kind": "weights", "weights": [
+        {"weight": list(w), "mult": m} for w, m in pairs]}]
+
+
+# nccr configs whose component 0 runs the weak genericity loop: the
+# hexagon of Torus(2) with epsilon on a facet span, and a prism of
+# SL(2) x Torus(1) with epsilon weakly generic
+TORUS_HEXAGON = {
+    "group": "Torus(2)", "epsilon": [1, 1],
+    "representation": _weights(((1, 0), 2), ((-1, 0), 2), ((0, 1), 2),
+                               ((0, -1), 2), ((1, 1), 2), ((-1, -1), 2))}
+SL2_TORUS_PRISM = {
+    "group": "Product(SL(2),Torus(1))", "epsilon": [0, 0, 1],
+    "representation": _weights(((1, 0, 1), 1), ((-1, 0, -1), 1),
+                               ((0, 1, 1), 1), ((0, -1, -1), 1),
+                               ((0, 0, 1), 2), ((0, 0, -1), 2))}
 
 
 def face_spans(lists, central, dim):
     return [tuple(span_basis(list(z) + list(central), dim)) for z in lists]
+
+
+def maximal_spans(spans):
+    """The spans (RREF bases) contained in no other one of the list."""
+    def inside(a, b):
+        return all(in_span(b, v) for v in a)
+    return {a for a in spans
+            if not any(b != a and inside(a, b) for b in spans)}
 
 
 def eps_status(eps, datum, gens, central):
@@ -630,8 +663,8 @@ class TestFlats:
         assert realizable_face_patterns((vec([0, 0]),) * 2) == []
 
     def test_flats_match_sign_patterns(self, monkeypatch):
-        """Each proper face span comes once, the spans are those of the
-        realizable sign patterns, and genericity agrees on both."""
+        """Each facet span comes once, the facet spans are the maximal spans
+        of the realizable sign patterns, and genericity agrees on both."""
         rng = random.Random(3)
         seen = set()
         cases = 0
@@ -645,8 +678,8 @@ class TestFlats:
                        realizable_face_patterns_reference(gens, central)]
                 spans = face_spans(flats, central, datum.rank)
                 assert len(set(spans)) == len(spans)
-                assert set(spans) == set(face_spans(ref, central, datum.rank)), \
-                    (tag, gens)
+                assert set(spans) == maximal_spans(
+                    face_spans(ref, central, datum.rank)), (tag, gens)
                 zeros = [g for g in gens if not any(g)]
                 assert all(z[len(z) - len(zeros):] == zeros for z in flats)
 
@@ -670,7 +703,8 @@ class TestFlats:
         """eps is generic iff it pairs nonzero with every facet normal of the
         table (zero and central eps included): every proper flat lies in a
         hyperplane flat, whose span within V is the kernel of its normal.
-        Cross-checks the flats kept in the table against its facets."""
+        Cross-checks the face patterns read from the table against its
+        normals."""
         rng = random.Random(seed)
         datum = build_group(tag)
         central = datum.central_directions
@@ -680,6 +714,57 @@ class TestFlats:
         for eps in candidate_eps(rng, datum, gens, central):
             assert is_generic(eps, datum, gens, central) == all(
                 vdot(lam, eps) != 0 for lam in normals), (tag, gens, eps)
+
+    def test_genericity_matches_all_flats_reference(self):
+        """is_generic and is_weakly_generic, read from the facets, agree with
+        the references that test eps against every proper flat, on groups
+        with invariants and eps drawn from them; every status appears."""
+        seen = set()
+
+        @settings(derandomize=True, database=None, max_examples=200,
+                  deadline=None)
+        @given(st.sampled_from(INVARIANT_GROUPS), st.integers(0, 2 ** 32))
+        def check(tag, seed):
+            rng = random.Random(seed)
+            datum = build_group(tag)
+            central = datum.central_directions
+            gens = random_generators(rng, datum, max_lines=8)
+            for eps in candidate_eps(rng, datum, gens, central):
+                generic = is_generic(eps, datum, gens, central)
+                weak = is_weakly_generic(eps, datum, gens, central)
+                assert generic == is_generic_reference(eps, gens, central), \
+                    (tag, gens, eps)
+                assert weak == is_weakly_generic_reference(
+                    eps, datum, gens, central), (tag, gens, eps)
+                seen.add("Generic" if generic else
+                         "WeaklyGeneric" if weak else "Fails")
+
+        check()
+        assert seen == {"Generic", "WeaklyGeneric", "Fails"}
+
+    @pytest.mark.parametrize("config, status", [
+        (TORUS_HEXAGON, "Fails"), (SL2_TORUS_PRISM, "WeaklyGeneric")])
+    def test_nccr_reaches_the_invariant_loop(self, config, status, tmp_path,
+                                             monkeypatch):
+        """nccr on configs whose weak genericity check tests face spans
+        against nonzero invariants: component 0's status, and the same
+        report bytes when the faces come from every realizable sign
+        pattern by LP."""
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        out = tmp_path / "nccr.json"
+        args = ["nccr", "--config", str(path), "--out", str(out)]
+        assert main(args) == 0
+        got = out.read_bytes()
+        assert [c["certificate"]["eps_status"]
+                for c in json.loads(got)["nccr"]
+                if c["component_index"] == 0] == [status]
+        monkeypatch.setattr(
+            zonotope, "realizable_face_patterns",
+            lambda g, c=(): [z for _, z in
+                             realizable_face_patterns_reference(g, c)])
+        assert main(args) == 0
+        assert out.read_bytes() == got
 
 
 # ---------------------------------------------------------------------------
@@ -734,18 +819,43 @@ class TestHyperplaneFlats:
     @example((3, _v([1, 0, 0], [0, 1, 0], [1, 1, 0], [0, 0, 1]),
               _v([1, 1, 1])))
     def test_matches_closure_search(self, case):
-        """Same facets (as (normal, h) pairs), flats, annihilator and lines
-        as the table whose flats come from the closure search, each flat
-        once."""
+        """Same facets (as (normal, h) pairs) and annihilator as the table
+        built from the closure search, and the hyperplane flats of its
+        normals are the maximal flats of that search, each once."""
         dim, gens, central = case
         got = zonotope._build_facet_table(gens, central, dim)
         want = facet_table_reference(gens, central, dim)
         assert set(got.facets) == set(want.facets)
         assert len(got.facets) == len(want.facets)
-        assert set(got.flats) == set(want.flats)
-        assert len(got.flats) == len(set(got.flats)) == len(want.flats)
         assert got.annihilator == want.annihilator
-        assert got.lines == want.lines
+        lines = zonotope._lines(gens)
+        hyperplanes = [frozenset(i for i, v in enumerate(lines)
+                                 if not vdot(lam, v))
+                       for lam, _ in got.facets[::2]]
+        flats = [f for f, _ in proper_flats_reference(lines, central, dim)]
+        assert len(set(hyperplanes)) == len(hyperplanes)
+        assert set(hyperplanes) == {f for f in flats
+                                    if not any(f < g for g in flats)}
+
+    @settings(derandomize=True, database=None, max_examples=300,
+              deadline=None)
+    @given(flat_inputs())
+    @example((3, _v([1, 0, 0], [0, 1, 0], [0, 0, 1]), ()))
+    @example((3, _v([1, 0, 0], [0, 1, 0], [1, 1, 0], [0, 0, 1]),
+              _v([1, 1, 1])))
+    def test_flat_span_is_the_kernel_of_its_hyperplane_normals(self, case):
+        """For every proper flat F, span(F + central) is the common kernel
+        within V of the table normals whose hyperplane flat contains F: the
+        facets alone decide genericity."""
+        dim, gens, central = case
+        table = zonotope._build_facet_table(gens, central, dim)
+        normals = [lam for lam, _ in table.facets[::2]]
+        lines = zonotope._lines(gens)
+        for flat, base in proper_flats_reference(lines, central, dim):
+            through = [lam for lam in normals
+                       if not any(vdot(lam, lines[i]) for i in flat)]
+            kernel = nullspace(list(table.annihilator) + through, dim)
+            assert span_basis(kernel, dim) == base, (case, sorted(flat))
 
     def test_quasi_symmetric_nccr_report_matches_reference_flats(
             self, monkeypatch):
