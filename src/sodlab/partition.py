@@ -2,7 +2,8 @@
 
 Every dominant lattice weight chi gets the face signature of chi relative to
 nu - rho_bar + r * (closed zonotope of all weights), computed at the minimal
-radius.  Cells collect weights sharing a signature; each cell carries the
+radius by one signature function built per partition (``signature_of``).
+Cells collect weights sharing a signature; each cell carries the
 canonical antidominant one-parameter subgroup realizing its signature, the
 Levi-invariant shift of its window, and a total order key.
 
@@ -22,6 +23,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
+from typing import Callable
 
 from .linalg import Vec, ZERO, ONE, vadd, vscale, vsub, vec, zero_vec
 from .linprog import InputError, enumerate_lattice
@@ -69,15 +71,25 @@ def make_profile(datum: RootDatum, nu_global=None,
     return ShiftProfile(nu, threshold)
 
 
-def signature_of(rep: RepSpec, chi: Vec, profile: ShiftProfile) -> FaceSignature:
-    """The unique minimal face signature of a dominant weight."""
+def signature_of(rep: RepSpec,
+                 profile: ShiftProfile) -> Callable[[Vec], FaceSignature]:
+    """The unique minimal face signature of a dominant weight chi, as a
+    function of chi.  Built once per partition: the shift nu - rho_bar and
+    the face-signature function are made once; each weight is normalized
+    and checked dominant (InputError if not) before its signature is
+    read."""
     datum = rep.datum
-    chi = datum.normalize_weight(vec(chi))
-    if not is_dominant(datum, chi):
-        raise InputError(f"weight {chi} is not dominant")
     shift = vsub(profile.nu_global, datum.rho_bar)
-    return face_signature_at(rep.expanded, shift, chi,
-                             central=datum.central_directions)
+    at = face_signature_at(rep.expanded, shift,
+                           central=datum.central_directions)
+
+    def signature(chi) -> FaceSignature:
+        chi = datum.normalize_weight(vec(chi))
+        if not is_dominant(datum, chi):
+            raise InputError(f"weight {chi} is not dominant")
+        return at(chi)
+
+    return signature
 
 
 def order_key(sig: FaceSignature):
@@ -179,10 +191,10 @@ def partition_region(rep: RepSpec, profile: ShiftProfile,
             "no torus-stable point: a nonzero one-parameter subgroup pairs "
             "nonpositively with every weight; decompose along the "
             "destabilizer instead", report)
+    signature = signature_of(rep, profile)
     groups: dict[FaceSignature, list[Vec]] = {}
     for chi in dominant_box_points(rep, box_radius):
-        sig = signature_of(rep, chi, profile)
-        groups.setdefault(sig, []).append(chi)
+        groups.setdefault(signature(chi), []).append(chi)
     cells = [build_cell(rep, sig, profile, members=sorted(pts))
              for sig, pts in groups.items()]
     cells.sort(key=lambda c: c.key)

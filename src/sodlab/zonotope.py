@@ -26,9 +26,12 @@ predicate decides each lattice point with integer arithmetic on those
 pairings.  ``member`` has the same shape: it builds one predicate per
 window for the closed, half-open or relative-interior variant, assembling
 the coefficient program once, and each point solves that program with its
-own right-hand side.  Those solves, the minimal radius and the face
-signature are the LPs left over the coefficient system; with no generators
-every variant is shift + span(central), and ``member`` decides it by span
+own right-hand side.  So do ``min_radius`` and ``face_signature_at``: a
+partition builds one radius program and one closed coefficient program,
+and each dominant point solves the first with its right-hand side and
+sweeps the second with its right-hand side and radius bounds.  Those are
+the LPs left over the coefficient system; with no generators every
+variant of ``member`` is shift + span(central), decided by span
 arithmetic.  The supporting subgroup of a face solves no LP: Weyl symmetry
 guarantees an antidominant one (see ``supporting_lambda``), and the
 integral search finds the canonical one directly.
@@ -157,45 +160,82 @@ def member(generators, r, shift, variant: str,
     return inside
 
 
-def min_radius(generators, shift, p, central: Central = ()) -> Fraction | None:
-    """Least r >= 0 with p in shift + r * (closed zonotope); None when p is
-    not reachable at any radius."""
+def min_radius(generators, shift,
+               central: Central = ()) -> Callable[[Vec], Fraction | None]:
+    """The least r >= 0 with p in shift + r * (closed zonotope), as a
+    function of p; it gives None when p is not reachable at any radius.
+
+    Built once per (generators, shift, central): the radius program (class
+    columns c_v >= -m r, central columns free, minimize r) is assembled
+    once, and each point solves it with its own right-hand side p - shift,
+    followed by the zero right-hand sides of the radius rows.
+    """
+    shift = vec(shift)
     b = LpBuilder()
-    classes, cols = coefficient_system(
-        b, generators, central, vsub(vec(p), vec(shift)))
+    classes, cols = coefficient_system(b, generators, central,
+                                       zero_vec(len(shift)))
     rcol = b.add_var(lower=0)
     for (_, idx), col in zip(classes, cols):
         b.add_ge({col: ONE, rcol: Fraction(len(idx))}, 0)  # c_v >= -m r
-    res = lp_optimize(b.build({rcol: ONE}), "min")
-    return res.value if res.status == "optimal" else None
+    prog = b.build({rcol: ONE})
+    tail = prog.eq_rhs[len(shift):]
+
+    def radius(p) -> Fraction | None:
+        res = lp_optimize(replace(prog, eq_rhs=vsub(vec(p), shift) + tail),
+                          "min")
+        return res.value if res.status == "optimal" else None
+
+    return radius
 
 
-def face_signature_at(generators, shift, p, central: Central = ()) -> FaceSignature:
-    """The unique minimal (r, S+, S-, S0): r is the minimal radius and the
-    sets collect coefficients pinned at -r resp. 0 in every representation
-    of p at that radius."""
-    r = min_radius(generators, shift, p, central)
-    if r is None:
-        raise InputError("point lies outside the span of the generators")
-    if r == 0:
-        return FaceSignature(ZERO, (), (), (), True)
-    b, classes, cols = _coefficient_program(
-        generators, r, shift, p, CLOSED, central)
-    report = forced_tight(b.build())
-    if not report.feasible:  # unreachable: r came from a feasible program
-        raise InputError("radius minimization produced an infeasible system")
-    plus: list[int] = []
-    minus: list[int] = []
-    zero: list[int] = []
-    for (v, idx), col in zip(classes, cols):
-        if report.lower_forced[col]:
-            plus.extend(idx)
-        elif report.upper_forced[col]:
-            minus.extend(idx)
-        else:
-            zero.extend(idx)
-    return FaceSignature(r, tuple(sorted(plus)), tuple(sorted(minus)),
-                         tuple(sorted(zero)), False)
+def face_signature_at(generators, shift,
+                      central: Central = ()) -> Callable[[Vec], FaceSignature]:
+    """The unique minimal (r, S+, S-, S0) of a point p, as a function of p:
+    r is the minimal radius and the sets collect coefficients pinned at -r
+    resp. 0 in every representation of p at that radius.
+
+    Built once per (generators, shift, central): the radius function and
+    the closed coefficient program are assembled once.  Each point with
+    r > 0 runs the forced-tightness sweep on that program with the
+    right-hand side p - shift and each class column bounded below by
+    -r * m.  The point at the shift gets the trivial signature; InputError
+    for a point off the span of the generators.
+    """
+    shift = vec(shift)
+    radius = min_radius(generators, shift, central)
+    # assembled without lower bounds; each point sets them from its radius
+    b, classes, cols = _coefficient_program(generators, None, shift, shift,
+                                            CLOSED, central)
+    prog = b.build()
+    sizes = [len(idx) for _, idx in classes]
+
+    def signature(p) -> FaceSignature:
+        r = radius(p)
+        if r is None:
+            raise InputError("point lies outside the span of the generators")
+        if r == 0:
+            return FaceSignature(ZERO, (), (), (), True)
+        lower = list(prog.lower)
+        for col, m in zip(cols, sizes):
+            lower[col] = -r * m
+        report = forced_tight(replace(prog, eq_rhs=vsub(vec(p), shift),
+                                      lower=tuple(lower)))
+        if not report.feasible:  # unreachable: r came from a feasible program
+            raise InputError("radius minimization produced an infeasible system")
+        plus: list[int] = []
+        minus: list[int] = []
+        zero: list[int] = []
+        for (_, idx), col in zip(classes, cols):
+            if report.lower_forced[col]:
+                plus.extend(idx)
+            elif report.upper_forced[col]:
+                minus.extend(idx)
+            else:
+                zero.extend(idx)
+        return FaceSignature(r, tuple(sorted(plus)), tuple(sorted(minus)),
+                             tuple(sorted(zero)), False)
+
+    return signature
 
 
 def signature_classes(sig: FaceSignature, generators):
@@ -307,14 +347,18 @@ def _build_facet_table(generators, central, dim) -> FacetTable:
     gens = [vec(g) for g in generators]
     central = [vec(c) for c in central]
     # h(lam) = sum m * max(0, -<lam, v>) over the classes, on their values
-    # times the common denominator d
+    # times the common denominator d; h(-lam) = h(lam) + <lam, sum m v>, as
+    # max(0, x) - max(0, -x) = x
     classes = _classes(gens)
     values, d = int_rows([v for v, _ in classes])
     sizes = [len(idx) for _, idx in classes]
-    normals = _hyperplane_normals(_lines(gens), central, dim)
-    facets = [(normal, Fraction(sum(m * max(0, -sum(map(mul, normal, v)))
-                                    for v, m in zip(values, sizes)), d))
-              for lam in normals for normal in (lam, vneg(lam))]
+    total = [sum(m * v[k] for v, m in zip(values, sizes)) for k in range(dim)]
+    facets = []
+    for lam in _hyperplane_normals(_lines(gens), central, dim):
+        h = sum(m * max(0, -sum(map(mul, lam, v)))
+                for v, m in zip(values, sizes))
+        facets.append((lam, Fraction(h, d)))
+        facets.append((vneg(lam), Fraction(h + sum(map(mul, lam, total)), d)))
     annihilator = nullspace(gens + central, dim)
     return FacetTable(tuple(map(_int_primitive, annihilator)), tuple(facets))
 

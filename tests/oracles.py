@@ -25,6 +25,9 @@ The supporting-subgroup reference decides by LP that an antidominant subgroup
 exists before its integral search; the package runs the search alone.  The
 membership reference builds a fresh coefficient program for every point;
 the package builds one per window and changes only its right-hand side.
+The radius and face-signature references also build fresh programs for
+every point; the package builds both once per partition and sets each
+point's right-hand side and radius bounds.
 The two epsilon-window references decide membership by LP (one by
 maximizing the push along epsilon, one by strict sweeps); the package reads
 it from the facets, and the facet reference repeats its rational per-point
@@ -53,10 +56,11 @@ from sodlab.linalg import (identity, in_span, is_zero_vec, mat_vec, nullspace,
                            vscale, vsub, zero_vec)
 from sodlab.linprog import BoxedLinearProgram, InputError, LpBuilder, \
     LpResult, TightnessReport, _optimize_closed, feasible_point, \
-    lex_minimal_integral, lp_optimize, strict_feasible
+    forced_tight, lex_minimal_integral, lp_optimize, strict_feasible
 from sodlab.rootdata import LeviDatum, coroot, full_levi, is_dominant
-from sodlab.zonotope import (CLOSED, HALF_OPEN, REL_INT, FacetTable, _lines,
-                              coefficient_system, facet_table,
+from sodlab.zonotope import (CLOSED, HALF_OPEN, REL_INT, FaceSignature,
+                              FacetTable, _lines, coefficient_system,
+                              facet_table,
                               invariants_in_span, member, signature_classes)
 
 F = Fraction
@@ -371,6 +375,45 @@ def member_reference(generators, r, shift, variant, p, central=()):
     if variant == CLOSED:
         return feasible_point(prog) is not None
     return strict_feasible(prog)
+
+
+def min_radius_reference(generators, shift, p, central=()):
+    """Least r >= 0 with p in shift + r * (closed zonotope), None when p is
+    not reachable at any radius: a fresh radius program for the point."""
+    b = LpBuilder()
+    classes, cols = coefficient_system(
+        b, generators, central, vsub(vec(p), vec(shift)))
+    rcol = b.add_var(lower=0)
+    for (_, idx), col in zip(classes, cols):
+        b.add_ge({col: F(1), rcol: F(len(idx))}, 0)  # c_v >= -m r
+    res = lp_optimize(b.build({rcol: F(1)}), "min")
+    return res.value if res.status == "optimal" else None
+
+
+def face_signature_reference(generators, shift, p, central=()):
+    """The face signature of one point from fresh programs: the radius of
+    ``min_radius_reference``, then the forced-tightness sweep of a closed
+    coefficient program built at that radius and right-hand side."""
+    r = min_radius_reference(generators, shift, p, central)
+    if r is None:
+        raise InputError("point lies outside the span of the generators")
+    if r == 0:
+        return FaceSignature(F(0), (), (), (), True)
+    b = LpBuilder()
+    classes, cols = coefficient_system(
+        b, generators, central, vsub(vec(p), vec(shift)), r)
+    report = forced_tight(b.build())
+    assert report.feasible, "r came from a feasible program"
+    plus, minus, zero = [], [], []
+    for (_, idx), col in zip(classes, cols):
+        if report.lower_forced[col]:
+            plus.extend(idx)
+        elif report.upper_forced[col]:
+            minus.extend(idx)
+        else:
+            zero.extend(idx)
+    return FaceSignature(r, tuple(sorted(plus)), tuple(sorted(minus)),
+                         tuple(sorted(zero)), False)
 
 
 def member_eps_reference(generators, r, shift, e, p, central=()):

@@ -153,6 +153,7 @@ def test_criterion_4_partition_property_suite():
             box = dominant_box_points(rep, radius)
             shift = vsub(prof.nu_global, datum.rho_bar)
             cells = partition_region(rep, prof, radius)
+            signature = signature_of(rep, prof)
             # disjoint cover of the box
             members = [m for c in cells for m in c.members]
             assert sorted(members) == sorted(box)
@@ -162,7 +163,7 @@ def test_criterion_4_partition_property_suite():
                 total += 1
                 chi = rng.choice(box)
                 if chi not in cache:
-                    sig = signature_of(rep, chi, prof)
+                    sig = signature(chi)
                     cell = build_cell(rep, sig, prof)
                     # uniqueness against exhaustive sign-pattern minimization
                     oracle = brute_force_signature(
@@ -181,7 +182,7 @@ def test_criterion_4_partition_property_suite():
                         coinv = coinvariant_rep(rep, cell.lam)
                         for mu in cell_members(rep, cell, prof, coinv):
                             assert is_dominant(datum, mu)
-                            assert signature_of(rep, mu, prof) == sig
+                            assert signature(mu) == sig
                     cache[chi] = (sig, cell)
                 sig, cell = cache[chi]
                 if sig.trivial:
@@ -203,7 +204,7 @@ def test_criterion_4_partition_property_suite():
                     if out is None:
                         continue
                     mu_plus = out[0]
-                    sig2 = signature_of(rep, mu_plus, prof)
+                    sig2 = signature(mu_plus)
                     assert (sig2.r, len(sig2.s_plus), len(sig2.s_minus),
                             len(sig2.s_zero)) < \
                         (sig.r, len(sig.s_plus), len(sig.s_minus),

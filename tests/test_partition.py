@@ -7,6 +7,7 @@ import pytest
 from oracles import (brute_force_signature, random_generators,
                      signature_to_value_counts, weyl_generators_reference,
                      window_box_reference)
+from sodlab import zonotope
 from sodlab.linalg import mat_vec, vec, vsub
 from sodlab.linprog import LATTICE_BOX_CAP, InputError
 from sodlab.partition import (PreconditionError, build_cell, cell_members,
@@ -28,16 +29,16 @@ PROF_T1 = make_profile(T1)
 
 class TestSignatureOf:
     def test_torus_line(self):
-        sig = signature_of(TORUS_4, vec([3]), PROF_T1)
+        sig = signature_of(TORUS_4, PROF_T1)(vec([3]))
         assert sig.r == F(3, 2)
         assert sig.s_plus == (0, 1) and sig.s_minus == (2, 3)
 
     def test_trivial_at_minus_rho(self):
-        assert signature_of(TORUS_4, vec([0]), PROF_T1).trivial
+        assert signature_of(TORUS_4, PROF_T1)(vec([0])).trivial
 
     def test_sp2_vector_cube(self):
         rep = construct_rep(SP2, [("vector_power", 3)])
-        sig = signature_of(rep, vec([0]), make_profile(SP2))
+        sig = signature_of(rep, make_profile(SP2))(vec([0]))
         assert sig.r == F(1, 3)
         assert sig.s_plus == (0, 1, 2)  # the three copies of -L
         assert sig.s_minus == (3, 4, 5)
@@ -45,29 +46,29 @@ class TestSignatureOf:
     def test_requires_dominant(self):
         rep = construct_rep(SP2, [("vector_power", 3)])
         with pytest.raises(InputError):
-            signature_of(rep, vec([-1]), make_profile(SP2))
+            signature_of(rep, make_profile(SP2))(vec([-1]))
 
 
 class TestOrderKey:
     def test_trivial_below_everything(self):
         trivial = FaceSignature(F(0), (), (), (), True)
-        other = signature_of(TORUS_4, vec([1]), PROF_T1)
+        other = signature_of(TORUS_4, PROF_T1)(vec([1]))
         assert order_key(trivial) < order_key(other)
 
     def test_radius_dominates(self):
-        a = signature_of(TORUS_4, vec([2]), PROF_T1)
-        b = signature_of(TORUS_4, vec([3]), PROF_T1)
+        signature = signature_of(TORUS_4, PROF_T1)
+        a, b = signature(vec([2])), signature(vec([3]))
         assert order_key(a) < order_key(b)
 
     def test_tiebreak_is_strict(self):
-        a = signature_of(TORUS_4, vec([2]), PROF_T1)
-        b = signature_of(TORUS_4, vec([-2]), PROF_T1)
+        signature = signature_of(TORUS_4, PROF_T1)
+        a, b = signature(vec([2])), signature(vec([-2]))
         assert order_key(a) != order_key(b)
 
 
 class TestCellMembers:
     def test_zero_dimensional_window(self):
-        sig = signature_of(TORUS_4, vec([3]), PROF_T1)
+        sig = signature_of(TORUS_4, PROF_T1)(vec([3]))
         cell = build_cell(TORUS_4, sig, PROF_T1)
         coinv = coinvariant_rep(TORUS_4, cell.lam)
         assert cell_members(TORUS_4, cell, PROF_T1, coinv) == [vec([3])]
@@ -75,12 +76,13 @@ class TestCellMembers:
     def test_members_share_the_signature(self):
         rep = construct_rep(SL2, [("sym_power", 3), ("trivial", 1)])
         prof = make_profile(SL2)
+        signature = signature_of(rep, prof)
         for x in (3, 4, 5):
-            sig = signature_of(rep, vec([x, 0]), prof)
+            sig = signature(vec([x, 0]))
             cell = build_cell(rep, sig, prof)
             coinv = coinvariant_rep(rep, cell.lam)
             for mu in cell_members(rep, cell, prof, coinv):
-                assert signature_of(rep, mu, prof) == sig
+                assert signature(mu) == sig
 
     def test_levi_dominant_members_are_dominant(self):
         # Levi-dominance of a window member already forces full dominance
@@ -139,14 +141,39 @@ class TestPartitionRegion:
         assert len(cells) == 1 and cells[0].signature.trivial
 
 
+class TestSignatureProgramsOncePerPartition:
+    def test_coefficient_systems_do_not_grow_with_the_box(self, monkeypatch):
+        """A partition assembles the radius program and the coefficient
+        program once each, however many dominant points its box holds."""
+        gl2 = build_group("GL(2)")
+        rep = construct_rep(gl2, [("vector_power", 3),
+                                  ("dual_vector_power", 3)])
+        prof = make_profile(gl2)
+        real = zonotope.coefficient_system
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+        monkeypatch.setattr(zonotope, "coefficient_system", counted)
+        seen = []
+        for radius in (2, 3):
+            calls.clear()
+            cells = partition_region(rep, prof, radius)
+            seen.append((sum(len(c.members) for c in cells), len(calls)))
+        assert seen[0][0] < seen[1][0]
+        assert [n for _, n in seen] == [2, 2]
+
+
 class TestAgainstBruteForce:
     def test_uniqueness_small_sweep(self):
         prof2 = make_profile(SP4)
         rep = construct_rep(SP4, [("vector_power", 1)])
         shift = vsub(prof2.nu_global, SP4.rho_bar)
+        signature = signature_of(rep, prof2)
         for a in range(4):
             for b in range(a + 1):
-                sig = signature_of(rep, vec([a, b]), prof2)
+                sig = signature(vec([a, b]))
                 oracle = brute_force_signature(rep, shift, vec([a, b]))
                 assert oracle != "trivial"
                 r, plus, minus = oracle
@@ -160,9 +187,10 @@ class TestMonotonicity:
         # pairing with the supporting subgroup
         rep = TORUS_4
         prof = PROF_T1
+        signature = signature_of(rep, prof)
         for x in (2, 3, 4):
             chi = vec([x])
-            sig = signature_of(rep, chi, prof)
+            sig = signature(chi)
             cell = build_cell(rep, sig, prof)
             signs = weight_signs(rep, cell.lam)
             plus_weights = [rep.expanded[i] for i in signs.t_plus]
@@ -177,7 +205,7 @@ class TestMonotonicity:
                     if out is None:
                         continue
                     mu_plus = out[0]
-                    sig2 = signature_of(rep, mu_plus, prof)
+                    sig2 = signature(mu_plus)
                     assert (sig2.r, len(sig2.s_plus), len(sig2.s_minus),
                             len(sig2.s_zero)) < \
                         (sig.r, len(sig.s_plus), len(sig.s_minus),

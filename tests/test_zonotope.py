@@ -5,17 +5,19 @@ import random
 import time
 from collections import Counter
 from fractions import Fraction as F
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from oracles import (facet_table_reference, forced_tight_reference,
+from oracles import (brute_force_signature, face_signature_reference,
+                     facet_table_reference, forced_tight_reference,
                      is_generic_reference, is_weakly_generic_reference,
                      member_eps_facet_reference, member_eps_reference,
                      member_eps_strict_reference, member_reference,
-                     proper_flats_reference, random_generators,
-                     realizable_face_patterns_reference,
-                     supporting_lambda_reference)
+                     min_radius_reference, proper_flats_reference,
+                     random_generators, realizable_face_patterns_reference,
+                     signature_to_value_counts, supporting_lambda_reference)
 from sodlab import zonotope
 from sodlab.cli import main
 from sodlab.linalg import (in_span, nullspace, span_basis, vadd, vdot, vec,
@@ -184,46 +186,46 @@ class TestMember:
 
 class TestMinRadius:
     def test_literal(self):
-        assert min_radius(G4, vec([0]), vec([3])) == F(3, 2)
+        assert min_radius(G4, vec([0]))(vec([3])) == F(3, 2)
 
     def test_at_shift(self):
-        assert min_radius(G4, vec([0]), vec([0])) == 0
+        assert min_radius(G4, vec([0]))(vec([0])) == 0
 
     def test_off_span(self):
         gens = (vec([1, 0]), vec([-1, 0]))
-        assert min_radius(gens, vec([0, 0]), vec([0, 1])) is None
+        assert min_radius(gens, vec([0, 0]))(vec([0, 1])) is None
 
     def test_outside_cone(self):
         gens = (vec([1]),)
-        assert min_radius(gens, vec([0]), vec([1])) is None
+        assert min_radius(gens, vec([0]))(vec([1])) is None
 
 
 class TestFaceSignature:
     def test_torus_line(self):
-        sig = face_signature_at(G4, vec([0]), vec([3]))
+        sig = face_signature_at(G4, vec([0]))(vec([3]))
         assert sig.r == F(3, 2)
         assert sig.s_plus == (0, 1) and sig.s_minus == (2, 3)
         assert sig.s_zero == ()
 
     def test_rank_two(self):
-        sig = face_signature_at(G22, vec([0, 0]), vec([2, 1]))
+        sig = face_signature_at(G22, vec([0, 0]))(vec([2, 1]))
         assert sig.r == 2
         assert sig.s_plus == (1,) and sig.s_minus == (0,)
         assert sig.s_zero == (2, 3)
 
     def test_trivial_convention(self):
-        sig = face_signature_at(G4, vec([0]), vec([0]))
+        sig = face_signature_at(G4, vec([0]))(vec([0]))
         assert sig.trivial and sig.r == 0
 
     def test_off_span_raises(self):
         with pytest.raises(InputError):
-            face_signature_at((vec([1, 0]), vec([-1, 0])), vec([0, 0]),
-                              vec([0, 1]))
+            face_signature_at((vec([1, 0]), vec([-1, 0])),
+                              vec([0, 0]))(vec([0, 1]))
 
     def test_rescaling_idempotence(self):
-        base = face_signature_at(G22, vec([0, 0]), vec([2, 1]))
+        base = face_signature_at(G22, vec([0, 0]))(vec([2, 1]))
         doubled = face_signature_at(
-            tuple(vscale(F(3), g) for g in G22), vec([0, 0]),
+            tuple(vscale(F(3), g) for g in G22), vec([0, 0]))(
             vscale(F(3), vec([2, 1])))
         assert doubled.r == base.r
         assert (doubled.s_plus, doubled.s_minus, doubled.s_zero) == \
@@ -234,7 +236,7 @@ class TestFaceSignature:
         # of the supporting face); verified through relative interior
         # membership of the remaining block.
         p = vec([2, 1])
-        sig = face_signature_at(G22, vec([0, 0]), p)
+        sig = face_signature_at(G22, vec([0, 0]))(p)
         pinned = vec([0, 0])
         for i in sig.s_plus:
             pinned = vec([a - sig.r * b for a, b in zip(pinned, G22[i])])
@@ -242,22 +244,30 @@ class TestFaceSignature:
         target = vec([a - b for a, b in zip(p, pinned)])
         assert q(rest, sig.r, [0, 0], REL_INT)(target)
 
-    def test_forced_tight_matches_reference_on_face_programs(self):
-        # the closed coefficient program at the minimal radius, exactly as
-        # face_signature_at builds it
+    def test_forced_tight_matches_reference_on_face_programs(self,
+                                                             monkeypatch):
+        # every program the signature function hands to forced_tight: the
+        # closed coefficient program with the point's right-hand side and
+        # its radius bounds
         sp4 = build_group("Sp(4)")
         cases = [(G4, vec([0]), [vec([p]) for p in range(-3, 4)]),
                  (G22, vec([0, 0]), [vec([2, 1]), vec([-1, 3]), vec([0, 2])]),
                  (construct_rep(sp4, [("vector_power", 2)]).expanded,
                   vec([-2, -1]), [vec([1, 0]), vec([2, 2]), vec([3, 1])])]
+        seen = []
+
+        def captured(prog):
+            seen.append(prog)
+            return forced_tight(prog)
+        monkeypatch.setattr(zonotope, "forced_tight", captured)
         for gens, shift, points in cases:
+            signature = face_signature_at(gens, shift)
             for p in points:
-                r = min_radius(gens, shift, p)
-                if not r:
-                    continue
-                b, _, _ = _coefficient_program(gens, r, shift, p, CLOSED, ())
-                prog = b.build()
-                assert forced_tight(prog) == forced_tight_reference(prog)
+                sig = signature(p)
+                assert len(seen) == (0 if sig.trivial else 1), p
+                for prog in seen:
+                    assert forced_tight(prog) == forced_tight_reference(prog)
+                seen.clear()
 
     @pytest.mark.parametrize("p, calls", [
         (vec([2, 1]), {"lp_optimize": 1, "forced_tight": 1}),
@@ -265,7 +275,8 @@ class TestFaceSignature:
     ])
     def test_solver_calls_by_name(self, monkeypatch, p, calls):
         # the benchmark's layer tracer wraps these module-level names and
-        # expects them on the faces workload: one radius LP per point, then
+        # expects them on the faces workload.  Building the signature
+        # function solves nothing; each point solves one radius LP, then
         # one forced-tightness sweep unless the point is the shift (r = 0)
         seen = dict.fromkeys(calls, 0)
         for name in calls:
@@ -273,30 +284,132 @@ class TestFaceSignature:
                 seen[_name] += 1
                 return _real(*args)
             monkeypatch.setattr(zonotope, name, counted)
-        sig = face_signature_at(G22, vec([0, 0]), p)
-        assert sig.trivial == (sig.r == 0) == (p == vec([0, 0]))
-        assert seen == calls
+        signature = face_signature_at(G22, vec([0, 0]))
+        assert seen == dict.fromkeys(calls, 0)
+        for _ in range(2):
+            sig = signature(p)
+            assert sig.trivial == (sig.r == 0) == (p == vec([0, 0]))
+            assert seen == calls
+            seen.update(dict.fromkeys(calls, 0))
+
+
+def signature_draw(rng, tag):
+    """Generators (repeated, opposite, zero and central-shifted copies, or
+    none), a shift with half-integer entries and a shuffled list of points:
+    the shift itself, shift + central steps, int and Fraction points, and
+    points off span(generators + central) when that span is not
+    everything."""
+    datum = build_group(tag)
+    central = datum.central_directions
+    gens = () if rng.random() < 0.1 else random_generators(rng, datum)
+    shift = vec(F(rng.randint(-2, 2), rng.choice((1, 2)))
+                for _ in range(datum.rank))
+    points = member_points(rng, gens, rng.choice((F(1, 2), F(1), F(3, 2))),
+                           shift, central, datum.rank)
+    points += [shift, shift]
+    rng.shuffle(points)
+    return gens, shift, central, points
+
+
+def brute_force_splits(gens):
+    """Sign-pattern splits ``brute_force_signature`` tries: (m + 1)(m + 2)/2
+    per class of m equal generators."""
+    return math.prod((m + 1) * (m + 2) // 2
+                     for m in Counter(map(tuple, gens)).values())
+
+
+def check_signature_functions(rng, tag):
+    """One radius function and one signature function, each built once,
+    decide every drawn point as fresh builds and the per-point references
+    do, and give the same answers when the points run again in reverse
+    order.  Returns the kinds of point seen: "trivial", "off span", "face"
+    and "brute force" (a face also checked against the sign-pattern
+    oracle)."""
+    gens, shift, central, points = signature_draw(rng, tag)
+    radius = min_radius(gens, shift, central)
+    signature = face_signature_at(gens, shift, central)
+    small = brute_force_splits(gens) <= 100
+    kinds, answers = set(), []
+    for p in points:
+        r = radius(p)
+        assert r == min_radius_reference(gens, shift, p, central) == \
+            min_radius(gens, shift, central)(p), (tag, gens, shift, p)
+        if r is None:
+            for build in (signature, face_signature_at(gens, shift, central),
+                          lambda p: face_signature_reference(gens, shift, p,
+                                                             central)):
+                with pytest.raises(InputError, match="outside the span"):
+                    build(p)
+            kinds.add("off span")
+            answers.append((r, None))
+            continue
+        sig = signature(p)
+        assert sig == face_signature_reference(gens, shift, p, central) == \
+            face_signature_at(gens, shift, central)(p), (tag, gens, shift, p)
+        assert sig.r == r and sig.trivial == (r == 0)
+        assert sig.trivial or p != shift
+        kinds.add("trivial" if sig.trivial else "face")
+        answers.append((r, sig))
+        if small:
+            rep = SimpleNamespace(expanded=gens)
+            oracle = brute_force_signature(rep, shift, p, central)
+            if sig.trivial:
+                assert oracle == "trivial", (tag, gens, shift, p)
+            else:
+                assert oracle == (sig.r,) + signature_to_value_counts(
+                    rep, sig), (tag, gens, shift, p)
+                kinds.add("brute force")
+    for p, (r, sig) in zip(points[::-1], answers[::-1]):
+        assert radius(p) == r
+        if sig is None:
+            with pytest.raises(InputError, match="outside the span"):
+                signature(p)
+        else:
+            assert signature(p) == sig
+    return kinds
+
+
+class TestSignatureFunctions:
+    @settings(derandomize=True, database=None, max_examples=50,
+              deadline=None)
+    @given(st.sampled_from(MEMBER_GROUPS), st.integers(0, 2 ** 32))
+    def test_one_build_matches_fresh_builds_and_references(self, tag, seed):
+        """Built once per (generators, shift, central), the radius and
+        signature functions agree with fresh builds, with the per-point
+        references and with the sign-pattern oracle on every point, in
+        any order: repeated, zero and central-shifted generators, none at
+        all, half-integer shifts, the shift itself (trivial) and points
+        off the span (None, InputError)."""
+        check_signature_functions(random.Random(seed), tag)
+
+    def test_draws_reach_every_kind_of_point(self):
+        kinds = set()
+        for seed in range(12):
+            kinds |= check_signature_functions(
+                random.Random(seed), MEMBER_GROUPS[seed % len(MEMBER_GROUPS)])
+        assert kinds == {"trivial", "off span", "face", "brute force"}
 
 
 class TestSupportingLambda:
     def test_rank_two(self):
-        sig = face_signature_at(G22, vec([0, 0]), vec([2, 1]))
+        sig = face_signature_at(G22, vec([0, 0]))(vec([2, 1]))
         assert supporting_lambda(sig, T2, G22) == vec([-1, 0])
 
     def test_trivial(self):
-        sig = face_signature_at(G4, vec([0]), vec([0]))
+        sig = face_signature_at(G4, vec([0]))(vec([0]))
         assert supporting_lambda(sig, T1, G4) == vec([0])
 
     def test_torus_line(self):
-        sig = face_signature_at(G4, vec([0]), vec([3]))
+        sig = face_signature_at(G4, vec([0]))(vec([3]))
         assert supporting_lambda(sig, T1, G4) == vec([-1])
 
     def test_round_trip_through_weight_signs(self):
         sp4 = build_group("Sp(4)")
         rep = construct_rep(sp4, [("vector_power", 2)])
         shift = vec([-2, -1])  # -rho_bar
+        signature = face_signature_at(rep.expanded, shift)
         for p in [vec([1, 0]), vec([2, 2]), vec([3, 1])]:
-            sig = face_signature_at(rep.expanded, shift, p)
+            sig = signature(p)
             lam = supporting_lambda(sig, sp4, rep.expanded)
             signs = weight_signs(rep, lam)
             assert signs.t_plus == sig.s_plus
@@ -367,12 +480,12 @@ class TestSupportingLambdaWithoutLp:
         nu = vec([0] * datum.rank)
         for v in invariant_subspace(datum):
             nu = vadd(nu, vscale(rng.randint(-2, 2), v))
-        profile = make_profile(datum, nu)
+        signature = signature_of(rep, make_profile(datum, nu))
         for _ in range(3):
             chi = vec(rng.randint(-4, 4) for _ in range(datum.rank))
             chi = make_dominant(datum, chi)[0]
             try:
-                sig = signature_of(rep, chi, profile)
+                sig = signature(chi)
             except InputError:  # chi - shift is off the cone of the weights
                 continue
             want = supporting_lambda_reference(sig, datum, rep.expanded)
