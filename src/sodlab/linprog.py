@@ -14,7 +14,11 @@ the nonzero coefficients of the program, so ``Fraction`` appears only when
 a witness or an optimum is decoded for the caller.  The rows stand for the
 rationals of the textbook tableau, so Bland's rule makes the same pivots.
 ``_phase1`` prepares a constraint system once and returns a feasible basis;
-``_phase2`` warm-starts one integer objective from a copy of it.  The
+``_phase2`` warm-starts one integer objective from a copy of it.  Phase 1
+starts from a crash basis: each row with a unit column (one that is nonzero
+in that row alone, with the sign of its right-hand side) starts basic on
+it, so the slacks of inequalities and of doubly bounded variables need no
+artificial column, and only the remaining rows get one.  The
 reduced-cost row (integers over a positive scale: only its signs are read)
 is built once per phase and updated with each pivot.
 
@@ -192,35 +196,64 @@ def _phase1(rows, n):
     """A feasible basis of the standard-form rows of ``_to_standard`` over
     n columns.
 
+    The start is a crash basis: a row starts basic on its unit column, the
+    lowest column that is nonzero in that row alone and whose entry has the
+    sign of the right-hand side (either sign when that is zero).  The row
+    is negated when the entry is negative and takes the entry as its
+    denominator, so the column reads 1.  The slack of an inequality and of
+    a doubly bounded variable is such a column.  Only the other rows get an
+    artificial column, and the phase-1 simplex runs only when one does.
+
     Returns the tableau (tab, den, basis) in canonical form for ``basis``,
     with every artificial column gone and redundant equality rows dropped,
     or None when the system is infeasible.  The result is shared by any
     number of objectives through ``_phase2``, which never modifies it.
     """
     m = len(rows)
+    unit = [-1] * m
+    for j, col in zip(range(n), zip(*(row for row, _ in rows))):
+        if col.count(0) == m - 1:  # nonzero in one row alone
+            a = next(filter(None, col))
+            i = col.index(a)
+            if unit[i] < 0 and a * rows[i][0][-1] >= 0:
+                unit[i] = j
+    nart = unit.count(-1)
     tab = []
     den = []
-    for i, (row, d) in enumerate(rows):
-        if row[-1] < 0:
-            row = [-x for x in row]
-        tab.append(row[:n] + [d if k == i else 0 for k in range(m)] + row[n:])
+    basis = []
+    art = n  # the next artificial column
+    for (row, d), j in zip(rows, unit):
+        extra = [0] * nart
+        if j < 0:
+            if row[-1] < 0:
+                row = [-x for x in row]
+            extra[art - n] = d
+            j = art
+            art += 1
+        else:
+            if row[j] < 0:
+                row = [-x for x in row]
+            d = row[j]
+        tab.append(row[:n] + extra + row[n:])
         den.append(d)
-    basis = [n + i for i in range(m)]
-    _simplex_iterate(tab, den, basis, [0] * n + [-1] * m)
-    if any(tab[i][-1] for i in range(m) if basis[i] >= n):  # rhs >= 0
-        return None
-    # Drive leftover zero-value artificials out of the basis.
-    drop = []
-    for i in range(m):
-        if basis[i] >= n:
-            piv = next((j for j in range(n) if tab[i][j]), None)
-            if piv is None:
-                drop.append(i)  # redundant equality row
-            else:
-                _pivot(tab, den, basis, i, piv)
-    for i in sorted(drop, reverse=True):
-        del tab[i], den[i], basis[i]
-    return [row[:n] + row[-1:] for row in tab], den, basis
+        basis.append(j)
+    if nart:
+        _simplex_iterate(tab, den, basis, [0] * n + [-1] * nart)
+        if any(tab[i][-1] for i in range(m) if basis[i] >= n):  # rhs >= 0
+            return None
+        # Drive leftover zero-value artificials out of the basis.
+        drop = []
+        for i in range(m):
+            if basis[i] >= n:
+                piv = next((j for j in range(n) if tab[i][j]), None)
+                if piv is None:
+                    drop.append(i)  # redundant equality row
+                else:
+                    _pivot(tab, den, basis, i, piv)
+        for i in sorted(drop, reverse=True):
+            del tab[i], den[i], basis[i]
+        tab = [row[:n] + row[-1:] for row in tab]
+    return tab, den, basis
 
 
 def _basic_solution(tab, den, basis, n):

@@ -26,7 +26,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import compress
 from operator import mul, sub
 
@@ -247,9 +247,12 @@ def _product(factors: list[RootDatum]) -> RootDatum:
 _TAG = re.compile(r"^\s*(torus|gl|sl|sp)\s*\(\s*(\d+)\s*\)\s*$", re.IGNORECASE)
 
 
+@cache
 def build_group(tag: str) -> RootDatum:
     """Construct a catalog root datum from a tag like ``Sp(4)`` or
-    ``Product(SL(2),Torus(1))``."""
+    ``Product(SL(2),Torus(1))``, once per tag string: the datum is frozen,
+    so every caller of one tag shares it (a malformed tag raises each
+    time)."""
     tag = tag.strip()
     low = tag.lower()
     if low.startswith("product(") and tag.endswith(")"):

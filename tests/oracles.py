@@ -40,7 +40,9 @@ vectors; the package computes them on int tuples at one common scale.
 The phase-1 and phase-2 references run the simplex over Fraction entries,
 pivot by pivot as the package's integer-row kernel must, and the
 standard-form reference builds the dense Fraction rows that the package
-builds as integer rows.
+builds as integer rows.  Both phase 1s start from the crash basis (each row
+basic on its unit column when it has one); the all-artificial reference is
+the kernel's earlier integer phase 1, one artificial column per row.
 """
 
 from __future__ import annotations
@@ -55,8 +57,9 @@ from sodlab.linalg import (identity, in_span, is_zero_vec, mat_vec, nullspace,
                            primitive, solve, span_basis, vadd, vdot, vec,
                            vscale, vsub, zero_vec)
 from sodlab.linprog import BoxedLinearProgram, InputError, LpBuilder, \
-    LpResult, TightnessReport, _optimize_closed, feasible_point, \
-    forced_tight, lex_minimal_integral, lp_optimize, strict_feasible
+    LpResult, TightnessReport, _optimize_closed, _pivot, _simplex_iterate, \
+    feasible_point, forced_tight, lex_minimal_integral, lp_optimize, \
+    strict_feasible
 from sodlab.rootdata import LeviDatum, coroot, full_levi, is_dominant
 from sodlab.zonotope import (CLOSED, HALF_OPEN, REL_INT, FaceSignature,
                               FacetTable, _lines, coefficient_system,
@@ -1259,20 +1262,44 @@ def _pivot_reference(tab, rhs, basis, r, c):
 
 def phase1_reference(rows, rhs_in, n):
     """(tab, rhs, basis) of a feasible basis of rows x = rhs, x >= 0, with
-    artificial columns and redundant rows gone, or None when infeasible."""
+    artificial columns and redundant rows gone, or None when infeasible.
+
+    The start is the crash basis.  A row whose lowest unit column (nonzero
+    in that row only, with the sign of the right-hand side or either sign
+    when that is zero) exists is divided by its entry there and starts
+    basic on it; each other row gets an artificial column, in row order."""
     m = len(rows)
+    unit = {}
+    for j in range(n):
+        nonzero = [i for i in range(m) if rows[i][j] != 0]
+        if len(nonzero) == 1:
+            i = nonzero[0]
+            a, b = F(rows[i][j]), F(rhs_in[i])
+            if i not in unit and (b == 0 or (a > 0) == (b > 0)):
+                unit[i] = j
+    arts = [i for i in range(m) if i not in unit]
     tab = []
     rhs = []
+    basis = []
     for i in range(m):
         row = [F(x) for x in rows[i]]
         b = F(rhs_in[i])
-        if b < 0:
-            row = [-x for x in row]
-            b = -b
-        tab.append(row + [F(k == i) for k in range(m)])
+        art = [F(0)] * len(arts)
+        if i in unit:
+            a = row[unit[i]]
+            row = [x / a for x in row]
+            b = b / a
+            basis.append(unit[i])
+        else:
+            if b < 0:
+                row = [-x for x in row]
+                b = -b
+            art[arts.index(i)] = F(1)
+            basis.append(n + arts.index(i))
+        tab.append(row + art)
         rhs.append(b)
-    basis = [n + i for i in range(m)]
-    _simplex_iterate_reference(tab, rhs, basis, [F(0)] * n + [F(-1)] * m)
+    _simplex_iterate_reference(tab, rhs, basis,
+                               [F(0)] * n + [F(-1)] * len(arts))
     if sum((rhs[i] for i in range(m) if basis[i] >= n), F(0)) != 0:
         return None
     drop = []
@@ -1286,6 +1313,37 @@ def phase1_reference(rows, rhs_in, n):
     for i in sorted(drop, reverse=True):
         del tab[i], rhs[i], basis[i]
     return [row[:n] for row in tab], rhs, basis
+
+
+def phase1_all_artificial_reference(rows, n):
+    """The integer kernel's phase 1 before the crash start: every row of
+    ``_to_standard`` gets an artificial column, whatever its slacks.  Same
+    input and output as ``linprog._phase1``, so ``_phase2`` runs from
+    either start."""
+    m = len(rows)
+    tab = []
+    den = []
+    for i, (row, d) in enumerate(rows):
+        if row[-1] < 0:
+            row = [-x for x in row]
+        tab.append(row[:n] + [d if k == i else 0 for k in range(m)] + row[n:])
+        den.append(d)
+    basis = [n + i for i in range(m)]
+    _simplex_iterate(tab, den, basis, [0] * n + [-1] * m)
+    if any(tab[i][-1] for i in range(m) if basis[i] >= n):  # rhs >= 0
+        return None
+    # Drive leftover zero-value artificials out of the basis.
+    drop = []
+    for i in range(m):
+        if basis[i] >= n:
+            piv = next((j for j in range(n) if tab[i][j]), None)
+            if piv is None:
+                drop.append(i)  # redundant equality row
+            else:
+                _pivot(tab, den, basis, i, piv)
+    for i in sorted(drop, reverse=True):
+        del tab[i], den[i], basis[i]
+    return [row[:n] + row[-1:] for row in tab], den, basis
 
 
 def basic_solution_reference(start, n):

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import sodlab
+from sodlab import rootdata
 from sodlab.cli import main
 from sodlab.linprog import LATTICE_BOX_CAP, InputError
 from sodlab.reps import SYM_PIECE_CAP
@@ -164,6 +165,24 @@ class TestCliProcess:
         doc = json.loads(out1.read_text())
         tail = [c for c in doc["nccr"] if c["component_index"] == 0][0]
         assert tail["certificate"]["verdict"] == "TwistedNCCR"
+
+    def test_preset_job_builds_its_group_once(self, tmp_path, monkeypatch):
+        """The preset's parse and the job itself share one datum."""
+        built = []
+        build_gl = rootdata._build_gl
+
+        def counted(n):
+            built.append(n)
+            return build_gl(n)
+
+        monkeypatch.setattr(rootdata, "_build_gl", counted)
+        rootdata.build_group.cache_clear()
+        try:
+            assert main(["hilbert", "--preset", "determinantal:n=2,h=3",
+                         "--out", str(tmp_path / "report.json")]) == 0
+        finally:
+            rootdata.build_group.cache_clear()
+        assert built == [2]
 
     def test_malformed_config_exits_two(self, tmp_path, capsys):
         path = tmp_path / "bad.json"

@@ -8,8 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from oracles import (basic_solution_reference, forced_tight_reference,
                      grid_strict_search, lex_minimal_integral_reference,
-                     lp_optimize_reference, phase1_reference,
-                     phase2_reference, random_bounded_program,
+                     lp_optimize_reference, phase1_all_artificial_reference,
+                     phase1_reference, phase2_reference, random_bounded_program,
                      random_mixed_program, strict_point_reference,
                      to_standard_reference, vertex_forced, vertex_optimize,
                      with_random_open_flags)
@@ -397,6 +397,78 @@ class TestIntegerKernelAgainstFractionReference:
             expect = None if ref is None else std[3](
                 basic_solution_reference(ref, std[2]))
             assert feasible_point(prog) == expect
+
+
+def crash_start_agrees(rows, n, objectives):
+    """Assert on the integer rows of ``_to_standard`` over n columns that the
+    crash-start phase 1 and the all-artificial one agree on feasibility,
+    that the crash basis's basic solution satisfies rows x = b, x >= 0, and
+    that phase 2 from either start reaches the same status and optimal
+    value for every integer objective."""
+    got = _phase1(rows, n)
+    old = phase1_all_artificial_reference(rows, n)
+    assert (got is None) == (old is None)
+    if got is None:
+        return
+    x = _basic_solution(*got, n)
+    assert all(v >= 0 for v in x)
+    for ints, _ in rows:  # both sides are over the row's denominator
+        assert sum(a * v for a, v in zip(ints, x)) == ints[-1]
+    for cost in objectives:
+        values = []
+        for start in (got, old):
+            end = _phase2(start, cost)
+            values.append(None if end is None else
+                          sum(c * v for c, v in
+                              zip(cost, _basic_solution(*end, n))))
+        assert values[0] == values[1]
+
+
+class TestCrashStartAgainstAllArtificial:
+    @settings(max_examples=300, deadline=None)
+    @given(standard_systems())
+    def test_random_standard_systems(self, system):
+        rows, rhs, n, objectives = system
+        crash_start_agrees(
+            [int_row(tuple(row) + (b,)) for row, b in zip(rows, rhs)], n,
+            [int_row(obj)[0] for obj in objectives])
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.randoms(use_true_random=False))
+    def test_random_mixed_programs(self, rng):
+        prog = random_mixed_program(rng)
+        std = _to_standard(prog)
+        if std is None:
+            return
+        rows, ncols, _, encode_obj, _ = std
+        objectives = [encode_obj([F(rng.randint(-3, 3), rng.choice((1, 2)))
+                                  for _ in range(prog.nvars)])
+                      for _ in range(3)]
+        crash_start_agrees(rows, ncols, objectives)
+
+    def test_every_row_on_a_unit_column_makes_no_pivot(self, monkeypatch):
+        # x0 + x1 - x2 + x3 = 4: column 2 is in this row alone but has the
+        # wrong sign, so column 3 starts basic; x0 - x1 - x4 = -2 and
+        # 2 x0 - x1 - 3 x5 = 0 are negated to start on columns 4 and 5
+        rows = [[1, 1, -1, 1, 0, 0], [1, -1, 0, 0, -1, 0],
+                [2, -1, 0, 0, 0, -3]]
+        rhs = [4, -2, 0]
+        pivots = []
+        real_pivot = linprog._pivot
+
+        def counted(*args):
+            pivots.append(args[3:])
+            real_pivot(*args)
+
+        monkeypatch.setattr(linprog, "_pivot", counted)
+        start = _phase1(
+            [int_row(tuple(map(F, row)) + (F(b),)) for row, b in zip(rows, rhs)],
+            6)
+        assert pivots == []
+        assert start[2] == [3, 4, 5]
+        assert _basic_solution(*start, 6) == (0, 0, 0, 4, 2, 0)
+        kernels_agree([[F(x) for x in row] for row in rows],
+                      [F(b) for b in rhs], 6, [[F(1), F(1), 0, 0, 0, 0]])
 
 
 bound_value = st.builds(F, st.integers(-6, 6), st.sampled_from((1, 2, 3, 4)))
