@@ -3,9 +3,12 @@
 Every dominant lattice weight chi gets the face signature of chi relative to
 nu - rho_bar + r * (closed zonotope of all weights), computed at the minimal
 radius by one signature function built per partition (``signature_of``).
-Cells collect weights sharing a signature; each cell carries the
-canonical antidominant one-parameter subgroup realizing its signature, the
-Levi-invariant shift of its window, and a total order key.
+That function solves once per ray from the shift: every later weight on the
+ray reads the same sign sets at a scaled radius.  Cells collect weights
+sharing a signature; each cell carries the canonical antidominant
+one-parameter subgroup realizing its signature and that subgroup's Levi
+datum, found once per face (``face_levi``) and shared by every cell of the
+face, the Levi-invariant shift of its window, and a total order key.
 
 Every window of the package is enumerated by ``window_points``: the
 Levi-dominant lattice points of a shift plus r times one variant of the
@@ -20,12 +23,14 @@ reuse it.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import partial
 from typing import Callable
 
-from .linalg import Vec, ZERO, ONE, vadd, vscale, vsub, vec, zero_vec
+from .linalg import (Vec, ZERO, ONE, int_row, vadd, vscale, vsub, vec,
+                     zero_vec)
 from .linprog import InputError, enumerate_lattice
 from .reps import RepSpec, find_destabilizer, weight_signs
 from .rootdata import (LeviDatum, RootDatum, full_levi, is_dominant, levi,
@@ -76,18 +81,39 @@ def signature_of(rep: RepSpec,
     """The unique minimal face signature of a dominant weight chi, as a
     function of chi.  Built once per partition: the shift nu - rho_bar and
     the face-signature function are made once; each weight is normalized
-    and checked dominant (InputError if not) before its signature is
-    read."""
+    and checked dominant (InputError if not) before its signature is read.
+
+    Signatures are solved once per ray: d = chi - shift, taken modulo the
+    SL directions, is t * e for its primitive integer direction e and some
+    t > 0.  The first weight on a ray solves ``face_signature_at``; a later
+    one, at t where the first was at t0, reads the same S+, S- and S0 at
+    radius r * t / t0.  The gauge min{r : d in r * Z + span(central)} is
+    positively homogeneous and blind to span(central), and scaling by t maps
+    each representation of d at radius r onto one of t * d at radius t * r,
+    so the same coefficients are pinned (Rockafellar, Convex Analysis, 15;
+    Ziegler, Lectures on Polytopes, ch. 7).  A weight with d = 0 gets the
+    trivial signature without a solve."""
     datum = rep.datum
     shift = vsub(profile.nu_global, datum.rho_bar)
     at = face_signature_at(rep.expanded, shift,
                            central=datum.central_directions)
+    base = datum.normalize_weight(shift)  # chi - base is d modulo SL
+    rays: dict[tuple[int, ...], tuple[Fraction, FaceSignature]] = {}
 
     def signature(chi) -> FaceSignature:
         chi = datum.normalize_weight(vec(chi))
         if not is_dominant(datum, chi):
             raise InputError(f"weight {chi} is not dominant")
-        return at(chi)
+        ints, den = int_row(vsub(chi, base))
+        g = math.gcd(*ints)
+        if not g:
+            return FaceSignature(ZERO, (), (), (), True)
+        ray = tuple(x // g for x in ints)
+        t = Fraction(g, den)
+        if ray not in rays:
+            rays[ray] = (t, at(chi))
+        t0, sig = rays[ray]
+        return sig if t == t0 else replace(sig, r=sig.r * t / t0)
 
     return signature
 
@@ -110,17 +136,26 @@ class PartitionCell:
     members: tuple[Vec, ...]  # dominant weights of the cell found in the box
 
 
-def build_cell(rep: RepSpec, sig: FaceSignature, profile: ShiftProfile,
-               members=()) -> PartitionCell:
+def face_levi(rep: RepSpec, sig: FaceSignature) -> LeviDatum:
+    """The Levi datum of the canonical supporting subgroup of the face of
+    ``sig`` (``zonotope.supporting_lambda``; the subgroup is ``.lam``).  The
+    search reads only the sign sets, so every signature of one face, at any
+    radius, has the same subgroup and Levi."""
     datum = rep.datum
-    lam = supporting_lambda(sig, datum, rep.expanded)
+    return levi(datum, supporting_lambda(sig, datum, rep.expanded))
+
+
+def build_cell(rep: RepSpec, sig: FaceSignature, profile: ShiftProfile,
+               lv: LeviDatum, members=()) -> PartitionCell:
+    """The cell of ``sig`` on the face whose Levi datum is ``lv``
+    (``face_levi``); its subgroup is ``lv.lam``."""
+    datum = rep.datum
     chi_p = zero_vec(datum.rank)
     for i in sig.s_plus:
         chi_p = vsub(chi_p, vscale(sig.r, rep.expanded[i]))
-    lv = levi(datum, lam)
     nu_levi = vadd(vadd(vsub(profile.nu_global, datum.rho_bar),
                         lv.rho_bar_lambda), chi_p)
-    return PartitionCell(sig, lam, lv, order_key(sig), nu_levi, chi_p,
+    return PartitionCell(sig, lv.lam, lv, order_key(sig), nu_levi, chi_p,
                          tuple(members))
 
 
@@ -184,7 +219,9 @@ def dominant_box_points(rep: RepSpec, radius: int) -> list[Vec]:
 def partition_region(rep: RepSpec, profile: ShiftProfile,
                      box_radius: int) -> list[PartitionCell]:
     """Assign every dominant lattice point of the box to its cell; cells are
-    returned sorted by the total order key."""
+    returned sorted by the total order key.  Signatures are solved once per
+    ray (``signature_of``) and subgroups with their Levi data once per face
+    (S+, S-, S0), whatever the radii of the face's cells."""
     report = find_destabilizer(rep)
     if report.sigma is not None:
         raise PreconditionError(
@@ -195,8 +232,14 @@ def partition_region(rep: RepSpec, profile: ShiftProfile,
     groups: dict[FaceSignature, list[Vec]] = {}
     for chi in dominant_box_points(rep, box_radius):
         groups.setdefault(signature(chi), []).append(chi)
-    cells = [build_cell(rep, sig, profile, members=sorted(pts))
-             for sig, pts in groups.items()]
+    faces: dict[tuple, LeviDatum] = {}
+    cells = []
+    for sig, pts in groups.items():
+        face = (sig.s_plus, sig.s_minus, sig.s_zero)
+        if face not in faces:
+            faces[face] = face_levi(rep, sig)
+        cells.append(build_cell(rep, sig, profile, faces[face],
+                                members=sorted(pts)))
     cells.sort(key=lambda c: c.key)
     return cells
 

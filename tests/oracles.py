@@ -27,7 +27,9 @@ membership reference builds a fresh coefficient program for every point;
 the package builds one per window and changes only its right-hand side.
 The radius and face-signature references also build fresh programs for
 every point; the package builds both once per partition and sets each
-point's right-hand side and radius bounds.
+point's right-hand side and radius bounds.  The partition reference reads
+the signature of every dominant point and builds every cell's subgroup and
+Levi; the package solves once per ray and searches once per face.
 The two epsilon-window references decide membership by LP (one by
 maximizing the push along epsilon, one by strict sweeps); the package reads
 it from the facets, and the facet reference repeats its rational per-point
@@ -60,11 +62,15 @@ from sodlab.linprog import BoxedLinearProgram, InputError, LpBuilder, \
     LpResult, TightnessReport, _optimize_closed, _pivot, _simplex_iterate, \
     feasible_point, forced_tight, lex_minimal_integral, lp_optimize, \
     strict_feasible
-from sodlab.rootdata import LeviDatum, coroot, full_levi, is_dominant
+from sodlab.partition import (PartitionCell, PreconditionError,
+                              dominant_box_points, order_key)
+from sodlab.reps import find_destabilizer
+from sodlab.rootdata import LeviDatum, coroot, full_levi, is_dominant, levi
 from sodlab.zonotope import (CLOSED, HALF_OPEN, REL_INT, FaceSignature,
                               FacetTable, _lines, coefficient_system,
-                              facet_table,
-                              invariants_in_span, member, signature_classes)
+                              face_signature_at, facet_table,
+                              invariants_in_span, member, signature_classes,
+                              supporting_lambda)
 
 F = Fraction
 
@@ -417,6 +423,35 @@ def face_signature_reference(generators, shift, p, central=()):
             zero.extend(idx)
     return FaceSignature(r, tuple(sorted(plus)), tuple(sorted(minus)),
                          tuple(sorted(zero)), False)
+
+
+def partition_region_reference(rep, profile, box_radius):
+    """``partition.partition_region`` point by point and cell by cell: the
+    face-signature function runs at every dominant point of the box, and
+    every cell searches its own supporting subgroup and builds its own
+    Levi datum."""
+    report = find_destabilizer(rep)
+    if report.sigma is not None:
+        raise PreconditionError("no torus-stable point", report)
+    datum = rep.datum
+    shift = vsub(profile.nu_global, datum.rho_bar)
+    at = face_signature_at(rep.expanded, shift,
+                           central=datum.central_directions)
+    groups = {}
+    for chi in dominant_box_points(rep, box_radius):
+        groups.setdefault(at(datum.normalize_weight(chi)), []).append(chi)
+    cells = []
+    for sig, pts in groups.items():
+        lam = supporting_lambda(sig, datum, rep.expanded)
+        chi_p = zero_vec(datum.rank)
+        for i in sig.s_plus:
+            chi_p = vsub(chi_p, vscale(sig.r, rep.expanded[i]))
+        lv = levi(datum, lam)
+        nu_levi = vadd(vadd(shift, lv.rho_bar_lambda), chi_p)
+        cells.append(PartitionCell(sig, lam, lv, order_key(sig), nu_levi,
+                                   chi_p, tuple(sorted(pts))))
+    cells.sort(key=lambda c: c.key)
+    return cells
 
 
 def member_eps_reference(generators, r, shift, e, p, central=()):

@@ -19,8 +19,9 @@ from sodlab.linalg import vec, vsub
 from sodlab.linprog import LpBuilder, feasible_point, forced_tight, \
     lp_optimize, strict_feasible
 from sodlab.partition import (build_cell, cell_members, dominant_box_points,
-                              make_profile, order_key, partition_region,
-                              signature_of, validate_reduction_setting)
+                              face_levi, make_profile, order_key,
+                              partition_region, signature_of,
+                              validate_reduction_setting)
 from sodlab.reps import coinvariant_rep, construct_rep, \
     is_quasi_symmetric, rep_spec, weight_signs
 from sodlab.rootdata import build_group, full_levi, is_dominant, pairing, \
@@ -164,7 +165,7 @@ def test_criterion_4_partition_property_suite():
                 chi = rng.choice(box)
                 if chi not in cache:
                     sig = signature(chi)
-                    cell = build_cell(rep, sig, prof)
+                    cell = build_cell(rep, sig, prof, face_levi(rep, sig))
                     # uniqueness against exhaustive sign-pattern minimization
                     oracle = brute_force_signature(
                         rep, shift, chi, central=datum.central_directions)

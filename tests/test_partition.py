@@ -1,22 +1,25 @@
+import dataclasses
 import itertools
 import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from oracles import (brute_force_signature, random_generators,
-                     signature_to_value_counts, weyl_generators_reference,
-                     window_box_reference)
-from sodlab import zonotope
-from sodlab.linalg import mat_vec, vec, vsub
+from oracles import (brute_force_signature, partition_region_reference,
+                     random_generators, signature_to_value_counts,
+                     weyl_generators_reference, window_box_reference)
+from sodlab import partition, zonotope
+from sodlab.linalg import mat_vec, vadd, vec, vscale, vsub
 from sodlab.linprog import LATTICE_BOX_CAP, InputError
-from sodlab.partition import (PreconditionError, build_cell, cell_members,
-                              dominant_box_points, make_profile, order_key,
-                              partition_region, signature_of,
+from sodlab.partition import (HALF_OPEN_MODE, STANDARD, PartitionCell,
+                              PreconditionError, build_cell, cell_members,
+                              dominant_box_points, face_levi, make_profile,
+                              order_key, partition_region, signature_of,
                               validate_reduction_setting, window_box)
 from sodlab.reps import coinvariant_rep, construct_rep, rep_spec, weight_signs
 from sodlab.rootdata import build_group, is_dominant, levi, pairing
-from sodlab.zonotope import FaceSignature
+from sodlab.zonotope import FaceSignature, face_signature_at
 
 T1 = build_group("Torus(1)")
 SL2 = build_group("SL(2)")
@@ -69,7 +72,7 @@ class TestOrderKey:
 class TestCellMembers:
     def test_zero_dimensional_window(self):
         sig = signature_of(TORUS_4, PROF_T1)(vec([3]))
-        cell = build_cell(TORUS_4, sig, PROF_T1)
+        cell = build_cell(TORUS_4, sig, PROF_T1, face_levi(TORUS_4, sig))
         coinv = coinvariant_rep(TORUS_4, cell.lam)
         assert cell_members(TORUS_4, cell, PROF_T1, coinv) == [vec([3])]
 
@@ -79,7 +82,7 @@ class TestCellMembers:
         signature = signature_of(rep, prof)
         for x in (3, 4, 5):
             sig = signature(vec([x, 0]))
-            cell = build_cell(rep, sig, prof)
+            cell = build_cell(rep, sig, prof, face_levi(rep, sig))
             coinv = coinvariant_rep(rep, cell.lam)
             for mu in cell_members(rep, cell, prof, coinv):
                 assert signature(mu) == sig
@@ -165,6 +168,206 @@ class TestSignatureProgramsOncePerPartition:
         assert [n for _, n in seen] == [2, 2]
 
 
+def _catalog_cases():
+    """(rep, profile) pairs: tori with fractional shifts, GL with and
+    without a central shift, SL blocks with their central directions, Sp."""
+    gl2 = build_group("GL(2)")
+    t2 = build_group("Torus(2)")
+    prism = build_group("Product(SL(2),Torus(1))")
+    hexagon = rep_spec(t2, [((1, 0), 2), ((-1, 0), 2), ((0, 1), 2),
+                            ((0, -1), 2), ((1, 1), 1), ((-1, -1), 1)])
+    prism_rep = rep_spec(prism, [((1, 0, 1), 1), ((-1, 0, -1), 1),
+                                 ((0, 1, 1), 1), ((0, -1, -1), 1),
+                                 ((0, 0, 1), 2), ((0, 0, -1), 2)])
+    gl_rep = construct_rep(gl2, [("vector_power", 2),
+                                 ("dual_vector_power", 2)])
+    return [
+        (TORUS_4, PROF_T1),
+        (TORUS_4, make_profile(T1, [F(1, 2)])),
+        (hexagon, make_profile(t2, [F(1, 2), 0])),
+        (gl_rep, make_profile(gl2)),
+        (gl_rep, make_profile(gl2, [1, 1])),
+        (construct_rep(SL2, [("sym_power", 3), ("trivial", 1)]),
+         make_profile(SL2)),
+        (construct_rep(build_group("SL(3)"), [("vector_power", 2),
+                                              ("dual_vector_power", 2)]),
+         make_profile(build_group("SL(3)"))),
+        (prism_rep, make_profile(prism, [0, 0, F(1, 3)])),
+        (construct_rep(SP4, [("vector_power", 2)]), make_profile(SP4)),
+    ]
+
+
+CATALOG_CASES = _catalog_cases()
+
+
+def _nonzero_rays(rep, prof, points):
+    """The distinct rays of chi - shift modulo the SL directions, each as
+    the vector divided by the absolute value of its first nonzero entry."""
+    datum = rep.datum
+    shift = vsub(prof.nu_global, datum.rho_bar)
+    rays = set()
+    for chi in points:
+        d = datum.normalize_weight(vsub(chi, shift))
+        lead = next((x for x in d if x), None)
+        if lead is not None:
+            rays.add(tuple(x / abs(lead) for x in d))
+    return rays
+
+
+def _counting(calls, fn):
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+    return counted
+
+
+class TestOneSolvePerRayAndFace:
+    @pytest.mark.parametrize("case", range(len(CATALOG_CASES)))
+    def test_radius_lps_count_the_rays(self, case, monkeypatch):
+        """A partition solves one radius LP per distinct nonzero ray through
+        the shift, at every box radius, and no more than one per point."""
+        rep, prof = CATALOG_CASES[case]
+        calls = []
+        monkeypatch.setattr(zonotope, "lp_optimize",
+                            _counting(calls, zonotope.lp_optimize))
+        for radius in (2, 3):
+            calls.clear()
+            partition_region(rep, prof, radius)
+            points = dominant_box_points(rep, radius)
+            assert len(calls) == len(_nonzero_rays(rep, prof, points))
+            assert len(calls) <= len(points)
+
+    @pytest.mark.parametrize("case", range(len(CATALOG_CASES)))
+    def test_subgroup_and_levi_once_per_face(self, case, monkeypatch):
+        """One supporting-subgroup search and one Levi per distinct
+        (S+, S-, S0) of the cells, however many radii a face holds."""
+        rep, prof = CATALOG_CASES[case]
+        searches, levis = [], []
+        monkeypatch.setattr(partition, "supporting_lambda",
+                            _counting(searches, partition.supporting_lambda))
+        monkeypatch.setattr(partition, "levi",
+                            _counting(levis, partition.levi))
+        for radius in (2, 3):
+            searches.clear()
+            levis.clear()
+            cells = partition_region(rep, prof, radius)
+            faces = {(c.signature.s_plus, c.signature.s_minus,
+                      c.signature.s_zero) for c in cells}
+            assert len(searches) == len(levis) == len(faces)
+            for c in cells:
+                assert c.lam == c.levi.lam
+
+    def test_rays_and_faces_are_shared(self):
+        """The counts above are below one per point and one per cell: on
+        GL(2) V^2 + V*^2, SL(2) and the torus line, points share rays and
+        cells share faces."""
+        for case in (0, 3, 5):
+            rep, prof = CATALOG_CASES[case]
+            points = dominant_box_points(rep, 3)
+            cells = partition_region(rep, prof, 3)
+            faces = {(c.signature.s_plus, c.signature.s_minus,
+                      c.signature.s_zero) for c in cells}
+            assert len(_nonzero_rays(rep, prof, points)) < len(points) - 1
+            assert len(faces) < len(cells)
+
+
+class TestRayScaling:
+    @settings(derandomize=True, database=None, max_examples=120,
+              deadline=None)
+    @given(st.integers(0, len(CATALOG_CASES) - 1), st.integers(0, 10 ** 6),
+           st.one_of(st.integers(1, 6).map(F),
+                     st.fractions(F(1, 4), 4, max_denominator=6)))
+    def test_scaled_point_reads_the_scaled_signature(self, case, pick, t):
+        """signature_of at shift + t * d, after the point shift + d, equals
+        a fresh face_signature_at at shift + d with r scaled by t, and a
+        fresh one at shift + t * d."""
+        rep, prof = CATALOG_CASES[case]
+        datum = rep.datum
+        shift = vsub(prof.nu_global, datum.rho_bar)
+        points = dominant_box_points(rep, 2)
+        chi0 = points[pick % len(points)]
+        chi = vadd(shift, vscale(t, vsub(chi0, shift)))
+        assume(is_dominant(datum, datum.normalize_weight(chi)))
+        central = datum.central_directions
+        signature = signature_of(rep, prof)
+        try:
+            fresh = face_signature_at(rep.expanded, shift, central)(chi0)
+        except InputError:
+            with pytest.raises(InputError):
+                signature(chi0)
+            with pytest.raises(InputError):
+                signature(chi)
+            return
+        assert signature(chi0) == fresh
+        want = fresh if fresh.trivial else FaceSignature(
+            t * fresh.r, fresh.s_plus, fresh.s_minus, fresh.s_zero, False)
+        assert signature(chi) == want
+        assert want == face_signature_at(rep.expanded, shift, central)(chi)
+
+
+def _cell_fields(cells):
+    return [tuple(getattr(c, f.name) for f in dataclasses.fields(PartitionCell))
+            for c in cells]
+
+
+def _random_torus_rep(seed):
+    """A seeded Torus(2) or Torus(3) weight set (each weight with its
+    negative, or not) and a shift with halves and thirds."""
+    rng = random.Random(seed)
+    datum = build_group(rng.choice(("Torus(2)", "Torus(3)")))
+    n = datum.rank
+    weights = []
+    for _ in range(rng.randint(2, 4)):
+        w = tuple(rng.randint(-2, 2) for _ in range(n))
+        m = rng.randint(1, 2)
+        weights.append((w, m))
+        if rng.random() < 0.8:
+            weights.append((tuple(-x for x in w), m))
+    nu = [F(rng.randint(-2, 2), rng.choice((1, 2, 3))) for _ in range(n)]
+    return rep_spec(datum, weights), nu
+
+
+class TestAgainstPointByPointReference:
+    @settings(derandomize=True, database=None, max_examples=80,
+              deadline=None)
+    @given(st.one_of(st.integers(0, 2 ** 32).map(str),
+                     st.integers(0, len(CATALOG_CASES) - 1)),
+           st.sampled_from((STANDARD, HALF_OPEN_MODE)), st.integers(0, 3))
+    def test_drawn_cells_match(self, case, threshold, radius):
+        """partition_region equals the point-by-point, cell-by-cell
+        reference in every PartitionCell field, in order, under both
+        profiles, on a catalog case or (a str case, a seed) a seeded
+        Torus(2) or Torus(3) weight set with a fractional shift; both
+        refuse a set without a stable point."""
+        if isinstance(case, str):
+            rep, nu = _random_torus_rep(case)
+            radius = min(radius, 5 - rep.datum.rank)  # Torus(3): 125 points
+        else:
+            rep, prof = CATALOG_CASES[case]
+            nu = prof.nu_global
+        prof = make_profile(rep.datum, nu, threshold)
+        try:
+            want = partition_region_reference(rep, prof, radius)
+        except PreconditionError:
+            with pytest.raises(PreconditionError):
+                partition_region(rep, prof, radius)
+            return
+        assert _cell_fields(partition_region(rep, prof, radius)) == \
+            _cell_fields(want)
+
+    def test_gl3_v4_at_radius_six(self):
+        """The largest partition of the tested jobs, GL(3) V^4 + V*^4 at
+        box radius 6, cell for cell."""
+        gl3 = build_group("GL(3)")
+        rep = construct_rep(gl3, [("vector_power", 4),
+                                  ("dual_vector_power", 4)])
+        prof = make_profile(gl3)
+        cells = partition_region(rep, prof, 6)
+        assert _cell_fields(cells) == \
+            _cell_fields(partition_region_reference(rep, prof, 6))
+        assert len({c.levi for c in cells}) < len(cells)
+
+
 class TestAgainstBruteForce:
     def test_uniqueness_small_sweep(self):
         prof2 = make_profile(SP4)
@@ -191,7 +394,7 @@ class TestMonotonicity:
         for x in (2, 3, 4):
             chi = vec([x])
             sig = signature(chi)
-            cell = build_cell(rep, sig, prof)
+            cell = build_cell(rep, sig, prof, face_levi(rep, sig))
             signs = weight_signs(rep, cell.lam)
             plus_weights = [rep.expanded[i] for i in signs.t_plus]
             for size in (1, 2):

@@ -220,7 +220,7 @@ class TestLambdaDataOnce:
         doc = run_job("nccr", cfg)
         assert doc["nccr"] and builds
         assert len(flats) == len(builds)
-        assert "build_cell" in levi_callers
+        assert "face_levi" in levi_callers
         assert not {"cell_members", "_component", "run_job"} & set(levi_callers)
 
         datum, rep, profile = build_objects(cfg)
