@@ -12,7 +12,8 @@ Everything runs on int tuples: weights times a common denominator.  A table
 holds its weights at one scale (the least common denominator D of the
 representation's weights, D = 1 for every catalog representation); sorted
 `Fraction` keys are built only when `entries` is read.  The Freudenthal walk
-runs at the scale of chi, rho and the roots, with the form ``gram_ints``;
+runs at the scale of chi, rho and the roots, on the form ``gram_ints``,
+each root's G a and a . G a read once from `rootdata.root_form`;
 the Hom-block kernel is keyed at the scale of the Sym^d tables.  The Weyl
 dimension is an integer product over the primitive integer rows of the
 Levi's positive coroots.
@@ -30,7 +31,7 @@ from .linalg import Vec, int_row, int_rows, vadd, vec
 from .linprog import InputError
 from .reps import RepSpec
 from .rootdata import (LeviDatum, RootDatum, descend, full_levi, is_dominant,
-                       orbit)
+                       orbit, root_form)
 
 # Most entries the symmetric-power program may write in one build: the
 # top + 1 degree tables, then one per (entry, degree step) update, each pass
@@ -134,10 +135,7 @@ def irr_character(datum: RootDatum, chi: Vec,
 
     # per root a: G a and (a, a), so that (mu + k a, a) and the norm of
     # mu + k a + rho step in k without vector arithmetic
-    root_data = []
-    for a in roots:
-        ga = [sum(map(mul, row, a)) for row in gram]
-        root_data.append((a, ga, sum(map(mul, a, ga))))
+    root_data = [(a, *root_form(gram, a)) for a in roots]
     top = form(tuple(map(add, chi, rho)), tuple(map(add, chi, rho)))
     # Every dominant weight below chi is reached from chi by subtracting
     # positive roots through dominant weights only (Stembridge, "The partial

@@ -584,12 +584,11 @@ def enumerate_lattice(predicate: Callable[[Vec], bool],
     return [tuple(map(Fraction, p)) for p in filter(predicate, points)]
 
 
-_INTEGRAL_SEARCH_CAP = 64
-
-# Most candidate vectors ``lex_minimal_integral`` may test.  The shells up
-# to sup-norm b hold (2b + 1)^n vectors and each costs a predicate call; the
-# searches of the presets, tests and benchmark jobs stop within 343 (rank 3,
-# sup-norm 3), while a miss at sup-norm 64 in rank 3 would test 129^3.
+# Most candidate vectors ``lex_minimal_integral`` may test, its one guard.
+# The shells up to sup-norm b hold (2b + 1)^n vectors and each costs a
+# predicate call; the searches of the presets, tests and benchmark jobs stop
+# within 343 (rank 3, sup-norm 3), and a miss stops at sup-norm 4,999 in
+# rank 1 and 49 in rank 2.
 INTEGRAL_CANDIDATE_CAP = 10_000
 
 
@@ -605,29 +604,31 @@ def integral_shell(n: int, bound: int):
 
 
 def _shell(k: int, full, inner: int):
-    """The length-k tuples over ``full`` with some entry of absolute value
-    above ``inner``, in lexicographic order."""
+    """The length-k tuples over ``full`` (the range -b..b) with some entry
+    of absolute value above ``inner``, in lexicographic order.  The last
+    entry takes only the values past ``inner`` when ``inner`` is at least 0,
+    so a shell costs its own size, not the width of ``full``."""
+    if k == 1 and inner >= 0:
+        b = full[-1]
+        for c in itertools.chain(full[:b - inner], full[b + inner + 1:]):
+            yield (c,)
+        return
     for c in full:
-        if abs(c) > inner:
-            rests = itertools.product(full, repeat=k - 1)
-        elif k > 1:
-            rests = _shell(k - 1, full, inner)
-        else:
-            continue
+        rests = (itertools.product(full, repeat=k - 1) if abs(c) > inner
+                 else _shell(k - 1, full, inner))
         for rest in rests:
             yield (c,) + rest
 
 
 def lex_minimal_integral(n: int, ok: Callable[[Vec], bool]) -> Vec:
     """First integral vector of length n, by growing sup-norm then
-    lexicographic order, satisfying the predicate; InputError when none has
-    sup-norm up to the search cap, when reaching the next shell would take
-    the candidates past ``INTEGRAL_CANDIDATE_CAP``, or when n is 0.  Each
-    candidate is tested once, as an int tuple; the hit is returned as a
-    ``Fraction`` tuple."""
+    lexicographic order, satisfying the predicate; InputError when reaching
+    the next shell would take the candidates past ``INTEGRAL_CANDIDATE_CAP``,
+    or when n is 0.  Each candidate is tested once, as an int tuple; the hit
+    is returned as a ``Fraction`` tuple."""
     if n == 0:
         raise InputError("no nonzero vector exists in rank 0")
-    for bound in range(1, _INTEGRAL_SEARCH_CAP + 1):
+    for bound in itertools.count(1):
         count = (2 * bound + 1) ** n
         if count > INTEGRAL_CANDIDATE_CAP:
             raise InputError(
@@ -636,4 +637,3 @@ def lex_minimal_integral(n: int, ok: Callable[[Vec], bool]) -> Vec:
         for v in integral_shell(n, bound):
             if ok(v):
                 return tuple(map(Fraction, v))
-    raise InputError("integral search cap exceeded")

@@ -14,10 +14,14 @@ coordinates (and a nonnegative tail coordinate for Sp).
 The Weyl group is never enumerated: dominant conjugates, signed orbits and
 fixed spaces all come from the simple reflections s_a(v) = v - <a^vee, v> a
 (Humphreys, *Introduction to Lie Algebras and Representation Theory*, 10).
-Descent and orbits run on int tuples (weights times a common denominator):
-each simple reflection, followed by ``normalize_weight``, is one integer
-matrix and one positive denominator (``LeviDatum.reflections``), and the
-coroot signs come from the primitive integer ``dominance_rows``.
+One integer kernel, ``root_form``, pairs a root with the form: it returns
+(G a, a . G a), from which the coroot a^vee = 2 G a / (a . G a) is read.
+No coroot is stored as a vector: its ray, sign(a . G a) G a made primitive,
+gives the ``dominance_rows`` (simple coroots) and ``weyl_rows`` (positive
+coroots), and with the norm it gives the reflections.  Descent and orbits
+run on int tuples (weights times a common denominator): each simple
+reflection, followed by ``normalize_weight``, is one integer matrix and one
+positive denominator (``LeviDatum.reflections``).
 """
 
 from __future__ import annotations
@@ -66,9 +70,8 @@ class RootDatum:
             raise InputError("rho_bar is not half the sum of positive roots")
         # <a^vee, a> = 2 for 2 G a / (a . G a) unless a . G a vanishes
         gram = self.gram_ints
-        for a in roots:
-            if not sum(x * sum(map(mul, row, a)) for x, row in zip(a, gram)):
-                raise InputError("coroot normalization broken")
+        if any(not root_form(gram, a)[1] for a in roots):
+            raise InputError("coroot normalization broken")
 
     @cached_property
     def gram_ints(self) -> tuple[tuple[int, ...], ...]:
@@ -86,17 +89,6 @@ class RootDatum:
         ints, d = int_rows(self.roots + self.positive_roots)
         n = len(self.roots)
         return d, tuple(ints[:n]), tuple(ints[n:])
-
-    @cached_property
-    def coroots(self) -> dict[Vec, Vec]:
-        """Coroot of every root, computed once per datum.  Kept out of the
-        dataclass fields, so hashing and equality see only the datum."""
-        return {a: _coroot_under(self.gram_ints, a) for a in self.roots}
-
-    @cached_property
-    def simple_pairs(self) -> tuple[tuple[Vec, Vec], ...]:
-        """(simple root, coroot) pairs: the simple reflections."""
-        return tuple((a, self.coroots[a]) for a in self.simple_roots)
 
     @cached_property
     def dominance_rows(self) -> tuple[tuple[int, ...], ...]:
@@ -126,16 +118,25 @@ class RootDatum:
         return chi
 
 
+def root_form(gram_ints, a: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
+    """(G a, a . G a) for the int form G and the int tuple a: the one place
+    a root meets the form.  For the root a / t (t > 0) the coroot is
+    2 t G a / (a . G a)."""
+    q = tuple(sum(map(mul, row, a)) for row in gram_ints)
+    return q, sum(map(mul, a, q))
+
+
 def _coroot_rows(datum: RootDatum, roots) -> tuple[tuple[int, ...], ...]:
     """The coroots of the given roots, each scaled by a positive rational to
-    a primitive int tuple: the ray of G a.  With the simple roots these are
-    the dominance rows, since every positive coroot is a nonnegative
-    combination of the simple ones."""
+    a primitive int tuple: sign(a . G a) G a made primitive, since the form
+    may be indefinite.  With the simple roots these are the dominance rows,
+    since every positive coroot is a nonnegative combination of the simple
+    ones."""
     rows = []
     for a in roots:
-        ints = int_row(coroot(datum, a))[0]
-        g = math.gcd(*ints)
-        rows.append(tuple(x // g for x in ints))
+        q, norm = root_form(datum.gram_ints, int_row(a)[0])
+        g = math.gcd(*q) if norm > 0 else -math.gcd(*q)
+        rows.append(tuple(x // g for x in q))
     return tuple(rows)
 
 
@@ -147,26 +148,6 @@ def _half_sum(scale: int, ints, rank: int) -> Vec:
 
 def _unit(n: int, i: int) -> Vec:
     return tuple(ONE if j == i else ZERO for j in range(n))
-
-
-def _coroot_under(gram_ints, alpha: Vec) -> Vec:
-    """2 G alpha / (alpha . G alpha) for G a positive multiple of
-    ``gram_ints``: with alpha = a / t for an int tuple a, it is
-    2 t (G a) / (a . G a), and the scale of G cancels."""
-    a, t = int_row(alpha)
-    q = [sum(map(mul, row, a)) for row in gram_ints]
-    norm = sum(map(mul, a, q))
-    return tuple(Fraction(2 * t * x, norm) for x in q)
-
-
-def coroot(datum: RootDatum, alpha: Vec) -> Vec:
-    """Coroot of alpha under the stored invariant form."""
-    cr = datum.coroots.get(alpha)
-    return cr if cr is not None else _coroot_under(datum.gram_ints, alpha)
-
-
-def coroot_pairing(datum: RootDatum, alpha: Vec, chi: Vec) -> Fraction:
-    return vdot(coroot(datum, alpha), chi)
 
 
 # ---------------------------------------------------------------------------
@@ -391,10 +372,9 @@ def star_dominate(datum: RootDatum, chi: Vec,
     is a reduced word of the unique shortest w, and the sign is det w.
     """
     rho = datum.rho_bar if levi is None else levi.rho_bar_lambda
-    shifted = vadd(chi, rho)
-    positives = datum.positive_roots if levi is None else levi.phi_lambda_plus
-    dom, word = make_dominant(datum, shifted, levi)
-    if any(coroot_pairing(datum, a, dom) == 0 for a in positives):
+    dom, word = make_dominant(datum, vadd(chi, rho), levi)
+    if any(not sum(map(mul, row, dom))
+           for row in (levi or full_levi(datum)).weyl_rows):
         return None
     result = datum.normalize_weight(vsub(dom, rho))
     return result, (-1 if len(word) % 2 else 1), word
@@ -420,10 +400,6 @@ class LeviDatum:
     rho_bar_lambda: Vec
 
     @cached_property
-    def simple_pairs(self) -> tuple[tuple[Vec, Vec], ...]:
-        return tuple((a, coroot(self.datum, a)) for a in self.simple_roots)
-
-    @cached_property
     def dominance_rows(self) -> tuple[tuple[int, ...], ...]:
         return _coroot_rows(self.datum, self.simple_roots)
 
@@ -432,9 +408,10 @@ class LeviDatum:
         """One (rows, d) per simple root, in the order of ``simple_roots``:
         the reflection in the root followed by ``normalize_weight`` is
         v -> rows v / d, with int rows and d > 0 the least such.  For the
-        root a = a' / t with a' an int tuple, G the int form and q = G a',
-        the coroot is 2 t q / (a' . q), so N s_a = N - 2 (N a') q^T / (a' . q)
-        for the normalization N, whose columns are the normalized units."""
+        root a = a' / t with a' an int tuple and (q, a' . q) its
+        ``root_form``, the coroot is 2 t q / (a' . q), so
+        N s_a = N - 2 (N a') q^T / (a' . q) for the normalization N, whose
+        columns are the normalized units."""
         datum = self.datum
         n = datum.rank
         units = [datum.normalize_weight(tuple(int(i == j) for i in range(n)))
@@ -442,8 +419,7 @@ class LeviDatum:
         out = []
         for a in self.simple_roots:
             a = tuple(int_row(a)[0])
-            q = [sum(map(mul, row, a)) for row in datum.gram_ints]
-            norm = sum(map(mul, a, q))
+            q, norm = root_form(datum.gram_ints, a)
             na = datum.normalize_weight(a)
             rows = [[norm * u[i] - 2 * na[i] * qj for u, qj in zip(units, q)]
                     for i in range(n)]
@@ -462,9 +438,10 @@ class LeviDatum:
     def _fixed_basis(self) -> list[Vec]:
         """Canonical basis of the Weyl-fixed subspace of the ambient
         coordinates.  s_a - I is v -> -<a^vee, v> a, so the fixed space is
-        the common kernel of the simple coroots."""
+        the common kernel of the simple coroots, that is of the
+        ``dominance_rows`` on their rays."""
         n = self.datum.rank
-        return span_basis(nullspace([cr for _, cr in self.simple_pairs], n), n)
+        return span_basis(nullspace(self.dominance_rows, n), n)
 
     def invariant_projector(self) -> Mat:
         """Projection onto the Weyl-fixed subspace, orthogonal under the
@@ -493,7 +470,7 @@ class LeviDatum:
         return [v for v in out if not is_zero_vec(v)]
 
     def is_invariant(self, v: Vec) -> bool:
-        return all(vdot(cr, v) == 0 for _, cr in self.simple_pairs)
+        return not any(sum(map(mul, row, v)) for row in self.dominance_rows)
 
     def label(self) -> str:
         return _levi_label(self)
@@ -546,13 +523,10 @@ def _levi_label(lv: LeviDatum) -> str:
     datum = lv.datum
     if set(lv.phi_lambda) == set(datum.roots):
         return datum.label
-    simple = list(lv.simple_roots)
+    simple = lv.simple_roots
     n = len(simple)
-    adj = [[False] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            if i != j and coroot_pairing(datum, simple[i], simple[j]) != 0:
-                adj[i][j] = True
+    adj = [[i != j and sum(map(mul, row, simple[j])) != 0 for j in range(n)]
+           for i, row in enumerate(lv.dominance_rows)]
     seen = [False] * n
     parts = []
     for i in range(n):
@@ -568,8 +542,9 @@ def _levi_label(lv: LeviDatum) -> str:
                     seen[j] = True
                     comp.append(j)
                     stack.append(j)
-        lengths = {vdot(simple[k], mat_vec(datum.gram, simple[k])) for k in comp}
-        kind = "C" if len(lengths) > 1 or lengths == {Fraction(4)} else "A"
+        # type C: some simple root is twice a lattice vector (2 L_i)
+        kind = "C" if any(all((x / 2).denominator == 1 for x in simple[k])
+                          for k in comp) else "A"
         parts.append(f"{kind}{len(comp)}")
     span_dim = len(span_basis(list(lv.phi_lambda), datum.rank))
     torus_rank = datum.rank - span_dim - len(datum.quotient_pairs)

@@ -65,7 +65,7 @@ from sodlab.linprog import BoxedLinearProgram, InputError, LpBuilder, \
 from sodlab.partition import (PartitionCell, PreconditionError,
                               dominant_box_points, order_key)
 from sodlab.reps import find_destabilizer
-from sodlab.rootdata import LeviDatum, coroot, full_levi, is_dominant, levi
+from sodlab.rootdata import LeviDatum, full_levi, is_dominant, levi
 from sodlab.zonotope import (CLOSED, HALF_OPEN, REL_INT, FaceSignature,
                               FacetTable, _lines, coefficient_system,
                               face_signature_at, facet_table,
@@ -967,7 +967,8 @@ def is_dominant_reference(datum, chi, levi=None):
     """Dominance against every positive coroot of the datum or the Levi;
     the package tests the simple coroots only."""
     positive = datum.positive_roots if levi is None else levi.phi_lambda_plus
-    return all(vdot(coroot(datum, a), chi) >= 0 for a in positive)
+    return all(vdot(coroot_reference(datum.gram, a), chi) >= 0
+               for a in positive)
 
 
 def twist_contains_reference(twist, chi):
@@ -1021,7 +1022,7 @@ def weyl_symmetry_reference(rep):
     datum = rep.datum
     counts = dict(rep.weights)
     for w, m in rep.weights:
-        for a, cr in datum.simple_pairs:
+        for a, cr in simple_pairs_reference(datum):
             image = datum.normalize_weight(vsub(w, vscale(vdot(cr, w), a)))
             if counts.get(image, 0) != m:
                 raise InputError(f"weights are not Weyl-symmetric: weight "
@@ -1110,12 +1111,28 @@ def invariant_vectors_reference(lv):
     quotient directions, as `LeviDatum.invariant_vectors` reports it."""
     datum = lv.datum
     image = span_basis(list(invariant_projector_reference(lv)), datum.rank)
+    return _modulo_central(datum, image)
+
+
+def _modulo_central(datum, basis):
+    """The basis vectors outside the span of the SL quotient directions and
+    of those kept before them, in section form, zero vectors dropped."""
     central = list(datum.central_directions)
     out = []
-    for v in image:
+    for v in basis:
         if not in_span(central + out, v):
             out.append(datum.normalize_weight(v))
     return [v for v in out if not is_zero_vec(v)]
+
+
+def coroot_invariant_vectors_reference(lv):
+    """`LeviDatum.invariant_vectors` from the common kernel of the simple
+    Fraction coroots, modulo the SL quotient directions; the package takes
+    that kernel on the integer coroot rays."""
+    n = lv.datum.rank
+    fixed = span_basis(nullspace([cr for _, cr in simple_pairs_reference(lv)],
+                                 n), n)
+    return _modulo_central(lv.datum, fixed)
 
 
 def multiplicity_in_reference(datum, table, mu, lv):
@@ -1155,6 +1172,15 @@ def coroot_reference(gram, alpha):
     """2 G alpha / (alpha . G alpha) over Fractions."""
     q = mat_vec(gram, alpha)
     return vscale(F(2) / vdot(alpha, q), q)
+
+
+def simple_pairs_reference(src):
+    """(simple root, Fraction coroot) pairs of a root datum or a Levi: the
+    simple reflections s_a(v) = v - <a^vee, v> a; the package keeps only
+    the coroot rays and the integer reflections."""
+    datum = src.datum if isinstance(src, LeviDatum) else src
+    return tuple((a, coroot_reference(datum.gram, a))
+                 for a in src.simple_roots)
 
 
 def levi_reference(datum, lam):

@@ -622,7 +622,7 @@ class TestLexMinimalIntegral:
 
     def test_shells_follow_the_reference_order_as_ints(self):
         for n in range(1, 4):
-            for bound in range(1, 4):
+            for bound in range(1, 6):
                 want = [v for v in itertools.product(
                             range(-bound, bound + 1), repeat=n)
                         if bound == 1 or max(map(abs, v)) == bound]
@@ -650,6 +650,19 @@ class TestLexMinimalIntegral:
         assert len(tested) == (2 * b + 1) ** 3 <= INTEGRAL_CANDIDATE_CAP
         last = (F(b),) * 3  # the last candidate of shell b
         assert lex_minimal_integral(3, lambda v: v == last) == last
+
+    def test_rank_one_runs_to_the_candidate_cap(self):
+        # rank 1: sup-norm 4,999 is the last shell within the cap, 9,999
+        # candidates (3 at sup-norm 1, then 2 per shell)
+        tested = []
+        last = (F(4999),)
+        assert lex_minimal_integral(
+            1, lambda v: tested.append(v) or v == last) == last
+        assert len(tested) == len(set(tested)) == 9_999
+        tested.clear()
+        with pytest.raises(InputError, match="sup-norm 5000 tests 10001"):
+            lex_minimal_integral(1, lambda v: tested.append(v))
+        assert len(tested) == 9_999
 
     def test_candidate_cap_just_past_its_value(self, monkeypatch):
         # the shells up to sup-norm 4 hold 9^2 = 81 vectors in rank 2

@@ -4,8 +4,9 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from oracles import (orbit_reference, twist_contains_reference,
-                     weyl_elements_reference, weyl_symmetry_reference)
+from oracles import (orbit_reference, simple_pairs_reference,
+                     twist_contains_reference, weyl_elements_reference,
+                     weyl_symmetry_reference)
 from sodlab.linalg import mat_vec, rank, vdot, vec
 from sodlab.linprog import InputError
 from sodlab.reps import (TwistData, _check_weyl_symmetric, coinvariant_rep,
@@ -219,7 +220,7 @@ class TestWeylSymmetryCheck:
         for _ in range(data.draw(st.integers(1, 3))):
             w = vec(data.draw(st.integers(-2, 2)) for _ in range(datum.rank))
             m = data.draw(st.integers(1, 3))
-            for u, _ in orbit_reference(datum.simple_pairs, w):
+            for u, _ in orbit_reference(simple_pairs_reference(datum), w):
                 u = datum.normalize_weight(u)
                 counts[u] = counts.get(u, 0) + m
         keys = sorted(counts)

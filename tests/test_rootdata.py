@@ -1,6 +1,7 @@
 import dataclasses
 import functools
 import itertools
+import json
 import math
 import random
 from fractions import Fraction as F
@@ -8,18 +9,20 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import (coroot_reference, invariant_projector_reference,
+from oracles import (coroot_invariant_vectors_reference, coroot_reference,
+                     invariant_projector_reference,
                      invariant_vectors_reference, is_dominant_reference,
-                     levi_reference, orbit_reference, weyl_dim_reference,
-                     weyl_elements_reference, weyl_generators_reference)
+                     levi_reference, orbit_reference, simple_pairs_reference,
+                     weyl_dim_reference, weyl_elements_reference,
+                     weyl_generators_reference)
 from sodlab import rootdata
 from sodlab.characters import weyl_dim
 from sodlab.cli import main
 from sodlab.linalg import int_row, mat_vec, vdot, vec
 from sodlab.linprog import InputError
-from sodlab.rootdata import (RootDatum, build_group, coroot, coroot_pairing,
-                             full_levi, invariant_subspace, is_dominant, levi,
-                             descend, make_dominant, orbit, pairing,
+from sodlab.rootdata import (RootDatum, build_group, full_levi,
+                             invariant_subspace, is_dominant, levi, descend,
+                             make_dominant, orbit, pairing, root_form,
                              star_dominate)
 
 SP4 = build_group("Sp(4)")
@@ -38,7 +41,7 @@ class TestBuildGroup:
     def test_sl2_normalization(self):
         assert len(SL2.positive_roots) == 1
         a = SL2.positive_roots[0]
-        assert coroot_pairing(SL2, a, SL2.rho_bar) == 1
+        assert vdot(coroot_reference(SL2.gram, a), SL2.rho_bar) == 1
 
     def test_unknown_tag(self):
         with pytest.raises(InputError):
@@ -311,7 +314,8 @@ class TestWeylKernels:
                                       for m, _, _ in elements}
                 positive = datum.positive_roots if lv is None \
                     else lv.phi_lambda_plus
-                if all(coroot_pairing(datum, a, chi) != 0 for a in positive):
+                if all(vdot(coroot_reference(datum.gram, a), chi) != 0
+                       for a in positive):
                     # regular: one point per element, signed by det w
                     assert len(points) == len(elements)
                     det = {datum.normalize_weight(mat_vec(m, chi)): sign
@@ -337,7 +341,8 @@ class TestWeylKernels:
                 assert make_dominant(datum, chi, lv) == (dom, word)
                 low, _ = descend(data, ints, lowest=True)
                 low = tuple(F(x, d) for x in low)
-                assert all(vdot(cr, low) <= 0 for _, cr in data.simple_pairs)
+                assert all(vdot(cr, low) <= 0
+                           for _, cr in simple_pairs_reference(data))
                 assert low in {datum.normalize_weight(mat_vec(m, chi))
                                for m, _, _ in elements}
 
@@ -348,7 +353,8 @@ class TestWeylKernels:
         datum, _, levis = _weyl_cases(tag)
         for lv in [full_levi(datum)] + levis[2:]:
             assert len(lv.reflections) == len(lv.simple_roots)
-            for (rows, d), (a, cr) in zip(lv.reflections, lv.simple_pairs):
+            for (rows, d), (a, cr) in zip(lv.reflections,
+                                          simple_pairs_reference(lv)):
                 assert d > 0
                 for j in range(datum.rank):
                     unit = vec(int(i == j) for i in range(datum.rank))
@@ -383,7 +389,7 @@ class TestWeylKernels:
         points = orbit(lv, ints)
         got = {tuple(F(x, d) for x in p): s for p, s in points}
         want = {datum.normalize_weight(p): s
-                for p, s in orbit_reference(lv.simple_pairs, chi)}
+                for p, s in orbit_reference(simple_pairs_reference(lv), chi)}
         assert len(got) == len(points) == len(want)
         assert got == want
 
@@ -448,12 +454,57 @@ class TestFormRescaling:
         assert irr_character(scaled, vec([1, 1])).entries == \
             irr_character(SP4, vec([1, 1])).entries
 
+    def test_levi_labels(self):
+        scaled = self._scaled_sp4()
+        assert levi(scaled, vec([-1, 0])).label() == "C1xT1"
+        for lam in itertools.product(range(-2, 3), repeat=2):
+            assert levi(scaled, vec(lam)).label() == \
+                levi(SP4, vec(lam)).label()
+
     def test_invariant_projector(self):
         scaled = self._scaled_sp4()
         for lam in (vec([0, 0]), vec([-1, -1]), vec([1, 0])):
             lv = levi(scaled, lam)
             assert lv.invariant_projector() == invariant_projector_reference(lv)
             assert lv.invariant_projector() == levi(SP4, lam).invariant_projector()
+
+
+class TestLeviLabelsFromTheCli:
+    """Component labels through ``sod``: both configs reach the adjacency
+    of simple roots in ``_levi_label`` (C2 in Sp(6), A2 in GL(4))."""
+
+    @pytest.mark.parametrize("config, want", [
+        ({"group": "Sp(6)", "box_radius": 4,
+          "representation": [{"kind": "vector_power", "h": 7}]},
+         [(-1, "C2xT1"), (0, "Sp(6)")]),
+        ({"group": "GL(4)", "box_radius": 2, "mode": "quasi_symmetric",
+          "representation": [{"kind": "vector_power", "h": 5},
+                             {"kind": "dual_vector_power", "h": 5}]},
+         [(-3, "A1xT3"), (-2, "A2xT2"), (-1, "A2xT2"), (0, "GL(4)")]),
+    ])
+    def test_component_labels(self, config, want, tmp_path):
+        cfg, out = tmp_path / "cfg.json", tmp_path / "sod.json"
+        cfg.write_text(json.dumps(config))
+        assert main(["sod", "--config", str(cfg), "--out", str(out)]) == 0
+        components = json.loads(out.read_text())["sod"]["components"]
+        assert [(c["index"], c["levi"]) for c in components] == want
+
+
+def _positive_multiple(row, coroot):
+    """Whether the int tuple row is primitive and a positive multiple of
+    the Fraction vector coroot."""
+    k = next(i for i, x in enumerate(coroot) if x)
+    c = row[k] / coroot[k]
+    return math.gcd(*row) == 1 and c > 0 and \
+        tuple(row) == tuple(c * x for x in coroot)
+
+
+def _with_root(datum, alpha):
+    """The datum with one positive root, alpha, and its negative."""
+    neg = tuple(-x for x in alpha)
+    return dataclasses.replace(
+        datum, roots=(alpha, neg), positive_roots=(alpha,),
+        simple_roots=(alpha,), rho_bar=tuple(x / 2 for x in alpha))
 
 
 def _rescaled(datum, factor, root_factor=F(1)):
@@ -491,33 +542,81 @@ class TestIntegerRootKernels:
 
     @pytest.mark.parametrize("tag", SMALL_CATALOG)
     def test_coroots_match_reference(self, tag):
+        """Every dominance and Weyl row is the primitive int tuple on the
+        ray of the Fraction coroot, and ``root_form`` gives the coroot
+        itself as 2 t G a / (a . G a) for the root a / t."""
+        base, standard = _standard_levis(tag)
         for factor, root_factor in itertools.product(FORM_FACTORS,
                                                      ROOT_FACTORS):
-            datum = _rescaled(build_group(tag), factor, root_factor)
+            datum = _rescaled(base, factor, root_factor)
             for a in datum.roots:
-                assert datum.coroots[a] == coroot_reference(datum.gram, a)
+                ints, t = int_row(a)
+                q, norm = root_form(datum.gram_ints, tuple(ints))
+                assert coroot_reference(datum.gram, a) == \
+                    tuple(F(2 * t * x, norm) for x in q)
+            levis = [levi(datum, lv.lam) for lv in standard]
+            for rows, roots in [(datum.dominance_rows, datum.simple_roots)] + [
+                    pair for lv in levis
+                    for pair in ((lv.dominance_rows, lv.simple_roots),
+                                 (lv.weyl_rows, lv.phi_lambda_plus))]:
+                assert len(rows) == len(roots)
+                for row, a in zip(rows, roots):
+                    assert _positive_multiple(row,
+                                              coroot_reference(datum.gram, a))
 
     @settings(derandomize=True, database=None, max_examples=60,
               deadline=None)
     @given(data=st.data())
     def test_coroot_under_a_rational_form(self, data):
-        # a symmetric form whose rows have different denominators, and a
-        # rational vector that is no root
+        # a symmetric, possibly indefinite form whose rows have different
+        # denominators, and a rational vector taken as the one positive root
         n = data.draw(st.integers(1, 4))
         gram = [[F(0)] * n for _ in range(n)]
         for i in range(n):
             for j in range(i, n):
                 gram[i][j] = gram[j][i] = data.draw(RATIONALS)
         alpha = tuple(data.draw(RATIONALS) for _ in range(n))
-        want = coroot_reference(gram, alpha) \
-            if vdot(alpha, mat_vec(gram, alpha)) else ZeroDivisionError
         datum = dataclasses.replace(build_group(f"Torus({n})"),
                                     gram=tuple(map(tuple, gram)))
-        try:
-            got = coroot(datum, alpha)
-        except ZeroDivisionError:
-            got = ZeroDivisionError
-        assert got == want
+        ints, t = int_row(alpha)
+        q, norm = root_form(datum.gram_ints, tuple(ints))
+        if not vdot(alpha, mat_vec(gram, alpha)):
+            # the reference divides by zero: the norm is zero, and a datum
+            # with alpha as a root is refused
+            assert norm == 0
+            with pytest.raises(InputError, match="normalization"):
+                _with_root(datum, alpha)
+            return
+        want = coroot_reference(gram, alpha)
+        assert norm != 0
+        assert want == tuple(F(2 * t * x, norm) for x in q)
+        lv = full_levi(_with_root(datum, alpha))
+        assert _positive_multiple(lv.datum.dominance_rows[0], want)
+        assert _positive_multiple(lv.dominance_rows[0], want)
+        assert _positive_multiple(lv.weyl_rows[0], want)
+
+    @pytest.mark.parametrize("tag", SMALL_CATALOG)
+    def test_invariants_match_fraction_coroots(self, tag):
+        """``is_invariant`` and ``invariant_vectors`` on the integer coroot
+        rays against the Fraction coroots, on every standard Levi and on
+        seeded ones, under rescaled forms and roots."""
+        base, standard = _standard_levis(tag)
+        rng = random.Random("invariants " + tag)
+        lams = [lv.lam for lv in standard] + _seeded_coweights(base, rng, 3)
+        for factor, root_factor in itertools.product(FORM_FACTORS,
+                                                     ROOT_FACTORS):
+            datum = _rescaled(base, factor, root_factor)
+            for lam in lams:
+                lv = levi(datum, lam)
+                fixed = lv.invariant_vectors()
+                assert fixed == coroot_invariant_vectors_reference(lv)
+                pairs = simple_pairs_reference(lv)
+                units = [vec(int(i == j) for i in range(datum.rank))
+                         for j in range(datum.rank)]
+                for v in fixed + units + _seeded_weights(datum, rng, 3) + [
+                        datum.rho_bar, lv.rho_bar_lambda, lam]:
+                    assert lv.is_invariant(v) == \
+                        all(vdot(cr, v) == 0 for _, cr in pairs), (lam, v)
 
     @pytest.mark.parametrize("tag", SMALL_CATALOG)
     @settings(derandomize=True, database=None, max_examples=15,
