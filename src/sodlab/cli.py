@@ -89,7 +89,8 @@ def main(argv=None) -> int:
                 raw = json.loads(Path(args.config).read_text())
             except OSError as e:
                 raise InputError(f"cannot read config: {e}") from None
-            except json.JSONDecodeError as e:
+            except (ValueError, RecursionError) as e:
+                # bad JSON or UTF-8, too many digits, too deep a nesting
                 raise InputError(f"config is not valid JSON: {e}") from None
             cfg = parse_config(raw)
         else:

@@ -203,31 +203,6 @@ def span_basis(vectors: Sequence[Vec], dim: int) -> list[Vec]:
     return [tuple(red[i]) for i in range(len(pivots))]
 
 
-def subspace_intersection(basis_a: Sequence[Vec], basis_b: Sequence[Vec],
-                          dim: int) -> list[Vec]:
-    """Basis of span(basis_a) intersect span(basis_b).
-
-    A point of the intersection is sum(alpha_i a_i) = sum(beta_j b_j); the
-    coefficient pairs form the kernel of [A^T | -B^T].
-    """
-    a = list(basis_a)
-    bvs = list(basis_b)
-    if not a or not bvs:
-        return []
-    p, q = len(a), len(bvs)
-    rows = [[a[i][k] for i in range(p)] + [-bvs[j][k] for j in range(q)]
-            for k in range(dim)]
-    combos = nullspace(rows, p + q)
-    points = []
-    for co in combos:
-        x = [ZERO] * dim
-        for i in range(p):
-            if co[i] != 0:
-                x = [xi + co[i] * ai for xi, ai in zip(x, a[i])]
-        points.append(tuple(x))
-    return span_basis(points, dim)
-
-
 def primitive(v: Vec) -> Vec:
     """Primitive integer vector on the ray of v, sign fixed by the first
     nonzero entry being positive.  Canonical key for lines through 0."""

@@ -577,7 +577,8 @@ def enumerate_lattice(predicate: Callable[[Vec], bool],
         if lo is None or hi is None:
             raise InputError("enumerate_lattice needs a finite bounding box")
         spans.append(range(math.ceil(lo), math.floor(hi) + 1))
-    check_box_size(math.prod(len(s) for s in spans))
+    # not len(s), which raises OverflowError past sys.maxsize
+    check_box_size(math.prod(max(0, s.stop - s.start) for s in spans))
     points = itertools.product(*spans)
     if coset is not None:
         points = filter(coset.contains, points)

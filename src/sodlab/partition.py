@@ -26,12 +26,12 @@ import itertools
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import partial
+from operator import mul
 from typing import Callable
 
 from .linalg import (Vec, ZERO, ONE, int_row, vadd, vscale, vsub, vec,
                      zero_vec)
-from .linprog import InputError, enumerate_lattice
+from .linprog import InputError, check_box_size, enumerate_lattice
 from .reps import RepSpec, find_destabilizer, weight_signs
 from .rootdata import (LeviDatum, RootDatum, full_levi, is_dominant, levi,
                        pairing, star_dominate)
@@ -207,13 +207,21 @@ def cell_members(rep: RepSpec, cell: PartitionCell, profile: ShiftProfile,
 
 def dominant_box_points(rep: RepSpec, radius: int) -> list[Vec]:
     """Dominant lattice weights with all coordinates in [-radius, radius],
-    pinned SL coordinates zero, in lexicographic order.  InputError when the
-    box holds more than ``LATTICE_BOX_CAP`` points."""
+    pinned SL coordinates zero, in lexicographic order.  The box is walked
+    one coordinate at a time: each prefix takes every value of the next
+    coordinate and is dropped once a dominance row whose last nonzero
+    coordinate it has just set pairs negatively with it.  InputError when
+    a step would test more than ``LATTICE_BOX_CAP`` points."""
     datum = rep.datum
     pinned = set(_pinned_coords(datum))
-    box = [(0, 0) if k in pinned else (-radius, radius)
-           for k in range(datum.rank)]
-    return enumerate_lattice(partial(is_dominant, datum), box)
+    prefixes = [()]
+    for k in range(datum.rank):
+        values = range(0, 1) if k in pinned else range(-radius, radius + 1)
+        check_box_size(len(prefixes) * (values.stop - values.start))
+        done = [c for c in datum.dominance_rows if c[k] and not any(c[k + 1:])]
+        prefixes = [p for p in (q + (x,) for q in prefixes for x in values)
+                    if all(sum(map(mul, c, p)) >= 0 for c in done)]
+    return [tuple(map(Fraction, p)) for p in prefixes]
 
 
 def partition_region(rep: RepSpec, profile: ShiftProfile,

@@ -36,6 +36,9 @@ def rational_str(x: Fraction) -> str:
 def parse_rational(s) -> Fraction:
     if isinstance(s, bool):
         raise InputError("expected a rational, got a boolean")
+    if isinstance(s, str) and any(c in s for c in "eE"):
+        # Fraction would build 10**exp before any size check
+        raise InputError(f"bad rational {s!r} (exponents are not accepted)")
     if isinstance(s, (int, str, Fraction)):
         try:
             return frac(s if not isinstance(s, str) else s.strip())

@@ -17,10 +17,12 @@ built once per (generators, central, ambient dimension) and kept in a
 process memo.  Its build finds the hyperplane flats of the generator lines
 by a scan of line subsets and takes both signed normals of each, with their
 support values, as the facets.  Those are the only faces the package
-enumerates: genericity reads them from the table too, as the span of every
-proper face is an intersection of facet spans.  The table holds the facets
-and an annihilator basis of span(generators + central), all normals
-primitive integer vectors.
+enumerates: genericity reads the facet normals from the table too, as the
+span of every proper face is an intersection of facet spans, each the
+kernel of its normal within V = span(generators + central).  The table
+holds the facets and an annihilator basis of V, all normals primitive
+integer vectors; every test of epsilon (parallel to V, generic, weakly
+generic) is an integer pairing with those rows.
 ``member_eps`` builds one integer predicate per window from it, and that
 predicate decides each lattice point with integer arithmetic on those
 pairings.  ``member`` has the same shape: it builds one predicate per
@@ -47,8 +49,8 @@ from operator import mul
 from typing import Callable
 
 from .linalg import (Vec, ZERO, ONE, frac, in_span, int_row, int_rows,
-                     is_zero_vec, nullspace, primitive, rank,
-                     subspace_intersection, vdot, vec, vneg, vsub, zero_vec)
+                     is_zero_vec, nullspace, primitive, rank, span_basis,
+                     vdot, vec, vneg, vsub, zero_vec)
 from .linprog import (InputError, LpBuilder, feasible_point, forced_tight,
                       lex_minimal_integral, lp_optimize, strict_feasible)
 from .rootdata import LeviDatum, RootDatum, full_levi
@@ -319,8 +321,10 @@ class FacetTable:
     the scan finds those.  The annihilator rows and the normals lam are
     primitive integer vectors (int tuples).  No other face is kept: the
     direction space of every proper face is, with span(central), the
-    intersection of the facet spans containing it (see
-    ``realizable_face_patterns``)."""
+    intersection of the facet spans containing it, and a facet span is the
+    kernel of its normal within V, so the normals decide genericity (see
+    ``realizable_face_patterns``) and the annihilator decides whether
+    epsilon is parallel to V."""
 
     annihilator: tuple[tuple[int, ...], ...]
     facets: tuple[tuple[tuple[int, ...], Fraction], ...]
@@ -385,8 +389,7 @@ def member_eps(generators, r, shift, e: EpsShift,
     shift = vec(shift)
     table = facet_table(generators, central, len(shift))
     eps = vec(e.epsilon)
-    if any(vdot(a, eps) for a in table.annihilator):
-        raise InputError("epsilon is not parallel to the zonotope")
+    _check_parallel(table, eps)
     r = frac(r)
     if r <= 0:
         raise InputError("zonotope radius must be positive")
@@ -423,8 +426,8 @@ def member_eps(generators, r, shift, e: EpsShift,
 # the sets F of distinct lines holding every line in span(F + central), short
 # of the full set.  Span arithmetic finds the maximal ones, the hyperplane
 # flats, whose normals are the facet normals.  The rest are never
-# enumerated: genericity is decided on the hyperplane flats alone (see
-# ``realizable_face_patterns``).
+# enumerated: genericity is decided by pairing epsilon and the invariants
+# with the facet normals alone (see ``realizable_face_patterns``).
 # ---------------------------------------------------------------------------
 
 # Most line subsets the hyperplane scan of ``_hyperplane_normals`` may test,
@@ -470,37 +473,33 @@ def _hyperplane_normals(lines, central, dim):
 
 
 def realizable_face_patterns(generators, central: Central = ()):
-    """Direction generators of the facets of the closed zonotope.
+    """The facet normals: the primitive int normal within V = span(generators
+    + central) of each hyperplane flat of the generator lines modulo
+    ``central``, one per facet pair of the table, in its order.  The name
+    is older than this return value; the benchmark's ``EXPECTED_CALLS`` and
+    ``patterns_realized`` counter pin it.
 
-    Returns one generator list per hyperplane flat of the distinct nonzero
-    generator lines modulo ``central``, in the order of the facet table:
-    the nonzero generators that pair to zero with the flat's normal, then
-    every zero generator (zero generators lie in every face direction
-    space).  The facets decide genericity for every proper face: for a
-    proper flat F, span(F + central) is the intersection of span(H +
-    central) over the hyperplane flats H containing F (Oxley, Matroid
-    Theory, ch. 1; Ziegler, Lectures on Polytopes, ch. 7).  Modulo
+    For a hyperplane flat H with normal lam, span(H + central) is ker lam
+    within V, and the span of a proper flat F with ``central`` is the
+    intersection of those of the hyperplane flats containing F (Oxley,
+    Matroid Theory, ch. 1; Ziegler, Lectures on Polytopes, ch. 7): modulo
     span(F + central) the lines off F span the quotient, and the normals of
-    the hyperplanes spanned by a basis among them form a dual basis, so a
-    vector off span(F + central) pairs nonzero with one of them.  Hence eps
-    lies in some proper face span iff it lies in some facet span, and an
-    invariant off span(F + central) with eps on it is off some span(H +
-    central) with eps on it.
+    the hyperplanes spanned by a basis among them form a dual basis.  So a
+    vector of V lies in some proper face span iff some normal vanishes on
+    it, and an invariant off span(F + central) with eps on it pairs nonzero
+    with some normal that vanishes on eps.
     """
-    gens = [vec(g) for g in generators]
-    if not gens:
+    if not generators:
         return []
-    table = facet_table(gens, central, len(gens[0]))
-    line_of = [None if is_zero_vec(g) else _int_primitive(g) for g in gens]
-    lines = set(line_of) - {None}
-    zeros = [g for g, line in zip(gens, line_of) if line is None]
-    patterns = []
-    # the facets come in pairs (lam, -lam), one pair per hyperplane flat
-    for lam, _ in table.facets[::2]:
-        flat = {v for v in lines if not sum(map(mul, lam, v))}
-        patterns.append([g for g, line in zip(gens, line_of) if line in flat]
-                        + zeros)
-    return patterns
+    table = facet_table(generators, central, len(generators[0]))
+    return [lam for lam, _ in table.facets[::2]]
+
+
+def _check_parallel(table: FacetTable, eps: Vec) -> None:
+    """InputError unless eps lies in V: pairs to zero with every
+    annihilator row of the table."""
+    if any(vdot(a, eps) for a in table.annihilator):
+        raise InputError("epsilon is not parallel to the zonotope")
 
 
 def _eps_preconditions(eps: Vec, source: RootDatum | LeviDatum, generators,
@@ -510,23 +509,22 @@ def _eps_preconditions(eps: Vec, source: RootDatum | LeviDatum, generators,
     src = full_levi(source) if isinstance(source, RootDatum) else source
     if not src.is_invariant(eps):
         raise InputError("epsilon is not Weyl-invariant")
-    if not in_span(list(generators) + list(central), eps):
-        raise InputError("epsilon is not parallel to the zonotope")
+    _check_parallel(facet_table(generators, central, len(eps)), eps)
     return src
 
 
 def is_weakly_generic(eps, source: RootDatum | LeviDatum, generators,
                       central: Central = ()) -> bool:
     """Whether eps avoids every face direction space that fails to contain
-    the whole invariant subspace (within the span of the zonotope)."""
+    the whole invariant subspace (within the span of the zonotope): whether
+    every facet normal that vanishes on eps vanishes on every invariant."""
     eps = vec(eps)
     src = _eps_preconditions(eps, source, generators, central)
     inv = invariants_in_span(src, generators, central)
     if not inv:
         return True  # every face direction space trivially qualifies
-    for zero_gens in realizable_face_patterns(generators, central):
-        dspan = zero_gens + list(central)
-        if in_span(dspan, eps) and not all(in_span(dspan, v) for v in inv):
+    for lam in realizable_face_patterns(generators, central):
+        if not vdot(lam, eps) and any(vdot(lam, v) for v in inv):
             return False
     return True
 
@@ -534,22 +532,30 @@ def is_weakly_generic(eps, source: RootDatum | LeviDatum, generators,
 def is_generic(eps, source: RootDatum | LeviDatum, generators,
                central: Central = ()) -> bool:
     """Whether eps is parallel to the zonotope but to none of its proper
-    faces."""
+    faces: whether it pairs nonzero with every facet normal."""
     eps = vec(eps)
     _eps_preconditions(eps, source, generators, central)
-    for zero_gens in realizable_face_patterns(generators, central):
-        if in_span(zero_gens + list(central), eps):
-            return False
-    return True
+    return all(vdot(lam, eps)
+               for lam in realizable_face_patterns(generators, central))
 
 
 def invariants_in_span(src: LeviDatum, generators, central) -> list[Vec]:
-    """Basis of (invariant subspace) intersect (span of the zonotope), both
-    taken in ambient coordinates together with the quotient directions."""
+    """Basis of (invariant subspace) intersect V = span(generators +
+    central), both taken in ambient coordinates together with the quotient
+    directions, less the vectors of span(central).  The intersection is
+    spanned by the combinations of the invariants and the central
+    directions that the annihilator of V pairs to zero.  The annihilator is
+    the kernel of the generators and central directions, not the facet
+    table's: standard-mode ``sod`` asks this of all the weights
+    (``sod.pick_epsilon``) and must not run a hyperplane scan or its cap."""
     dim = len(central[0]) if central else (
         len(generators[0]) if generators else src.datum.rank)
     inv_amb = list(src.invariant_vectors()) + list(central)
-    span_amb = [vec(g) for g in generators] + list(central)
-    inter = subspace_intersection(inv_amb, span_amb, dim)
+    annihilator = nullspace([vec(g) for g in generators] + list(central), dim)
+    combos = nullspace([[vdot(a, v) for v in inv_amb] for a in annihilator],
+                       len(inv_amb))
+    points = [tuple(sum((c * v[k] for c, v in zip(co, inv_amb) if c), ZERO)
+                    for k in range(dim)) for co in combos]
     central_list = list(central)
-    return [v for v in inter if not in_span(central_list, v)]
+    return [v for v in span_basis(points, dim)
+            if not in_span(central_list, v)]

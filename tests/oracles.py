@@ -13,7 +13,13 @@ reads the facets from the hyperplane flats of the lines.  The flat reference
 grows every proper flat by closure search with span arithmetic, keeping the
 flats of corank one as facets, and the genericity references test epsilon
 against the span of every proper flat; the package scans line subsets for
-the hyperplane flats alone and decides genericity on them.  The root-data
+the hyperplane flats alone and decides genericity by integer pairings with
+their normals.  The facet-normal reference derives one normal per maximal
+span of the realizable sign patterns.  The invariants within the zonotope's
+span are found here by intersecting two spans through the kernel of
+[A^T | -B^T]; the package pairs the invariants with the annihilator of the
+span.  The dominant-box reference tests every point of the box; the
+package walks it one coordinate at a time.  The root-data
 references average or alternate over every element of the Weyl group,
 enumerated breadth-first as reflection matrices; the package reads the same
 facts from the simple reflections by descent and orbit search on int
@@ -60,17 +66,15 @@ from sodlab.linalg import (identity, in_span, is_zero_vec, mat_vec, nullspace,
                            vscale, vsub, zero_vec)
 from sodlab.linprog import BoxedLinearProgram, InputError, LpBuilder, \
     LpResult, TightnessReport, _optimize_closed, _pivot, _simplex_iterate, \
-    feasible_point, forced_tight, lex_minimal_integral, lp_optimize, \
-    strict_feasible
-from sodlab.partition import (PartitionCell, PreconditionError,
-                              dominant_box_points, order_key)
+    enumerate_lattice, feasible_point, forced_tight, lex_minimal_integral, \
+    lp_optimize, strict_feasible
+from sodlab.partition import PartitionCell, PreconditionError, order_key
 from sodlab.reps import find_destabilizer
 from sodlab.rootdata import LeviDatum, full_levi, is_dominant, levi
 from sodlab.zonotope import (CLOSED, HALF_OPEN, REL_INT, FaceSignature,
                               FacetTable, _lines, coefficient_system,
-                              face_signature_at, facet_table,
-                              invariants_in_span, member, signature_classes,
-                              supporting_lambda)
+                              face_signature_at, facet_table, member,
+                              signature_classes, supporting_lambda)
 
 F = Fraction
 
@@ -425,6 +429,19 @@ def face_signature_reference(generators, shift, p, central=()):
                          tuple(sorted(zero)), False)
 
 
+def dominant_box_points_reference(rep, radius):
+    """Every point of the box [-radius, radius]^rank, pinned SL coordinates
+    zero, tested for dominance in lexicographic order; InputError when the
+    whole box holds more than ``LATTICE_BOX_CAP`` points.  The package
+    walks the box one coordinate at a time and drops a prefix as soon as a
+    dominance row it completes fails."""
+    datum = rep.datum
+    pinned = {pin for _, pin in datum.quotient_pairs}
+    box = [(0, 0) if k in pinned else (-radius, radius)
+           for k in range(datum.rank)]
+    return enumerate_lattice(lambda p: is_dominant(datum, p), box)
+
+
 def partition_region_reference(rep, profile, box_radius):
     """``partition.partition_region`` point by point and cell by cell: the
     face-signature function runs at every dominant point of the box, and
@@ -438,7 +455,7 @@ def partition_region_reference(rep, profile, box_radius):
     at = face_signature_at(rep.expanded, shift,
                            central=datum.central_directions)
     groups = {}
-    for chi in dominant_box_points(rep, box_radius):
+    for chi in dominant_box_points_reference(rep, box_radius):
         groups.setdefault(at(datum.normalize_weight(chi)), []).append(chi)
     cells = []
     for sig, pts in groups.items():
@@ -753,11 +770,70 @@ def is_weakly_generic_reference(eps, source, generators, central=()):
     invariant and parallel to the zonotope) but misses an invariant of
     ``source`` within the zonotope's span, every proper flat tested."""
     src = source if isinstance(source, LeviDatum) else full_levi(source)
-    inv = invariants_in_span(src, generators, central)
+    inv = invariants_in_span_reference(src, generators, central)
     return not any(in_span(base, vec(eps))
                    and not all(in_span(base, v) for v in inv)
                    for base in _proper_face_spans_reference(generators,
                                                             central))
+
+
+def subspace_intersection_reference(basis_a, basis_b, dim):
+    """Basis of span(basis_a) intersect span(basis_b).
+
+    A point of the intersection is sum(alpha_i a_i) = sum(beta_j b_j); the
+    coefficient pairs form the kernel of [A^T | -B^T].
+    """
+    a = list(basis_a)
+    bvs = list(basis_b)
+    if not a or not bvs:
+        return []
+    p, q = len(a), len(bvs)
+    rows = [[a[i][k] for i in range(p)] + [-bvs[j][k] for j in range(q)]
+            for k in range(dim)]
+    combos = nullspace(rows, p + q)
+    points = []
+    for co in combos:
+        x = [F(0)] * dim
+        for i in range(p):
+            if co[i] != 0:
+                x = [xi + co[i] * ai for xi, ai in zip(x, a[i])]
+        points.append(tuple(x))
+    return span_basis(points, dim)
+
+
+def invariants_in_span_reference(src, generators, central):
+    """The invariants of the Levi ``src`` within span(generators +
+    central), by intersecting the two spans, less the vectors of
+    span(central); the package pairs the invariants with the annihilator
+    of the span instead."""
+    dim = len(central[0]) if central else (
+        len(generators[0]) if generators else src.datum.rank)
+    inv_amb = list(src.invariant_vectors()) + list(central)
+    span_amb = [vec(g) for g in generators] + list(central)
+    inter = subspace_intersection_reference(inv_amb, span_amb, dim)
+    return [v for v in inter if not in_span(list(central), v)]
+
+
+def facet_normals_reference(generators, central=()):
+    """One facet normal per maximal span(zero generators + central) over
+    the realizable sign patterns of ``realizable_face_patterns_reference``:
+    the first kernel vector of that span that pairs nonzero with some
+    generator, made primitive, as ints."""
+    gens = [vec(g) for g in generators]
+    if not gens:
+        return []
+    dim = len(gens[0])
+    spans = {tuple(span_basis(list(z) + list(central), dim))
+             for _, z in realizable_face_patterns_reference(gens, central)}
+    normals = []
+    for base in sorted(spans):
+        if any(b != base and all(in_span(b, v) for v in base)
+               for b in spans):
+            continue  # inside a larger face span
+        lam = next(n for n in nullspace(base, dim)
+                   if any(vdot(n, g) for g in gens))
+        normals.append(tuple(int(x) for x in primitive(lam)))
+    return normals
 
 
 # ---------------------------------------------------------------------------

@@ -34,6 +34,11 @@ PFAFFIAN_CFG = {
 }
 
 
+GL2_CFG = {"group": "GL(2)",
+           "representation": [{"kind": "vector_power", "h": 2},
+                              {"kind": "dual_vector_power", "h": 2}]}
+
+
 class TestRationals:
     def test_roundtrip(self):
         for s in ("3", "-2", "1/2", "-7/3"):
@@ -46,6 +51,12 @@ class TestRationals:
     def test_rejects_garbage(self):
         with pytest.raises(InputError):
             parse_rational("a/b")
+
+    def test_decimals_but_no_exponents(self):
+        assert parse_rational(" 1.5 ") == Fraction(3, 2)
+        for s in ("1e3", "1E3", "2.5e-1", "1/2e1"):
+            with pytest.raises(InputError, match="exponents are not accepted"):
+                parse_rational(s)
 
 
 class TestConfigValidation:
@@ -184,12 +195,74 @@ class TestCliProcess:
             rootdata.build_group.cache_clear()
         assert built == [2]
 
+    def test_rank_four_pfaffian_preset_is_a_twisted_nccr(self, tmp_path):
+        """The odd Pfaffian at n = 4, h = 9 at the preset's box radius 6,
+        whose 13^4-point box is over the lattice cap as a whole: all 7
+        nccr certificates read TwistedNCCR with an empty prazno set."""
+        out = tmp_path / "nccr.json"
+        assert main(["nccr", "--preset", "pfaffian:n=4,h=9",
+                     "--out", str(out)]) == 0
+        certs = [c["certificate"] for c in json.loads(out.read_text())["nccr"]]
+        assert len(certs) == 7
+        assert all(c["verdict"] == "TwistedNCCR" and c["prazno_empty"] is True
+                   for c in certs)
+
     def test_malformed_config_exits_two(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text("{not json")
         assert main(["sod", "--config", str(path)]) == 2
         err = capsys.readouterr().err
         assert "configuration error" in err
+
+    @pytest.mark.parametrize("key", ["box_radius", "degree_bound"])
+    def test_integer_past_the_digit_limit_exits_two(self, tmp_path, capsys,
+                                                    key):
+        # json.loads refuses an integer of more than 4,300 digits with a
+        # ValueError that is not a JSONDecodeError
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(GL2_CFG)[:-1] + f', "{key}": '
+                        + "9" * 5001 + "}")
+        assert main(["partition", "--config", str(path)]) == 2
+        assert capsys.readouterr().err.startswith(
+            "sodlab: configuration error")
+
+    @pytest.mark.parametrize("key", ["representation", "nu"])
+    def test_nesting_past_the_recursion_limit_exits_two(self, tmp_path,
+                                                        capsys, key):
+        # json.loads raises RecursionError on arrays 100,000 deep
+        depth = 100_000
+        path = tmp_path / "deep.json"
+        path.write_text('{"group": "GL(2)", ' + f'"{key}": '
+                        + "[" * depth + "]" * depth + "}")
+        assert main(["sod", "--config", str(path)]) == 2
+        assert capsys.readouterr().err.startswith(
+            "sodlab: configuration error")
+
+    @pytest.mark.parametrize("key, value", [
+        ("r_max", "1e5000"),
+        ("r_max", "1e-5000"),
+        ("nu", ["1e5000", "0"]),
+        ("epsilon", ["0", "1E-5000"]),
+        ("twist", {"sublattice_basis": [["1e5000", "0"], ["0", "2"]],
+                   "coset_offset": ["0", "0"]}),
+        ("twist", {"sublattice_basis": [["2", "0"], ["0", "2"]],
+                   "coset_offset": ["1e-5000", "0"]}),
+    ])
+    def test_exponent_notation_exits_two(self, tmp_path, capsys, key, value):
+        # Fraction accepts "1e5000", and the report could not echo it
+        cfg = dict(GL2_CFG, box_radius=1, **{key: value})
+        assert main(["sod", "--config", write_config(tmp_path, cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("sodlab: configuration error")
+        assert "exponents are not accepted" in err
+
+    def test_huge_exponent_exits_two_fast(self, tmp_path, capsys):
+        # refused before Fraction would build 10**1000000
+        cfg = dict(GL2_CFG, box_radius=1, r_max="1e1000000")
+        start = time.perf_counter()
+        assert main(["sod", "--config", write_config(tmp_path, cfg)]) == 2
+        assert time.perf_counter() - start < 0.1
+        assert "exponents are not accepted" in capsys.readouterr().err
 
     def test_unknown_preset_exits_two(self):
         assert main(["sod", "--preset", "octonion:n=1"]) == 2
@@ -301,6 +374,20 @@ class TestCliProcess:
         assert main(["partition", "--config", cfgp]) == 2
         assert time.perf_counter() - start < 1
         assert "holds 361201 points" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("subcommand, cfg, count", [
+        ("partition", dict(GL2_CFG, box_radius=10 ** 20), 2 * 10 ** 20 + 1),
+        ("sod", {"group": "Torus(1)", "representation": [
+            {"kind": "weights", "weights": [{"weight": [10 ** 20]},
+                                            {"weight": [-10 ** 20]}]}],
+                 "mode": "quasi_symmetric", "epsilon": ["0"]}, 10 ** 20 + 1),
+    ])
+    def test_box_past_the_index_range_exits_two(self, tmp_path, capsys,
+                                                subcommand, cfg, count):
+        # len() of a range past sys.maxsize raises OverflowError, so the
+        # partition and window boxes are counted without it
+        assert main([subcommand, "--config", write_config(tmp_path, cfg)]) == 2
+        assert f"holds {count} points" in capsys.readouterr().err
 
     def test_destabilizer_search_past_the_cap_exits_two_fast(self, tmp_path,
                                                              capsys):

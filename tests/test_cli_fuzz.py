@@ -1,9 +1,10 @@
 """Property test of the CLI contract: whatever the configuration, ``main``
 returns 0, 2 or 3 and lets no exception escape.
 
-Each example is a well-formed job on a catalog group of rank at most 3 with
-up to two of its fields replaced by malformed values: bools, strings, floats,
-vectors of the wrong length, bad group tags."""
+Each example is a well-formed job on a catalog group of rank at most 4 with
+up to two of its fields replaced by malformed values: bools, strings
+(exponent notation among them), floats, vectors of the wrong length, bad
+group tags."""
 
 import json
 import tempfile
@@ -17,6 +18,7 @@ from sodlab.report import SUBCOMMANDS
 RANKS = {"Torus(0)": 0, "Torus(1)": 1, "Torus(2)": 2, "Torus(3)": 3,
          "GL(1)": 1, "GL(2)": 2, "GL(3)": 3, "SL(2)": 2, "SL(3)": 3,
          "Sp(2)": 1, "Sp(4)": 2, "Sp(6)": 3,
+         "GL(4)": 4, "SL(4)": 4, "Sp(8)": 4,
          "Product(SL(2),Torus(1))": 3, "Product(GL(1),Sp(2))": 2}
 BAD_GROUPS = ("", "GL(0)", "SL(1)", "Sp(3)", "Torus(-1)", "Foo(2)", "GL(2",
               "Product()", "Product(SL(2),)", "Product(SL(2)")
@@ -25,7 +27,7 @@ rational = st.one_of(st.integers(-2, 2).map(str),
                      st.sampled_from(("1/2", "-3/2")), st.integers(-2, 2))
 junk = st.one_of(st.booleans(), st.none(),
                  st.floats(allow_nan=False, allow_infinity=False),
-                 st.sampled_from(("", "x", "00", "1/0", "1.5")),
+                 st.sampled_from(("", "x", "00", "1/0", "1.5", "1e5000")),
                  st.integers(-3, 3), st.just({}), st.just([[1]]),
                  st.lists(rational, max_size=4))
 

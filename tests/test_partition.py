@@ -2,11 +2,13 @@ import dataclasses
 import itertools
 import random
 from fractions import Fraction as F
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from oracles import (brute_force_signature, partition_region_reference,
+from oracles import (brute_force_signature, dominant_box_points_reference,
+                     partition_region_reference,
                      random_generators, signature_to_value_counts,
                      weyl_generators_reference, window_box_reference)
 from sodlab import partition, zonotope
@@ -28,6 +30,14 @@ SP4 = build_group("Sp(4)")
 
 TORUS_4 = rep_spec(T1, [((1,), 2), ((-1,), 2)])
 PROF_T1 = make_profile(T1)
+
+# catalog groups for the dominant box walk: tori, GL, SL and Sp up to rank
+# 4, and products
+DOMINANT_BOX_GROUPS = (
+    "Torus(1)", "Torus(2)", "Torus(3)", "GL(1)", "GL(2)", "GL(3)", "GL(4)",
+    "SL(2)", "SL(3)", "SL(4)", "Sp(2)", "Sp(4)", "Sp(6)", "Sp(8)",
+    "Product(SL(2),Torus(1))", "Product(GL(2),Sp(4))",
+    "Product(SL(2),SL(2))", "Product(GL(1),Sp(2))")
 
 
 class TestSignatureOf:
@@ -124,6 +134,41 @@ class TestPartitionRegion:
         assert dominant_box_points(sl2, r - 1)
         with pytest.raises(InputError, match=f"holds {2 * r + 1} points"):
             dominant_box_points(sl2, r)
+
+    @pytest.mark.parametrize("tag", DOMINANT_BOX_GROUPS)
+    def test_dominant_box_points_match_full_box_reference(self, tag):
+        """The coordinate walk against the dominance test of every box
+        point, at every radius where the whole box is under the cap; past
+        it the reference refuses."""
+        datum = build_group(tag)
+        rep = SimpleNamespace(datum=datum)
+        free = datum.rank - len(datum.quotient_pairs)
+        for radius in (0, 1, 2, 3, 6):
+            if (2 * radius + 1) ** free > LATTICE_BOX_CAP:
+                with pytest.raises(InputError, match="above the cap"):
+                    dominant_box_points_reference(rep, radius)
+            else:
+                assert dominant_box_points(rep, radius) == \
+                    dominant_box_points_reference(rep, radius)
+
+    @pytest.mark.parametrize("tag, count", [("GL(4)", 1820), ("Sp(8)", 210)])
+    def test_rank_four_box_at_the_preset_radius(self, tag, count,
+                                                monkeypatch):
+        """The 13^4 = 28,561-point box of a rank-4 preset is over the cap
+        as a whole, but the walk tests at most 5,915 points in one step."""
+        datum = build_group(tag)
+        rep = SimpleNamespace(datum=datum)
+        steps = []
+        check = partition.check_box_size
+        monkeypatch.setattr(partition, "check_box_size",
+                            lambda n: (steps.append(n), check(n)))
+        points = dominant_box_points(rep, 6)
+        assert steps == [13, 169, 1183, 5915]
+        assert len(points) == count == len(set(points))
+        assert points == sorted(points)
+        assert all(is_dominant(datum, p) for p in points)
+        with pytest.raises(InputError, match="holds 28561 points"):
+            dominant_box_points_reference(rep, 6)
 
     def test_cells_sorted(self):
         cells = partition_region(TORUS_4, PROF_T1, 4)

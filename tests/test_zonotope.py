@@ -11,7 +11,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from oracles import (brute_force_signature, face_signature_reference,
-                     facet_table_reference, forced_tight_reference,
+                     facet_normals_reference, facet_table_reference,
+                     forced_tight_reference, invariants_in_span_reference,
                      is_generic_reference, is_weakly_generic_reference,
                      member_eps_facet_reference, member_eps_reference,
                      member_eps_strict_reference, member_reference,
@@ -28,7 +29,7 @@ from sodlab.partition import make_profile, signature_of
 from sodlab.report import parse_config, render, run_job
 from sodlab.reps import construct_rep, rep_spec, weight_signs
 from sodlab.rootdata import (build_group, full_levi, invariant_subspace,
-                             make_dominant, orbit)
+                             levi, make_dominant, orbit)
 from sodlab.zonotope import (CLOSED, HALF_OPEN, REL_INT, EpsShift,
                              FaceSignature, _coefficient_program,
                              face_signature_at, facet_table,
@@ -777,7 +778,9 @@ class TestFlats:
 
     def test_flats_match_sign_patterns(self, monkeypatch):
         """Each facet span comes once, the facet spans are the maximal spans
-        of the realizable sign patterns, and genericity agrees on both."""
+        of the realizable sign patterns, the normals are those derived from
+        the patterns, and genericity agrees when the patterns' normals are
+        injected."""
         rng = random.Random(3)
         seen = set()
         cases = 0
@@ -786,21 +789,24 @@ class TestFlats:
             central = datum.central_directions
             for _ in range(8):
                 gens = random_generators(rng, datum)
-                flats = realizable_face_patterns(gens, central)
+                normals = realizable_face_patterns(gens, central)
+                assert all(type(x) is int for lam in normals for x in lam)
                 ref = [z for _, z in
                        realizable_face_patterns_reference(gens, central)]
+                flats = [[g for g in gens if not vdot(lam, g)]
+                         for lam in normals]
                 spans = face_spans(flats, central, datum.rank)
                 assert len(set(spans)) == len(spans)
                 assert set(spans) == maximal_spans(
                     face_spans(ref, central, datum.rank)), (tag, gens)
-                zeros = [g for g in gens if not any(g)]
-                assert all(z[len(z) - len(zeros):] == zeros for z in flats)
+                ref_normals = facet_normals_reference(gens, central)
+                assert sorted(normals) == sorted(ref_normals), (tag, gens)
 
                 eps_list = candidate_eps(rng, datum, gens, central)
                 got = [eps_status(e, datum, gens, central) for e in eps_list]
                 with monkeypatch.context() as m:
                     m.setattr(zonotope, "realizable_face_patterns",
-                              lambda g, c=(), _ref=ref: _ref)
+                              lambda g, c=(), _ref=ref_normals: _ref)
                     want = [eps_status(e, datum, gens, central)
                             for e in eps_list]
                 assert got == want, (tag, gens)
@@ -859,9 +865,9 @@ class TestFlats:
         (TORUS_HEXAGON, "Fails"), (SL2_TORUS_PRISM, "WeaklyGeneric")])
     def test_nccr_reaches_the_invariant_loop(self, config, status, tmp_path,
                                              monkeypatch):
-        """nccr on configs whose weak genericity check tests face spans
+        """nccr on configs whose weak genericity check tests facet normals
         against nonzero invariants: component 0's status, and the same
-        report bytes when the faces come from every realizable sign
+        report bytes when the normals come from every realizable sign
         pattern by LP."""
         path = tmp_path / "config.json"
         path.write_text(json.dumps(config))
@@ -872,12 +878,47 @@ class TestFlats:
         assert [c["certificate"]["eps_status"]
                 for c in json.loads(got)["nccr"]
                 if c["component_index"] == 0] == [status]
-        monkeypatch.setattr(
-            zonotope, "realizable_face_patterns",
-            lambda g, c=(): [z for _, z in
-                             realizable_face_patterns_reference(g, c)])
+        monkeypatch.setattr(zonotope, "realizable_face_patterns",
+                            facet_normals_reference)
         assert main(args) == 0
         assert out.read_bytes() == got
+
+
+# groups for the invariants within the zonotope's span: tori, SL blocks,
+# products and groups with nonzero invariants
+INVARIANT_SPAN_GROUPS = FLAT_GROUPS + ("GL(2)", "GL(3)",
+                                       "Product(GL(2),Torus(1))", "Sp(4)")
+
+
+def test_invariants_in_span_matches_intersection_reference():
+    """invariants_in_span, which pairs the invariants with the annihilator
+    of the zonotope's span, against the intersection of the two spans:
+    random generators (sometimes none), a random Levi of the group and its
+    SL directions as the central ones; the basis and its order agree."""
+    sizes = Counter()
+
+    @settings(derandomize=True, database=None, max_examples=300,
+              deadline=None)
+    @given(st.sampled_from(INVARIANT_SPAN_GROUPS), st.integers(0, 2 ** 32))
+    def check(tag, seed):
+        rng = random.Random(seed)
+        datum = build_group(tag)
+        central = datum.central_directions
+        gens = (() if rng.random() < 0.15
+                else random_generators(rng, datum, max_lines=8))
+        while True:
+            lam = tuple(rng.randint(-2, 2) for _ in range(datum.rank))
+            if datum.coweight_ok(lam):
+                break
+        lv = levi(datum, vec(lam))
+        got = invariants_in_span(lv, gens, central)
+        assert got == invariants_in_span_reference(lv, gens, central), \
+            (tag, gens, lam)
+        sizes[len(got), bool(gens)] += 1
+
+    check()
+    assert {n for n, _ in sizes} >= {0, 1, 2}
+    assert (0, False) in sizes
 
 
 # ---------------------------------------------------------------------------
