@@ -12,8 +12,8 @@ Everything runs on int tuples: weights times a common denominator.  A table
 holds its weights at one scale (the least common denominator D of the
 representation's weights, D = 1 for every catalog representation); sorted
 `Fraction` keys are built only when `entries` is read.  The Freudenthal walk
-runs at the scale of chi, rho and the roots, on the form ``gram_ints``,
-each root's G a and a . G a read once from `rootdata.root_form`;
+runs at the scale of chi, rho and the roots under the dot product, the
+invariant form of every catalog group, with each root's a . a read once;
 the Hom-block kernel is keyed at the scale of the Sym^d tables.  The Weyl
 dimension is an integer product over the primitive integer rows of the
 Levi's positive coroots.
@@ -31,7 +31,7 @@ from .linalg import Vec, int_row, int_rows, vadd, vec
 from .linprog import InputError
 from .reps import RepSpec
 from .rootdata import (LeviDatum, RootDatum, descend, full_levi, is_dominant,
-                       orbit, root_form)
+                       orbit)
 
 # Most entries the symmetric-power program may write in one build: the
 # top + 1 degree tables, then one per (entry, degree step) update, each pass
@@ -128,19 +128,14 @@ def irr_character(datum: RootDatum, chi: Vec,
     base = int_rows([chi, *lv.phi_lambda_plus])[1]
     (chi, rho, *roots), scale = int_rows(
         [chi, lv.rho_bar_lambda, *lv.phi_lambda_plus])
-    gram = datum.gram_ints
-
-    def form(u, v):
-        return sum(x * sum(map(mul, row, v)) for x, row in zip(u, gram))
-
-    # per root a: G a and (a, a), so that (mu + k a, a) and the norm of
+    # per root a: (a, a . a), so that (mu + k a) . a and the norm of
     # mu + k a + rho step in k without vector arithmetic
-    root_data = [(a, *root_form(gram, a)) for a in roots]
-    top = form(tuple(map(add, chi, rho)), tuple(map(add, chi, rho)))
+    root_data = [(a, sum(map(mul, a, a))) for a in roots]
+    top = sum(x * x for x in map(add, chi, rho))
     # Every dominant weight below chi is reached from chi by subtracting
     # positive roots through dominant weights only (Stembridge, "The partial
     # order of dominant weights", 1998).  The walk stays inside chi's coset
-    # of the root lattice, in which the stored form is consistent, so the
+    # of the root lattice, in which the dot product is consistent, so the
     # section normalization is applied to the lookup keys only.
     found, stack = {chi}, [chi]
     while stack:
@@ -156,14 +151,14 @@ def irr_character(datum: RootDatum, chi: Vec,
     mults: dict[tuple[int, ...], int] = {normalize(chi): 1}
     for mu in dominants[1:]:
         shifted = tuple(map(add, mu, rho))
-        norm = form(shifted, shifted)
+        norm = sum(x * x for x in shifted)
         denom = top - norm
         if denom == 0:  # impossible for dominant mu strictly below chi
             raise InputError("Freudenthal denominator vanished")
         rhs = 0
-        for a, ga, aa in root_data:
-            pair = sum(map(mul, mu, ga))
-            cross = sum(map(mul, shifted, ga))
+        for a, aa in root_data:
+            pair = sum(map(mul, mu, a))
+            cross = sum(map(mul, shifted, a))
             nu, k = mu, 1
             while True:
                 nu = tuple(map(add, nu, a))

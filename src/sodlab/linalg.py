@@ -84,15 +84,11 @@ def is_integral(a: Vec) -> bool:
     return all(x.denominator == 1 for x in a)
 
 
-def identity(n: int) -> Mat:
-    return tuple(tuple(ONE if i == j else ZERO for j in range(n)) for i in range(n))
-
-
 def mat_vec(m: Mat, v: Vec) -> Vec:
     return tuple(vdot(row, v) for row in m)
 
 
-def _ray_ints(row) -> list[int]:
+def ray_ints(row) -> list[int]:
     """row times its least common denominator, divided by the gcd of its
     entries: the primitive integer row on its ray (a zero row stays zero)."""
     ints = int_row(row)[0]
@@ -119,7 +115,7 @@ def _eliminate(rows) -> tuple[list[list[int]], list[int]]:
     textbook order: the first nonzero entry in row order, column by column.
     Returns (rows, pivot columns) with the pivot rows first; each pivot row
     divided by its pivot entry is the RREF row, and the rest are zero."""
-    m = [_ray_ints(row) for row in rows]
+    m = [ray_ints(row) for row in rows]
     pivots: list[int] = []
     r = 0
     for c in range(len(m[0]) if m else 0):
@@ -190,7 +186,7 @@ def in_span(vectors: Sequence[Vec], target: Vec) -> bool:
     if is_zero_vec(target):
         return True
     m, pivots = _eliminate(vectors)
-    t = _ray_ints(target)
+    t = ray_ints(target)
     for prow, c in zip(m, pivots):
         if t[c]:
             t = _clear(t, prow, c)
@@ -208,7 +204,7 @@ def primitive(v: Vec) -> Vec:
     nonzero entry being positive.  Canonical key for lines through 0."""
     if is_zero_vec(v):
         return v
-    ints = _ray_ints(v)
+    ints = ray_ints(v)
     if next(x for x in ints if x) < 0:
         ints = [-x for x in ints]
     return tuple(map(Fraction, ints))

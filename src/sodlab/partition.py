@@ -256,6 +256,12 @@ def partition_region(rep: RepSpec, profile: ShiftProfile,
 # Reduction-setting validation.
 # ---------------------------------------------------------------------------
 
+# Most sums the reduction-setting check may test, one per nonempty
+# sub-multiset of the lam-positive weights: prod(m + 1) - 1.  The tests need
+# at most 3, and Sp(8) V^8 (6,560) takes 1.7 s; past the cap none is tested.
+REDUCTION_SUM_CAP = 1_000
+
+
 @dataclass(frozen=True)
 class ReductionValidation:
     status: str  # "ok" | "precondition_failed"
@@ -273,7 +279,8 @@ def validate_reduction_setting(rep: RepSpec, window, chi: Vec, lam: Vec
     chi strictly below its pairing with every window element.  Then every
     nonempty sub-multiset of the lam-positive weights must send chi back into
     the window under the shifted dominant representative (sums whose shifted
-    representative is undefined are exempt).
+    representative is undefined are exempt).  InputError when there are more
+    than ``REDUCTION_SUM_CAP`` such sub-multisets.
     """
     datum = rep.datum
     chi = datum.normalize_weight(vec(chi))
@@ -294,6 +301,10 @@ def validate_reduction_setting(rep: RepSpec, window, chi: Vec, lam: Vec
         w = rep.expanded[i]
         value_counts[w] = value_counts.get(w, 0) + 1
     values = sorted(value_counts.items())
+    sums = math.prod(m + 1 for _, m in values) - 1
+    if sums > REDUCTION_SUM_CAP:
+        raise InputError(f"the lambda-positive weights have {sums} nonempty "
+                         f"sub-multisets, above the cap of {REDUCTION_SUM_CAP}")
     violations = []
     choices = [range(m + 1) for _, m in values]
     for take in itertools.product(*choices):

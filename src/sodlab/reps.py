@@ -55,8 +55,15 @@ def _checked_weight(datum: RootDatum, w) -> Vec:
     return datum.normalize_weight(w)
 
 
+# Largest dimension (multiplicities summed) of a representation.  The tests
+# and benchmark jobs build at most 108, and 10,000 (GL(1), +-1 each 5,000
+# times) takes 2.1 s on ``nccr``; past the cap no weight list is expanded.
+REP_DIM_CAP = 10_000
+
+
 def rep_spec(datum: RootDatum, weights) -> RepSpec:
-    """Build a RepSpec from (weight, multiplicity) pairs."""
+    """Build a RepSpec from (weight, multiplicity) pairs.  InputError when
+    the multiplicities sum past ``REP_DIM_CAP``."""
     pairs = []
     for w, m in weights:
         w = _checked_weight(datum, w)
@@ -66,6 +73,10 @@ def rep_spec(datum: RootDatum, weights) -> RepSpec:
         if m < 1:
             raise InputError("multiplicities must be >= 1")
         pairs.append((w, m))
+    dim = sum(m for _, m in pairs)
+    if dim > REP_DIM_CAP:
+        raise InputError(f"representation of dimension {dim} is above the "
+                         f"cap of {REP_DIM_CAP}")
     expanded = []
     for w, m in pairs:
         expanded.extend([w] * m)

@@ -14,11 +14,11 @@ coordinates (and a nonnegative tail coordinate for Sp).
 The Weyl group is never enumerated: dominant conjugates, signed orbits and
 fixed spaces all come from the simple reflections s_a(v) = v - <a^vee, v> a
 (Humphreys, *Introduction to Lie Algebras and Representation Theory*, 10).
-One integer kernel, ``root_form``, pairs a root with the form: it returns
-(G a, a . G a), from which the coroot a^vee = 2 G a / (a . G a) is read.
-No coroot is stored as a vector: its ray, sign(a . G a) G a made primitive,
+The invariant form of every catalog group is the dot product, so the coroot
+of a is a^vee = 2 a / (a . a) (Humphreys, 9.1) and its ray is the root's
+own.  No coroot is stored as a vector: the primitive int tuple of each root
 gives the ``dominance_rows`` (simple coroots) and ``weyl_rows`` (positive
-coroots), and with the norm it gives the reflections.  Descent and orbits
+coroots), and with a . a it gives the reflections.  Descent and orbits
 run on int tuples (weights times a common denominator): each simple
 reflection, followed by ``normalize_weight``, is one integer matrix and one
 positive denominator (``LeviDatum.reflections``).
@@ -34,10 +34,9 @@ from functools import cache, cached_property
 from itertools import compress
 from operator import mul, sub
 
-from .linalg import (Mat, Vec, ZERO, ONE, identity, in_span, int_row,
-                     int_rows, is_zero_vec, mat_vec, nullspace, rref,
-                     span_basis, vadd, vdot, vneg, vscale, vsub, vec,
-                     zero_vec)
+from .linalg import (Mat, Vec, ZERO, ONE, in_span, int_row, int_rows,
+                     is_zero_vec, nullspace, ray_ints, rref, span_basis, vadd,
+                     vdot, vneg, vscale, vsub, vec, zero_vec)
 from .linprog import InputError
 
 # Integer rows and a positive denominator: the linear map v -> rows v / d.
@@ -53,7 +52,6 @@ class RootDatum:
     roots: tuple[Vec, ...]
     positive_roots: tuple[Vec, ...]
     simple_roots: tuple[Vec, ...]
-    gram: Mat
     rho_bar: Vec
     # Character directions modded out (one per SL block), paired with the
     # block coordinate pinned to zero by the canonical section.
@@ -68,16 +66,9 @@ class RootDatum:
             raise InputError("roots not closed under negation")
         if _half_sum(scale, positives, self.rank) != self.rho_bar:
             raise InputError("rho_bar is not half the sum of positive roots")
-        # <a^vee, a> = 2 for 2 G a / (a . G a) unless a . G a vanishes
-        gram = self.gram_ints
-        if any(not root_form(gram, a)[1] for a in roots):
-            raise InputError("coroot normalization broken")
-
-    @cached_property
-    def gram_ints(self) -> tuple[tuple[int, ...], ...]:
-        """The stored form times its least common denominator: integer
-        rows, one scale for the whole matrix."""
-        return tuple(int_rows(self.gram)[0])
+        # 2 a / (a . a) is the coroot of every nonzero a
+        if any(not any(a) for a in roots):
+            raise InputError("a root is zero, so it has no coroot")
 
     @cached_property
     def root_ints(self) -> tuple[int, tuple[tuple[int, ...], ...],
@@ -92,7 +83,7 @@ class RootDatum:
 
     @cached_property
     def dominance_rows(self) -> tuple[tuple[int, ...], ...]:
-        return _coroot_rows(self, self.simple_roots)
+        return _coroot_rows(self.simple_roots)
 
     @property
     def central_directions(self) -> tuple[Vec, ...]:
@@ -118,26 +109,11 @@ class RootDatum:
         return chi
 
 
-def root_form(gram_ints, a: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
-    """(G a, a . G a) for the int form G and the int tuple a: the one place
-    a root meets the form.  For the root a / t (t > 0) the coroot is
-    2 t G a / (a . G a)."""
-    q = tuple(sum(map(mul, row, a)) for row in gram_ints)
-    return q, sum(map(mul, a, q))
-
-
-def _coroot_rows(datum: RootDatum, roots) -> tuple[tuple[int, ...], ...]:
-    """The coroots of the given roots, each scaled by a positive rational to
-    a primitive int tuple: sign(a . G a) G a made primitive, since the form
-    may be indefinite.  With the simple roots these are the dominance rows,
-    since every positive coroot is a nonnegative combination of the simple
-    ones."""
-    rows = []
-    for a in roots:
-        q, norm = root_form(datum.gram_ints, int_row(a)[0])
-        g = math.gcd(*q) if norm > 0 else -math.gcd(*q)
-        rows.append(tuple(x // g for x in q))
-    return tuple(rows)
+def _coroot_rows(roots) -> tuple[tuple[int, ...], ...]:
+    """The coroot 2 a / (a . a) of each root on its ray: the root's own
+    primitive int tuple.  With the simple roots these are the dominance
+    rows, every positive coroot being a nonnegative sum of simple ones."""
+    return tuple(tuple(ray_ints(a)) for a in roots)
 
 
 def _half_sum(scale: int, ints, rank: int) -> Vec:
@@ -157,16 +133,16 @@ def _unit(n: int, i: int) -> Vec:
 def _build_torus(n: int) -> RootDatum:
     return RootDatum(
         label=f"Torus({n})", rank=n, roots=(), positive_roots=(),
-        simple_roots=(), gram=identity(n), rho_bar=zero_vec(n))
+        simple_roots=(), rho_bar=zero_vec(n))
 
 
 def _from_positive_roots(label: str, n: int, pos: list[Vec], simple: list[Vec],
                          quotient_pairs=()) -> RootDatum:
-    """Root datum under the identity form."""
+    """Root datum with the given positive and simple roots."""
     ints, scale = int_rows(pos)
     return RootDatum(
         label=label, rank=n, roots=tuple(pos) + tuple(vneg(a) for a in pos),
-        positive_roots=tuple(pos), simple_roots=tuple(simple), gram=identity(n),
+        positive_roots=tuple(pos), simple_roots=tuple(simple),
         rho_bar=_half_sum(scale, ints, n),
         quotient_pairs=quotient_pairs)
 
@@ -221,11 +197,16 @@ def _product(factors: list[RootDatum]) -> RootDatum:
     label = "Product(" + ",".join(f.label for f in factors) + ")"
     return RootDatum(
         label=label, rank=rank, roots=tuple(roots), positive_roots=tuple(pos),
-        simple_roots=tuple(simple), gram=identity(rank), rho_bar=rho,
+        simple_roots=tuple(simple), rho_bar=rho,
         quotient_pairs=tuple(quo))
 
 
 _TAG = re.compile(r"^\s*(torus|gl|sl|sp)\s*\(\s*(\d+)\s*\)\s*$", re.IGNORECASE)
+
+# Largest rank of a group, a product's factors summed.  The tests, presets
+# and benchmark jobs build at most GL(7), and a build grows about as rank^4
+# (GL(64) takes 1.3 s); a tag past the cap is refused before it is built.
+GROUP_RANK_CAP = 32
 
 
 @cache
@@ -238,25 +219,33 @@ def build_group(tag: str) -> RootDatum:
     low = tag.lower()
     if low.startswith("product(") and tag.endswith(")"):
         inner = tag[len("product("):-1]
-        parts = []
-        depth = 0
-        start = 0
+        parts, depth, start = [], 0, 0
         for i, ch in enumerate(inner):
-            if ch == "(":
-                depth += 1
-            elif ch == ")":
-                depth -= 1
-            elif ch == "," and depth == 0:
+            depth += (ch == "(") - (ch == ")")
+            if ch == "," and depth == 0:
                 parts.append(inner[start:i])
                 start = i + 1
         parts.append(inner[start:])
-        if not parts or any(not p.strip() for p in parts):
+        if any(not p.strip() for p in parts):
             raise InputError(f"malformed product tag {tag!r}")
-        return _product([build_group(p) for p in parts])
+        factors, rank = [], 0
+        for p in parts:
+            factors.append(build_group(p))
+            rank += factors[-1].rank
+            if rank > GROUP_RANK_CAP:
+                raise InputError(f"the factors of {tag!r} have rank above "
+                                 f"the cap of {GROUP_RANK_CAP}")
+        return _product(factors)
     m = _TAG.match(tag)
     if not m:
         raise InputError(f"unknown group tag {tag!r}")
-    kind, n = m.group(1).lower(), int(m.group(2))
+    kind, digits = m.group(1).lower(), m.group(2).lstrip("0") or "0"
+    # Sp(2n) has rank n; a long digit string is refused before int() reads it
+    limit = 2 * GROUP_RANK_CAP if kind == "sp" else GROUP_RANK_CAP
+    if len(digits) > len(str(limit)) or int(digits) > limit:
+        raise InputError(f"{m.group(1)} parameter above {limit}, past the "
+                         f"rank cap of {GROUP_RANK_CAP}")
+    n = int(digits)
     if kind == "torus":
         return _build_torus(n)
     if n < 1:
@@ -401,17 +390,16 @@ class LeviDatum:
 
     @cached_property
     def dominance_rows(self) -> tuple[tuple[int, ...], ...]:
-        return _coroot_rows(self.datum, self.simple_roots)
+        return _coroot_rows(self.simple_roots)
 
     @cached_property
     def reflections(self) -> tuple[Reflection, ...]:
         """One (rows, d) per simple root, in the order of ``simple_roots``:
         the reflection in the root followed by ``normalize_weight`` is
         v -> rows v / d, with int rows and d > 0 the least such.  For the
-        root a = a' / t with a' an int tuple and (q, a' . q) its
-        ``root_form``, the coroot is 2 t q / (a' . q), so
-        N s_a = N - 2 (N a') q^T / (a' . q) for the normalization N, whose
-        columns are the normalized units."""
+        root a = a' / t with a' an int tuple the coroot is
+        2 t a' / (a' . a'), so N s_a = N - 2 (N a') a'^T / (a' . a') for the
+        normalization N, whose columns are the normalized units."""
         datum = self.datum
         n = datum.rank
         units = [datum.normalize_weight(tuple(int(i == j) for i in range(n)))
@@ -419,12 +407,11 @@ class LeviDatum:
         out = []
         for a in self.simple_roots:
             a = tuple(int_row(a)[0])
-            q, norm = root_form(datum.gram_ints, a)
+            norm = sum(map(mul, a, a))
             na = datum.normalize_weight(a)
-            rows = [[norm * u[i] - 2 * na[i] * qj for u, qj in zip(units, q)]
+            rows = [[norm * u[i] - 2 * na[i] * aj for u, aj in zip(units, a)]
                     for i in range(n)]
             g = math.gcd(norm, *(x for row in rows for x in row))
-            g = g if norm > 0 else -g
             out.append((tuple(tuple(x // g for x in row) for row in rows),
                         norm // g))
         return tuple(out)
@@ -433,7 +420,7 @@ class LeviDatum:
     def weyl_rows(self) -> tuple[tuple[int, ...], ...]:
         """One primitive int row on the ray of each positive coroot, in the
         order of ``phi_lambda_plus``: the factors of the Weyl product."""
-        return _coroot_rows(self.datum, self.phi_lambda_plus)
+        return _coroot_rows(self.phi_lambda_plus)
 
     def _fixed_basis(self) -> list[Vec]:
         """Canonical basis of the Weyl-fixed subspace of the ambient
@@ -444,16 +431,15 @@ class LeviDatum:
         return span_basis(nullspace(self.dominance_rows, n), n)
 
     def invariant_projector(self) -> Mat:
-        """Projection onto the Weyl-fixed subspace, orthogonal under the
-        stored form: B (B^T G B)^-1 B^T G for a basis B of the fixed space.
-        The group preserves the form, so this is the Weyl-group average."""
+        """Orthogonal projection onto the Weyl-fixed subspace:
+        B (B^T B)^-1 B^T for a basis B of the fixed space.  The group
+        preserves the dot product, so this is the Weyl-group average."""
         n = self.datum.rank
         basis = self._fixed_basis()
-        gb = [mat_vec(self.datum.gram, b) for b in basis]   # rows of B^T G
         k = len(basis)
-        red, _ = rref([[vdot(basis[i], gb[j]) for j in range(k)] + list(gb[i])
-                       for i in range(k)])
-        coeffs = [row[k:] for row in red]                   # (B^T G B)^-1 B^T G
+        red, _ = rref([[vdot(basis[i], basis[j]) for j in range(k)]
+                       + list(basis[i]) for i in range(k)])
+        coeffs = [row[k:] for row in red]                   # (B^T B)^-1 B^T
         return tuple(
             tuple(sum((basis[t][i] * coeffs[t][j] for t in range(k)), ZERO)
                   for j in range(n))

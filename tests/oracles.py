@@ -61,7 +61,7 @@ import math
 from fractions import Fraction
 
 from sodlab.characters import _table, irr_character
-from sodlab.linalg import (identity, in_span, is_zero_vec, mat_vec, nullspace,
+from sodlab.linalg import (in_span, is_zero_vec, mat_vec, nullspace,
                            primitive, solve, span_basis, vadd, vdot, vec,
                            vscale, vsub, zero_vec)
 from sodlab.linprog import BoxedLinearProgram, InputError, LpBuilder, \
@@ -1001,14 +1001,12 @@ def _mat_mul(a, b):
 
 def weyl_generators_reference(data):
     """Reflection matrices I - alpha (alpha^vee)^T of the simple roots of a
-    RootDatum or a LeviDatum, with alpha^vee = 2 G alpha / (alpha, G alpha)
-    under the datum's own form."""
+    RootDatum or a LeviDatum, with alpha^vee = 2 alpha / (alpha . alpha)."""
     datum = data.datum if isinstance(data, LeviDatum) else data
     n = datum.rank
     gens = []
     for a in data.simple_roots:
-        q = mat_vec(datum.gram, a)
-        cr = vscale(F(2) / vdot(a, q), q)
+        cr = coroot_reference(a)
         gens.append(tuple(tuple((F(i == j)) - a[i] * cr[j] for j in range(n))
                           for i in range(n)))
     return tuple(gens)
@@ -1021,7 +1019,7 @@ def weyl_elements_reference(data):
     word is the product of its letters' matrices in word order."""
     rank = (data.datum if isinstance(data, LeviDatum) else data).rank
     gens = weyl_generators_reference(data)
-    ident = identity(rank)
+    ident = tuple(tuple(F(i == j) for j in range(rank)) for i in range(rank))
     seen = {ident}
     order = [(ident, (), 1)]
     frontier = [(ident, ())]
@@ -1043,7 +1041,7 @@ def is_dominant_reference(datum, chi, levi=None):
     """Dominance against every positive coroot of the datum or the Levi;
     the package tests the simple coroots only."""
     positive = datum.positive_roots if levi is None else levi.phi_lambda_plus
-    return all(vdot(coroot_reference(datum.gram, a), chi) >= 0
+    return all(vdot(coroot_reference(a), chi) >= 0
                for a in positive)
 
 
@@ -1059,11 +1057,6 @@ def twist_contains_reference(twist, chi):
     rows = [[twist.sublattice_basis[j][i] for j in range(n)] for i in range(n)]
     x = solve(rows, diff)
     return x is not None and all(v.denominator == 1 for v in x)
-
-
-def _form(datum, a, b):
-    """The stored invariant form of two Fraction vectors."""
-    return vdot(a, mat_vec(datum.gram, b))
 
 
 def _height(datum, lv, v):
@@ -1116,7 +1109,7 @@ def irr_character_reference(datum, chi, levi=None):
         return _table(datum, {chi: 1})
     elements = weyl_elements_reference(lv)
     rho = lv.rho_bar_lambda
-    top = _form(datum, vadd(chi, rho), vadd(chi, rho))
+    top = vdot(vadd(chi, rho), vadd(chi, rho))
     lowest = chi
     for m, _, _ in elements:
         img = mat_vec(m, chi)
@@ -1147,16 +1140,16 @@ def irr_character_reference(datum, chi, levi=None):
         if mu == chi:
             mults[mu] = 1
             continue
-        denom = top - _form(datum, vadd(mu, rho), vadd(mu, rho))
+        denom = top - vdot(vadd(mu, rho), vadd(mu, rho))
         rhs = F(0)
         for a in lv.phi_lambda_plus:
             k = 1
             while True:
                 nu = vadd(mu, vscale(F(k), a))
                 m = lookup(nu)
-                if m == 0 and _form(datum, vadd(nu, rho), vadd(nu, rho)) > top:
+                if m == 0 and vdot(vadd(nu, rho), vadd(nu, rho)) > top:
                     break
-                rhs += m * _form(datum, nu, a)
+                rhs += m * vdot(nu, a)
                 k += 1
         val = 2 * rhs / denom
         assert val.denominator == 1
@@ -1244,19 +1237,16 @@ def hom_block_dims_reference(datum, mu, mu_prime, coinv, lv, up_to):
 # Root-data and character kernels over Fraction vectors.
 # ---------------------------------------------------------------------------
 
-def coroot_reference(gram, alpha):
-    """2 G alpha / (alpha . G alpha) over Fractions."""
-    q = mat_vec(gram, alpha)
-    return vscale(F(2) / vdot(alpha, q), q)
+def coroot_reference(alpha):
+    """2 alpha / (alpha . alpha) over Fractions."""
+    return vscale(F(2) / vdot(alpha, alpha), alpha)
 
 
 def simple_pairs_reference(src):
     """(simple root, Fraction coroot) pairs of a root datum or a Levi: the
     simple reflections s_a(v) = v - <a^vee, v> a; the package keeps only
     the coroot rays and the integer reflections."""
-    datum = src.datum if isinstance(src, LeviDatum) else src
-    return tuple((a, coroot_reference(datum.gram, a))
-                 for a in src.simple_roots)
+    return tuple((a, coroot_reference(a)) for a in src.simple_roots)
 
 
 def levi_reference(datum, lam):
@@ -1277,7 +1267,7 @@ def levi_reference(datum, lam):
 
 def weyl_dim_reference(datum, chi, levi=None):
     """Weyl's product over the positive Levi roots, as a quotient of two
-    Fraction products of form values."""
+    Fraction products of dot products."""
     lv = levi or full_levi(datum)
     chi = datum.normalize_weight(vec(chi))
     if not is_dominant(datum, chi, lv):
@@ -1285,8 +1275,8 @@ def weyl_dim_reference(datum, chi, levi=None):
     rho = lv.rho_bar_lambda
     num = den = F(1)
     for a in lv.phi_lambda_plus:
-        num *= _form(datum, vadd(chi, rho), a)
-        den *= _form(datum, rho, a)
+        num *= vdot(vadd(chi, rho), a)
+        den *= vdot(rho, a)
     value = num / den
     if value.denominator != 1:
         raise InputError("Weyl dimension came out non-integral")

@@ -12,9 +12,10 @@ import sodlab
 from sodlab import rootdata
 from sodlab.cli import main
 from sodlab.linprog import LATTICE_BOX_CAP, InputError
-from sodlab.reps import SYM_PIECE_CAP
+from sodlab.reps import REP_DIM_CAP, SYM_PIECE_CAP
 from sodlab.report import (parse_config, parse_rational, rational_str,
                            render, run_job)
+from sodlab.rootdata import GROUP_RANK_CAP
 
 
 def write_config(tmp_path, payload, name="job.json"):
@@ -418,6 +419,58 @@ class TestCliProcess:
                "representation": [{"kind": "sym_power", "d": d}]}
         assert main(["analyze", "--config", write_config(tmp_path, cfg)]) == 2
         assert "weight additions" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("group", [
+        f"GL({GROUP_RANK_CAP + 1})", f"SL({GROUP_RANK_CAP + 1})",
+        f"Sp({2 * GROUP_RANK_CAP + 2})", f"Torus({GROUP_RANK_CAP + 1})",
+        "Product(" + "GL(4)," * (GROUP_RANK_CAP // 4) + "Torus(1))",
+        "GL(" + "9" * 5000 + ")",
+    ], ids=["GL", "SL", "Sp", "Torus", "Product", "5000 digits"])
+    def test_group_past_the_rank_cap_exits_two_fast(self, tmp_path, capsys,
+                                                    group):
+        # refused before any vector is built; int() would refuse the
+        # 5,000-digit parameter with a ValueError
+        cfg = {"group": group,
+               "representation": [{"kind": "trivial", "copies": 1}]}
+        start = time.perf_counter()
+        assert main(["analyze", "--config", write_config(tmp_path, cfg)]) == 2
+        assert time.perf_counter() - start < 1
+        err = capsys.readouterr().err
+        assert err.count("sodlab: configuration error") == 1
+        assert f"cap of {GROUP_RANK_CAP}" in err
+
+    @pytest.mark.parametrize("subcommand, args, dim", [
+        ("partition", ["--config", {"group": "GL(1)", "representation": [
+            {"kind": "weights", "weights": [
+                {"weight": [1], "mult": REP_DIM_CAP // 2 + 1},
+                {"weight": [-1], "mult": REP_DIM_CAP // 2}]}]}],
+         REP_DIM_CAP + 1),
+        ("nccr", ["--config", dict(GL2_CFG, representation=[
+            {"kind": "vector_power", "h": 10 ** 21},
+            {"kind": "dual_vector_power", "h": 10 ** 21}])], 4 * 10 ** 21),
+        ("analyze", ["--preset", "pfaffian:n=1,h=1000000000000000000000"],
+         2 * 10 ** 21),
+    ], ids=["mult", "h", "pfaffian h"])
+    def test_representation_past_the_dimension_cap_exits_two_fast(
+            self, tmp_path, capsys, subcommand, args, dim):
+        # refused before the weight list is expanded: [w] * 10**21 would
+        # raise OverflowError
+        if isinstance(args[1], dict):
+            args = [args[0], write_config(tmp_path, args[1])]
+        start = time.perf_counter()
+        assert main([subcommand, *args]) == 2
+        assert time.perf_counter() - start < 1
+        err = capsys.readouterr().err
+        assert err.count("sodlab: configuration error") == 1
+        assert f"dimension {dim} is above the cap of {REP_DIM_CAP}" in err
+
+    def test_pfaffian_preset_past_the_rank_cap_exits_two_fast(self, capsys):
+        start = time.perf_counter()
+        assert main(["hilbert", "--preset", "pfaffian:n=10000000000000000000"
+                     "00,h=10000000000000000000000"]) == 2
+        assert time.perf_counter() - start < 1
+        assert f"past the rank cap of {GROUP_RANK_CAP}" in \
+            capsys.readouterr().err
 
     def test_precondition_exits_three_with_report(self, tmp_path, capsys):
         cfg = {

@@ -3,8 +3,9 @@ returns 0, 2 or 3 and lets no exception escape.
 
 Each example is a well-formed job on a catalog group of rank at most 4 with
 up to two of its fields replaced by malformed values: bools, strings
-(exponent notation among them), floats, vectors of the wrong length, bad
-group tags."""
+(exponent notation among them), floats, a 22-digit integer (as an ``h``, a
+``mult`` or any other field), vectors of the wrong length, bad group
+tags."""
 
 import json
 import tempfile
@@ -28,7 +29,8 @@ rational = st.one_of(st.integers(-2, 2).map(str),
 junk = st.one_of(st.booleans(), st.none(),
                  st.floats(allow_nan=False, allow_infinity=False),
                  st.sampled_from(("", "x", "00", "1/0", "1.5", "1e5000")),
-                 st.integers(-3, 3), st.just({}), st.just([[1]]),
+                 st.integers(-3, 3), st.just(10 ** 21), st.just({}),
+                 st.just([[1]]),
                  st.lists(rational, max_size=4))
 
 

@@ -14,8 +14,9 @@ from oracles import (brute_force_signature, dominant_box_points_reference,
 from sodlab import partition, zonotope
 from sodlab.linalg import mat_vec, vadd, vec, vscale, vsub
 from sodlab.linprog import LATTICE_BOX_CAP, InputError
-from sodlab.partition import (HALF_OPEN_MODE, STANDARD, PartitionCell,
-                              PreconditionError, build_cell, cell_members,
+from sodlab.partition import (HALF_OPEN_MODE, REDUCTION_SUM_CAP, STANDARD,
+                              PartitionCell, PreconditionError, build_cell,
+                              cell_members,
                               dominant_box_points, face_levi, make_profile,
                               order_key, partition_region, signature_of,
                               validate_reduction_setting, window_box)
@@ -542,3 +543,15 @@ class TestValidateReductionSetting:
         rep = construct_rep(SP2, [("vector_power", 1)])
         out = validate_reduction_setting(rep, [], vec([0]), vec([-1]))
         assert out.status == "ok" and out.valid
+
+    def test_sub_multisets_past_the_cap_are_refused(self):
+        # the lambda-positive weight -1 with multiplicity m has m nonempty
+        # sub-multisets, each of whose sums lies outside the empty window
+        def check(m):
+            rep = rep_spec(T1, [((1,), m), ((-1,), m)])
+            return validate_reduction_setting(rep, [], vec([0]), vec([-1]))
+        out = check(REDUCTION_SUM_CAP)
+        assert out.status == "ok" and len(out.violations) == REDUCTION_SUM_CAP
+        with pytest.raises(InputError, match=f"{REDUCTION_SUM_CAP + 1} "
+                           f"nonempty sub-multisets, above the cap"):
+            check(REDUCTION_SUM_CAP + 1)

@@ -9,8 +9,8 @@ from oracles import (orbit_reference, simple_pairs_reference,
                      weyl_symmetry_reference)
 from sodlab.linalg import mat_vec, rank, vdot, vec
 from sodlab.linprog import InputError
-from sodlab.reps import (TwistData, _check_weyl_symmetric, coinvariant_rep,
-                         construct_rep,
+from sodlab.reps import (REP_DIM_CAP, TwistData, _check_weyl_symmetric,
+                         coinvariant_rep, construct_rep,
                          find_destabilizer, has_t_stable_point,
                          is_quasi_symmetric, rep_spec, trivial_twist,
                          twist_member, weight_signs)
@@ -22,6 +22,17 @@ SP4 = build_group("Sp(4)")
 GL2 = build_group("GL(2)")
 
 TORUS_4 = rep_spec(T1, [((1,), 2), ((-1,), 2)])
+
+
+class TestDimensionCap:
+    def test_dimension_past_the_cap_is_refused(self):
+        half = REP_DIM_CAP // 2
+        assert rep_spec(T1, [((1,), half), ((-1,), half)]).dim == REP_DIM_CAP
+        with pytest.raises(InputError, match=f"dimension {REP_DIM_CAP + 1} "
+                           f"is above the cap"):
+            rep_spec(T1, [((1,), half + 1), ((-1,), half)])
+        with pytest.raises(InputError, match="above the cap"):
+            construct_rep(SP4, [("vector_power", 10 ** 21)])
 
 
 class TestWeightSigns:

@@ -20,14 +20,13 @@ from sodlab.characters import weyl_dim
 from sodlab.cli import main
 from sodlab.linalg import int_row, mat_vec, vdot, vec
 from sodlab.linprog import InputError
-from sodlab.rootdata import (RootDatum, build_group, full_levi,
+from sodlab.rootdata import (GROUP_RANK_CAP, build_group, full_levi,
                              invariant_subspace, is_dominant, levi, descend,
-                             make_dominant, orbit, pairing, root_form,
+                             make_dominant, orbit, pairing, reflect,
                              star_dominate)
 
 SP4 = build_group("Sp(4)")
 SL2 = build_group("SL(2)")
-GL2 = build_group("GL(2)")
 T3 = build_group("Torus(3)")
 
 
@@ -41,7 +40,20 @@ class TestBuildGroup:
     def test_sl2_normalization(self):
         assert len(SL2.positive_roots) == 1
         a = SL2.positive_roots[0]
-        assert vdot(coroot_reference(SL2.gram, a), SL2.rho_bar) == 1
+        assert vdot(coroot_reference(a), SL2.rho_bar) == 1
+
+    def test_rank_cap(self):
+        """A tag at the cap builds; one past it, alone or summed over a
+        product's factors, is refused, leading zeros or not."""
+        assert build_group(f"Torus({GROUP_RANK_CAP})").rank == GROUP_RANK_CAP
+        at_cap = "Product(" + "Torus(1)," * (GROUP_RANK_CAP - 1) + "Torus(1))"
+        assert build_group(at_cap).rank == GROUP_RANK_CAP
+        assert build_group("GL(0000000003)").rank == 3
+        for tag in (f"Torus({GROUP_RANK_CAP + 1})", at_cap[:-1] + ",GL(1))",
+                    f"Sp({2 * GROUP_RANK_CAP + 2})",
+                    f"GL(0000000000{GROUP_RANK_CAP + 1})"):
+            with pytest.raises(InputError, match=f"cap of {GROUP_RANK_CAP}"):
+                build_group(tag)
 
     def test_unknown_tag(self):
         with pytest.raises(InputError):
@@ -314,7 +326,7 @@ class TestWeylKernels:
                                       for m, _, _ in elements}
                 positive = datum.positive_roots if lv is None \
                     else lv.phi_lambda_plus
-                if all(vdot(coroot_reference(datum.gram, a), chi) != 0
+                if all(vdot(coroot_reference(a), chi) != 0
                        for a in positive):
                     # regular: one point per element, signed by det w
                     assert len(points) == len(elements)
@@ -363,12 +375,11 @@ class TestWeylKernels:
                     assert tuple(F(row[j], d) for row in rows) == want
 
     def test_reference_reflections_preserve_the_form(self):
-        tripled = TestFormRescaling()._scaled_sp4()
-        for datum in [build_group(tag) for tag in SMALL_CATALOG] + [tripled]:
-            g_form = datum.gram
+        """The reflections preserve the dot product: g^T g = I."""
+        for datum in [build_group(tag) for tag in SMALL_CATALOG]:
+            ident = _product([], datum.rank)
             for g in weyl_generators_reference(datum):
-                gt = tuple(zip(*g))
-                assert _product([gt, g_form, g], datum.rank) == g_form
+                assert _product([tuple(zip(*g)), g], datum.rank) == ident
 
     @settings(derandomize=True, database=None, max_examples=150,
               deadline=None)
@@ -395,14 +406,14 @@ class TestWeylKernels:
 
 
     def test_reflection_off_the_lattice_is_refused(self):
-        """Under a form that is not Weyl-invariant the coroot of L1 - L2 is
-        not integral: the reflection (rows, 3) maps (1, -1) to (-1, 1) but
-        (1, 0) to (1/3, 2/3), which the integer kernels refuse rather than
-        round."""
-        skewed = dataclasses.replace(GL2, gram=((F(1), F(0)), (F(0), F(2))))
-        lv = full_levi(skewed)
-        assert lv.reflections == ((((1, 4), (2, -1)), 3),)
-        assert orbit(lv, (1, -1)) == [((1, -1), 1), ((-1, 1), -1)]
+        """The root (1, 2) of a hand-built Torus(2) datum has the coroot
+        (2, 4) / 5, which is not integral: the reflection (rows, 5) fixes
+        (2, -1) and maps (1, 2) to (-1, -2) but (1, 0) to (3/5, -4/5), which
+        the integer kernels refuse rather than round."""
+        lv = full_levi(_with_root(build_group("Torus(2)"), vec([1, 2])))
+        assert lv.reflections == ((((3, -4), (-4, -3)), 5),)
+        assert reflect(lv.reflections[0], (2, -1)) == (2, -1)
+        assert orbit(lv, (1, 2)) == [((1, 2), 1), ((-1, -2), -1)]
         with pytest.raises(InputError, match="leaves the lattice"):
             orbit(lv, (1, 0))
 
@@ -427,46 +438,6 @@ class TestOrbitCap:
         monkeypatch.setattr(rootdata, "ORBIT_CAP", 1)
         assert main(args) == 2
         assert "more points than the cap of 1" in capsys.readouterr().err
-
-
-class TestFormRescaling:
-    """Downstream quantities must not depend on the scale of the invariant
-    form; rebuilding Sp(4) with a tripled form must change nothing."""
-
-    def _scaled_sp4(self):
-        tripled = tuple(tuple(3 * x for x in row) for row in SP4.gram)
-        return RootDatum(
-            label=SP4.label, rank=SP4.rank, roots=SP4.roots,
-            positive_roots=SP4.positive_roots, simple_roots=SP4.simple_roots,
-            gram=tripled, rho_bar=SP4.rho_bar, quotient_pairs=SP4.quotient_pairs)
-
-    def test_dominance_and_star(self):
-        scaled = self._scaled_sp4()
-        for chi in [vec([2, 1]), vec([-1, 2]), vec([0, -3]), vec([1, 1])]:
-            assert is_dominant(scaled, chi) == is_dominant(SP4, chi)
-            assert star_dominate(scaled, chi) == star_dominate(SP4, chi)
-
-    def test_characters(self):
-        from sodlab.characters import irr_character, weyl_dim
-
-        scaled = self._scaled_sp4()
-        assert weyl_dim(scaled, vec([2, 1])) == weyl_dim(SP4, vec([2, 1]))
-        assert irr_character(scaled, vec([1, 1])).entries == \
-            irr_character(SP4, vec([1, 1])).entries
-
-    def test_levi_labels(self):
-        scaled = self._scaled_sp4()
-        assert levi(scaled, vec([-1, 0])).label() == "C1xT1"
-        for lam in itertools.product(range(-2, 3), repeat=2):
-            assert levi(scaled, vec(lam)).label() == \
-                levi(SP4, vec(lam)).label()
-
-    def test_invariant_projector(self):
-        scaled = self._scaled_sp4()
-        for lam in (vec([0, 0]), vec([-1, -1]), vec([1, 0])):
-            lv = levi(scaled, lam)
-            assert lv.invariant_projector() == invariant_projector_reference(lv)
-            assert lv.invariant_projector() == levi(SP4, lam).invariant_projector()
 
 
 class TestLeviLabelsFromTheCli:
@@ -507,20 +478,18 @@ def _with_root(datum, alpha):
         simple_roots=(alpha,), rho_bar=tuple(x / 2 for x in alpha))
 
 
-def _rescaled(datum, factor, root_factor=F(1)):
-    """The datum with its invariant form multiplied by ``factor`` and its
-    roots, so also rho, by ``root_factor``."""
+def _rescaled(datum, root_factor):
+    """The datum with its roots, so also rho, multiplied by
+    ``root_factor``."""
     def scaled(vectors):
         return tuple(tuple(root_factor * x for x in v) for v in vectors)
     return dataclasses.replace(
-        datum, gram=tuple(tuple(factor * x for x in row) for row in datum.gram),
-        roots=scaled(datum.roots), positive_roots=scaled(datum.positive_roots),
+        datum, roots=scaled(datum.roots),
+        positive_roots=scaled(datum.positive_roots),
         simple_roots=scaled(datum.simple_roots),
         rho_bar=scaled([datum.rho_bar])[0])
 
 
-# The catalog form, the tripled form and a halved (rational) form.
-FORM_FACTORS = (F(1), F(3), F(1, 2))
 # Catalog roots, and rational multiples of them: the root scale is no
 # longer 1.
 ROOT_FACTORS = (F(1), F(1, 2), F(2, 3))
@@ -543,17 +512,10 @@ class TestIntegerRootKernels:
     @pytest.mark.parametrize("tag", SMALL_CATALOG)
     def test_coroots_match_reference(self, tag):
         """Every dominance and Weyl row is the primitive int tuple on the
-        ray of the Fraction coroot, and ``root_form`` gives the coroot
-        itself as 2 t G a / (a . G a) for the root a / t."""
+        ray of its root and of the Fraction coroot, at every root scale."""
         base, standard = _standard_levis(tag)
-        for factor, root_factor in itertools.product(FORM_FACTORS,
-                                                     ROOT_FACTORS):
-            datum = _rescaled(base, factor, root_factor)
-            for a in datum.roots:
-                ints, t = int_row(a)
-                q, norm = root_form(datum.gram_ints, tuple(ints))
-                assert coroot_reference(datum.gram, a) == \
-                    tuple(F(2 * t * x, norm) for x in q)
+        for root_factor in ROOT_FACTORS:
+            datum = _rescaled(base, root_factor)
             levis = [levi(datum, lv.lam) for lv in standard]
             for rows, roots in [(datum.dominance_rows, datum.simple_roots)] + [
                     pair for lv in levis
@@ -561,51 +523,42 @@ class TestIntegerRootKernels:
                                  (lv.weyl_rows, lv.phi_lambda_plus))]:
                 assert len(rows) == len(roots)
                 for row, a in zip(rows, roots):
-                    assert _positive_multiple(row,
-                                              coroot_reference(datum.gram, a))
+                    assert _positive_multiple(row, a)
+                    assert _positive_multiple(row, coroot_reference(a))
 
     @settings(derandomize=True, database=None, max_examples=60,
               deadline=None)
     @given(data=st.data())
     def test_coroot_under_a_rational_form(self, data):
-        # a symmetric, possibly indefinite form whose rows have different
-        # denominators, and a rational vector taken as the one positive root
+        """A rational vector taken as the one positive root of a torus
+        datum: its coroot rows and its reflection under the dot product
+        against the Fraction references, and a zero vector refused."""
         n = data.draw(st.integers(1, 4))
-        gram = [[F(0)] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(i, n):
-                gram[i][j] = gram[j][i] = data.draw(RATIONALS)
         alpha = tuple(data.draw(RATIONALS) for _ in range(n))
-        datum = dataclasses.replace(build_group(f"Torus({n})"),
-                                    gram=tuple(map(tuple, gram)))
-        ints, t = int_row(alpha)
-        q, norm = root_form(datum.gram_ints, tuple(ints))
-        if not vdot(alpha, mat_vec(gram, alpha)):
-            # the reference divides by zero: the norm is zero, and a datum
-            # with alpha as a root is refused
-            assert norm == 0
-            with pytest.raises(InputError, match="normalization"):
+        datum = build_group(f"Torus({n})")
+        if not any(alpha):
+            with pytest.raises(InputError, match="root is zero"):
                 _with_root(datum, alpha)
             return
-        want = coroot_reference(gram, alpha)
-        assert norm != 0
-        assert want == tuple(F(2 * t * x, norm) for x in q)
+        want = coroot_reference(alpha)
         lv = full_levi(_with_root(datum, alpha))
         assert _positive_multiple(lv.datum.dominance_rows[0], want)
         assert _positive_multiple(lv.dominance_rows[0], want)
         assert _positive_multiple(lv.weyl_rows[0], want)
+        (rows, d), = lv.reflections
+        assert tuple(tuple(F(x, d) for x in row) for row in rows) == \
+            weyl_generators_reference(lv)[0]
 
     @pytest.mark.parametrize("tag", SMALL_CATALOG)
     def test_invariants_match_fraction_coroots(self, tag):
         """``is_invariant`` and ``invariant_vectors`` on the integer coroot
         rays against the Fraction coroots, on every standard Levi and on
-        seeded ones, under rescaled forms and roots."""
+        seeded ones, under rescaled roots."""
         base, standard = _standard_levis(tag)
         rng = random.Random("invariants " + tag)
         lams = [lv.lam for lv in standard] + _seeded_coweights(base, rng, 3)
-        for factor, root_factor in itertools.product(FORM_FACTORS,
-                                                     ROOT_FACTORS):
-            datum = _rescaled(base, factor, root_factor)
+        for root_factor in ROOT_FACTORS:
+            datum = _rescaled(base, root_factor)
             for lam in lams:
                 lv = levi(datum, lam)
                 fixed = lv.invariant_vectors()
@@ -624,8 +577,7 @@ class TestIntegerRootKernels:
     @given(data=st.data())
     def test_levi_and_weyl_dim_match_references(self, tag, data):
         base, standard = _standard_levis(tag)
-        datum = _rescaled(base, data.draw(st.sampled_from(FORM_FACTORS)),
-                          data.draw(st.sampled_from(ROOT_FACTORS)))
+        datum = _rescaled(base, data.draw(st.sampled_from(ROOT_FACTORS)))
         lam = [data.draw(RATIONALS) for _ in range(datum.rank)]
         for c, pin in datum.quotient_pairs:
             lam[pin] -= vdot(vec(lam), c)
