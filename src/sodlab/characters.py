@@ -8,26 +8,25 @@ fact (dominant conjugate, orbit with signs) comes from the integer simple
 reflections via `rootdata.descend` and `rootdata.orbit`; the group is never
 enumerated.
 
-Everything runs on int tuples: weights times a common denominator.  A table
-holds its weights at one scale (the least common denominator D of the
-representation's weights, D = 1 for every catalog representation); sorted
-`Fraction` keys are built only when `entries` is read.  The Freudenthal walk
-runs at the scale of chi, rho and the roots under the dot product, the
-invariant form of every catalog group, with each root's a . a read once;
-the Hom-block kernel is keyed at the scale of the Sym^d tables.  The Weyl
-dimension is an integer product over the primitive integer rows of the
-Levi's positive coroots.
+Everything runs on int tuples of the weight lattice, as `reps.rep_spec`
+requires of every representation: a weight or Levi root off it is refused
+with `InputError`, and sorted `Fraction` keys are built only when `entries`
+is read.  The Freudenthal walk pairs under the dot product, the invariant
+form of every catalog group, and reads |mu + rho|^2 - |rho|^2 as
+mu . (mu + 2 rho), with 2 rho the sum of the positive roots; the Hom-block
+kernel divides by the denominator of rho once, at the Weyl images of
+mu + rho.  The Weyl dimension is an integer product over the primitive
+integer rows of the Levi's positive coroots.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from operator import add, mul, sub
 
-from .linalg import Vec, int_row, int_rows, vadd, vec
+from .linalg import Vec, int_row, is_integral, vec
 from .linprog import InputError
 from .reps import RepSpec
 from .rootdata import (LeviDatum, RootDatum, descend, full_levi, is_dominant,
@@ -41,23 +40,20 @@ from .rootdata import (LeviDatum, RootDatum, descend, full_levi, is_dominant,
 SYM_TABLE_CAP = 200_000
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class CharacterTable:
     """Finite weight-multiplicity table in canonical section form.
 
-    ``counts`` maps each weight times ``scale`` (a positive int) to its
+    ``counts`` maps each weight, a lattice point as an int tuple, to its
     nonzero multiplicity; ``entries`` lists the weights as sorted `Fraction`
-    tuples.  Tables are equal when their datum and entries are."""
+    tuples.  Tables are equal when their datum and counts are."""
 
     datum: RootDatum
     counts: dict[tuple[int, ...], int]
-    scale: int
 
     @cached_property
     def entries(self) -> tuple[tuple[Vec, int], ...]:
-        s = self.scale
-        return tuple((tuple(Fraction(x, s) for x in w), m)
-                     for w, m in sorted(self.counts.items()))
+        return tuple((vec(w), m) for w, m in sorted(self.counts.items()))
 
     def as_dict(self) -> dict[Vec, int]:
         return dict(self.entries)
@@ -66,20 +62,24 @@ class CharacterTable:
     def total(self) -> int:
         return sum(self.counts.values())
 
-    def __eq__(self, other):
-        if not isinstance(other, CharacterTable):
-            return NotImplemented
-        return self.datum == other.datum and self.entries == other.entries
-
     def __hash__(self):
-        return hash(self.entries)
+        return hash(frozenset(self.counts.items()))
 
 
-def _table(datum: RootDatum, d: dict[Vec, int]) -> CharacterTable:
-    weights = [w for w, m in d.items() if m]
-    ints, scale = int_rows(weights)
-    return CharacterTable(datum, {k: d[w] for k, w in zip(ints, weights)},
-                          scale)
+def _lattice(v: Vec, what: str) -> tuple[int, ...]:
+    """The int tuple of a lattice vector; InputError off the lattice."""
+    if not is_integral(v):
+        raise InputError(f"{what} {list(map(str, v))} is not a lattice element")
+    return tuple(x.numerator for x in v)
+
+
+def _dominant(datum: RootDatum, chi, lv: LeviDatum) -> tuple[int, ...]:
+    """chi in section form as an int tuple; InputError when it is off the
+    lattice or not dominant for the Levi."""
+    chi = _lattice(datum.normalize_weight(vec(chi)), "weight")
+    if not is_dominant(datum, chi, lv):
+        raise InputError(f"{chi} is not dominant for the Levi")
+    return chi
 
 
 @dataclass(frozen=True)
@@ -116,22 +116,21 @@ def weyl_dim(datum: RootDatum, chi: Vec, levi: LeviDatum | None = None) -> int:
 def irr_character(datum: RootDatum, chi: Vec,
                   levi: LeviDatum | None = None) -> CharacterTable:
     """Weight multiplicities of the irreducible with highest weight chi,
-    via the Freudenthal recursion over the (Levi-)root system."""
+    via the Freudenthal recursion over the (Levi-)root system.  InputError
+    when chi or a root of the Levi is off the lattice."""
     lv = levi or full_levi(datum)
-    chi = datum.normalize_weight(vec(chi))
-    if not is_dominant(datum, chi, lv):
-        raise InputError(f"{chi} is not dominant for the Levi")
-    if not lv.phi_lambda_plus:
-        return _table(datum, {chi: 1})
-    # chi, rho and the positive roots as ints at one scale; the weights
-    # alone need only ``base``, which divides it
-    base = int_rows([chi, *lv.phi_lambda_plus])[1]
-    (chi, rho, *roots), scale = int_rows(
-        [chi, lv.rho_bar_lambda, *lv.phi_lambda_plus])
-    # per root a: (a, a . a), so that (mu + k a) . a and the norm of
-    # mu + k a + rho step in k without vector arithmetic
-    root_data = [(a, sum(map(mul, a, a))) for a in roots]
-    top = sum(x * x for x in map(add, chi, rho))
+    chi = _dominant(datum, chi, lv)
+    roots = [_lattice(a, "Levi root") for a in lv.phi_lambda_plus]
+    if not roots:
+        return CharacterTable(datum, {chi: 1})
+    # 2 rho, the sum of the positive roots, is on the lattice, and so is
+    # each level |mu + rho|^2 - |rho|^2 = mu . (mu + 2 rho)
+    rho2 = tuple(map(sum, zip(*roots)))
+    # per root a: (a, a . a, 2 rho . a), so that (mu + k a) . a and the
+    # level of mu + k a step in k without vector arithmetic
+    root_data = [(a, sum(map(mul, a, a)), sum(map(mul, a, rho2)))
+                 for a in roots]
+    top = sum(x * (x + r) for x, r in zip(chi, rho2))
     # Every dominant weight below chi is reached from chi by subtracting
     # positive roots through dominant weights only (Stembridge, "The partial
     # order of dominant weights", 1998).  The walk stays inside chi's coset
@@ -146,24 +145,24 @@ def irr_character(datum: RootDatum, chi: Vec,
                 found.add(below)
                 stack.append(below)
     # any positive functional on the positive span orders the recursion
-    dominants = sorted(found, key=lambda mu: (-sum(map(mul, mu, rho)), mu))
+    dominants = sorted(found, key=lambda mu: (-sum(map(mul, mu, rho2)), mu))
     normalize = datum.normalize_weight
     mults: dict[tuple[int, ...], int] = {normalize(chi): 1}
     for mu in dominants[1:]:
-        shifted = tuple(map(add, mu, rho))
-        norm = sum(x * x for x in shifted)
+        norm = sum(x * (x + r) for x, r in zip(mu, rho2))
         denom = top - norm
         if denom == 0:  # impossible for dominant mu strictly below chi
             raise InputError("Freudenthal denominator vanished")
         rhs = 0
-        for a, aa in root_data:
+        for a, aa, ar in root_data:
             pair = sum(map(mul, mu, a))
-            cross = sum(map(mul, shifted, a))
+            # level(mu + k a) = norm + k (2 (mu + rho) . a + k a . a)
+            cross = 2 * pair + ar
             nu, k = mu, 1
             while True:
                 nu = tuple(map(add, nu, a))
                 m = mults.get(descend(lv, nu)[0], 0)
-                if m == 0 and norm + k * (2 * cross + k * aa) > top:
+                if m == 0 and norm + k * (cross + k * aa) > top:
                     break
                 rhs += m * (pair + k * aa)
                 k += 1
@@ -172,14 +171,8 @@ def irr_character(datum: RootDatum, chi: Vec,
             raise InputError("Freudenthal recursion produced a non-integer")
         if val:
             mults[normalize(mu)] = val
-    step = scale // base
-    full: dict[tuple[int, ...], int] = {}
-    for mu, m in mults.items():
-        if m <= 0:
-            continue
-        for point, _ in orbit(lv, tuple(x // step for x in mu)):
-            full[point] = m
-    return CharacterTable(datum, full, base)
+    return CharacterTable(datum, {point: m for mu, m in mults.items() if m > 0
+                                  for point, _ in orbit(lv, mu)})
 
 
 # Sym^0..Sym^top per representation: immutable, the same whatever top built
@@ -209,18 +202,13 @@ def _check_sym_work(work: int, top: int) -> None:
                          f"{SYM_TABLE_CAP}")
 
 
-def _weight_ints(rep: RepSpec) -> tuple[list[tuple[int, ...]], int]:
-    """The weights of ``rep.weights`` as int tuples at their common scale,
-    and that scale."""
-    return int_rows([w for w, _ in rep.weights])
-
-
 def _sym_power_tables(rep: RepSpec, top: int) -> tuple[CharacterTable, ...]:
-    """Sym^0..Sym^top of the weight multiset on int tuples at the scale of
-    its weights.  The work is counted before it is allocated."""
+    """Sym^0..Sym^top of the weight multiset on int tuples.  The work is
+    counted before it is allocated; InputError when a weight is off the
+    lattice."""
     work = top + 1
     _check_sym_work(work, top)
-    steps, scale = _weight_ints(rep)
+    steps = [_lattice(w, "weight") for w, _ in rep.weights]
     layers: list[dict[tuple[int, ...], int]] = [{} for _ in range(top + 1)]
     layers[0][(0,) * rep.datum.rank] = 1
     for step, (_, m) in zip(steps, rep.weights):
@@ -241,20 +229,27 @@ def _sym_power_tables(rep: RepSpec, top: int) -> tuple[CharacterTable, ...]:
                     key = tuple(map(add, wt, shift))
                     target[key] = target.get(key, 0) + cnt * c
         layers = nxt
-    return tuple(CharacterTable(rep.datum, layer, scale) for layer in layers)
+    return tuple(CharacterTable(rep.datum, layer) for layer in layers)
 
 
-def _at_scale(counts: dict[tuple[int, ...], int], scale: int, target: int):
-    """The (weight, value) pairs of a dict of int tuples at ``scale``
-    re-expressed at ``target``, dropping the weights off that lattice."""
-    if scale == target:
-        return list(counts.items())
-    out = []
-    for w, m in counts.items():
-        lifted = [x * target for x in w]
-        if all(x % scale == 0 for x in lifted):
-            out.append((tuple(x // scale for x in lifted), m))
-    return out
+# The characters of the (datum, Levi) pair asked for last, by highest
+# weight: a hilbert job asks for each window weight's character once per
+# window pair.  The slot holds the datum and the Levi, so the identity test
+# below cannot match a new object, and it is read and replaced whole.
+_CHARACTERS: list = [(None, None, {})]
+
+
+def _character(datum: RootDatum, chi: tuple[int, ...],
+               lv: LeviDatum) -> CharacterTable:
+    """``irr_character(datum, chi, lv)``, once per run of calls on lv."""
+    held, held_lv, tables = _CHARACTERS[0]
+    if held is not datum or held_lv is not lv:
+        tables = {}
+        _CHARACTERS[0] = (datum, lv, tables)
+    table = tables.get(chi)
+    if table is None:
+        table = tables[chi] = irr_character(datum, chi, lv)
+    return table
 
 
 def hom_block_dims(datum: RootDatum, mu: Vec, mu_prime: Vec, coinv: RepSpec,
@@ -265,38 +260,31 @@ def hom_block_dims(datum: RootDatum, mu: Vec, mu_prime: Vec, coinv: RepSpec,
     The multiplicity of V(mu) in ch(mu') * Sym^d is the alternating sum over
     w of the product's entry at w(mu + rho) - rho, and that entry is the sum
     over weights w1 of ch(mu') of m1 * Sym^d[w(mu + rho) - rho - w1].  The
-    pairs (key, coefficient) of that double sum do not depend on d; the keys
-    are int tuples at the scale of the Sym^d tables."""
+    pairs (key, coefficient) of that double sum do not depend on d.
+    InputError when mu, mu', a weight of coinv or a root of the Levi is off
+    the lattice."""
     lv = levi or full_levi(datum)
-    mu = datum.normalize_weight(vec(mu))
-    mu_prime = datum.normalize_weight(vec(mu_prime))
-    for m in (mu, mu_prime):
-        if not is_dominant(datum, m, lv):
-            raise InputError(f"{m} is not dominant for the Levi")
+    mu = _dominant(datum, mu, lv)
+    mu_prime = _dominant(datum, mu_prime, lv)
     # top degree first: one program builds every table, and a degree past
     # the table cap is refused before anything per degree is allocated
     tables = [sym_power_character(coinv, d) for d in range(up_to, -1, -1)]
     tables.reverse()
-    scale = tables[0].scale
-    ch_prime = irr_character(datum, mu_prime, lv)
-    # mu + rho and rho in section form at one scale t; mu + rho is regular,
-    # so its orbit has one point per w, signed by det w, and each point less
-    # rho is w(mu + rho) - rho at scale t
-    rho = datum.normalize_weight(lv.rho_bar_lambda)
-    (shifted, rho), t = int_rows([datum.normalize_weight(vadd(mu, rho)), rho])
-    points = {tuple(map(sub, image, rho)): det
-              for image, det in orbit(lv, shifted)}
-    # the differences are taken at a scale every term lies on, and only
-    # then are the keys off the tables' lattice dropped: two terms off it
-    # may differ by a weight on it
-    common = math.lcm(t, ch_prime.scale, scale)
-    prime = _at_scale(ch_prime.counts, ch_prime.scale, common)
+    ch_prime = _character(datum, mu_prime, lv)
+    # rho as ints over its denominator t; mu + rho is regular, so its orbit
+    # at scale t has one point per w, signed by det w, and each point less
+    # rho, over t, is the lattice point w(mu + rho) - rho
+    rho, t = int_row(datum.normalize_weight(lv.rho_bar_lambda))
     kernel: dict[tuple[int, ...], int] = {}
-    for point, det in _at_scale(points, t, common):
-        for w1, m1 in prime:
+    for image, det in orbit(lv, tuple(t * x + r for x, r in zip(mu, rho))):
+        point = [x - r for x, r in zip(image, rho)]
+        if any(x % t for x in point):
+            raise InputError("w(mu + rho) - rho is off the lattice")
+        point = [x // t for x in point]
+        for w1, m1 in ch_prime.counts.items():
             key = tuple(map(sub, point, w1))
             kernel[key] = kernel.get(key, 0) + det * m1
-    terms = [(key, c) for key, c in _at_scale(kernel, common, scale) if c]
+    terms = [(key, c) for key, c in kernel.items() if c]
     dims = [sum(c * counts.get(key, 0) for key, c in terms)
             for counts in (table.counts for table in tables)]
     if any(dim < 0 for dim in dims):

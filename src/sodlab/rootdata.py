@@ -208,6 +208,13 @@ _TAG = re.compile(r"^\s*(torus|gl|sl|sp)\s*\(\s*(\d+)\s*\)\s*$", re.IGNORECASE)
 # (GL(64) takes 1.3 s); a tag past the cap is refused before it is built.
 GROUP_RANK_CAP = 32
 
+# Deepest nesting of parentheses in a group tag.  The tests, presets and
+# benchmark jobs nest 2 deep (``Product(GL(2),Sp(4))``); each level is one
+# recursive build, and 500 of them overflow the interpreter's stack.  A
+# Torus(0) factor has rank 0, so the rank cap does not bound the depth; a
+# tag past this cap is refused before any recursion.
+GROUP_DEPTH_CAP = 8
+
 
 @cache
 def build_group(tag: str) -> RootDatum:
@@ -222,6 +229,9 @@ def build_group(tag: str) -> RootDatum:
         parts, depth, start = [], 0, 0
         for i, ch in enumerate(inner):
             depth += (ch == "(") - (ch == ")")
+            if depth >= GROUP_DEPTH_CAP:
+                raise InputError(f"group tag nests parentheses past the cap "
+                                 f"of {GROUP_DEPTH_CAP}")
             if ch == "," and depth == 0:
                 parts.append(inner[start:i])
                 start = i + 1

@@ -60,7 +60,7 @@ import itertools
 import math
 from fractions import Fraction
 
-from sodlab.characters import _table, irr_character
+from sodlab.characters import CharacterTable, irr_character
 from sodlab.linalg import (in_span, is_zero_vec, mat_vec, nullspace,
                            primitive, solve, span_basis, vadd, vdot, vec,
                            vscale, vsub, zero_vec)
@@ -1098,6 +1098,13 @@ def weyl_symmetry_reference(rep):
                                  f"{list(map(str, w))} has multiplicity {m} "
                                  f"but its reflection has "
                                  f"{counts.get(image, 0)}")
+
+
+def _table(datum, counts):
+    """A `CharacterTable` from `Fraction` weights, each a lattice point."""
+    assert all(x.denominator == 1 for w in counts for x in w)
+    return CharacterTable(datum, {tuple(x.numerator for x in w): m
+                                  for w, m in counts.items() if m})
 
 
 def irr_character_reference(datum, chi, levi=None):

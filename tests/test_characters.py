@@ -1,6 +1,9 @@
+import dataclasses
 import itertools
 import math
 import random
+import sys
+import threading
 from fractions import Fraction as F
 
 import pytest
@@ -10,18 +13,18 @@ from oracles import (hom_block_dims_reference, irr_character_reference,
                      multiplicity_in_reference, sym_power_tables_reference,
                      weyl_elements_reference, weyl_generators_reference)
 from sodlab import characters
-from sodlab.characters import (SYM_TABLE_CAP, CharacterTable, _table,
-                               _sym_power_tables, hom_block_dims,
-                               irr_character, sym_power_character, weyl_dim)
+from sodlab.characters import (SYM_TABLE_CAP, _sym_power_tables,
+                               hom_block_dims, irr_character,
+                               sym_power_character, weyl_dim)
 from sodlab.linalg import mat_vec, vec
 from sodlab.linprog import InputError
-from sodlab.report import build_objects, parse_config
+from sodlab.report import build_objects, parse_config, run_job
 from sodlab.reps import (SYM_PIECE_CAP, RepSpec, coinvariant_rep,
                          construct_rep, defining_weights, rep_spec,
                          sym_power_weight_counts)
 from sodlab.rootdata import build_group, full_levi, levi, make_dominant
 from sodlab.sod import enumerate_sod
-from test_rootdata import SMALL_CATALOG
+from test_rootdata import SMALL_CATALOG, _rescaled, _with_root
 
 T1 = build_group("Torus(1)")
 SL2 = build_group("SL(2)")
@@ -124,7 +127,8 @@ class TestSymPower:
         rep = construct_rep(SP4, [("vector_power", 2), ("sym_power", 2)])
         top = [sym_power_character(rep, d) for d in range(6, -1, -1)][::-1]
         for d in range(7):
-            assert top[d] == _sym_power_tables(rep, d)[d]
+            fresh = _sym_power_tables(rep, d)[d]
+            assert top[d] == fresh and hash(top[d]) == hash(fresh)
 
     def test_mass_is_binomial(self):
         rep = construct_rep(SP4, [("vector_power", 1)])
@@ -247,12 +251,14 @@ def _weight_multiset(datum, pairs):
 
 class TestSymPowerKernel:
     """The integer program against the Fraction program it replaced, and
-    the table contract: sorted Fraction keys, whatever the scale."""
+    the table contract: sorted Fraction keys."""
 
     @settings(derandomize=True, database=None, max_examples=120,
               deadline=None)
     @given(data=st.data())
     def test_tables_match_reference(self, data):
+        """Integral draws match the reference; a draw with a non-integral
+        weight is refused, never truncated."""
         datum = build_group(data.draw(st.sampled_from(SMALL_CATALOG)))
         dens = data.draw(st.sampled_from(((1,), (1, 2), (2, 3))))
         weights = {}
@@ -263,6 +269,10 @@ class TestSymPowerKernel:
             weights[w] = data.draw(st.integers(1, 3))
         rep = _weight_multiset(datum, weights.items())
         top = data.draw(st.integers(0, 4))
+        if any(x.denominator != 1 for w, _ in rep.weights for x in w):
+            with pytest.raises(InputError, match="not a lattice element"):
+                _sym_power_tables(rep, top)
+            return
         tables = _sym_power_tables(rep, top)
         assert len(tables) == top + 1
         for table, want in zip(tables, sym_power_tables_reference(rep, top)):
@@ -273,18 +283,13 @@ class TestSymPowerKernel:
             assert table.as_dict() == want
             assert table.total == sum(want.values())
 
-    def test_equality_ignores_the_scale(self):
-        halves = CharacterTable(T1, {(1,): 2, (-2,): 1}, 2)
-        quarters = CharacterTable(T1, {(2,): 2, (-4,): 1}, 4)
-        assert halves.entries == ((vec([-1]), 1), (vec([F(1, 2)]), 2))
-        assert halves == quarters and hash(halves) == hash(quarters)
-        assert halves == _table(T1, {vec([F(1, 2)]): 2, vec([-1]): 1})
-        assert halves != CharacterTable(T1, {(1,): 2}, 2)
 
-    def test_non_integral_coinvariants_match_reference(self):
-        lv = full_levi(GL2)
-        # half-integral weights, some of them neutral for lam = (1, 1), so
-        # the tables live at scale 2 and integral kernel keys meet them
+class TestLatticeRefusals:
+    """Weights, highest weights and Levi roots off the weight lattice are
+    refused with InputError, never rounded onto it."""
+
+    def test_non_integral_coinvariants_are_refused(self):
+        # half-integral weights, some of them neutral for lam = (1, 1)
         rep = _weight_multiset(GL2, [
             (("1/2", "1/2"), 2), (("-1/2", "-1/2"), 2),
             (("1/2", "-1/2"), 1), (("-1/2", "1/2"), 1),
@@ -292,28 +297,144 @@ class TestSymPowerKernel:
         coinv = coinvariant_rep(rep, vec([1, 1]))
         assert {w for w, _ in coinv.weights} == {
             vec(["1/2", "-1/2"]), vec(["-1/2", "1/2"]), vec([0, 0])}
-        mus = [vec(x) for x in ([0, 0], [1, -1], ["1/2", "-1/2"], [1, 0])]
-        # integral coinvariants put the tables at scale 1, while the orbit
-        # points of a half-integral mu and the weights of ch(mu') are off
-        # that lattice: only their differences are on it
+        zero = vec([0, 0])
+        for up_to in (0, 4):
+            with pytest.raises(InputError, match="not a lattice element"):
+                hom_block_dims(GL2, zero, zero, coinv, up_to=up_to)
+        with pytest.raises(InputError, match="not a lattice element"):
+            sym_power_character(coinv, 0)
+
+    @pytest.mark.parametrize("which", ["mu", "mu_prime"])
+    def test_non_integral_block_weights_are_refused(self, which):
         integral = coinvariant_rep(
             _weight_multiset(GL2, [((1, -1), 1), ((-1, 1), 1), ((0, 0), 1),
                                    ((1, 0), 1), ((0, 1), 1)]), vec([1, 1]))
-        assert sym_power_character(integral, 0).scale == 1
-        halves = [vec(x) for x in (["1/2", "-1/2"], ["3/2", "-1/2"],
-                                   ["3/2", "-3/2"])]
-        for coinv, mus in ((coinv, mus), (integral, halves)):
-            nonzero = 0
-            for mu in mus:
-                for mu2 in mus:
-                    got = hom_block_dims(GL2, mu, mu2, coinv, lv,
-                                         up_to=4).dims()
-                    assert got == hom_block_dims_reference(GL2, mu, mu2,
-                                                           coinv, lv, 4)
-                    nonzero += any(got)
-            assert nonzero > 0
-        half = vec(["1/2", "-1/2"])
-        assert hom_block_dims(GL2, half, half, integral, lv).dims()[0] == 1
+        weights = {"mu": vec([0, 0]), "mu_prime": vec([0, 0])}
+        assert hom_block_dims(GL2, **weights, coinv=integral).dims()[0] == 1
+        weights[which] = vec(["1/2", "-1/2"])
+        with pytest.raises(InputError, match="not a lattice element"):
+            hom_block_dims(GL2, **weights, coinv=integral)
+
+    def test_non_integral_highest_weight_is_refused(self):
+        for datum, chi in ((SL2, ["1/2", 0]), (SP4, ["3/2", "1/2"]),
+                           (T1, ["1/3"])):
+            with pytest.raises(InputError, match="not a lattice element"):
+                irr_character(datum, vec(chi))
+
+    def test_levi_off_the_lattice_is_refused(self):
+        # halved roots: (1/2, -1/2) and its negative are no lattice vectors,
+        # while the highest weight (1, 0) is
+        datum = _rescaled(GL2, F(1, 2))
+        lv = full_levi(datum)
+        rep = rep_spec(datum, [((1, -1), 1), ((-1, 1), 1), ((0, 0), 1)])
+        chi = vec([1, 0])
+        with pytest.raises(InputError, match="Levi root"):
+            irr_character(datum, chi, lv)
+        with pytest.raises(InputError, match="Levi root"):
+            hom_block_dims(datum, chi, chi, rep, lv, up_to=2)
+        # its torus Levi has no roots, so nothing is off the lattice
+        torus = levi(datum, vec([1, 0]))
+        assert irr_character(datum, chi, torus).entries == ((chi, 1),)
+
+    def test_dot_image_off_the_lattice_is_refused(self):
+        # the lattice root a = (1, 1, 1, 1) has a . a = 4 and rho = a / 2:
+        # s_a(e1 + rho) - rho = e1 - 3 a / 2, which no division rounds
+        datum = _with_root(build_group("Torus(4)"), vec([1, 1, 1, 1]))
+        rep = rep_spec(datum, [((1, 0, 0, 0), 1)])
+        zero, e1 = vec([0, 0, 0, 0]), vec([1, 0, 0, 0])
+        assert hom_block_dims(datum, zero, zero, rep, up_to=2).dims() == \
+            [1, 0, 0]
+        with pytest.raises(InputError, match="off the lattice"):
+            hom_block_dims(datum, e1, zero, rep, up_to=2)
+
+
+def _counting_characters(monkeypatch):
+    """A fresh character slot, and the list of highest weights that
+    ``irr_character`` is then called with."""
+    calls = []
+    original = characters.irr_character
+
+    def counted(datum, chi, levi=None):
+        calls.append(tuple(chi))
+        return original(datum, chi, levi)
+
+    monkeypatch.setattr(characters, "_CHARACTERS", [(None, None, {})])
+    monkeypatch.setattr(characters, "irr_character", counted)
+    return calls
+
+
+class TestCharacterSlot:
+    @pytest.mark.parametrize("group, rep, eps", HILBERT_CONFIGS,
+                             ids=[c[0] for c in HILBERT_CONFIGS])
+    def test_one_character_per_window_weight(self, monkeypatch, group, rep,
+                                             eps):
+        calls = _counting_characters(monkeypatch)
+        cfg = parse_config({"group": group, "representation": rep,
+                            "box_radius": 0, "mode": "quasi_symmetric",
+                            "epsilon": eps, "degree_bound": 3})
+        blocks = run_job("hilbert", cfg)["hilbert"]["blocks"]
+        targets = {tuple(b["target"]) for b in blocks}
+        assert len(blocks) == len(targets) ** 2
+        assert len(calls) == len(set(calls)) == len(targets)
+
+    def test_new_levi_or_datum_is_never_served_stale_tables(self,
+                                                            monkeypatch):
+        calls = _counting_characters(monkeypatch)
+        coinv = construct_rep(GL2, [("vector_power", 1),
+                                    ("dual_vector_power", 1)])
+        mu = vec([1, 0])
+        lam = vec([0, 0])
+        whole, again = levi(GL2, lam), levi(GL2, lam)
+        torus = levi(GL2, vec([1, 0]))
+        assert whole == again and whole is not again
+        twin = dataclasses.replace(GL2)
+        assert twin == GL2 and twin is not GL2
+        # the whole group's character of (1, 0) has two weights and the
+        # torus Levi's one; served the former, the torus Levi would read 3,
+        # not 2, in degree 2, and the reference comparison would fail
+        expected = 0
+        for datum, lv, fresh in ((GL2, whole, True), (GL2, whole, False),
+                                 (GL2, torus, True), (GL2, whole, True),
+                                 (GL2, again, True), (twin, again, True),
+                                 (twin, again, False)):
+            got = hom_block_dims(datum, mu, mu, coinv, lv, up_to=3).dims()
+            assert got == hom_block_dims_reference(GL2, mu, mu, coinv, lv, 3)
+            expected += fresh
+            assert len(calls) == expected
+
+    def test_threads_alternating_levis_read_their_own_tables(self,
+                                                             monkeypatch):
+        # more threads than cores, switching often: each reads the slot
+        # once, so a thread never pairs its Levi with another's tables
+        monkeypatch.setattr(characters, "_CHARACTERS", [(None, None, {})])
+        coinv = construct_rep(GL2, [("vector_power", 1),
+                                    ("dual_vector_power", 1)])
+        mu = vec([1, 0])
+        levis = [levi(GL2, vec([0, 0])), levi(GL2, vec([1, 0]))]
+        want = [hom_block_dims_reference(GL2, mu, mu, coinv, lv, 3)
+                for lv in levis]
+        wrong = []
+
+        def work(k):
+            for i in range(40):
+                lv = levis[(i + k) % 2]
+                got = hom_block_dims(GL2, mu, mu, coinv, lv, up_to=3).dims()
+                if got != want[(i + k) % 2]:
+                    wrong.append(got)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(k,))
+                       for k in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert wrong == []
 
 
 class TestSymPowerGuards:

@@ -15,7 +15,7 @@ from sodlab.linprog import LATTICE_BOX_CAP, InputError
 from sodlab.reps import REP_DIM_CAP, SYM_PIECE_CAP
 from sodlab.report import (parse_config, parse_rational, rational_str,
                            render, run_job)
-from sodlab.rootdata import GROUP_RANK_CAP
+from sodlab.rootdata import GROUP_DEPTH_CAP, GROUP_RANK_CAP
 
 
 def write_config(tmp_path, payload, name="job.json"):
@@ -438,6 +438,20 @@ class TestCliProcess:
         err = capsys.readouterr().err
         assert err.count("sodlab: configuration error") == 1
         assert f"cap of {GROUP_RANK_CAP}" in err
+
+    @pytest.mark.parametrize("depth", [2000, 100_000])
+    def test_deeply_nested_group_tag_exits_two_fast(self, tmp_path, capsys,
+                                                    depth):
+        # refused before any recursion: one recursive build per level
+        # would overflow the stack at 500 levels
+        cfg = {"group": "Product(" * depth + "GL(1)" + ")" * depth,
+               "representation": [{"kind": "trivial", "copies": 1}]}
+        start = time.perf_counter()
+        assert main(["analyze", "--config", write_config(tmp_path, cfg)]) == 2
+        assert time.perf_counter() - start < 1
+        err = capsys.readouterr().err
+        assert err.count("sodlab: configuration error") == 1
+        assert f"past the cap of {GROUP_DEPTH_CAP}" in err
 
     @pytest.mark.parametrize("subcommand, args, dim", [
         ("partition", ["--config", {"group": "GL(1)", "representation": [

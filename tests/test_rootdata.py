@@ -20,9 +20,9 @@ from sodlab.characters import weyl_dim
 from sodlab.cli import main
 from sodlab.linalg import int_row, mat_vec, vdot, vec
 from sodlab.linprog import InputError
-from sodlab.rootdata import (GROUP_RANK_CAP, build_group, full_levi,
-                             invariant_subspace, is_dominant, levi, descend,
-                             make_dominant, orbit, pairing, reflect,
+from sodlab.rootdata import (GROUP_DEPTH_CAP, GROUP_RANK_CAP, build_group,
+                             full_levi, invariant_subspace, is_dominant, levi,
+                             descend, make_dominant, orbit, pairing, reflect,
                              star_dominate)
 
 SP4 = build_group("Sp(4)")
@@ -53,6 +53,23 @@ class TestBuildGroup:
                     f"Sp({2 * GROUP_RANK_CAP + 2})",
                     f"GL(0000000000{GROUP_RANK_CAP + 1})"):
             with pytest.raises(InputError, match=f"cap of {GROUP_RANK_CAP}"):
+                build_group(tag)
+
+    def test_depth_cap(self):
+        """A tag nested to the cap builds; one level deeper is refused
+        before any recursion, as is a Torus(0) product nested 2,000 deep,
+        which the rank cap does not bound."""
+        def nested(depth, leaf):
+            return "Product(" * (depth - 1) + leaf + ")" * (depth - 1)
+
+        at_cap = nested(GROUP_DEPTH_CAP, "GL(2)")
+        assert at_cap.count("(") == GROUP_DEPTH_CAP
+        assert build_group(at_cap).rank == 2
+        for tag in (nested(GROUP_DEPTH_CAP + 1, "GL(2)"),
+                    nested(GROUP_DEPTH_CAP, "Product(Torus(0))"),
+                    nested(2000, "Torus(0)")):
+            with pytest.raises(InputError,
+                               match=f"past the cap of {GROUP_DEPTH_CAP}"):
                 build_group(tag)
 
     def test_unknown_tag(self):
