@@ -215,6 +215,17 @@ GROUP_RANK_CAP = 32
 # tag past this cap is refused before any recursion.
 GROUP_DEPTH_CAP = 8
 
+# Most characters of a tag an error message quotes; a longer tag is quoted
+# by this prefix and its length, so a malformed 100,000-character tag gives
+# a message of about a hundred bytes, not one as long as the tag.
+TAG_QUOTE_LIMIT = 40
+
+
+def _quote(tag: str) -> str:
+    if len(tag) <= TAG_QUOTE_LIMIT:
+        return repr(tag)
+    return f"{tag[:TAG_QUOTE_LIMIT]!r}... ({len(tag)} characters)"
+
 
 @cache
 def build_group(tag: str) -> RootDatum:
@@ -237,18 +248,18 @@ def build_group(tag: str) -> RootDatum:
                 start = i + 1
         parts.append(inner[start:])
         if any(not p.strip() for p in parts):
-            raise InputError(f"malformed product tag {tag!r}")
+            raise InputError(f"malformed product tag {_quote(tag)}")
         factors, rank = [], 0
         for p in parts:
             factors.append(build_group(p))
             rank += factors[-1].rank
             if rank > GROUP_RANK_CAP:
-                raise InputError(f"the factors of {tag!r} have rank above "
-                                 f"the cap of {GROUP_RANK_CAP}")
+                raise InputError(f"the factors of {_quote(tag)} have rank "
+                                 f"above the cap of {GROUP_RANK_CAP}")
         return _product(factors)
     m = _TAG.match(tag)
     if not m:
-        raise InputError(f"unknown group tag {tag!r}")
+        raise InputError(f"unknown group tag {_quote(tag)}")
     kind, digits = m.group(1).lower(), m.group(2).lstrip("0") or "0"
     # Sp(2n) has rank n; a long digit string is refused before int() reads it
     limit = 2 * GROUP_RANK_CAP if kind == "sp" else GROUP_RANK_CAP
@@ -259,7 +270,7 @@ def build_group(tag: str) -> RootDatum:
     if kind == "torus":
         return _build_torus(n)
     if n < 1:
-        raise InputError(f"group parameter must be positive in {tag!r}")
+        raise InputError(f"group parameter must be positive in {_quote(tag)}")
     if kind == "gl":
         return _build_gl(n)
     if kind == "sl":

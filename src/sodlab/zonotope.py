@@ -12,31 +12,32 @@ For SL blocks the ambient coordinates carry redundant directions; those are
 passed as ``central`` vectors and enter every membership system as free
 variables, so all sets are effectively computed in the character quotient.
 
-Epsilon-shifted membership and genericity read no LP.  A facet table is
-built once per (generators, central, ambient dimension) and kept in a
-process memo.  Its build finds the hyperplane flats of the generator lines
-by a scan of line subsets and takes both signed normals of each, with their
-support values, as the facets.  Those are the only faces the package
-enumerates: genericity reads the facet normals from the table too, as the
-span of every proper face is an intersection of facet spans, each the
-kernel of its normal within V = span(generators + central).  The table
-holds the facets and an annihilator basis of V, all normals primitive
+Epsilon-shifted and half-open membership and genericity read no LP.  A
+facet table is built once per (generators, central, ambient dimension) and
+kept in a process memo.  Its build finds the hyperplane flats of the
+generator lines by a scan of line subsets and takes both signed normals of
+each, with their support values, as the facets.  Those are the only faces
+the package enumerates: genericity reads the facet normals from the table
+too, as the span of every proper face is an intersection of facet spans,
+each the kernel of its normal within V = span(generators + central).  The
+table holds the facets and an annihilator basis of V, all normals primitive
 integer vectors; every test of epsilon (parallel to V, generic, weakly
-generic) is an integer pairing with those rows.
-``member_eps`` builds one integer predicate per window from it, and that
-predicate decides each lattice point with integer arithmetic on those
-pairings.  ``member`` has the same shape: it builds one predicate per
-window for the closed, half-open or relative-interior variant, assembling
-the coefficient program once, and each point solves that program with its
-own right-hand side.  So do ``min_radius`` and ``face_signature_at``: a
-partition builds one radius program and one closed coefficient program,
-and each dominant point solves the first with its right-hand side and
-sweeps the second with its right-hand side and radius bounds.  Those are
-the LPs left over the coefficient system; with no generators every
-variant of ``member`` is shift + span(central), decided by span
-arithmetic.  The supporting subgroup of a face solves no LP: Weyl symmetry
-guarantees an antidominant one (see ``supporting_lambda``), and the
-integral search finds the canonical one directly.
+generic) is an integer pairing with those rows.  ``member_eps`` and the
+half-open variant of ``member`` build one integer predicate per window from
+it through one builder (the two differ only in the facets a point may lie
+on), and that predicate decides each lattice point with integer arithmetic
+on those pairings.  For the closed and relative-interior variants ``member``
+builds one predicate per window by assembling the coefficient program once,
+and each point solves that program with its own right-hand side.  So do
+``min_radius`` and ``face_signature_at``: a partition builds one radius
+program and one closed coefficient program, and each dominant point solves
+the first with its right-hand side and sweeps the second with its
+right-hand side and radius bounds.  Those are the LPs left over the
+coefficient system; with no generators every variant of ``member`` is shift
++ span(central), decided by span arithmetic.  The supporting subgroup of a
+face solves no LP: Weyl symmetry guarantees an antidominant one (see
+``supporting_lambda``), and the integral search finds the canonical one
+directly.
 """
 
 from __future__ import annotations
@@ -134,12 +135,16 @@ def member(generators, r, shift, variant: str,
            central: Central = ()) -> Callable[[Vec], bool]:
     """The membership predicate of shift + r * (variant of the zonotope).
 
-    Built once per window: the coefficient program is assembled once, and
-    each point solves a copy whose only change is the right-hand side
-    p - shift (a phase-1 point for the closed variant, a strict sweep for
-    the others).  With no generators every variant is shift +
-    span(central), decided without an LP.  The predicate takes int or
-    Fraction points.  InputError for an unknown variant or r <= 0.
+    Built once per window.  The half-open variant reads the facet table
+    through the builder of ``member_eps``: p may lie on a facet only where
+    h(lam) = 0 (see the facet arithmetic section below), and its build
+    raises InputError past ``HYPERPLANE_SCAN_CAP``.
+    The closed and relative-interior variants assemble the coefficient
+    program once, and each point solves a copy whose only change is the
+    right-hand side p - shift (a phase-1 point for the closed variant, a
+    strict sweep for the other).  With no generators every variant is
+    shift + span(central), decided without an LP.  The predicate takes int
+    or Fraction points.  InputError for an unknown variant or r <= 0.
     """
     if variant not in _VARIANTS:
         raise InputError(f"unknown variant {variant!r}")
@@ -148,6 +153,9 @@ def member(generators, r, shift, variant: str,
     shift = vec(shift)
     if not generators:
         return lambda p: in_span(central, vsub(vec(p), shift))
+    if variant == HALF_OPEN:
+        return _facet_predicate(facet_table(generators, central, len(shift)),
+                                r, shift, lambda lam, h: h == 0)
     # assembled at p = shift; each point sets its own right-hand side
     b, _, _ = _coefficient_program(generators, r, shift, shift, variant,
                                    central)
@@ -300,7 +308,7 @@ def supporting_lambda(sig: FaceSignature, datum: RootDatum, generators) -> Vec:
 
 
 # ---------------------------------------------------------------------------
-# Epsilon-shifted membership by facet arithmetic.
+# Epsilon-shifted and half-open membership by facet arithmetic.
 #
 # Within V = span(generators + central) the set r * Z + span(central) is cut
 # out by its facets.  Their normals are the functionals lam that vanish on
@@ -308,9 +316,15 @@ def supporting_lambda(sig: FaceSignature, datum: RootDatum, generators) -> Vec:
 # ``_hyperplane_normals`` below), taken with both signs, and the support
 # function of Z at lam is h(lam) = sum max(0, -<lam, v>) over the expanded
 # generators.  So d = p - shift is in the closed set iff d pairs to zero
-# with the annihilator of V and <lam, d> <= r * h(lam) on every facet, and
+# with the annihilator of V and <lam, d> <= r * h(lam) on every facet,
 # -eps points into the set at such a d iff <lam, eps> >= 0 on every facet
-# tight at d.
+# tight at d, and d is in the half-open set iff h(lam) = 0 on every facet
+# tight at d.  For the last: d misses the half-open set iff every
+# representation pins a coefficient at -r.  A tight facet with h > 0 pins
+# those its normal pairs negatively with.  If there is none, a functional
+# mu in the relative interior of the normal cone of d's minimal face pins
+# exactly the generators it pairs negatively with, and it is a positive
+# sum of tight normals, so h(mu) = 0 (h is nonnegative and sublinear).
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -373,6 +387,33 @@ def _scaled_row(lam: tuple[int, ...], bound: Fraction):
     return tuple(bound.denominator * x for x in lam), bound.numerator
 
 
+def _facet_predicate(table: FacetTable, r, shift: Vec,
+                     may_be_tight) -> Callable[[Vec], bool]:
+    """p -> whether p pairs with each annihilator row as the shift does and
+    <lam, p> <= r * h(lam) + <lam, shift> on each facet, with equality only
+    where ``may_be_tight(lam, h)``; integer arithmetic at int points."""
+    r = frac(r)
+    equal = [_scaled_row(a, vdot(a, shift)) for a in table.annihilator]
+    closed, strict = [], []
+    for lam, h in table.facets:
+        (closed if may_be_tight(lam, h) else strict).append(
+            _scaled_row(lam, r * h + vdot(lam, shift)))
+
+    def inside(p) -> bool:
+        for a, target in equal:
+            if sum(map(mul, a, p)) != target:
+                return False
+        for lam, bound in closed:
+            if sum(map(mul, lam, p)) > bound:
+                return False
+        for lam, bound in strict:
+            if sum(map(mul, lam, p)) >= bound:
+                return False
+        return True
+
+    return inside
+
+
 def member_eps(generators, r, shift, e: EpsShift,
                central: Central = ()) -> Callable[[Vec], bool]:
     """The membership predicate of the eps-shifted region: the part of the
@@ -390,30 +431,14 @@ def member_eps(generators, r, shift, e: EpsShift,
     table = facet_table(generators, central, len(shift))
     eps = vec(e.epsilon)
     _check_parallel(table, eps)
-    r = frac(r)
-    if r <= 0:
+    if frac(r) <= 0:
         raise InputError("zonotope radius must be positive")
-    equal = [_scaled_row(a, vdot(a, shift)) for a in table.annihilator]
-    closed, strict = [], []
-    for lam, h in table.facets:
+
+    def may_be_tight(lam, h) -> bool:
         t = vdot(lam, eps)
-        may_be_tight = t == 0 or (t > 0 and e.mode == "plus")
-        (closed if may_be_tight else strict).append(
-            _scaled_row(lam, r * h + vdot(lam, shift)))
+        return t == 0 or (t > 0 and e.mode == "plus")
 
-    def inside(p) -> bool:
-        for a, target in equal:
-            if sum(map(mul, a, p)) != target:
-                return False
-        for lam, bound in closed:
-            if sum(map(mul, lam, p)) > bound:
-                return False
-        for lam, bound in strict:
-            if sum(map(mul, lam, p)) >= bound:
-                return False
-        return True
-
-    return inside
+    return _facet_predicate(table, r, shift, may_be_tight)
 
 
 # ---------------------------------------------------------------------------

@@ -453,6 +453,22 @@ class TestCliProcess:
         assert err.count("sodlab: configuration error") == 1
         assert f"past the cap of {GROUP_DEPTH_CAP}" in err
 
+    @pytest.mark.parametrize("group", [
+        "GL(" + "(" * 100_000 + "1",
+        "Product(GL(1)," + "X" * 100_000 + ")",
+    ], ids=["unknown tag", "unknown factor"])
+    def test_long_group_tag_gives_a_short_error_line(self, tmp_path, capsys,
+                                                     group):
+        # the message quotes a prefix of the tag and its length, not the
+        # whole tag
+        cfg = {"group": group,
+               "representation": [{"kind": "trivial", "copies": 1}]}
+        assert main(["analyze", "--config", write_config(tmp_path, cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("sodlab: configuration error: unknown group tag")
+        assert len(err.encode()) < 300
+
     @pytest.mark.parametrize("subcommand, args, dim", [
         ("partition", ["--config", {"group": "GL(1)", "representation": [
             {"kind": "weights", "weights": [

@@ -76,6 +76,32 @@ class TestBuildGroup:
         with pytest.raises(InputError):
             build_group("E(8)")
 
+    def test_error_quotes_a_bounded_prefix_of_the_tag(self):
+        """A short tag is quoted whole; a long one by its first
+        TAG_QUOTE_LIMIT characters and its length, in every message that
+        quotes the tag."""
+        with pytest.raises(InputError) as short:
+            build_group("E(8)")
+        assert str(short.value) == "unknown group tag 'E(8)'"
+        with pytest.raises(InputError) as short:
+            build_group("Product(GL(1),)")
+        assert str(short.value) == "malformed product tag 'Product(GL(1),)'"
+        limit = rootdata.TAG_QUOTE_LIMIT
+        ranked = ("Product(" + "Torus(0)," * 20_000
+                  + f"GL({GROUP_RANK_CAP}),GL(1))")
+        for tag, start in (("GL(" + "(" * 100_000 + "1", "unknown group tag"),
+                           ("Product(GL(1)," + "GL(1)," * 20_000 + ")",
+                            "malformed product tag"),
+                           (ranked, "the factors of"),
+                           ("GL(" + "0" * 100_000 + ")",
+                            "group parameter must be positive in")):
+            with pytest.raises(InputError) as err:
+                build_group(tag)
+            message = str(err.value)
+            assert message.startswith(f"{start} {tag[:limit]!r}... "
+                                      f"({len(tag)} characters)"), message
+            assert len(message) < 200
+
     def test_product(self):
         p = build_group("Product(SL(2),Torus(1))")
         assert p.rank == 3

@@ -6,17 +6,20 @@ from fractions import Fraction as F
 
 import pytest
 
-from oracles import random_generators, zonotope_vertices_reference
+from oracles import (member_reference, random_generators,
+                     zonotope_vertices_reference)
 from sodlab import partition, report, reps, rootdata, sod, zonotope
 from sodlab.cli import main
-from sodlab.linalg import vadd, vec, vscale, vsub
+from sodlab.linalg import rank, vadd, vec, vscale, vsub
 from sodlab.linprog import InputError, enumerate_lattice
-from sodlab.partition import PreconditionError, make_profile, window_box
+from sodlab.partition import (PreconditionError, make_profile, window_box,
+                              window_points)
 from sodlab.report import build_objects, preset_config, run_job
 from sodlab.reps import coinvariant_rep, rep_spec
 from sodlab.rootdata import build_group, full_levi, is_dominant, levi
 from sodlab.sod import certify_nccr, enumerate_sod, preset
-from sodlab.zonotope import CLOSED, member
+from sodlab.zonotope import (CLOSED, HALF_OPEN, REL_INT, EpsShift, member,
+                             member_eps)
 
 T1 = build_group("Torus(1)")
 
@@ -274,6 +277,114 @@ class TestStabilityLpOnce:
             with pytest.raises(PreconditionError):
                 run_job(subcommand, cfg)
         assert len(calls) == 1
+
+
+def prazno_reference(rep, lv, coinv, nu, eps, twist=None):
+    """The set-mode boundary window with the half-open test on the LP: the
+    points of the plus-minus epsilon window that the per-point strict sweep
+    puts outside the half-open window."""
+    datum = rep.datum
+    central = datum.central_directions
+    gens = coinv.expanded
+    half = F(1, 2)
+    shift = vsub(nu, lv.rho_bar_lambda)
+    both_ways = member_eps(gens, half, shift, EpsShift(eps, "plus_minus"),
+                           central)
+    return tuple(window_points(
+        datum, lv, gens, half, shift,
+        lambda p: both_ways(p) and not member_reference(
+            gens, half, shift, HALF_OPEN, p, central), twist))
+
+
+def random_quasi_symmetric_torus2(rng):
+    """A quasi-symmetric Torus(2) weight multiset whose lines span the
+    plane, so that it has a stable point."""
+    while True:
+        pairs = []
+        for _ in range(rng.randint(2, 4)):
+            w = (rng.randint(-2, 2), rng.randint(-2, 2))
+            if w != (0, 0):
+                m = rng.randint(1, 2)
+                pairs += [(w, m), ((-w[0], -w[1]), m)]
+        if rank([vec(w) for w, _ in pairs]) == 2:
+            return rep_spec(build_group("Torus(2)"), pairs)
+
+
+class TestPraznoFromFacets:
+    """Set-mode ``certify_nccr`` decides the half-open part of the boundary
+    window from the facet table, with the verdicts of the LP."""
+
+    @pytest.mark.parametrize("name, kwargs", [
+        ("pfaffian", {"n": 2, "h": 5}), ("determinantal", {"n": 2, "h": 3}),
+        ("sl2", {"degrees": [3]}),
+        ("toric", {"weights": [((1,), 1), ((1,), 1), ((-1,), 1),
+                               ((-1,), 1)]}),
+    ], ids=["pfaffian:n=2,h=5", "determinantal:n=2,h=3", "sl2:3",
+            "toric:1,1,-1,-1"])
+    def test_presets_match_the_lp_composition(self, name, kwargs):
+        cfg = preset_config(preset(name, **kwargs))
+        datum, rep, profile = build_objects(cfg)
+        result = enumerate_sod(rep, profile, r_max=cfg.r_max,
+                               box_radius=cfg.box_radius, epsilon=cfg.epsilon)
+        for comp in result.components:
+            cert = certify_nccr(rep, comp.levi, comp.coinvariants, comp.nu,
+                                result.epsilon if comp.is_d0 else None)
+            assert cert.prazno_points == prazno_reference(
+                rep, comp.levi, comp.coinvariants, comp.nu, cert.epsilon), \
+                comp.index
+
+    def test_random_torus2_sets_match_the_lp_composition(self):
+        """Every component of random quasi-symmetric Torus(2) sets, and the
+        lam = 0 certificate at epsilons that are generic, along a weight
+        (on a facet) or zero, with Fraction nu."""
+        rng = random.Random(27)
+        sizes = Counter()
+        for _ in range(12):
+            rep = random_quasi_symmetric_torus2(rng)
+            datum = rep.datum
+            nu = vec([F(rng.randint(-2, 2), rng.choice((1, 2, 3)))
+                      for _ in range(2)])
+            profile = make_profile(datum, nu, threshold="half_open")
+            result = enumerate_sod(rep, profile, r_max=F(2), box_radius=2)
+            cases = [(comp.levi, comp.coinvariants, comp.nu,
+                      result.epsilon if comp.is_d0 else None)
+                     for comp in result.components]
+            lam = vec([0, 0])
+            for eps in (vec([0, 0]), rep.weights[0][0],
+                        vec([F(1, 7), F(1, 11)])):
+                cases.append((full_levi(datum), coinvariant_rep(rep, lam),
+                              nu, eps))
+            for lv, coinv, comp_nu, eps in cases:
+                cert = certify_nccr(rep, lv, coinv, comp_nu, eps)
+                want = prazno_reference(rep, lv, coinv, comp_nu, cert.epsilon)
+                assert cert.prazno_points == want, (rep.weights, comp_nu, eps)
+                sizes[bool(want)] += 1
+        assert sizes[True] and sizes[False], sizes
+
+    def test_prazno_check_solves_no_lp(self, monkeypatch):
+        """During a set-mode nccr job no strict sweep comes from a
+        half-open predicate; the relative-interior windows still solve
+        theirs."""
+        cfg = preset_config(preset("determinantal", n=2, h=3))
+        assert cfg.prazno_mode == "set"
+        built, solved = [], []
+        original_member, original_sweep = sod.member, zonotope.strict_feasible
+
+        def building(*args, **kwargs):
+            built.append(args[3])
+            return original_member(*args, **kwargs)
+
+        def sweeping(*args, **kwargs):
+            # the variant the calling predicate was built with
+            solved.append(sys._getframe(1).f_locals.get("variant"))
+            return original_sweep(*args, **kwargs)
+
+        monkeypatch.setattr(sod, "member", building)
+        monkeypatch.setattr(zonotope, "strict_feasible", sweeping)
+        doc = run_job("nccr", cfg)
+        assert doc["nccr"] and HALF_OPEN in built
+        assert HALF_OPEN not in solved
+        assert REL_INT in solved
 
 
 class TestPresets:

@@ -22,7 +22,7 @@ from oracles import (brute_force_signature, face_signature_reference,
 from sodlab import zonotope
 from sodlab.cli import main
 from sodlab.linalg import (in_span, nullspace, span_basis, vadd, vdot, vec,
-                           vscale)
+                           vscale, vsub)
 from sodlab.linprog import (InputError, feasible_point, forced_tight,
                             strict_feasible)
 from sodlab.partition import make_profile, signature_of
@@ -183,6 +183,60 @@ class TestMember:
                 with pytest.raises(InputError, match="positive"):
                     member(gens, r, vec([0]), variant)
 
+
+class TestHalfOpenFromFacets:
+    """The half-open predicate reads the facet table: <lam, p - shift> <=
+    r * h(lam) on every facet, strictly where h(lam) > 0."""
+
+    @settings(derandomize=True, database=None, max_examples=200,
+              deadline=None)
+    @given(st.sampled_from(MEMBER_GROUPS), st.integers(0, 2 ** 32),
+           st.sampled_from((F(1, 2), F(1), F(3, 2))))
+    def test_matches_per_point_lp_reference(self, tag, seed, r):
+        """Random generator multisets with repeated, opposite and zero
+        generators, SL central directions, shifts nu - rho_bar of a Levi
+        with nu a Fraction combination of its invariants, and int, Fraction,
+        vertex and off-span points, against the strict-sweep LP."""
+        rng = random.Random(seed)
+        datum = build_group(tag)
+        central = datum.central_directions
+        gens = random_generators(rng, datum)
+        lam = rng.choice([vscale(F(0), datum.rho_bar)]
+                         + list(datum.positive_roots))
+        lv = levi(datum, lam)
+        nu = vscale(F(0), datum.rho_bar)
+        for v in lv.invariant_vectors():
+            nu = vadd(nu, vscale(F(rng.randint(-3, 3), rng.choice((1, 2, 3))),
+                                 v))
+        shift = vsub(nu, lv.rho_bar_lambda)
+        points = member_points(rng, gens, r, shift, central, datum.rank)
+        inside = member(gens, r, shift, HALF_OPEN, central)
+        got = [inside(p) for p in points]
+        want = [member_reference(gens, r, shift, HALF_OPEN, p, central)
+                for p in points]
+        assert got == want, (tag, gens, r, shift, points)
+
+    def test_solves_no_lp(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("LP solved")
+
+        monkeypatch.setattr(zonotope, "strict_feasible", refuse)
+        monkeypatch.setattr(zonotope, "feasible_point", refuse)
+        # ]-1/2, 0] x ]-1/2, 0]
+        inside = q((vec([1, 0]), vec([0, 1])), F(1, 2), [0, 0], HALF_OPEN)
+        assert inside((0, 0)) and inside(vec([F(-1, 4), 0]))
+        assert not inside(vec([F(-1, 2), 0])) and not inside(vec([0, F(1, 4)]))
+
+    def test_scan_cap_is_checked_when_built(self, monkeypatch):
+        gens = TestHyperplaneScanCap.GENS  # C(4, 2) = 6 line subsets
+        monkeypatch.setattr(zonotope, "_FACET_TABLES", {})
+        monkeypatch.setattr(zonotope, "HYPERPLANE_SCAN_CAP", 5)
+        with pytest.raises(InputError, match="exceeds the cap of 5"):
+            member(gens, F(1), vec([0, 0, 0]), HALF_OPEN)
+        # the other variants build no facet table
+        origin = vec([0, 0, 0])
+        assert member(gens, F(1), origin, CLOSED)(origin)
+        assert not member(gens, F(1), origin, REL_INT)(origin)
 
 
 class TestMinRadius:
