@@ -35,6 +35,11 @@ system is feasible and no open bound is attained by every feasible point,
 because averaging one witness per open bound keeps all slacks positive; so
 ``strict_feasible`` sweeps the open bounds.  An optimum is attained by the
 half-open set iff its optimal face has such a point.
+
+Every lattice point the package visits comes from ``lattice_walk``: the
+dominant boxes, the windows (through ``enumerate_lattice``) and the integral
+searches (``integral_shell``, ``lex_minimal_integral``).  Sign rows prune
+the walk on the prefix that decides them.
 """
 
 from __future__ import annotations
@@ -43,6 +48,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Callable, Sequence
 
 from .linalg import Vec, ZERO, ONE, frac, vdot
@@ -545,10 +551,12 @@ class LpBuilder:
 # Lattice points.
 # ---------------------------------------------------------------------------
 
-# Most integer points a box may hold for ``enumerate_lattice``.  Every point
-# can cost a zonotope membership LP, and the window boxes of the presets,
-# tests and benchmark jobs hold at most a few hundred points; a box past the
-# cap is refused before the scan rather than scanned for minutes.
+# Most points one step of ``lattice_walk`` may test: the prefixes it has
+# kept times the values of the next coordinate, in a dominant box or a
+# window alike (with no rows the last step counts the whole box).  The
+# presets and benchmark jobs test at most 5,915 points in one step (a rank-4
+# box at radius 6), the Sp(6) V^15 tail window 14,415; a step past the cap
+# is refused before it is walked rather than walked for minutes.
 LATTICE_BOX_CAP = 20_000
 
 
@@ -559,27 +567,62 @@ def check_box_size(count: int) -> None:
                          f"of {LATTICE_BOX_CAP}")
 
 
+def _passes(p: tuple[int, ...], rows) -> bool:
+    for c, signs in rows:
+        s = sum(map(mul, c, p))
+        if (s > 0) - (s < 0) not in signs:
+            return False
+    return True
+
+
+def lattice_walk(spans: Sequence[range], rows=(), shell: int | None = None
+                 ) -> list[tuple[int, ...]]:
+    """The points of the box spans[0] x spans[1] x ... (ranges of step 1)
+    that pass every sign row, in lexicographic order, as int tuples.  A row
+    (c, signs), c an int tuple, passes p when the sign of <c, p> is in
+    ``signs``.
+
+    The walk sets one coordinate at a time and drops a prefix as soon as a
+    row whose last nonzero coordinate it has just set fails (a zero row is
+    decided on the empty prefix).  With ``shell`` = b the last coordinate
+    takes only -b and b after a prefix with no entry of absolute value b.
+    InputError when a step would test more than ``LATTICE_BOX_CAP`` points.
+    """
+    due = [[] for _ in range(len(spans) + 1)]  # rows by coordinates set
+    for row in rows:
+        last = max((k + 1 for k, x in enumerate(row[0]) if x), default=0)
+        due[last].append(row)
+    points = [()] if _passes((), due[0]) else []
+    for k, span in enumerate(spans, 1):
+        # not len(span), which raises OverflowError past sys.maxsize
+        check_box_size(len(points) * max(0, span.stop - span.start))
+        ends = (-shell, shell) if shell and k == len(spans) else None
+        points = [q + (x,) for q in points for x in
+                  (ends if ends and shell not in map(abs, q) else span)]
+        points = [p for p in points if _passes(p, due[k])]
+    return points
+
+
 def enumerate_lattice(predicate: Callable[[Vec], bool],
                       box: Sequence[tuple[Fraction, Fraction]],
-                      coset=None) -> list[Vec]:
+                      coset=None, rows=()) -> list[Vec]:
     """Integer points (optionally restricted to a sublattice coset) inside a
-    finite coordinate box that pass ``predicate``, in lexicographic order,
-    as tuples of ``Fraction``.  InputError when the box holds more than
+    finite coordinate box that pass the sign ``rows`` of ``lattice_walk``
+    and ``predicate``, in lexicographic order, as tuples of ``Fraction``.
+    InputError when a step of the walk would test more than
     ``LATTICE_BOX_CAP`` points.
 
     ``coset`` is any object exposing ``contains(point) -> bool``.  The coset
-    test and ``predicate`` see each point as a tuple of Python ints, so they
-    can decide it with integer arithmetic; only accepted points are turned
-    into ``Fraction`` tuples.
+    test and ``predicate`` see each point that passes the rows as a tuple of
+    Python ints, so they can decide it with integer arithmetic; only
+    accepted points are turned into ``Fraction`` tuples.
     """
     spans = []
     for lo, hi in box:
         if lo is None or hi is None:
             raise InputError("enumerate_lattice needs a finite bounding box")
         spans.append(range(math.ceil(lo), math.floor(hi) + 1))
-    # not len(s), which raises OverflowError past sys.maxsize
-    check_box_size(math.prod(max(0, s.stop - s.start) for s in spans))
-    points = itertools.product(*spans)
+    points = lattice_walk(spans, rows)
     if coset is not None:
         points = filter(coset.contains, points)
     return [tuple(map(Fraction, p)) for p in filter(predicate, points)]
@@ -587,45 +630,30 @@ def enumerate_lattice(predicate: Callable[[Vec], bool],
 
 # Most candidate vectors ``lex_minimal_integral`` may test, its one guard.
 # The shells up to sup-norm b hold (2b + 1)^n vectors and each costs a
-# predicate call; the searches of the presets, tests and benchmark jobs stop
-# within 343 (rank 3, sup-norm 3), and a miss stops at sup-norm 4,999 in
-# rank 1 and 49 in rank 2.
+# predicate call unless a sign row drops it first; the cap counts them all.
+# The searches of the presets, tests and benchmark jobs stop within 343
+# (rank 3, sup-norm 3), and a miss stops at sup-norm 4,999 in rank 1 and 49
+# in rank 2.
 INTEGRAL_CANDIDATE_CAP = 10_000
 
 
-def integral_shell(n: int, bound: int):
-    """The integral vectors of length n first reached at sup-norm ``bound``,
-    in lexicographic order, as int tuples: all of [-1, 1]^n for bound 1 (the
-    zero vector included), else those with some entry of absolute value
-    ``bound``."""
-    if n > 0:
-        inner = bound - 1 if bound > 1 else -1
-        full = range(-bound, bound + 1)
-        yield from _shell(n, full, inner)
+def integral_shell(n: int, bound: int, rows=()) -> list[tuple[int, ...]]:
+    """The integral vectors of length n first reached at sup-norm ``bound``
+    that pass the sign ``rows`` of ``lattice_walk``, in lexicographic order,
+    as int tuples: all of [-1, 1]^n for bound 1 (the zero vector included),
+    else those with some entry of absolute value ``bound``."""
+    if n == 0:
+        return []
+    return lattice_walk([range(-bound, bound + 1)] * n, rows,
+                        bound if bound > 1 else None)
 
 
-def _shell(k: int, full, inner: int):
-    """The length-k tuples over ``full`` (the range -b..b) with some entry
-    of absolute value above ``inner``, in lexicographic order.  The last
-    entry takes only the values past ``inner`` when ``inner`` is at least 0,
-    so a shell costs its own size, not the width of ``full``."""
-    if k == 1 and inner >= 0:
-        b = full[-1]
-        for c in itertools.chain(full[:b - inner], full[b + inner + 1:]):
-            yield (c,)
-        return
-    for c in full:
-        rests = (itertools.product(full, repeat=k - 1) if abs(c) > inner
-                 else _shell(k - 1, full, inner))
-        for rest in rests:
-            yield (c,) + rest
-
-
-def lex_minimal_integral(n: int, ok: Callable[[Vec], bool]) -> Vec:
+def lex_minimal_integral(n: int, ok: Callable[[Vec], bool], rows=()) -> Vec:
     """First integral vector of length n, by growing sup-norm then
-    lexicographic order, satisfying the predicate; InputError when reaching
-    the next shell would take the candidates past ``INTEGRAL_CANDIDATE_CAP``,
-    or when n is 0.  Each candidate is tested once, as an int tuple; the hit
+    lexicographic order, that passes the sign ``rows`` of ``lattice_walk``
+    and the predicate; InputError when reaching the next shell would take
+    the candidates past ``INTEGRAL_CANDIDATE_CAP``, or when n is 0.  Each
+    candidate that passes the rows is tested once, as an int tuple; the hit
     is returned as a ``Fraction`` tuple."""
     if n == 0:
         raise InputError("no nonzero vector exists in rank 0")
@@ -635,6 +663,6 @@ def lex_minimal_integral(n: int, ok: Callable[[Vec], bool]) -> Vec:
             raise InputError(
                 f"integral search up to sup-norm {bound} tests {count} "
                 f"candidates, above the cap of {INTEGRAL_CANDIDATE_CAP}")
-        for v in integral_shell(n, bound):
+        for v in integral_shell(n, bound, rows):
             if ok(v):
                 return tuple(map(Fraction, v))

@@ -26,12 +26,11 @@ import itertools
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from operator import mul
 from typing import Callable
 
 from .linalg import (Vec, ZERO, ONE, int_row, vadd, vscale, vsub, vec,
                      zero_vec)
-from .linprog import InputError, check_box_size, enumerate_lattice
+from .linprog import InputError, enumerate_lattice, lattice_walk
 from .reps import RepSpec, find_destabilizer, weight_signs
 from .rootdata import (LeviDatum, RootDatum, full_levi, is_dominant, levi,
                        pairing, star_dominate)
@@ -159,10 +158,6 @@ def build_cell(rep: RepSpec, sig: FaceSignature, profile: ShiftProfile,
                          tuple(members))
 
 
-def _pinned_coords(datum: RootDatum) -> tuple[int, ...]:
-    return tuple(pin for _, pin in datum.quotient_pairs)
-
-
 def window_box(datum: RootDatum, generators, r, shift):
     """Per-coordinate bounds of the closed window over canonical section
     representatives (pinned SL coordinates forced to zero).  The section
@@ -181,11 +176,11 @@ def window_points(datum: RootDatum, lv: LeviDatum, gens, r, shift, inside,
     """The lattice points of a window, in lexicographic order: the points of
     the twist coset in the box of shift + r * Z(gens) modulo the SL
     directions that are dominant for the Levi ``lv`` and pass the membership
-    predicate ``inside``, which sees each point as a tuple of ints.  With no
-    generators the box is the shift point."""
-    box = window_box(datum, gens, r, shift)
-    return enumerate_lattice(
-        lambda p: is_dominant(datum, p, lv) and inside(p), box, coset=twist)
+    predicate ``inside``, which sees each point as a tuple of ints.  The
+    dominance rows prune the walk, so the coset test and ``inside`` see only
+    Levi-dominant points.  With no generators the box is the shift point."""
+    return enumerate_lattice(inside, window_box(datum, gens, r, shift), twist,
+                             [(c, (0, 1)) for c in lv.dominance_rows])
 
 
 def cell_members(rep: RepSpec, cell: PartitionCell, profile: ShiftProfile,
@@ -207,21 +202,16 @@ def cell_members(rep: RepSpec, cell: PartitionCell, profile: ShiftProfile,
 
 def dominant_box_points(rep: RepSpec, radius: int) -> list[Vec]:
     """Dominant lattice weights with all coordinates in [-radius, radius],
-    pinned SL coordinates zero, in lexicographic order.  The box is walked
-    one coordinate at a time: each prefix takes every value of the next
-    coordinate and is dropped once a dominance row whose last nonzero
-    coordinate it has just set pairs negatively with it.  InputError when
-    a step would test more than ``LATTICE_BOX_CAP`` points."""
+    pinned SL coordinates zero, in lexicographic order: the walk of the box
+    (``linprog.lattice_walk``), which drops a prefix as soon as a dominance
+    row it completes pairs negatively with it.  InputError when a step
+    would test more than ``LATTICE_BOX_CAP`` points."""
     datum = rep.datum
-    pinned = set(_pinned_coords(datum))
-    prefixes = [()]
-    for k in range(datum.rank):
-        values = range(0, 1) if k in pinned else range(-radius, radius + 1)
-        check_box_size(len(prefixes) * (values.stop - values.start))
-        done = [c for c in datum.dominance_rows if c[k] and not any(c[k + 1:])]
-        prefixes = [p for p in (q + (x,) for q in prefixes for x in values)
-                    if all(sum(map(mul, c, p)) >= 0 for c in done)]
-    return [tuple(map(Fraction, p)) for p in prefixes]
+    pinned = {pin for _, pin in datum.quotient_pairs}
+    spans = [range(0, 1) if k in pinned else range(-radius, radius + 1)
+             for k in range(datum.rank)]
+    rows = [(c, (0, 1)) for c in datum.dominance_rows]
+    return [tuple(map(Fraction, p)) for p in lattice_walk(spans, rows)]
 
 
 def partition_region(rep: RepSpec, profile: ShiftProfile,

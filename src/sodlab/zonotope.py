@@ -285,26 +285,12 @@ def supporting_lambda(sig: FaceSignature, datum: RootDatum, generators) -> Vec:
         return zero_vec(datum.rank)
     # Each class value, positive root and central direction times a positive
     # integer: only the signs of the pairings with a candidate are read.
-    rows = [(int_row(v)[0], mark)
-            for v, _, mark in signature_classes(sig, generators)]
-    central = [c for c, _ in datum.quotient_ints]
-    positive = datum.root_ints[2]
-
-    def ok(cand: tuple[int, ...]) -> bool:
-        for c in central:
-            if sum(map(mul, cand, c)):
-                return False
-        for v, mark in rows:
-            s = sum(map(mul, cand, v))
-            if mark == "+" and not s > 0:
-                return False
-            if mark == "-" and not s < 0:
-                return False
-            if mark == "0" and s != 0:
-                return False
-        return all(sum(map(mul, cand, a)) <= 0 for a in positive)
-
-    return lex_minimal_integral(datum.rank, ok)
+    signs = {"+": (1,), "-": (-1,), "0": (0,)}
+    rows = [(c, (0,)) for c, _ in datum.quotient_ints]
+    rows += [(int_row(v)[0], signs[mark])
+             for v, _, mark in signature_classes(sig, generators)]
+    rows += [(a, (-1, 0)) for a in datum.root_ints[2]]
+    return lex_minimal_integral(datum.rank, lambda cand: True, rows)
 
 
 # ---------------------------------------------------------------------------

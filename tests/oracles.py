@@ -922,6 +922,24 @@ def zonotope_vertices_reference(generators, central=()):
 
 
 # ---------------------------------------------------------------------------
+# Sign rows tested on whole points.
+# ---------------------------------------------------------------------------
+
+def sign_rows_reference(rows):
+    """The predicate of the sign rows of ``linprog.lattice_walk`` on whole
+    points, in Fraction arithmetic: p passes when the sign of <c, p> is in
+    ``signs`` for every row (c, signs).  The package tests each row on the
+    prefix that sets its last nonzero coordinate."""
+    def ok(p):
+        for c, signs in rows:
+            s = vdot(vec(c), vec(p))
+            if (s > 0) - (s < 0) not in signs:
+                return False
+        return True
+    return ok
+
+
+# ---------------------------------------------------------------------------
 # Integral search that rescans every smaller candidate at each bound.
 # ---------------------------------------------------------------------------
 

@@ -9,13 +9,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import sodlab
-from sodlab import rootdata
+from sodlab import linprog, rootdata
 from sodlab.cli import main
-from sodlab.linprog import LATTICE_BOX_CAP, InputError
+from sodlab.linalg import vsub, zero_vec
+from sodlab.linprog import LATTICE_BOX_CAP, InputError, enumerate_lattice
+from sodlab.partition import window_box
 from sodlab.reps import REP_DIM_CAP, SYM_PIECE_CAP
-from sodlab.report import (parse_config, parse_rational, rational_str,
-                           render, run_job)
-from sodlab.rootdata import GROUP_DEPTH_CAP, GROUP_RANK_CAP
+from sodlab.report import (build_objects, parse_config, parse_rational,
+                           rational_str, render, run_job, weight_json)
+from sodlab.rootdata import (GROUP_DEPTH_CAP, GROUP_RANK_CAP, full_levi,
+                             is_dominant)
+from sodlab.zonotope import REL_INT, member
 
 
 def write_config(tmp_path, payload, name="job.json"):
@@ -363,6 +367,32 @@ class TestCliProcess:
         assert main([subcommand, "--config", cfgp]) == 2
         assert time.perf_counter() - start < 1
         assert f"holds {n + 1} points" in capsys.readouterr().err
+
+    def test_window_box_over_the_cap_walks_step_by_step(self, tmp_path,
+                                                        monkeypatch):
+        """Sp(6) V^15 at box radius 0: the box of the tail window (the unit
+        relative interior of the zonotope of all the weights) holds 31^3 =
+        29,791 points, over the cap as a whole, but the dominance rows
+        leave at most 14,415 points to one step of the walk.  The window is
+        the full-box scan with the dominance test in the predicate, run
+        with the cap raised for that reference alone."""
+        cfg = {"group": "Sp(6)", "box_radius": 0, "representation": [
+            {"kind": "vector_power", "h": 15}]}
+        out = tmp_path / "nccr.json"
+        assert main(["nccr", "--config", write_config(tmp_path, cfg),
+                     "--out", str(out)]) == 0
+        [tail] = json.loads(out.read_text())["sod"]["components"]
+        datum, rep, _ = build_objects(parse_config(cfg))
+        lv = full_levi(datum)
+        shift = vsub(zero_vec(datum.rank), lv.rho_bar_lambda)
+        inside = member(rep.expanded, 1, shift, REL_INT,
+                        datum.central_directions)
+        box = window_box(datum, rep.expanded, 1, shift)
+        monkeypatch.setattr(linprog, "LATTICE_BOX_CAP", 31 ** 3)
+        want = enumerate_lattice(
+            lambda p: is_dominant(datum, p, lv) and inside(p), box)
+        assert tail["window"] == [weight_json(p) for p in want]
+        assert len(want) == 364
 
     def test_partition_box_past_the_cap_exits_two_fast(self, tmp_path,
                                                        capsys):

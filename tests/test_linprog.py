@@ -10,8 +10,8 @@ from oracles import (basic_solution_reference, forced_tight_reference,
                      grid_strict_search, lex_minimal_integral_reference,
                      lp_optimize_reference, phase1_all_artificial_reference,
                      phase1_reference, phase2_reference, random_bounded_program,
-                     random_mixed_program, strict_point_reference,
-                     to_standard_reference, vertex_forced, vertex_optimize,
+                     random_mixed_program, sign_rows_reference,
+                     strict_point_reference, to_standard_reference, vertex_forced, vertex_optimize,
                      with_random_open_flags)
 from sodlab import linprog
 from sodlab.linalg import int_row
@@ -20,7 +20,7 @@ from sodlab.linprog import (INTEGRAL_CANDIDATE_CAP, LATTICE_BOX_CAP,
                             _basic_solution, _phase1,
                             _phase2, _to_standard, enumerate_lattice,
                             feasible_point, forced_tight, integral_shell,
-                            lex_minimal_integral, lp_optimize,
+                            lattice_walk, lex_minimal_integral, lp_optimize,
                             strict_feasible)
 
 
@@ -175,6 +175,112 @@ class TestEnumerateLattice:
         pts = enumerate_lattice(lambda v: True,
                                 [(F(-1), F(1)), (F(-1), F(1))])
         assert pts == sorted(pts) and len(pts) == len(set(pts)) == 9
+
+    def test_rows_pass_before_the_coset_and_the_predicate(self):
+        seen = []
+
+        class Everything:
+            def contains(self, v):
+                seen.append(v)
+                return True
+
+        # v0 >= v1 >= 0: 10 of the 16 points of [0, 3]^2 reach the coset
+        pts = enumerate_lattice(lambda v: seen.append(v) or True,
+                                [(F(0), F(3))] * 2, Everything(),
+                                rows=[((1, -1), (0, 1)), ((0, 1), (0, 1))])
+        assert pts == [(0, 0), (1, 0), (1, 1), (2, 0), (2, 1), (2, 2),
+                       (3, 0), (3, 1), (3, 2), (3, 3)]
+        assert seen == [p for v in pts for p in [v, v]]
+
+    def test_box_cap_counts_the_walk_step_by_step(self, monkeypatch):
+        """31^3 = 29,791 points are over the cap as a whole, but the rows
+        v0 >= v1 >= v2 leave 496 prefixes of the first two coordinates, so
+        the walk tests at most 15,376 points in one step."""
+        steps = []
+        check = linprog.check_box_size
+        monkeypatch.setattr(linprog, "check_box_size",
+                            lambda n: (steps.append(n), check(n)))
+        rows = [((1, -1, 0), (0, 1)), ((0, 1, -1), (0, 1))]
+        pts = enumerate_lattice(lambda p: True, [(-15, 15)] * 3, rows=rows)
+        assert steps == [31, 961, 15_376]
+        assert len(pts) == 5_456 == len(set(pts))
+        assert pts == [v for v in itertools.product(range(-15, 16), repeat=3)
+                       if v[0] >= v[1] >= v[2]]
+        with pytest.raises(InputError, match="holds 29791 points"):
+            enumerate_lattice(lambda p: True, [(-15, 15)] * 3)
+
+
+# sign sets of a row: any subset of {-1, 0, 1}, the empty one included
+SIGN_SETS = st.sets(st.sampled_from((-1, 0, 1))).map(
+    lambda s: tuple(sorted(s)))
+
+
+@st.composite
+def sign_rows(draw, n):
+    """Up to 3 sign rows over n coordinates, zero rows included."""
+    return draw(st.lists(st.tuples(
+        st.tuples(*[st.integers(-2, 2)] * n), SIGN_SETS), max_size=3))
+
+
+@st.composite
+def walk_boxes(draw):
+    """Up to 4 spans, each empty, the pinned [0, 0] or an interval of width
+    at most 4 within [-3, 6], with sign rows over them."""
+    spans = draw(st.lists(st.one_of(
+        st.just(range(1, 0)), st.just(range(0, 1)),
+        st.builds(lambda lo, w: range(lo, lo + w),
+                  st.integers(-3, 2), st.integers(0, 4))), max_size=4))
+    return spans, draw(sign_rows(len(spans)))
+
+
+class TestLatticeWalk:
+    @settings(max_examples=300, deadline=None)
+    @given(walk_boxes())
+    def test_walk_is_the_product_filtered_by_the_rows(self, box):
+        spans, rows = box
+        ok = sign_rows_reference(rows)
+        got = lattice_walk(spans, rows)
+        assert got == [p for p in itertools.product(*spans) if ok(p)]
+        assert all(type(x) is int for p in got for x in p)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_shell_is_the_filtered_reference_shell(self, data):
+        n = data.draw(st.integers(1, 3))
+        bound = data.draw(st.integers(1, 4))
+        rows = data.draw(sign_rows(n))
+        ok = sign_rows_reference(rows)
+        want = [v for v in itertools.product(range(-bound, bound + 1),
+                                             repeat=n)
+                if (bound == 1 or max(map(abs, v)) == bound) and ok(v)]
+        assert integral_shell(n, bound, rows) == want
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_search_matches_the_reference_with_the_rows_folded_in(self, data):
+        n = data.draw(st.integers(1, 3))
+        rows = data.draw(sign_rows(n))
+        hits = set(data.draw(st.lists(
+            st.tuples(*[st.integers(-3, 3)] * n), min_size=1, max_size=4)))
+        in_rows = sign_rows_reference(rows)
+        tested = []
+
+        def ok(v):
+            tested.append(v)
+            return v in hits
+
+        if not any(map(in_rows, hits)):
+            with pytest.raises(InputError, match="above the cap"):
+                lex_minimal_integral(n, ok, rows)
+            return
+        got = lex_minimal_integral(n, ok, rows)
+        assert got == lex_minimal_integral_reference(
+            n, lambda v: in_rows(v) and v in hits)
+        # each candidate that passes the rows is tested once, in shell order
+        order = [v for b in range(1, 4) for v in itertools.product(
+                     range(-b, b + 1), repeat=n)
+                 if (b == 1 or max(map(abs, v)) == b) and in_rows(v)]
+        assert tested == order[:order.index(got) + 1]
 
 
 class TestRandomizedAgainstOracles:

@@ -11,7 +11,7 @@ from oracles import (brute_force_signature, dominant_box_points_reference,
                      partition_region_reference,
                      random_generators, signature_to_value_counts,
                      weyl_generators_reference, window_box_reference)
-from sodlab import partition, zonotope
+from sodlab import linprog, partition, zonotope
 from sodlab.linalg import mat_vec, vadd, vec, vscale, vsub
 from sodlab.linprog import LATTICE_BOX_CAP, InputError
 from sodlab.partition import (HALF_OPEN_MODE, REDUCTION_SUM_CAP, STANDARD,
@@ -160,8 +160,8 @@ class TestPartitionRegion:
         datum = build_group(tag)
         rep = SimpleNamespace(datum=datum)
         steps = []
-        check = partition.check_box_size
-        monkeypatch.setattr(partition, "check_box_size",
+        check = linprog.check_box_size
+        monkeypatch.setattr(linprog, "check_box_size",
                             lambda n: (steps.append(n), check(n)))
         points = dominant_box_points(rep, 6)
         assert steps == [13, 169, 1183, 5915]
