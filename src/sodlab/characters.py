@@ -76,7 +76,7 @@ def _lattice(v: Vec, what: str) -> tuple[int, ...]:
 def _dominant(datum: RootDatum, chi, lv: LeviDatum) -> tuple[int, ...]:
     """chi in section form as an int tuple; InputError when it is off the
     lattice or not dominant for the Levi."""
-    chi = _lattice(datum.normalize_weight(vec(chi)), "weight")
+    chi = _lattice(datum.normalize_weight(chi), "weight")
     if not is_dominant(datum, chi, lv):
         raise InputError(f"{chi} is not dominant for the Levi")
     return chi
@@ -95,7 +95,7 @@ class GradedDims:
 def weyl_dim(datum: RootDatum, chi: Vec, levi: LeviDatum | None = None) -> int:
     """Dimension of the irreducible with the given highest weight."""
     lv = levi or full_levi(datum)
-    chi = datum.normalize_weight(vec(chi))
+    chi = datum.normalize_weight(chi)
     if not is_dominant(datum, chi, lv):
         raise InputError(f"{chi} is not dominant for the Levi")
     # chi and rho at one scale, which cancels in the quotient, as does the
@@ -232,24 +232,37 @@ def _sym_power_tables(rep: RepSpec, top: int) -> tuple[CharacterTable, ...]:
     return tuple(CharacterTable(rep.datum, layer) for layer in layers)
 
 
-# The characters of the (datum, Levi) pair asked for last, by highest
-# weight: a hilbert job asks for each window weight's character once per
-# window pair.  The slot holds the datum and the Levi, so the identity test
-# below cannot match a new object, and it is read and replaced whole.
+# Characters and shifted orbits of one hilbert job (its datum, Levi and
+# coinvariants), which asks for each window weight's once per window pair.
+# The slot holds all three, so the identity test cannot match a new object,
+# nor a later job (whose orbits meet the cap anew); it is replaced whole.
 _CHARACTERS: list = [(None, None, {})]
 
 
-def _character(datum: RootDatum, chi: tuple[int, ...],
-               lv: LeviDatum) -> CharacterTable:
-    """``irr_character(datum, chi, lv)``, once per run of calls on lv."""
-    held, held_lv, tables = _CHARACTERS[0]
-    if held is not datum or held_lv is not lv:
-        tables = {}
-        _CHARACTERS[0] = (datum, lv, tables)
-    table = tables.get(chi)
-    if table is None:
-        table = tables[chi] = irr_character(datum, chi, lv)
-    return table
+def _held(fn, datum: RootDatum, chi: tuple[int, ...], lv: LeviDatum,
+          coinv: RepSpec):
+    """``fn(datum, chi, lv)``, once per run of calls on (datum, lv, coinv)."""
+    held, held_lv, values = _CHARACTERS[0]
+    if held_lv is not lv or held[0] is not datum or held[1] is not coinv:
+        values = {}
+        _CHARACTERS[0] = ((datum, coinv), lv, values)
+    if (fn, chi) not in values:
+        values[fn, chi] = fn(datum, chi, lv)
+    return values[fn, chi]
+
+
+def _shifted_orbit(datum: RootDatum, mu: tuple[int, ...],
+                   lv: LeviDatum) -> list[tuple[tuple[int, ...], int]]:
+    """The points w(mu + rho) - rho, one per w of the Levi Weyl group (mu +
+    rho is regular), with the sign det w; InputError off the lattice."""
+    rho, t = int_row(datum.normalize_weight(lv.rho_bar_lambda))
+    points = []
+    for image, det in orbit(lv, tuple(t * x + r for x, r in zip(mu, rho))):
+        point = [x - r for x, r in zip(image, rho)]
+        if any(x % t for x in point):
+            raise InputError("w(mu + rho) - rho is off the lattice")
+        points.append((tuple(x // t for x in point), det))
+    return points
 
 
 def hom_block_dims(datum: RootDatum, mu: Vec, mu_prime: Vec, coinv: RepSpec,
@@ -270,17 +283,9 @@ def hom_block_dims(datum: RootDatum, mu: Vec, mu_prime: Vec, coinv: RepSpec,
     # the table cap is refused before anything per degree is allocated
     tables = [sym_power_character(coinv, d) for d in range(up_to, -1, -1)]
     tables.reverse()
-    ch_prime = _character(datum, mu_prime, lv)
-    # rho as ints over its denominator t; mu + rho is regular, so its orbit
-    # at scale t has one point per w, signed by det w, and each point less
-    # rho, over t, is the lattice point w(mu + rho) - rho
-    rho, t = int_row(datum.normalize_weight(lv.rho_bar_lambda))
+    ch_prime = _held(irr_character, datum, mu_prime, lv, coinv)
     kernel: dict[tuple[int, ...], int] = {}
-    for image, det in orbit(lv, tuple(t * x + r for x, r in zip(mu, rho))):
-        point = [x - r for x, r in zip(image, rho)]
-        if any(x % t for x in point):
-            raise InputError("w(mu + rho) - rho is off the lattice")
-        point = [x // t for x in point]
+    for point, det in _held(_shifted_orbit, datum, mu, lv, coinv):
         for w1, m1 in ch_prime.counts.items():
             key = tuple(map(sub, point, w1))
             kernel[key] = kernel.get(key, 0) + det * m1

@@ -36,10 +36,10 @@ because averaging one witness per open bound keeps all slacks positive; so
 ``strict_feasible`` sweeps the open bounds.  An optimum is attained by the
 half-open set iff its optimal face has such a point.
 
-Every lattice point the package visits comes from ``lattice_walk``: the
-dominant boxes, the windows (through ``enumerate_lattice``) and the integral
-searches (``integral_shell``, ``lex_minimal_integral``).  Sign rows prune
-the walk on the prefix that decides them.
+Every lattice point the package visits comes from ``lattice_walk``, as an
+int tuple: the dominant boxes, the windows (through ``enumerate_lattice``)
+and the integral searches (``integral_shell``, ``lex_minimal_integral``).
+Sign rows prune the walk on the prefix that decides them.
 """
 
 from __future__ import annotations
@@ -603,19 +603,17 @@ def lattice_walk(spans: Sequence[range], rows=(), shell: int | None = None
     return points
 
 
-def enumerate_lattice(predicate: Callable[[Vec], bool],
+def enumerate_lattice(predicate: Callable[[tuple[int, ...]], bool],
                       box: Sequence[tuple[Fraction, Fraction]],
-                      coset=None, rows=()) -> list[Vec]:
+                      coset=None, rows=()) -> list[tuple[int, ...]]:
     """Integer points (optionally restricted to a sublattice coset) inside a
     finite coordinate box that pass the sign ``rows`` of ``lattice_walk``
-    and ``predicate``, in lexicographic order, as tuples of ``Fraction``.
-    InputError when a step of the walk would test more than
-    ``LATTICE_BOX_CAP`` points.
+    and ``predicate``, in lexicographic order, as int tuples.  InputError
+    when a step of the walk would test more than ``LATTICE_BOX_CAP`` points.
 
     ``coset`` is any object exposing ``contains(point) -> bool``.  The coset
-    test and ``predicate`` see each point that passes the rows as a tuple of
-    Python ints, so they can decide it with integer arithmetic; only
-    accepted points are turned into ``Fraction`` tuples.
+    test and ``predicate`` see the int tuples, so integer arithmetic decides
+    each point.
     """
     spans = []
     for lo, hi in box:
@@ -625,7 +623,7 @@ def enumerate_lattice(predicate: Callable[[Vec], bool],
     points = lattice_walk(spans, rows)
     if coset is not None:
         points = filter(coset.contains, points)
-    return [tuple(map(Fraction, p)) for p in filter(predicate, points)]
+    return list(filter(predicate, points))
 
 
 # Most candidate vectors ``lex_minimal_integral`` may test, its one guard.
@@ -648,13 +646,13 @@ def integral_shell(n: int, bound: int, rows=()) -> list[tuple[int, ...]]:
                         bound if bound > 1 else None)
 
 
-def lex_minimal_integral(n: int, ok: Callable[[Vec], bool], rows=()) -> Vec:
+def lex_minimal_integral(n: int, ok: Callable[[tuple[int, ...]], bool],
+                         rows=()) -> tuple[int, ...]:
     """First integral vector of length n, by growing sup-norm then
     lexicographic order, that passes the sign ``rows`` of ``lattice_walk``
-    and the predicate; InputError when reaching the next shell would take
-    the candidates past ``INTEGRAL_CANDIDATE_CAP``, or when n is 0.  Each
-    candidate that passes the rows is tested once, as an int tuple; the hit
-    is returned as a ``Fraction`` tuple."""
+    and the predicate, as an int tuple; InputError when reaching the next
+    shell would take the candidates past ``INTEGRAL_CANDIDATE_CAP``, or when
+    n is 0.  Each candidate that passes the rows is tested once."""
     if n == 0:
         raise InputError("no nonzero vector exists in rank 0")
     for bound in itertools.count(1):
@@ -665,4 +663,4 @@ def lex_minimal_integral(n: int, ok: Callable[[Vec], bool], rows=()) -> Vec:
                 f"candidates, above the cap of {INTEGRAL_CANDIDATE_CAP}")
         for v in integral_shell(n, bound, rows):
             if ok(v):
-                return tuple(map(Fraction, v))
+                return v

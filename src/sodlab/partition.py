@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable
@@ -84,31 +85,34 @@ def signature_of(rep: RepSpec,
 
     Signatures are solved once per ray: d = chi - shift, taken modulo the
     SL directions, is t * e for its primitive integer direction e and some
-    t > 0.  The first weight on a ray solves ``face_signature_at``; a later
-    one, at t where the first was at t0, reads the same S+, S- and S0 at
-    radius r * t / t0.  The gauge min{r : d in r * Z + span(central)} is
-    positively homogeneous and blind to span(central), and scaling by t maps
-    each representation of d at radius r onto one of t * d at radius t * r,
-    so the same coefficients are pinned (Rockafellar, Convex Analysis, 15;
-    Ziegler, Lectures on Polytopes, ch. 7).  A weight with d = 0 gets the
-    trivial signature without a solve."""
+    t > 0 (read in ints: q * den * d = den * ints - q * base, for chi at
+    ints / q and the shift at base / den in section form).  The first
+    weight on a ray solves ``face_signature_at``; a later one, at t where
+    the first was at t0, reads the same S+, S- and S0 at radius r * t / t0.
+    The gauge min{r : d in r * Z + span(central)} is positively homogeneous
+    and blind to span(central), and scaling by t maps each representation
+    of d at radius r onto one of t * d at radius t * r, so the same
+    coefficients are pinned (Rockafellar, Convex Analysis, 15; Ziegler,
+    Lectures on Polytopes, ch. 7).  A weight with d = 0 gets the trivial
+    signature without a solve."""
     datum = rep.datum
     shift = vsub(profile.nu_global, datum.rho_bar)
     at = face_signature_at(rep.expanded, shift,
                            central=datum.central_directions)
-    base = datum.normalize_weight(shift)  # chi - base is d modulo SL
+    base, den = int_row(datum.normalize_weight(shift))
     rays: dict[tuple[int, ...], tuple[Fraction, FaceSignature]] = {}
 
     def signature(chi) -> FaceSignature:
-        chi = datum.normalize_weight(vec(chi))
+        chi = datum.normalize_weight(chi)
         if not is_dominant(datum, chi):
             raise InputError(f"weight {chi} is not dominant")
-        ints, den = int_row(vsub(chi, base))
+        ints, q = int_row(chi)
+        ints = [den * x - q * b for x, b in zip(ints, base)]
         g = math.gcd(*ints)
         if not g:
             return FaceSignature(ZERO, (), (), (), True)
         ray = tuple(x // g for x in ints)
-        t = Fraction(g, den)
+        t = Fraction(g, q * den)
         if ray not in rays:
             rays[ray] = (t, at(chi))
         t0, sig = rays[ray]
@@ -132,7 +136,7 @@ class PartitionCell:
     key: tuple
     nu_levi: Vec
     chi_p: Vec
-    members: tuple[Vec, ...]  # dominant weights of the cell found in the box
+    members: tuple[tuple[int, ...], ...]  # dominant weights found in the box
 
 
 def face_levi(rep: RepSpec, sig: FaceSignature) -> LeviDatum:
@@ -149,9 +153,9 @@ def build_cell(rep: RepSpec, sig: FaceSignature, profile: ShiftProfile,
     """The cell of ``sig`` on the face whose Levi datum is ``lv``
     (``face_levi``); its subgroup is ``lv.lam``."""
     datum = rep.datum
-    chi_p = zero_vec(datum.rank)
-    for i in sig.s_plus:
-        chi_p = vsub(chi_p, vscale(sig.r, rep.expanded[i]))
+    plus = [rep.expanded[i] for i in sig.s_plus]
+    total = [sum(w[k] for w in plus) for k in range(datum.rank)]
+    chi_p = vscale(-sig.r, total)
     nu_levi = vadd(vadd(vsub(profile.nu_global, datum.rho_bar),
                         lv.rho_bar_lambda), chi_p)
     return PartitionCell(sig, lv.lam, lv, order_key(sig), nu_levi, chi_p,
@@ -163,28 +167,27 @@ def window_box(datum: RootDatum, generators, r, shift):
     representatives (pinned SL coordinates forced to zero).  The section
     map N is linear, so coordinate k spans N(shift)_k - r * sum max(0, N(v)_k)
     to N(shift)_k + r * sum max(0, -N(v)_k)."""
-    r = Fraction(r)
     centre = datum.normalize_weight(vec(shift))
-    images = [datum.normalize_weight(vec(v)) for v in generators]
-    return [(centre[k] - r * sum((v[k] for v in images if v[k] > 0), ZERO),
-             centre[k] - r * sum((v[k] for v in images if v[k] < 0), ZERO))
+    images = [datum.normalize_weight(v) for v in generators]
+    return [(centre[k] - r * sum(v[k] for v in images if v[k] > 0),
+             centre[k] - r * sum(v[k] for v in images if v[k] < 0))
             for k in range(datum.rank)]
 
 
 def window_points(datum: RootDatum, lv: LeviDatum, gens, r, shift, inside,
-                  twist=None) -> list[Vec]:
-    """The lattice points of a window, in lexicographic order: the points of
-    the twist coset in the box of shift + r * Z(gens) modulo the SL
-    directions that are dominant for the Levi ``lv`` and pass the membership
-    predicate ``inside``, which sees each point as a tuple of ints.  The
-    dominance rows prune the walk, so the coset test and ``inside`` see only
-    Levi-dominant points.  With no generators the box is the shift point."""
+                  twist=None) -> list[tuple[int, ...]]:
+    """The lattice points of a window, in lexicographic order, as int
+    tuples: the points of the twist coset in the box of shift + r * Z(gens)
+    modulo the SL directions that are dominant for the Levi ``lv`` and pass
+    the membership predicate ``inside``.  The dominance rows prune the walk,
+    so the coset test and ``inside`` see only Levi-dominant points.  With no
+    generators the box is the shift point."""
     return enumerate_lattice(inside, window_box(datum, gens, r, shift), twist,
                              [(c, (0, 1)) for c in lv.dominance_rows])
 
 
 def cell_members(rep: RepSpec, cell: PartitionCell, profile: ShiftProfile,
-                 coinv: RepSpec, twist=None) -> list[Vec]:
+                 coinv: RepSpec, twist=None) -> list[tuple[int, ...]]:
     """All lattice points of the cell's window: Levi-dominant weights in
     nu_levi - rho_bar_lambda + r * (open-coefficient zonotope of ``coinv``,
     the lam-neutral weights, ``reps.coinvariant_rep(rep, cell.lam)``).
@@ -200,18 +203,18 @@ def cell_members(rep: RepSpec, cell: PartitionCell, profile: ShiftProfile,
     return window_points(datum, lv, gens, r, shift, inside, twist)
 
 
-def dominant_box_points(rep: RepSpec, radius: int) -> list[Vec]:
-    """Dominant lattice weights with all coordinates in [-radius, radius],
-    pinned SL coordinates zero, in lexicographic order: the walk of the box
-    (``linprog.lattice_walk``), which drops a prefix as soon as a dominance
-    row it completes pairs negatively with it.  InputError when a step
-    would test more than ``LATTICE_BOX_CAP`` points."""
+def dominant_box_points(rep: RepSpec, radius: int) -> list[tuple[int, ...]]:
+    """Dominant lattice weights (int tuples) with all coordinates in
+    [-radius, radius], pinned SL coordinates zero, in lexicographic order:
+    the walk of the box (``linprog.lattice_walk``), which drops a prefix as
+    soon as a dominance row it completes pairs negatively with it.
+    InputError when a step would test more than ``LATTICE_BOX_CAP`` points."""
     datum = rep.datum
     pinned = {pin for _, pin in datum.quotient_pairs}
     spans = [range(0, 1) if k in pinned else range(-radius, radius + 1)
              for k in range(datum.rank)]
     rows = [(c, (0, 1)) for c in datum.dominance_rows]
-    return [tuple(map(Fraction, p)) for p in lattice_walk(spans, rows)]
+    return lattice_walk(spans, rows)
 
 
 def partition_region(rep: RepSpec, profile: ShiftProfile,
@@ -286,11 +289,7 @@ def validate_reduction_setting(rep: RepSpec, window, chi: Vec, lam: Vec
                 "precondition_failed", False, (),
                 f"pairing with {tuple(map(str, mu))} does not exceed the base weight's")
     signs = weight_signs(rep, lam)
-    value_counts: dict[Vec, int] = {}
-    for i in signs.t_plus:
-        w = rep.expanded[i]
-        value_counts[w] = value_counts.get(w, 0) + 1
-    values = sorted(value_counts.items())
+    values = sorted(Counter(rep.expanded[i] for i in signs.t_plus).items())
     sums = math.prod(m + 1 for _, m in values) - 1
     if sums > REDUCTION_SUM_CAP:
         raise InputError(f"the lambda-positive weights have {sums} nonempty "
@@ -303,7 +302,7 @@ def validate_reduction_setting(rep: RepSpec, window, chi: Vec, lam: Vec
         total = chi
         for (w, _), k in zip(values, take):
             if k:
-                total = vadd(total, vscale(Fraction(k), w))
+                total = vadd(total, tuple(k * x for x in w))
         dom = star_dominate(datum, total)
         if dom is None:
             continue

@@ -12,24 +12,24 @@ import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from operator import mul
 
 from .linalg import (Mat, Vec, ZERO, ONE, int_row, is_integral, is_zero_vec,
                      mat_vec, nullspace, primitive, rank as mat_rank, solve,
-                     vadd, vdot, vneg, vscale, vec, zero_vec)
+                     vadd, vdot, vneg, vec, zero_vec)
 from .linprog import InputError, LpBuilder, feasible_point, lex_minimal_integral
 from .rootdata import RootDatum, full_levi, pairing, reflect
 
 
 @dataclass(frozen=True)
 class RepSpec:
-    """Weight multiset of a representation of a catalog group."""
+    """Weight multiset of a representation of a catalog group; each weight
+    is an int tuple in section form."""
 
     datum: RootDatum
-    weights: tuple[tuple[Vec, int], ...]
-    expanded: tuple[Vec, ...]
+    weights: tuple[tuple[tuple[int, ...], int], ...]
+    expanded: tuple[tuple[int, ...], ...]
 
     @property
     def dim(self) -> int:
@@ -62,13 +62,14 @@ REP_DIM_CAP = 10_000
 
 
 def rep_spec(datum: RootDatum, weights) -> RepSpec:
-    """Build a RepSpec from (weight, multiplicity) pairs.  InputError when
-    the multiplicities sum past ``REP_DIM_CAP``."""
+    """Build a RepSpec from (weight, multiplicity) pairs.  InputError for a
+    weight off the lattice or multiplicities summing past ``REP_DIM_CAP``."""
     pairs = []
     for w, m in weights:
         w = _checked_weight(datum, w)
         if not is_integral(w):
             raise InputError(f"weight {w} is not a lattice element")
+        w = tuple(map(int, w))
         m = int(m)
         if m < 1:
             raise InputError("multiplicities must be >= 1")
@@ -108,8 +109,7 @@ def weight_signs(rep: RepSpec, lam: Vec) -> SignPartition:
 
 def _annihilator_directions(rep: RepSpec) -> list[Vec]:
     """Basis of {sigma in Y(T)_R : <sigma, beta_i> = 0 for all i}."""
-    rows = [list(w) for w, _ in rep.weights]
-    rows += [list(c) for c in rep.datum.central_directions]
+    rows = [w for w, _ in rep.weights] + list(rep.datum.central_directions)
     return nullspace(rows, rep.datum.rank)
 
 
@@ -164,9 +164,9 @@ def find_destabilizer(rep: RepSpec) -> DestabilizerReport:
         return DestabilizerReport(None, zero_vec(n), "HasStablePoint", False)
     values = [w for w, _ in rep.weights]
     # sigma is nonzero, orthogonal to the central directions and pairs
-    # nonpositively with each weight (taken times a positive integer)
+    # nonpositively with each weight
     rows = [(c, (0,)) for c, _ in datum.quotient_ints]
-    rows += [(int_row(w)[0], (-1, 0)) for w in values]
+    rows += [(w, (-1, 0)) for w in values]
     sigma = lex_minimal_integral(n, any, rows)
     proj = full_levi(datum).invariant_projector()
     nu = mat_vec(proj, sigma)
@@ -180,14 +180,13 @@ def find_destabilizer(rep: RepSpec) -> DestabilizerReport:
 # ---------------------------------------------------------------------------
 
 def is_quasi_symmetric(rep: RepSpec) -> bool:
-    """Whether the weight sum along every line through the origin vanishes."""
-    lines: dict[Vec, Vec] = {}
+    """Whether the weight sum along every line through the origin vanishes
+    (a zero weight adds zero to the sum keyed by itself)."""
+    lines: dict[Vec, tuple[int, ...]] = {}
     for w, m in rep.weights:
-        if is_zero_vec(w):
-            continue
         key = primitive(w)
-        acc = lines.get(key, zero_vec(rep.datum.rank))
-        lines[key] = vadd(acc, vscale(Fraction(m), w))
+        acc = lines.get(key, (0,) * len(w))
+        lines[key] = tuple(a + m * x for a, x in zip(acc, w))
     return all(is_zero_vec(s) for s in lines.values())
 
 
@@ -270,14 +269,14 @@ def twist_member(t: TwistData, chi: Vec) -> bool:
 # Standard constructions (used by presets and the CLI config).
 # ---------------------------------------------------------------------------
 
-def defining_weights(datum: RootDatum) -> list[Vec]:
+def defining_weights(datum: RootDatum) -> list[tuple[int, ...]]:
     """Weights of the defining representation of a simple catalog factor."""
     label = datum.label
     n = datum.rank
+    units = [tuple(int(j == i) for j in range(n)) for i in range(n)]
     if label.startswith(("GL", "SL")):
-        return [tuple(ONE if j == i else ZERO for j in range(n)) for i in range(n)]
+        return units
     if label.startswith("Sp"):
-        units = [tuple(ONE if j == i else ZERO for j in range(n)) for i in range(n)]
         return units + [vneg(u) for u in units]
     raise InputError(f"no defining representation for {label}")
 
@@ -290,7 +289,7 @@ def defining_weights(datum: RootDatum) -> list[Vec]:
 SYM_PIECE_CAP = 100_000
 
 
-def sym_power_weight_counts(base: list[Vec], d: int) -> Counter:
+def sym_power_weight_counts(base: list[tuple[int, ...]], d: int) -> Counter:
     """Weight multiset of the d-th symmetric power of a weight list.
     InputError when it needs more than ``SYM_PIECE_CAP`` weight additions."""
     monomials = math.comb(len(base) + d - 1, d)
@@ -300,7 +299,7 @@ def sym_power_weight_counts(base: list[Vec], d: int) -> Counter:
                          f"{SYM_PIECE_CAP} weight additions")
     counts: Counter = Counter()
     if d == 0:
-        counts[zero_vec(len(base[0]) if base else 0)] = 1
+        counts[(0,) * (len(base[0]) if base else 0)] = 1
         return counts
     for combo in itertools.combinations_with_replacement(range(len(base)), d):
         total = base[combo[0]]
@@ -339,7 +338,7 @@ def construct_rep(datum: RootDatum, pieces) -> RepSpec:
             for w, m in sym_power_weight_counts(defining_weights(datum), int(arg)).items():
                 counts[datum.normalize_weight(w)] += m
         elif kind == "trivial":
-            counts[zero_vec(datum.rank)] += int(arg)
+            counts[(0,) * datum.rank] += int(arg)
         else:
             raise InputError(f"unknown construction piece {kind!r}")
     rep = rep_spec(datum, sorted(counts.items()))
@@ -349,9 +348,9 @@ def construct_rep(datum: RootDatum, pieces) -> RepSpec:
 
 def _check_weyl_symmetric(rep: RepSpec) -> None:
     """InputError unless every simple reflection keeps each weight's
-    multiplicity.  The weights are lattice elements, so this runs on their
-    int tuples through the datum's integer reflections."""
-    mults = {tuple(x.numerator for x in w): m for w, m in rep.weights}
+    multiplicity, reflecting the weights' int tuples by the datum's integer
+    reflections."""
+    mults = dict(rep.weights)
     reflections = full_levi(rep.datum).reflections
     for w, m in mults.items():
         for r in reflections:

@@ -49,7 +49,7 @@ from math import comb
 from operator import mul
 from typing import Callable
 
-from .linalg import (Vec, ZERO, ONE, frac, in_span, int_row, int_rows,
+from .linalg import (Vec, ZERO, ONE, frac, in_span, int_rows,
                      is_zero_vec, nullspace, primitive, rank, span_basis,
                      vdot, vec, vneg, vsub, zero_vec)
 from .linprog import (InputError, LpBuilder, feasible_point, forced_tight,
@@ -152,7 +152,7 @@ def member(generators, r, shift, variant: str,
         raise InputError("zonotope radius must be positive")
     shift = vec(shift)
     if not generators:
-        return lambda p: in_span(central, vsub(vec(p), shift))
+        return lambda p: in_span(central, vsub(p, shift))
     if variant == HALF_OPEN:
         return _facet_predicate(facet_table(generators, central, len(shift)),
                                 r, shift, lambda lam, h: h == 0)
@@ -162,7 +162,7 @@ def member(generators, r, shift, variant: str,
     prog = b.build()
 
     def inside(p) -> bool:
-        at_p = replace(prog, eq_rhs=vsub(vec(p), shift))
+        at_p = replace(prog, eq_rhs=vsub(p, shift))
         if variant == CLOSED:
             return feasible_point(at_p) is not None
         return strict_feasible(at_p)
@@ -191,7 +191,7 @@ def min_radius(generators, shift,
     tail = prog.eq_rhs[len(shift):]
 
     def radius(p) -> Fraction | None:
-        res = lp_optimize(replace(prog, eq_rhs=vsub(vec(p), shift) + tail),
+        res = lp_optimize(replace(prog, eq_rhs=vsub(p, shift) + tail),
                           "min")
         return res.value if res.status == "optimal" else None
 
@@ -228,7 +228,7 @@ def face_signature_at(generators, shift,
         lower = list(prog.lower)
         for col, m in zip(cols, sizes):
             lower[col] = -r * m
-        report = forced_tight(replace(prog, eq_rhs=vsub(vec(p), shift),
+        report = forced_tight(replace(prog, eq_rhs=vsub(p, shift),
                                       lower=tuple(lower)))
         if not report.feasible:  # unreachable: r came from a feasible program
             raise InputError("radius minimization produced an infeasible system")
@@ -283,11 +283,11 @@ def supporting_lambda(sig: FaceSignature, datum: RootDatum, generators) -> Vec:
     """
     if sig.trivial:
         return zero_vec(datum.rank)
-    # Each class value, positive root and central direction times a positive
+    # The class values as they are and each positive root times a positive
     # integer: only the signs of the pairings with a candidate are read.
     signs = {"+": (1,), "-": (-1,), "0": (0,)}
     rows = [(c, (0,)) for c, _ in datum.quotient_ints]
-    rows += [(int_row(v)[0], signs[mark])
+    rows += [(v, signs[mark])
              for v, _, mark in signature_classes(sig, generators)]
     rows += [(a, (-1, 0)) for a in datum.root_ints[2]]
     return lex_minimal_integral(datum.rank, lambda cand: True, rows)
@@ -347,8 +347,7 @@ def _int_primitive(v: Vec) -> tuple[int, ...]:
     return tuple(int(x) for x in primitive(v))
 
 
-def _build_facet_table(generators, central, dim) -> FacetTable:
-    gens = [vec(g) for g in generators]
+def _build_facet_table(gens, central, dim) -> FacetTable:
     central = [vec(c) for c in central]
     # h(lam) = sum m * max(0, -<lam, v>) over the classes, on their values
     # times the common denominator d; h(-lam) = h(lam) + <lam, sum m v>, as
@@ -363,7 +362,7 @@ def _build_facet_table(generators, central, dim) -> FacetTable:
                 for v, m in zip(values, sizes))
         facets.append((lam, Fraction(h, d)))
         facets.append((vneg(lam), Fraction(h + sum(map(mul, lam, total)), d)))
-    annihilator = nullspace(gens + central, dim)
+    annihilator = nullspace([*gens, *central], dim)
     return FacetTable(tuple(map(_int_primitive, annihilator)), tuple(facets))
 
 
@@ -452,9 +451,9 @@ def member_eps(generators, r, shift, e: EpsShift,
 HYPERPLANE_SCAN_CAP = 10_000
 
 
-def _lines(gens) -> list[Vec]:
-    """The distinct nonzero generator lines, as sorted primitive vectors."""
-    return sorted({primitive(g) for g in gens if not is_zero_vec(g)})
+def _lines(gens) -> list[tuple[int, ...]]:
+    """The distinct nonzero generator lines, as sorted primitive int tuples."""
+    return sorted({_int_primitive(g) for g in gens if not is_zero_vec(g)})
 
 
 def _hyperplane_normals(lines, central, dim):
@@ -468,7 +467,6 @@ def _hyperplane_normals(lines, central, dim):
     if comb(len(lines), size) > HYPERPLANE_SCAN_CAP:
         raise InputError(f"hyperplane scan of {comb(len(lines), size)} line "
                          f"subsets exceeds the cap of {HYPERPLANE_SCAN_CAP}")
-    ints = [tuple(map(int, v)) for v in lines]
     normals, covered = [], set()
     for subset in combinations(range(len(lines)), size):
         if subset in covered:  # inside a hyperplane flat already found
@@ -477,7 +475,7 @@ def _hyperplane_normals(lines, central, dim):
         if rank(rows) == top - 1:
             lam = _int_primitive(next(n for n in nullspace(rows, dim)
                                       if any(vdot(n, v) for v in lines)))
-            flat = [i for i, v in enumerate(ints) if not sum(map(mul, lam, v))]
+            flat = [i for i, v in enumerate(lines) if not sum(map(mul, lam, v))]
             covered.update(combinations(flat, size))
             normals.append(lam)
     return normals
@@ -562,7 +560,7 @@ def invariants_in_span(src: LeviDatum, generators, central) -> list[Vec]:
     dim = len(central[0]) if central else (
         len(generators[0]) if generators else src.datum.rank)
     inv_amb = list(src.invariant_vectors()) + list(central)
-    annihilator = nullspace([vec(g) for g in generators] + list(central), dim)
+    annihilator = nullspace(list(generators) + list(central), dim)
     combos = nullspace([[vdot(a, v) for v in inv_amb] for a in annihilator],
                        len(inv_amb))
     points = [tuple(sum((c * v[k] for c, v in zip(co, inv_amb) if c), ZERO)

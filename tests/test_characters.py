@@ -18,12 +18,12 @@ from sodlab.characters import (SYM_TABLE_CAP, _sym_power_tables,
                                sym_power_character, weyl_dim)
 from sodlab.linalg import mat_vec, vec
 from sodlab.linprog import InputError
-from sodlab.report import build_objects, parse_config, run_job
+from sodlab.report import build_objects, parse_config, preset_config, run_job
 from sodlab.reps import (SYM_PIECE_CAP, RepSpec, coinvariant_rep,
                          construct_rep, defining_weights, rep_spec,
                          sym_power_weight_counts)
 from sodlab.rootdata import build_group, full_levi, levi, make_dominant
-from sodlab.sod import enumerate_sod
+from sodlab.sod import enumerate_sod, preset
 from test_rootdata import SMALL_CATALOG, _rescaled, _with_root
 
 T1 = build_group("Torus(1)")
@@ -376,6 +376,24 @@ class TestCharacterSlot:
         targets = {tuple(b["target"]) for b in blocks}
         assert len(blocks) == len(targets) ** 2
         assert len(calls) == len(set(calls)) == len(targets)
+
+    def test_one_shifted_orbit_per_window_weight(self, monkeypatch):
+        """A hilbert job walks the Weyl orbit of mu + rho once per window
+        weight mu, not once per (mu, mu') block."""
+        calls = []
+        original = characters._shifted_orbit
+
+        def counted(datum, mu, lv):
+            calls.append(mu)
+            return original(datum, mu, lv)
+
+        monkeypatch.setattr(characters, "_CHARACTERS", [(None, None, {})])
+        monkeypatch.setattr(characters, "_shifted_orbit", counted)
+        cfg = preset_config(preset("determinantal", n=2, h=3))
+        blocks = run_job("hilbert", cfg)["hilbert"]["blocks"]
+        sources = {tuple(b["source"]) for b in blocks}
+        assert len(blocks) == len(sources) ** 2 == 9
+        assert len(calls) == len(set(calls)) == len(sources)
 
     def test_new_levi_or_datum_is_never_served_stale_tables(self,
                                                             monkeypatch):

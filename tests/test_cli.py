@@ -64,6 +64,27 @@ class TestRationals:
                 parse_rational(s)
 
 
+def test_integral_rationals_render_as_their_ints(tmp_path):
+    """Weight entries written "2/1" and "-4/2" give every report the bytes of
+    one written with the ints 2 and -2."""
+    def config(two, minus_two):
+        return {"group": "Torus(2)", "representation": [
+            {"kind": "weights", "weights": [
+                {"weight": [two, minus_two]}, {"weight": [minus_two, two]},
+                {"weight": [1, 1]}, {"weight": [-1, -1]}]}]}
+
+    written = write_config(tmp_path, config("2/1", "-4/2"), "written.json")
+    ints = write_config(tmp_path, config(2, -2), "ints.json")
+    for sub in ("analyze", "partition", "sod", "nccr", "hilbert"):
+        reports = []
+        for cfg in (written, ints):
+            out = tmp_path / f"{sub}.out"
+            assert main([sub, "--config", cfg, "--out", str(out)]) == 0
+            reports.append(out.read_bytes())
+        assert reports[0] == reports[1]
+        assert b'"-4/2"' not in reports[0] and b'"2/1"' not in reports[0]
+
+
 class TestConfigValidation:
     def test_minimal_valid(self):
         cfg = parse_config(PFAFFIAN_CFG)

@@ -150,7 +150,7 @@ class TestEnumerateLattice:
                 enumerate_lattice(tested.append, box)
         assert tested == []
 
-    def test_predicate_sees_ints_and_result_is_fractions(self):
+    def test_predicate_sees_ints_and_result_is_ints(self):
         seen, coset_seen = [], []
 
         class NonzeroFirst:
@@ -165,10 +165,10 @@ class TestEnumerateLattice:
         pts = enumerate_lattice(even, [(F(-3, 2), F(1)), (F(0), F(5, 2))],
                                 NonzeroFirst())
         assert all(type(x) is int for v in seen + coset_seen for x in v)
-        assert all(type(x) is F for v in pts for x in v)
+        assert all(type(x) is int for v in pts for x in v)
         assert coset_seen == sorted(coset_seen) and len(coset_seen) == 9
         assert seen == [v for v in coset_seen if v[0] != 0]
-        assert pts == [tuple(map(F, v)) for v in seen if sum(v) % 2 == 0]
+        assert pts == [v for v in seen if sum(v) % 2 == 0]
         assert pts == [(F(-1), F(1)), (F(1), F(1))]
 
     def test_sorted_and_unique(self):
@@ -720,11 +720,11 @@ class TestLexMinimalIntegral:
             saved += len(calls[1]) - len(calls[0])
         assert saved > 0
 
-    def test_returns_fraction_tuples(self):
+    def test_returns_int_tuples(self):
         got = lex_minimal_integral(3, lambda v: sum(v) == 2 and v[0] < 0)
         assert got == lex_minimal_integral_reference(
             3, lambda v: sum(v) == 2 and v[0] < 0) == (-2, 2, 2)
-        assert all(type(x) is F for x in got)
+        assert all(type(x) is int for x in got)
 
     def test_shells_follow_the_reference_order_as_ints(self):
         for n in range(1, 4):

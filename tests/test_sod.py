@@ -9,7 +9,7 @@ import pytest
 from oracles import (member_reference, random_generators,
                      zonotope_vertices_reference)
 from sodlab import partition, report, reps, rootdata, sod, zonotope
-from sodlab.cli import main
+from sodlab.cli import _parse_preset_spec, main
 from sodlab.linalg import rank, vadd, vec, vscale, vsub
 from sodlab.linprog import InputError, enumerate_lattice
 from sodlab.partition import (PreconditionError, make_profile, window_box,
@@ -20,6 +20,7 @@ from sodlab.rootdata import build_group, full_levi, is_dominant, levi
 from sodlab.sod import certify_nccr, enumerate_sod, preset
 from sodlab.zonotope import (CLOSED, HALF_OPEN, REL_INT, EpsShift, member,
                              member_eps)
+from test_golden import PRESETS
 
 T1 = build_group("Torus(1)")
 
@@ -419,6 +420,36 @@ class TestPresets:
 
     def test_sl2_counts_trivial_summands(self):
         assert preset("sl2", degrees=[0, 0, 3]).expected["c"] == 2
+
+
+def _ints(vectors) -> bool:
+    return all(type(x) is int for v in vectors for x in v)
+
+
+class TestLatticeVectorsAreInts:
+    @pytest.mark.parametrize("spec", PRESETS)
+    def test_every_preset(self, spec):
+        """The weights, the dominant box, the cell members, every component
+        window, the NCCR windows and the destabilizer are int tuples."""
+        cfg = preset_config(_parse_preset_spec(spec))
+        _, rep, profile = build_objects(cfg)
+        assert _ints(w for w, _ in rep.weights) and _ints(rep.expanded)
+        assert _ints(partition.dominant_box_points(rep, cfg.box_radius))
+        sigma = reps.find_destabilizer(rep).sigma
+        if sigma is not None:
+            assert _ints([sigma])
+            return
+        result = enumerate_sod(rep, profile, r_max=cfg.r_max,
+                               box_radius=cfg.box_radius, epsilon=cfg.epsilon)
+        for cell in result.absorbed + result.frontier:
+            assert _ints(cell.members)
+        for comp in result.components:
+            assert comp.window and _ints(comp.window)
+            assert _ints(comp.coinvariants.expanded)
+            cert = certify_nccr(rep, comp.levi, comp.coinvariants, comp.nu,
+                                result.epsilon if comp.is_d0 else None,
+                                genericity_assertion=True)
+            assert _ints(cert.window) and _ints(cert.prazno_points)
 
 
 MINKOWSKI_GROUPS = ("Torus(1)", "Torus(2)", "SL(2)", "SL(3)",
