@@ -9,10 +9,11 @@ reflections via `rootdata.descend` and `rootdata.orbit`; the group is never
 enumerated.
 
 Everything runs on int tuples of the weight lattice, as `reps.rep_spec`
-requires of every representation: a weight or Levi root off it is refused
-with `InputError`, and sorted `Fraction` keys are built only when `entries`
-is read.  The Freudenthal walk pairs under the dot product, the invariant
-form of every catalog group, and reads |mu + rho|^2 - |rho|^2 as
+requires of every representation: a weight off it is refused with
+`InputError` (a root off it already is, when its `RootDatum` is built), and
+sorted `Fraction` keys are built only when `entries` is read.  The
+Freudenthal walk pairs under the dot product, the invariant form of every
+catalog group, and reads |mu + rho|^2 - |rho|^2 as
 mu . (mu + 2 rho), with 2 rho the sum of the positive roots; the Hom-block
 kernel divides by the denominator of rho once, at the Weyl images of
 mu + rho.  The Weyl dimension is an integer product over the primitive
@@ -117,10 +118,10 @@ def irr_character(datum: RootDatum, chi: Vec,
                   levi: LeviDatum | None = None) -> CharacterTable:
     """Weight multiplicities of the irreducible with highest weight chi,
     via the Freudenthal recursion over the (Levi-)root system.  InputError
-    when chi or a root of the Levi is off the lattice."""
+    when chi is off the lattice."""
     lv = levi or full_levi(datum)
     chi = _dominant(datum, chi, lv)
-    roots = [_lattice(a, "Levi root") for a in lv.phi_lambda_plus]
+    roots = lv.phi_lambda_plus
     if not roots:
         return CharacterTable(datum, {chi: 1})
     # 2 rho, the sum of the positive roots, is on the lattice, and so is
@@ -274,8 +275,7 @@ def hom_block_dims(datum: RootDatum, mu: Vec, mu_prime: Vec, coinv: RepSpec,
     w of the product's entry at w(mu + rho) - rho, and that entry is the sum
     over weights w1 of ch(mu') of m1 * Sym^d[w(mu + rho) - rho - w1].  The
     pairs (key, coefficient) of that double sum do not depend on d.
-    InputError when mu, mu', a weight of coinv or a root of the Levi is off
-    the lattice."""
+    InputError when mu, mu' or a weight of coinv is off the lattice."""
     lv = levi or full_levi(datum)
     mu = _dominant(datum, mu, lv)
     mu_prime = _dominant(datum, mu_prime, lv)

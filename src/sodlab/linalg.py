@@ -5,8 +5,8 @@ row vectors.  Row reduction, rank, span membership, kernels and solving all
 run one fraction-free Gauss-Jordan elimination on integer rows: each input row
 is scaled to ints by its least common denominator, and only the results are
 turned back into ``Fraction`` tuples, so every function takes and returns
-them as before.  ``primitive`` reads the same scaled integers.  No floating
-point is used anywhere.
+them as before.  ``primitive`` reads the same scaled integers and returns
+them as an int tuple.  No floating point is used anywhere.
 """
 
 from __future__ import annotations
@@ -199,12 +199,11 @@ def span_basis(vectors: Sequence[Vec], dim: int) -> list[Vec]:
     return [tuple(red[i]) for i in range(len(pivots))]
 
 
-def primitive(v: Vec) -> Vec:
-    """Primitive integer vector on the ray of v, sign fixed by the first
-    nonzero entry being positive.  Canonical key for lines through 0."""
-    if is_zero_vec(v):
-        return v
+def primitive(v) -> tuple[int, ...]:
+    """Primitive integer vector on the ray of v (ints or Fractions), as an
+    int tuple, sign fixed by the first nonzero entry being positive; a zero
+    vector gives int zeros.  Canonical key for lines through 0."""
     ints = ray_ints(v)
-    if next(x for x in ints if x) < 0:
+    if next((x for x in ints if x), 0) < 0:
         ints = [-x for x in ints]
-    return tuple(map(Fraction, ints))
+    return tuple(ints)

@@ -33,8 +33,8 @@ from .linalg import (Vec, ZERO, ONE, int_row, vadd, vscale, vsub, vec,
                      zero_vec)
 from .linprog import InputError, enumerate_lattice, lattice_walk
 from .reps import RepSpec, find_destabilizer, weight_signs
-from .rootdata import (LeviDatum, RootDatum, full_levi, is_dominant, levi,
-                       pairing, star_dominate)
+from .rootdata import (LeviDatum, RootDatum, check_length, full_levi,
+                       is_dominant, levi, pairing, star_dominate)
 from .zonotope import (REL_INT, FaceSignature, face_signature_at, member,
                        supporting_lambda)
 
@@ -68,7 +68,11 @@ class ShiftProfile:
 
 def make_profile(datum: RootDatum, nu_global=None,
                  threshold: str = STANDARD) -> ShiftProfile:
+    """The profile of a Weyl-invariant global shift, the zero shift when
+    ``nu_global`` is None; InputError for a shift of the wrong length, one
+    that is not Weyl-invariant, or an unknown threshold."""
     nu = zero_vec(datum.rank) if nu_global is None else vec(nu_global)
+    check_length(datum, nu, "global shift")
     if threshold not in (STANDARD, HALF_OPEN_MODE):
         raise InputError(f"unknown threshold mode {threshold!r}")
     if not full_levi(datum).is_invariant(nu):

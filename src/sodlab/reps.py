@@ -19,7 +19,7 @@ from .linalg import (Mat, Vec, ZERO, ONE, int_row, is_integral, is_zero_vec,
                      mat_vec, nullspace, primitive, rank as mat_rank, solve,
                      vadd, vdot, vneg, vec, zero_vec)
 from .linprog import InputError, LpBuilder, feasible_point, lex_minimal_integral
-from .rootdata import RootDatum, full_levi, pairing, reflect
+from .rootdata import RootDatum, check_length, full_levi, reflect
 
 
 @dataclass(frozen=True)
@@ -45,16 +45,6 @@ class RepSpec:
         return self._hash
 
 
-def _checked_weight(datum: RootDatum, w) -> Vec:
-    """w normalized modulo the quotient directions, once its length has been
-    checked against the rank."""
-    w = vec(w)
-    if len(w) != datum.rank:
-        raise InputError(f"weight has {len(w)} entries, but "
-                         f"{datum.label} has rank {datum.rank}")
-    return datum.normalize_weight(w)
-
-
 # Largest dimension (multiplicities summed) of a representation.  The tests
 # and benchmark jobs build at most 108, and 10,000 (GL(1), +-1 each 5,000
 # times) takes 2.1 s on ``nccr``; past the cap no weight list is expanded.
@@ -63,10 +53,11 @@ REP_DIM_CAP = 10_000
 
 def rep_spec(datum: RootDatum, weights) -> RepSpec:
     """Build a RepSpec from (weight, multiplicity) pairs.  InputError for a
-    weight off the lattice or multiplicities summing past ``REP_DIM_CAP``."""
+    weight of the wrong length or off the lattice, or multiplicities summing
+    past ``REP_DIM_CAP``."""
     pairs = []
     for w, m in weights:
-        w = _checked_weight(datum, w)
+        w = datum.normalize_weight(vec(w))
         if not is_integral(w):
             raise InputError(f"weight {w} is not a lattice element")
         w = tuple(map(int, w))
@@ -95,10 +86,14 @@ class SignPartition:
     t_minus: tuple[int, ...]
 
 
-def weight_signs(rep: RepSpec, lam: Vec) -> SignPartition:
+def weight_signs(rep: RepSpec, lam) -> SignPartition:
+    """The sign of each weight's pairing with lam (ints or Fractions), read
+    on lam's int row."""
+    check_length(rep.datum, lam, "coweight")
+    row = int_row(lam)[0]
     plus, zero, minus = [], [], []
     for i, w in enumerate(rep.expanded):
-        s = pairing(lam, w)
+        s = sum(map(mul, row, w))
         (plus if s > 0 else minus if s < 0 else zero).append(i)
     return SignPartition(tuple(plus), tuple(zero), tuple(minus))
 
@@ -165,7 +160,7 @@ def find_destabilizer(rep: RepSpec) -> DestabilizerReport:
     values = [w for w, _ in rep.weights]
     # sigma is nonzero, orthogonal to the central directions and pairs
     # nonpositively with each weight
-    rows = [(c, (0,)) for c, _ in datum.quotient_ints]
+    rows = [(c, (0,)) for c in datum.central_directions]
     rows += [(w, (-1, 0)) for w in values]
     sigma = lex_minimal_integral(n, any, rows)
     proj = full_levi(datum).invariant_projector()
@@ -182,7 +177,7 @@ def find_destabilizer(rep: RepSpec) -> DestabilizerReport:
 def is_quasi_symmetric(rep: RepSpec) -> bool:
     """Whether the weight sum along every line through the origin vanishes
     (a zero weight adds zero to the sum keyed by itself)."""
-    lines: dict[Vec, tuple[int, ...]] = {}
+    lines: dict[tuple[int, ...], tuple[int, ...]] = {}
     for w, m in rep.weights:
         key = primitive(w)
         acc = lines.get(key, (0,) * len(w))
@@ -327,7 +322,7 @@ def construct_rep(datum: RootDatum, pieces) -> RepSpec:
         kind, arg = piece
         if kind == "weights":
             for w, m in arg:
-                counts[_checked_weight(datum, w)] += int(m)
+                counts[datum.normalize_weight(vec(w))] += int(m)
         elif kind == "vector_power":
             for w in defining_weights(datum):
                 counts[datum.normalize_weight(w)] += int(arg)

@@ -11,6 +11,13 @@ Positive roots are L_i - L_j (i < j) for GL/SL and additionally L_i + L_j
 (i < j) and 2 L_i for Sp(2n); dominant weights have non-increasing block
 coordinates (and a nonnegative tail coordinate for Sp).
 
+Every root and every SL quotient direction is a lattice vector, kept once,
+as an int tuple: the catalog constructors build them so, and ``RootDatum``
+refuses any other entry with InputError.  rho_bar, half the sum of the
+positive roots, stays a Fraction tuple.  A Levi keeps its one-parameter
+subgroup as it is given: an int tuple on the CLI path (``full_levi``,
+``zonotope.supporting_lambda``), or a rational one from a library caller.
+
 The Weyl group is never enumerated: dominant conjugates, signed orbits and
 fixed spaces all come from the simple reflections s_a(v) = v - <a^vee, v> a
 (Humphreys, *Introduction to Lie Algebras and Representation Theory*, 10).
@@ -31,12 +38,11 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
-from itertools import compress
 from operator import mul, sub
 
-from .linalg import (Mat, Vec, ZERO, ONE, in_span, int_row, int_rows,
-                     is_zero_vec, nullspace, ray_ints, rref, span_basis, vadd,
-                     vdot, vneg, vscale, vsub, vec, zero_vec)
+from .linalg import (Mat, Vec, ZERO, in_span, int_row, is_zero_vec,
+                     nullspace, ray_ints, rref, span_basis, vadd, vdot, vneg,
+                     vsub, zero_vec)
 from .linprog import InputError
 
 # Integer rows and a positive denominator: the linear map v -> rows v / d.
@@ -45,68 +51,63 @@ Reflection = tuple[tuple[tuple[int, ...], ...], int]
 
 @dataclass(frozen=True)
 class RootDatum:
-    """Immutable root datum of a catalog group in L_i coordinates."""
+    """Immutable root datum of a catalog group in L_i coordinates: every
+    root and quotient direction is a lattice vector, an int tuple."""
 
     label: str
     rank: int
-    roots: tuple[Vec, ...]
-    positive_roots: tuple[Vec, ...]
-    simple_roots: tuple[Vec, ...]
+    roots: tuple[tuple[int, ...], ...]
+    positive_roots: tuple[tuple[int, ...], ...]
+    simple_roots: tuple[tuple[int, ...], ...]
     rho_bar: Vec
     # Character directions modded out (one per SL block), paired with the
     # block coordinate pinned to zero by the canonical section.
-    quotient_pairs: tuple[tuple[Vec, int], ...] = ()
+    quotient_pairs: tuple[tuple[tuple[int, ...], int], ...] = ()
 
     def __post_init__(self):
-        if any(x.denominator != 1 for c, _ in self.quotient_pairs for x in c):
-            raise InputError("quotient directions must be integral")
-        scale, roots, positives = self.root_ints
-        root_set = set(roots)
-        if any(tuple(-x for x in a) not in root_set for a in roots):
+        for v in (*self.roots, *self.positive_roots, *self.simple_roots,
+                  *self.central_directions):
+            if any(type(x) is not int for x in v):
+                raise InputError(f"root or SL direction {list(map(str, v))} "
+                                 f"is not an int tuple (a lattice vector)")
+        root_set = set(self.roots)
+        if any(tuple(-x for x in a) not in root_set for a in self.roots):
             raise InputError("roots not closed under negation")
-        if _half_sum(scale, positives, self.rank) != self.rho_bar:
+        if _half_sum(self.positive_roots, self.rank) != self.rho_bar:
             raise InputError("rho_bar is not half the sum of positive roots")
         # 2 a / (a . a) is the coroot of every nonzero a
-        if any(not any(a) for a in roots):
+        if any(not any(a) for a in self.roots):
             raise InputError("a root is zero, so it has no coroot")
-
-    @cached_property
-    def root_ints(self) -> tuple[int, tuple[tuple[int, ...], ...],
-                                 tuple[tuple[int, ...], ...]]:
-        """(d, roots, positive roots): every root times d, one common
-        positive integer, as an int tuple, in the order of ``roots`` and
-        ``positive_roots``.  Zero pairings, sums and differences of roots
-        read the same at that scale."""
-        ints, d = int_rows(self.roots + self.positive_roots)
-        n = len(self.roots)
-        return d, tuple(ints[:n]), tuple(ints[n:])
 
     @cached_property
     def dominance_rows(self) -> tuple[tuple[int, ...], ...]:
         return _coroot_rows(self.simple_roots)
 
     @property
-    def central_directions(self) -> tuple[Vec, ...]:
+    def central_directions(self) -> tuple[tuple[int, ...], ...]:
         return tuple(c for c, _ in self.quotient_pairs)
 
     def coweight_ok(self, lam: Vec) -> bool:
         """Whether lam lies in Y(T)_R (sum-zero on SL blocks)."""
         return all(vdot(lam, c) == 0 for c in self.central_directions)
 
-    @cached_property
-    def quotient_ints(self) -> tuple[tuple[tuple[int, ...], int], ...]:
-        """``quotient_pairs`` with each (integral) direction as ints."""
-        return tuple((tuple(x.numerator for x in c), pin)
-                     for c, pin in self.quotient_pairs)
-
     def normalize_weight(self, chi):
         """Canonical section representative modulo the quotient directions:
         Fraction tuples stay Fraction tuples and int tuples stay int tuples
-        (weights times any common denominator)."""
-        for c, pin in self.quotient_ints:
+        (weights times any common denominator).  InputError when chi does
+        not have one entry per coordinate."""
+        check_length(self, chi, "weight")
+        for c, pin in self.quotient_pairs:
             t = chi[pin]
-            chi = tuple(x - t * y for x, y in zip(chi, c, strict=True))
+            chi = tuple(x - t * y for x, y in zip(chi, c))
         return chi
+
+
+def check_length(datum: RootDatum, v, what: str) -> None:
+    """InputError unless v has one entry per coordinate of the datum."""
+    if len(v) != datum.rank:
+        raise InputError(f"{what} has {len(v)} entries, but "
+                         f"{datum.label} has rank {datum.rank}")
 
 
 def _coroot_rows(roots) -> tuple[tuple[int, ...], ...]:
@@ -116,14 +117,14 @@ def _coroot_rows(roots) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(ray_ints(a)) for a in roots)
 
 
-def _half_sum(scale: int, ints, rank: int) -> Vec:
-    """Half the sum of the roots whose int tuples at ``scale`` are given."""
-    total = [sum(col) for col in zip(*ints)] or [0] * rank
-    return tuple(Fraction(x, 2 * scale) for x in total)
+def _half_sum(roots, rank: int) -> Vec:
+    """Half the sum of the given int tuples (zero when there are none)."""
+    total = [sum(col) for col in zip(*roots)] or [0] * rank
+    return tuple(Fraction(x, 2) for x in total)
 
 
-def _unit(n: int, i: int) -> Vec:
-    return tuple(ONE if j == i else ZERO for j in range(n))
+def _unit(n: int, i: int) -> tuple[int, ...]:
+    return tuple(int(j == i) for j in range(n))
 
 
 # ---------------------------------------------------------------------------
@@ -136,15 +137,14 @@ def _build_torus(n: int) -> RootDatum:
         simple_roots=(), rho_bar=zero_vec(n))
 
 
-def _from_positive_roots(label: str, n: int, pos: list[Vec], simple: list[Vec],
+def _from_positive_roots(label: str, n: int, pos: list[tuple[int, ...]],
+                         simple: list[tuple[int, ...]],
                          quotient_pairs=()) -> RootDatum:
     """Root datum with the given positive and simple roots."""
-    ints, scale = int_rows(pos)
     return RootDatum(
         label=label, rank=n, roots=tuple(pos) + tuple(vneg(a) for a in pos),
         positive_roots=tuple(pos), simple_roots=tuple(simple),
-        rho_bar=_half_sum(scale, ints, n),
-        quotient_pairs=quotient_pairs)
+        rho_bar=_half_sum(pos, n), quotient_pairs=quotient_pairs)
 
 
 def _type_a_roots(n: int):
@@ -159,32 +159,27 @@ def _build_gl(n: int) -> RootDatum:
 
 def _build_sl(n: int) -> RootDatum:
     return _from_positive_roots(f"SL({n})", n, *_type_a_roots(n),
-                                quotient_pairs=(((ONE,) * n, n - 1),))
+                                quotient_pairs=(((1,) * n, n - 1),))
 
 
 def _build_sp(two_n: int) -> RootDatum:
     if two_n % 2 != 0 or two_n < 2:
         raise InputError(f"Sp rank parameter must be even and positive, got {two_n}")
     n = two_n // 2
-    pos = [vsub(_unit(n, i), _unit(n, j)) for i in range(n) for j in range(i + 1, n)]
+    pos, simple = _type_a_roots(n)
     pos += [vadd(_unit(n, i), _unit(n, j)) for i in range(n) for j in range(i + 1, n)]
-    pos += [vscale(Fraction(2), _unit(n, i)) for i in range(n)]
-    simple = [vsub(_unit(n, i), _unit(n, i + 1)) for i in range(n - 1)]
-    simple.append(vscale(Fraction(2), _unit(n, n - 1)))
+    pos += [vadd(_unit(n, i), _unit(n, i)) for i in range(n)]
+    simple.append(pos[-1])
     return _from_positive_roots(f"Sp({two_n})", n, pos, simple)
 
 
-def _embed(v: Vec, offset: int, rank: int) -> Vec:
-    return zero_vec(offset) + v + zero_vec(rank - offset - len(v))
+def _embed(v: tuple[int, ...], offset: int, rank: int) -> tuple[int, ...]:
+    return (0,) * offset + v + (0,) * (rank - offset - len(v))
 
 
 def _product(factors: list[RootDatum]) -> RootDatum:
     rank = sum(f.rank for f in factors)
-    roots: list[Vec] = []
-    pos: list[Vec] = []
-    simple: list[Vec] = []
-    quo: list[tuple[Vec, int]] = []
-    rho = zero_vec(rank)
+    roots, pos, simple, quo = [], [], [], []
     offset = 0
     for f in factors:
         roots += [_embed(a, offset, rank) for a in f.roots]
@@ -192,12 +187,11 @@ def _product(factors: list[RootDatum]) -> RootDatum:
         simple += [_embed(a, offset, rank) for a in f.simple_roots]
         for c, pin in f.quotient_pairs:
             quo.append((_embed(c, offset, rank), offset + pin))
-        rho = vadd(rho, _embed(f.rho_bar, offset, rank))
         offset += f.rank
     label = "Product(" + ",".join(f.label for f in factors) + ")"
     return RootDatum(
         label=label, rank=rank, roots=tuple(roots), positive_roots=tuple(pos),
-        simple_roots=tuple(simple), rho_bar=rho,
+        simple_roots=tuple(simple), rho_bar=_half_sum(pos, rank),
         quotient_pairs=tuple(quo))
 
 
@@ -403,10 +397,10 @@ class LeviDatum:
     and the group itself is never enumerated."""
 
     datum: RootDatum
-    lam: Vec
-    phi_lambda: tuple[Vec, ...]
-    phi_lambda_plus: tuple[Vec, ...]
-    simple_roots: tuple[Vec, ...]
+    lam: tuple  # ints on the CLI path; a library caller may pass Fractions
+    phi_lambda: tuple[tuple[int, ...], ...]
+    phi_lambda_plus: tuple[tuple[int, ...], ...]
+    simple_roots: tuple[tuple[int, ...], ...]
     rho_bar_lambda: Vec
 
     @cached_property
@@ -417,17 +411,15 @@ class LeviDatum:
     def reflections(self) -> tuple[Reflection, ...]:
         """One (rows, d) per simple root, in the order of ``simple_roots``:
         the reflection in the root followed by ``normalize_weight`` is
-        v -> rows v / d, with int rows and d > 0 the least such.  For the
-        root a = a' / t with a' an int tuple the coroot is
-        2 t a' / (a' . a'), so N s_a = N - 2 (N a') a'^T / (a' . a') for the
-        normalization N, whose columns are the normalized units."""
+        v -> rows v / d, with int rows and d > 0 the least such.  The coroot
+        of the root a is 2 a / (a . a), so N s_a = N - 2 (N a) a^T / (a . a)
+        for the normalization N, whose columns are the normalized units."""
         datum = self.datum
         n = datum.rank
         units = [datum.normalize_weight(tuple(int(i == j) for i in range(n)))
                  for j in range(n)]
         out = []
         for a in self.simple_roots:
-            a = tuple(int_row(a)[0])
             norm = sum(map(mul, a, a))
             na = datum.normalize_weight(a)
             rows = [[norm * u[i] - 2 * na[i] * aj for u, aj in zip(units, a)]
@@ -483,27 +475,22 @@ class LeviDatum:
         return _levi_label(self)
 
 
-def levi(datum: RootDatum, lam: Vec) -> LeviDatum:
-    """Levi subdatum attached to a (rational) one-parameter subgroup."""
-    lam = vec(lam)
-    if len(lam) != datum.rank:
-        raise InputError("coweight has wrong dimension")
+def levi(datum: RootDatum, lam) -> LeviDatum:
+    """Levi subdatum attached to a one-parameter subgroup: an int tuple, or
+    a rational one (ints or Fractions), kept as the tuple it is given."""
+    lam = tuple(lam)
+    check_length(datum, lam, "coweight")
     if not datum.coweight_ok(lam):
         raise InputError("coweight not in Y(T) (fails SL block constraints)")
     row = int_row(lam)[0]
-    scale, roots, positives = datum.root_ints
-    phi = tuple(compress(datum.roots,
-                         [not sum(map(mul, row, a)) for a in roots]))
-    on_wall = [not sum(map(mul, row, a)) for a in positives]
-    plus = tuple(compress(datum.positive_roots, on_wall))
-    plus_ints = list(compress(positives, on_wall))
+    phi = tuple(a for a in datum.roots if not sum(map(mul, row, a)))
+    plus = tuple(a for a in datum.positive_roots if not sum(map(mul, row, a)))
     # a positive root is simple iff it is no positive root plus another
-    plus_set = set(plus_ints)
-    simple = tuple(a for a, ai in zip(plus, plus_ints)
-                   if not any(tuple(map(sub, ai, b)) in plus_set
-                              for b in plus_ints))
-    rho = _half_sum(scale, plus_ints, datum.rank)
-    return LeviDatum(datum, lam, phi, plus, simple, rho)
+    plus_set = set(plus)
+    simple = tuple(a for a in plus
+                   if not any(tuple(map(sub, a, b)) in plus_set for b in plus))
+    return LeviDatum(datum, lam, phi, plus, simple,
+                     _half_sum(plus, datum.rank))
 
 
 # The whole-group Levi of the datum asked for last.  It is kept here, not
@@ -517,7 +504,7 @@ def full_levi(datum: RootDatum) -> LeviDatum:
     """The Levi subdatum of the zero subgroup (the whole group), built once
     per run of calls on one datum."""
     if not (_FULL_LEVI and _FULL_LEVI[0].datum is datum):
-        _FULL_LEVI[:] = [levi(datum, zero_vec(datum.rank))]
+        _FULL_LEVI[:] = [levi(datum, (0,) * datum.rank)]
     return _FULL_LEVI[0]
 
 
@@ -550,7 +537,7 @@ def _levi_label(lv: LeviDatum) -> str:
                     comp.append(j)
                     stack.append(j)
         # type C: some simple root is twice a lattice vector (2 L_i)
-        kind = "C" if any(all((x / 2).denominator == 1 for x in simple[k])
+        kind = "C" if any(all(x % 2 == 0 for x in simple[k])
                           for k in comp) else "A"
         parts.append(f"{kind}{len(comp)}")
     span_dim = len(span_basis(list(lv.phi_lambda), datum.rank))

@@ -177,7 +177,7 @@ class NccrCertificate:
 def _toric_two_per_side(coinv: RepSpec) -> bool:
     """Every line carrying a nonzero neutral weight has at least two weights
     (with multiplicity) on each of its sides."""
-    sides: dict[Vec, list[int]] = {}
+    sides: dict[tuple[int, ...], list[int]] = {}
     for w, m in coinv.weights:
         if is_zero_vec(w):
             continue

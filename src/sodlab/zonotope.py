@@ -261,7 +261,8 @@ def signature_classes(sig: FaceSignature, generators):
     return out
 
 
-def supporting_lambda(sig: FaceSignature, datum: RootDatum, generators) -> Vec:
+def supporting_lambda(sig: FaceSignature, datum: RootDatum,
+                      generators) -> tuple[int, ...]:
     """Canonical antidominant one-parameter subgroup whose pairing signs with
     the generators reproduce the signature; zero for the trivial signature.
 
@@ -282,14 +283,13 @@ def supporting_lambda(sig: FaceSignature, datum: RootDatum, generators) -> Vec:
     InputError.
     """
     if sig.trivial:
-        return zero_vec(datum.rank)
-    # The class values as they are and each positive root times a positive
-    # integer: only the signs of the pairings with a candidate are read.
+        return (0,) * datum.rank
+    # only the signs of the pairings with a candidate are read
     signs = {"+": (1,), "-": (-1,), "0": (0,)}
-    rows = [(c, (0,)) for c, _ in datum.quotient_ints]
+    rows = [(c, (0,)) for c in datum.central_directions]
     rows += [(v, signs[mark])
              for v, _, mark in signature_classes(sig, generators)]
-    rows += [(a, (-1, 0)) for a in datum.root_ints[2]]
+    rows += [(a, (-1, 0)) for a in datum.positive_roots]
     return lex_minimal_integral(datum.rank, lambda cand: True, rows)
 
 
@@ -343,12 +343,8 @@ def facet_table(generators, central: Central, dim: int) -> FacetTable:
     return table
 
 
-def _int_primitive(v: Vec) -> tuple[int, ...]:
-    return tuple(int(x) for x in primitive(v))
-
-
 def _build_facet_table(gens, central, dim) -> FacetTable:
-    central = [vec(c) for c in central]
+    central = list(central)
     # h(lam) = sum m * max(0, -<lam, v>) over the classes, on their values
     # times the common denominator d; h(-lam) = h(lam) + <lam, sum m v>, as
     # max(0, x) - max(0, -x) = x
@@ -363,7 +359,7 @@ def _build_facet_table(gens, central, dim) -> FacetTable:
         facets.append((lam, Fraction(h, d)))
         facets.append((vneg(lam), Fraction(h + sum(map(mul, lam, total)), d)))
     annihilator = nullspace([*gens, *central], dim)
-    return FacetTable(tuple(map(_int_primitive, annihilator)), tuple(facets))
+    return FacetTable(tuple(map(primitive, annihilator)), tuple(facets))
 
 
 def _scaled_row(lam: tuple[int, ...], bound: Fraction):
@@ -453,7 +449,7 @@ HYPERPLANE_SCAN_CAP = 10_000
 
 def _lines(gens) -> list[tuple[int, ...]]:
     """The distinct nonzero generator lines, as sorted primitive int tuples."""
-    return sorted({_int_primitive(g) for g in gens if not is_zero_vec(g)})
+    return sorted({primitive(g) for g in gens if not is_zero_vec(g)})
 
 
 def _hyperplane_normals(lines, central, dim):
@@ -473,8 +469,8 @@ def _hyperplane_normals(lines, central, dim):
             continue
         rows = [lines[i] for i in subset] + central
         if rank(rows) == top - 1:
-            lam = _int_primitive(next(n for n in nullspace(rows, dim)
-                                      if any(vdot(n, v) for v in lines)))
+            lam = primitive(next(n for n in nullspace(rows, dim)
+                                 if any(vdot(n, v) for v in lines)))
             flat = [i for i, v in enumerate(lines) if not sum(map(mul, lam, v))]
             covered.update(combinations(flat, size))
             normals.append(lam)

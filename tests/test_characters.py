@@ -323,23 +323,16 @@ class TestLatticeRefusals:
 
     def test_levi_off_the_lattice_is_refused(self):
         # halved roots: (1/2, -1/2) and its negative are no lattice vectors,
-        # while the highest weight (1, 0) is
-        datum = _rescaled(GL2, F(1, 2))
-        lv = full_levi(datum)
-        rep = rep_spec(datum, [((1, -1), 1), ((-1, 1), 1), ((0, 0), 1)])
-        chi = vec([1, 0])
-        with pytest.raises(InputError, match="Levi root"):
-            irr_character(datum, chi, lv)
-        with pytest.raises(InputError, match="Levi root"):
-            hom_block_dims(datum, chi, chi, rep, lv, up_to=2)
-        # its torus Levi has no roots, so nothing is off the lattice
-        torus = levi(datum, vec([1, 0]))
-        assert irr_character(datum, chi, torus).entries == ((chi, 1),)
+        # so the datum is refused when it is built, before any character
+        # or Levi could read them
+        with pytest.raises(InputError, match=r"\['1/2', '-1/2'\] is not "
+                                             r"an int tuple"):
+            _rescaled(GL2, F(1, 2))
 
     def test_dot_image_off_the_lattice_is_refused(self):
         # the lattice root a = (1, 1, 1, 1) has a . a = 4 and rho = a / 2:
         # s_a(e1 + rho) - rho = e1 - 3 a / 2, which no division rounds
-        datum = _with_root(build_group("Torus(4)"), vec([1, 1, 1, 1]))
+        datum = _with_root(build_group("Torus(4)"), (1, 1, 1, 1))
         rep = rep_spec(datum, [((1, 0, 0, 0), 1)])
         zero, e1 = vec([0, 0, 0, 0]), vec([1, 0, 0, 0])
         assert hom_block_dims(datum, zero, zero, rep, up_to=2).dims() == \

@@ -150,7 +150,7 @@ class TestPrimitive:
         v = tuple(map(F, v))
         got = primitive(v)
         assert got == primitive_reference(v)
-        assert all_fractions(got)
+        assert all(type(x) is int for x in got)
 
     def test_sign_and_scale(self):
         assert primitive((F(0), F(-2, 3), F(4, 9))) == (0, 3, -2)

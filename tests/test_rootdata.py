@@ -16,10 +16,12 @@ from oracles import (coroot_invariant_vectors_reference, coroot_reference,
                      weyl_dim_reference, weyl_elements_reference,
                      weyl_generators_reference)
 from sodlab import rootdata
-from sodlab.characters import weyl_dim
+from sodlab.characters import irr_character, weyl_dim
 from sodlab.cli import main
 from sodlab.linalg import int_row, mat_vec, vdot, vec
 from sodlab.linprog import InputError
+from sodlab.partition import make_profile
+from sodlab.reps import rep_spec
 from sodlab.rootdata import (GROUP_DEPTH_CAP, GROUP_RANK_CAP, build_group,
                              full_levi, invariant_subspace, is_dominant, levi,
                              descend, make_dominant, orbit, pairing, reflect,
@@ -114,6 +116,31 @@ class TestBuildGroup:
         assert len(elements(SP4)) == 2 ** 2 * 2
         assert len(elements(build_group("Sp(6)"))) == 2 ** 3 * 6
         assert len(elements(build_group("GL(4)"))) == 24
+
+
+GL2 = build_group("GL(2)")
+
+# Entry points that take a vector of the datum's rank.  All but rep_spec
+# once accepted the zero vector of another length, pairing it with a prefix
+# of each row: weyl_dim(GL(2), (1,)) read -1, and irr_character gave keys of
+# both lengths.
+WRONG_LENGTH_CALLS = {
+    "normalize_weight": lambda v: GL2.normalize_weight(v),
+    "weyl_dim": lambda v: weyl_dim(GL2, v),
+    "irr_character": lambda v: irr_character(GL2, v),
+    "make_profile": lambda v: make_profile(GL2, v),
+    "rep_spec": lambda v: rep_spec(GL2, [(v, 1)]),
+}
+
+
+class TestWrongLength:
+    @pytest.mark.parametrize("entry", sorted(WRONG_LENGTH_CALLS))
+    @pytest.mark.parametrize("v", [(0,), (0, 0, 0), (1,)])
+    def test_is_refused(self, entry, v):
+        what = "global shift" if entry == "make_profile" else "weight"
+        with pytest.raises(InputError, match=f"^{what} has {len(v)} entries, "
+                                             r"but GL\(2\) has rank 2$"):
+            WRONG_LENGTH_CALLS[entry](v)
 
 
 class TestPairing:
@@ -453,7 +480,7 @@ class TestWeylKernels:
         (2, 4) / 5, which is not integral: the reflection (rows, 5) fixes
         (2, -1) and maps (1, 2) to (-1, -2) but (1, 0) to (3/5, -4/5), which
         the integer kernels refuse rather than round."""
-        lv = full_levi(_with_root(build_group("Torus(2)"), vec([1, 2])))
+        lv = full_levi(_with_root(build_group("Torus(2)"), (1, 2)))
         assert lv.reflections == ((((3, -4), (-4, -3)), 5),)
         assert reflect(lv.reflections[0], (2, -1)) == (2, -1)
         assert orbit(lv, (1, 2)) == [((1, 2), 1), ((-1, -2), -1)]
@@ -518,12 +545,13 @@ def _with_root(datum, alpha):
     neg = tuple(-x for x in alpha)
     return dataclasses.replace(
         datum, roots=(alpha, neg), positive_roots=(alpha,),
-        simple_roots=(alpha,), rho_bar=tuple(x / 2 for x in alpha))
+        simple_roots=(alpha,), rho_bar=tuple(F(x) / 2 for x in alpha))
 
 
 def _rescaled(datum, root_factor):
     """The datum with its roots, so also rho, multiplied by
-    ``root_factor``."""
+    ``root_factor``: int tuples for an int factor, which the datum accepts,
+    Fraction tuples for a Fraction one, which it refuses."""
     def scaled(vectors):
         return tuple(tuple(root_factor * x for x in v) for v in vectors)
     return dataclasses.replace(
@@ -533,9 +561,9 @@ def _rescaled(datum, root_factor):
         rho_bar=scaled([datum.rho_bar])[0])
 
 
-# Catalog roots, and rational multiples of them: the root scale is no
+# Catalog roots, and integer multiples of them: the root scale is no
 # longer 1.
-ROOT_FACTORS = (F(1), F(1, 2), F(2, 3))
+ROOT_FACTORS = (1, 2, 3)
 
 RATIONALS = st.builds(F, st.integers(-6, 6), st.integers(1, 6))
 
@@ -573,16 +601,21 @@ class TestIntegerRootKernels:
               deadline=None)
     @given(data=st.data())
     def test_coroot_under_a_rational_form(self, data):
-        """A rational vector taken as the one positive root of a torus
+        """A lattice vector taken as the one positive root of a torus
         datum: its coroot rows and its reflection under the dot product
-        against the Fraction references, and a zero vector refused."""
+        against the Fraction references.  A zero vector is refused, and so
+        is the vector divided by an integer d > 1, a Fraction tuple, when
+        the datum is built."""
         n = data.draw(st.integers(1, 4))
-        alpha = tuple(data.draw(RATIONALS) for _ in range(n))
+        alpha = tuple(data.draw(st.integers(-6, 6)) for _ in range(n))
         datum = build_group(f"Torus({n})")
         if not any(alpha):
             with pytest.raises(InputError, match="root is zero"):
                 _with_root(datum, alpha)
             return
+        div = data.draw(st.integers(2, 6))
+        with pytest.raises(InputError, match="is not an int tuple"):
+            _with_root(datum, tuple(F(x, div) for x in alpha))
         want = coroot_reference(alpha)
         lv = full_levi(_with_root(datum, alpha))
         assert _positive_multiple(lv.datum.dominance_rows[0], want)

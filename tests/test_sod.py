@@ -21,6 +21,7 @@ from sodlab.sod import certify_nccr, enumerate_sod, preset
 from sodlab.zonotope import (CLOSED, HALF_OPEN, REL_INT, EpsShift, member,
                              member_eps)
 from test_golden import PRESETS
+from test_rootdata import SMALL_CATALOG, _standard_levis
 
 T1 = build_group("Torus(1)")
 
@@ -423,16 +424,38 @@ class TestPresets:
 
 
 def _ints(vectors) -> bool:
-    return all(type(x) is int for v in vectors for x in v)
+    return all(type(v) is tuple and all(type(x) is int for x in v)
+               for v in vectors)
+
+
+def _root_data_are_ints(tag) -> bool:
+    """Whether the roots, simple roots and SL directions of the datum of
+    ``tag``, and the roots and simple roots of each of its standard Levis,
+    are int tuples."""
+    datum, standard = _standard_levis(tag)
+    return _ints(datum.roots + datum.positive_roots + datum.simple_roots
+                 + datum.central_directions) and \
+        all(_ints(lv.phi_lambda + lv.phi_lambda_plus + lv.simple_roots)
+            for lv in standard)
 
 
 class TestLatticeVectorsAreInts:
+    @pytest.mark.parametrize("tag", SMALL_CATALOG)
+    def test_every_catalog_tag(self, tag):
+        assert _root_data_are_ints(tag)
+        datum = build_group(tag)
+        assert _ints(datum.central_directions) and \
+            len(datum.central_directions) == len(datum.quotient_pairs)
+        assert _ints([full_levi(datum).lam])
+
     @pytest.mark.parametrize("spec", PRESETS)
     def test_every_preset(self, spec):
-        """The weights, the dominant box, the cell members, every component
-        window, the NCCR windows and the destabilizer are int tuples."""
+        """The root data, the weights, the dominant box, the cell members
+        and subgroups, every component's subgroup and window, the NCCR
+        windows and the destabilizer are int tuples."""
         cfg = preset_config(_parse_preset_spec(spec))
         _, rep, profile = build_objects(cfg)
+        assert _root_data_are_ints(rep.datum.label)
         assert _ints(w for w, _ in rep.weights) and _ints(rep.expanded)
         assert _ints(partition.dominant_box_points(rep, cfg.box_radius))
         sigma = reps.find_destabilizer(rep).sigma
@@ -442,8 +465,11 @@ class TestLatticeVectorsAreInts:
         result = enumerate_sod(rep, profile, r_max=cfg.r_max,
                                box_radius=cfg.box_radius, epsilon=cfg.epsilon)
         for cell in result.absorbed + result.frontier:
-            assert _ints(cell.members)
+            assert _ints(cell.members) and _ints([cell.lam])
+        for cell in partition.partition_region(rep, profile, cfg.box_radius):
+            assert _ints([cell.lam, cell.levi.lam])
         for comp in result.components:
+            assert _ints([comp.lam, comp.levi.lam])
             assert comp.window and _ints(comp.window)
             assert _ints(comp.coinvariants.expanded)
             cert = certify_nccr(rep, comp.levi, comp.coinvariants, comp.nu,
