@@ -17,7 +17,8 @@ catalog group, and reads |mu + rho|^2 - |rho|^2 as
 mu . (mu + 2 rho), with 2 rho the sum of the positive roots; the Hom-block
 kernel divides by the denominator of rho once, at the Weyl images of
 mu + rho.  The Weyl dimension is an integer product over the primitive
-integer rows of the Levi's positive coroots.
+integer rows of the Levi's positive coroots, paired with 2 (chi + rho)
+from the Levi's int 2 rho (``LeviDatum.two_rho``, kept once per Levi).
 """
 
 from __future__ import annotations
@@ -99,15 +100,15 @@ def weyl_dim(datum: RootDatum, chi: Vec, levi: LeviDatum | None = None) -> int:
     chi = datum.normalize_weight(chi)
     if not is_dominant(datum, chi, lv):
         raise InputError(f"{chi} is not dominant for the Levi")
-    # chi and rho at one scale, which cancels in the quotient, as does the
-    # scale of each coroot row
-    ints = int_row(chi + lv.rho_bar_lambda)[0]
-    rho = ints[datum.rank:]
-    shifted = list(map(add, ints, rho))
+    # 2 d (chi + rho) and 2 rho on ints, d the denominator of chi (1 at an
+    # int chi); d and the scale of each coroot row cancel in the quotient
+    ints, d = int_row(chi)
+    rho2 = lv.two_rho
+    shifted = [2 * x + d * r for x, r in zip(ints, rho2)]
     num = den = 1
     for row in lv.weyl_rows:
         num *= sum(map(mul, row, shifted))
-        den *= sum(map(mul, row, rho))
+        den *= d * sum(map(mul, row, rho2))
     value, rest = divmod(num, den)
     if rest:
         raise InputError("Weyl dimension came out non-integral")
@@ -126,7 +127,7 @@ def irr_character(datum: RootDatum, chi: Vec,
         return CharacterTable(datum, {chi: 1})
     # 2 rho, the sum of the positive roots, is on the lattice, and so is
     # each level |mu + rho|^2 - |rho|^2 = mu . (mu + 2 rho)
-    rho2 = tuple(map(sum, zip(*roots)))
+    rho2 = lv.two_rho
     # per root a: (a, a . a, 2 rho . a), so that (mu + k a) . a and the
     # level of mu + k a step in k without vector arithmetic
     root_data = [(a, sum(map(mul, a, a)), sum(map(mul, a, rho2)))

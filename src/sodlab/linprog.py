@@ -51,7 +51,7 @@ from fractions import Fraction
 from operator import mul
 from typing import Callable, Sequence
 
-from .linalg import Vec, ZERO, ONE, frac, vdot
+from .linalg import Vec, ZERO, ONE, frac
 
 Bound = Fraction | None
 
@@ -401,7 +401,8 @@ def _optimize_closed(prog: BoxedLinearProgram, coeffs: Sequence[Fraction],
     if end is None:
         return "unbounded", None, None
     witness = decode(_basic_solution(*end, ncols))
-    return "optimal", vdot(tuple(coeffs), witness), witness
+    value = sum((c * witness[j] for j, c in enumerate(coeffs) if c), ZERO)
+    return "optimal", value, witness
 
 
 def feasible_point(prog: BoxedLinearProgram) -> Vec | None:

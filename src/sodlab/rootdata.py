@@ -430,6 +430,12 @@ class LeviDatum:
         return tuple(out)
 
     @cached_property
+    def two_rho(self) -> tuple[int, ...]:
+        """2 rho_bar_lambda, the int sum of ``phi_lambda_plus``."""
+        return tuple(sum(a[i] for a in self.phi_lambda_plus)
+                     for i in range(self.datum.rank))
+
+    @cached_property
     def weyl_rows(self) -> tuple[tuple[int, ...], ...]:
         """One primitive int row on the ray of each positive coroot, in the
         order of ``phi_lambda_plus``: the factors of the Weyl product."""

@@ -2,11 +2,14 @@
 
 A query set is shift + r * Z where Z is generated by a weight list with
 coefficients in [-1, 0] (closed), ]-1, 0] (half-open, the default coefficient
-set of the windows) or ]-1, 0[ (relative interior).  Generators that are
-equal get collapsed to one coefficient with scaled bounds, which is exact:
-a sum of m copies of a (half-)open interval is the m-fold scaled interval,
-and pinning the combined coefficient at a bound is equivalent to pinning all
-copies.  Index sets in face signatures always refer to the expanded list.
+set of the windows) or ]-1, 0[ (relative interior).  The LPs give each
+generator line one coefficient, which is exact: Z is the Minkowski sum of
+its line segments (Ziegler, Lectures on Polytopes, ch. 7; McMullen, "On
+zonotopes", 1971), the generators k l on a line l sum to one segment u l
+whose ends sum theirs (open where theirs are), and u sits at an end in
+every representation iff each generator's coefficient does, since over an
+interior u those range over a slice through the interior of their box.
+Index sets in face signatures always refer to the expanded list.
 
 For SL blocks the ambient coordinates carry redundant directions; those are
 passed as ``central`` vectors and enter every membership system as free
@@ -27,13 +30,13 @@ half-open variant of ``member`` build one integer predicate per window from
 it through one builder (the two differ only in the facets a point may lie
 on), and that predicate decides each lattice point with integer arithmetic
 on those pairings.  For the closed and relative-interior variants ``member``
-builds one predicate per window by assembling the coefficient program once,
-and each point solves that program with its own right-hand side.  So do
+builds one predicate per window by assembling the line program once, and
+each point solves that program with its own right-hand side.  So do
 ``min_radius`` and ``face_signature_at``: a partition builds one radius
-program and one closed coefficient program, and each dominant point solves
-the first with its right-hand side and sweeps the second with its
-right-hand side and radius bounds.  Those are the LPs left over the
-coefficient system; with no generators every variant of ``member`` is shift
+program and one closed line program, and each dominant point solves the
+first with its right-hand side and sweeps the second with its right-hand
+side and radius bounds.  Those are the LPs left, all over the system of
+``line_program``; with no generators every variant of ``member`` is shift
 + span(central), decided by span arithmetic.  The supporting subgroup of a
 face solves no LP: Weyl symmetry guarantees an antidominant one (see
 ``supporting_lambda``), and the integral search finds the canonical one
@@ -51,7 +54,7 @@ from typing import Callable
 
 from .linalg import (Vec, ZERO, ONE, frac, in_span, int_rows,
                      is_zero_vec, nullspace, primitive, rank, span_basis,
-                     vdot, vec, vneg, vsub, zero_vec)
+                     vadd, vdot, vec, vneg, vscale, vsub)
 from .linprog import (InputError, LpBuilder, feasible_point, forced_tight,
                       lex_minimal_integral, lp_optimize, strict_feasible)
 from .rootdata import LeviDatum, RootDatum, full_levi
@@ -101,34 +104,48 @@ def _classes(generators) -> list[tuple[Vec, list[int]]]:
     return sorted(groups.items())
 
 
-def coefficient_system(b: LpBuilder, generators, central, target,
-                       radius=None, lower_open=False, upper_open=False):
-    """Add the system  sum_v c_v v + sum_c t_c c = target  to b.
+def line_program(generators, central, dim, radius=None, open_ends=False):
+    """(program, lines, corner) of the equalities  sum_l w_l l + sum_c t_c c
+    = p - shift + r corner, with zero right-hand sides for a caller to set.
 
-    One column c_v <= 0 per class of m equal generators, bounded below by
-    -radius * m unless ``radius`` is None and open at the flagged ends; then
-    one free column t_c per central direction.  ``target`` holds the
-    right-hand side of each coordinate's equality row.  Returns (classes,
-    class columns).
+    r Z sums the segments c_v v, c_v in [-r m, 0], of its classes of m
+    equal generators v, and those on one line, v = k l for a primitive int
+    tuple l, sum to the segment u l with u in [-r a, r b], a = sum m k over
+    k > 0 and b = sum m |k| over k < 0 (open at both ends if each c_v is).
+    Column j is w_l = u_l + r a for line j of ``lines``, (l, [(k, classes'
+    positions), ...]), in [0, r (a + b)] and open at both ends when
+    ``open_ends``; one free column t_c per central direction follows, and
+    corner = sum_l a l.  With ``radius`` None, r is the next column, the
+    objective, and w_l <= r (a + b) one row per line after the equalities.
     """
-    classes = _classes(generators)
-    cols = [b.add_var(lower=None if radius is None else -frac(radius) * len(idx),
-                      upper=0, lower_open=lower_open, upper_open=upper_open)
-            for _, idx in classes]
-    terms = [(v, col) for (v, _), col in zip(classes, cols)]
-    terms += [(c, b.add_var()) for c in central]
-    for k, rhs in enumerate(target):
-        b.add_eq({col: v[k] for v, col in terms if v[k] != 0}, rhs)
-    return classes, cols
-
-
-def _coefficient_program(generators, radius, shift, p, variant, central):
-    """LP whose feasibility is membership of p in shift + radius * variant."""
+    found: dict[tuple[int, ...], list] = {}
+    for v, idx in _classes(generators):
+        if not is_zero_vec(v):
+            line = primitive(v)
+            i = next(i for i, x in enumerate(line) if x)
+            k, rest = divmod(v[i], line[i])  # an int k at an int v
+            found.setdefault(line, []).append(
+                (Fraction(v[i], line[i]) if rest else k, idx))
+    lines = list(found.items())
+    widths = [sum(len(idx) * abs(k) for k, idx in cl) for _, cl in lines]
+    corner = tuple(sum(len(idx) * k * line[i] for line, cl in lines
+                       for k, idx in cl if k > 0) for i in range(dim))
     b = LpBuilder()
-    classes, cols = coefficient_system(
-        b, generators, central, vsub(vec(p), vec(shift)), radius,
-        lower_open=variant != CLOSED, upper_open=variant == REL_INT)
-    return b, classes, cols
+    for n in widths:
+        b.add_var(lower=0, upper=None if radius is None else radius * n,
+                  lower_open=open_ends, upper_open=open_ends)
+    terms = [(line, j) for j, (line, _) in enumerate(lines)]
+    terms += [(c, b.add_var()) for c in central]
+    if radius is None:
+        terms.append((vneg(corner), b.add_var(lower=0)))
+    for i in range(dim):
+        b.add_eq({col: v[i] for v, col in terms if v[i]}, 0)
+    if radius is not None:
+        return b.build(), lines, corner
+    rcol = terms[-1][1]
+    for j, n in enumerate(widths):
+        b.add_ge({rcol: n, j: -1}, 0)  # w_l <= r (a + b)
+    return b.build({rcol: ONE}), lines, corner
 
 
 def member(generators, r, shift, variant: str,
@@ -139,9 +156,9 @@ def member(generators, r, shift, variant: str,
     through the builder of ``member_eps``: p may lie on a facet only where
     h(lam) = 0 (see the facet arithmetic section below), and its build
     raises InputError past ``HYPERPLANE_SCAN_CAP``.
-    The closed and relative-interior variants assemble the coefficient
-    program once, and each point solves a copy whose only change is the
-    right-hand side p - shift (a phase-1 point for the closed variant, a
+    The closed and relative-interior variants assemble the line program
+    once, and each point solves a copy whose only change is the right-hand
+    side p - shift + r corner (a phase-1 point for the closed variant, a
     strict sweep for the other).  With no generators every variant is
     shift + span(central), decided without an LP.  The predicate takes int
     or Fraction points.  InputError for an unknown variant or r <= 0.
@@ -156,13 +173,12 @@ def member(generators, r, shift, variant: str,
     if variant == HALF_OPEN:
         return _facet_predicate(facet_table(generators, central, len(shift)),
                                 r, shift, lambda lam, h: h == 0)
-    # assembled at p = shift; each point sets its own right-hand side
-    b, _, _ = _coefficient_program(generators, r, shift, shift, variant,
-                                   central)
-    prog = b.build()
+    prog, _, corner = line_program(generators, central, len(shift), frac(r),
+                                   variant == REL_INT)
+    base = vsub(shift, vscale(r, corner))
 
     def inside(p) -> bool:
-        at_p = replace(prog, eq_rhs=vsub(p, shift))
+        at_p = replace(prog, eq_rhs=vsub(p, base))
         if variant == CLOSED:
             return feasible_point(at_p) is not None
         return strict_feasible(at_p)
@@ -175,19 +191,13 @@ def min_radius(generators, shift,
     """The least r >= 0 with p in shift + r * (closed zonotope), as a
     function of p; it gives None when p is not reachable at any radius.
 
-    Built once per (generators, shift, central): the radius program (class
-    columns c_v >= -m r, central columns free, minimize r) is assembled
-    once, and each point solves it with its own right-hand side p - shift,
-    followed by the zero right-hand sides of the radius rows.
+    Built once per (generators, shift, central): the radius program (the
+    line program with r a column, minimized) is assembled once, and each
+    point solves it with its own right-hand side p - shift, followed by the
+    zero right-hand sides of the radius rows.
     """
     shift = vec(shift)
-    b = LpBuilder()
-    classes, cols = coefficient_system(b, generators, central,
-                                       zero_vec(len(shift)))
-    rcol = b.add_var(lower=0)
-    for (_, idx), col in zip(classes, cols):
-        b.add_ge({col: ONE, rcol: Fraction(len(idx))}, 0)  # c_v >= -m r
-    prog = b.build({rcol: ONE})
+    prog = line_program(generators, central, len(shift))[0]
     tail = prog.eq_rhs[len(shift):]
 
     def radius(p) -> Fraction | None:
@@ -205,19 +215,21 @@ def face_signature_at(generators, shift,
     resp. 0 in every representation of p at that radius.
 
     Built once per (generators, shift, central): the radius function and
-    the closed coefficient program are assembled once.  Each point with
-    r > 0 runs the forced-tightness sweep on that program with the
-    right-hand side p - shift and each class column bounded below by
-    -r * m.  The point at the shift gets the trivial signature; InputError
-    for a point off the span of the generators.
+    the closed line program are assembled once.  Each point with r > 0
+    runs the forced-tightness sweep on that program with the right-hand
+    side p - shift + r corner and each line's upper bound scaled by r.  A
+    line pinned at its lower end pins its classes with k > 0 at -r (S+)
+    and the others at 0 (S-), at its upper end the other way round; the
+    classes of a line pinned at neither end go to S0 (see the module
+    docstring), as do the zero generators.  The point at the shift gets
+    the trivial signature; InputError for a point off the span of the
+    generators.
     """
     shift = vec(shift)
     radius = min_radius(generators, shift, central)
-    # assembled without lower bounds; each point sets them from its radius
-    b, classes, cols = _coefficient_program(generators, None, shift, shift,
-                                            CLOSED, central)
-    prog = b.build()
-    sizes = [len(idx) for _, idx in classes]
+    zeros = [i for i, g in enumerate(generators) if is_zero_vec(g)]
+    # assembled at r = 1; each point scales the line bounds by its radius
+    prog, lines, corner = line_program(generators, central, len(shift), ONE)
 
     def signature(p) -> FaceSignature:
         r = radius(p)
@@ -225,23 +237,23 @@ def face_signature_at(generators, shift,
             raise InputError("point lies outside the span of the generators")
         if r == 0:
             return FaceSignature(ZERO, (), (), (), True)
-        lower = list(prog.lower)
-        for col, m in zip(cols, sizes):
-            lower[col] = -r * m
-        report = forced_tight(replace(prog, eq_rhs=vsub(p, shift),
-                                      lower=tuple(lower)))
+        upper = tuple(None if x is None else r * x for x in prog.upper)
+        report = forced_tight(replace(
+            prog, eq_rhs=vadd(vsub(p, shift), vscale(r, corner)), upper=upper))
         if not report.feasible:  # unreachable: r came from a feasible program
             raise InputError("radius minimization produced an infeasible system")
         plus: list[int] = []
         minus: list[int] = []
-        zero: list[int] = []
-        for (_, idx), col in zip(classes, cols):
-            if report.lower_forced[col]:
-                plus.extend(idx)
-            elif report.upper_forced[col]:
-                minus.extend(idx)
-            else:
-                zero.extend(idx)
+        zero = list(zeros)
+        for j, (_, classes) in enumerate(lines):
+            low, high = report.lower_forced[j], report.upper_forced[j]
+            for k, idx in classes:
+                if not (low or high):
+                    zero.extend(idx)
+                elif (k > 0) == low:
+                    plus.extend(idx)
+                else:
+                    minus.extend(idx)
         return FaceSignature(r, tuple(sorted(plus)), tuple(sorted(minus)),
                              tuple(sorted(zero)), False)
 

@@ -29,11 +29,13 @@ both through one integer matrix per simple reflection.  The window-box
 reference bounds each coordinate by LP; the package has the closed form.
 The supporting-subgroup reference decides by LP that an antidominant subgroup
 exists before its integral search; the package runs the search alone.  The
-membership reference builds a fresh coefficient program for every point;
-the package builds one per window and changes only its right-hand side.
-The radius and face-signature references also build fresh programs for
-every point; the package builds both once per partition and sets each
-point's right-hand side and radius bounds.  The partition reference reads
+membership reference builds a fresh coefficient program for every point,
+with one column per class of equal generators; the package builds one
+program per window, with one column per generator line, and changes only
+its right-hand side.  The radius and face-signature references also build
+fresh per-class programs for every point; the package builds its line
+programs once per partition and sets each point's right-hand side and
+radius bounds.  The partition reference reads
 the signature of every dominant point and builds every cell's subgroup and
 Levi; the package solves once per ray and searches once per face.
 The two epsilon-window references decide membership by LP (one by
@@ -61,7 +63,7 @@ import math
 from fractions import Fraction
 
 from sodlab.characters import CharacterTable, irr_character
-from sodlab.linalg import (in_span, is_zero_vec, mat_vec, nullspace,
+from sodlab.linalg import (frac, in_span, is_zero_vec, mat_vec, nullspace,
                            primitive, solve, span_basis, vadd, vdot, vec,
                            vscale, vsub, zero_vec)
 from sodlab.linprog import BoxedLinearProgram, InputError, LpBuilder, \
@@ -72,9 +74,9 @@ from sodlab.partition import PartitionCell, PreconditionError, order_key
 from sodlab.reps import find_destabilizer
 from sodlab.rootdata import LeviDatum, full_levi, is_dominant, levi
 from sodlab.zonotope import (CLOSED, HALF_OPEN, REL_INT, FaceSignature,
-                              FacetTable, _lines, coefficient_system,
-                              face_signature_at, facet_table, member,
-                              signature_classes, supporting_lambda)
+                              FacetTable, _lines, face_signature_at,
+                              facet_table, member, signature_classes,
+                              supporting_lambda)
 
 F = Fraction
 
@@ -367,6 +369,41 @@ def _closed_coefficients(generators, r, shift, p, central, direction=None,
             row[tcol] = direction[k]
         b.add_eq(row, p[k] - shift[k])
     return b, tcol
+
+
+# ---------------------------------------------------------------------------
+# Coefficient programs with one column per class of equal generators, the
+# zonotope programs before the package gave each generator line one column.
+# ---------------------------------------------------------------------------
+
+def coefficient_system(b: LpBuilder, generators, central, target,
+                       radius=None, lower_open=False, upper_open=False):
+    """Add the system  sum_v c_v v + sum_c t_c c = target  to b.
+
+    One column c_v <= 0 per class of m equal generators, bounded below by
+    -radius * m unless ``radius`` is None and open at the flagged ends; then
+    one free column t_c per central direction.  ``target`` holds the
+    right-hand side of each coordinate's equality row.  Returns (classes,
+    class columns).
+    """
+    classes = _value_classes(generators)
+    cols = [b.add_var(lower=None if radius is None else -frac(radius) * len(idx),
+                      upper=0, lower_open=lower_open, upper_open=upper_open)
+            for _, idx in classes]
+    terms = [(v, col) for (v, _), col in zip(classes, cols)]
+    terms += [(c, b.add_var()) for c in central]
+    for k, rhs in enumerate(target):
+        b.add_eq({col: v[k] for v, col in terms if v[k] != 0}, rhs)
+    return classes, cols
+
+
+def _coefficient_program(generators, radius, shift, p, variant, central):
+    """LP whose feasibility is membership of p in shift + radius * variant."""
+    b = LpBuilder()
+    classes, cols = coefficient_system(
+        b, generators, central, vsub(vec(p), vec(shift)), radius,
+        lower_open=variant != CLOSED, upper_open=variant == REL_INT)
+    return b, classes, cols
 
 
 def member_reference(generators, r, shift, variant, p, central=()):

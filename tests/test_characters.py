@@ -16,7 +16,7 @@ from sodlab import characters
 from sodlab.characters import (SYM_TABLE_CAP, _sym_power_tables,
                                hom_block_dims, irr_character,
                                sym_power_character, weyl_dim)
-from sodlab.linalg import mat_vec, vec
+from sodlab.linalg import int_row, mat_vec, vec
 from sodlab.linprog import InputError
 from sodlab.report import build_objects, parse_config, preset_config, run_job
 from sodlab.reps import (SYM_PIECE_CAP, RepSpec, coinvariant_rep,
@@ -24,7 +24,8 @@ from sodlab.reps import (SYM_PIECE_CAP, RepSpec, coinvariant_rep,
                          sym_power_weight_counts)
 from sodlab.rootdata import build_group, full_levi, levi, make_dominant
 from sodlab.sod import enumerate_sod, preset
-from test_rootdata import SMALL_CATALOG, _rescaled, _with_root
+from test_rootdata import (SMALL_CATALOG, _outcome, _rescaled,
+                           _standard_levis, _with_root)
 
 T1 = build_group("Torus(1)")
 SL2 = build_group("SL(2)")
@@ -92,7 +93,42 @@ def test_irr_character_matches_whole_group_reference(tag):
                 irr_character_reference(datum, chi, lv).entries
 
 
+def _weyl_dim_at_one_scale(datum, chi, lv):
+    """Weyl's product as ``weyl_dim`` computed it before the Levi kept its
+    int 2 rho: the int row of chi + rho_bar at one scale, on every call."""
+    ints = int_row(datum.normalize_weight(chi) + lv.rho_bar_lambda)[0]
+    rho = ints[datum.rank:]
+    shifted = [x + r for x, r in zip(ints, rho)]
+    num = den = 1
+    for row in lv.weyl_rows:
+        num *= sum(x * y for x, y in zip(row, shifted))
+        den *= sum(x * y for x, y in zip(row, rho))
+    value, rest = divmod(num, den)
+    if rest:
+        raise InputError("Weyl dimension came out non-integral")
+    return value
+
+
 class TestWeylDim:
+    @pytest.mark.parametrize("tag", SMALL_CATALOG)
+    def test_matches_the_one_scale_product_on_catalog_levis(self, tag):
+        """The product on the Levi's int 2 rho against the one it replaced,
+        on every standard Levi of each catalog group, at int weights, at
+        their Fraction copies and at half-integral weights."""
+        datum, standard = _standard_levis(tag)
+        rng = random.Random("weyl dim " + tag)
+        for lv in standard:
+            assert lv.two_rho == tuple(2 * x for x in lv.rho_bar_lambda)
+            for _ in range(6):
+                w = tuple(F(rng.randint(-3, 3), rng.choice((1, 1, 2)))
+                          for _ in range(datum.rank))
+                chi, _ = make_dominant(datum, w, lv)
+                want = _outcome(_weyl_dim_at_one_scale, datum, chi, lv)
+                assert _outcome(weyl_dim, datum, chi, lv) == want, (lv.lam, chi)
+                if all(x.denominator == 1 for x in chi):
+                    ints = tuple(int(x) for x in chi)
+                    assert weyl_dim(datum, ints, lv) == want, (lv.lam, chi)
+
     def test_sl2(self):
         for m in range(7):
             assert weyl_dim(SL2, vec([m, 0])) == m + 1

@@ -192,19 +192,19 @@ class TestPartitionRegion:
 
 class TestSignatureProgramsOncePerPartition:
     def test_coefficient_systems_do_not_grow_with_the_box(self, monkeypatch):
-        """A partition assembles the radius program and the coefficient
-        program once each, however many dominant points its box holds."""
+        """A partition assembles the radius program and the line program
+        once each, however many dominant points its box holds."""
         gl2 = build_group("GL(2)")
         rep = construct_rep(gl2, [("vector_power", 3),
                                   ("dual_vector_power", 3)])
         prof = make_profile(gl2)
-        real = zonotope.coefficient_system
+        real = zonotope.line_program
         calls = []
 
         def counted(*args, **kwargs):
             calls.append(args)
             return real(*args, **kwargs)
-        monkeypatch.setattr(zonotope, "coefficient_system", counted)
+        monkeypatch.setattr(zonotope, "line_program", counted)
         seen = []
         for radius in (2, 3):
             calls.clear()

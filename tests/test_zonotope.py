@@ -10,7 +10,8 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from oracles import (brute_force_signature, face_signature_reference,
+from oracles import (_coefficient_program, brute_force_signature,
+                     face_signature_reference,
                      facet_normals_reference, facet_table_reference,
                      forced_tight_reference, invariants_in_span_reference,
                      is_generic_reference, is_weakly_generic_reference,
@@ -21,8 +22,8 @@ from oracles import (brute_force_signature, face_signature_reference,
                      signature_to_value_counts, supporting_lambda_reference)
 from sodlab import zonotope
 from sodlab.cli import main
-from sodlab.linalg import (in_span, nullspace, span_basis, vadd, vdot, vec,
-                           vscale, vsub)
+from sodlab.linalg import (in_span, nullspace, primitive, span_basis, vadd,
+                           vdot, vec, vscale, vsub)
 from sodlab.linprog import (InputError, feasible_point, forced_tight,
                             strict_feasible)
 from sodlab.partition import make_profile, signature_of
@@ -31,12 +32,12 @@ from sodlab.reps import construct_rep, rep_spec, weight_signs
 from sodlab.rootdata import (build_group, full_levi, invariant_subspace,
                              levi, make_dominant, orbit)
 from sodlab.zonotope import (CLOSED, HALF_OPEN, REL_INT, EpsShift,
-                             FaceSignature, _coefficient_program,
-                             face_signature_at, facet_table,
+                             FaceSignature, face_signature_at, facet_table,
                              invariants_in_span,
                              is_generic, is_weakly_generic, member,
                              member_eps, min_radius,
                              realizable_face_patterns, supporting_lambda)
+from test_rootdata import _outcome
 
 T1 = build_group("Torus(1)")
 T2 = build_group("Torus(2)")
@@ -443,6 +444,117 @@ class TestSignatureFunctions:
             kinds |= check_signature_functions(
                 random.Random(seed), MEMBER_GROUPS[seed % len(MEMBER_GROUPS)])
         assert kinds == {"trivial", "off span", "face", "brute force"}
+
+
+def line_draw(rng, datum):
+    """Generators with several classes on a line: the multiples k v of a
+    few directions v for k in one of (1, 2, -1, -3), (1, 2), (-1, -3),
+    (2, -1), (1,) and (1/2, -1), so that lines hold both signs or one, at
+    integral and at fractional k; repeated classes, lines drawn twice,
+    copies shifted along an SL direction (a line of its own that agrees
+    modulo span(central)) and zero weights; as int tuples or as Fraction
+    tuples."""
+    n = datum.rank
+    central = datum.central_directions
+    gens = []
+    for _ in range(rng.randint(1, 3)):
+        v = tuple(rng.randint(-2, 2) for _ in range(n))
+        for k in rng.choice(((1, 2, -1, -3), (1, 2), (-1, -3), (2, -1),
+                             (1,), (F(1, 2), -1))):
+            w = tuple(k * x for x in v)
+            gens += [w] * rng.choice((1, 1, 2, 3))
+            if central and rng.random() < 0.3:
+                gens.append(vadd(w, rng.choice(central)))
+    gens += [(0,) * n] * rng.choice((0, 0, 1, 2))
+    rng.shuffle(gens)
+    return tuple(vec(g) for g in gens) if rng.random() < 0.5 else tuple(gens)
+
+
+def check_line_programs(rng, tag, r):
+    """The radius, signature and closed and relative-interior membership
+    functions, each built once over the generator lines, against the
+    per-class references on every drawn point.  Returns the kinds seen:
+    "split" (a face pins a line that holds both signs, its classes going
+    to S+ and S-), "free" (a face leaves such a line to S0), "inside" and
+    "outside" (relative interior membership), and "fractional" (a
+    generator off the lattice, so a fractional k)."""
+    datum = build_group(tag)
+    central = datum.central_directions
+    gens = line_draw(rng, datum)
+    shift = vec(F(rng.randint(-2, 2), rng.choice((1, 2, 3)))
+                for _ in range(datum.rank))
+    points = member_points(rng, gens, r, shift, central, datum.rank)
+    radius = min_radius(gens, shift, central)
+    signature = face_signature_at(gens, shift, central)
+    closed = member(gens, r, shift, CLOSED, central)
+    rel_int = member(gens, r, shift, REL_INT, central)
+    lines = {}
+    for i, g in enumerate(gens):
+        if any(g):  # the sign of k in g = k * primitive(g)
+            lines.setdefault(primitive(g), {}).setdefault(
+                next(x for x in g if x) > 0, []).append(i)
+    mixed = [sides for sides in lines.values() if len(sides) == 2]
+    kinds = {"fractional"} if any(F(x).denominator > 1 for g in gens
+                                  for x in g) else set()
+    for p in points + [shift]:
+        assert radius(p) == min_radius_reference(gens, shift, p, central), \
+            (tag, gens, shift, p)
+        sig = _outcome(signature, p)
+        assert sig == _outcome(face_signature_reference, gens, shift, p,
+                               central), (tag, gens, shift, p)
+        assert closed(p) == member_reference(gens, r, shift, CLOSED, p,
+                                             central), (tag, gens, r, shift, p)
+        inside = rel_int(p)
+        assert inside == member_reference(gens, r, shift, REL_INT, p,
+                                          central), (tag, gens, r, shift, p)
+        kinds.add("inside" if inside else "outside")
+        if sig is InputError or sig.trivial:
+            continue
+        for sides in mixed:
+            if all(i in sig.s_zero for idx in sides.values() for i in idx):
+                kinds.add("free")
+            elif {idx[0] in sig.s_plus for idx in sides.values()} == \
+                    {True, False}:
+                kinds.add("split")
+    return kinds
+
+
+class TestLineColumns:
+    """One LP column per generator line in the radius, signature and
+    membership programs, against the per-class programs of the oracles."""
+
+    def test_one_line_literal(self):
+        # v, 2v, -v, -3v on one line: u in [-3r, 4r]; at 8 the line sits
+        # at r b with r = 2, so the classes with k < 0 are pinned at -r
+        gens = (vec([1]), vec([2]), vec([-1]), vec([-3]))
+        shift = vec([0])
+        assert [min_radius(gens, shift)(vec([x])) for x in (8, -6, 1)] == \
+            [2, 2, F(1, 4)]
+        sig = face_signature_at(gens, shift)(vec([8]))
+        assert (sig.r, sig.s_plus, sig.s_minus, sig.s_zero) == \
+            (2, (2, 3), (0, 1), ())
+        assert sig == face_signature_reference(gens, shift, vec([8]))
+        assert [member(gens, 2, shift, REL_INT)(vec([x])) for x in
+                (8, 7, -6, -5)] == [False, True, False, True]
+
+    @settings(derandomize=True, database=None, max_examples=60,
+              deadline=None)
+    @given(st.sampled_from(MEMBER_GROUPS), st.integers(0, 2 ** 32),
+           st.sampled_from((F(1, 2), F(1), F(3, 2))))
+    def test_match_per_class_references(self, tag, seed, r):
+        """min_radius, face_signature_at and member (closed, relative
+        interior) on lines holding v, 2v, -v and -3v or one sign only, with
+        repeated lines, zero weights, SL central directions and shifts off
+        the lattice, decide every point as the per-class references do."""
+        check_line_programs(random.Random(seed), tag, r)
+
+    def test_draws_reach_every_kind_of_point(self):
+        kinds = set()
+        for seed in range(18):
+            kinds |= check_line_programs(
+                random.Random(seed), MEMBER_GROUPS[seed % len(MEMBER_GROUPS)],
+                F(1))
+        assert kinds == {"split", "free", "inside", "outside", "fractional"}
 
 
 class TestSupportingLambda:
