@@ -24,13 +24,17 @@ is built once per phase and updated with each pivot.
 
 Forced tightness, strictness and attainment are read from one fact: which
 bounds every feasible point of the closed relaxation attains.
-``_bound_sweep`` answers it for a list of bounds with one phase 1 and at most
-one warm-started phase 2 per bound, none for a bound that a feasible point
-already found leaves.  It reads both from basis columns: each bound has a
-standard-form column that is zero exactly where the variable sits at it, a
-known point is the set of columns with a nonzero basic value, and a bound is
-forced iff maximizing its column leaves it at zero.  ``forced_tight`` sweeps
-every bound.  A point meeting every open bound strictly exists iff the
+``_bound_sweep`` answers it for a list of bounds from one feasible tableau
+with at most one warm-started phase 2 per bound, none for a bound that a
+feasible point already found leaves.  It reads both from basis columns: each
+bound has a standard-form column that is zero exactly where the variable
+sits at it, a known point is the set of columns with a nonzero basic value,
+and a bound is forced iff maximizing its column leaves it at zero.
+``forced_tight`` sweeps every bound from the phase-1 tableau, or over the
+optimal face from the optimal tableau an ``lp_optimize`` result keeps, with
+the columns of positive reduced cost held at zero: by complementary
+slackness those are zero exactly at the optimal points (Chvatal, Linear
+Programming, ch. 5), so the face needs no second phase 1.  A point meeting every open bound strictly exists iff the
 system is feasible and no open bound is attained by every feasible point,
 because averaging one witness per open bound keeps all slacks positive; so
 ``strict_feasible`` sweeps the open bounds.  An optimum is attained by the
@@ -46,7 +50,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import mul
 from typing import Callable, Sequence
@@ -118,6 +122,8 @@ class LpResult:
     value: Fraction | None
     witness: Vec | None
     attained: bool
+    # (optimal tableau, integer cost, ncols, zero_cols) for ``forced_tight``
+    tableau: tuple | None = field(default=None, compare=False, repr=False)
 
 
 # ---------------------------------------------------------------------------
@@ -133,15 +139,7 @@ def _simplex_iterate(tab, den, basis, cost):
     (any positive multiple of the objective).  Returns "optimal" or
     "unbounded"."""
     m = len(tab)
-    # Reduced costs c_B B^-1 A - c over a positive scale, built once and
-    # updated with each pivot; only their signs are ever read.
-    scale = math.lcm(*(den[i] for i in range(m) if cost[basis[i]]))
-    zrow = [-c * scale for c in cost]
-    for i in range(m):
-        cb = cost[basis[i]]
-        if cb:
-            f = cb * (scale // den[i])
-            zrow = [z + f * a if a else z for z, a in zip(zrow, tab[i])]
+    zrow = _reduced_costs(tab, den, basis, cost)  # updated with each pivot
     while True:
         enter = next((j for j, z in enumerate(zrow) if z < 0), -1)
         if enter < 0:
@@ -166,6 +164,19 @@ def _simplex_iterate(tab, den, basis, cost):
         g = math.gcd(*zrow)
         if g > 1:
             zrow = [z // g for z in zrow]
+
+
+def _reduced_costs(tab, den, basis, cost):
+    """The reduced costs c_B B^-1 A - c of max cost.x over a positive scale,
+    as integers: only their signs are ever read."""
+    scale = math.lcm(*(d for d, bi in zip(den, basis) if cost[bi]))
+    zrow = [-c * scale for c in cost]
+    for row, d, bi in zip(tab, den, basis):
+        cb = cost[bi]
+        if cb:
+            f = cb * (scale // d)
+            zrow = [z + f * a if a else z for z, a in zip(zrow, row)]
+    return zrow
 
 
 def _pivot(tab, den, basis, r, c):
@@ -391,18 +402,18 @@ def _prepare(prog: BoxedLinearProgram):
 
 def _optimize_closed(prog: BoxedLinearProgram, coeffs: Sequence[Fraction],
                      maximize: bool):
-    """(status, value, witness) for the closed relaxation."""
+    """(status, value, witness, LpResult.tableau) for the closed relaxation."""
     prepared = _prepare(prog)
     if prepared is None:
-        return "infeasible", None, None
-    start, ncols, decode, encode_obj, _ = prepared
-    end = _phase2(start, encode_obj(coeffs if maximize
-                                    else [-c for c in coeffs]))
+        return "infeasible", None, None, None
+    start, ncols, decode, encode_obj, zero_cols = prepared
+    cost = encode_obj(coeffs if maximize else [-c for c in coeffs])
+    end = _phase2(start, cost)
     if end is None:
-        return "unbounded", None, None
+        return "unbounded", None, None, None
     witness = decode(_basic_solution(*end, ncols))
     value = sum((c * witness[j] for j, c in enumerate(coeffs) if c), ZERO)
-    return "optimal", value, witness
+    return "optimal", value, witness, (end, cost, ncols, zero_cols)
 
 
 def feasible_point(prog: BoxedLinearProgram) -> Vec | None:
@@ -424,13 +435,13 @@ def lp_optimize(prog: BoxedLinearProgram, sense: str) -> LpResult:
         raise InputError("lp_optimize requires an objective")
     if sense not in ("min", "max"):
         raise InputError(f"unknown sense {sense!r}")
-    status, value, witness = _optimize_closed(
+    status, value, witness, tableau = _optimize_closed(
         prog, prog.objective, maximize=(sense == "max"))
     if status != "optimal":
         return LpResult(status, None, None, False)
     attained = not _open_bounds(prog) or strict_feasible(
         prog.with_extra_eq(prog.objective, value))
-    return LpResult("optimal", value, witness, attained)
+    return LpResult("optimal", value, witness, attained, tableau)
 
 
 def _open_bounds(prog: BoxedLinearProgram) -> list[tuple[int, str]]:
@@ -441,42 +452,57 @@ def _open_bounds(prog: BoxedLinearProgram) -> list[tuple[int, str]]:
 def strict_feasible(prog: BoxedLinearProgram) -> bool:
     """Whether some point satisfies the equalities, all closed bounds, and
     every open bound strictly."""
-    sweep = _bound_sweep(prog, _open_bounds(prog))
-    return sweep is not None and not any(sweep)
+    prepared = _prepare(prog)
+    if prepared is None:
+        return False
+    start, ncols, _, _, zero_cols = prepared
+    return not any(_bound_sweep(start, ncols, zero_cols, _open_bounds(prog)))
 
 
-def forced_tight(prog: BoxedLinearProgram) -> TightnessReport:
-    """Which variables sit at a bound in every feasible point."""
+def forced_tight(prog: BoxedLinearProgram,
+                 optimum: LpResult | None = None) -> TightnessReport:
+    """Which variables sit at a bound in every feasible point; given the
+    ``lp_optimize`` result of ``prog``, in every optimal point, swept from
+    its optimal tableau.  InputError for a result that is not an optimum."""
     n = prog.nvars
-    sweep = _bound_sweep(
-        prog, [(j, side) for j in range(n) for side in ("lower", "upper")])
-    if sweep is None:
-        return TightnessReport(False, (False,) * n, (False,) * n)
-    flags = list(sweep)
+    bounds = [(j, side) for j in range(n) for side in ("lower", "upper")]
+    held = frozenset()
+    if optimum is None:
+        prepared = _prepare(prog)
+        if prepared is None:
+            return TightnessReport(False, (False,) * n, (False,) * n)
+        start, ncols, _, _, zero_cols = prepared
+    elif optimum.tableau is None:
+        raise InputError("forced_tight needs an optimal lp_optimize result")
+    else:
+        (tab, den, basis), cost, ncols, zero_cols = optimum.tableau
+        held = frozenset(j for j, z in enumerate(
+            _reduced_costs(tab, den, basis, cost)) if z)
+        start = ([[0 if j in held else x for j, x in enumerate(row)]
+                  for row in tab], den, basis)
+    flags = list(_bound_sweep(start, ncols, zero_cols, bounds, held))
     return TightnessReport(True, tuple(flags[0::2]), tuple(flags[1::2]))
 
 
-def _bound_sweep(prog: BoxedLinearProgram, bounds: Sequence[tuple[int, str]]):
+def _bound_sweep(start, ncols: int, zero_cols,
+                 bounds: Sequence[tuple[int, str]], held=frozenset()):
     """For each (variable, "lower" | "upper") in ``bounds``, whether every
-    feasible point of the closed relaxation attains that bound (False for an
-    infinite bound), as a lazy iterator; None when the relaxation is
-    infeasible.
+    point of the system of the feasible tableau ``start`` attains that
+    bound (False for an infinite bound), as a lazy iterator.  The columns
+    in ``held`` are zero in ``start``, so their bounds are forced.
 
-    One phase 1 prepares the system; each bound then costs at most one
-    warm-started phase 2, which maximizes the bound's zero column of the
-    standard form: the bound is forced iff that column stays zero.  A known
-    feasible point (the phase-1 vertex or an earlier optimum) is kept as the
-    set of columns with a nonzero basic value, and a bound is skipped when
-    one of them leaves it.
+    Each bound costs at most one warm-started phase 2 from ``start``, which
+    maximizes the bound's zero column of the standard form: the bound is
+    forced iff that column stays zero.  A known feasible point (the start
+    vertex or an earlier optimum) is kept as the set of columns with a
+    nonzero basic value, and a bound is skipped when one of them leaves it.
     """
-    prepared = _prepare(prog)
-    if prepared is None:
-        return None
-    start, ncols, _, _, zero_cols = prepared
     known = [_support(start)]
 
     def forced(j: int, side: str) -> bool:
         col = zero_cols.get((j, side))
+        if col in held:
+            return True
         if col is None or any(col in s for s in known):
             return False
         cost = [0] * ncols

@@ -33,11 +33,11 @@ on those pairings.  For the closed and relative-interior variants ``member``
 builds one predicate per window by assembling the line program once, and
 each point solves that program with its own right-hand side.  So do
 ``min_radius`` and ``face_signature_at``: a partition builds one radius
-program and one closed line program, and each dominant point solves the
-first with its right-hand side and sweeps the second with its right-hand
-side and radius bounds.  Those are the LPs left, all over the system of
-``line_program``; with no generators every variant of ``member`` is shift
-+ span(central), decided by span arithmetic.  The supporting subgroup of a
+program, and each dominant point solves it with its right-hand side and
+sweeps the optimal face of that solve from its optimal tableau.  Those are
+the LPs left, all over the system of ``line_program``; with no generators
+every variant of ``member`` is shift + span(central), decided by span
+arithmetic.  The supporting subgroup of a
 face solves no LP: Weyl symmetry guarantees an antidominant one (see
 ``supporting_lambda``), and the integral search finds the canonical one
 directly.
@@ -54,7 +54,7 @@ from typing import Callable
 
 from .linalg import (Vec, ZERO, ONE, frac, in_span, int_rows,
                      is_zero_vec, nullspace, primitive, rank, span_basis,
-                     vadd, vdot, vec, vneg, vscale, vsub)
+                     vdot, vec, vneg, vscale, vsub)
 from .linprog import (InputError, LpBuilder, feasible_point, forced_tight,
                       lex_minimal_integral, lp_optimize, strict_feasible)
 from .rootdata import LeviDatum, RootDatum, full_levi
@@ -194,17 +194,23 @@ def min_radius(generators, shift,
     Built once per (generators, shift, central): the radius program (the
     line program with r a column, minimized) is assembled once, and each
     point solves it with its own right-hand side p - shift, followed by the
-    zero right-hand sides of the radius rows.
+    zero right-hand sides of the radius rows.  For ``face_signature_at`` the
+    function also has ``optimum(p)``, the program at p and its
+    ``lp_optimize`` result, and the program's ``lines``.
     """
     shift = vec(shift)
-    prog = line_program(generators, central, len(shift))[0]
+    prog, lines, _ = line_program(generators, central, len(shift))
     tail = prog.eq_rhs[len(shift):]
 
+    def optimum(p):
+        at_p = replace(prog, eq_rhs=vsub(p, shift) + tail)
+        return at_p, lp_optimize(at_p, "min")
+
     def radius(p) -> Fraction | None:
-        res = lp_optimize(replace(prog, eq_rhs=vsub(p, shift) + tail),
-                          "min")
+        res = optimum(p)[1]
         return res.value if res.status == "optimal" else None
 
+    radius.optimum, radius.lines = optimum, lines
     return radius
 
 
@@ -214,39 +220,36 @@ def face_signature_at(generators, shift,
     r is the minimal radius and the sets collect coefficients pinned at -r
     resp. 0 in every representation of p at that radius.
 
-    Built once per (generators, shift, central): the radius function and
-    the closed line program are assembled once.  Each point with r > 0
-    runs the forced-tightness sweep on that program with the right-hand
-    side p - shift + r corner and each line's upper bound scaled by r.  A
-    line pinned at its lower end pins its classes with k > 0 at -r (S+)
-    and the others at 0 (S-), at its upper end the other way round; the
-    classes of a line pinned at neither end go to S0 (see the module
-    docstring), as do the zero generators.  The point at the shift gets
-    the trivial signature; InputError for a point off the span of the
-    generators.
+    Built once per (generators, shift, central) on the radius function.
+    Each point with r > 0 sweeps the optimal face of its radius program
+    from the optimum of the radius solve (``forced_tight`` with that
+    optimum): the representations of p at radius r are that face.  Line j
+    is at its lower end where its column w_j is forced to 0, at its upper
+    end where the slack r (a + b) - w_j of its radius row is.  A line at
+    its lower end pins its classes with k > 0 at -r (S+) and the others at
+    0 (S-), at its upper end the other way round; the classes of a line
+    pinned at neither end go to S0 (see the module docstring), as do the
+    zero generators.  The point at the shift gets the trivial signature;
+    InputError for a point off the span of the generators.
     """
-    shift = vec(shift)
     radius = min_radius(generators, shift, central)
     zeros = [i for i, g in enumerate(generators) if is_zero_vec(g)]
-    # assembled at r = 1; each point scales the line bounds by its radius
-    prog, lines, corner = line_program(generators, central, len(shift), ONE)
 
     def signature(p) -> FaceSignature:
-        r = radius(p)
-        if r is None:
+        prog, res = radius.optimum(p)
+        if res.status != "optimal":
             raise InputError("point lies outside the span of the generators")
-        if r == 0:
+        if res.value == 0:
             return FaceSignature(ZERO, (), (), (), True)
-        upper = tuple(None if x is None else r * x for x in prog.upper)
-        report = forced_tight(replace(
-            prog, eq_rhs=vadd(vsub(p, shift), vscale(r, corner)), upper=upper))
-        if not report.feasible:  # unreachable: r came from a feasible program
-            raise InputError("radius minimization produced an infeasible system")
+        report = forced_tight(prog, res)
+        # the radius rows' slacks are the last columns, one per line
+        slack0 = prog.nvars - len(radius.lines)
         plus: list[int] = []
         minus: list[int] = []
         zero = list(zeros)
-        for j, (_, classes) in enumerate(lines):
-            low, high = report.lower_forced[j], report.upper_forced[j]
+        for j, (_, classes) in enumerate(radius.lines):
+            low = report.lower_forced[j]
+            high = report.lower_forced[slack0 + j]
             for k, idx in classes:
                 if not (low or high):
                     zero.extend(idx)
@@ -254,8 +257,8 @@ def face_signature_at(generators, shift,
                     plus.extend(idx)
                 else:
                     minus.extend(idx)
-        return FaceSignature(r, tuple(sorted(plus)), tuple(sorted(minus)),
-                             tuple(sorted(zero)), False)
+        return FaceSignature(res.value, tuple(sorted(plus)),
+                             tuple(sorted(minus)), tuple(sorted(zero)), False)
 
     return signature
 

@@ -236,12 +236,12 @@ def forced_tight_reference(prog: BoxedLinearProgram) -> TightnessReport:
         if lo is None:
             lower_forced.append(False)
         else:
-            status, value, _ = _optimize_closed(prog, obj, maximize=True)
+            status, value, *_ = _optimize_closed(prog, obj, maximize=True)
             lower_forced.append(status == "optimal" and value == lo)
         if up is None:
             upper_forced.append(False)
         else:
-            status, value, _ = _optimize_closed(prog, obj, maximize=False)
+            status, value, *_ = _optimize_closed(prog, obj, maximize=False)
             upper_forced.append(status == "optimal" and value == up)
     return TightnessReport(True, tuple(lower_forced), tuple(upper_forced))
 
@@ -271,11 +271,11 @@ def max_bound_slack_reference(prog: BoxedLinearProgram, j, side):
     if side == "lower":
         capped = _with_bounds(
             prog, j, lo, up if up is not None and up <= lo + 1 else lo + 1)
-        status, value, _ = _optimize_closed(capped, obj, maximize=True)
+        status, value, *_ = _optimize_closed(capped, obj, maximize=True)
         return value - lo if status == "optimal" else F(1)
     capped = _with_bounds(
         prog, j, lo if lo is not None and lo >= up - 1 else up - 1, up)
-    status, value, _ = _optimize_closed(capped, obj, maximize=False)
+    status, value, *_ = _optimize_closed(capped, obj, maximize=False)
     return up - value if status == "optimal" else F(1)
 
 
@@ -319,7 +319,7 @@ def strict_point_reference(prog: BoxedLinearProgram):
 def lp_optimize_reference(prog: BoxedLinearProgram, sense: str) -> LpResult:
     """Optimum of the closed relaxation; attained unless some open bound that
     the optimal witness meets has zero slack over the optimal face."""
-    status, value, witness = _optimize_closed(
+    status, value, witness, _ = _optimize_closed(
         prog, prog.objective, maximize=(sense == "max"))
     if status != "optimal":
         return LpResult(status, None, None, False)

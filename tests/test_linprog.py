@@ -17,7 +17,7 @@ from sodlab import linprog
 from sodlab.linalg import int_row
 from sodlab.linprog import (INTEGRAL_CANDIDATE_CAP, LATTICE_BOX_CAP,
                             BoxedLinearProgram, InputError, LpBuilder,
-                            _basic_solution, _phase1,
+                            LpResult, _basic_solution, _phase1,
                             _phase2, _to_standard, enumerate_lattice,
                             feasible_point, forced_tight, integral_shell,
                             lattice_walk, lex_minimal_integral, lp_optimize,
@@ -96,6 +96,31 @@ class TestForcedTight:
     def test_infeasible(self):
         p = box_program([(0, 1)], eqs=[({0: 1}, 5)])
         assert forced_tight(p).feasible is False
+
+    def test_optimal_face_of_a_tie_and_of_a_vertex(self):
+        # x0 + x1 = 1 in [0, 1]^2: every point maximizes x0 + x1, one point
+        # maximizes x0
+        eqs = [({0: 1, 1: 1}, 1)]
+        tie = box_program([(0, 1), (0, 1)], eqs, {0: 1, 1: 1})
+        rep = forced_tight(tie, lp_optimize(tie, "max"))
+        assert rep == forced_tight(tie)
+        assert rep.lower_forced == rep.upper_forced == (False, False)
+        vertex = box_program([(0, 1), (0, 1)], eqs, {0: 1})
+        rep = forced_tight(vertex, lp_optimize(vertex, "max"))
+        assert rep.lower_forced == (False, True)
+        assert rep.upper_forced == (True, False)
+
+    def test_refuses_a_result_that_is_not_an_optimum(self):
+        infeasible = box_program([(0, 1)], eqs=[({0: 1}, 5)], objective={0: 1})
+        unbounded = box_program([(0, None)], objective={0: 1})
+        for p in (infeasible, unbounded):
+            res = lp_optimize(p, "max")
+            assert res.status != "optimal"
+            with pytest.raises(InputError):
+                forced_tight(p, res)
+        # an optimum not produced by lp_optimize carries no tableau
+        with pytest.raises(InputError):
+            forced_tight(infeasible, LpResult("optimal", F(1), (F(1),), True))
 
 
 class TestStrict:
@@ -283,6 +308,16 @@ class TestLatticeWalk:
         assert tested == order[:order.index(got) + 1]
 
 
+def _spread(prog, j):
+    """Whether variable j takes more than one value on the feasible set of
+    ``prog`` (known to be feasible)."""
+    obj = tuple(F(int(k == j)) for k in range(prog.nvars))
+    at = dataclasses.replace(prog, objective=obj)
+    top, bottom = lp_optimize(at, "max"), lp_optimize(at, "min")
+    return top.status != "optimal" or bottom.status != "optimal" \
+        or top.value != bottom.value
+
+
 class TestRandomizedAgainstOracles:
     def test_optimum_matches_vertex_enumeration(self):
         rng = random.Random(101)
@@ -365,6 +400,39 @@ class TestRandomizedAgainstOracles:
                 outcomes.update(("upper", f) for f in rep.upper_forced)
         assert outcomes == {False, True, ("lower", False), ("lower", True),
                             ("upper", False), ("upper", True)}
+
+    def test_optimal_face_sweep_matches_face_reference(self):
+        # forced tightness at an optimum against the reference on the
+        # optimal face written out as the program plus objective == value;
+        # objective entries in -1..1 tie often, and pinned variables,
+        # duplicated rows and the free variables of the mixed shapes give
+        # degenerate optimal vertices and unbounded or infeasible programs
+        rng = random.Random(808)
+        outcomes = set()
+        for i in range(150):
+            p = (random_mixed_program(rng) if i % 2 else
+                 random_bounded_program(rng, nvars=rng.randint(2, 5)))
+            p = dataclasses.replace(p, objective=tuple(
+                F(rng.randint(-1, 1)) for _ in range(p.nvars)))
+            for sense in ("min", "max"):
+                res = lp_optimize(p, sense)
+                if res.status != "optimal":
+                    with pytest.raises(InputError):
+                        forced_tight(p, res)
+                    outcomes.add(res.status)
+                    continue
+                face = p.with_extra_eq(p.objective, res.value)
+                got = forced_tight(p, res)
+                assert got == forced_tight_reference(face)
+                tab = res.tableau[0][0]
+                outcomes.add(("degenerate", any(not row[-1] for row in tab)))
+                outcomes.add(("tied", any(_spread(face, j)
+                                          for j in range(p.nvars))))
+                outcomes.add(("narrower", got != forced_tight(p)))
+        assert outcomes == {"infeasible", "unbounded",
+                            ("degenerate", False), ("degenerate", True),
+                            ("tied", False), ("tied", True),
+                            ("narrower", False), ("narrower", True)}
 
     def test_strict_matches_slack_reference(self):
         # the mixed shapes above, with random open flags on finite bounds

@@ -20,7 +20,7 @@ from oracles import (_coefficient_program, brute_force_signature,
                      min_radius_reference, proper_flats_reference,
                      random_generators, realizable_face_patterns_reference,
                      signature_to_value_counts, supporting_lambda_reference)
-from sodlab import zonotope
+from sodlab import linprog, zonotope
 from sodlab.cli import main
 from sodlab.linalg import (in_span, nullspace, primitive, span_basis, vadd,
                            vdot, vec, vscale, vsub)
@@ -302,9 +302,9 @@ class TestFaceSignature:
 
     def test_forced_tight_matches_reference_on_face_programs(self,
                                                              monkeypatch):
-        # every program the signature function hands to forced_tight: the
-        # closed coefficient program with the point's right-hand side and
-        # its radius bounds
+        # every (program, optimum) the signature function hands to
+        # forced_tight: the radius program at the point and its optimum,
+        # whose sweep is that of the program's optimal face
         sp4 = build_group("Sp(4)")
         cases = [(G4, vec([0]), [vec([p]) for p in range(-3, 4)]),
                  (G22, vec([0, 0]), [vec([2, 1]), vec([-1, 3]), vec([0, 2])]),
@@ -312,18 +312,36 @@ class TestFaceSignature:
                   vec([-2, -1]), [vec([1, 0]), vec([2, 2]), vec([3, 1])])]
         seen = []
 
-        def captured(prog):
-            seen.append(prog)
-            return forced_tight(prog)
+        def captured(prog, optimum):
+            seen.append((prog, optimum))
+            return forced_tight(prog, optimum)
         monkeypatch.setattr(zonotope, "forced_tight", captured)
         for gens, shift, points in cases:
             signature = face_signature_at(gens, shift)
             for p in points:
                 sig = signature(p)
                 assert len(seen) == (0 if sig.trivial else 1), p
-                for prog in seen:
-                    assert forced_tight(prog) == forced_tight_reference(prog)
+                for prog, optimum in seen:
+                    assert optimum.value == sig.r
+                    face = prog.with_extra_eq(prog.objective, optimum.value)
+                    assert forced_tight(prog, optimum) \
+                        == forced_tight_reference(face)
                 seen.clear()
+
+    def test_first_point_on_a_ray_runs_one_phase1(self, monkeypatch):
+        # the sweep starts from the radius optimum, so a point's signature
+        # writes one standard form and runs one phase 1, not one per system
+        calls = []
+        for name in ("_phase1", "_to_standard"):
+            def counted(*args, _name=name, _real=getattr(linprog, name)):
+                calls.append(_name)
+                return _real(*args)
+            monkeypatch.setattr(linprog, name, counted)
+        signature = face_signature_at(G22, vec([0, 0]))
+        for p in (vec([2, 1]), vec([-1, 3]), vec([0, 2])):
+            calls.clear()
+            assert not signature(p).trivial
+            assert sorted(calls) == ["_phase1", "_to_standard"]
 
     @pytest.mark.parametrize("p, calls", [
         (vec([2, 1]), {"lp_optimize": 1, "forced_tight": 1}),
