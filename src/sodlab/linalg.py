@@ -6,7 +6,8 @@ run one fraction-free Gauss-Jordan elimination on integer rows: each input row
 is scaled to ints by its least common denominator, and only the results are
 turned back into ``Fraction`` tuples, so every function takes and returns
 them as before.  ``primitive`` reads the same scaled integers and returns
-them as an int tuple.  No floating point is used anywhere.
+them as an int tuple, and ``line_decomposition`` keys vectors by it.  No
+floating point is used anywhere.
 """
 
 from __future__ import annotations
@@ -66,14 +67,6 @@ def int_row(values: Sequence[Fraction]) -> tuple[list[int], int]:
     """(ints, d) with ints / d == values and d > 0 the least such."""
     d = math.lcm(*(v.denominator for v in values))
     return [v.numerator * (d // v.denominator) for v in values], d
-
-
-def int_rows(rows: Sequence[Sequence[Fraction]]) -> tuple[list[tuple[int, ...]], int]:
-    """(ints, d) with each ints[i] / d == rows[i] and d > 0 the least
-    common denominator of every entry."""
-    d = math.lcm(*(v.denominator for row in rows for v in row))
-    return [tuple(v.numerator * (d // v.denominator) for v in row)
-            for row in rows], d
 
 
 def is_zero_vec(a: Vec) -> bool:
@@ -207,3 +200,23 @@ def primitive(v) -> tuple[int, ...]:
     if next((x for x in ints if x), 0) < 0:
         ints = [-x for x in ints]
     return tuple(ints)
+
+
+def line_decomposition(pairs, mult=int) -> dict[tuple[int, ...], tuple]:
+    """The (v, payload) pairs by line through 0: for each primitive line l
+    = primitive(v) of a nonzero v, in the order the pairs first reach it,
+    (classes, a, b) with classes the (k, payload) of v = k l (k an int at
+    an int v), a = sum m k over k > 0, b = sum m |k| over k < 0, m =
+    mult(payload).  A zero v lies on no line and is left out."""
+    found: dict[tuple[int, ...], list] = {}
+    for v, payload in pairs:
+        if not is_zero_vec(v):
+            line = primitive(v)
+            i = next(i for i, x in enumerate(line) if x)
+            k, rest = divmod(v[i], line[i])
+            found.setdefault(line, []).append(
+                (Fraction(v[i], line[i]) if rest else k, payload))
+    return {line: (classes,
+                   sum(mult(p) * k for k, p in classes if k > 0),
+                   sum(mult(p) * -k for k, p in classes if k < 0))
+            for line, classes in found.items()}

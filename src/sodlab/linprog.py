@@ -31,14 +31,14 @@ bound has a standard-form column that is zero exactly where the variable
 sits at it, a known point is the set of columns with a nonzero basic value,
 and a bound is forced iff maximizing its column leaves it at zero.
 ``forced_tight`` sweeps every bound from the phase-1 tableau, or over the
-optimal face from the optimal tableau an ``lp_optimize`` result keeps, with
-the columns of positive reduced cost held at zero: by complementary
-slackness those are zero exactly at the optimal points (Chvatal, Linear
-Programming, ch. 5), so the face needs no second phase 1.  A point meeting every open bound strictly exists iff the
-system is feasible and no open bound is attained by every feasible point,
-because averaging one witness per open bound keeps all slacks positive; so
-``strict_feasible`` sweeps the open bounds.  An optimum is attained by the
-half-open set iff its optimal face has such a point.
+optimal face from the optimal tableau of ``lp_optimize`` with the columns of
+positive reduced cost held at zero: by complementary slackness those are
+zero exactly at the optimal points (Chvatal, Linear Programming, ch. 5), so
+the face needs no second phase 1.  A point meeting every open bound
+strictly exists iff the system is feasible and no open bound is attained by
+every feasible point, because averaging one witness per open bound keeps
+all slacks positive; so ``strict_feasible`` sweeps the open bounds, and
+``lp_optimize`` sweeps them over its optimal face for ``attained``.
 
 Every lattice point the package visits comes from ``lattice_walk``, as an
 int tuple: the dominant boxes, the windows (through ``enumerate_lattice``)
@@ -439,8 +439,9 @@ def lp_optimize(prog: BoxedLinearProgram, sense: str) -> LpResult:
         prog, prog.objective, maximize=(sense == "max"))
     if status != "optimal":
         return LpResult(status, None, None, False)
-    attained = not _open_bounds(prog) or strict_feasible(
-        prog.with_extra_eq(prog.objective, value))
+    open_bounds = _open_bounds(prog)
+    attained = not open_bounds or not any(
+        _bound_sweep(open_bounds, *_optimal_face(tableau)))
     return LpResult("optimal", value, witness, attained, tableau)
 
 
@@ -456,7 +457,7 @@ def strict_feasible(prog: BoxedLinearProgram) -> bool:
     if prepared is None:
         return False
     start, ncols, _, _, zero_cols = prepared
-    return not any(_bound_sweep(start, ncols, zero_cols, _open_bounds(prog)))
+    return not any(_bound_sweep(_open_bounds(prog), start, ncols, zero_cols))
 
 
 def forced_tight(prog: BoxedLinearProgram,
@@ -466,26 +467,34 @@ def forced_tight(prog: BoxedLinearProgram,
     its optimal tableau.  InputError for a result that is not an optimum."""
     n = prog.nvars
     bounds = [(j, side) for j in range(n) for side in ("lower", "upper")]
-    held = frozenset()
     if optimum is None:
         prepared = _prepare(prog)
         if prepared is None:
             return TightnessReport(False, (False,) * n, (False,) * n)
         start, ncols, _, _, zero_cols = prepared
+        face = start, ncols, zero_cols
     elif optimum.tableau is None:
         raise InputError("forced_tight needs an optimal lp_optimize result")
     else:
-        (tab, den, basis), cost, ncols, zero_cols = optimum.tableau
-        held = frozenset(j for j, z in enumerate(
-            _reduced_costs(tab, den, basis, cost)) if z)
-        start = ([[0 if j in held else x for j, x in enumerate(row)]
-                  for row in tab], den, basis)
-    flags = list(_bound_sweep(start, ncols, zero_cols, bounds, held))
+        face = _optimal_face(optimum.tableau)
+    flags = list(_bound_sweep(bounds, *face))
     return TightnessReport(True, tuple(flags[0::2]), tuple(flags[1::2]))
 
 
-def _bound_sweep(start, ncols: int, zero_cols,
-                 bounds: Sequence[tuple[int, str]], held=frozenset()):
+def _optimal_face(tableau):
+    """(start, ncols, zero_cols, held) of ``_bound_sweep`` over the optimal
+    face of an ``LpResult.tableau``: the columns of positive reduced cost
+    are ``held``, and zeroed out in the optimal tableau ``start``."""
+    (tab, den, basis), cost, ncols, zero_cols = tableau
+    held = frozenset(j for j, z in enumerate(
+        _reduced_costs(tab, den, basis, cost)) if z)
+    start = ([[0 if j in held else x for j, x in enumerate(row)]
+              for row in tab], den, basis)
+    return start, ncols, zero_cols, held
+
+
+def _bound_sweep(bounds: Sequence[tuple[int, str]], start, ncols: int,
+                 zero_cols, held=frozenset()):
     """For each (variable, "lower" | "upper") in ``bounds``, whether every
     point of the system of the feasible tableau ``start`` attains that
     bound (False for an infinite bound), as a lazy iterator.  The columns

@@ -16,8 +16,8 @@ from functools import cached_property
 from operator import mul
 
 from .linalg import (Mat, Vec, ZERO, ONE, int_row, is_integral, is_zero_vec,
-                     mat_vec, nullspace, primitive, rank as mat_rank, solve,
-                     vadd, vdot, vneg, vec, zero_vec)
+                     line_decomposition, mat_vec, nullspace, rank as mat_rank,
+                     solve, vadd, vdot, vneg, vec, zero_vec)
 from .linprog import InputError, LpBuilder, feasible_point, lex_minimal_integral
 from .rootdata import RootDatum, check_length, full_levi, reflect
 
@@ -175,14 +175,9 @@ def find_destabilizer(rep: RepSpec) -> DestabilizerReport:
 # ---------------------------------------------------------------------------
 
 def is_quasi_symmetric(rep: RepSpec) -> bool:
-    """Whether the weight sum along every line through the origin vanishes
-    (a zero weight adds zero to the sum keyed by itself)."""
-    lines: dict[tuple[int, ...], tuple[int, ...]] = {}
-    for w, m in rep.weights:
-        key = primitive(w)
-        acc = lines.get(key, (0,) * len(w))
-        lines[key] = tuple(a + m * x for a, x in zip(acc, w))
-    return all(is_zero_vec(s) for s in lines.values())
+    """Whether the weight sum along every line through the origin vanishes:
+    the sum on line l is (a - b) l in ``line_decomposition``."""
+    return all(a == b for _, a, b in line_decomposition(rep.weights).values())
 
 
 def coinvariant_rep(rep: RepSpec, lam: Vec) -> RepSpec:

@@ -14,8 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linalg import Vec, ZERO, ONE, frac, in_span, is_zero_vec, primitive, \
-    vadd, vsub, vec, zero_vec
+from .linalg import Vec, ZERO, ONE, frac, in_span, is_zero_vec, \
+    line_decomposition, vadd, vsub, vec, zero_vec
 from .linprog import InputError, integral_shell
 from .characters import weyl_dim
 from .partition import (HALF_OPEN_MODE, STANDARD, PartitionCell,
@@ -177,19 +177,9 @@ class NccrCertificate:
 def _toric_two_per_side(coinv: RepSpec) -> bool:
     """Every line carrying a nonzero neutral weight has at least two weights
     (with multiplicity) on each of its sides."""
-    sides: dict[tuple[int, ...], list[int]] = {}
-    for w, m in coinv.weights:
-        if is_zero_vec(w):
-            continue
-        key = primitive(w)
-        pos, neg = sides.get(key, [0, 0])
-        k = next(i for i in range(len(key)) if key[i] != 0)
-        if w[k] > 0:
-            pos += m
-        else:
-            neg += m
-        sides[key] = [pos, neg]
-    return all(pos >= 2 and neg >= 2 for pos, neg in sides.values())
+    return all(sum(m for k, m in classes if k > 0) >= 2
+               and sum(m for k, m in classes if k < 0) >= 2
+               for classes, _, _ in line_decomposition(coinv.weights).values())
 
 
 def certify_nccr(rep: RepSpec, lv: LeviDatum, coinv: RepSpec, nu: Vec,

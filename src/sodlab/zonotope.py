@@ -2,22 +2,23 @@
 
 A query set is shift + r * Z where Z is generated by a weight list with
 coefficients in [-1, 0] (closed), ]-1, 0] (half-open, the default coefficient
-set of the windows) or ]-1, 0[ (relative interior).  The LPs give each
-generator line one coefficient, which is exact: Z is the Minkowski sum of
-its line segments (Ziegler, Lectures on Polytopes, ch. 7; McMullen, "On
-zonotopes", 1971), the generators k l on a line l sum to one segment u l
-whose ends sum theirs (open where theirs are), and u sits at an end in
-every representation iff each generator's coefficient does, since over an
-interior u those range over a slice through the interior of their box.
-Index sets in face signatures always refer to the expanded list.
+set of the windows) or ]-1, 0[ (relative interior).  The LPs and the facet
+table both read the generators by line (``linalg.line_decomposition``),
+which is exact: Z is the Minkowski sum of its line segments (Ziegler,
+Lectures on Polytopes, ch. 7; McMullen, "On zonotopes", 1971), the
+generators k l on a line l sum to one segment u l whose ends sum theirs
+(open where theirs are), and u sits at an end in every representation iff
+each generator's coefficient does, since over an interior u those range
+over a slice through the interior of their box.  Index sets in face
+signatures always refer to the expanded list.
 
 For SL blocks the ambient coordinates carry redundant directions; those are
 passed as ``central`` vectors and enter every membership system as free
 variables, so all sets are effectively computed in the character quotient.
 
-Epsilon-shifted and half-open membership and genericity read no LP.  A
-facet table is built once per (generators, central, ambient dimension) and
-kept in a process memo.  Its build finds the hyperplane flats of the
+Epsilon-shifted, closed and half-open membership and genericity read no
+LP.  A facet table is built once per (generators, central, ambient
+dimension) and kept in a process memo.  Its build finds the hyperplane flats of the
 generator lines by a scan of line subsets and takes both signed normals of
 each, with their support values, as the facets.  Those are the only faces
 the package enumerates: genericity reads the facet normals from the table
@@ -26,21 +27,20 @@ each the kernel of its normal within V = span(generators + central).  The
 table holds the facets and an annihilator basis of V, all normals primitive
 integer vectors; every test of epsilon (parallel to V, generic, weakly
 generic) is an integer pairing with those rows.  ``member_eps`` and the
-half-open variant of ``member`` build one integer predicate per window from
-it through one builder (the two differ only in the facets a point may lie
-on), and that predicate decides each lattice point with integer arithmetic
-on those pairings.  For the closed and relative-interior variants ``member``
+closed and half-open variants of ``member`` build one integer predicate per
+window from it through one builder (they differ only in the facets a point
+may lie on), and that predicate decides each lattice point with integer
+arithmetic on those pairings.  For the relative-interior variant ``member``
 builds one predicate per window by assembling the line program once, and
-each point solves that program with its own right-hand side.  So do
-``min_radius`` and ``face_signature_at``: a partition builds one radius
-program, and each dominant point solves it with its right-hand side and
-sweeps the optimal face of that solve from its optimal tableau.  Those are
-the LPs left, all over the system of ``line_program``; with no generators
-every variant of ``member`` is shift + span(central), decided by span
-arithmetic.  The supporting subgroup of a
-face solves no LP: Weyl symmetry guarantees an antidominant one (see
-``supporting_lambda``), and the integral search finds the canonical one
-directly.
+each point runs a strict sweep of that program with its own right-hand
+side.  So do ``min_radius`` and ``face_signature_at``: a partition builds
+one radius program, and each dominant point solves it with its right-hand
+side and sweeps the optimal face of that solve from its optimal tableau.
+Those are the LPs left, all over the system of ``line_program``; with no
+generators every variant of ``member`` is shift + span(central), decided by
+span arithmetic.  The supporting subgroup of a face solves no LP: Weyl
+symmetry guarantees an antidominant one (see ``supporting_lambda``), and
+the integral search finds the canonical one directly.
 """
 
 from __future__ import annotations
@@ -52,10 +52,10 @@ from math import comb
 from operator import mul
 from typing import Callable
 
-from .linalg import (Vec, ZERO, ONE, frac, in_span, int_rows,
-                     is_zero_vec, nullspace, primitive, rank, span_basis,
-                     vdot, vec, vneg, vscale, vsub)
-from .linprog import (InputError, LpBuilder, feasible_point, forced_tight,
+from .linalg import (Vec, ZERO, ONE, frac, in_span, is_zero_vec,
+                     line_decomposition, nullspace, primitive, rank,
+                     span_basis, vdot, vec, vneg, vscale, vsub)
+from .linprog import (InputError, LpBuilder, forced_tight,
                       lex_minimal_integral, lp_optimize, strict_feasible)
 from .rootdata import LeviDatum, RootDatum, full_levi
 
@@ -104,7 +104,7 @@ def _classes(generators) -> list[tuple[Vec, list[int]]]:
     return sorted(groups.items())
 
 
-def line_program(generators, central, dim, radius=None, open_ends=False):
+def line_program(generators, central, dim, radius=None):
     """(program, lines, corner) of the equalities  sum_l w_l l + sum_c t_c c
     = p - shift + r corner, with zero right-hand sides for a caller to set.
 
@@ -112,29 +112,24 @@ def line_program(generators, central, dim, radius=None, open_ends=False):
     equal generators v, and those on one line, v = k l for a primitive int
     tuple l, sum to the segment u l with u in [-r a, r b], a = sum m k over
     k > 0 and b = sum m |k| over k < 0 (open at both ends if each c_v is).
-    Column j is w_l = u_l + r a for line j of ``lines``, (l, [(k, classes'
-    positions), ...]), in [0, r (a + b)] and open at both ends when
-    ``open_ends``; one free column t_c per central direction follows, and
-    corner = sum_l a l.  With ``radius`` None, r is the next column, the
-    objective, and w_l <= r (a + b) one row per line after the equalities.
+    ``lines`` is the ``line_decomposition`` of the classes, each with its
+    positions, and column j is w_l = u_l + r a for its line j, in [0, r (a
+    + b)]; one free column t_c per central direction follows, and corner =
+    sum_l a l.  With ``radius`` given, the columns are open at both ends
+    (the relative interior).  With ``radius`` None, r is the next column,
+    the objective, and w_l <= r (a + b) one row per line after the
+    equalities.
     """
-    found: dict[tuple[int, ...], list] = {}
-    for v, idx in _classes(generators):
-        if not is_zero_vec(v):
-            line = primitive(v)
-            i = next(i for i, x in enumerate(line) if x)
-            k, rest = divmod(v[i], line[i])  # an int k at an int v
-            found.setdefault(line, []).append(
-                (Fraction(v[i], line[i]) if rest else k, idx))
-    lines = list(found.items())
-    widths = [sum(len(idx) * abs(k) for k, idx in cl) for _, cl in lines]
-    corner = tuple(sum(len(idx) * k * line[i] for line, cl in lines
-                       for k, idx in cl if k > 0) for i in range(dim))
+    lines = line_decomposition(_classes(generators), len)
+    widths = [a + b for _, a, b in lines.values()]
+    corner = tuple(sum(a * line[i] for line, (_, a, _) in lines.items())
+                   for i in range(dim))
     b = LpBuilder()
     for n in widths:
         b.add_var(lower=0, upper=None if radius is None else radius * n,
-                  lower_open=open_ends, upper_open=open_ends)
-    terms = [(line, j) for j, (line, _) in enumerate(lines)]
+                  lower_open=radius is not None,
+                  upper_open=radius is not None)
+    terms = [(line, j) for j, line in enumerate(lines)]
     terms += [(c, b.add_var()) for c in central]
     if radius is None:
         terms.append((vneg(corner), b.add_var(lower=0)))
@@ -152,16 +147,18 @@ def member(generators, r, shift, variant: str,
            central: Central = ()) -> Callable[[Vec], bool]:
     """The membership predicate of shift + r * (variant of the zonotope).
 
-    Built once per window.  The half-open variant reads the facet table
-    through the builder of ``member_eps``: p may lie on a facet only where
-    h(lam) = 0 (see the facet arithmetic section below), and its build
-    raises InputError past ``HYPERPLANE_SCAN_CAP``.
-    The closed and relative-interior variants assemble the line program
-    once, and each point solves a copy whose only change is the right-hand
-    side p - shift + r corner (a phase-1 point for the closed variant, a
-    strict sweep for the other).  With no generators every variant is
-    shift + span(central), decided without an LP.  The predicate takes int
-    or Fraction points.  InputError for an unknown variant or r <= 0.
+    Built once per window.  The closed and half-open variants read the
+    facet table through the builder of ``member_eps``: p may lie on any
+    facet of the closed set, and on a facet of the half-open one only where
+    h(lam) = 0 (see the facet arithmetic section below).  Their build
+    raises InputError past ``HYPERPLANE_SCAN_CAP``; no CLI job builds a
+    closed window with generators, so that refusal reaches library callers
+    only.  The relative-interior variant assembles the line program once,
+    and each point runs a strict sweep of a copy whose only change is the
+    right-hand side p - shift + r corner.  With no generators every variant
+    is shift + span(central), decided without an LP or a table.  The
+    predicate takes int or Fraction points.  InputError for an unknown
+    variant or r <= 0.
     """
     if variant not in _VARIANTS:
         raise InputError(f"unknown variant {variant!r}")
@@ -170,20 +167,13 @@ def member(generators, r, shift, variant: str,
     shift = vec(shift)
     if not generators:
         return lambda p: in_span(central, vsub(p, shift))
-    if variant == HALF_OPEN:
+    if variant != REL_INT:
         return _facet_predicate(facet_table(generators, central, len(shift)),
-                                r, shift, lambda lam, h: h == 0)
-    prog, _, corner = line_program(generators, central, len(shift), frac(r),
-                                   variant == REL_INT)
+                                r, shift,
+                                lambda lam, h: variant == CLOSED or h == 0)
+    prog, _, corner = line_program(generators, central, len(shift), frac(r))
     base = vsub(shift, vscale(r, corner))
-
-    def inside(p) -> bool:
-        at_p = replace(prog, eq_rhs=vsub(p, base))
-        if variant == CLOSED:
-            return feasible_point(at_p) is not None
-        return strict_feasible(at_p)
-
-    return inside
+    return lambda p: strict_feasible(replace(prog, eq_rhs=vsub(p, base)))
 
 
 def min_radius(generators, shift,
@@ -247,7 +237,7 @@ def face_signature_at(generators, shift,
         plus: list[int] = []
         minus: list[int] = []
         zero = list(zeros)
-        for j, (_, classes) in enumerate(radius.lines):
+        for j, (classes, _, _) in enumerate(radius.lines.values()):
             low = report.lower_forced[j]
             high = report.lower_forced[slack0 + j]
             for k, idx in classes:
@@ -309,14 +299,14 @@ def supporting_lambda(sig: FaceSignature, datum: RootDatum,
 
 
 # ---------------------------------------------------------------------------
-# Epsilon-shifted and half-open membership by facet arithmetic.
+# Epsilon-shifted, closed and half-open membership by facet arithmetic.
 #
 # Within V = span(generators + central) the set r * Z + span(central) is cut
 # out by its facets.  Their normals are the functionals lam that vanish on
 # central and on a hyperplane flat of the generator lines (see
 # ``_hyperplane_normals`` below), taken with both signs, and the support
 # function of Z at lam is h(lam) = sum max(0, -<lam, v>) over the expanded
-# generators.  So d = p - shift is in the closed set iff d pairs to zero
+# generators, summed by line in ``_build_facet_table``.  So d = p - shift is in the closed set iff d pairs to zero
 # with the annihilator of V and <lam, d> <= r * h(lam) on every facet,
 # -eps points into the set at such a d iff <lam, eps> >= 0 on every facet
 # tight at d, and d is in the half-open set iff h(lam) = 0 on every facet
@@ -360,19 +350,21 @@ def facet_table(generators, central: Central, dim: int) -> FacetTable:
 
 def _build_facet_table(gens, central, dim) -> FacetTable:
     central = list(central)
-    # h(lam) = sum m * max(0, -<lam, v>) over the classes, on their values
-    # times the common denominator d; h(-lam) = h(lam) + <lam, sum m v>, as
-    # max(0, x) - max(0, -x) = x
-    classes = _classes(gens)
-    values, d = int_rows([v for v, _ in classes])
-    sizes = [len(idx) for _, idx in classes]
-    total = [sum(m * v[k] for v, m in zip(values, sizes)) for k in range(dim)]
+    # the class k l of m generators adds m k max(0, -<lam, l>) to h(lam)
+    # for k > 0 and m |k| max(0, <lam, l>) for k < 0, so h(lam) = sum_l
+    # a max(0, -<lam, l>) + b max(0, <lam, l>), and h(-lam) swaps a and b
+    lines = line_decomposition(_classes(gens), len)
     facets = []
-    for lam in _hyperplane_normals(_lines(gens), central, dim):
-        h = sum(m * max(0, -sum(map(mul, lam, v)))
-                for v, m in zip(values, sizes))
-        facets.append((lam, Fraction(h, d)))
-        facets.append((vneg(lam), Fraction(h + sum(map(mul, lam, total)), d)))
+    for lam in _hyperplane_normals(sorted(lines), central, dim):
+        h = h_neg = 0
+        for line, (_, a, b) in lines.items():
+            t = sum(map(mul, lam, line))
+            if t < 0:
+                h, h_neg = h - a * t, h_neg - b * t
+            elif t > 0:
+                h, h_neg = h + b * t, h_neg + a * t
+        facets.append((lam, Fraction(h)))
+        facets.append((vneg(lam), Fraction(h_neg)))
     annihilator = nullspace([*gens, *central], dim)
     return FacetTable(tuple(map(primitive, annihilator)), tuple(facets))
 
@@ -464,7 +456,7 @@ HYPERPLANE_SCAN_CAP = 10_000
 
 def _lines(gens) -> list[tuple[int, ...]]:
     """The distinct nonzero generator lines, as sorted primitive int tuples."""
-    return sorted({primitive(g) for g in gens if not is_zero_vec(g)})
+    return sorted(line_decomposition(_classes(gens), len))
 
 
 def _hyperplane_normals(lines, central, dim):

@@ -41,7 +41,10 @@ Levi; the package solves once per ray and searches once per face.
 The two epsilon-window references decide membership by LP (one by
 maximizing the push along epsilon, one by strict sweeps); the package reads
 it from the facets, and the facet reference repeats its rational per-point
-test.  Dominance is
+test.  The support values, quasi-symmetry and the toric two-per-side rule
+are checked here class by class, each weight keyed by its Fraction
+primitive vector; the package reads all three off one decomposition into
+lines with the sums a and b per line.  Dominance is
 checked against every positive coroot and coset membership by one solve per
 point; the package tests the simple coroots and multiplies by an inverse
 built once per coset, both in integer arithmetic.  Coroots, Levi subdata,
@@ -871,6 +874,43 @@ def facet_normals_reference(generators, central=()):
                    if any(vdot(n, g) for g in gens))
         normals.append(tuple(int(x) for x in primitive(lam)))
     return normals
+
+
+# ---------------------------------------------------------------------------
+# Per-class line grouping: each weight keyed by its Fraction primitive, with
+# no a and b; the package reads them off ``linalg.line_decomposition``.
+# ---------------------------------------------------------------------------
+
+def support_reference(generators, lam):
+    """h(lam) = sum m max(0, -<lam, v>) over the classes of m equal
+    generators v."""
+    return sum((len(idx) * max(F(0), -vdot(lam, vec(v)))
+                for v, idx in _value_classes(generators)), F(0))
+
+
+def is_quasi_symmetric_reference(rep):
+    """Whether the sum of m w over the (w, m) pairs on each line through
+    the origin vanishes (a zero weight adds zero to its own key)."""
+    sums: dict = {}
+    for w, m in rep.weights:
+        key = primitive_reference(w)
+        acc = sums.get(key, (F(0),) * len(w))
+        sums[key] = tuple(a + m * x for a, x in zip(acc, w))
+    return all(is_zero_vec(s) for s in sums.values())
+
+
+def toric_two_per_side_reference(coinv):
+    """Whether every line holding a nonzero weight has pairs of total
+    multiplicity at least 2 on each side of the origin."""
+    sides: dict = {}
+    for w, m in coinv.weights:
+        if is_zero_vec(w):
+            continue
+        key = primitive_reference(w)
+        pos, neg = sides.get(key, (0, 0))
+        k = next(i for i, x in enumerate(key) if x)
+        sides[key] = (pos + m, neg) if w[k] > 0 else (pos, neg + m)
+    return all(pos >= 2 and neg >= 2 for pos, neg in sides.values())
 
 
 # ---------------------------------------------------------------------------

@@ -68,6 +68,26 @@ class TestOptimize:
         assert res.status == "optimal" and res.value == 2
         assert res.attained is False
 
+    def test_open_bounds_run_one_phase1(self, monkeypatch):
+        """``attained`` sweeps the open bounds over the optimal face of the
+        one solve, not over a second program with the optimum fixed."""
+        runs = []
+        real_phase1 = linprog._phase1
+
+        def counted(*args):
+            runs.append(args)
+            return real_phase1(*args)
+
+        monkeypatch.setattr(linprog, "_phase1", counted)
+        # max x0 on [-1, 2] x [0, 1]: x0 = 2 at every optimum, x1 anywhere
+        for opens, attained in (([("upper", 0)], False),
+                                ([("lower", 1), ("upper", 1)], True)):
+            runs.clear()
+            res = lp_optimize(box_program([(-1, 2), (0, 1)],
+                                          objective={0: 1}, opens=opens),
+                              "max")
+            assert (res.value, res.attained, len(runs)) == (2, attained, 1)
+
     def test_requires_objective(self):
         with pytest.raises(InputError):
             lp_optimize(box_program([(0, 1)]), "max")

@@ -369,24 +369,33 @@ class TestPraznoFromFacets:
         theirs."""
         cfg = preset_config(preset("determinantal", n=2, h=3))
         assert cfg.prazno_mode == "set"
-        built, solved = [], []
+        built, solved, running = [], [], []
         original_member, original_sweep = sod.member, zonotope.strict_feasible
 
         def building(*args, **kwargs):
-            built.append(args[3])
-            return original_member(*args, **kwargs)
+            variant = args[3]
+            built.append(variant)
+            inside = original_member(*args, **kwargs)
+
+            def deciding(p):
+                running.append(variant)
+                try:
+                    return inside(p)
+                finally:
+                    running.pop()
+            return deciding
 
         def sweeping(*args, **kwargs):
-            # the variant the calling predicate was built with
-            solved.append(sys._getframe(1).f_locals.get("variant"))
+            # the variant of the predicate deciding a point right now
+            solved.append(running[-1] if running else None)
             return original_sweep(*args, **kwargs)
 
-        monkeypatch.setattr(sod, "member", building)
+        for module in (sod, partition):
+            monkeypatch.setattr(module, "member", building)
         monkeypatch.setattr(zonotope, "strict_feasible", sweeping)
         doc = run_job("nccr", cfg)
         assert doc["nccr"] and HALF_OPEN in built
-        assert HALF_OPEN not in solved
-        assert REL_INT in solved
+        assert set(solved) == {REL_INT}
 
 
 class TestPresets:

@@ -19,16 +19,19 @@ from oracles import (_coefficient_program, brute_force_signature,
                      member_eps_strict_reference, member_reference,
                      min_radius_reference, proper_flats_reference,
                      random_generators, realizable_face_patterns_reference,
-                     signature_to_value_counts, supporting_lambda_reference)
+                     signature_to_value_counts, supporting_lambda_reference,
+                     support_reference, is_quasi_symmetric_reference,
+                     toric_two_per_side_reference)
 from sodlab import linprog, zonotope
 from sodlab.cli import main
-from sodlab.linalg import (in_span, nullspace, primitive, span_basis, vadd,
-                           vdot, vec, vscale, vsub)
+from sodlab.linalg import (in_span, line_decomposition, nullspace, primitive,
+                           span_basis, vadd, vdot, vec, vscale, vsub)
 from sodlab.linprog import (InputError, feasible_point, forced_tight,
                             strict_feasible)
 from sodlab.partition import make_profile, signature_of
 from sodlab.report import parse_config, render, run_job
-from sodlab.reps import construct_rep, rep_spec, weight_signs
+from sodlab.reps import (construct_rep, is_quasi_symmetric, rep_spec,
+                         weight_signs)
 from sodlab.rootdata import (build_group, full_levi, invariant_subspace,
                              levi, make_dominant, orbit)
 from sodlab.zonotope import (CLOSED, HALF_OPEN, REL_INT, EpsShift,
@@ -37,6 +40,7 @@ from sodlab.zonotope import (CLOSED, HALF_OPEN, REL_INT, EpsShift,
                              is_generic, is_weakly_generic, member,
                              member_eps, min_radius,
                              realizable_face_patterns, supporting_lambda)
+from sodlab.sod import _toric_two_per_side
 from test_rootdata import _outcome
 
 T1 = build_group("Torus(1)")
@@ -222,21 +226,24 @@ class TestHalfOpenFromFacets:
             raise AssertionError("LP solved")
 
         monkeypatch.setattr(zonotope, "strict_feasible", refuse)
-        monkeypatch.setattr(zonotope, "feasible_point", refuse)
         # ]-1/2, 0] x ]-1/2, 0]
         inside = q((vec([1, 0]), vec([0, 1])), F(1, 2), [0, 0], HALF_OPEN)
         assert inside((0, 0)) and inside(vec([F(-1, 4), 0]))
         assert not inside(vec([F(-1, 2), 0])) and not inside(vec([0, F(1, 4)]))
+        # [-1/2, 0] x [-1/2, 0]
+        inside = q((vec([1, 0]), vec([0, 1])), F(1, 2), [0, 0], CLOSED)
+        assert inside((0, 0)) and inside(vec([F(-1, 2), F(-1, 4)]))
+        assert not inside(vec([F(-3, 4), 0])) and not inside(vec([0, F(1, 4)]))
 
     def test_scan_cap_is_checked_when_built(self, monkeypatch):
         gens = TestHyperplaneScanCap.GENS  # C(4, 2) = 6 line subsets
         monkeypatch.setattr(zonotope, "_FACET_TABLES", {})
         monkeypatch.setattr(zonotope, "HYPERPLANE_SCAN_CAP", 5)
-        with pytest.raises(InputError, match="exceeds the cap of 5"):
-            member(gens, F(1), vec([0, 0, 0]), HALF_OPEN)
-        # the other variants build no facet table
+        for variant in (HALF_OPEN, CLOSED):
+            with pytest.raises(InputError, match="exceeds the cap of 5"):
+                member(gens, F(1), vec([0, 0, 0]), variant)
+        # the relative interior builds no facet table
         origin = vec([0, 0, 0])
-        assert member(gens, F(1), origin, CLOSED)(origin)
         assert not member(gens, F(1), origin, REL_INT)(origin)
 
 
@@ -573,6 +580,90 @@ class TestLineColumns:
                 random.Random(seed), MEMBER_GROUPS[seed % len(MEMBER_GROUPS)],
                 F(1))
         assert kinds == {"split", "free", "inside", "outside", "fractional"}
+
+
+@st.composite
+def weight_pairs(draw, fractions=False):
+    """(dim, [(w, m), ...]): up to 8 pairs in dimension 1 to 3, each w a
+    fresh small vector, a zero vector, or a repeat, negation or multiple
+    (2, -2, 3 or -1/2 with ``fractions``) of an earlier w; half the lists
+    get every pair's negation appended, which makes them quasi-symmetric.
+    With ``fractions`` each w is a Fraction tuple, and each entry of a
+    fresh one may be scaled by 1/2 or -2/3."""
+    dim = draw(st.integers(1, 3))
+    pairs = []
+    for _ in range(draw(st.integers(0, 8))):
+        kind = draw(st.sampled_from(("fresh", "zero", "repeat", "negate",
+                                     "multiple")))
+        m = draw(st.integers(1, 3))
+        if kind in ("repeat", "negate", "multiple") and pairs:
+            w = draw(st.sampled_from(pairs))[0]
+            k = {"repeat": 1, "negate": -1}.get(kind) or draw(
+                st.sampled_from((2, -2, 3) + ((F(-1, 2),) if fractions
+                                              else ())))
+            w = tuple(k * x for x in w)
+        elif kind == "zero":
+            w = (0,) * dim
+        else:
+            w = draw(st.tuples(*[st.integers(-2, 2)] * dim))
+        if fractions:
+            w = tuple(F(x) * draw(st.sampled_from((1, 1, F(1, 2), F(-2, 3))))
+                      for x in w) if kind == "fresh" else tuple(map(F, w))
+        pairs.append((w, m))
+    if draw(st.booleans()):
+        pairs += [(tuple(-x for x in w), m) for w, m in pairs]
+    return dim, pairs
+
+
+class TestLineDecomposition:
+    """The one grouping of weights by line against the per-class
+    references it replaced: the facet table's support values,
+    quasi-symmetry and the toric two-per-side rule."""
+
+    @settings(derandomize=True, database=None, max_examples=200,
+              deadline=None)
+    @given(weight_pairs(fractions=True))
+    def test_classes_rebuild_each_nonzero_vector(self, case):
+        _, pairs = case
+        lines = line_decomposition(pairs)
+        assert list(lines) == list(dict.fromkeys(
+            primitive(w) for w, _ in pairs if any(w)))
+        rebuilt = [(tuple(k * x for x in line), m)
+                   for line, (classes, _, _) in lines.items()
+                   for k, m in classes]
+        assert sorted(rebuilt) == sorted((w, m) for w, m in pairs if any(w))
+        for classes, a, b in lines.values():
+            assert a == sum(m * k for k, m in classes if k > 0)
+            assert b == sum(m * -k for k, m in classes if k < 0)
+
+    @settings(derandomize=True, database=None, max_examples=200,
+              deadline=None)
+    @given(weight_pairs(fractions=True))
+    def test_support_values_match_per_class_reference(self, case):
+        dim, pairs = case
+        gens = tuple(w for w, m in pairs for _ in range(m))
+        table = zonotope._build_facet_table(gens, (), dim)
+        for lam, h in table.facets:
+            assert h == support_reference(gens, lam), (gens, lam)
+
+    def test_weight_rules_match_per_class_references(self):
+        """On Torus(n) weight lists, reaching both verdicts of each
+        rule."""
+        seen = set()
+
+        @settings(derandomize=True, database=None, max_examples=200,
+                  deadline=None)
+        @given(weight_pairs())
+        def check(case):
+            dim, pairs = case
+            rep = rep_spec(build_group(f"Torus({dim})"), pairs)
+            quasi, toric = is_quasi_symmetric(rep), _toric_two_per_side(rep)
+            assert quasi == is_quasi_symmetric_reference(rep), pairs
+            assert toric == toric_two_per_side_reference(rep), pairs
+            seen.update({("quasi", quasi), ("toric", toric)})
+
+        check()
+        assert len(seen) == 4, seen
 
 
 class TestSupportingLambda:
