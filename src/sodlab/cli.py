@@ -80,7 +80,7 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
 
-    cfg = None
+    cfg = rep = None
     try:
         if (args.config is None) == (args.preset is None):
             raise InputError("provide exactly one of --config or --preset")
@@ -94,8 +94,9 @@ def main(argv=None) -> int:
                 raise InputError(f"config is not valid JSON: {e}") from None
             cfg = parse_config(raw)
         else:
-            cfg = preset_config(_parse_preset_spec(args.preset))
-        doc = run_job(args.subcommand, cfg)
+            p = _parse_preset_spec(args.preset)
+            cfg, rep = preset_config(p), p.rep
+        doc = run_job(args.subcommand, cfg, rep)
         code = 0
     except InputError as e:
         sys.stderr.write(f"sodlab: configuration error: {e}\n")

@@ -17,7 +17,7 @@ from .linprog import InputError
 from .characters import hom_block_dims
 from .partition import (HALF_OPEN_MODE, STANDARD, PreconditionError,
                         make_profile, partition_region)
-from .reps import (TwistData, construct_rep, find_destabilizer,
+from .reps import (RepSpec, TwistData, construct_rep, find_destabilizer,
                    is_quasi_symmetric)
 from .rootdata import build_group, invariant_subspace
 from .sod import (NccrCertificate, Preset, SodComponent, certify_nccr,
@@ -309,20 +309,24 @@ def _check_rank(cfg: JobConfig, rank: int) -> None:
                              f"{cfg.group} has rank {rank}")
 
 
-def build_objects(cfg: JobConfig):
+def build_objects(cfg: JobConfig, rep: RepSpec | None = None):
+    """(datum, rep, profile) of a job; a given ``rep`` (a preset's, built
+    from ``cfg.representation``) is not built again."""
     datum = build_group(cfg.group)
     _check_rank(cfg, datum.rank)
-    rep = construct_rep(datum, cfg.representation)
+    rep = rep or construct_rep(datum, cfg.representation)
     threshold = STANDARD if cfg.mode == "standard" else HALF_OPEN_MODE
     profile = make_profile(datum, cfg.nu, threshold)
     return datum, rep, profile
 
 
-def run_job(subcommand: str, cfg: JobConfig) -> dict:
-    """Execute a subcommand; raises InputError / PreconditionError."""
+def run_job(subcommand: str, cfg: JobConfig,
+            rep: RepSpec | None = None) -> dict:
+    """Execute a subcommand (on a preset's ``rep`` when given); raises
+    InputError / PreconditionError."""
     if subcommand not in SUBCOMMANDS:
         raise InputError(f"unknown subcommand {subcommand!r}")
-    datum, rep, profile = build_objects(cfg)
+    datum, rep, profile = build_objects(cfg, rep)
     doc = _base_document(subcommand, cfg)
     if subcommand == "analyze":
         destabilizer = find_destabilizer(rep)

@@ -1,9 +1,9 @@
 """Weight-multiset analysis of a representation.
 
-A representation is recorded purely by its torus weight multiset.  The
-expanded weight list fixes index identity for the sign partitions used across
-the whole pipeline: entries are sorted by weight (lexicographically) with
-input order breaking ties, once, at construction.
+A representation is recorded purely by its torus weight multiset, as
+(weight, multiplicity) pairs.  The expanded weight list fixes index identity
+for the sign partitions used across the whole pipeline; ``RepSpec.expanded``
+alone decides its order: sorted by weight with input order breaking ties.
 """
 
 from __future__ import annotations
@@ -24,12 +24,17 @@ from .rootdata import RootDatum, check_length, full_levi, reflect
 
 @dataclass(frozen=True)
 class RepSpec:
-    """Weight multiset of a representation of a catalog group; each weight
-    is an int tuple in section form."""
+    """Weight multiset of a representation of a catalog group: it stores
+    (weight, multiplicity) pairs, each weight an int tuple in section form,
+    and derives the expanded weight list from them."""
 
     datum: RootDatum
     weights: tuple[tuple[tuple[int, ...], int], ...]
-    expanded: tuple[tuple[int, ...], ...]
+
+    @cached_property
+    def expanded(self) -> tuple[tuple[int, ...], ...]:
+        """Each weight once per multiplicity, sorted (stable)."""
+        return tuple(sorted(w for w, m in self.weights for _ in range(m)))
 
     @property
     def dim(self) -> int:
@@ -37,7 +42,7 @@ class RepSpec:
 
     @cached_property
     def _hash(self) -> int:
-        return hash((self.datum, self.weights, self.expanded))
+        return hash((self.datum, self.weights))
 
     def __hash__(self) -> int:
         # computed once: every lookup of the process-wide symmetric-power
@@ -69,11 +74,7 @@ def rep_spec(datum: RootDatum, weights) -> RepSpec:
     if dim > REP_DIM_CAP:
         raise InputError(f"representation of dimension {dim} is above the "
                          f"cap of {REP_DIM_CAP}")
-    expanded = []
-    for w, m in pairs:
-        expanded.extend([w] * m)
-    expanded.sort()  # stable: ties keep input order
-    return RepSpec(datum, tuple(pairs), tuple(expanded))
+    return RepSpec(datum, tuple(pairs))
 
 
 @dataclass(frozen=True)
@@ -184,11 +185,9 @@ def coinvariant_rep(rep: RepSpec, lam: Vec) -> RepSpec:
     """Restriction of the weight multiset to the lam-neutral weights (the
     coinvariants for the one-parameter action, as a Levi representation),
     read off ``weight_signs``; its expanded list generates every window."""
-    expanded = tuple(rep.expanded[i] for i in weight_signs(rep, lam).t_zero)
-    neutral = set(expanded)
+    neutral = {rep.expanded[i] for i in weight_signs(rep, lam).t_zero}
     return RepSpec(rep.datum,
-                   tuple((w, m) for w, m in rep.weights if w in neutral),
-                   expanded)
+                   tuple((w, m) for w, m in rep.weights if w in neutral))
 
 
 # ---------------------------------------------------------------------------
@@ -317,6 +316,8 @@ def construct_rep(datum: RootDatum, pieces) -> RepSpec:
         kind, arg = piece
         if kind == "weights":
             for w, m in arg:
+                if int(m) < 1:
+                    raise InputError("multiplicities must be >= 1")
                 counts[datum.normalize_weight(vec(w))] += int(m)
         elif kind == "vector_power":
             for w in defining_weights(datum):

@@ -11,11 +11,12 @@ Positive roots are L_i - L_j (i < j) for GL/SL and additionally L_i + L_j
 (i < j) and 2 L_i for Sp(2n); dominant weights have non-increasing block
 coordinates (and a nonnegative tail coordinate for Sp).
 
-Every root and every SL quotient direction is a lattice vector, kept once,
-as an int tuple: the catalog constructors build them so, and ``RootDatum``
-refuses any other entry with InputError.  rho_bar, half the sum of the
-positive roots, stays a Fraction tuple.  A Levi keeps its one-parameter
-subgroup as it is given: an int tuple on the CLI path (``full_levi``,
+Every root and every SL quotient direction is a lattice vector, an int
+tuple: the catalog constructors build them so, and ``RootDatum`` refuses
+any other entry with InputError.  Only the inputs are stored: rho_bar, a
+Fraction tuple, and a Levi's simple roots and rho_bar_lambda are derived
+once, on first use.  A Levi keeps its one-parameter subgroup as it is
+given: an int tuple on the CLI path (``full_levi``,
 ``zonotope.supporting_lambda``), or a rational one from a library caller.
 
 The Weyl group is never enumerated: dominant conjugates, signed orbits and
@@ -41,8 +42,7 @@ from functools import cache, cached_property
 from operator import mul, sub
 
 from .linalg import (Mat, Vec, ZERO, in_span, int_row, is_zero_vec,
-                     nullspace, ray_ints, rref, span_basis, vadd, vdot, vneg,
-                     vsub, zero_vec)
+                     nullspace, ray_ints, rref, span_basis, vadd, vdot, vsub)
 from .linprog import InputError
 
 # Integer rows and a positive denominator: the linear map v -> rows v / d.
@@ -51,39 +51,40 @@ Reflection = tuple[tuple[tuple[int, ...], ...], int]
 
 @dataclass(frozen=True)
 class RootDatum:
-    """Immutable root datum of a catalog group in L_i coordinates: every
-    root and quotient direction is a lattice vector, an int tuple."""
+    """Immutable root datum of a catalog group in L_i coordinates: its
+    positive roots (the roots are these and their negatives), simple roots
+    and quotient pairs, all int tuples; rho_bar and the central directions
+    are derived from them."""
 
     label: str
     rank: int
-    roots: tuple[tuple[int, ...], ...]
     positive_roots: tuple[tuple[int, ...], ...]
     simple_roots: tuple[tuple[int, ...], ...]
-    rho_bar: Vec
     # Character directions modded out (one per SL block), paired with the
     # block coordinate pinned to zero by the canonical section.
     quotient_pairs: tuple[tuple[tuple[int, ...], int], ...] = ()
 
     def __post_init__(self):
-        for v in (*self.roots, *self.positive_roots, *self.simple_roots,
+        for v in (*self.positive_roots, *self.simple_roots,
                   *self.central_directions):
             if any(type(x) is not int for x in v):
                 raise InputError(f"root or SL direction {list(map(str, v))} "
                                  f"is not an int tuple (a lattice vector)")
-        root_set = set(self.roots)
-        if any(tuple(-x for x in a) not in root_set for a in self.roots):
-            raise InputError("roots not closed under negation")
-        if _half_sum(self.positive_roots, self.rank) != self.rho_bar:
-            raise InputError("rho_bar is not half the sum of positive roots")
         # 2 a / (a . a) is the coroot of every nonzero a
-        if any(not any(a) for a in self.roots):
+        if any(not any(a) for a in self.positive_roots):
             raise InputError("a root is zero, so it has no coroot")
+
+    @cached_property
+    def rho_bar(self) -> Vec:
+        """Half the sum of the positive roots, a Fraction tuple."""
+        return tuple(Fraction(x, 2)
+                     for x in _root_sum(self.positive_roots, self.rank))
 
     @cached_property
     def dominance_rows(self) -> tuple[tuple[int, ...], ...]:
         return _coroot_rows(self.simple_roots)
 
-    @property
+    @cached_property
     def central_directions(self) -> tuple[tuple[int, ...], ...]:
         return tuple(c for c, _ in self.quotient_pairs)
 
@@ -117,10 +118,9 @@ def _coroot_rows(roots) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(ray_ints(a)) for a in roots)
 
 
-def _half_sum(roots, rank: int) -> Vec:
-    """Half the sum of the given int tuples (zero when there are none)."""
-    total = [sum(col) for col in zip(*roots)] or [0] * rank
-    return tuple(Fraction(x, 2) for x in total)
+def _root_sum(roots, rank: int) -> tuple[int, ...]:
+    """The sum of the given int tuples (zero when there are none)."""
+    return tuple(map(sum, zip(*roots))) if roots else (0,) * rank
 
 
 def _unit(n: int, i: int) -> tuple[int, ...]:
@@ -132,19 +132,16 @@ def _unit(n: int, i: int) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 
 def _build_torus(n: int) -> RootDatum:
-    return RootDatum(
-        label=f"Torus({n})", rank=n, roots=(), positive_roots=(),
-        simple_roots=(), rho_bar=zero_vec(n))
+    return RootDatum(label=f"Torus({n})", rank=n, positive_roots=(),
+                     simple_roots=())
 
 
 def _from_positive_roots(label: str, n: int, pos: list[tuple[int, ...]],
                          simple: list[tuple[int, ...]],
                          quotient_pairs=()) -> RootDatum:
     """Root datum with the given positive and simple roots."""
-    return RootDatum(
-        label=label, rank=n, roots=tuple(pos) + tuple(vneg(a) for a in pos),
-        positive_roots=tuple(pos), simple_roots=tuple(simple),
-        rho_bar=_half_sum(pos, n), quotient_pairs=quotient_pairs)
+    return RootDatum(label=label, rank=n, positive_roots=tuple(pos),
+                     simple_roots=tuple(simple), quotient_pairs=quotient_pairs)
 
 
 def _type_a_roots(n: int):
@@ -179,20 +176,17 @@ def _embed(v: tuple[int, ...], offset: int, rank: int) -> tuple[int, ...]:
 
 def _product(factors: list[RootDatum]) -> RootDatum:
     rank = sum(f.rank for f in factors)
-    roots, pos, simple, quo = [], [], [], []
+    pos, simple, quo = [], [], []
     offset = 0
     for f in factors:
-        roots += [_embed(a, offset, rank) for a in f.roots]
         pos += [_embed(a, offset, rank) for a in f.positive_roots]
         simple += [_embed(a, offset, rank) for a in f.simple_roots]
         for c, pin in f.quotient_pairs:
             quo.append((_embed(c, offset, rank), offset + pin))
         offset += f.rank
     label = "Product(" + ",".join(f.label for f in factors) + ")"
-    return RootDatum(
-        label=label, rank=rank, roots=tuple(roots), positive_roots=tuple(pos),
-        simple_roots=tuple(simple), rho_bar=_half_sum(pos, rank),
-        quotient_pairs=tuple(quo))
+    return RootDatum(label=label, rank=rank, positive_roots=tuple(pos),
+                     simple_roots=tuple(simple), quotient_pairs=tuple(quo))
 
 
 _TAG = re.compile(r"^\s*(torus|gl|sl|sp)\s*\(\s*(\d+)\s*\)\s*$", re.IGNORECASE)
@@ -390,18 +384,28 @@ def star_dominate(datum: RootDatum, chi: Vec,
 
 @dataclass(frozen=True)
 class LeviDatum:
-    """Centralizer data of a one-parameter subgroup: the roots vanishing on
-    it, their positive half and its simple roots.  The Levi Weyl group is
-    present only through the reflections in those simple roots; fixed
-    spaces, projections, dominant conjugates and orbits all come from them,
-    and the group itself is never enumerated."""
+    """Centralizer data of a one-parameter subgroup: the positive roots
+    vanishing on it, from which its simple roots, two_rho and
+    rho_bar_lambda are derived.  The Levi Weyl group is present only
+    through the reflections in the simple roots; fixed spaces, projections,
+    dominant conjugates and orbits all come from them, and the group itself
+    is never enumerated."""
 
     datum: RootDatum
     lam: tuple  # ints on the CLI path; a library caller may pass Fractions
-    phi_lambda: tuple[tuple[int, ...], ...]
     phi_lambda_plus: tuple[tuple[int, ...], ...]
-    simple_roots: tuple[tuple[int, ...], ...]
-    rho_bar_lambda: Vec
+
+    @cached_property
+    def simple_roots(self) -> tuple[tuple[int, ...], ...]:
+        """The positive roots that are no positive root plus another."""
+        plus = set(self.phi_lambda_plus)
+        return tuple(a for a in self.phi_lambda_plus
+                     if not any(tuple(map(sub, a, b)) in plus for b in plus))
+
+    @cached_property
+    def rho_bar_lambda(self) -> Vec:
+        """Half the sum of the positive roots, ``two_rho`` / 2."""
+        return tuple(Fraction(x, 2) for x in self.two_rho)
 
     @cached_property
     def dominance_rows(self) -> tuple[tuple[int, ...], ...]:
@@ -431,9 +435,8 @@ class LeviDatum:
 
     @cached_property
     def two_rho(self) -> tuple[int, ...]:
-        """2 rho_bar_lambda, the int sum of ``phi_lambda_plus``."""
-        return tuple(sum(a[i] for a in self.phi_lambda_plus)
-                     for i in range(self.datum.rank))
+        """2 rho_lambda, the int sum of ``phi_lambda_plus``."""
+        return _root_sum(self.phi_lambda_plus, self.datum.rank)
 
     @cached_property
     def weyl_rows(self) -> tuple[tuple[int, ...], ...]:
@@ -478,7 +481,31 @@ class LeviDatum:
         return not any(sum(map(mul, row, v)) for row in self.dominance_rows)
 
     def label(self) -> str:
-        return _levi_label(self)
+        """The datum's label for the whole group; else the Dynkin components
+        of the simple roots (A or C with their rank) and the central torus
+        rank, sorted and joined by "x"."""
+        datum, simple = self.datum, self.simple_roots
+        if len(self.phi_lambda_plus) == len(datum.positive_roots):  # a subset
+            return datum.label
+        parts, todo = [], set(range(len(simple)))
+        while todo:
+            comp, stack = [], [todo.pop()]
+            while stack:
+                k = stack.pop()
+                comp.append(k)
+                row = self.dominance_rows[k]
+                linked = {j for j in todo if sum(map(mul, row, simple[j]))}
+                todo -= linked
+                stack += linked
+            # type C: some simple root is twice a lattice vector (2 L_i)
+            kind = "C" if any(all(x % 2 == 0 for x in simple[k])
+                              for k in comp) else "A"
+            parts.append(f"{kind}{len(comp)}")
+        span_dim = len(span_basis(list(self.phi_lambda_plus), datum.rank))
+        torus_rank = datum.rank - span_dim - len(datum.quotient_pairs)
+        if torus_rank > 0:
+            parts.append(f"T{torus_rank}")
+        return "x".join(sorted(parts)) or "T0"
 
 
 def levi(datum: RootDatum, lam) -> LeviDatum:
@@ -489,14 +516,8 @@ def levi(datum: RootDatum, lam) -> LeviDatum:
     if not datum.coweight_ok(lam):
         raise InputError("coweight not in Y(T) (fails SL block constraints)")
     row = int_row(lam)[0]
-    phi = tuple(a for a in datum.roots if not sum(map(mul, row, a)))
-    plus = tuple(a for a in datum.positive_roots if not sum(map(mul, row, a)))
-    # a positive root is simple iff it is no positive root plus another
-    plus_set = set(plus)
-    simple = tuple(a for a in plus
-                   if not any(tuple(map(sub, a, b)) in plus_set for b in plus))
-    return LeviDatum(datum, lam, phi, plus, simple,
-                     _half_sum(plus, datum.rank))
+    return LeviDatum(datum, lam, tuple(
+        a for a in datum.positive_roots if not sum(map(mul, row, a))))
 
 
 # The whole-group Levi of the datum asked for last.  It is kept here, not
@@ -517,38 +538,3 @@ def full_levi(datum: RootDatum) -> LeviDatum:
 def invariant_subspace(datum: RootDatum) -> list[Vec]:
     """Basis of the Weyl-fixed subspace of X(T)_R (modulo SL quotients)."""
     return full_levi(datum).invariant_vectors()
-
-
-def _levi_label(lv: LeviDatum) -> str:
-    datum = lv.datum
-    if set(lv.phi_lambda) == set(datum.roots):
-        return datum.label
-    simple = lv.simple_roots
-    n = len(simple)
-    adj = [[i != j and sum(map(mul, row, simple[j])) != 0 for j in range(n)]
-           for i, row in enumerate(lv.dominance_rows)]
-    seen = [False] * n
-    parts = []
-    for i in range(n):
-        if seen[i]:
-            continue
-        comp = [i]
-        seen[i] = True
-        stack = [i]
-        while stack:
-            k = stack.pop()
-            for j in range(n):
-                if adj[k][j] and not seen[j]:
-                    seen[j] = True
-                    comp.append(j)
-                    stack.append(j)
-        # type C: some simple root is twice a lattice vector (2 L_i)
-        kind = "C" if any(all(x % 2 == 0 for x in simple[k])
-                          for k in comp) else "A"
-        parts.append(f"{kind}{len(comp)}")
-    span_dim = len(span_basis(list(lv.phi_lambda), datum.rank))
-    torus_rank = datum.rank - span_dim - len(datum.quotient_pairs)
-    if torus_rank > 0:
-        parts.append(f"T{torus_rank}")
-    parts.sort()
-    return "x".join(parts) if parts else "T0"

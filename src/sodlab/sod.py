@@ -22,7 +22,7 @@ from .partition import (HALF_OPEN_MODE, STANDARD, PartitionCell,
                         PreconditionError, ShiftProfile, cell_members,
                         partition_region, window_points)
 from .reps import (RepSpec, TwistData, coinvariant_rep, construct_rep,
-                   is_quasi_symmetric, rep_spec)
+                   is_quasi_symmetric)
 from .rootdata import LeviDatum, RootDatum, build_group, full_levi, levi
 from .zonotope import (CLOSED, HALF_OPEN, REL_INT, EpsShift, FaceSignature,
                        invariants_in_span, is_generic, is_weakly_generic,
@@ -241,7 +241,7 @@ def certify_nccr(rep: RepSpec, lv: LeviDatum, coinv: RepSpec, nu: Vec,
             member((), half, shift, CLOSED, central), twist))
     prazno_empty = not prazno_points
 
-    if not lv.phi_lambda:
+    if not lv.phi_lambda_plus:
         genericity = "CheckedToricRule" if _toric_two_per_side(coinv) else "Unknown"
     elif genericity_assertion:
         genericity = "UserAsserted"
@@ -338,14 +338,14 @@ def preset(family: str, **params) -> Preset:
         weights = params.get("weights") or [((1,), 2), ((-1,), 2)]
         rank = len(vec(weights[0][0]))
         datum = build_group(f"Torus({rank})")
-        rep = rep_spec(datum, weights)
+        pieces = (("weights", tuple(weights)),)
+        rep = construct_rep(datum, pieces)
         eps = _toric_recommended_eps(datum, rep)
         expected = {"family": "toric",
                     "two_per_side": _toric_two_per_side(rep),
                     "verdict": "TwistedNCCR" if _toric_two_per_side(rep)
                     and is_quasi_symmetric(rep) else "Unknown"}
-        return Preset("toric", datum, (("weights", rep.weights),), rep, eps,
-                      expected)
+        return Preset("toric", datum, pieces, rep, eps, expected)
     raise InputError(f"unknown preset family {family!r}")
 
 

@@ -52,7 +52,7 @@ from math import comb
 from operator import mul
 from typing import Callable
 
-from .linalg import (Vec, ZERO, ONE, frac, in_span, is_zero_vec,
+from .linalg import (Vec, ZERO, ONE, frac, in_span, int_row, is_zero_vec,
                      line_decomposition, nullspace, primitive, rank,
                      span_basis, vdot, vec, vneg, vscale, vsub)
 from .linprog import (InputError, LpBuilder, forced_tight,
@@ -324,15 +324,15 @@ class FacetTable:
     functionals vanishing on V, ``facets`` holds one (lam, h(lam)) pair per
     facet, both signs of the normal of every hyperplane flat, in the order
     the scan finds those.  The annihilator rows and the normals lam are
-    primitive integer vectors (int tuples).  No other face is kept: the
-    direction space of every proper face is, with span(central), the
-    intersection of the facet spans containing it, and a facet span is the
-    kernel of its normal within V, so the normals decide genericity (see
-    ``realizable_face_patterns``) and the annihilator decides whether
-    epsilon is parallel to V."""
+    primitive integer vectors (int tuples), and h(lam) an int at int
+    generators.  No other face is kept: the direction space of every proper
+    face is, with span(central), the intersection of the facet spans
+    containing it, and a facet span is the kernel of its normal within V,
+    so the normals decide genericity (see ``realizable_face_patterns``) and
+    the annihilator decides whether epsilon is parallel to V."""
 
     annihilator: tuple[tuple[int, ...], ...]
-    facets: tuple[tuple[tuple[int, ...], Fraction], ...]
+    facets: tuple[tuple[tuple[int, ...], int], ...]
 
 
 _FACET_TABLES: dict[tuple, FacetTable] = {}
@@ -363,33 +363,33 @@ def _build_facet_table(gens, central, dim) -> FacetTable:
                 h, h_neg = h - a * t, h_neg - b * t
             elif t > 0:
                 h, h_neg = h + b * t, h_neg + a * t
-        facets.append((lam, Fraction(h)))
-        facets.append((vneg(lam), Fraction(h_neg)))
+        facets.append((lam, h))
+        facets.append((vneg(lam), h_neg))
     annihilator = nullspace([*gens, *central], dim)
     return FacetTable(tuple(map(primitive, annihilator)), tuple(facets))
-
-
-def _scaled_row(lam: tuple[int, ...], bound: Fraction):
-    """(den * lam, num) for bound = num / den: <lam, p> compared with bound
-    is den * <lam, p> compared with num, integer arithmetic at int p."""
-    return tuple(bound.denominator * x for x in lam), bound.numerator
 
 
 def _facet_predicate(table: FacetTable, r, shift: Vec,
                      may_be_tight) -> Callable[[Vec], bool]:
     """p -> whether p pairs with each annihilator row as the shift does and
     <lam, p> <= r * h(lam) + <lam, shift> on each facet, with equality only
-    where ``may_be_tight(lam, h)``; integer arithmetic at int points."""
+    where ``may_be_tight(lam, h)``.  With shift = s / d and r = a / b over
+    ints, each comparison is d b <lam, p> against b <lam, s> + d a h(lam):
+    integer arithmetic at int points and int support values."""
     r = frac(r)
-    equal = [_scaled_row(a, vdot(a, shift)) for a in table.annihilator]
+    s, d = int_row(shift)
+    a, b = r.numerator, r.denominator
+    equal = [(tuple(d * x for x in row), sum(map(mul, row, s)))
+             for row in table.annihilator]
     closed, strict = [], []
     for lam, h in table.facets:
         (closed if may_be_tight(lam, h) else strict).append(
-            _scaled_row(lam, r * h + vdot(lam, shift)))
+            (tuple(d * b * x for x in lam),
+             b * sum(map(mul, lam, s)) + d * a * h))
 
     def inside(p) -> bool:
-        for a, target in equal:
-            if sum(map(mul, a, p)) != target:
+        for row, target in equal:
+            if sum(map(mul, row, p)) != target:
                 return False
         for lam, bound in closed:
             if sum(map(mul, lam, p)) > bound:
@@ -422,8 +422,10 @@ def member_eps(generators, r, shift, e: EpsShift,
     if frac(r) <= 0:
         raise InputError("zonotope radius must be positive")
 
+    eps_row = int_row(eps)[0]
+
     def may_be_tight(lam, h) -> bool:
-        t = vdot(lam, eps)
+        t = sum(map(mul, lam, eps_row))
         return t == 0 or (t > 0 and e.mode == "plus")
 
     return _facet_predicate(table, r, shift, may_be_tight)

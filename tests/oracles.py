@@ -1352,11 +1352,10 @@ def simple_pairs_reference(src):
 
 
 def levi_reference(datum, lam):
-    """Levi subdatum by Fraction pairings and Fraction differences: the
-    roots that vanish on lam, their positive half, the positive roots that
-    are no positive root plus another, and half their sum."""
+    """(Levi subdatum, simple roots, rho_bar_lambda) by Fraction pairings
+    and Fraction differences: the positive roots that vanish on lam, those
+    of them that are no positive root plus another, and half their sum."""
     lam = vec(lam)
-    phi = tuple(a for a in datum.roots if vdot(lam, a) == 0)
     plus = tuple(a for a in datum.positive_roots if vdot(lam, a) == 0)
     plus_set = set(plus)
     simple = tuple(a for a in plus
@@ -1364,7 +1363,7 @@ def levi_reference(datum, lam):
     rho = vec([0] * datum.rank)
     for a in plus:
         rho = vadd(rho, a)
-    return LeviDatum(datum, lam, phi, plus, simple, vscale(F(1, 2), rho))
+    return LeviDatum(datum, lam, plus), simple, vscale(F(1, 2), rho)
 
 
 def weyl_dim_reference(datum, chi, levi=None):

@@ -280,9 +280,8 @@ class TestHomBlockLookup:
 def _weight_multiset(datum, pairs):
     """A RepSpec straight from (weight, multiplicity) pairs, which may have
     non-integral entries (``rep_spec`` refuses those)."""
-    pairs = tuple((datum.normalize_weight(vec(w)), m) for w, m in pairs)
-    expanded = tuple(sorted(w for w, m in pairs for _ in range(m)))
-    return RepSpec(datum, pairs, expanded)
+    return RepSpec(datum, tuple((datum.normalize_weight(vec(w)), m)
+                                for w, m in pairs))
 
 
 class TestSymPowerKernel:

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import sodlab
-from sodlab import linprog, rootdata
+from sodlab import linprog, report, reps, rootdata, sod
 from sodlab.cli import main
 from sodlab.linalg import vsub, zero_vec
 from sodlab.linprog import LATTICE_BOX_CAP, InputError, enumerate_lattice
@@ -595,6 +595,30 @@ class TestCliProcess:
         assert main(["analyze", "--config", cfgp]) == 0
         out = capsys.readouterr().out
         assert json.loads(out)["analysis"]["has_t_stable_point"] is True
+
+
+def test_preset_job_builds_its_representation_once(tmp_path, monkeypatch):
+    """A --preset job builds its representation once, in ``sod.preset``:
+    ``run_job`` takes the preset's instead of building it again from the
+    config, and the report is the config job's, byte for byte."""
+    calls = []
+    original = reps.construct_rep
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    for mod in (reps, report, sod):
+        monkeypatch.setattr(mod, "construct_rep", counting)
+    out = tmp_path / "preset.json"
+    assert main(["hilbert", "--preset", "determinantal:n=2,h=3",
+                 "--out", str(out)]) == 0
+    assert len(calls) == 1
+    cfg = json.loads(out.read_bytes())["input"]
+    again = tmp_path / "config.json"
+    assert main(["hilbert", "--config", write_config(tmp_path, cfg),
+                 "--out", str(again)]) == 0
+    assert len(calls) == 2 and again.read_bytes() == out.read_bytes()
 
 
 def _project_version(pyproject: Path) -> str:

@@ -15,6 +15,7 @@ from sodlab.reps import (REP_DIM_CAP, TwistData, _check_weyl_symmetric,
                          is_quasi_symmetric, rep_spec, trivial_twist,
                          twist_member, weight_signs)
 from sodlab.rootdata import build_group, full_levi, pairing
+from sodlab.sod import preset
 
 T1 = build_group("Torus(1)")
 SL2 = build_group("SL(2)")
@@ -33,6 +34,17 @@ class TestDimensionCap:
             rep_spec(T1, [((1,), half + 1), ((-1,), half)])
         with pytest.raises(InputError, match="above the cap"):
             construct_rep(SP4, [("vector_power", 10 ** 21)])
+
+
+def test_weights_piece_refuses_a_multiplicity_below_one():
+    """Each (weight, multiplicity) pair of a weights piece, and of the
+    toric preset built from one, needs m >= 1, also where the pairs of one
+    weight would sum to a positive count."""
+    for pairs in ([((1,), 0)], [((1,), -1), ((1,), 2)]):
+        with pytest.raises(InputError, match="multiplicities must be >= 1"):
+            construct_rep(T1, [("weights", pairs)])
+        with pytest.raises(InputError, match="multiplicities must be >= 1"):
+            preset("toric", weights=pairs)
 
 
 class TestWeightSigns:
@@ -215,6 +227,29 @@ def _message(kernel, *args):
     except InputError as e:
         return str(e)
     return None
+
+
+class TestCoinvariantOrder:
+    @settings(derandomize=True, database=None, max_examples=150,
+              deadline=None)
+    @given(st.sampled_from(SYMMETRY_GROUPS), st.data())
+    def test_expanded_is_the_neutral_part_of_the_parent_list(self, tag, data):
+        """The coinvariants' expanded list, derived from their own weight
+        pairs, against the parent's expanded list filtered by the neutral
+        indices of ``weight_signs``: the same weights in the same order,
+        with repeated weights across pairs and rational coweights."""
+        datum = build_group(tag)
+        coords = st.integers(-2, 2)
+        pairs = [(tuple(data.draw(coords) for _ in range(datum.rank)),
+                  data.draw(st.integers(1, 3)))
+                 for _ in range(data.draw(st.integers(0, 6)))]
+        rep = rep_spec(datum, pairs + pairs[:data.draw(st.integers(0, 2))])
+        lam = [F(data.draw(coords), data.draw(st.sampled_from((1, 2))))
+               for _ in range(datum.rank)]
+        for c, pin in datum.quotient_pairs:
+            lam[pin] -= vdot(lam, c)
+        want = tuple(rep.expanded[i] for i in weight_signs(rep, lam).t_zero)
+        assert coinvariant_rep(rep, tuple(lam)).expanded == want
 
 
 class TestWeylSymmetryCheck:

@@ -37,7 +37,7 @@ class TestBuildGroup:
         assert SP4.rho_bar == vec([2, 1])
 
     def test_torus_is_flat(self):
-        assert T3.roots == () and T3.rho_bar == vec([0, 0, 0])
+        assert T3.positive_roots == () and T3.rho_bar == vec([0, 0, 0])
 
     def test_sl2_normalization(self):
         assert len(SL2.positive_roots) == 1
@@ -221,16 +221,16 @@ class TestMakeDominant:
 class TestLevi:
     def test_zero_gives_full(self):
         lv = full_levi(SP4)
-        assert set(lv.phi_lambda) == set(SP4.roots)
+        assert lv.phi_lambda_plus == SP4.positive_roots
         assert lv.rho_bar_lambda == SP4.rho_bar
 
     def test_sp4_diagonal(self):
         lv = levi(SP4, vec([-1, -1]))
-        assert set(lv.phi_lambda) == {vec([1, -1]), vec([-1, 1])}
+        assert lv.phi_lambda_plus == (vec([1, -1]),)
         assert lv.rho_bar_lambda == vec([F(1, 2), F(-1, 2)])
 
     def test_torus_always_empty(self):
-        assert levi(T3, vec([1, -5, 2])).phi_lambda == ()
+        assert levi(T3, vec([1, -5, 2])).phi_lambda_plus == ()
 
     def test_rho_difference_invariant_under_levi_weyl(self):
         # rho_bar_lambda itself moves under its own reflections; the
@@ -273,6 +273,21 @@ SMALL_CATALOG = ("Torus(1)", "Torus(3)", "GL(1)", "GL(2)", "GL(3)", "GL(4)",
                  "Product(SL(2),SL(2))")
 
 
+@pytest.mark.parametrize("tag", SMALL_CATALOG)
+def test_rho_bar_is_the_fraction_half_sum(tag):
+    """rho_bar, derived on first use, against half the Fraction sum of the
+    positive roots, and the whole-group Levi's rho_bar_lambda (half its int
+    two_rho) against it."""
+    datum = build_group(tag)
+    total = vec([0] * datum.rank)
+    for a in datum.positive_roots:
+        total = tuple(x + y for x, y in zip(total, a))
+    want = tuple(x / 2 for x in total)
+    assert datum.rho_bar == want
+    assert all(type(x) is F for x in datum.rho_bar)
+    assert full_levi(datum).rho_bar_lambda == want
+
+
 def _seeded_coweights(datum, rng, count):
     """Random integral coweights, made sum-zero on every SL block."""
     out = []
@@ -295,7 +310,7 @@ class TestFixedSpaceKernels:
         levis = [full_levi(datum)] + [
             levi(datum, lam) for lam in _seeded_coweights(datum, rng, 6)]
         assert any(weyl_generators_reference(lv) for lv in levis) == \
-            bool(datum.roots)
+            bool(datum.positive_roots)
         for lv in levis:
             assert lv.invariant_projector() == invariant_projector_reference(lv)
             assert lv.invariant_vectors() == invariant_vectors_reference(lv)
@@ -512,7 +527,7 @@ class TestOrbitCap:
 
 class TestLeviLabelsFromTheCli:
     """Component labels through ``sod``: both configs reach the adjacency
-    of simple roots in ``_levi_label`` (C2 in Sp(6), A2 in GL(4))."""
+    of simple roots in ``LeviDatum.label`` (C2 in Sp(6), A2 in GL(4))."""
 
     @pytest.mark.parametrize("config, want", [
         ({"group": "Sp(6)", "box_radius": 4,
@@ -541,11 +556,9 @@ def _positive_multiple(row, coroot):
 
 
 def _with_root(datum, alpha):
-    """The datum with one positive root, alpha, and its negative."""
-    neg = tuple(-x for x in alpha)
-    return dataclasses.replace(
-        datum, roots=(alpha, neg), positive_roots=(alpha,),
-        simple_roots=(alpha,), rho_bar=tuple(F(x) / 2 for x in alpha))
+    """The datum with one positive root, alpha (and so its negative)."""
+    return dataclasses.replace(datum, positive_roots=(alpha,),
+                               simple_roots=(alpha,))
 
 
 def _rescaled(datum, root_factor):
@@ -555,10 +568,8 @@ def _rescaled(datum, root_factor):
     def scaled(vectors):
         return tuple(tuple(root_factor * x for x in v) for v in vectors)
     return dataclasses.replace(
-        datum, roots=scaled(datum.roots),
-        positive_roots=scaled(datum.positive_roots),
-        simple_roots=scaled(datum.simple_roots),
-        rho_bar=scaled([datum.rho_bar])[0])
+        datum, positive_roots=scaled(datum.positive_roots),
+        simple_roots=scaled(datum.simple_roots))
 
 
 # Catalog roots, and integer multiples of them: the root scale is no
@@ -661,7 +672,9 @@ class TestIntegerRootKernels:
         # rational coweight
         for lam in [lv.lam for lv in standard] + [vec(lam)]:
             lv = levi(datum, lam)
-            assert lv == levi_reference(datum, lam)
+            want, simple, rho = levi_reference(datum, lam)
+            assert lv == want
+            assert lv.simple_roots == simple and lv.rho_bar_lambda == rho
             chi = tuple(F(data.draw(st.integers(-4, 4)),
                           data.draw(st.sampled_from((1, 2))))
                         for _ in range(datum.rank))

@@ -438,14 +438,13 @@ def _ints(vectors) -> bool:
 
 
 def _root_data_are_ints(tag) -> bool:
-    """Whether the roots, simple roots and SL directions of the datum of
-    ``tag``, and the roots and simple roots of each of its standard Levis,
-    are int tuples."""
+    """Whether the positive and simple roots and SL directions of the datum
+    of ``tag``, and the positive and simple roots of each of its standard
+    Levis, are int tuples."""
     datum, standard = _standard_levis(tag)
-    return _ints(datum.roots + datum.positive_roots + datum.simple_roots
+    return _ints(datum.positive_roots + datum.simple_roots
                  + datum.central_directions) and \
-        all(_ints(lv.phi_lambda + lv.phi_lambda_plus + lv.simple_roots)
-            for lv in standard)
+        all(_ints(lv.phi_lambda_plus + lv.simple_roots) for lv in standard)
 
 
 class TestLatticeVectorsAreInts:
