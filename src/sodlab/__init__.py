@@ -32,7 +32,7 @@ from .partition import (PartitionCell, PreconditionError, ShiftProfile,
                         cell_members, make_profile, order_key,
                         partition_region, signature_of,
                         validate_reduction_setting)
-from .characters import (CharacterTable, GradedDims, hom_block_dims,
-                         irr_character, sym_power_character, weyl_dim)
+from .characters import (CharacterTable, hom_block_dims, irr_character,
+                         sym_power_character, weyl_dim)
 from .sod import (NccrCertificate, SodComponent, SodResult, certify_nccr,
                   enumerate_sod, preset)

@@ -3,10 +3,10 @@
 Irreducible weight multiplicities come from the Freudenthal recursion over
 the (Levi-)root system; symmetric powers from one degree-tracking dynamic
 program per representation; Hom-block dimensions from Sym^d looked up at the
-Weyl orbit of mu + rho, without building the product character.  Every Weyl
-fact (dominant conjugate, orbit with signs) comes from the integer simple
-reflections via `rootdata.descend` and `rootdata.orbit`; the group is never
-enumerated.
+Weyl orbit of mu + rho, without building the product character, as a plain
+tuple whose position is the degree.  Every Weyl fact (dominant conjugate,
+orbit with signs) comes from the integer simple reflections via
+`rootdata.descend` and `rootdata.orbit`; the group is never enumerated.
 
 Everything runs on int tuples of the weight lattice, as `reps.rep_spec`
 requires of every representation: a weight off it is refused with
@@ -82,16 +82,6 @@ def _dominant(datum: RootDatum, chi, lv: LeviDatum) -> tuple[int, ...]:
     if not is_dominant(datum, chi, lv):
         raise InputError(f"{chi} is not dominant for the Levi")
     return chi
-
-
-@dataclass(frozen=True)
-class GradedDims:
-    """Dimension per degree, degrees strictly increasing."""
-
-    entries: tuple[tuple[int, int], ...]
-
-    def dims(self) -> list[int]:
-        return [m for _, m in self.entries]
 
 
 def weyl_dim(datum: RootDatum, chi: Vec, levi: LeviDatum | None = None) -> int:
@@ -268,9 +258,11 @@ def _shifted_orbit(datum: RootDatum, mu: tuple[int, ...],
 
 
 def hom_block_dims(datum: RootDatum, mu: Vec, mu_prime: Vec, coinv: RepSpec,
-                   levi: LeviDatum | None = None, up_to: int = 6) -> GradedDims:
+                   levi: LeviDatum | None = None,
+                   up_to: int = 6) -> tuple[int, ...]:
     """Graded dimensions of Hom(V(mu), V(mu') tensor Sym^d of the neutral
-    weights), for d = 0..up_to.
+    weights), for d = 0..up_to: the entry at position d is the dimension in
+    degree d.
 
     The multiplicity of V(mu) in ch(mu') * Sym^d is the alternating sum over
     w of the product's entry at w(mu + rho) - rho, and that entry is the sum
@@ -295,4 +287,4 @@ def hom_block_dims(datum: RootDatum, mu: Vec, mu_prime: Vec, coinv: RepSpec,
             for counts in (table.counts for table in tables)]
     if any(dim < 0 for dim in dims):
         raise InputError("negative multiplicity: character data corrupt")
-    return GradedDims(tuple(enumerate(dims)))
+    return tuple(dims)

@@ -5,10 +5,11 @@ nu - rho_bar + r * (closed zonotope of all weights), computed at the minimal
 radius by one signature function built per partition (``signature_of``).
 That function solves once per ray from the shift: every later weight on the
 ray reads the same sign sets at a scaled radius.  Cells collect weights
-sharing a signature; each cell carries the canonical antidominant
-one-parameter subgroup realizing its signature and that subgroup's Levi
-datum, found once per face (``face_levi``) and shared by every cell of the
-face, the Levi-invariant shift of its window, and a total order key.
+sharing a signature; each cell carries the Levi datum of the canonical
+antidominant one-parameter subgroup realizing its signature (the subgroup
+is its ``lam``), found once per face (``face_levi``) and shared by every
+cell of the face, and the Levi-invariant shift of its window.  Cells sort
+by ``order_key`` of their signatures.
 
 Every window of the package is enumerated by ``window_points``: the
 Levi-dominant lattice points of a shift plus r times one variant of the
@@ -29,14 +30,13 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable
 
-from .linalg import (Vec, ZERO, ONE, int_row, vadd, vscale, vsub, vec,
-                     zero_vec)
+from .linalg import Vec, ONE, int_row, vadd, vscale, vsub, vec, zero_vec
 from .linprog import InputError, enumerate_lattice, lattice_walk
 from .reps import RepSpec, find_destabilizer, weight_signs
 from .rootdata import (LeviDatum, RootDatum, check_length, full_levi,
                        is_dominant, levi, pairing, star_dominate)
-from .zonotope import (REL_INT, FaceSignature, face_signature_at, member,
-                       supporting_lambda)
+from .zonotope import (REL_INT, TRIVIAL, FaceSignature, face_signature_at,
+                       member, supporting_lambda)
 
 
 class PreconditionError(RuntimeError):
@@ -114,7 +114,7 @@ def signature_of(rep: RepSpec,
         ints = [den * x - q * b for x, b in zip(ints, base)]
         g = math.gcd(*ints)
         if not g:
-            return FaceSignature(ZERO, (), (), (), True)
+            return TRIVIAL
         ray = tuple(x // g for x in ints)
         t = Fraction(g, q * den)
         if ray not in rays:
@@ -135,9 +135,7 @@ def order_key(sig: FaceSignature):
 @dataclass(frozen=True)
 class PartitionCell:
     signature: FaceSignature
-    lam: Vec
     levi: LeviDatum
-    key: tuple
     nu_levi: Vec
     chi_p: Vec
     members: tuple[tuple[int, ...], ...]  # dominant weights found in the box
@@ -162,8 +160,7 @@ def build_cell(rep: RepSpec, sig: FaceSignature, profile: ShiftProfile,
     chi_p = vscale(-sig.r, total)
     nu_levi = vadd(vadd(vsub(profile.nu_global, datum.rho_bar),
                         lv.rho_bar_lambda), chi_p)
-    return PartitionCell(sig, lv.lam, lv, order_key(sig), nu_levi, chi_p,
-                         tuple(members))
+    return PartitionCell(sig, lv, nu_levi, chi_p, tuple(members))
 
 
 def window_box(datum: RootDatum, generators, r, shift):
@@ -194,7 +191,7 @@ def cell_members(rep: RepSpec, cell: PartitionCell, profile: ShiftProfile,
                  coinv: RepSpec, twist=None) -> list[tuple[int, ...]]:
     """All lattice points of the cell's window: Levi-dominant weights in
     nu_levi - rho_bar_lambda + r * (open-coefficient zonotope of ``coinv``,
-    the lam-neutral weights, ``reps.coinvariant_rep(rep, cell.lam)``).
+    the lam-neutral weights, ``reps.coinvariant_rep(rep, cell.levi.lam)``).
     This is the full cell, independent of any box.  The trivial cell
     (r = 0) is the shift point, the set of no generators."""
     datum, lv = rep.datum, cell.levi
@@ -245,7 +242,7 @@ def partition_region(rep: RepSpec, profile: ShiftProfile,
             faces[face] = face_levi(rep, sig)
         cells.append(build_cell(rep, sig, profile, faces[face],
                                 members=sorted(pts)))
-    cells.sort(key=lambda c: c.key)
+    cells.sort(key=lambda c: order_key(c.signature))
     return cells
 
 

@@ -19,7 +19,8 @@ from .partition import (HALF_OPEN_MODE, STANDARD, PreconditionError,
                         make_profile, partition_region)
 from .reps import (RepSpec, TwistData, construct_rep, find_destabilizer,
                    is_quasi_symmetric)
-from .rootdata import build_group, invariant_subspace
+from .rootdata import (RootDatum, build_group, check_length,
+                       invariant_subspace)
 from .sod import (NccrCertificate, Preset, SodComponent, certify_nccr,
                   enumerate_sod)
 
@@ -217,7 +218,7 @@ def preset_config(p: Preset, box_radius: int = 6) -> JobConfig:
     """A JobConfig mirroring a preset's worked-example conventions."""
     assertion = True if p.family in ("pfaffian", "determinantal") else None
     return JobConfig(
-        group=p.datum.label, representation=p.pieces, nu=None,
+        group=p.rep.datum.label, representation=p.pieces, nu=None,
         epsilon=p.recommended_eps, twist=None, r_max=Fraction(3),
         box_radius=box_radius, mode="quasi_symmetric"
         if is_quasi_symmetric(p.rep) else "standard",
@@ -237,7 +238,7 @@ def _signature_json(sig) -> dict:
 def _cell_json(cell) -> dict:
     return {
         "signature": _signature_json(cell.signature),
-        "lambda": weight_json(cell.lam),
+        "lambda": weight_json(cell.levi.lam),
         "nu": vector_json(cell.nu_levi),
         "chi_p": vector_json(cell.chi_p),
         "members_in_box": [weight_json(w) for w in cell.members],
@@ -246,12 +247,14 @@ def _cell_json(cell) -> dict:
 
 def _component_json(c: SodComponent) -> dict:
     kind, arg = c.window_kind
+    levi = c.levi.label()
+    space = "W" if c.signature.trivial else "W_λ"
     return {
         "index": c.index,
-        "is_d0": c.is_d0,
+        "is_d0": c.signature.trivial,
         "signature": _signature_json(c.signature),
-        "lambda": weight_json(c.lam),
-        "levi": c.levi.label(),
+        "lambda": weight_json(c.levi.lam),
+        "levi": levi,
         "nu": vector_json(c.nu),
         "window_kind": {"kind": kind,
                         "r" if kind == "rel_int_scaled" else "epsilon":
@@ -262,7 +265,7 @@ def _component_json(c: SodComponent) -> dict:
                             for w, d in c.u_summands],
         "coinvariant_weights": [{"weight": weight_json(w), "mult": m}
                                 for w, m in c.coinvariants.weights],
-        "algebra": c.algebra,
+        "algebra": f"(End(U) ⊗ Sym {space})^{{{levi}}}",
     }
 
 
@@ -298,22 +301,21 @@ def _base_document(subcommand: str, cfg: JobConfig) -> dict:
     }
 
 
-def _check_rank(cfg: JobConfig, rank: int) -> None:
+def _check_rank(cfg: JobConfig, datum: RootDatum) -> None:
     """Every configured weight-space vector must have one entry per rank.
     TwistData already holds its basis square, so its offset speaks for it."""
     offset = None if cfg.twist is None else cfg.twist.coset_offset
     for name, v in (("nu", cfg.nu), ("epsilon", cfg.epsilon),
                     ("twist coset_offset", offset)):
-        if v is not None and len(v) != rank:
-            raise InputError(f"{name} has {len(v)} entries, but "
-                             f"{cfg.group} has rank {rank}")
+        if v is not None:
+            check_length(datum, v, name)
 
 
 def build_objects(cfg: JobConfig, rep: RepSpec | None = None):
     """(datum, rep, profile) of a job; a given ``rep`` (a preset's, built
     from ``cfg.representation``) is not built again."""
     datum = build_group(cfg.group)
-    _check_rank(cfg, datum.rank)
+    _check_rank(cfg, datum)
     rep = rep or construct_rep(datum, cfg.representation)
     threshold = STANDARD if cfg.mode == "standard" else HALF_OPEN_MODE
     profile = make_profile(datum, cfg.nu, threshold)
@@ -369,11 +371,12 @@ def run_job(subcommand: str, cfg: JobConfig,
             # the tail keeps the SOD epsilon, the others take their default
             cert = certify_nccr(
                 rep, comp.levi, comp.coinvariants, comp.nu,
-                result.epsilon if comp.is_d0 else None, twist=cfg.twist,
+                result.epsilon if comp.signature.trivial else None,
+                twist=cfg.twist,
                 genericity_assertion=cfg.genericity_assertion,
                 prazno_mode=cfg.prazno_mode)
             certs.append({"component_index": comp.index,
-                          "lambda": weight_json(comp.lam),
+                          "lambda": weight_json(comp.levi.lam),
                           "certificate": _certificate_json(cert)})
         doc["nccr"] = certs
         return doc
@@ -386,7 +389,7 @@ def run_job(subcommand: str, cfg: JobConfig,
                                   tail.levi, up_to=cfg.degree_bound)
             blocks.append({
                 "source": weight_json(mu), "target": weight_json(mu2),
-                "dims_by_degree": [d for _, d in dims.entries]})
+                "dims_by_degree": list(dims)})
     doc["hilbert"] = {"component_index": tail.index, "blocks": blocks}
     return doc
 

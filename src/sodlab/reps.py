@@ -149,15 +149,22 @@ class DestabilizerReport:
 
     sigma: Vec | None
     nu: Vec
-    case: str  # "HasStablePoint" | "TrivialActingSubgroup" | "CentralAttractor"
     sigma_annihilates_all: bool
+
+    @property
+    def case(self) -> str:
+        """HasStablePoint, CentralAttractor or TrivialActingSubgroup."""
+        if self.sigma is None:
+            return "HasStablePoint"
+        return "TrivialActingSubgroup" if is_zero_vec(self.nu) \
+            else "CentralAttractor"
 
 
 def find_destabilizer(rep: RepSpec) -> DestabilizerReport:
     datum = rep.datum
     n = datum.rank
     if has_t_stable_point(rep):
-        return DestabilizerReport(None, zero_vec(n), "HasStablePoint", False)
+        return DestabilizerReport(None, zero_vec(n), False)
     values = [w for w, _ in rep.weights]
     # sigma is nonzero, orthogonal to the central directions and pairs
     # nonpositively with each weight
@@ -166,9 +173,8 @@ def find_destabilizer(rep: RepSpec) -> DestabilizerReport:
     sigma = lex_minimal_integral(n, any, rows)
     proj = full_levi(datum).invariant_projector()
     nu = mat_vec(proj, sigma)
-    case = "CentralAttractor" if not is_zero_vec(nu) else "TrivialActingSubgroup"
     annihilates = all(vdot(sigma, w) == 0 for w in values)
-    return DestabilizerReport(sigma, nu, case, annihilates)
+    return DestabilizerReport(sigma, nu, annihilates)
 
 
 # ---------------------------------------------------------------------------

@@ -7,41 +7,53 @@ the component at lam = 0, built like the others, and its window is the unit
 relative-interior window in standard mode, or the half-size epsilon window
 in quasi-symmetric mode.  Component windows and the NCCR window and boundary
 are all enumerated by ``partition.window_points``.
+
+Results store what they are built from: a component's subgroup is
+``levi.lam``, it is the tail exactly when its signature is trivial, and its
+module summands are read on first use; a certificate's flags and verdict
+are read off its windows and checks, and a preset's group is ``rep.datum``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
-from .linalg import Vec, ZERO, ONE, frac, in_span, is_zero_vec, \
+from .linalg import Vec, ONE, frac, in_span, is_zero_vec, \
     line_decomposition, vadd, vsub, vec, zero_vec
 from .linprog import InputError, integral_shell
 from .characters import weyl_dim
 from .partition import (HALF_OPEN_MODE, STANDARD, PartitionCell,
                         PreconditionError, ShiftProfile, cell_members,
-                        partition_region, window_points)
+                        order_key, partition_region, window_points)
 from .reps import (RepSpec, TwistData, coinvariant_rep, construct_rep,
                    is_quasi_symmetric)
 from .rootdata import LeviDatum, RootDatum, build_group, full_levi, levi
-from .zonotope import (CLOSED, HALF_OPEN, REL_INT, EpsShift, FaceSignature,
-                       invariants_in_span, is_generic, is_weakly_generic,
-                       member, member_eps)
+from .zonotope import (CLOSED, HALF_OPEN, REL_INT, TRIVIAL, EpsShift,
+                       FaceSignature, invariants_in_span, is_generic,
+                       is_weakly_generic, member, member_eps)
 
 
 @dataclass(frozen=True)
 class SodComponent:
     index: int
     signature: FaceSignature
-    lam: Vec
     levi: LeviDatum
-    nu: Vec
+    nu: Vec  # the window shift, Levi-invariant
     window_kind: tuple  # ("rel_int_scaled", r) or ("half_size_eps", eps)
     window: tuple[Vec, ...]
-    u_summands: tuple[tuple[Vec, int], ...]
-    coinvariants: RepSpec
-    algebra: str
-    is_d0: bool
+    coinvariants: RepSpec  # the lam-neutral weights
+
+    def __post_init__(self):
+        if not self.levi.is_invariant(self.nu):
+            raise InputError("window shift is not Levi-invariant")
+
+    @cached_property
+    def u_summands(self) -> tuple[tuple[Vec, int], ...]:
+        """Each window weight with the dimension of its Levi irreducible."""
+        return tuple((mu, weyl_dim(self.levi.datum, mu, self.levi))
+                     for mu in self.window)
 
 
 @dataclass(frozen=True)
@@ -62,25 +74,6 @@ def pick_epsilon(rep: RepSpec, lv: LeviDatum, generators) -> Vec:
     for v in invariants_in_span(lv, generators, rep.datum.central_directions):
         total = vadd(total, v)
     return total
-
-
-def _component(rep: RepSpec, index: int, sig: FaceSignature, lv: LeviDatum,
-               nu: Vec, kind: tuple, window, coinv: RepSpec) -> SodComponent:
-    """The component at lam = lv.lam with window shift nu and the
-    coinvariants ``coinv`` of lam; the tail is the one with the trivial
-    signature, at lam = 0."""
-    datum = rep.datum
-    if not lv.is_invariant(nu):
-        raise InputError("window shift is not Levi-invariant")
-    window = tuple(window)
-    summands = tuple((mu, weyl_dim(datum, mu, lv)) for mu in window)
-    space = "W" if sig.trivial else "W_λ"
-    return SodComponent(
-        index=index, signature=sig, lam=lv.lam, levi=lv, nu=nu,
-        window_kind=kind, window=window, u_summands=summands,
-        coinvariants=coinv,
-        algebra=f"(End(U) ⊗ Sym {space})^{{{lv.label()}}}",
-        is_d0=sig.trivial)
 
 
 def _half_eps_window(rep: RepSpec, lv: LeviDatum, gens, shift, e: EpsShift,
@@ -107,9 +100,8 @@ def _tail_component(rep: RepSpec, lv: LeviDatum, profile: ShiftProfile,
         kind = ("half_size_eps", eps)
         window = _half_eps_window(rep, lv, gens, shift, EpsShift(eps, "plus"),
                                   twist)
-    trivial = FaceSignature(ZERO, (), (), (), True)
-    return _component(rep, 0, trivial, lv, profile.nu_global, kind, window,
-                      coinvariant_rep(rep, lv.lam))
+    return SodComponent(0, TRIVIAL, lv, profile.nu_global, kind,
+                        tuple(window), coinvariant_rep(rep, lv.lam))
 
 
 def enumerate_sod(rep: RepSpec, profile: ShiftProfile,
@@ -118,9 +110,9 @@ def enumerate_sod(rep: RepSpec, profile: ShiftProfile,
                   twist: TwistData | None = None) -> SodResult:
     """Ordered decomposition data over a dominant search box.
 
-    Components appear in strictly descending order of the cell key, the tail
-    component last with the largest index (zero); kept cells have radius at
-    least the profile threshold and at most r_max.
+    Components appear in strictly descending ``order_key`` of their
+    signatures, the tail component last with the largest index (zero); kept
+    cells have radius at least the profile threshold and at most r_max.
     """
     datum = rep.datum
     if profile.threshold == HALF_OPEN_MODE and not is_quasi_symmetric(rep):
@@ -138,17 +130,17 @@ def enumerate_sod(rep: RepSpec, profile: ShiftProfile,
             frontier.append(cell)
         else:
             kept.append(cell)
-    kept.sort(key=lambda c: c.key, reverse=True)
+    kept.sort(key=lambda c: order_key(c.signature), reverse=True)
     components = []
     # one restriction per distinct lam, shared by the components at it
     coinvs = {lam: coinvariant_rep(rep, lam)
-              for lam in {cell.lam for cell in kept}}
+              for lam in {cell.levi.lam for cell in kept}}
     for i, cell in enumerate(kept):
-        coinv = coinvs[cell.lam]
-        components.append(_component(
-            rep, -(len(kept) - i), cell.signature, cell.levi, cell.nu_levi,
+        coinv = coinvs[cell.levi.lam]
+        components.append(SodComponent(
+            -(len(kept) - i), cell.signature, cell.levi, cell.nu_levi,
             ("rel_int_scaled", cell.signature.r),
-            cell_members(rep, cell, profile, coinv, twist=twist),
+            tuple(cell_members(rep, cell, profile, coinv, twist=twist)),
             coinv))
     components.append(_tail_component(rep, lv0, profile, eps, twist=twist))
     return SodResult(tuple(components), tuple(absorbed), tuple(frontier),
@@ -165,13 +157,27 @@ class NccrCertificate:
     quasi_symmetric: bool
     epsilon: Vec
     eps_status: str        # "Generic" | "WeaklyGeneric" | "Fails"
-    window_nonempty: bool
     window: tuple[Vec, ...]
-    prazno_empty: bool
     prazno_points: tuple[Vec, ...]
     genericity: str        # "CheckedToricRule" | "UserAsserted" | "Unknown"
-    verdict: str           # "TwistedNCCR" | "FiniteGlobalDimOnly" | "Unknown"
     prazno_mode: str       # "set" | "minkowski"
+
+    @property
+    def window_nonempty(self) -> bool:
+        return bool(self.window)
+
+    @property
+    def prazno_empty(self) -> bool:
+        return not self.prazno_points
+
+    @property
+    def verdict(self) -> str:
+        """TwistedNCCR, FiniteGlobalDimOnly or Unknown."""
+        if not self.quasi_symmetric:
+            return "Unknown"
+        ok = (self.eps_status in ("Generic", "WeaklyGeneric") and self.window
+              and self.prazno_empty and self.genericity != "Unknown")
+        return "TwistedNCCR" if ok else "FiniteGlobalDimOnly"
 
 
 def _toric_two_per_side(coinv: RepSpec) -> bool:
@@ -239,27 +245,14 @@ def certify_nccr(rep: RepSpec, lv: LeviDatum, coinv: RepSpec, nu: Vec,
         prazno_points = tuple(window_points(
             datum, lv, (), half, shift,
             member((), half, shift, CLOSED, central), twist))
-    prazno_empty = not prazno_points
-
     if not lv.phi_lambda_plus:
         genericity = "CheckedToricRule" if _toric_two_per_side(coinv) else "Unknown"
     elif genericity_assertion:
         genericity = "UserAsserted"
     else:
         genericity = "Unknown"
-
-    if (quasi and eps_status in ("Generic", "WeaklyGeneric")
-            and window and prazno_empty and genericity != "Unknown"):
-        verdict = "TwistedNCCR"
-    elif quasi:
-        verdict = "FiniteGlobalDimOnly"
-    else:
-        verdict = "Unknown"
-    return NccrCertificate(
-        quasi_symmetric=quasi, epsilon=eps, eps_status=eps_status,
-        window_nonempty=bool(window), window=window,
-        prazno_empty=prazno_empty, prazno_points=prazno_points,
-        genericity=genericity, verdict=verdict, prazno_mode=prazno_mode)
+    return NccrCertificate(quasi, eps, eps_status, window, prazno_points,
+                           genericity, prazno_mode)
 
 
 # ---------------------------------------------------------------------------
@@ -269,7 +262,6 @@ def certify_nccr(rep: RepSpec, lv: LeviDatum, coinv: RepSpec, nu: Vec,
 @dataclass(frozen=True)
 class Preset:
     family: str
-    datum: RootDatum
     pieces: tuple      # the construction pieces ``rep`` was built from
     rep: RepSpec
     recommended_eps: Vec
@@ -301,7 +293,7 @@ def preset(family: str, **params) -> Preset:
         expected = {"family": "pfaffian", "n": n, "h": h,
                     "prazno_empty": h % 2 == 1,
                     "verdict": "TwistedNCCR" if h % 2 == 1 else "FiniteGlobalDimOnly"}
-        return Preset("pfaffian", datum, pieces, rep, zero_vec(n), expected)
+        return Preset("pfaffian", pieces, rep, zero_vec(n), expected)
     if family == "determinantal":
         n, h = int(params["n"]), int(params["h"])
         if not n < h:
@@ -312,7 +304,7 @@ def preset(family: str, **params) -> Preset:
         eps = (ONE,) * n
         expected = {"family": "determinantal", "n": n, "h": h,
                     "prazno_empty": True, "verdict": "TwistedNCCR"}
-        return Preset("determinantal", datum, pieces, rep, eps, expected)
+        return Preset("determinantal", pieces, rep, eps, expected)
     if family == "sl2":
         degrees = [int(d) for d in params["degrees"]]
         if any(d < 0 for d in degrees):
@@ -333,7 +325,7 @@ def preset(family: str, **params) -> Preset:
         expected = {"family": "sl2", "degrees": degrees, "c": c, "s": s,
                     "case": case,
                     "half_window_size": (s - 1) // 2 if s % 2 == 1 else None}
-        return Preset("sl2", datum, pieces, rep, zero_vec(2), expected)
+        return Preset("sl2", pieces, rep, zero_vec(2), expected)
     if family == "toric":
         weights = params.get("weights") or [((1,), 2), ((-1,), 2)]
         rank = len(vec(weights[0][0]))
@@ -345,7 +337,7 @@ def preset(family: str, **params) -> Preset:
                     "two_per_side": _toric_two_per_side(rep),
                     "verdict": "TwistedNCCR" if _toric_two_per_side(rep)
                     and is_quasi_symmetric(rep) else "Unknown"}
-        return Preset("toric", datum, pieces, rep, eps, expected)
+        return Preset("toric", pieces, rep, eps, expected)
     raise InputError(f"unknown preset family {family!r}")
 
 

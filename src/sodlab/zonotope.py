@@ -77,14 +77,20 @@ class FaceSignature:
     s_plus: tuple[int, ...]
     s_minus: tuple[int, ...]
     s_zero: tuple[int, ...]
-    trivial: bool
 
     def __post_init__(self):
         if self.trivial:
-            if self.r != 0 or self.s_plus or self.s_minus or self.s_zero:
+            if self.s_plus or self.s_minus or self.s_zero:
                 raise InputError("malformed trivial signature")
-        elif not self.s_plus or self.r <= 0:
+        elif not self.s_plus or self.r < 0:
             raise InputError("nontrivial signature needs r > 0 and forced generators")
+
+    @property
+    def trivial(self) -> bool:
+        return self.r == 0
+
+
+TRIVIAL = FaceSignature(ZERO, (), (), ())
 
 
 @dataclass(frozen=True)
@@ -230,7 +236,7 @@ def face_signature_at(generators, shift,
         if res.status != "optimal":
             raise InputError("point lies outside the span of the generators")
         if res.value == 0:
-            return FaceSignature(ZERO, (), (), (), True)
+            return TRIVIAL
         report = forced_tight(prog, res)
         # the radius rows' slacks are the last columns, one per line
         slack0 = prog.nvars - len(radius.lines)
@@ -248,7 +254,7 @@ def face_signature_at(generators, shift,
                 else:
                     minus.extend(idx)
         return FaceSignature(res.value, tuple(sorted(plus)),
-                             tuple(sorted(minus)), tuple(sorted(zero)), False)
+                             tuple(sorted(minus)), tuple(sorted(zero)))
 
     return signature
 
@@ -454,11 +460,6 @@ def member_eps(generators, r, shift, e: EpsShift,
 # 1.0-1.7 s to scan and 1.8-3.6 s for the whole table (Python 3.11, 2-core
 # Xeon); past it the table is refused, not built for minutes.
 HYPERPLANE_SCAN_CAP = 10_000
-
-
-def _lines(gens) -> list[tuple[int, ...]]:
-    """The distinct nonzero generator lines, as sorted primitive int tuples."""
-    return sorted(line_decomposition(_classes(gens), len))
 
 
 def _hyperplane_normals(lines, central, dim):

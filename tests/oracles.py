@@ -77,7 +77,7 @@ from sodlab.partition import PartitionCell, PreconditionError, order_key
 from sodlab.reps import find_destabilizer
 from sodlab.rootdata import LeviDatum, full_levi, is_dominant, levi
 from sodlab.zonotope import (CLOSED, HALF_OPEN, REL_INT, FaceSignature,
-                              FacetTable, _lines, face_signature_at,
+                              FacetTable, face_signature_at,
                               facet_table, member, signature_classes,
                               supporting_lambda)
 
@@ -451,7 +451,7 @@ def face_signature_reference(generators, shift, p, central=()):
     if r is None:
         raise InputError("point lies outside the span of the generators")
     if r == 0:
-        return FaceSignature(F(0), (), (), (), True)
+        return FaceSignature(F(0), (), (), ())
     b = LpBuilder()
     classes, cols = coefficient_system(
         b, generators, central, vsub(vec(p), vec(shift)), r)
@@ -466,7 +466,7 @@ def face_signature_reference(generators, shift, p, central=()):
         else:
             zero.extend(idx)
     return FaceSignature(r, tuple(sorted(plus)), tuple(sorted(minus)),
-                         tuple(sorted(zero)), False)
+                         tuple(sorted(zero)))
 
 
 def dominant_box_points_reference(rep, radius):
@@ -505,9 +505,9 @@ def partition_region_reference(rep, profile, box_radius):
             chi_p = vsub(chi_p, vscale(sig.r, rep.expanded[i]))
         lv = levi(datum, lam)
         nu_levi = vadd(vadd(shift, lv.rho_bar_lambda), chi_p)
-        cells.append(PartitionCell(sig, lam, lv, order_key(sig), nu_levi,
-                                   chi_p, tuple(sorted(pts))))
-    cells.sort(key=lambda c: c.key)
+        cells.append(PartitionCell(sig, lv, nu_levi, chi_p,
+                                   tuple(sorted(pts))))
+    cells.sort(key=lambda c: order_key(c.signature))
     return cells
 
 
@@ -773,7 +773,7 @@ def facet_table_reference(generators, central, dim):
     gens = [vec(g) for g in generators]
     central = [vec(c) for c in central]
     span = span_basis(gens + central, dim)
-    lines = _lines(gens)
+    lines = sorted({primitive(g) for g in gens if any(g)})
     facets = []
     for _, base in proper_flats_reference(lines, central, dim):
         if len(base) != len(span) - 1:
@@ -794,8 +794,9 @@ def _proper_face_spans_reference(generators, central):
     the closure search (zero generators lie in every one of them)."""
     gens = [vec(g) for g in generators]
     dim = len(gens[0]) if gens else len(central[0]) if central else 0
+    lines = sorted({primitive(g) for g in gens if any(g)})
     return [base for _, base in
-            proper_flats_reference(_lines(gens), list(central), dim)]
+            proper_flats_reference(lines, list(central), dim)]
 
 
 def is_generic_reference(eps, generators, central=()):

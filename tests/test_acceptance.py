@@ -53,7 +53,7 @@ def test_criterion_1_pfaffian_parity():
             for h in range(2 * n + 1, 8):
                 p = preset("pfaffian", n=n, h=h)
                 zero = vec([0] * n)
-                cert = certify_nccr(p.rep, full_levi(p.datum),
+                cert = certify_nccr(p.rep, full_levi(p.rep.datum),
                                     coinvariant_rep(p.rep, zero), zero, zero,
                                     genericity_assertion=True)
                 assert cert.prazno_empty == (h % 2 == 1), (n, h)
@@ -63,7 +63,7 @@ def test_criterion_2_determinantal_windows():
     with criterion(2, "determinantal weak genericity and window equality", 10):
         for n, h in ((1, 2), (1, 3), (2, 3)):
             p = preset("determinantal", n=n, h=h)
-            datum, rep = p.datum, p.rep
+            datum, rep = p.rep.datum, p.rep
             eps = p.recommended_eps
             gens = rep.expanded
             assert is_weakly_generic(eps, datum, gens)
@@ -116,11 +116,11 @@ def test_criterion_3_sl2_catalog():
             oracle_count = sum(1 for x in range(0, s)
                                if F(x) <= F(s, 2) - 1)
             assert oracle_count == (s - 1) // 2
-            prof = make_profile(p.datum, threshold="half_open")
+            prof = make_profile(p.rep.datum, threshold="half_open")
             res = enumerate_sod(p.rep, prof, box_radius=6,
                                 epsilon=vec([0, 0]))
             tail = res.components[-1]
-            assert tail.is_d0
+            assert tail.signature.trivial
             assert len(tail.window) == (s - 1) // 2, degrees
 
 
@@ -175,12 +175,12 @@ def test_criterion_4_partition_property_suite():
                         plus, minus = signature_to_value_counts(rep, sig)
                         assert oracle == (sig.r, plus, minus), chi
                         # supporting-subgroup round trip
-                        signs = weight_signs(rep, cell.lam)
+                        signs = weight_signs(rep, cell.levi.lam)
                         assert signs.t_plus == sig.s_plus
                         assert signs.t_minus == sig.s_minus
                         assert signs.t_zero == sig.s_zero
                         # window members are fully dominant
-                        coinv = coinvariant_rep(rep, cell.lam)
+                        coinv = coinvariant_rep(rep, cell.levi.lam)
                         for mu in cell_members(rep, cell, prof, coinv):
                             assert is_dominant(datum, mu)
                             assert signature(mu) == sig
@@ -192,7 +192,7 @@ def test_criterion_4_partition_property_suite():
                 if not threshold_ok:
                     continue
                 # monotonicity under random attracted subset sums
-                signs = weight_signs(rep, cell.lam)
+                signs = weight_signs(rep, cell.levi.lam)
                 plus_idx = list(signs.t_plus)
                 for _ in range(3):
                     size = rng.randint(1, len(plus_idx))
@@ -210,7 +210,7 @@ def test_criterion_4_partition_property_suite():
                             len(sig2.s_zero)) < \
                         (sig.r, len(sig.s_plus), len(sig.s_minus),
                          len(sig.s_zero)), (chi, combo)
-                    assert pairing(cell.lam, mu_plus) > pairing(cell.lam, chi)
+                    assert pairing(cell.levi.lam, mu_plus) > pairing(cell.levi.lam, chi)
         assert total == 500
 
 
@@ -218,17 +218,18 @@ def _validate_components(rep, prof, radius):
     cells = partition_region(rep, prof, radius)
     result = enumerate_sod(rep, prof, box_radius=radius)
     for comp in result.components:
-        if comp.is_d0:
+        if comp.signature.trivial:
             # nothing sits below the tail and its subgroup attracts no
             # weights, so the condition set is empty
             for chi in comp.window:
-                out = validate_reduction_setting(rep, [], chi, comp.lam)
+                out = validate_reduction_setting(rep, [], chi, comp.levi.lam)
                 assert out.status == "ok" and out.valid
             continue
         key = order_key(comp.signature)
-        window_below = [m for c in cells if c.key < key for m in c.members]
+        window_below = [m for c in cells if order_key(c.signature) < key
+                        for m in c.members]
         for chi in comp.window:
-            out = validate_reduction_setting(rep, window_below, chi, comp.lam)
+            out = validate_reduction_setting(rep, window_below, chi, comp.levi.lam)
             assert out.status == "ok", (comp.index, chi, out.detail)
             assert out.valid, (comp.index, chi, out.violations)
 
@@ -236,9 +237,9 @@ def _validate_components(rep, prof, radius):
 def test_criterion_5_reduction_settings():
     with criterion(5, "reduction-setting validation over emitted components", 30):
         toric = preset("toric")
-        _validate_components(toric.rep, make_profile(toric.datum), 6)
+        _validate_components(toric.rep, make_profile(toric.rep.datum), 6)
         sl2 = preset("sl2", degrees=[3, 0])
-        _validate_components(sl2.rep, make_profile(sl2.datum), 6)
+        _validate_components(sl2.rep, make_profile(sl2.rep.datum), 6)
 
 
 def test_criterion_6_hilbert_cross_check():
@@ -258,7 +259,7 @@ def test_criterion_6_hilbert_cross_check():
         sp2 = build_group("Sp(2)")
         w = construct_rep(sp2, [("vector_power", 3)])
         dims = hom_block_dims(sp2, vec([0]), vec([0]), w, up_to=6)
-        assert dims.dims() == expected
+        assert list(dims) == expected
 
 
 def test_criterion_7_kernel_oracle_equivalence():

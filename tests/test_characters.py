@@ -177,18 +177,18 @@ class TestHomBlocks:
     def test_pfaffian_invariants(self):
         w = construct_rep(SP2, [("vector_power", 3)])
         dims = hom_block_dims(SP2, vec([0]), vec([0]), w, up_to=6)
-        assert dims.dims() == [1, 0, 3, 0, 6, 0, 10]
+        assert dims == (1, 0, 3, 0, 6, 0, 10)
 
     def test_sl2_two_vectors(self):
         w = construct_rep(SL2, [("vector_power", 2)])
         dims = hom_block_dims(SL2, vec([0, 0]), vec([0, 0]), w, up_to=2)
-        assert dims.dims() == [1, 0, 1]
+        assert dims == (1, 0, 1)
 
     def test_central_obstruction(self):
         t2 = build_group("Torus(2)")
         w = rep_spec(t2, [((1, 0), 1), ((-1, 0), 1)])
         dims = hom_block_dims(t2, vec([0, 0]), vec([0, 1]), w, up_to=4)
-        assert dims.dims() == [0, 0, 0, 0, 0]
+        assert dims == (0, 0, 0, 0, 0)
 
     def test_invariant_count_vs_monomials(self):
         # weight-zero monomial count corrected by the alternating sum, for a
@@ -206,12 +206,6 @@ class TestHomBlocks:
                 counts[s] = counts.get(s, 0) + 1
             expected = counts.get(0, 0) - counts.get(-2, 0)
             assert got == expected
-
-    def test_graded_degrees_increase(self):
-        w = construct_rep(SP2, [("vector_power", 3)])
-        dims = hom_block_dims(SP2, vec([0]), vec([0]), w, up_to=4)
-        degs = [d for d, _ in dims.entries]
-        assert degs == sorted(set(degs))
 
 
 def _vd(h):
@@ -247,8 +241,8 @@ class TestHomBlockLookup:
         nonzero = 0
         for mu in tail.window:
             for mu2 in tail.window:
-                got = hom_block_dims(datum, mu, mu2, tail.coinvariants, lv,
-                                     up_to=4).dims()
+                got = list(hom_block_dims(datum, mu, mu2, tail.coinvariants,
+                                          lv, up_to=4))
                 assert got == hom_block_dims_reference(
                     datum, mu, mu2, tail.coinvariants, lv, 4)
                 nonzero += any(got)
@@ -269,11 +263,11 @@ class TestHomBlockLookup:
         totals = []
         for mu in weights:
             for mu2 in weights:
-                got = hom_block_dims(sl3, mu, mu2, w, up_to=4).dims()
+                got = list(hom_block_dims(sl3, mu, mu2, w, up_to=4))
                 assert got == hom_block_dims_reference(sl3, mu, mu2, w, lv, 4)
                 totals.append(sum(got))
         assert hom_block_dims(sl3, weights[0], weights[0], w,
-                              up_to=2).dims() == [1, 0, 1]
+                              up_to=2) == (1, 0, 1)
         assert min(totals) > 0
 
 
@@ -345,7 +339,7 @@ class TestLatticeRefusals:
             _weight_multiset(GL2, [((1, -1), 1), ((-1, 1), 1), ((0, 0), 1),
                                    ((1, 0), 1), ((0, 1), 1)]), vec([1, 1]))
         weights = {"mu": vec([0, 0]), "mu_prime": vec([0, 0])}
-        assert hom_block_dims(GL2, **weights, coinv=integral).dims()[0] == 1
+        assert hom_block_dims(GL2, **weights, coinv=integral)[0] == 1
         weights[which] = vec(["1/2", "-1/2"])
         with pytest.raises(InputError, match="not a lattice element"):
             hom_block_dims(GL2, **weights, coinv=integral)
@@ -370,8 +364,7 @@ class TestLatticeRefusals:
         datum = _with_root(build_group("Torus(4)"), (1, 1, 1, 1))
         rep = rep_spec(datum, [((1, 0, 0, 0), 1)])
         zero, e1 = vec([0, 0, 0, 0]), vec([1, 0, 0, 0])
-        assert hom_block_dims(datum, zero, zero, rep, up_to=2).dims() == \
-            [1, 0, 0]
+        assert hom_block_dims(datum, zero, zero, rep, up_to=2) == (1, 0, 0)
         with pytest.raises(InputError, match="off the lattice"):
             hom_block_dims(datum, e1, zero, rep, up_to=2)
 
@@ -443,7 +436,7 @@ class TestCharacterSlot:
                                  (GL2, torus, True), (GL2, whole, True),
                                  (GL2, again, True), (twin, again, True),
                                  (twin, again, False)):
-            got = hom_block_dims(datum, mu, mu, coinv, lv, up_to=3).dims()
+            got = list(hom_block_dims(datum, mu, mu, coinv, lv, up_to=3))
             assert got == hom_block_dims_reference(GL2, mu, mu, coinv, lv, 3)
             expected += fresh
             assert len(calls) == expected
@@ -464,7 +457,7 @@ class TestCharacterSlot:
         def work(k):
             for i in range(40):
                 lv = levis[(i + k) % 2]
-                got = hom_block_dims(GL2, mu, mu, coinv, lv, up_to=3).dims()
+                got = list(hom_block_dims(GL2, mu, mu, coinv, lv, up_to=3))
                 if got != want[(i + k) % 2]:
                     wrong.append(got)
 

@@ -314,6 +314,16 @@ class TestCliProcess:
         assert main(["sod", "--config", write_config(tmp_path, cfg)]) == 2
         assert "rank" in capsys.readouterr().err
 
+    def test_wrong_rank_names_the_catalog_label(self, tmp_path, capsys):
+        # the message names the group as built, not the tag as written
+        cfg = {"group": " gl(2) ",
+               "representation": [{"kind": "vector_power", "h": 2},
+                                  {"kind": "dual_vector_power", "h": 2}],
+               "box_radius": 1, "nu": ["1"]}
+        assert main(["sod", "--config", write_config(tmp_path, cfg)]) == 2
+        assert "nu has 1 entries, but GL(2) has rank 2" in \
+            capsys.readouterr().err
+
     @pytest.mark.parametrize("key, value", [
         ("box_radius", True),
         ("degree_bound", False),

@@ -29,28 +29,28 @@ T1 = build_group("Torus(1)")
 class TestEnumerateSod:
     def test_torus_component_layout(self):
         p = preset("toric")
-        prof = make_profile(p.datum)
+        prof = make_profile(p.rep.datum)
         res = enumerate_sod(p.rep, prof, r_max=F(2), box_radius=4)
-        radii = [c.signature.r for c in res.components if not c.is_d0]
+        radii = [c.signature.r for c in res.components if not c.signature.trivial]
         assert radii == [F(2), F(2), F(3, 2), F(3, 2), F(1), F(1)]
         keys = [c.index for c in res.components]
         assert keys == [-6, -5, -4, -3, -2, -1, 0]
         tail = res.components[-1]
-        assert tail.is_d0 and tail.window == (vec([-1]), vec([0]), vec([1]))
+        assert tail.signature.trivial and tail.window == (vec([-1]), vec([0]), vec([1]))
         assert [str(c.signature.r) for c in res.absorbed] == ["0", "1/2", "1/2"]
 
     def test_descending_order_and_single_tail(self):
         p = preset("pfaffian", n=1, h=3)
-        prof = make_profile(p.datum, threshold="half_open")
+        prof = make_profile(p.rep.datum, threshold="half_open")
         res = enumerate_sod(p.rep, prof, box_radius=5)
-        keys = [c.signature.r for c in res.components if not c.is_d0]
+        keys = [c.signature.r for c in res.components if not c.signature.trivial]
         assert keys == sorted(keys, reverse=True)
-        assert sum(c.is_d0 for c in res.components) == 1
-        assert res.components[-1].is_d0
+        assert sum(c.signature.trivial for c in res.components) == 1
+        assert res.components[-1].signature.trivial
 
     def test_pfaffian_tail_window(self):
         p = preset("pfaffian", n=1, h=3)
-        prof = make_profile(p.datum, threshold="half_open")
+        prof = make_profile(p.rep.datum, threshold="half_open")
         res = enumerate_sod(p.rep, prof, box_radius=5)
         tail = res.components[-1]
         assert tail.window == (vec([0]),)
@@ -62,7 +62,7 @@ class TestEnumerateSod:
         rep = rep_spec(t0, [])
         res = enumerate_sod(rep, make_profile(t0), box_radius=0)
         assert len(res.components) == 1
-        assert res.components[0].is_d0
+        assert res.components[0].signature.trivial
         assert res.components[0].window == ((),)
 
     def test_no_stable_point_raises_with_report(self):
@@ -80,17 +80,17 @@ class TestEnumerateSod:
 
     def test_r_max_truncation_recorded(self):
         p = preset("toric")
-        res = enumerate_sod(p.rep, make_profile(p.datum), r_max=F(1),
+        res = enumerate_sod(p.rep, make_profile(p.rep.datum), r_max=F(1),
                             box_radius=4)
         beyond = sorted(c.signature.r for c in res.frontier)
         assert beyond == [F(3, 2), F(3, 2), F(2), F(2)]
 
     def test_nu_levi_invariance(self):
         p = preset("pfaffian", n=2, h=5)
-        prof = make_profile(p.datum, threshold="half_open")
+        prof = make_profile(p.rep.datum, threshold="half_open")
         res = enumerate_sod(p.rep, prof, box_radius=3)
         for c in res.components:
-            lv = levi(p.datum, c.lam)
+            lv = levi(p.rep.datum, c.levi.lam)
             assert lv.is_invariant(c.nu)
 
 
@@ -102,7 +102,7 @@ def _neutral(rep, lam):
 class TestCertify:
     def test_pfaffian_odd(self):
         p = preset("pfaffian", n=1, h=3)
-        cert = certify_nccr(p.rep, full_levi(p.datum), _neutral(p.rep, [0]),
+        cert = certify_nccr(p.rep, full_levi(p.rep.datum), _neutral(p.rep, [0]),
                             vec([0]), vec([0]), genericity_assertion=True)
         assert cert.quasi_symmetric and cert.eps_status == "WeaklyGeneric"
         assert cert.window == (vec([0]),)
@@ -110,7 +110,7 @@ class TestCertify:
 
     def test_pfaffian_even(self):
         p = preset("pfaffian", n=1, h=4)
-        cert = certify_nccr(p.rep, full_levi(p.datum), _neutral(p.rep, [0]),
+        cert = certify_nccr(p.rep, full_levi(p.rep.datum), _neutral(p.rep, [0]),
                             vec([0]), vec([0]), genericity_assertion=True)
         assert not cert.prazno_empty
         assert cert.prazno_points == (vec([1]),)
@@ -118,7 +118,7 @@ class TestCertify:
 
     def test_determinantal_window_equality(self):
         p = preset("determinantal", n=1, h=2)
-        cert = certify_nccr(p.rep, full_levi(p.datum), _neutral(p.rep, [0]),
+        cert = certify_nccr(p.rep, full_levi(p.rep.datum), _neutral(p.rep, [0]),
                             vec([0]), p.recommended_eps)
         assert cert.eps_status in ("Generic", "WeaklyGeneric")
         assert cert.genericity == "CheckedToricRule"
@@ -127,9 +127,9 @@ class TestCertify:
     def test_eps_scaling_invariance(self):
         p = preset("determinantal", n=2, h=3)
         coinv = _neutral(p.rep, [0, 0])
-        base = certify_nccr(p.rep, full_levi(p.datum), coinv, vec([0, 0]),
+        base = certify_nccr(p.rep, full_levi(p.rep.datum), coinv, vec([0, 0]),
                             p.recommended_eps, genericity_assertion=True)
-        scaled = certify_nccr(p.rep, full_levi(p.datum), coinv, vec([0, 0]),
+        scaled = certify_nccr(p.rep, full_levi(p.rep.datum), coinv, vec([0, 0]),
                               vscale(F(5, 3), p.recommended_eps),
                               genericity_assertion=True)
         assert (base.eps_status, base.window_nonempty, base.window,
@@ -141,15 +141,15 @@ class TestCertify:
         p = preset("determinantal", n=2, h=3)
         coinv = _neutral(p.rep, [0, 0])
         with pytest.raises(InputError):
-            certify_nccr(p.rep, full_levi(p.datum), coinv, vec([1, 0]),
+            certify_nccr(p.rep, full_levi(p.rep.datum), coinv, vec([1, 0]),
                          p.recommended_eps)
         with pytest.raises(InputError):
-            certify_nccr(p.rep, full_levi(p.datum), coinv, vec([0, 0]),
+            certify_nccr(p.rep, full_levi(p.rep.datum), coinv, vec([0, 0]),
                          vec([1, 0]))
 
     def test_nonzero_lambda_component(self):
         p = preset("pfaffian", n=1, h=3)
-        cert = certify_nccr(p.rep, levi(p.datum, vec([-1])),
+        cert = certify_nccr(p.rep, levi(p.rep.datum, vec([-1])),
                             _neutral(p.rep, [-1]), vec([2]), vec([0]))
         assert cert.window == (vec([2]),)
         assert cert.prazno_empty
@@ -161,20 +161,20 @@ class TestCertify:
 
         p = preset("pfaffian", n=1, h=4)
         odd = TwistData(((F(2),),), (F(1),))
-        cert = certify_nccr(p.rep, full_levi(p.datum), _neutral(p.rep, [0]),
+        cert = certify_nccr(p.rep, full_levi(p.rep.datum), _neutral(p.rep, [0]),
                             vec([0]), vec([0]), twist=odd,
                             genericity_assertion=True)
         # the boundary point 1 is odd, so it survives the coset filter
         assert cert.prazno_points == (vec([1]),)
         even = TwistData(((F(2),),), (F(0),))
-        cert = certify_nccr(p.rep, full_levi(p.datum), _neutral(p.rep, [0]),
+        cert = certify_nccr(p.rep, full_levi(p.rep.datum), _neutral(p.rep, [0]),
                             vec([0]), vec([0]), twist=even,
                             genericity_assertion=True)
         assert cert.prazno_empty
 
     def test_minkowski_mode_flag(self):
         p = preset("pfaffian", n=1, h=3)
-        cert = certify_nccr(p.rep, full_levi(p.datum), _neutral(p.rep, [0]),
+        cert = certify_nccr(p.rep, full_levi(p.rep.datum), _neutral(p.rep, [0]),
                             vec([0]), vec([0]), genericity_assertion=True,
                             prazno_mode="minkowski")
         assert cert.prazno_mode == "minkowski"
@@ -226,14 +226,15 @@ class TestLambdaDataOnce:
         assert doc["nccr"] and builds
         assert len(flats) == len(builds)
         assert "face_levi" in levi_callers
-        assert not {"cell_members", "_component", "run_job"} & set(levi_callers)
+        assert not {"cell_members", "enumerate_sod", "_tail_component",
+                    "run_job"} & set(levi_callers)
 
         datum, rep, profile = build_objects(cfg)
         result = enumerate_sod(rep, profile, r_max=cfg.r_max,
                                box_radius=cfg.box_radius, epsilon=cfg.epsilon)
         assert len(result.components) > 1
         for comp in result.components:
-            assert comp.levi == original(datum, comp.lam)
+            assert comp.levi == original(datum, comp.levi.lam)
 
     @pytest.mark.parametrize("preset_name", ["determinantal", "toric"])
     def test_nccr_job_builds_coinvariants_once(self, preset_name,
@@ -330,7 +331,7 @@ class TestPraznoFromFacets:
                                box_radius=cfg.box_radius, epsilon=cfg.epsilon)
         for comp in result.components:
             cert = certify_nccr(rep, comp.levi, comp.coinvariants, comp.nu,
-                                result.epsilon if comp.is_d0 else None)
+                                result.epsilon if comp.signature.trivial else None)
             assert cert.prazno_points == prazno_reference(
                 rep, comp.levi, comp.coinvariants, comp.nu, cert.epsilon), \
                 comp.index
@@ -349,7 +350,7 @@ class TestPraznoFromFacets:
             profile = make_profile(datum, nu, threshold="half_open")
             result = enumerate_sod(rep, profile, r_max=F(2), box_radius=2)
             cases = [(comp.levi, comp.coinvariants, comp.nu,
-                      result.epsilon if comp.is_d0 else None)
+                      result.epsilon if comp.signature.trivial else None)
                      for comp in result.components]
             lam = vec([0, 0])
             for eps in (vec([0, 0]), rep.weights[0][0],
@@ -401,7 +402,7 @@ class TestPraznoFromFacets:
 class TestPresets:
     def test_pfaffian_weights(self):
         p = preset("pfaffian", n=2, h=5)
-        assert p.datum.rho_bar == vec([2, 1])
+        assert p.rep.datum.rho_bar == vec([2, 1])
         assert dict(p.rep.weights) == {
             vec([1, 0]): 5, vec([-1, 0]): 5, vec([0, 1]): 5, vec([0, -1]): 5}
 
@@ -473,15 +474,15 @@ class TestLatticeVectorsAreInts:
         result = enumerate_sod(rep, profile, r_max=cfg.r_max,
                                box_radius=cfg.box_radius, epsilon=cfg.epsilon)
         for cell in result.absorbed + result.frontier:
-            assert _ints(cell.members) and _ints([cell.lam])
+            assert _ints(cell.members) and _ints([cell.levi.lam])
         for cell in partition.partition_region(rep, profile, cfg.box_radius):
-            assert _ints([cell.lam, cell.levi.lam])
+            assert _ints([cell.levi.lam])
         for comp in result.components:
-            assert _ints([comp.lam, comp.levi.lam])
+            assert _ints([comp.levi.lam])
             assert comp.window and _ints(comp.window)
             assert _ints(comp.coinvariants.expanded)
             cert = certify_nccr(rep, comp.levi, comp.coinvariants, comp.nu,
-                                result.epsilon if comp.is_d0 else None,
+                                result.epsilon if comp.signature.trivial else None,
                                 genericity_assertion=True)
             assert _ints(cert.window) and _ints(cert.prazno_points)
 

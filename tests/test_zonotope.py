@@ -4,6 +4,7 @@ import math
 import random
 import time
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction as F
 from types import SimpleNamespace
 
@@ -34,7 +35,7 @@ from sodlab.reps import (construct_rep, is_quasi_symmetric, rep_spec,
                          weight_signs)
 from sodlab.rootdata import (build_group, full_levi, invariant_subspace,
                              levi, make_dominant, orbit)
-from sodlab.zonotope import (CLOSED, HALF_OPEN, REL_INT, EpsShift,
+from sodlab.zonotope import (CLOSED, HALF_OPEN, REL_INT, TRIVIAL, EpsShift,
                              FaceSignature, face_signature_at, facet_table,
                              invariants_in_span,
                              is_generic, is_weakly_generic, member,
@@ -279,6 +280,26 @@ class TestFaceSignature:
     def test_trivial_convention(self):
         sig = face_signature_at(G4, vec([0]))(vec([0]))
         assert sig.trivial and sig.r == 0
+
+    @pytest.mark.parametrize("r, s_plus, s_minus, s_zero", [
+        (F(0), (0,), (), ()),
+        (F(0), (), (1,), ()),
+        (F(0), (), (), (2,)),
+        (F(1), (), (0,), (1,)),
+        (F(-1), (0,), (1,), ()),
+        (F(-1), (), (), ()),
+    ])
+    def test_malformed_signatures_are_refused(self, r, s_plus, s_minus,
+                                              s_zero):
+        """r = 0 with a nonempty set, r > 0 with empty S+, and r < 0."""
+        with pytest.raises(InputError, match="signature"):
+            FaceSignature(r, s_plus, s_minus, s_zero)
+
+    def test_trivial_is_read_off_the_radius(self):
+        assert TRIVIAL.trivial is True
+        sig = face_signature_at(G22, vec([0, 0]))(vec([2, 1]))
+        assert sig.trivial is False
+        assert replace(sig, r=2 * sig.r).trivial is False
 
     def test_off_span_raises(self):
         with pytest.raises(InputError):
@@ -699,12 +720,12 @@ class TestSupportingLambda:
         integral search refuses it at its candidate cap."""
         gl2 = build_group("GL(2)")
         gens = (vec([0, 1]), vec([1, 0]))
-        sig = FaceSignature(F(1), (1,), (0,), (), False)
+        sig = FaceSignature(F(1), (1,), (0,), ())
         start = time.perf_counter()
         with pytest.raises(InputError, match="above the cap"):
             supporting_lambda(sig, gl2, gens)
         assert time.perf_counter() - start < 5
-        mirror = FaceSignature(F(1), (0,), (1,), (), False)
+        mirror = FaceSignature(F(1), (0,), (1,), ())
         assert supporting_lambda(mirror, gl2, gens) == vec([-1, 1])
 
 
@@ -1257,7 +1278,7 @@ class TestHyperplaneFlats:
         assert set(got.facets) == set(want.facets)
         assert len(got.facets) == len(want.facets)
         assert got.annihilator == want.annihilator
-        lines = zonotope._lines(gens)
+        lines = sorted({primitive(g) for g in gens if any(g)})
         hyperplanes = [frozenset(i for i, v in enumerate(lines)
                                  if not vdot(lam, v))
                        for lam, _ in got.facets[::2]]
@@ -1279,7 +1300,7 @@ class TestHyperplaneFlats:
         dim, gens, central = case
         table = zonotope._build_facet_table(gens, central, dim)
         normals = [lam for lam, _ in table.facets[::2]]
-        lines = zonotope._lines(gens)
+        lines = sorted({primitive(g) for g in gens if any(g)})
         for flat, base in proper_flats_reference(lines, central, dim):
             through = [lam for lam in normals
                        if not any(vdot(lam, lines[i]) for i in flat)]
