@@ -3,13 +3,15 @@
 Submodules:
     linalg      exact vectors and Gaussian elimination
     linprog     rational simplex, forced tightness, lattice enumeration
-    rootdata    catalog root data, Levi subdata, descent and orbits by the
-                integer simple reflections
-    reps        weight multisets, stability, quasi-symmetry, twists
+    rootdata    catalog root data, Levi subdata, descent, orbits and the
+                Weyl average read off the simple roots
+    reps        weight multisets, stability, quasi-symmetry, twists, the
+                symmetric-power program
     zonotope    scaled weight zonotopes, face signatures, genericity,
                 facet tables for epsilon-shifted windows
     partition   the dominant-weight partition by face signatures
-    characters  Freudenthal multiplicities, Weyl dimension, Hom blocks
+    characters  Freudenthal multiplicities, Weyl dimension, symmetric-power
+                tables, Hom blocks
     sod         decomposition components, NCCR certificates, presets
     report/cli  deterministic reporting and the command line tool
 """

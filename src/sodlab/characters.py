@@ -1,11 +1,12 @@
 """Exact character arithmetic for catalog groups and their Levis.
 
 Irreducible weight multiplicities come from the Freudenthal recursion over
-the (Levi-)root system; symmetric powers from one degree-tracking dynamic
-program per representation; Hom-block dimensions from Sym^d looked up at the
-Weyl orbit of mu + rho, without building the product character, as a plain
-tuple whose position is the degree.  Every Weyl fact (dominant conjugate,
-orbit with signs) comes from the integer simple reflections via
+the (Levi-)root system; symmetric powers from the package's one
+degree-tracking dynamic program, `reps.sym_power_layers`, wrapped as tables
+and kept per representation; Hom-block dimensions from Sym^d looked up at
+the Weyl orbit of mu + rho, without building the product character, as a
+plain tuple whose position is the degree.  Every Weyl fact (dominant
+conjugate, orbit with signs) comes from reflections in the simple roots via
 `rootdata.descend` and `rootdata.orbit`; the group is never enumerated.
 
 Everything runs on int tuples of the weight lattice, as `reps.rep_spec`
@@ -23,23 +24,15 @@ from the Levi's int 2 rho (``LeviDatum.two_rho``, kept once per Levi).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 from operator import add, mul, sub
 
-from .linalg import Vec, int_row, is_integral, vec
+from .linalg import Vec, int_row, vec
 from .linprog import InputError
-from .reps import RepSpec
+from .reps import RepSpec, lattice_ints, sym_power_layers
 from .rootdata import (LeviDatum, RootDatum, descend, full_levi, is_dominant,
                        orbit)
-
-# Most entries the symmetric-power program may write in one build: the
-# top + 1 degree tables, then one per (entry, degree step) update, each pass
-# over a weight counted before it runs.  The largest build of the tests, golden presets and
-# benchmark jobs counts 9,086 (degree 6); past the cap a `degree_bound` is
-# refused before anything is allocated, not left to exhaust memory.
-SYM_TABLE_CAP = 200_000
 
 
 @dataclass(frozen=True)
@@ -68,17 +61,10 @@ class CharacterTable:
         return hash(frozenset(self.counts.items()))
 
 
-def _lattice(v: Vec, what: str) -> tuple[int, ...]:
-    """The int tuple of a lattice vector; InputError off the lattice."""
-    if not is_integral(v):
-        raise InputError(f"{what} {list(map(str, v))} is not a lattice element")
-    return tuple(x.numerator for x in v)
-
-
 def _dominant(datum: RootDatum, chi, lv: LeviDatum) -> tuple[int, ...]:
     """chi in section form as an int tuple; InputError when it is off the
     lattice or not dominant for the Levi."""
-    chi = _lattice(datum.normalize_weight(chi), "weight")
+    chi = lattice_ints(datum.normalize_weight(chi), "weight")
     if not is_dominant(datum, chi, lv):
         raise InputError(f"{chi} is not dominant for the Levi")
     return chi
@@ -175,53 +161,17 @@ _SYM_TABLES: dict[RepSpec, tuple[CharacterTable, ...]] = {}
 def sym_power_character(rep: RepSpec, d: int) -> CharacterTable:
     """Weight table of the d-th symmetric power of the weight multiset.
 
-    The dynamic program to degree d yields the tables of every lower degree
-    as well, and all of them are kept: asking for the top degree first builds
-    each table of a representation once.  InputError when the program would
-    write more than ``SYM_TABLE_CAP`` entries."""
-    if d < 0:
-        raise InputError("symmetric power degree must be >= 0")
+    ``reps.sym_power_layers`` to degree d yields the tables of every lower
+    degree as well, and all of them are kept: asking for the top degree
+    first builds each table of a representation once.  InputError for a
+    negative d, or when the program would write more than
+    ``reps.SYM_TABLE_CAP`` entries."""
     tables = _SYM_TABLES.get(rep, ())
-    if d >= len(tables):
-        tables = _SYM_TABLES[rep] = _sym_power_tables(rep, d)
+    if not 0 <= d < len(tables):
+        tables = _SYM_TABLES[rep] = tuple(
+            CharacterTable(rep.datum, layer)
+            for layer in sym_power_layers(rep.weights, rep.datum.rank, d))
     return tables[d]
-
-
-def _check_sym_work(work: int, top: int) -> None:
-    if work > SYM_TABLE_CAP:
-        raise InputError(f"symmetric powers up to degree {top} need at least "
-                         f"{work} table entries, above the cap of "
-                         f"{SYM_TABLE_CAP}")
-
-
-def _sym_power_tables(rep: RepSpec, top: int) -> tuple[CharacterTable, ...]:
-    """Sym^0..Sym^top of the weight multiset on int tuples.  The work is
-    counted before it is allocated; InputError when a weight is off the
-    lattice."""
-    work = top + 1
-    _check_sym_work(work, top)
-    steps = [_lattice(w, "weight") for w, _ in rep.weights]
-    layers: list[dict[tuple[int, ...], int]] = [{} for _ in range(top + 1)]
-    layers[0][(0,) * rep.datum.rank] = 1
-    for step, (_, m) in zip(steps, rep.weights):
-        work += sum(len(layer) * (top - j + 1)
-                    for j, layer in enumerate(layers))
-        _check_sym_work(work, top)
-        # k copies of w: shift k*w, and C(k+m-1, m-1) monomials among m copies
-        shifts = [step]
-        for _ in range(top - 1):
-            shifts.append(tuple(map(add, shifts[-1], step)))
-        counts = [math.comb(k + m - 1, m - 1) for k in range(1, top + 1)]
-        nxt: list[dict[tuple[int, ...], int]] = [{} for _ in range(top + 1)]
-        for j, layer in enumerate(layers):
-            for wt, cnt in layer.items():
-                target = nxt[j]
-                target[wt] = target.get(wt, 0) + cnt
-                for shift, c, target in zip(shifts, counts, nxt[j + 1:]):
-                    key = tuple(map(add, wt, shift))
-                    target[key] = target.get(key, 0) + cnt * c
-        layers = nxt
-    return tuple(CharacterTable(rep.datum, layer) for layer in layers)
 
 
 # Characters and shifted orbits of one hilbert job (its datum, Levi and

@@ -37,10 +37,12 @@ def _parse_preset_spec(spec: str):
     if name in ("pfaffian", "determinantal"):
         params = {}
         for part in filter(None, (p.strip() for p in rest.split(","))):
-            key, _, val = part.partition("=")
-            if key.strip() not in ("n", "h"):
+            key, _, val = map(str.strip, part.partition("="))
+            if key not in ("n", "h"):
                 raise InputError(f"bad preset parameter {part!r}")
-            params[key.strip()] = _preset_int(val, part)
+            if key in params:
+                raise InputError(f"preset parameter {key!r} is given twice")
+            params[key] = _preset_int(val, part)
         if set(params) != {"n", "h"}:
             raise InputError(f"preset {name} needs n=<int>,h=<int>")
         return preset(name, **params)
@@ -107,7 +109,12 @@ def main(argv=None) -> int:
 
     payload = render(doc, args.format)
     if args.out:
-        Path(args.out).write_bytes(payload)
+        try:
+            Path(args.out).write_bytes(payload)
+        except OSError as e:
+            sys.stderr.write(f"sodlab: configuration error: cannot write "
+                             f"report: {e}\n")
+            return 2
     else:
         sys.stdout.buffer.write(payload)
     return code

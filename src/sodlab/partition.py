@@ -259,9 +259,12 @@ REDUCTION_SUM_CAP = 1_000
 @dataclass(frozen=True)
 class ReductionValidation:
     status: str  # "ok" | "precondition_failed"
-    valid: bool
     violations: tuple
     detail: str = ""
+
+    @property
+    def valid(self) -> bool:
+        return self.status == "ok" and not self.violations
 
 
 def validate_reduction_setting(rep: RepSpec, window, chi: Vec, lam: Vec
@@ -281,13 +284,13 @@ def validate_reduction_setting(rep: RepSpec, window, chi: Vec, lam: Vec
     lam = vec(lam)
     window_set = {datum.normalize_weight(vec(m)) for m in window}
     if any(pairing(lam, a) > 0 for a in datum.positive_roots):
-        return ReductionValidation("precondition_failed", False, (),
+        return ReductionValidation("precondition_failed", (),
                                    "lambda is not antidominant")
     base = pairing(lam, chi)
     for mu in sorted(window_set):
         if not base < pairing(lam, mu):
             return ReductionValidation(
-                "precondition_failed", False, (),
+                "precondition_failed", (),
                 f"pairing with {tuple(map(str, mu))} does not exceed the base weight's")
     signs = weight_signs(rep, lam)
     values = sorted(Counter(rep.expanded[i] for i in signs.t_plus).items())
@@ -314,4 +317,4 @@ def validate_reduction_setting(rep: RepSpec, window, chi: Vec, lam: Vec
                 "sum": total,
                 "shifted_dominant": plus,
             })
-    return ReductionValidation("ok", not violations, tuple(violations))
+    return ReductionValidation("ok", tuple(violations))

@@ -8,16 +8,15 @@ alone decides its order: sorted by weight with input order breaking ties.
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from operator import mul
+from operator import add, mul
 
 from .linalg import (Mat, Vec, ZERO, ONE, int_row, is_integral, is_zero_vec,
-                     line_decomposition, mat_vec, nullspace, rank as mat_rank,
-                     solve, vadd, vdot, vneg, vec, zero_vec)
+                     line_decomposition, nullspace, rank as mat_rank, solve,
+                     vdot, vneg, vec, zero_vec)
 from .linprog import InputError, LpBuilder, feasible_point, lex_minimal_integral
 from .rootdata import RootDatum, check_length, full_levi, reflect
 
@@ -171,8 +170,7 @@ def find_destabilizer(rep: RepSpec) -> DestabilizerReport:
     rows = [(c, (0,)) for c in datum.central_directions]
     rows += [(w, (-1, 0)) for w in values]
     sigma = lex_minimal_integral(n, any, rows)
-    proj = full_levi(datum).invariant_projector()
-    nu = mat_vec(proj, sigma)
+    nu = full_levi(datum).weyl_average(sigma)
     annihilates = all(vdot(sigma, w) == 0 for w in values)
     return DestabilizerReport(sigma, nu, annihilates)
 
@@ -276,32 +274,60 @@ def defining_weights(datum: RootDatum) -> list[tuple[int, ...]]:
     raise InputError(f"no defining representation for {label}")
 
 
-# Most weight additions a ``sym_power`` piece may make: each of the
-# C(n + d - 1, d) monomials in the n defining weights is a sum of d of them.
-# The largest piece of the tests, golden presets and benchmark jobs makes 20
-# (5 monomials of degree 4); past the cap a piece is refused before the
-# enumeration starts.
-SYM_PIECE_CAP = 100_000
+# Most entries the symmetric-power program may write in one build: the
+# top + 1 degree tables, then one per (entry, degree step) update, each pass
+# over a weight counted before it runs.  The largest build of the golden
+# presets and benchmark jobs counts 9,086 (degree 6); past the cap a
+# ``sym_power`` piece or a ``degree_bound`` is refused before the pass that
+# would cross it, not left to exhaust memory.
+SYM_TABLE_CAP = 200_000
 
 
-def sym_power_weight_counts(base: list[tuple[int, ...]], d: int) -> Counter:
-    """Weight multiset of the d-th symmetric power of a weight list.
-    InputError when it needs more than ``SYM_PIECE_CAP`` weight additions."""
-    monomials = math.comb(len(base) + d - 1, d)
-    if monomials * d > SYM_PIECE_CAP:
-        raise InputError(f"sym_power of degree {d} sums {monomials} monomials "
-                         f"of {d} weights each, above the cap of "
-                         f"{SYM_PIECE_CAP} weight additions")
-    counts: Counter = Counter()
-    if d == 0:
-        counts[(0,) * (len(base[0]) if base else 0)] = 1
-        return counts
-    for combo in itertools.combinations_with_replacement(range(len(base)), d):
-        total = base[combo[0]]
-        for k in combo[1:]:
-            total = vadd(total, base[k])
-        counts[total] += 1
-    return counts
+def _check_sym_work(work: int, top: int) -> None:
+    if work > SYM_TABLE_CAP:
+        raise InputError(f"symmetric powers up to degree {top} need at least "
+                         f"{work} table entries, above the cap of "
+                         f"{SYM_TABLE_CAP}")
+
+
+def lattice_ints(v: Vec, what: str) -> tuple[int, ...]:
+    """The int tuple of a lattice vector; InputError off the lattice."""
+    if not is_integral(v):
+        raise InputError(f"{what} {list(map(str, v))} is not a lattice element")
+    return tuple(x.numerator for x in v)
+
+
+def sym_power_layers(pairs, rank: int,
+                     top: int) -> list[dict[tuple[int, ...], int]]:
+    """Weight counts of Sym^0..Sym^top of the (weight, multiplicity) pairs,
+    one dict of int-tuple weights per degree, from one degree-tracking
+    dynamic program.  The work is counted before it is allocated;
+    InputError for a negative degree, past ``SYM_TABLE_CAP`` entries, or
+    when a weight is off the lattice."""
+    if top < 0:
+        raise InputError("symmetric power degree must be >= 0")
+    work = top + 1
+    _check_sym_work(work, top)
+    steps = [lattice_ints(w, "weight") for w, _ in pairs]
+    layers: list[dict[tuple[int, ...], int]] = [{} for _ in range(top + 1)]
+    layers[0][(0,) * rank] = 1
+    for step, (_, m) in zip(steps, pairs):
+        work += sum(len(layer) * (top - j + 1)
+                    for j, layer in enumerate(layers))
+        _check_sym_work(work, top)
+        # k copies of w: shift k*w, and C(k+m-1, m-1) monomials among m copies
+        shifts = [tuple(k * x for x in step) for k in range(1, top + 1)]
+        counts = [math.comb(k + m - 1, m - 1) for k in range(1, top + 1)]
+        nxt: list[dict[tuple[int, ...], int]] = [{} for _ in range(top + 1)]
+        for j, layer in enumerate(layers):
+            for wt, cnt in layer.items():
+                target = nxt[j]
+                target[wt] = target.get(wt, 0) + cnt
+                for shift, c, target in zip(shifts, counts, nxt[j + 1:]):
+                    key = tuple(map(add, wt, shift))
+                    target[key] = target.get(key, 0) + cnt * c
+        layers = nxt
+    return layers
 
 
 def construct_rep(datum: RootDatum, pieces) -> RepSpec:
@@ -332,7 +358,8 @@ def construct_rep(datum: RootDatum, pieces) -> RepSpec:
             for w in defining_weights(datum):
                 counts[datum.normalize_weight(vneg(w))] += int(arg)
         elif kind == "sym_power":
-            for w, m in sym_power_weight_counts(defining_weights(datum), int(arg)).items():
+            base = [(w, 1) for w in defining_weights(datum)]
+            for w, m in sym_power_layers(base, datum.rank, int(arg))[-1].items():
                 counts[datum.normalize_weight(w)] += m
         elif kind == "trivial":
             counts[(0,) * datum.rank] += int(arg)
@@ -345,13 +372,14 @@ def construct_rep(datum: RootDatum, pieces) -> RepSpec:
 
 def _check_weyl_symmetric(rep: RepSpec) -> None:
     """InputError unless every simple reflection keeps each weight's
-    multiplicity, reflecting the weights' int tuples by the datum's integer
-    reflections."""
+    multiplicity, reflecting the weights' int tuples in the simple roots
+    of the datum by ``rootdata.reflect``."""
+    datum = rep.datum
+    simple = full_levi(datum).simple_roots
     mults = dict(rep.weights)
-    reflections = full_levi(rep.datum).reflections
     for w, m in mults.items():
-        for r in reflections:
-            count = mults.get(reflect(r, w), 0)
+        for a in simple:
+            count = mults.get(reflect(datum, a, w), 0)
             if count != m:
                 raise InputError(f"weights are not Weyl-symmetric: weight "
                                  f"{list(map(str, w))} has multiplicity {m} "

@@ -19,34 +19,29 @@ once, on first use.  A Levi keeps its one-parameter subgroup as it is
 given: an int tuple on the CLI path (``full_levi``,
 ``zonotope.supporting_lambda``), or a rational one from a library caller.
 
-The Weyl group is never enumerated: dominant conjugates, signed orbits and
-fixed spaces all come from the simple reflections s_a(v) = v - <a^vee, v> a
-(Humphreys, *Introduction to Lie Algebras and Representation Theory*, 10).
-The invariant form of every catalog group is the dot product, so the coroot
-of a is a^vee = 2 a / (a . a) (Humphreys, 9.1) and its ray is the root's
-own.  No coroot is stored as a vector: the primitive int tuple of each root
-gives the ``dominance_rows`` (simple coroots) and ``weyl_rows`` (positive
-coroots), and with a . a it gives the reflections.  Descent and orbits
-run on int tuples (weights times a common denominator): each simple
-reflection, followed by ``normalize_weight``, is one integer matrix and one
-positive denominator (``LeviDatum.reflections``).
+The Weyl group is never enumerated: dominant conjugates, signed orbits,
+fixed spaces and the Weyl average all come from the simple roots, whose
+reflections s_a(v) = v - <a^vee, v> a generate it (Humphreys,
+*Introduction to Lie Algebras and Representation Theory*, 10).  The
+invariant form of every catalog group is the dot product, so the coroot
+of a is a^vee = 2 a / (a . a) (Humphreys, 9.1), on the root's own ray: the
+primitive int tuple of each root gives the ``dominance_rows`` (simple
+coroots) and ``weyl_rows`` (positive coroots).  Descent and orbits run on
+int tuples, ``reflect`` reading a and a . a off the root and then applying
+the section normalization as a step of its own.
 """
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
 from operator import mul, sub
 
-from .linalg import (Mat, Vec, ZERO, in_span, int_row, is_zero_vec,
-                     nullspace, ray_ints, rref, span_basis, vadd, vdot, vsub)
+from .linalg import (Vec, ZERO, in_span, int_row, is_zero_vec, nullspace,
+                     ray_ints, solve, span_basis, vadd, vdot, vsub)
 from .linprog import InputError
-
-# Integer rows and a positive denominator: the linear map v -> rows v / d.
-Reflection = tuple[tuple[tuple[int, ...], ...], int]
 
 
 @dataclass(frozen=True)
@@ -294,33 +289,33 @@ def is_dominant(datum: RootDatum, chi: Vec, levi: "LeviDatum | None" = None) -> 
 ORBIT_CAP = 50_000
 
 
-def reflect(reflection: Reflection, x: tuple[int, ...]) -> tuple[int, ...]:
-    """Image of the int tuple x under a reflection (rows, d): rows x / d.
-    InputError when that leaves the int lattice, which the reflections of a
-    catalog group, whose roots and coroots are integral, never do."""
-    rows, d = reflection
-    y = tuple(sum(map(mul, row, x)) for row in rows)
-    if d == 1:
-        return y
-    if any(v % d for v in y):
+def reflect(datum: RootDatum, a: tuple[int, ...],
+            x: tuple[int, ...]) -> tuple[int, ...]:
+    """The int tuple N((a . a) x - 2 (a . x) a) / (a . a), the reflection
+    of x in the root a in section form (N the normalization).  InputError
+    off the int lattice, which no catalog group, whose roots and coroots
+    are integral, reaches."""
+    norm = sum(map(mul, a, a))
+    c = 2 * sum(map(mul, a, x))
+    y = datum.normalize_weight(tuple(norm * v - c * w for v, w in zip(x, a)))
+    if any(v % norm for v in y):
         raise InputError("a Weyl reflection leaves the lattice of the point")
-    return tuple(v // d for v in y)
+    return tuple(v // norm for v in y)
 
 
-def descend(lv: "LeviDatum", chi: tuple[int, ...], lowest: bool = False):
-    """Dominant (antidominant when ``lowest``) conjugate, in section form,
-    of the int tuple chi under the Weyl group of the Levi, and a reduced
-    word of the unique shortest w taking chi there:
-    w = s_{word[0]} ... s_{word[-1]}.  Each step reflects in a simple root
-    whose coroot pairs negatively (positively) with the point, one positive
-    root fewer doing so."""
-    chi = lv.datum.normalize_weight(chi)
+def descend(lv: "LeviDatum", chi: tuple[int, ...]):
+    """Dominant conjugate, in section form, of the int tuple chi under the
+    Weyl group of the Levi, and a reduced word of the unique shortest w
+    taking chi there: w = s_{word[0]} ... s_{word[-1]}.  Each step reflects
+    in a simple root whose coroot pairs negatively with the point, one
+    positive root fewer doing so."""
+    datum, simple = lv.datum, lv.simple_roots
+    chi = datum.normalize_weight(chi)
     applied: list[int] = []
     while True:
         for i, row in enumerate(lv.dominance_rows):
-            c = sum(map(mul, row, chi))
-            if (c > 0) if lowest else (c < 0):
-                chi = reflect(lv.reflections[i], chi)
+            if sum(map(mul, row, chi)) < 0:
+                chi = reflect(datum, simple[i], chi)
                 applied.append(i)
                 break
         else:
@@ -334,14 +329,14 @@ def orbit(lv: "LeviDatum",
     reaching it, found breadth-first from chi by simple reflections.  At a
     regular point the points are the w(chi), one per element w, and the sign
     is det w.  InputError once more than ``ORBIT_CAP`` points are found."""
-    chi = lv.datum.normalize_weight(chi)
-    reflections = lv.reflections
+    datum, simple = lv.datum, lv.simple_roots
+    chi = datum.normalize_weight(chi)
     signs, frontier, sign = {chi: 1}, [chi], 1
     while frontier:
         sign, nxt = -sign, []
         for v in frontier:
-            for r in reflections:
-                u = reflect(r, v)
+            for a in simple:
+                u = reflect(datum, a, v)
                 if u not in signs:
                     if len(signs) == ORBIT_CAP:
                         raise InputError(f"a Weyl orbit has more points "
@@ -387,9 +382,9 @@ class LeviDatum:
     """Centralizer data of a one-parameter subgroup: the positive roots
     vanishing on it, from which its simple roots, two_rho and
     rho_bar_lambda are derived.  The Levi Weyl group is present only
-    through the reflections in the simple roots; fixed spaces, projections,
-    dominant conjugates and orbits all come from them, and the group itself
-    is never enumerated."""
+    through its simple roots; fixed spaces, the Weyl average, dominant
+    conjugates and orbits all come from them, and the group itself is
+    never enumerated."""
 
     datum: RootDatum
     lam: tuple  # ints on the CLI path; a library caller may pass Fractions
@@ -412,28 +407,6 @@ class LeviDatum:
         return _coroot_rows(self.simple_roots)
 
     @cached_property
-    def reflections(self) -> tuple[Reflection, ...]:
-        """One (rows, d) per simple root, in the order of ``simple_roots``:
-        the reflection in the root followed by ``normalize_weight`` is
-        v -> rows v / d, with int rows and d > 0 the least such.  The coroot
-        of the root a is 2 a / (a . a), so N s_a = N - 2 (N a) a^T / (a . a)
-        for the normalization N, whose columns are the normalized units."""
-        datum = self.datum
-        n = datum.rank
-        units = [datum.normalize_weight(tuple(int(i == j) for i in range(n)))
-                 for j in range(n)]
-        out = []
-        for a in self.simple_roots:
-            norm = sum(map(mul, a, a))
-            na = datum.normalize_weight(a)
-            rows = [[norm * u[i] - 2 * na[i] * aj for u, aj in zip(units, a)]
-                    for i in range(n)]
-            g = math.gcd(norm, *(x for row in rows for x in row))
-            out.append((tuple(tuple(x // g for x in row) for row in rows),
-                        norm // g))
-        return tuple(out)
-
-    @cached_property
     def two_rho(self) -> tuple[int, ...]:
         """2 rho_lambda, the int sum of ``phi_lambda_plus``."""
         return _root_sum(self.phi_lambda_plus, self.datum.rank)
@@ -444,35 +417,26 @@ class LeviDatum:
         order of ``phi_lambda_plus``: the factors of the Weyl product."""
         return _coroot_rows(self.phi_lambda_plus)
 
-    def _fixed_basis(self) -> list[Vec]:
-        """Canonical basis of the Weyl-fixed subspace of the ambient
-        coordinates.  s_a - I is v -> -<a^vee, v> a, so the fixed space is
-        the common kernel of the simple coroots, that is of the
-        ``dominance_rows`` on their rays."""
-        n = self.datum.rank
-        return span_basis(nullspace(self.dominance_rows, n), n)
-
-    def invariant_projector(self) -> Mat:
-        """Orthogonal projection onto the Weyl-fixed subspace:
-        B (B^T B)^-1 B^T for a basis B of the fixed space.  The group
-        preserves the dot product, so this is the Weyl-group average."""
-        n = self.datum.rank
-        basis = self._fixed_basis()
-        k = len(basis)
-        red, _ = rref([[vdot(basis[i], basis[j]) for j in range(k)]
-                       + list(basis[i]) for i in range(k)])
-        coeffs = [row[k:] for row in red]                   # (B^T B)^-1 B^T
-        return tuple(
-            tuple(sum((basis[t][i] * coeffs[t][j] for t in range(k)), ZERO)
-                  for j in range(n))
-            for i in range(n))
+    def weyl_average(self, v: Vec) -> Vec:
+        """The average of v over the Levi Weyl group, a Fraction tuple.  The
+        group preserves the dot product and fixes exactly the vectors
+        orthogonal to its roots, so the average is v - sum c_i a_i over the
+        simple roots a_i, with sum_i (a_j . a_i) c_i = a_j . v for each j."""
+        simple = self.simple_roots
+        c = solve([[vdot(b, a) for a in simple] for b in simple],
+                  [vdot(b, v) for b in simple])
+        return tuple(x - sum((ci * a[k] for ci, a in zip(c, simple)), ZERO)
+                     for k, x in enumerate(v))
 
     def invariant_vectors(self) -> list[Vec]:
         """Canonical basis of Weyl-fixed directions of X(T)_R, taken modulo
-        the quotient directions of SL blocks."""
+        the quotient directions of SL blocks.  s_a - I is
+        v -> -<a^vee, v> a, so the fixed space is the common kernel of the
+        simple coroots, that is of the ``dominance_rows`` on their rays."""
+        n = self.datum.rank
         central = list(self.datum.central_directions)
         out = []
-        for v in self._fixed_basis():
+        for v in span_basis(nullspace(self.dominance_rows, n), n):
             if not in_span(central + out, v):
                 out.append(self.datum.normalize_weight(v))
         return [v for v in out if not is_zero_vec(v)]

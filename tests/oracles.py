@@ -25,7 +25,7 @@ enumerated breadth-first as reflection matrices; the package reads the same
 facts from the simple reflections by descent and orbit search on int
 tuples.  The orbit reference searches by the Fraction reflections, and the
 Weyl-symmetry reference checks a weight multiset by them; the package does
-both through one integer matrix per simple reflection.  The window-box
+both by ``rootdata.reflect``, which reads each simple root and its a . a.  The window-box
 reference bounds each coordinate by LP; the package has the closed form.
 The supporting-subgroup reference decides by LP that an antidominant subgroup
 exists before its integral search; the package runs the search alone.  The
@@ -1165,8 +1165,8 @@ def orbit_reference(simple_pairs, chi):
     """Every point of the Weyl orbit of the Fraction vector chi with the
     sign (-1)^l of the shortest element reaching it, breadth-first by the
     Fraction reflections s_a(v) = v - <a^vee, v> a, with no section
-    normalization; the package searches on int tuples by the integer
-    reflections, which normalize."""
+    normalization; the package searches on int tuples by
+    ``rootdata.reflect``, which normalizes."""
     signs, frontier, sign = {chi: 1}, [chi], 1
     while frontier:
         sign, nxt = -sign, []
@@ -1348,7 +1348,7 @@ def coroot_reference(alpha):
 def simple_pairs_reference(src):
     """(simple root, Fraction coroot) pairs of a root datum or a Levi: the
     simple reflections s_a(v) = v - <a^vee, v> a; the package keeps only
-    the coroot rays and the integer reflections."""
+    the coroot rays and reflects on int tuples by the roots."""
     return tuple((a, coroot_reference(a)) for a in src.simple_roots)
 
 

@@ -12,16 +12,14 @@ from hypothesis import given, settings, strategies as st
 from oracles import (hom_block_dims_reference, irr_character_reference,
                      multiplicity_in_reference, sym_power_tables_reference,
                      weyl_elements_reference, weyl_generators_reference)
-from sodlab import characters
-from sodlab.characters import (SYM_TABLE_CAP, _sym_power_tables,
-                               hom_block_dims, irr_character,
-                               sym_power_character, weyl_dim)
+from sodlab import characters, reps
+from sodlab.characters import (CharacterTable, hom_block_dims,
+                               irr_character, sym_power_character, weyl_dim)
 from sodlab.linalg import int_row, mat_vec, vec
 from sodlab.linprog import InputError
 from sodlab.report import build_objects, parse_config, preset_config, run_job
-from sodlab.reps import (SYM_PIECE_CAP, RepSpec, coinvariant_rep,
-                         construct_rep, defining_weights, rep_spec,
-                         sym_power_weight_counts)
+from sodlab.reps import (SYM_TABLE_CAP, RepSpec, coinvariant_rep,
+                         construct_rep, rep_spec, sym_power_layers)
 from sodlab.rootdata import build_group, full_levi, levi, make_dominant
 from sodlab.sod import enumerate_sod, preset
 from test_rootdata import (SMALL_CATALOG, _outcome, _rescaled,
@@ -271,6 +269,12 @@ class TestHomBlockLookup:
         assert min(totals) > 0
 
 
+def _sym_power_tables(rep, top):
+    """Sym^0..Sym^top of rep as tables, from a fresh run of the program."""
+    return [CharacterTable(rep.datum, layer)
+            for layer in sym_power_layers(rep.weights, rep.datum.rank, top)]
+
+
 def _weight_multiset(datum, pairs):
     """A RepSpec straight from (weight, multiplicity) pairs, which may have
     non-integral entries (``rep_spec`` refuses those)."""
@@ -481,9 +485,9 @@ class TestSymPowerGuards:
         # weights 1 and -1 to degree 4: 5 tables, 5 updates for the first
         # weight, then 5 + 4 + 3 + 2 + 1 for the second: 25 entries
         rep = rep_spec(T1, [((1,), 1), ((-1,), 1)])
-        monkeypatch.setattr(characters, "SYM_TABLE_CAP", 25)
+        monkeypatch.setattr(reps, "SYM_TABLE_CAP", 25)
         assert [t.total for t in _sym_power_tables(rep, 4)] == [1, 2, 3, 4, 5]
-        monkeypatch.setattr(characters, "SYM_TABLE_CAP", 24)
+        monkeypatch.setattr(reps, "SYM_TABLE_CAP", 24)
         with pytest.raises(InputError, match="cap of 24"):
             _sym_power_tables(rep, 4)
 
@@ -495,9 +499,10 @@ class TestSymPowerGuards:
             sym_power_character(rep, 10 ** 9)
 
     def test_piece_cap(self):
-        # GL(1) has one defining weight: Sym^d is one monomial of d weights
-        base = defining_weights(build_group("GL(1)"))
-        assert sym_power_weight_counts(base, SYM_PIECE_CAP) == \
-            {vec([SYM_PIECE_CAP]): 1}
-        with pytest.raises(InputError, match="cap of"):
-            sym_power_weight_counts(base, SYM_PIECE_CAP + 1)
+        # GL(1) has one defining weight: the program to degree d writes
+        # d + 1 tables and d + 1 updates, and Sym^d is the one weight d
+        gl1 = build_group("GL(1)")
+        d = SYM_TABLE_CAP // 2 - 1
+        assert construct_rep(gl1, [("sym_power", d)]).weights == (((d,), 1),)
+        with pytest.raises(InputError, match="table entries"):
+            construct_rep(gl1, [("sym_power", d + 1)])

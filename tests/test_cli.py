@@ -14,11 +14,11 @@ from sodlab.cli import main
 from sodlab.linalg import vsub, zero_vec
 from sodlab.linprog import LATTICE_BOX_CAP, InputError, enumerate_lattice
 from sodlab.partition import window_box
-from sodlab.reps import REP_DIM_CAP, SYM_PIECE_CAP
+from sodlab.reps import REP_DIM_CAP, SYM_TABLE_CAP, construct_rep
 from sodlab.report import (build_objects, parse_config, parse_rational,
                            rational_str, render, run_job, weight_json)
-from sodlab.rootdata import (GROUP_DEPTH_CAP, GROUP_RANK_CAP, full_levi,
-                             is_dominant)
+from sodlab.rootdata import (GROUP_DEPTH_CAP, GROUP_RANK_CAP, build_group,
+                             full_levi, is_dominant)
 from sodlab.zonotope import REL_INT, member
 
 
@@ -298,6 +298,14 @@ class TestCliProcess:
         assert main(["nccr", "--preset", spec]) == 2
         assert "configuration error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("spec, key", [("pfaffian:n=1,h=3,n=2", "n"),
+                                           ("determinantal:h=3,n=1,h=3", "h")])
+    def test_repeated_preset_parameter_exits_two(self, spec, key, capsys):
+        assert main(["analyze", "--preset", spec]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert f"preset parameter '{key}' is given twice" in err
+
     @pytest.mark.parametrize("key, value", [
         ("nu", ["1"]),
         ("epsilon", ["1", "2", "3"]),
@@ -473,13 +481,22 @@ class TestCliProcess:
         assert "table entries, above the cap" in capsys.readouterr().err
 
     def test_sym_power_piece_past_the_cap_exits_two(self, tmp_path, capsys):
-        # Sym^d of the 2 weights of GL(2): d + 1 monomials of d weights
-        d = 316
-        assert d * (d - 1) <= SYM_PIECE_CAP < (d + 1) * d
+        # the program to degree d on the 2 weights of GL(2) writes d + 1
+        # tables, d + 1 updates for the first weight and (d + 1)(d + 2) / 2
+        # for the second
+        def work(d):
+            return 2 * (d + 1) + (d + 1) * (d + 2) // 2
+        d = 629
+        assert work(d - 1) <= SYM_TABLE_CAP < work(d)
+        assert construct_rep(build_group("GL(2)"),
+                             [("sym_power", d - 1)]).dim == d
         cfg = {"group": "GL(2)",
                "representation": [{"kind": "sym_power", "d": d}]}
+        start = time.perf_counter()
         assert main(["analyze", "--config", write_config(tmp_path, cfg)]) == 2
-        assert "weight additions" in capsys.readouterr().err
+        assert time.perf_counter() - start < 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "table entries" in err
 
     @pytest.mark.parametrize("group", [
         f"GL({GROUP_RANK_CAP + 1})", f"SL({GROUP_RANK_CAP + 1})",
@@ -599,6 +616,16 @@ class TestCliProcess:
     def test_config_and_preset_conflict(self, tmp_path):
         cfgp = write_config(tmp_path, PFAFFIAN_CFG)
         assert main(["sod", "--config", cfgp, "--preset", "toric"]) == 2
+
+    @pytest.mark.parametrize("where", ["missing dir", "directory"])
+    def test_unwritable_out_exits_two(self, tmp_path, capsys, where):
+        out = tmp_path / "missing" / "r.json" if where == "missing dir" \
+            else tmp_path
+        assert main(["analyze", "--preset", "toric", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("sodlab: configuration error: cannot write "
+                              "report: ")
 
     def test_stdout_output(self, tmp_path, capsys):
         cfgp = write_config(tmp_path, PFAFFIAN_CFG)

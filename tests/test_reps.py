@@ -257,8 +257,8 @@ class TestWeylSymmetryCheck:
               deadline=None)
     @given(st.sampled_from(SYMMETRY_GROUPS), st.data())
     def test_integer_check_matches_fraction_reference(self, tag, data):
-        """The check on int tuples through the integer reflections against
-        the Fraction reflections: the same verdict and the same message,
+        """The check on int tuples by ``rootdata.reflect`` against the
+        Fraction reflections: the same verdict and the same message,
         on Weyl orbits with a multiplicity each (symmetric) and on those
         with one weight dropped or one multiplicity changed."""
         datum = build_group(tag)

@@ -312,7 +312,10 @@ class TestFixedSpaceKernels:
         assert any(weyl_generators_reference(lv) for lv in levis) == \
             bool(datum.positive_roots)
         for lv in levis:
-            assert lv.invariant_projector() == invariant_projector_reference(lv)
+            average = invariant_projector_reference(lv)
+            for j in range(datum.rank):
+                unit = tuple(int(i == j) for i in range(datum.rank))
+                assert lv.weyl_average(unit) == tuple(row[j] for row in average)
             assert lv.invariant_vectors() == invariant_vectors_reference(lv)
 
 
@@ -436,8 +439,10 @@ class TestWeylKernels:
                 assert len(word) == len(ref_word)
                 assert _product([gens[i] for i in word], datum.rank) == m
                 assert make_dominant(datum, chi, lv) == (dom, word)
-                low, _ = descend(data, ints, lowest=True)
-                low = tuple(F(x, d) for x in low)
+                # W and the section map are linear: the antidominant
+                # conjugate of chi is minus the dominant conjugate of -chi
+                neg, _ = descend(data, tuple(-x for x in ints))
+                low = tuple(F(-x, d) for x in neg)
                 assert all(vdot(cr, low) <= 0
                            for _, cr in simple_pairs_reference(data))
                 assert low in {datum.normalize_weight(mat_vec(m, chi))
@@ -445,19 +450,24 @@ class TestWeylKernels:
 
     @pytest.mark.parametrize("tag", SMALL_CATALOG)
     def test_reflections_are_normalized_reflections(self, tag):
-        """Each (rows, d) of a Levi is its simple reflection followed by the
-        section normalization, on every unit vector."""
+        """``reflect`` in each simple root of a Levi is the reference
+        reflection matrix followed by the section normalization, on every
+        unit vector; where the unit's image leaves the lattice, on the unit
+        times a . a, and the unit itself is refused."""
         datum, _, levis = _weyl_cases(tag)
         for lv in [full_levi(datum)] + levis[2:]:
-            assert len(lv.reflections) == len(lv.simple_roots)
-            for (rows, d), (a, cr) in zip(lv.reflections,
-                                          simple_pairs_reference(lv)):
-                assert d > 0
+            for a, g in zip(lv.simple_roots, weyl_generators_reference(lv)):
+                norm = vdot(a, a)
                 for j in range(datum.rank):
-                    unit = vec(int(i == j) for i in range(datum.rank))
-                    want = datum.normalize_weight(
-                        tuple(x - vdot(cr, unit) * y for x, y in zip(unit, a)))
-                    assert tuple(F(row[j], d) for row in rows) == want
+                    unit = tuple(int(i == j) for i in range(datum.rank))
+                    want = datum.normalize_weight(tuple(row[j] for row in g))
+                    if all(x.denominator == 1 for x in want):
+                        assert reflect(datum, a, unit) == want
+                        continue
+                    with pytest.raises(InputError, match="leaves the lattice"):
+                        reflect(datum, a, unit)
+                    assert reflect(datum, a, tuple(norm * x for x in unit)) \
+                        == tuple(norm * x for x in want)
 
     def test_reference_reflections_preserve_the_form(self):
         """The reflections preserve the dot product: g^T g = I."""
@@ -492,12 +502,14 @@ class TestWeylKernels:
 
     def test_reflection_off_the_lattice_is_refused(self):
         """The root (1, 2) of a hand-built Torus(2) datum has the coroot
-        (2, 4) / 5, which is not integral: the reflection (rows, 5) fixes
-        (2, -1) and maps (1, 2) to (-1, -2) but (1, 0) to (3/5, -4/5), which
-        the integer kernels refuse rather than round."""
+        (2, 4) / 5, which is not integral: its reflection fixes (2, -1) and
+        maps (1, 2) to (-1, -2) and 5 times a unit into the lattice, but
+        (1, 0) to (3/5, -4/5), which the integer kernels refuse rather than
+        round."""
         lv = full_levi(_with_root(build_group("Torus(2)"), (1, 2)))
-        assert lv.reflections == ((((3, -4), (-4, -3)), 5),)
-        assert reflect(lv.reflections[0], (2, -1)) == (2, -1)
+        assert reflect(lv.datum, (1, 2), (2, -1)) == (2, -1)
+        assert reflect(lv.datum, (1, 2), (5, 0)) == (3, -4)
+        assert reflect(lv.datum, (1, 2), (0, 5)) == (-4, -3)
         assert orbit(lv, (1, 2)) == [((1, 2), 1), ((-1, -2), -1)]
         with pytest.raises(InputError, match="leaves the lattice"):
             orbit(lv, (1, 0))
@@ -632,9 +644,12 @@ class TestIntegerRootKernels:
         assert _positive_multiple(lv.datum.dominance_rows[0], want)
         assert _positive_multiple(lv.dominance_rows[0], want)
         assert _positive_multiple(lv.weyl_rows[0], want)
-        (rows, d), = lv.reflections
-        assert tuple(tuple(F(x, d) for x in row) for row in rows) == \
-            weyl_generators_reference(lv)[0]
+        norm = vdot(alpha, alpha)
+        g, = weyl_generators_reference(lv)
+        for j in range(n):
+            unit = tuple(norm * (i == j) for i in range(n))
+            assert reflect(lv.datum, alpha, unit) == \
+                tuple(norm * row[j] for row in g)
 
     @pytest.mark.parametrize("tag", SMALL_CATALOG)
     def test_invariants_match_fraction_coroots(self, tag):
