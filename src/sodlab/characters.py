@@ -4,8 +4,9 @@ Irreducible weight multiplicities come from the Freudenthal recursion over
 the (Levi-)root system; symmetric powers from the package's one
 degree-tracking dynamic program, `reps.sym_power_layers`, wrapped as tables
 and kept per representation; Hom-block dimensions from Sym^d looked up at
-the Weyl orbit of mu + rho, without building the product character, as a
-plain tuple whose position is the degree.  Every Weyl fact (dominant
+the Weyl orbit of mu + rho, without building the product character, a
+window per call (each weight's character and shifted orbit built once), a
+tuple per block whose position is the degree.  Every Weyl fact (dominant
 conjugate, orbit with signs) comes from reflections in the simple roots via
 `rootdata.descend` and `rootdata.orbit`; the group is never enumerated.
 
@@ -174,25 +175,6 @@ def sym_power_character(rep: RepSpec, d: int) -> CharacterTable:
     return tables[d]
 
 
-# Characters and shifted orbits of one hilbert job (its datum, Levi and
-# coinvariants), which asks for each window weight's once per window pair.
-# The slot holds all three, so the identity test cannot match a new object,
-# nor a later job (whose orbits meet the cap anew); it is replaced whole.
-_CHARACTERS: list = [(None, None, {})]
-
-
-def _held(fn, datum: RootDatum, chi: tuple[int, ...], lv: LeviDatum,
-          coinv: RepSpec):
-    """``fn(datum, chi, lv)``, once per run of calls on (datum, lv, coinv)."""
-    held, held_lv, values = _CHARACTERS[0]
-    if held_lv is not lv or held[0] is not datum or held[1] is not coinv:
-        values = {}
-        _CHARACTERS[0] = ((datum, coinv), lv, values)
-    if (fn, chi) not in values:
-        values[fn, chi] = fn(datum, chi, lv)
-    return values[fn, chi]
-
-
 def _shifted_orbit(datum: RootDatum, mu: tuple[int, ...],
                    lv: LeviDatum) -> list[tuple[tuple[int, ...], int]]:
     """The points w(mu + rho) - rho, one per w of the Levi Weyl group (mu +
@@ -207,34 +189,42 @@ def _shifted_orbit(datum: RootDatum, mu: tuple[int, ...],
     return points
 
 
-def hom_block_dims(datum: RootDatum, mu: Vec, mu_prime: Vec, coinv: RepSpec,
+def hom_block_dims(datum: RootDatum, window, coinv: RepSpec,
                    levi: LeviDatum | None = None,
-                   up_to: int = 6) -> tuple[int, ...]:
+                   up_to: int = 6) -> list[tuple[int, ...]]:
     """Graded dimensions of Hom(V(mu), V(mu') tensor Sym^d of the neutral
-    weights), for d = 0..up_to: the entry at position d is the dimension in
-    degree d.
+    weights), for d = 0..up_to, for every pair (mu, mu') of the window in
+    row-major order: block i * len(window) + j is (window[i], window[j]),
+    and its entry at position d is the dimension in degree d.
 
     The multiplicity of V(mu) in ch(mu') * Sym^d is the alternating sum over
     w of the product's entry at w(mu + rho) - rho, and that entry is the sum
     over weights w1 of ch(mu') of m1 * Sym^d[w(mu + rho) - rho - w1].  The
-    pairs (key, coefficient) of that double sum do not depend on d.
-    InputError when mu, mu' or a weight of coinv is off the lattice."""
+    pairs (key, coefficient) of that double sum do not depend on d.  Each
+    window weight's character and shifted orbit is built once per call.
+    InputError when a window weight or a weight of coinv is off the
+    lattice."""
     lv = levi or full_levi(datum)
-    mu = _dominant(datum, mu, lv)
-    mu_prime = _dominant(datum, mu_prime, lv)
+    window = [_dominant(datum, mu, lv) for mu in window]
+    if not window:
+        return []
     # top degree first: one program builds every table, and a degree past
     # the table cap is refused before anything per degree is allocated
-    tables = [sym_power_character(coinv, d) for d in range(up_to, -1, -1)]
-    tables.reverse()
-    ch_prime = _held(irr_character, datum, mu_prime, lv, coinv)
-    kernel: dict[tuple[int, ...], int] = {}
-    for point, det in _held(_shifted_orbit, datum, mu, lv, coinv):
-        for w1, m1 in ch_prime.counts.items():
-            key = tuple(map(sub, point, w1))
-            kernel[key] = kernel.get(key, 0) + det * m1
-    terms = [(key, c) for key, c in kernel.items() if c]
-    dims = [sum(c * counts.get(key, 0) for key, c in terms)
-            for counts in (table.counts for table in tables)]
-    if any(dim < 0 for dim in dims):
+    tables = [sym_power_character(coinv, d).counts
+              for d in range(up_to, -1, -1)][::-1]
+    orbits = [_shifted_orbit(datum, mu, lv) for mu in window]
+    chars = [irr_character(datum, mu, lv).counts for mu in window]
+    blocks = []
+    for points in orbits:
+        for ch_prime in chars:
+            kernel: dict[tuple[int, ...], int] = {}
+            for point, det in points:
+                for w1, m1 in ch_prime.items():
+                    key = tuple(map(sub, point, w1))
+                    kernel[key] = kernel.get(key, 0) + det * m1
+            terms = [(key, c) for key, c in kernel.items() if c]
+            blocks.append(tuple(sum(c * counts.get(key, 0) for key, c in terms)
+                                for counts in tables))
+    if any(dim < 0 for dims in blocks for dim in dims):
         raise InputError("negative multiplicity: character data corrupt")
-    return tuple(dims)
+    return blocks

@@ -187,8 +187,8 @@ def window_points(datum: RootDatum, lv: LeviDatum, gens, r, shift, inside,
                              [(c, (0, 1)) for c in lv.dominance_rows])
 
 
-def cell_members(rep: RepSpec, cell: PartitionCell, profile: ShiftProfile,
-                 coinv: RepSpec, twist=None) -> list[tuple[int, ...]]:
+def cell_members(rep: RepSpec, cell: PartitionCell, coinv: RepSpec,
+                 twist=None) -> list[tuple[int, ...]]:
     """All lattice points of the cell's window: Levi-dominant weights in
     nu_levi - rho_bar_lambda + r * (open-coefficient zonotope of ``coinv``,
     the lam-neutral weights, ``reps.coinvariant_rep(rep, cell.levi.lam)``).

@@ -19,7 +19,7 @@ from .partition import (HALF_OPEN_MODE, STANDARD, PreconditionError,
                         make_profile, partition_region)
 from .reps import (RepSpec, TwistData, construct_rep, find_destabilizer,
                    is_quasi_symmetric)
-from .rootdata import (RootDatum, build_group, check_length,
+from .rootdata import (RootDatum, _quote, build_group, check_length,
                        invariant_subspace)
 from .sod import (NccrCertificate, Preset, SodComponent, certify_nccr,
                   enumerate_sod)
@@ -37,15 +37,22 @@ def rational_str(x: Fraction) -> str:
 def parse_rational(s) -> Fraction:
     if isinstance(s, bool):
         raise InputError("expected a rational, got a boolean")
-    if isinstance(s, str) and any(c in s for c in "eE"):
+    if not isinstance(s, (int, str, Fraction)):
+        raise InputError(f"bad rational {_quote(repr(s))} (floats are not "
+                         f"accepted)")
+    if not isinstance(s, str):
+        return frac(s)
+    q = _quote(s)  # a long input is quoted by a prefix and its length
+    if any(c in s for c in "eE"):
         # Fraction would build 10**exp before any size check
-        raise InputError(f"bad rational {s!r} (exponents are not accepted)")
-    if isinstance(s, (int, str, Fraction)):
-        try:
-            return frac(s if not isinstance(s, str) else s.strip())
-        except (ValueError, ZeroDivisionError) as e:
-            raise InputError(f"bad rational {s!r}: {e}") from None
-    raise InputError(f"bad rational {s!r} (floats are not accepted)")
+        raise InputError(f"bad rational {q} (exponents are not accepted)")
+    try:
+        return frac(s.strip())
+    except ZeroDivisionError:
+        raise InputError(f"bad rational {q}: zero denominator") from None
+    except ValueError as e:  # the first clause does not echo the input
+        raise InputError(f"bad rational {q}: {str(e).partition(':')[0]}") \
+            from None
 
 
 def _parse_vector(raw, name: str) -> tuple[Fraction, ...]:
@@ -382,14 +389,11 @@ def run_job(subcommand: str, cfg: JobConfig,
         return doc
     # hilbert: graded Hom blocks of the tail component
     tail = result.components[-1]
-    blocks = []
-    for mu in tail.window:
-        for mu2 in tail.window:
-            dims = hom_block_dims(datum, mu, mu2, tail.coinvariants,
-                                  tail.levi, up_to=cfg.degree_bound)
-            blocks.append({
-                "source": weight_json(mu), "target": weight_json(mu2),
-                "dims_by_degree": list(dims)})
+    dims = hom_block_dims(datum, tail.window, tail.coinvariants, tail.levi,
+                          up_to=cfg.degree_bound)
+    pairs = [(mu, mu2) for mu in tail.window for mu2 in tail.window]
+    blocks = [{"source": weight_json(mu), "target": weight_json(mu2),
+               "dims_by_degree": list(d)} for (mu, mu2), d in zip(pairs, dims)]
     doc["hilbert"] = {"component_index": tail.index, "blocks": blocks}
     return doc
 

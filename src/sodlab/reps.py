@@ -39,15 +39,6 @@ class RepSpec:
     def dim(self) -> int:
         return len(self.expanded)
 
-    @cached_property
-    def _hash(self) -> int:
-        return hash((self.datum, self.weights))
-
-    def __hash__(self) -> int:
-        # computed once: every lookup of the process-wide symmetric-power
-        # tables hashes the representation
-        return self._hash
-
 
 # Largest dimension (multiplicities summed) of a representation.  The tests
 # and benchmark jobs build at most 108, and 10,000 (GL(1), +-1 each 5,000
@@ -61,10 +52,7 @@ def rep_spec(datum: RootDatum, weights) -> RepSpec:
     past ``REP_DIM_CAP``."""
     pairs = []
     for w, m in weights:
-        w = datum.normalize_weight(vec(w))
-        if not is_integral(w):
-            raise InputError(f"weight {w} is not a lattice element")
-        w = tuple(map(int, w))
+        w = lattice_ints(datum.normalize_weight(vec(w)), "weight")
         m = int(m)
         if m < 1:
             raise InputError("multiplicities must be >= 1")
@@ -216,7 +204,9 @@ class TwistData:
         if len(self.sublattice_basis) != n:
             raise InputError("sublattice basis must be square (finite index)")
         for row in self.sublattice_basis:
-            if len(row) != n or not is_integral(row):
+            if len(row) != n:
+                raise InputError(f"sublattice basis row has length {len(row)}, not {n}")
+            if not is_integral(row):
                 raise InputError("sublattice basis must be integral")
         if not is_integral(self.coset_offset):
             raise InputError("coset offset must be integral")

@@ -18,6 +18,7 @@ Fraction tuple, and a Levi's simple roots and rho_bar_lambda are derived
 once, on first use.  A Levi keeps its one-parameter subgroup as it is
 given: an int tuple on the CLI path (``full_levi``,
 ``zonotope.supporting_lambda``), or a rational one from a library caller.
+Like ``build_group``, ``full_levi`` builds once per datum value.
 
 The Weyl group is never enumerated: dominant conjugates, signed orbits,
 fixed spaces and the Weyl average all come from the simple roots, whose
@@ -484,19 +485,11 @@ def levi(datum: RootDatum, lam) -> LeviDatum:
         a for a in datum.positive_roots if not sum(map(mul, row, a))))
 
 
-# The whole-group Levi of the datum asked for last.  It is kept here, not
-# on the datum: the Levi refers back to its datum, so a cache on the datum
-# would be a cycle that only the cyclic collector frees.  Holding the Levi
-# holds its datum, so the identity test below cannot match a new object.
-_FULL_LEVI: list[LeviDatum] = []
-
-
+@cache
 def full_levi(datum: RootDatum) -> LeviDatum:
     """The Levi subdatum of the zero subgroup (the whole group), built once
-    per run of calls on one datum."""
-    if not (_FULL_LEVI and _FULL_LEVI[0].datum is datum):
-        _FULL_LEVI[:] = [levi(datum, (0,) * datum.rank)]
-    return _FULL_LEVI[0]
+    per datum value: the datum is frozen, so every caller shares it."""
+    return levi(datum, (0,) * datum.rank)
 
 
 def invariant_subspace(datum: RootDatum) -> list[Vec]:

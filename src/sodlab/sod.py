@@ -113,6 +113,7 @@ def enumerate_sod(rep: RepSpec, profile: ShiftProfile,
     Components appear in strictly descending ``order_key`` of their
     signatures, the tail component last with the largest index (zero); kept
     cells have radius at least the profile threshold and at most r_max.
+    InputError for a given epsilon that is not Weyl-invariant.
     """
     datum = rep.datum
     if profile.threshold == HALF_OPEN_MODE and not is_quasi_symmetric(rep):
@@ -122,6 +123,8 @@ def enumerate_sod(rep: RepSpec, profile: ShiftProfile,
     lv0 = full_levi(datum)
     eps = vec(epsilon) if epsilon is not None \
         else pick_epsilon(rep, lv0, rep.expanded)
+    if not lv0.is_invariant(eps):
+        raise InputError("epsilon is not Weyl-invariant")
     kept, absorbed, frontier = [], [], []
     for cell in cells:
         if not profile.keeps(cell.signature.r):
@@ -140,7 +143,7 @@ def enumerate_sod(rep: RepSpec, profile: ShiftProfile,
         components.append(SodComponent(
             -(len(kept) - i), cell.signature, cell.levi, cell.nu_levi,
             ("rel_int_scaled", cell.signature.r),
-            tuple(cell_members(rep, cell, profile, coinv, twist=twist)),
+            tuple(cell_members(rep, cell, coinv, twist=twist)),
             coinv))
     components.append(_tail_component(rep, lv0, profile, eps, twist=twist))
     return SodResult(tuple(components), tuple(absorbed), tuple(frontier),

@@ -181,7 +181,7 @@ def test_criterion_4_partition_property_suite():
                         assert signs.t_zero == sig.s_zero
                         # window members are fully dominant
                         coinv = coinvariant_rep(rep, cell.levi.lam)
-                        for mu in cell_members(rep, cell, prof, coinv):
+                        for mu in cell_members(rep, cell, coinv):
                             assert is_dominant(datum, mu)
                             assert signature(mu) == sig
                     cache[chi] = (sig, cell)
@@ -258,7 +258,7 @@ def test_criterion_6_hilbert_cross_check():
         assert expected == [1, 0, 3, 0, 6, 0, 10]
         sp2 = build_group("Sp(2)")
         w = construct_rep(sp2, [("vector_power", 3)])
-        dims = hom_block_dims(sp2, vec([0]), vec([0]), w, up_to=6)
+        [dims] = hom_block_dims(sp2, [vec([0])], w, up_to=6)
         assert list(dims) == expected
 
 

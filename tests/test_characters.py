@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from oracles import (hom_block_dims_reference, irr_character_reference,
                      multiplicity_in_reference, sym_power_tables_reference,
                      weyl_elements_reference, weyl_generators_reference)
-from sodlab import characters, reps
+from sodlab import characters, report, reps
 from sodlab.characters import (CharacterTable, hom_block_dims,
                                irr_character, sym_power_character, weyl_dim)
 from sodlab.linalg import int_row, mat_vec, vec
@@ -174,19 +174,28 @@ class TestSymPower:
 class TestHomBlocks:
     def test_pfaffian_invariants(self):
         w = construct_rep(SP2, [("vector_power", 3)])
-        dims = hom_block_dims(SP2, vec([0]), vec([0]), w, up_to=6)
+        [dims] = hom_block_dims(SP2, [vec([0])], w, up_to=6)
         assert dims == (1, 0, 3, 0, 6, 0, 10)
 
     def test_sl2_two_vectors(self):
         w = construct_rep(SL2, [("vector_power", 2)])
-        dims = hom_block_dims(SL2, vec([0, 0]), vec([0, 0]), w, up_to=2)
+        [dims] = hom_block_dims(SL2, [vec([0, 0])], w, up_to=2)
         assert dims == (1, 0, 1)
 
     def test_central_obstruction(self):
         t2 = build_group("Torus(2)")
         w = rep_spec(t2, [((1, 0), 1), ((-1, 0), 1)])
-        dims = hom_block_dims(t2, vec([0, 0]), vec([0, 1]), w, up_to=4)
+        # block 1 of the window is (window[0], window[1])
+        dims = hom_block_dims(t2, [vec([0, 0]), vec([0, 1])], w, up_to=4)[1]
         assert dims == (0, 0, 0, 0, 0)
+
+    def test_empty_window_builds_no_tables(self):
+        # a twist coset can leave the tail window empty; its hilbert job
+        # has no blocks, whatever the degree bound
+        w = rep_spec(T1, [((1,), 1), ((-1,), 1)])
+        assert hom_block_dims(T1, [], w, up_to=10 ** 9) == []
+        with pytest.raises(InputError, match="cap"):
+            hom_block_dims(T1, [vec([0])], w, up_to=10 ** 9)
 
     def test_invariant_count_vs_monomials(self):
         # weight-zero monomial count corrected by the alternating sum, for a
@@ -237,13 +246,15 @@ class TestHomBlockLookup:
         tail = result.components[-1]
         lv = full_levi(datum)
         nonzero = 0
-        for mu in tail.window:
-            for mu2 in tail.window:
-                got = list(hom_block_dims(datum, mu, mu2, tail.coinvariants,
-                                          lv, up_to=4))
-                assert got == hom_block_dims_reference(
-                    datum, mu, mu2, tail.coinvariants, lv, 4)
-                nonzero += any(got)
+        blocks = hom_block_dims(datum, tail.window, tail.coinvariants, lv,
+                                up_to=4)
+        pairs = [(mu, mu2) for mu in tail.window for mu2 in tail.window]
+        assert len(blocks) == len(pairs)
+        for (mu, mu2), dims in zip(pairs, blocks):
+            got = list(dims)
+            assert got == hom_block_dims_reference(
+                datum, mu, mu2, tail.coinvariants, lv, 4)
+            nonzero += any(got)
         assert nonzero > 0
 
     def test_sl3_keys_need_normalizing(self):
@@ -259,13 +270,13 @@ class TestHomBlockLookup:
         assert moved
         weights = [vec(x) for x in ([0, 0, 0], [1, 0, 0], [1, 1, 0], [2, 0, 0])]
         totals = []
+        blocks = iter(hom_block_dims(sl3, weights, w, up_to=4))
         for mu in weights:
             for mu2 in weights:
-                got = list(hom_block_dims(sl3, mu, mu2, w, up_to=4))
+                got = list(next(blocks))
                 assert got == hom_block_dims_reference(sl3, mu, mu2, w, lv, 4)
                 totals.append(sum(got))
-        assert hom_block_dims(sl3, weights[0], weights[0], w,
-                              up_to=2) == (1, 0, 1)
+        assert hom_block_dims(sl3, weights[:1], w, up_to=2) == [(1, 0, 1)]
         assert min(totals) > 0
 
 
@@ -333,7 +344,7 @@ class TestLatticeRefusals:
         zero = vec([0, 0])
         for up_to in (0, 4):
             with pytest.raises(InputError, match="not a lattice element"):
-                hom_block_dims(GL2, zero, zero, coinv, up_to=up_to)
+                hom_block_dims(GL2, [zero], coinv, up_to=up_to)
         with pytest.raises(InputError, match="not a lattice element"):
             sym_power_character(coinv, 0)
 
@@ -343,10 +354,12 @@ class TestLatticeRefusals:
             _weight_multiset(GL2, [((1, -1), 1), ((-1, 1), 1), ((0, 0), 1),
                                    ((1, 0), 1), ((0, 1), 1)]), vec([1, 1]))
         weights = {"mu": vec([0, 0]), "mu_prime": vec([0, 0])}
-        assert hom_block_dims(GL2, **weights, coinv=integral)[0] == 1
+        window = [weights["mu"], weights["mu_prime"]]
+        assert hom_block_dims(GL2, window, integral)[1][0] == 1
         weights[which] = vec(["1/2", "-1/2"])
+        window = [weights["mu"], weights["mu_prime"]]
         with pytest.raises(InputError, match="not a lattice element"):
-            hom_block_dims(GL2, **weights, coinv=integral)
+            hom_block_dims(GL2, window, integral)
 
     def test_non_integral_highest_weight_is_refused(self):
         for datum, chi in ((SL2, ["1/2", 0]), (SP4, ["3/2", "1/2"]),
@@ -368,14 +381,14 @@ class TestLatticeRefusals:
         datum = _with_root(build_group("Torus(4)"), (1, 1, 1, 1))
         rep = rep_spec(datum, [((1, 0, 0, 0), 1)])
         zero, e1 = vec([0, 0, 0, 0]), vec([1, 0, 0, 0])
-        assert hom_block_dims(datum, zero, zero, rep, up_to=2) == (1, 0, 0)
+        assert hom_block_dims(datum, [zero], rep, up_to=2) == [(1, 0, 0)]
         with pytest.raises(InputError, match="off the lattice"):
-            hom_block_dims(datum, e1, zero, rep, up_to=2)
+            hom_block_dims(datum, [e1, zero], rep, up_to=2)
 
 
 def _counting_characters(monkeypatch):
-    """A fresh character slot, and the list of highest weights that
-    ``irr_character`` is then called with."""
+    """The list of highest weights that ``irr_character`` is called with
+    from then on."""
     calls = []
     original = characters.irr_character
 
@@ -383,23 +396,34 @@ def _counting_characters(monkeypatch):
         calls.append(tuple(chi))
         return original(datum, chi, levi)
 
-    monkeypatch.setattr(characters, "_CHARACTERS", [(None, None, {})])
     monkeypatch.setattr(characters, "irr_character", counted)
     return calls
 
 
 class TestCharacterSlot:
+    """Each window weight's character and shifted orbit is built once per
+    ``hom_block_dims`` call, and a hilbert job makes one call."""
+
     @pytest.mark.parametrize("group, rep, eps", HILBERT_CONFIGS,
                              ids=[c[0] for c in HILBERT_CONFIGS])
     def test_one_character_per_window_weight(self, monkeypatch, group, rep,
                                              eps):
         calls = _counting_characters(monkeypatch)
+        jobs = []
+        original = report.hom_block_dims
+
+        def counted(*args, **kwargs):
+            jobs.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(report, "hom_block_dims", counted)
         cfg = parse_config({"group": group, "representation": rep,
                             "box_radius": 0, "mode": "quasi_symmetric",
                             "epsilon": eps, "degree_bound": 3})
         blocks = run_job("hilbert", cfg)["hilbert"]["blocks"]
         targets = {tuple(b["target"]) for b in blocks}
         assert len(blocks) == len(targets) ** 2
+        assert len(jobs) == 1
         assert len(calls) == len(set(calls)) == len(targets)
 
     def test_one_shifted_orbit_per_window_weight(self, monkeypatch):
@@ -412,7 +436,6 @@ class TestCharacterSlot:
             calls.append(mu)
             return original(datum, mu, lv)
 
-        monkeypatch.setattr(characters, "_CHARACTERS", [(None, None, {})])
         monkeypatch.setattr(characters, "_shifted_orbit", counted)
         cfg = preset_config(preset("determinantal", n=2, h=3))
         blocks = run_job("hilbert", cfg)["hilbert"]["blocks"]
@@ -435,21 +458,17 @@ class TestCharacterSlot:
         # the whole group's character of (1, 0) has two weights and the
         # torus Levi's one; served the former, the torus Levi would read 3,
         # not 2, in degree 2, and the reference comparison would fail
-        expected = 0
-        for datum, lv, fresh in ((GL2, whole, True), (GL2, whole, False),
-                                 (GL2, torus, True), (GL2, whole, True),
-                                 (GL2, again, True), (twin, again, True),
-                                 (twin, again, False)):
-            got = list(hom_block_dims(datum, mu, mu, coinv, lv, up_to=3))
+        cases = ((GL2, whole), (GL2, whole), (GL2, torus), (GL2, whole),
+                 (GL2, again), (twin, again), (twin, again))
+        for k, (datum, lv) in enumerate(cases, 1):
+            got = list(hom_block_dims(datum, [mu], coinv, lv, up_to=3)[0])
             assert got == hom_block_dims_reference(GL2, mu, mu, coinv, lv, 3)
-            expected += fresh
-            assert len(calls) == expected
+            assert len(calls) == k
 
-    def test_threads_alternating_levis_read_their_own_tables(self,
-                                                             monkeypatch):
-        # more threads than cores, switching often: each reads the slot
-        # once, so a thread never pairs its Levi with another's tables
-        monkeypatch.setattr(characters, "_CHARACTERS", [(None, None, {})])
+    def test_threads_alternating_levis_read_their_own_tables(self):
+        # more threads than cores, switching often: each call builds its
+        # characters as local values, so a thread never pairs its Levi with
+        # another's tables
         coinv = construct_rep(GL2, [("vector_power", 1),
                                     ("dual_vector_power", 1)])
         mu = vec([1, 0])
@@ -461,7 +480,7 @@ class TestCharacterSlot:
         def work(k):
             for i in range(40):
                 lv = levis[(i + k) % 2]
-                got = list(hom_block_dims(GL2, mu, mu, coinv, lv, up_to=3))
+                got = list(hom_block_dims(GL2, [mu], coinv, lv, up_to=3)[0])
                 if got != want[(i + k) % 2]:
                     wrong.append(got)
 

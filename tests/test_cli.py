@@ -547,6 +547,53 @@ class TestCliProcess:
         assert err.startswith("sodlab: configuration error: unknown group tag")
         assert len(err.encode()) < 300
 
+    @pytest.mark.parametrize("key, value", [
+        ("nu", ["9" * 5000, "0"]),
+        ("r_max", "1/" + "9" * 5000),
+        ("epsilon", ["0", "x" * 100_000]),
+        ("r_max", "1" + "0" * 5000 + "/0"),
+    ], ids=["nu digits", "r_max digits", "garbage", "zero denominator"])
+    def test_long_rational_gives_a_short_error_line(self, tmp_path, capsys,
+                                                    key, value):
+        # the message quotes a prefix of the entry and its length
+        cfg = dict(GL2_CFG, **{key: value})
+        assert main(["analyze", "--config", write_config(tmp_path, cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("sodlab: configuration error: bad rational")
+        assert "characters)" in err
+        assert len(err.encode()) < 300
+
+    def test_fractional_weight_is_quoted_as_its_entries(self, tmp_path,
+                                                        capsys):
+        cfg = {"group": "GL(1)", "representation": [
+            {"kind": "weights",
+             "weights": [{"weight": ["1/2"]}, {"weight": ["-1/2"]}]}]}
+        assert main(["analyze", "--config", write_config(tmp_path, cfg)]) == 2
+        assert capsys.readouterr().err == (
+            "sodlab: configuration error: weight ['-1/2'] is not a lattice "
+            "element\n")
+
+    @pytest.mark.parametrize("subcommand", ["sod", "nccr", "hilbert"])
+    def test_epsilon_that_is_not_weyl_invariant_exits_two(
+            self, tmp_path, capsys, subcommand):
+        cfg = dict(GL2_CFG, representation=[
+            {"kind": "vector_power", "h": 3},
+            {"kind": "dual_vector_power", "h": 3}],
+            mode="quasi_symmetric", epsilon=["1", "0"], box_radius=1)
+        assert main([subcommand, "--config", write_config(tmp_path, cfg)]) == 2
+        assert "epsilon is not Weyl-invariant" in capsys.readouterr().err
+        cfg["epsilon"] = ["1", "1"]
+        assert main([subcommand, "--config", write_config(tmp_path, cfg),
+                     "--out", str(tmp_path / "out.json")]) == 0
+
+    def test_short_twist_row_exits_two(self, tmp_path, capsys):
+        cfg = dict(GL2_CFG, twist={"sublattice_basis": [[1], [0, 1]],
+                                   "coset_offset": [0, 0]})
+        assert main(["sod", "--config", write_config(tmp_path, cfg)]) == 2
+        assert "sublattice basis row has length 1, not 2" in \
+            capsys.readouterr().err
+
     @pytest.mark.parametrize("subcommand, args, dim", [
         ("partition", ["--config", {"group": "GL(1)", "representation": [
             {"kind": "weights", "weights": [

@@ -85,7 +85,7 @@ class TestCellMembers:
         sig = signature_of(TORUS_4, PROF_T1)(vec([3]))
         cell = build_cell(TORUS_4, sig, PROF_T1, face_levi(TORUS_4, sig))
         coinv = coinvariant_rep(TORUS_4, cell.levi.lam)
-        assert cell_members(TORUS_4, cell, PROF_T1, coinv) == [vec([3])]
+        assert cell_members(TORUS_4, cell, coinv) == [vec([3])]
 
     def test_members_share_the_signature(self):
         rep = construct_rep(SL2, [("sym_power", 3), ("trivial", 1)])
@@ -95,7 +95,7 @@ class TestCellMembers:
             sig = signature(vec([x, 0]))
             cell = build_cell(rep, sig, prof, face_levi(rep, sig))
             coinv = coinvariant_rep(rep, cell.levi.lam)
-            for mu in cell_members(rep, cell, prof, coinv):
+            for mu in cell_members(rep, cell, coinv):
                 assert signature(mu) == sig
 
     def test_levi_dominant_members_are_dominant(self):
@@ -108,7 +108,7 @@ class TestCellMembers:
                 continue
             lv = levi(SP4, cell.levi.lam)
             coinv = coinvariant_rep(rep, cell.levi.lam)
-            for mu in cell_members(rep, cell, prof, coinv):
+            for mu in cell_members(rep, cell, coinv):
                 assert is_dominant(SP4, mu, lv)
                 assert is_dominant(SP4, mu)
 

@@ -174,6 +174,12 @@ class TestTwist:
         with pytest.raises(InputError):
             TwistData(((F(2), F(0)), (F(4), F(0))), (F(0), F(0)))
 
+    def test_short_row_has_its_own_message(self):
+        with pytest.raises(InputError, match="row has length 1, not 2"):
+            TwistData(((F(1),), (F(0), F(1))), (F(0), F(0)))
+        with pytest.raises(InputError, match="basis must be integral"):
+            TwistData(((F(1, 2), F(0)), (F(0), F(1))), (F(0), F(0)))
+
     def test_integrality_required(self):
         with pytest.raises(InputError):
             twist_member(trivial_twist(1), vec([F(1, 2)]))
