@@ -9,6 +9,8 @@ window per call (each weight's character and shifted orbit built once), a
 tuple per block whose position is the degree.  Every Weyl fact (dominant
 conjugate, orbit with signs) comes from reflections in the simple roots via
 `rootdata.descend` and `rootdata.orbit`; the group is never enumerated.
+Each function takes a Levi as its one root-system argument (the whole
+group is `full_levi(datum)`) and reads the section form off its `datum`.
 
 Everything runs on int tuples of the weight lattice, as `reps.rep_spec`
 requires of every representation: a weight off it is refused with
@@ -32,8 +34,7 @@ from operator import add, mul, sub
 from .linalg import Vec, int_row, vec
 from .linprog import InputError
 from .reps import RepSpec, lattice_ints, sym_power_layers
-from .rootdata import (LeviDatum, RootDatum, descend, full_levi, is_dominant,
-                       orbit)
+from .rootdata import LeviDatum, RootDatum, descend, is_dominant, orbit
 
 
 @dataclass(frozen=True)
@@ -62,20 +63,19 @@ class CharacterTable:
         return hash(frozenset(self.counts.items()))
 
 
-def _dominant(datum: RootDatum, chi, lv: LeviDatum) -> tuple[int, ...]:
+def _dominant(lv: LeviDatum, chi) -> tuple[int, ...]:
     """chi in section form as an int tuple; InputError when it is off the
     lattice or not dominant for the Levi."""
-    chi = lattice_ints(datum.normalize_weight(chi), "weight")
-    if not is_dominant(datum, chi, lv):
+    chi = lattice_ints(lv.datum.normalize_weight(chi), "weight")
+    if not is_dominant(lv, chi):
         raise InputError(f"{chi} is not dominant for the Levi")
     return chi
 
 
-def weyl_dim(datum: RootDatum, chi: Vec, levi: LeviDatum | None = None) -> int:
-    """Dimension of the irreducible with the given highest weight."""
-    lv = levi or full_levi(datum)
-    chi = datum.normalize_weight(chi)
-    if not is_dominant(datum, chi, lv):
+def weyl_dim(lv: LeviDatum, chi: Vec) -> int:
+    """Dimension of the irreducible of the Levi with highest weight chi."""
+    chi = lv.datum.normalize_weight(chi)
+    if not is_dominant(lv, chi):
         raise InputError(f"{chi} is not dominant for the Levi")
     # 2 d (chi + rho) and 2 rho on ints, d the denominator of chi (1 at an
     # int chi); d and the scale of each coroot row cancel in the quotient
@@ -92,13 +92,12 @@ def weyl_dim(datum: RootDatum, chi: Vec, levi: LeviDatum | None = None) -> int:
     return value
 
 
-def irr_character(datum: RootDatum, chi: Vec,
-                  levi: LeviDatum | None = None) -> CharacterTable:
-    """Weight multiplicities of the irreducible with highest weight chi,
-    via the Freudenthal recursion over the (Levi-)root system.  InputError
-    when chi is off the lattice."""
-    lv = levi or full_levi(datum)
-    chi = _dominant(datum, chi, lv)
+def irr_character(lv: LeviDatum, chi: Vec) -> CharacterTable:
+    """Weight multiplicities of the irreducible of the Levi with highest
+    weight chi, via the Freudenthal recursion over its root system.
+    InputError when chi is off the lattice."""
+    datum = lv.datum
+    chi = _dominant(lv, chi)
     roots = lv.phi_lambda_plus
     if not roots:
         return CharacterTable(datum, {chi: 1})
@@ -120,7 +119,7 @@ def irr_character(datum: RootDatum, chi: Vec,
         mu = stack.pop()
         for a in roots:
             below = tuple(map(sub, mu, a))
-            if below not in found and is_dominant(datum, below, lv):
+            if below not in found and is_dominant(lv, below):
                 found.add(below)
                 stack.append(below)
     # any positive functional on the positive span orders the recursion
@@ -175,11 +174,11 @@ def sym_power_character(rep: RepSpec, d: int) -> CharacterTable:
     return tables[d]
 
 
-def _shifted_orbit(datum: RootDatum, mu: tuple[int, ...],
-                   lv: LeviDatum) -> list[tuple[tuple[int, ...], int]]:
+def _shifted_orbit(lv: LeviDatum,
+                   mu: tuple[int, ...]) -> list[tuple[tuple[int, ...], int]]:
     """The points w(mu + rho) - rho, one per w of the Levi Weyl group (mu +
     rho is regular), with the sign det w; InputError off the lattice."""
-    rho, t = int_row(datum.normalize_weight(lv.rho_bar_lambda))
+    rho, t = int_row(lv.datum.normalize_weight(lv.rho_bar_lambda))
     points = []
     for image, det in orbit(lv, tuple(t * x + r for x, r in zip(mu, rho))):
         point = [x - r for x, r in zip(image, rho)]
@@ -189,13 +188,12 @@ def _shifted_orbit(datum: RootDatum, mu: tuple[int, ...],
     return points
 
 
-def hom_block_dims(datum: RootDatum, window, coinv: RepSpec,
-                   levi: LeviDatum | None = None,
+def hom_block_dims(lv: LeviDatum, window, coinv: RepSpec,
                    up_to: int = 6) -> list[tuple[int, ...]]:
     """Graded dimensions of Hom(V(mu), V(mu') tensor Sym^d of the neutral
-    weights), for d = 0..up_to, for every pair (mu, mu') of the window in
-    row-major order: block i * len(window) + j is (window[i], window[j]),
-    and its entry at position d is the dimension in degree d.
+    weights) over the Levi, for d = 0..up_to, for every pair (mu, mu') of
+    the window in row-major order: block i * len(window) + j is (window[i],
+    window[j]), and its entry at position d is the dimension in degree d.
 
     The multiplicity of V(mu) in ch(mu') * Sym^d is the alternating sum over
     w of the product's entry at w(mu + rho) - rho, and that entry is the sum
@@ -204,16 +202,15 @@ def hom_block_dims(datum: RootDatum, window, coinv: RepSpec,
     window weight's character and shifted orbit is built once per call.
     InputError when a window weight or a weight of coinv is off the
     lattice."""
-    lv = levi or full_levi(datum)
-    window = [_dominant(datum, mu, lv) for mu in window]
+    window = [_dominant(lv, mu) for mu in window]
     if not window:
         return []
     # top degree first: one program builds every table, and a degree past
     # the table cap is refused before anything per degree is allocated
     tables = [sym_power_character(coinv, d).counts
               for d in range(up_to, -1, -1)][::-1]
-    orbits = [_shifted_orbit(datum, mu, lv) for mu in window]
-    chars = [irr_character(datum, mu, lv).counts for mu in window]
+    orbits = [_shifted_orbit(lv, mu) for mu in window]
+    chars = [irr_character(lv, mu).counts for mu in window]
     blocks = []
     for points in orbits:
         for ch_prime in chars:

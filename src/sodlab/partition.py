@@ -100,6 +100,7 @@ def signature_of(rep: RepSpec,
     Lectures on Polytopes, ch. 7).  A weight with d = 0 gets the trivial
     signature without a solve."""
     datum = rep.datum
+    whole = full_levi(datum)
     shift = vsub(profile.nu_global, datum.rho_bar)
     at = face_signature_at(rep.expanded, shift,
                            central=datum.central_directions)
@@ -108,7 +109,7 @@ def signature_of(rep: RepSpec,
 
     def signature(chi) -> FaceSignature:
         chi = datum.normalize_weight(chi)
-        if not is_dominant(datum, chi):
+        if not is_dominant(whole, chi):
             raise InputError(f"weight {chi} is not dominant")
         ints, q = int_row(chi)
         ints = [den * x - q * b for x, b in zip(ints, base)]
@@ -175,7 +176,7 @@ def window_box(datum: RootDatum, generators, r, shift):
             for k in range(datum.rank)]
 
 
-def window_points(datum: RootDatum, lv: LeviDatum, gens, r, shift, inside,
+def window_points(lv: LeviDatum, gens, r, shift, inside,
                   twist=None) -> list[tuple[int, ...]]:
     """The lattice points of a window, in lexicographic order, as int
     tuples: the points of the twist coset in the box of shift + r * Z(gens)
@@ -183,25 +184,25 @@ def window_points(datum: RootDatum, lv: LeviDatum, gens, r, shift, inside,
     the membership predicate ``inside``.  The dominance rows prune the walk,
     so the coset test and ``inside`` see only Levi-dominant points.  With no
     generators the box is the shift point."""
-    return enumerate_lattice(inside, window_box(datum, gens, r, shift), twist,
-                             [(c, (0, 1)) for c in lv.dominance_rows])
+    return enumerate_lattice(inside, window_box(lv.datum, gens, r, shift),
+                             twist, [(c, (0, 1)) for c in lv.dominance_rows])
 
 
-def cell_members(rep: RepSpec, cell: PartitionCell, coinv: RepSpec,
+def cell_members(cell: PartitionCell, coinv: RepSpec,
                  twist=None) -> list[tuple[int, ...]]:
     """All lattice points of the cell's window: Levi-dominant weights in
     nu_levi - rho_bar_lambda + r * (open-coefficient zonotope of ``coinv``,
     the lam-neutral weights, ``reps.coinvariant_rep(rep, cell.levi.lam)``).
     This is the full cell, independent of any box.  The trivial cell
     (r = 0) is the shift point, the set of no generators."""
-    datum, lv = rep.datum, cell.levi
+    lv = cell.levi
     shift = vsub(cell.nu_levi, lv.rho_bar_lambda)
     if cell.signature.trivial:
         gens, r = (), ONE
     else:
         gens, r = coinv.expanded, cell.signature.r
-    inside = member(gens, r, shift, REL_INT, datum.central_directions)
-    return window_points(datum, lv, gens, r, shift, inside, twist)
+    inside = member(gens, r, shift, REL_INT, lv.datum.central_directions)
+    return window_points(lv, gens, r, shift, inside, twist)
 
 
 def dominant_box_points(rep: RepSpec, radius: int) -> list[tuple[int, ...]]:
@@ -214,7 +215,7 @@ def dominant_box_points(rep: RepSpec, radius: int) -> list[tuple[int, ...]]:
     pinned = {pin for _, pin in datum.quotient_pairs}
     spans = [range(0, 1) if k in pinned else range(-radius, radius + 1)
              for k in range(datum.rank)]
-    rows = [(c, (0, 1)) for c in datum.dominance_rows]
+    rows = [(c, (0, 1)) for c in full_levi(datum).dominance_rows]
     return lattice_walk(spans, rows)
 
 
@@ -299,6 +300,7 @@ def validate_reduction_setting(rep: RepSpec, window, chi: Vec, lam: Vec
         raise InputError(f"the lambda-positive weights have {sums} nonempty "
                          f"sub-multisets, above the cap of {REDUCTION_SUM_CAP}")
     violations = []
+    whole = full_levi(datum)
     choices = [range(m + 1) for _, m in values]
     for take in itertools.product(*choices):
         if not any(take):
@@ -307,7 +309,7 @@ def validate_reduction_setting(rep: RepSpec, window, chi: Vec, lam: Vec
         for (w, _), k in zip(values, take):
             if k:
                 total = vadd(total, tuple(k * x for x in w))
-        dom = star_dominate(datum, total)
+        dom = star_dominate(whole, total)
         if dom is None:
             continue
         plus, _, _ = dom

@@ -38,8 +38,9 @@ def parse_rational(s) -> Fraction:
     if isinstance(s, bool):
         raise InputError("expected a rational, got a boolean")
     if not isinstance(s, (int, str, Fraction)):
-        raise InputError(f"bad rational {_quote(repr(s))} (floats are not "
-                         f"accepted)")
+        why = "floats are not accepted" if isinstance(s, float) else \
+            'expected an integer or a "p/q" string'
+        raise InputError(f"bad rational {_quote(repr(s))} ({why})")
     if not isinstance(s, str):
         return frac(s)
     q = _quote(s)  # a long input is quoted by a prefix and its length
@@ -221,13 +222,13 @@ def config_json(cfg: JobConfig) -> dict:
     return out
 
 
-def preset_config(p: Preset, box_radius: int = 6) -> JobConfig:
+def preset_config(p: Preset) -> JobConfig:
     """A JobConfig mirroring a preset's worked-example conventions."""
     assertion = True if p.family in ("pfaffian", "determinantal") else None
     return JobConfig(
         group=p.rep.datum.label, representation=p.pieces, nu=None,
         epsilon=p.recommended_eps, twist=None, r_max=Fraction(3),
-        box_radius=box_radius, mode="quasi_symmetric"
+        box_radius=6, mode="quasi_symmetric"
         if is_quasi_symmetric(p.rep) else "standard",
         genericity_assertion=assertion, degree_bound=6, prazno_mode="set")
 
@@ -389,7 +390,7 @@ def run_job(subcommand: str, cfg: JobConfig,
         return doc
     # hilbert: graded Hom blocks of the tail component
     tail = result.components[-1]
-    dims = hom_block_dims(datum, tail.window, tail.coinvariants, tail.levi,
+    dims = hom_block_dims(tail.levi, tail.window, tail.coinvariants,
                           up_to=cfg.degree_bound)
     pairs = [(mu, mu2) for mu in tail.window for mu2 in tail.window]
     blocks = [{"source": weight_json(mu), "target": weight_json(mu2),

@@ -20,6 +20,11 @@ given: an int tuple on the CLI path (``full_levi``,
 ``zonotope.supporting_lambda``), or a rational one from a library caller.
 Like ``build_group``, ``full_levi`` builds once per datum value.
 
+A ``LeviDatum`` is the one root-system argument of every function that
+needs a Weyl group, here and in ``characters`` and ``zonotope``: it holds
+its ``datum`` and its simple roots, and the whole group is
+``full_levi(datum)``.
+
 The Weyl group is never enumerated: dominant conjugates, signed orbits,
 fixed spaces and the Weyl average all come from the simple roots, whose
 reflections s_a(v) = v - <a^vee, v> a generate it (Humphreys,
@@ -48,21 +53,19 @@ from .linprog import InputError
 @dataclass(frozen=True)
 class RootDatum:
     """Immutable root datum of a catalog group in L_i coordinates: its
-    positive roots (the roots are these and their negatives), simple roots
-    and quotient pairs, all int tuples; rho_bar and the central directions
-    are derived from them."""
+    positive roots (the roots are these and their negatives) and quotient
+    pairs, all int tuples; rho_bar and the central directions are derived
+    from them, and the simple roots from the full Levi (``full_levi``)."""
 
     label: str
     rank: int
     positive_roots: tuple[tuple[int, ...], ...]
-    simple_roots: tuple[tuple[int, ...], ...]
     # Character directions modded out (one per SL block), paired with the
     # block coordinate pinned to zero by the canonical section.
     quotient_pairs: tuple[tuple[tuple[int, ...], int], ...] = ()
 
     def __post_init__(self):
-        for v in (*self.positive_roots, *self.simple_roots,
-                  *self.central_directions):
+        for v in (*self.positive_roots, *self.central_directions):
             if any(type(x) is not int for x in v):
                 raise InputError(f"root or SL direction {list(map(str, v))} "
                                  f"is not an int tuple (a lattice vector)")
@@ -75,10 +78,6 @@ class RootDatum:
         """Half the sum of the positive roots, a Fraction tuple."""
         return tuple(Fraction(x, 2)
                      for x in _root_sum(self.positive_roots, self.rank))
-
-    @cached_property
-    def dominance_rows(self) -> tuple[tuple[int, ...], ...]:
-        return _coroot_rows(self.simple_roots)
 
     @cached_property
     def central_directions(self) -> tuple[tuple[int, ...], ...]:
@@ -127,43 +126,20 @@ def _unit(n: int, i: int) -> tuple[int, ...]:
 # Catalog constructors.
 # ---------------------------------------------------------------------------
 
-def _build_torus(n: int) -> RootDatum:
-    return RootDatum(label=f"Torus({n})", rank=n, positive_roots=(),
-                     simple_roots=())
-
-
-def _from_positive_roots(label: str, n: int, pos: list[tuple[int, ...]],
-                         simple: list[tuple[int, ...]],
-                         quotient_pairs=()) -> RootDatum:
-    """Root datum with the given positive and simple roots."""
-    return RootDatum(label=label, rank=n, positive_roots=tuple(pos),
-                     simple_roots=tuple(simple), quotient_pairs=quotient_pairs)
-
-
-def _type_a_roots(n: int):
-    pos = [vsub(_unit(n, i), _unit(n, j)) for i in range(n) for j in range(i + 1, n)]
-    simple = [vsub(_unit(n, i), _unit(n, i + 1)) for i in range(n - 1)]
-    return pos, simple
-
-
-def _build_gl(n: int) -> RootDatum:
-    return _from_positive_roots(f"GL({n})", n, *_type_a_roots(n))
-
-
-def _build_sl(n: int) -> RootDatum:
-    return _from_positive_roots(f"SL({n})", n, *_type_a_roots(n),
-                                quotient_pairs=(((1,) * n, n - 1),))
+def _type_a_roots(n: int) -> tuple[tuple[int, ...], ...]:
+    return tuple(vsub(_unit(n, i), _unit(n, j))
+                 for i in range(n) for j in range(i + 1, n))
 
 
 def _build_sp(two_n: int) -> RootDatum:
     if two_n % 2 != 0 or two_n < 2:
         raise InputError(f"Sp rank parameter must be even and positive, got {two_n}")
     n = two_n // 2
-    pos, simple = _type_a_roots(n)
-    pos += [vadd(_unit(n, i), _unit(n, j)) for i in range(n) for j in range(i + 1, n)]
-    pos += [vadd(_unit(n, i), _unit(n, i)) for i in range(n)]
-    simple.append(pos[-1])
-    return _from_positive_roots(f"Sp({two_n})", n, pos, simple)
+    pos = _type_a_roots(n)
+    pos += tuple(vadd(_unit(n, i), _unit(n, j))
+                 for i in range(n) for j in range(i + 1, n))
+    pos += tuple(vadd(_unit(n, i), _unit(n, i)) for i in range(n))
+    return RootDatum(f"Sp({two_n})", n, pos)
 
 
 def _embed(v: tuple[int, ...], offset: int, rank: int) -> tuple[int, ...]:
@@ -172,17 +148,15 @@ def _embed(v: tuple[int, ...], offset: int, rank: int) -> tuple[int, ...]:
 
 def _product(factors: list[RootDatum]) -> RootDatum:
     rank = sum(f.rank for f in factors)
-    pos, simple, quo = [], [], []
+    pos, quo = [], []
     offset = 0
     for f in factors:
         pos += [_embed(a, offset, rank) for a in f.positive_roots]
-        simple += [_embed(a, offset, rank) for a in f.simple_roots]
         for c, pin in f.quotient_pairs:
             quo.append((_embed(c, offset, rank), offset + pin))
         offset += f.rank
     label = "Product(" + ",".join(f.label for f in factors) + ")"
-    return RootDatum(label=label, rank=rank, positive_roots=tuple(pos),
-                     simple_roots=tuple(simple), quotient_pairs=tuple(quo))
+    return RootDatum(label, rank, tuple(pos), tuple(quo))
 
 
 _TAG = re.compile(r"^\s*(torus|gl|sl|sp)\s*\(\s*(\d+)\s*\)\s*$", re.IGNORECASE)
@@ -252,15 +226,16 @@ def build_group(tag: str) -> RootDatum:
                          f"rank cap of {GROUP_RANK_CAP}")
     n = int(digits)
     if kind == "torus":
-        return _build_torus(n)
+        return RootDatum(f"Torus({n})", n, ())
     if n < 1:
         raise InputError(f"group parameter must be positive in {_quote(tag)}")
     if kind == "gl":
-        return _build_gl(n)
+        return RootDatum(f"GL({n})", n, _type_a_roots(n))
     if kind == "sl":
         if n < 2:
             raise InputError("SL(n) needs n >= 2")
-        return _build_sl(n)
+        return RootDatum(f"SL({n})", n, _type_a_roots(n),
+                         (((1,) * n, n - 1),))
     return _build_sp(n)
 
 
@@ -275,11 +250,10 @@ def pairing(lam: Vec, chi: Vec) -> Fraction:
     return vdot(lam, chi)
 
 
-def is_dominant(datum: RootDatum, chi: Vec, levi: "LeviDatum | None" = None) -> bool:
+def is_dominant(lv: "LeviDatum", chi: Vec) -> bool:
     """Whether chi (ints or Fractions) pairs nonnegatively with every
-    positive coroot of the datum, or of the Levi when one is given."""
-    rows = (datum if levi is None else levi).dominance_rows
-    return all(sum(map(mul, c, chi)) >= 0 for c in rows)
+    positive coroot of the Levi (of the whole group at ``full_levi``)."""
+    return all(sum(map(mul, c, chi)) >= 0 for c in lv.dominance_rows)
 
 
 # Most points an orbit search may visit, counted as they are found.  The
@@ -348,29 +322,27 @@ def orbit(lv: "LeviDatum",
     return list(signs.items())
 
 
-def make_dominant(datum: RootDatum, chi: Vec,
-                  levi: "LeviDatum | None" = None) -> tuple[Vec, tuple[int, ...]]:
-    """Dominant representative of the plain Weyl orbit together with a
+def make_dominant(lv: "LeviDatum", chi: Vec) -> tuple[Vec, tuple[int, ...]]:
+    """Dominant representative of the plain Levi Weyl orbit together with a
     reduced word of the unique shortest element taking chi there."""
     ints, d = int_row(chi)
-    dom, word = descend(levi or full_levi(datum), tuple(ints))
+    dom, word = descend(lv, tuple(ints))
     return tuple(Fraction(x, d) for x in dom), word
 
 
-def star_dominate(datum: RootDatum, chi: Vec,
-                  levi: "LeviDatum | None" = None):
-    """Dominant representative under w * chi = w(chi + rho) - rho.
+def star_dominate(lv: "LeviDatum", chi: Vec):
+    """Dominant representative under w * chi = w(chi + rho) - rho, for w in
+    the Levi Weyl group and rho its rho_bar_lambda.
 
     Returns (chi_plus, sign, word) or None when chi + rho lies on a
     reflection wall, in which case no representative is defined.  The word
     is a reduced word of the unique shortest w, and the sign is det w.
     """
-    rho = datum.rho_bar if levi is None else levi.rho_bar_lambda
-    dom, word = make_dominant(datum, vadd(chi, rho), levi)
-    if any(not sum(map(mul, row, dom))
-           for row in (levi or full_levi(datum)).weyl_rows):
+    rho = lv.rho_bar_lambda
+    dom, word = make_dominant(lv, vadd(chi, rho))
+    if any(not sum(map(mul, row, dom)) for row in lv.weyl_rows):
         return None
-    result = datum.normalize_weight(vsub(dom, rho))
+    result = lv.datum.normalize_weight(vsub(dom, rho))
     return result, (-1 if len(word) % 2 else 1), word
 
 

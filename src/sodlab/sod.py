@@ -29,7 +29,7 @@ from .partition import (HALF_OPEN_MODE, STANDARD, PartitionCell,
                         order_key, partition_region, window_points)
 from .reps import (RepSpec, TwistData, coinvariant_rep, construct_rep,
                    is_quasi_symmetric)
-from .rootdata import LeviDatum, RootDatum, build_group, full_levi, levi
+from .rootdata import LeviDatum, build_group, full_levi
 from .zonotope import (CLOSED, HALF_OPEN, REL_INT, TRIVIAL, EpsShift,
                        FaceSignature, invariants_in_span, is_generic,
                        is_weakly_generic, member, member_eps)
@@ -52,8 +52,7 @@ class SodComponent:
     @cached_property
     def u_summands(self) -> tuple[tuple[Vec, int], ...]:
         """Each window weight with the dimension of its Levi irreducible."""
-        return tuple((mu, weyl_dim(self.levi.datum, mu, self.levi))
-                     for mu in self.window)
+        return tuple((mu, weyl_dim(self.levi, mu)) for mu in self.window)
 
 
 @dataclass(frozen=True)
@@ -67,21 +66,21 @@ class SodResult:
     r_max: Fraction | None
 
 
-def pick_epsilon(rep: RepSpec, lv: LeviDatum, generators) -> Vec:
-    """Default epsilon: zero when no invariant direction is parallel to the
-    window zonotope, else the sum of a basis of the parallel invariants."""
-    total = zero_vec(rep.datum.rank)
-    for v in invariants_in_span(lv, generators, rep.datum.central_directions):
+def pick_epsilon(lv: LeviDatum, generators) -> Vec:
+    """Default epsilon: zero when no Levi-invariant direction is parallel to
+    the window zonotope, else the sum of a basis of the parallel ones."""
+    total = zero_vec(lv.datum.rank)
+    for v in invariants_in_span(lv, generators):
         total = vadd(total, v)
     return total
 
 
-def _half_eps_window(rep: RepSpec, lv: LeviDatum, gens, shift, e: EpsShift,
+def _half_eps_window(lv: LeviDatum, gens, shift, e: EpsShift,
                      twist: TwistData | None = None) -> list[Vec]:
     """The half-size epsilon window of (lv, gens, shift)."""
     half = Fraction(1, 2)
-    inside = member_eps(gens, half, shift, e, rep.datum.central_directions)
-    return window_points(rep.datum, lv, gens, half, shift, inside, twist)
+    inside = member_eps(gens, half, shift, e, lv.datum.central_directions)
+    return window_points(lv, gens, half, shift, inside, twist)
 
 
 def _tail_component(rep: RepSpec, lv: LeviDatum, profile: ShiftProfile,
@@ -89,16 +88,15 @@ def _tail_component(rep: RepSpec, lv: LeviDatum, profile: ShiftProfile,
     """The component at lam = 0, whose generators are all the weights: the
     unit relative-interior window in standard mode, the half-size epsilon
     window in quasi-symmetric mode."""
-    datum = rep.datum
     gens = rep.expanded
     shift = vsub(profile.nu_global, lv.rho_bar_lambda)
     if profile.threshold == STANDARD:
         kind = ("rel_int_scaled", ONE)
-        inside = member(gens, ONE, shift, REL_INT, datum.central_directions)
-        window = window_points(datum, lv, gens, ONE, shift, inside, twist)
+        inside = member(gens, ONE, shift, REL_INT, lv.datum.central_directions)
+        window = window_points(lv, gens, ONE, shift, inside, twist)
     else:
         kind = ("half_size_eps", eps)
-        window = _half_eps_window(rep, lv, gens, shift, EpsShift(eps, "plus"),
+        window = _half_eps_window(lv, gens, shift, EpsShift(eps, "plus"),
                                   twist)
     return SodComponent(0, TRIVIAL, lv, profile.nu_global, kind,
                         tuple(window), coinvariant_rep(rep, lv.lam))
@@ -115,14 +113,13 @@ def enumerate_sod(rep: RepSpec, profile: ShiftProfile,
     cells have radius at least the profile threshold and at most r_max.
     InputError for a given epsilon that is not Weyl-invariant.
     """
-    datum = rep.datum
     if profile.threshold == HALF_OPEN_MODE and not is_quasi_symmetric(rep):
         raise PreconditionError(
             "half-open threshold requires a quasi-symmetric weight multiset")
     cells = partition_region(rep, profile, box_radius)  # raises without T-stable point
-    lv0 = full_levi(datum)
+    lv0 = full_levi(rep.datum)
     eps = vec(epsilon) if epsilon is not None \
-        else pick_epsilon(rep, lv0, rep.expanded)
+        else pick_epsilon(lv0, rep.expanded)
     if not lv0.is_invariant(eps):
         raise InputError("epsilon is not Weyl-invariant")
     kept, absorbed, frontier = [], [], []
@@ -143,7 +140,7 @@ def enumerate_sod(rep: RepSpec, profile: ShiftProfile,
         components.append(SodComponent(
             -(len(kept) - i), cell.signature, cell.levi, cell.nu_levi,
             ("rel_int_scaled", cell.signature.r),
-            tuple(cell_members(rep, cell, coinv, twist=twist)),
+            tuple(cell_members(cell, coinv, twist=twist)),
             coinv))
     components.append(_tail_component(rep, lv0, profile, eps, twist=twist))
     return SodResult(tuple(components), tuple(absorbed), tuple(frontier),
@@ -219,34 +216,33 @@ def certify_nccr(rep: RepSpec, lv: LeviDatum, coinv: RepSpec, nu: Vec,
     """
     if prazno_mode not in ("set", "minkowski"):
         raise InputError(f"unknown prazno mode {prazno_mode!r}")
-    datum = rep.datum
     nu = vec(nu)
     gens = coinv.expanded
-    eps = pick_epsilon(rep, lv, gens) if eps is None else vec(eps)
+    eps = pick_epsilon(lv, gens) if eps is None else vec(eps)
     if not lv.is_invariant(nu):
         raise InputError("nu is not invariant under the Levi Weyl group")
-    central = datum.central_directions
+    central = lv.datum.central_directions
     quasi = is_quasi_symmetric(rep)
-    if is_generic(eps, lv, gens, central):
+    if is_generic(eps, lv, gens):
         eps_status = "Generic"
-    elif is_weakly_generic(eps, lv, gens, central):
+    elif is_weakly_generic(eps, lv, gens):
         eps_status = "WeaklyGeneric"
     else:
         eps_status = "Fails"
     shift = vsub(nu, lv.rho_bar_lambda)
     half = Fraction(1, 2)
-    window = tuple(_half_eps_window(rep, lv, gens, shift,
-                                    EpsShift(eps, "plus"), twist))
+    window = tuple(_half_eps_window(lv, gens, shift, EpsShift(eps, "plus"),
+                                    twist))
     if prazno_mode == "set":
         half_open = member(gens, half, shift, HALF_OPEN, central)
         both_ways = member_eps(gens, half, shift, EpsShift(eps, "plus_minus"),
                                central)
         prazno_points = tuple(window_points(
-            datum, lv, gens, half, shift,
+            lv, gens, half, shift,
             lambda p: both_ways(p) and not half_open(p), twist))
     else:
         prazno_points = tuple(window_points(
-            datum, lv, (), half, shift,
+            lv, (), half, shift,
             member((), half, shift, CLOSED, central), twist))
     if not lv.phi_lambda_plus:
         genericity = "CheckedToricRule" if _toric_two_per_side(coinv) else "Unknown"
@@ -335,7 +331,7 @@ def preset(family: str, **params) -> Preset:
         datum = build_group(f"Torus({rank})")
         pieces = (("weights", tuple(weights)),)
         rep = construct_rep(datum, pieces)
-        eps = _toric_recommended_eps(datum, rep)
+        eps = _toric_recommended_eps(rep)
         expected = {"family": "toric",
                     "two_per_side": _toric_two_per_side(rep),
                     "verdict": "TwistedNCCR" if _toric_two_per_side(rep)
@@ -344,14 +340,14 @@ def preset(family: str, **params) -> Preset:
     raise InputError(f"unknown preset family {family!r}")
 
 
-def _toric_recommended_eps(datum: RootDatum, rep: RepSpec) -> Vec:
+def _toric_recommended_eps(rep: RepSpec) -> Vec:
     """A small integral generic direction, or zero when none exists."""
-    n = datum.rank
+    n, whole = rep.datum.rank, full_levi(rep.datum)
     gens = rep.expanded
     for bound in range(1, 4):
         for v in integral_shell(n, bound):
             if is_zero_vec(v) or not in_span(list(gens), v):
                 continue
-            if is_generic(v, datum, gens):
+            if is_generic(v, whole, gens):
                 return vec(v)
     return zero_vec(n)

@@ -15,6 +15,8 @@ signatures always refer to the expanded list.
 For SL blocks the ambient coordinates carry redundant directions; those are
 passed as ``central`` vectors and enter every membership system as free
 variables, so all sets are effectively computed in the character quotient.
+The genericity tests take a Levi (``full_levi(datum)`` for the whole
+group) and read those directions off its ``datum``.
 
 Epsilon-shifted, closed and half-open membership and genericity read no
 LP.  A facet table is built once per (generators, central, ambient
@@ -57,7 +59,7 @@ from .linalg import (Vec, ZERO, ONE, frac, in_span, int_row, is_zero_vec,
                      span_basis, vdot, vec, vneg, vscale, vsub)
 from .linprog import (InputError, LpBuilder, forced_tight,
                       lex_minimal_integral, lp_optimize, strict_feasible)
-from .rootdata import LeviDatum, RootDatum, full_levi
+from .rootdata import LeviDatum, RootDatum
 
 Central = tuple[Vec, ...]
 
@@ -517,25 +519,22 @@ def _check_parallel(table: FacetTable, eps: Vec) -> None:
         raise InputError("epsilon is not parallel to the zonotope")
 
 
-def _eps_preconditions(eps: Vec, source: RootDatum | LeviDatum, generators,
-                       central) -> LeviDatum:
-    """The Levi of ``source`` (the full one for a root datum), once eps is
-    checked invariant under it and parallel to the zonotope."""
-    src = full_levi(source) if isinstance(source, RootDatum) else source
-    if not src.is_invariant(eps):
+def _eps_preconditions(eps: Vec, lv: LeviDatum, generators) -> None:
+    """InputError unless eps is invariant under the Levi and parallel to
+    the zonotope of the generators with the datum's SL directions."""
+    if not lv.is_invariant(eps):
         raise InputError("epsilon is not Weyl-invariant")
-    _check_parallel(facet_table(generators, central, len(eps)), eps)
-    return src
+    _check_parallel(facet_table(generators, lv.datum.central_directions,
+                                len(eps)), eps)
 
 
-def is_weakly_generic(eps, source: RootDatum | LeviDatum, generators,
-                      central: Central = ()) -> bool:
+def is_weakly_generic(eps, lv: LeviDatum, generators) -> bool:
     """Whether eps avoids every face direction space that fails to contain
     the whole invariant subspace (within the span of the zonotope): whether
     every facet normal that vanishes on eps vanishes on every invariant."""
-    eps = vec(eps)
-    src = _eps_preconditions(eps, source, generators, central)
-    inv = invariants_in_span(src, generators, central)
+    eps, central = vec(eps), lv.datum.central_directions
+    _eps_preconditions(eps, lv, generators)
+    inv = invariants_in_span(lv, generators)
     if not inv:
         return True  # every face direction space trivially qualifies
     for lam in realizable_face_patterns(generators, central):
@@ -544,33 +543,30 @@ def is_weakly_generic(eps, source: RootDatum | LeviDatum, generators,
     return True
 
 
-def is_generic(eps, source: RootDatum | LeviDatum, generators,
-               central: Central = ()) -> bool:
+def is_generic(eps, lv: LeviDatum, generators) -> bool:
     """Whether eps is parallel to the zonotope but to none of its proper
     faces: whether it pairs nonzero with every facet normal."""
     eps = vec(eps)
-    _eps_preconditions(eps, source, generators, central)
-    return all(vdot(lam, eps)
-               for lam in realizable_face_patterns(generators, central))
+    _eps_preconditions(eps, lv, generators)
+    return all(vdot(lam, eps) for lam in realizable_face_patterns(
+        generators, lv.datum.central_directions))
 
 
-def invariants_in_span(src: LeviDatum, generators, central) -> list[Vec]:
-    """Basis of (invariant subspace) intersect V = span(generators +
-    central), both taken in ambient coordinates together with the quotient
-    directions, less the vectors of span(central).  The intersection is
-    spanned by the combinations of the invariants and the central
-    directions that the annihilator of V pairs to zero.  The annihilator is
-    the kernel of the generators and central directions, not the facet
-    table's: standard-mode ``sod`` asks this of all the weights
-    (``sod.pick_epsilon``) and must not run a hyperplane scan or its cap."""
-    dim = len(central[0]) if central else (
-        len(generators[0]) if generators else src.datum.rank)
-    inv_amb = list(src.invariant_vectors()) + list(central)
-    annihilator = nullspace(list(generators) + list(central), dim)
+def invariants_in_span(lv: LeviDatum, generators) -> list[Vec]:
+    """Basis of (Levi-invariant subspace) intersect V = span(generators +
+    central), central the SL directions, both taken in ambient coordinates
+    together with the quotient directions, less the vectors of
+    span(central).  The intersection is spanned by the combinations of the
+    invariants and the central directions that the annihilator of V pairs
+    to zero.  The annihilator is the kernel of the generators and central
+    directions, not the facet table's: standard-mode ``sod`` asks this of
+    all the weights (``sod.pick_epsilon``) and must not run a hyperplane
+    scan or its cap."""
+    central, dim = list(lv.datum.central_directions), lv.datum.rank
+    inv_amb = list(lv.invariant_vectors()) + central
+    annihilator = nullspace(list(generators) + central, dim)
     combos = nullspace([[vdot(a, v) for v in inv_amb] for a in annihilator],
                        len(inv_amb))
     points = [tuple(sum((c * v[k] for c, v in zip(co, inv_amb) if c), ZERO)
                     for k in range(dim)) for co in combos]
-    central_list = list(central)
-    return [v for v in span_basis(points, dim)
-            if not in_span(central_list, v)]
+    return [v for v in span_basis(points, dim) if not in_span(central, v)]

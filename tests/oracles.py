@@ -23,7 +23,9 @@ package walks it one coordinate at a time.  The root-data
 references average or alternate over every element of the Weyl group,
 enumerated breadth-first as reflection matrices; the package reads the same
 facts from the simple reflections by descent and orbit search on int
-tuples.  The orbit reference searches by the Fraction reflections, and the
+tuples, and a root datum's simple roots are found here by pair sums where
+the package reads them off its whole-group Levi by differences.  The orbit
+reference searches by the Fraction reflections, and the
 Weyl-symmetry reference checks a weight multiset by them; the package does
 both by ``rootdata.reflect``, which reads each simple root and its a . a.  The window-box
 reference bounds each coordinate by LP; the package has the closed form.
@@ -479,7 +481,8 @@ def dominant_box_points_reference(rep, radius):
     pinned = {pin for _, pin in datum.quotient_pairs}
     box = [(0, 0) if k in pinned else (-radius, radius)
            for k in range(datum.rank)]
-    return enumerate_lattice(lambda p: is_dominant(datum, p), box)
+    whole = full_levi(datum)
+    return enumerate_lattice(lambda p: is_dominant(whole, p), box)
 
 
 def partition_region_reference(rep, profile, box_radius):
@@ -1101,7 +1104,7 @@ def weyl_generators_reference(data):
     datum = data.datum if isinstance(data, LeviDatum) else data
     n = datum.rank
     gens = []
-    for a in data.simple_roots:
+    for a in _simple_roots(data):
         cr = coroot_reference(a)
         gens.append(tuple(tuple((F(i == j)) - a[i] * cr[j] for j in range(n))
                           for i in range(n)))
@@ -1323,7 +1326,7 @@ def hom_block_dims_reference(datum, mu, mu_prime, coinv, lv, up_to):
     ch(mu') * Sym^d, one alternating Weyl sum per degree, with the
     `Fraction` symmetric-power tables."""
     mu = datum.normalize_weight(vec(mu))
-    ch_prime = irr_character(datum, vec(mu_prime), lv).as_dict()
+    ch_prime = irr_character(lv, vec(mu_prime)).as_dict()
     tables = sym_power_tables_reference(coinv, up_to)
     dims = []
     for d in range(up_to + 1):
@@ -1345,11 +1348,29 @@ def coroot_reference(alpha):
     return vscale(F(2) / vdot(alpha, alpha), alpha)
 
 
+def simple_roots_reference(datum):
+    """The positive roots of a root datum that are not the sum of two
+    positive roots, in ``positive_roots`` order, found by forming every
+    pair sum; the package takes the positive roots of a Levi that are no
+    positive root plus another, by differences."""
+    positive = datum.positive_roots
+    sums = {vadd(a, b) for i, a in enumerate(positive) for b in positive[i:]}
+    return tuple(a for a in positive if a not in sums)
+
+
+def _simple_roots(data):
+    """The simple roots of a Levi as it derives them, of a root datum by
+    ``simple_roots_reference``."""
+    if isinstance(data, LeviDatum):
+        return data.simple_roots
+    return simple_roots_reference(data)
+
+
 def simple_pairs_reference(src):
     """(simple root, Fraction coroot) pairs of a root datum or a Levi: the
     simple reflections s_a(v) = v - <a^vee, v> a; the package keeps only
     the coroot rays and reflects on int tuples by the roots."""
-    return tuple((a, coroot_reference(a)) for a in src.simple_roots)
+    return tuple((a, coroot_reference(a)) for a in _simple_roots(src))
 
 
 def levi_reference(datum, lam):
@@ -1372,7 +1393,7 @@ def weyl_dim_reference(datum, chi, levi=None):
     Fraction products of dot products."""
     lv = levi or full_levi(datum)
     chi = datum.normalize_weight(vec(chi))
-    if not is_dominant(datum, chi, lv):
+    if not is_dominant(lv, chi):
         raise InputError(f"{chi} is not dominant for the Levi")
     rho = lv.rho_bar_lambda
     num = den = F(1)

@@ -66,7 +66,7 @@ def test_criterion_2_determinantal_windows():
             datum, rep = p.rep.datum, p.rep
             eps = p.recommended_eps
             gens = rep.expanded
-            assert is_weakly_generic(eps, datum, gens)
+            assert is_weakly_generic(eps, full_levi(datum), gens)
             zero = vec([0] * n)
             cert = certify_nccr(rep, full_levi(datum),
                                 coinvariant_rep(rep, zero), zero, eps,
@@ -87,7 +87,7 @@ def test_criterion_2_determinantal_windows():
             for point in itertools.product(*(range(a, b + 1)
                                              for a, b in zip(lo, hi))):
                 q = vec(point)
-                if not is_dominant(datum, q):
+                if not is_dominant(full_levi(datum), q):
                     continue
                 if member_eps(gens, F(1, 2), shift, pm)(q):
                     pm_points.append(q)
@@ -181,8 +181,8 @@ def test_criterion_4_partition_property_suite():
                         assert signs.t_zero == sig.s_zero
                         # window members are fully dominant
                         coinv = coinvariant_rep(rep, cell.levi.lam)
-                        for mu in cell_members(rep, cell, coinv):
-                            assert is_dominant(datum, mu)
+                        for mu in cell_members(cell, coinv):
+                            assert is_dominant(full_levi(datum), mu)
                             assert signature(mu) == sig
                     cache[chi] = (sig, cell)
                 sig, cell = cache[chi]
@@ -201,7 +201,7 @@ def test_criterion_4_partition_property_suite():
                     for i in combo:
                         mu = vec([a + b for a, b in
                                   zip(mu, rep.expanded[i])])
-                    out = star_dominate(datum, mu)
+                    out = star_dominate(full_levi(datum), mu)
                     if out is None:
                         continue
                     mu_plus = out[0]
@@ -258,7 +258,7 @@ def test_criterion_6_hilbert_cross_check():
         assert expected == [1, 0, 3, 0, 6, 0, 10]
         sp2 = build_group("Sp(2)")
         w = construct_rep(sp2, [("vector_power", 3)])
-        [dims] = hom_block_dims(sp2, [vec([0])], w, up_to=6)
+        [dims] = hom_block_dims(full_levi(sp2), [vec([0])], w, up_to=6)
         assert list(dims) == expected
 
 

@@ -1,6 +1,9 @@
 import gc
 import json
+import os
 import re
+import subprocess
+import sys
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -204,15 +207,16 @@ class TestCliProcess:
         assert tail["certificate"]["verdict"] == "TwistedNCCR"
 
     def test_preset_job_builds_its_group_once(self, tmp_path, monkeypatch):
-        """The preset's parse and the job itself share one datum."""
+        """The preset's parse and the job itself share one datum: the
+        GL(2) roots are built once."""
         built = []
-        build_gl = rootdata._build_gl
+        type_a_roots = rootdata._type_a_roots
 
         def counted(n):
             built.append(n)
-            return build_gl(n)
+            return type_a_roots(n)
 
-        monkeypatch.setattr(rootdata, "_build_gl", counted)
+        monkeypatch.setattr(rootdata, "_type_a_roots", counted)
         rootdata.build_group.cache_clear()
         try:
             assert main(["hilbert", "--preset", "determinantal:n=2,h=3",
@@ -281,6 +285,22 @@ class TestCliProcess:
         err = capsys.readouterr().err
         assert err.startswith("sodlab: configuration error")
         assert "exponents are not accepted" in err
+
+    @pytest.mark.parametrize("entry, want", [
+        ([1], "'[1]' (expected an integer or a \"p/q\" string)"),
+        ({"p": 1}, "\"{'p': 1}\" (expected an integer or a \"p/q\" string)"),
+        (None, "'None' (expected an integer or a \"p/q\" string)"),
+        (0.5, "'0.5' (floats are not accepted)"),
+    ])
+    def test_non_scalar_rational_exits_two(self, tmp_path, capsys, entry,
+                                           want):
+        """A list, an object or null where a rational belongs is refused
+        as not an integer or a "p/q" string; only a float is named one."""
+        cfg = dict(GL2_CFG, box_radius=1, nu=[entry, "0"])
+        assert main(["sod", "--config", write_config(tmp_path, cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("sodlab: configuration error")
+        assert f"bad rational {want}" in err
 
     def test_huge_exponent_exits_two_fast(self, tmp_path, capsys):
         # refused before Fraction would build 10**1000000
@@ -429,7 +449,7 @@ class TestCliProcess:
         box = window_box(datum, rep.expanded, 1, shift)
         monkeypatch.setattr(linprog, "LATTICE_BOX_CAP", 31 ** 3)
         want = enumerate_lattice(
-            lambda p: is_dominant(datum, p, lv) and inside(p), box)
+            lambda p: is_dominant(lv, p) and inside(p), box)
         assert tail["window"] == [weight_json(p) for p in want]
         assert len(want) == 364
 
@@ -717,6 +737,20 @@ def _project_version(pyproject: Path) -> str:
             if m:
                 return m.group(1)
     raise AssertionError("no version in the [project] table")
+
+
+def test_readme_python_blocks_run():
+    """Every ```python block of README.md runs to exit 0 in a fresh
+    interpreter, with the package imported from the source tree."""
+    root = Path(__file__).resolve().parents[1]
+    blocks = re.findall(r"^```python\n(.*?)^```",
+                        (root / "README.md").read_text(), re.S | re.M)
+    assert blocks
+    env = dict(os.environ, PYTHONPATH="src")
+    for code in blocks:
+        done = subprocess.run([sys.executable, "-c", code], cwd=root, env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
 
 
 def test_version_matches_pyproject():

@@ -21,7 +21,7 @@ from sodlab.partition import (HALF_OPEN_MODE, REDUCTION_SUM_CAP, STANDARD,
                               order_key, partition_region, signature_of,
                               validate_reduction_setting, window_box)
 from sodlab.reps import coinvariant_rep, construct_rep, rep_spec, weight_signs
-from sodlab.rootdata import build_group, is_dominant, levi, pairing
+from sodlab.rootdata import build_group, full_levi, is_dominant, levi, pairing
 from sodlab.zonotope import FaceSignature, face_signature_at
 
 T1 = build_group("Torus(1)")
@@ -85,7 +85,7 @@ class TestCellMembers:
         sig = signature_of(TORUS_4, PROF_T1)(vec([3]))
         cell = build_cell(TORUS_4, sig, PROF_T1, face_levi(TORUS_4, sig))
         coinv = coinvariant_rep(TORUS_4, cell.levi.lam)
-        assert cell_members(TORUS_4, cell, coinv) == [vec([3])]
+        assert cell_members(cell, coinv) == [vec([3])]
 
     def test_members_share_the_signature(self):
         rep = construct_rep(SL2, [("sym_power", 3), ("trivial", 1)])
@@ -95,7 +95,7 @@ class TestCellMembers:
             sig = signature(vec([x, 0]))
             cell = build_cell(rep, sig, prof, face_levi(rep, sig))
             coinv = coinvariant_rep(rep, cell.levi.lam)
-            for mu in cell_members(rep, cell, coinv):
+            for mu in cell_members(cell, coinv):
                 assert signature(mu) == sig
 
     def test_levi_dominant_members_are_dominant(self):
@@ -108,9 +108,9 @@ class TestCellMembers:
                 continue
             lv = levi(SP4, cell.levi.lam)
             coinv = coinvariant_rep(rep, cell.levi.lam)
-            for mu in cell_members(rep, cell, coinv):
-                assert is_dominant(SP4, mu, lv)
-                assert is_dominant(SP4, mu)
+            for mu in cell_members(cell, coinv):
+                assert is_dominant(lv, mu)
+                assert is_dominant(full_levi(SP4), mu)
 
 
 class TestPartitionRegion:
@@ -167,7 +167,7 @@ class TestPartitionRegion:
         assert steps == [13, 169, 1183, 5915]
         assert len(points) == count == len(set(points))
         assert points == sorted(points)
-        assert all(is_dominant(datum, p) for p in points)
+        assert all(is_dominant(full_levi(datum), p) for p in points)
         with pytest.raises(InputError, match="holds 28561 points"):
             dominant_box_points_reference(rep, 6)
 
@@ -331,7 +331,7 @@ class TestRayScaling:
         points = dominant_box_points(rep, 2)
         chi0 = points[pick % len(points)]
         chi = vadd(shift, vscale(t, vsub(chi0, shift)))
-        assume(is_dominant(datum, datum.normalize_weight(chi)))
+        assume(is_dominant(full_levi(datum), datum.normalize_weight(chi)))
         central = datum.central_directions
         signature = signature_of(rep, prof)
         try:
@@ -448,7 +448,7 @@ class TestMonotonicity:
                         mu = vec([a + b for a, b in zip(mu, plus_weights[i])])
                     from sodlab.rootdata import star_dominate
 
-                    out = star_dominate(T1, mu)
+                    out = star_dominate(full_levi(T1), mu)
                     if out is None:
                         continue
                     mu_plus = out[0]

@@ -12,7 +12,8 @@ from hypothesis import given, settings, strategies as st
 from oracles import (coroot_invariant_vectors_reference, coroot_reference,
                      invariant_projector_reference,
                      invariant_vectors_reference, is_dominant_reference,
-                     levi_reference, orbit_reference, simple_pairs_reference,
+                     levi_reference, orbit_reference, primitive_reference,
+                     simple_pairs_reference, simple_roots_reference,
                      weyl_dim_reference, weyl_elements_reference,
                      weyl_generators_reference)
 from sodlab import rootdata
@@ -126,8 +127,8 @@ GL2 = build_group("GL(2)")
 # both lengths.
 WRONG_LENGTH_CALLS = {
     "normalize_weight": lambda v: GL2.normalize_weight(v),
-    "weyl_dim": lambda v: weyl_dim(GL2, v),
-    "irr_character": lambda v: irr_character(GL2, v),
+    "weyl_dim": lambda v: weyl_dim(full_levi(GL2), v),
+    "irr_character": lambda v: irr_character(full_levi(GL2), v),
     "make_profile": lambda v: make_profile(GL2, v),
     "rep_spec": lambda v: rep_spec(GL2, [(v, 1)]),
 }
@@ -159,62 +160,63 @@ class TestPairing:
 
 class TestDominance:
     def test_sl2(self):
-        assert is_dominant(SL2, vec([3, 0]))
-        assert not is_dominant(SL2, vec([-1, 0]))
+        assert is_dominant(full_levi(SL2), vec([3, 0]))
+        assert not is_dominant(full_levi(SL2), vec([-1, 0]))
 
     def test_torus_everything(self):
-        assert is_dominant(T3, vec([-5, 2, 9]))
+        assert is_dominant(full_levi(T3), vec([-5, 2, 9]))
 
     def test_levi_restricted(self):
         lv = levi(SP4, vec([-1, -1]))
         # only the root pair through (1, -1) survives; dominance ignores 2L_i
-        assert is_dominant(SP4, vec([1, -1]), lv)
-        assert not is_dominant(SP4, vec([-1, 1]), lv)
-        assert not is_dominant(SP4, vec([1, -1]))
+        assert is_dominant(lv, vec([1, -1]))
+        assert not is_dominant(lv, vec([-1, 1]))
+        assert not is_dominant(full_levi(SP4), vec([1, -1]))
 
 
 class TestStarDominate:
     def test_sl2_reflection(self):
-        chi_plus, sign, _ = star_dominate(SL2, vec([-2, 0]))
+        chi_plus, sign, _ = star_dominate(full_levi(SL2), vec([-2, 0]))
         assert chi_plus == vec([0, 0]) and sign == -1
 
     def test_wall_undefined(self):
-        assert star_dominate(SL2, vec([-1, 0])) is None
+        assert star_dominate(full_levi(SL2), vec([-1, 0])) is None
 
     def test_already_dominant(self):
-        chi_plus, sign, word = star_dominate(SL2, vec([5, 0]))
+        chi_plus, sign, word = star_dominate(full_levi(SL2), vec([5, 0]))
         assert chi_plus == vec([5, 0]) and sign == 1 and word == ()
 
     def test_orbit_independence(self):
         for chi in [vec([2, -1]), vec([-3, 1]), vec([0, 2])]:
-            out = star_dominate(SP4, chi)
+            out = star_dominate(full_levi(SP4), chi)
             if out is None:
                 continue
             plus = out[0]
             for m, _, _ in weyl_elements_reference(SP4):
                 shifted = mat_vec(m, vec([x + r for x, r in zip(chi, SP4.rho_bar)]))
                 again = star_dominate(
-                    SP4, vec([x - r for x, r in zip(shifted, SP4.rho_bar)]))
+                    full_levi(SP4),
+                    vec([x - r for x, r in zip(shifted, SP4.rho_bar)]))
                 assert again is not None and again[0] == plus
 
     def test_outputs_dominant(self):
         for chi in [vec([-4, 0]), vec([3, -2]), vec([-1, -3])]:
-            out = star_dominate(SP4, chi)
+            out = star_dominate(full_levi(SP4), chi)
             if out is not None:
-                assert is_dominant(SP4, out[0])
+                assert is_dominant(full_levi(SP4), out[0])
 
 
 class TestMakeDominant:
     def test_sl2(self):
-        dom, _ = make_dominant(SL2, vec([-4, 0]))
+        dom, _ = make_dominant(full_levi(SL2), vec([-4, 0]))
         assert dom == vec([4, 0])
 
     def test_sp4_sorted_absolute(self):
-        dom, _ = make_dominant(SP4, vec([-1, 2]))
+        dom, _ = make_dominant(full_levi(SP4), vec([-1, 2]))
         assert dom == vec([2, 1])
 
     def test_identity_on_dominant(self):
-        dom, word = make_dominant(SP4, vec([3, 1]))
+        dom, word = make_dominant(full_levi(SP4), vec([3, 1]))
         assert dom == vec([3, 1]) and word == ()
 
 
@@ -288,6 +290,21 @@ def test_rho_bar_is_the_fraction_half_sum(tag):
     assert full_levi(datum).rho_bar_lambda == want
 
 
+@pytest.mark.parametrize("tag", SMALL_CATALOG)
+def test_full_levi_derives_the_simple_roots(tag):
+    """The whole-group Levi, from which every Weyl question of the datum is
+    read, against the pair-sum reference: its simple roots in
+    ``positive_roots`` order, its dominance rows on the rays of their
+    Fraction coroots, and its rho_bar_lambda equal to the datum's rho_bar."""
+    datum = build_group(tag)
+    lv = full_levi(datum)
+    simple = simple_roots_reference(datum)
+    assert lv.simple_roots == simple
+    assert lv.dominance_rows == tuple(
+        primitive_reference(coroot_reference(a)) for a in simple)
+    assert lv.rho_bar_lambda == datum.rho_bar
+
+
 def _seeded_coweights(datum, rng, count):
     """Random integral coweights, made sum-zero on every SL block."""
     out = []
@@ -347,7 +364,7 @@ def _standard_levis(tag):
     integral coweight in [-rank, rank]^rank annihilates: every standard Levi
     of a catalog group of rank at most 4."""
     datum = build_group(tag)
-    simple = [tuple(map(int, a)) for a in datum.simple_roots]
+    simple = simple_roots_reference(datum)
     found = {}
     for lam in itertools.product(range(-datum.rank, datum.rank + 1),
                                  repeat=datum.rank):
@@ -378,9 +395,10 @@ class TestDominanceBySimpleCoroots:
             if all(x.denominator == 1 for x in chi) else None
         for lv in [None] + levis:
             want = is_dominant_reference(datum, chi, lv)
-            assert is_dominant(datum, chi, lv) == want, (lv, chi)
+            data = lv or full_levi(datum)
+            assert is_dominant(data, chi) == want, (lv, chi)
             if as_ints is not None:
-                assert is_dominant(datum, as_ints, lv) == want, (lv, chi)
+                assert is_dominant(data, as_ints) == want, (lv, chi)
 
 
 # GL, SL (with its quotient direction), Sp and products of them.
@@ -434,11 +452,11 @@ class TestWeylKernels:
                 dom, word = descend(data, ints)
                 dom = tuple(F(x, d) for x in dom)
                 m, ref_word, _ = next(e for e in elements
-                                      if is_dominant(datum, mat_vec(e[0], chi), lv))
+                                      if is_dominant(data, mat_vec(e[0], chi)))
                 assert dom == datum.normalize_weight(mat_vec(m, chi))
                 assert len(word) == len(ref_word)
                 assert _product([gens[i] for i in word], datum.rank) == m
-                assert make_dominant(datum, chi, lv) == (dom, word)
+                assert make_dominant(data, chi) == (dom, word)
                 # W and the section map are linear: the antidominant
                 # conjugate of chi is minus the dominant conjugate of -chi
                 neg, _ = descend(data, tuple(-x for x in ints))
@@ -569,8 +587,7 @@ def _positive_multiple(row, coroot):
 
 def _with_root(datum, alpha):
     """The datum with one positive root, alpha (and so its negative)."""
-    return dataclasses.replace(datum, positive_roots=(alpha,),
-                               simple_roots=(alpha,))
+    return dataclasses.replace(datum, positive_roots=(alpha,))
 
 
 def _rescaled(datum, root_factor):
@@ -580,8 +597,7 @@ def _rescaled(datum, root_factor):
     def scaled(vectors):
         return tuple(tuple(root_factor * x for x in v) for v in vectors)
     return dataclasses.replace(
-        datum, positive_roots=scaled(datum.positive_roots),
-        simple_roots=scaled(datum.simple_roots))
+        datum, positive_roots=scaled(datum.positive_roots))
 
 
 # Catalog roots, and integer multiples of them: the root scale is no
@@ -611,7 +627,8 @@ class TestIntegerRootKernels:
         for root_factor in ROOT_FACTORS:
             datum = _rescaled(base, root_factor)
             levis = [levi(datum, lv.lam) for lv in standard]
-            for rows, roots in [(datum.dominance_rows, datum.simple_roots)] + [
+            whole = full_levi(datum)
+            for rows, roots in [(whole.dominance_rows, whole.simple_roots)] + [
                     pair for lv in levis
                     for pair in ((lv.dominance_rows, lv.simple_roots),
                                  (lv.weyl_rows, lv.phi_lambda_plus))]:
@@ -641,7 +658,7 @@ class TestIntegerRootKernels:
             _with_root(datum, tuple(F(x, div) for x in alpha))
         want = coroot_reference(alpha)
         lv = full_levi(_with_root(datum, alpha))
-        assert _positive_multiple(lv.datum.dominance_rows[0], want)
+        assert lv.simple_roots == simple_roots_reference(lv.datum) == (alpha,)
         assert _positive_multiple(lv.dominance_rows[0], want)
         assert _positive_multiple(lv.weyl_rows[0], want)
         norm = vdot(alpha, alpha)
@@ -693,6 +710,6 @@ class TestIntegerRootKernels:
             chi = tuple(F(data.draw(st.integers(-4, 4)),
                           data.draw(st.sampled_from((1, 2))))
                         for _ in range(datum.rank))
-            chi, _ = make_dominant(datum, chi, lv)
-            assert _outcome(weyl_dim, datum, chi, lv) == \
+            chi, _ = make_dominant(lv, chi)
+            assert _outcome(weyl_dim, lv, chi) == \
                 _outcome(weyl_dim_reference, datum, chi, lv), (lam, chi)

@@ -286,15 +286,14 @@ def prazno_reference(rep, lv, coinv, nu, eps, twist=None):
     """The set-mode boundary window with the half-open test on the LP: the
     points of the plus-minus epsilon window that the per-point strict sweep
     puts outside the half-open window."""
-    datum = rep.datum
-    central = datum.central_directions
+    central = rep.datum.central_directions
     gens = coinv.expanded
     half = F(1, 2)
     shift = vsub(nu, lv.rho_bar_lambda)
     both_ways = member_eps(gens, half, shift, EpsShift(eps, "plus_minus"),
                            central)
     return tuple(window_points(
-        datum, lv, gens, half, shift,
+        lv, gens, half, shift,
         lambda p: both_ways(p) and not member_reference(
             gens, half, shift, HALF_OPEN, p, central), twist))
 
@@ -443,7 +442,7 @@ def _root_data_are_ints(tag) -> bool:
     of ``tag``, and the positive and simple roots of each of its standard
     Levis, are int tuples."""
     datum, standard = _standard_levis(tag)
-    return _ints(datum.positive_roots + datum.simple_roots
+    return _ints(datum.positive_roots + full_levi(datum).simple_roots
                  + datum.central_directions) and \
         all(_ints(lv.phi_lambda_plus + lv.simple_roots) for lv in standard)
 
@@ -550,7 +549,7 @@ class TestMinkowski:
 
         def in_boundary(p):
             x = vscale(F(2), vsub(p, shift))
-            return (is_dominant(datum, p, lv)
+            return (is_dominant(lv, p)
                     and minkowski_reference(datum, rep.expanded, central, x))
 
         box = window_box(datum, rep.expanded, F(1, 2), shift)
