@@ -20,7 +20,7 @@ __version__ = "0.1.0"  # pyproject.toml must match (tests/test_cli.py)
 
 from .linprog import (BoxedLinearProgram, InputError, LpBuilder,
                       enumerate_lattice, lp_optimize)
-from .rootdata import (LeviDatum, RootDatum, build_group, invariant_subspace,
+from .rootdata import (LeviDatum, RootDatum, build_group, full_levi,
                        is_dominant, levi, make_dominant, pairing,
                        star_dominate)
 from .reps import (DestabilizerReport, RepSpec, SignPartition, TwistData,

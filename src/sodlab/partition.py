@@ -13,12 +13,14 @@ by ``order_key`` of their signatures.
 
 Every window of the package is enumerated by ``window_points``: the
 Levi-dominant lattice points of a shift plus r times one variant of the
-zonotope of the lam-neutral weights (``reps.coinvariant_rep``), modulo the
-SL directions, in a twist coset.  The cells, the tail component and the NCCR
-window and boundary differ only in the membership predicate they pass.  With
-no lam-neutral weight a window is the shift point modulo the SL directions.
-Each cell keeps the Levi datum it was built with; its window and component
-reuse it.
+zonotope of the lam-neutral weights (``reps.coinvariant_rep``), in a twist
+coset.  Shifts, weights and window points are in section form
+(``RootDatum.normalize_weight``), which takes the character quotient by the
+SL directions; a caller normalizes a shift where it forms one.  The cells,
+the tail component and the NCCR window and boundary differ only in the
+membership predicate they pass.  With no lam-neutral weight a window is
+the shift point.  Each cell keeps the Levi datum it was built with; its
+window and component reuse it.
 """
 
 from __future__ import annotations
@@ -83,28 +85,28 @@ def make_profile(datum: RootDatum, nu_global=None,
 def signature_of(rep: RepSpec,
                  profile: ShiftProfile) -> Callable[[Vec], FaceSignature]:
     """The unique minimal face signature of a dominant weight chi, as a
-    function of chi.  Built once per partition: the shift nu - rho_bar and
-    the face-signature function are made once; each weight is normalized
-    and checked dominant (InputError if not) before its signature is read.
+    function of chi.  Built once per partition: the shift nu - rho_bar, in
+    section form, and the face-signature function are made once; each
+    weight is normalized and checked dominant (InputError if not) before
+    its signature is read.
 
-    Signatures are solved once per ray: d = chi - shift, taken modulo the
-    SL directions, is t * e for its primitive integer direction e and some
-    t > 0 (read in ints: q * den * d = den * ints - q * base, for chi at
-    ints / q and the shift at base / den in section form).  The first
+    Signatures are solved once per ray: d = chi - shift, both in section
+    form, is t * e for its primitive integer direction e and some t > 0
+    (read in ints: q * den * d = den * ints - q * base, for chi at ints / q
+    and the shift at base / den).  The first
     weight on a ray solves ``face_signature_at``; a later one, at t where
     the first was at t0, reads the same S+, S- and S0 at radius r * t / t0.
-    The gauge min{r : d in r * Z + span(central)} is positively homogeneous
-    and blind to span(central), and scaling by t maps each representation
-    of d at radius r onto one of t * d at radius t * r, so the same
+    The gauge min{r : d in r * Z} is positively homogeneous, and scaling
+    by t maps each representation of d at radius r onto one of t * d at
+    radius t * r, so the same
     coefficients are pinned (Rockafellar, Convex Analysis, 15; Ziegler,
     Lectures on Polytopes, ch. 7).  A weight with d = 0 gets the trivial
     signature without a solve."""
     datum = rep.datum
     whole = full_levi(datum)
-    shift = vsub(profile.nu_global, datum.rho_bar)
-    at = face_signature_at(rep.expanded, shift,
-                           central=datum.central_directions)
-    base, den = int_row(datum.normalize_weight(shift))
+    shift = datum.normalize_weight(vsub(profile.nu_global, datum.rho_bar))
+    at = face_signature_at(rep.expanded, shift)
+    base, den = int_row(shift)
     rays: dict[tuple[int, ...], tuple[Fraction, FaceSignature]] = {}
 
     def signature(chi) -> FaceSignature:
@@ -164,27 +166,24 @@ def build_cell(rep: RepSpec, sig: FaceSignature, profile: ShiftProfile,
     return PartitionCell(sig, lv, nu_levi, chi_p, tuple(members))
 
 
-def window_box(datum: RootDatum, generators, r, shift):
-    """Per-coordinate bounds of the closed window over canonical section
-    representatives (pinned SL coordinates forced to zero).  The section
-    map N is linear, so coordinate k spans N(shift)_k - r * sum max(0, N(v)_k)
-    to N(shift)_k + r * sum max(0, -N(v)_k)."""
-    centre = datum.normalize_weight(vec(shift))
-    images = [datum.normalize_weight(v) for v in generators]
-    return [(centre[k] - r * sum(v[k] for v in images if v[k] > 0),
-             centre[k] - r * sum(v[k] for v in images if v[k] < 0))
-            for k in range(datum.rank)]
+def window_box(generators, r, shift):
+    """Per-coordinate bounds of the closed window shift + r * Z, all in
+    section form: coordinate k spans shift_k - r * sum max(0, v_k) to
+    shift_k + r * sum max(0, -v_k), and a pinned SL coordinate [0, 0]."""
+    return [(s - r * sum(v[k] for v in generators if v[k] > 0),
+             s - r * sum(v[k] for v in generators if v[k] < 0))
+            for k, s in enumerate(shift)]
 
 
 def window_points(lv: LeviDatum, gens, r, shift, inside,
                   twist=None) -> list[tuple[int, ...]]:
     """The lattice points of a window, in lexicographic order, as int
-    tuples: the points of the twist coset in the box of shift + r * Z(gens)
-    modulo the SL directions that are dominant for the Levi ``lv`` and pass
-    the membership predicate ``inside``.  The dominance rows prune the walk,
-    so the coset test and ``inside`` see only Levi-dominant points.  With no
+    tuples: the points of the twist coset in the box of shift + r * Z(gens),
+    all in section form, that are dominant for the Levi ``lv`` and pass the
+    membership predicate ``inside``.  The dominance rows prune the walk, so
+    the coset test and ``inside`` see only Levi-dominant points.  With no
     generators the box is the shift point."""
-    return enumerate_lattice(inside, window_box(lv.datum, gens, r, shift),
+    return enumerate_lattice(inside, window_box(gens, r, shift),
                              twist, [(c, (0, 1)) for c in lv.dominance_rows])
 
 
@@ -196,12 +195,12 @@ def cell_members(cell: PartitionCell, coinv: RepSpec,
     This is the full cell, independent of any box.  The trivial cell
     (r = 0) is the shift point, the set of no generators."""
     lv = cell.levi
-    shift = vsub(cell.nu_levi, lv.rho_bar_lambda)
+    shift = lv.datum.normalize_weight(vsub(cell.nu_levi, lv.rho_bar_lambda))
     if cell.signature.trivial:
         gens, r = (), ONE
     else:
         gens, r = coinv.expanded, cell.signature.r
-    inside = member(gens, r, shift, REL_INT, lv.datum.central_directions)
+    inside = member(gens, r, shift, REL_INT)
     return window_points(lv, gens, r, shift, inside, twist)
 
 

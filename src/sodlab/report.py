@@ -7,6 +7,7 @@ identical inputs produce byte-identical output.
 
 from __future__ import annotations
 
+from json import dumps
 from json.encoder import encode_basestring_ascii
 from dataclasses import dataclass, fields
 from fractions import Fraction
@@ -20,7 +21,7 @@ from .partition import (HALF_OPEN_MODE, STANDARD, PreconditionError,
 from .reps import (RepSpec, TwistData, construct_rep, find_destabilizer,
                    is_quasi_symmetric)
 from .rootdata import (RootDatum, _quote, build_group, check_length,
-                       invariant_subspace)
+                       full_levi)
 from .sod import (NccrCertificate, Preset, SodComponent, certify_nccr,
                   enumerate_sod)
 
@@ -40,7 +41,8 @@ def parse_rational(s) -> Fraction:
     if not isinstance(s, (int, str, Fraction)):
         why = "floats are not accepted" if isinstance(s, float) else \
             'expected an integer or a "p/q" string'
-        raise InputError(f"bad rational {_quote(repr(s))} ({why})")
+        raise InputError(f"bad rational {_quote(dumps(s, default=repr))} "
+                         f"({why})")
     if not isinstance(s, str):
         return frac(s)
     q = _quote(s)  # a long input is quoted by a prefix and its length
@@ -349,8 +351,8 @@ def run_job(subcommand: str, cfg: JobConfig,
             "quasi_symmetric": is_quasi_symmetric(rep),
             "has_t_stable_point": destabilizer.sigma is None,
             "destabilizer": _destabilizer_json(destabilizer),
-            "invariant_subspace": [vector_json(v)
-                                   for v in invariant_subspace(datum)],
+            "invariant_subspace": [
+                vector_json(v) for v in full_levi(datum).invariant_vectors()],
         }
         return doc
     if subcommand == "partition":

@@ -462,8 +462,3 @@ def full_levi(datum: RootDatum) -> LeviDatum:
     """The Levi subdatum of the zero subgroup (the whole group), built once
     per datum value: the datum is frozen, so every caller shares it."""
     return levi(datum, (0,) * datum.rank)
-
-
-def invariant_subspace(datum: RootDatum) -> list[Vec]:
-    """Basis of the Weyl-fixed subspace of X(T)_R (modulo SL quotients)."""
-    return full_levi(datum).invariant_vectors()

@@ -68,7 +68,8 @@ class SodResult:
 
 def pick_epsilon(lv: LeviDatum, generators) -> Vec:
     """Default epsilon: zero when no Levi-invariant direction is parallel to
-    the window zonotope, else the sum of a basis of the parallel ones."""
+    the window zonotope, else the sum of a basis of the parallel ones (in
+    section form, so never an SL direction)."""
     total = zero_vec(lv.datum.rank)
     for v in invariants_in_span(lv, generators):
         total = vadd(total, v)
@@ -77,9 +78,10 @@ def pick_epsilon(lv: LeviDatum, generators) -> Vec:
 
 def _half_eps_window(lv: LeviDatum, gens, shift, e: EpsShift,
                      twist: TwistData | None = None) -> list[Vec]:
-    """The half-size epsilon window of (lv, gens, shift)."""
+    """The half-size epsilon window of (lv, gens, shift), all in section
+    form."""
     half = Fraction(1, 2)
-    inside = member_eps(gens, half, shift, e, lv.datum.central_directions)
+    inside = member_eps(gens, half, shift, e)
     return window_points(lv, gens, half, shift, inside, twist)
 
 
@@ -88,16 +90,17 @@ def _tail_component(rep: RepSpec, lv: LeviDatum, profile: ShiftProfile,
     """The component at lam = 0, whose generators are all the weights: the
     unit relative-interior window in standard mode, the half-size epsilon
     window in quasi-symmetric mode."""
-    gens = rep.expanded
-    shift = vsub(profile.nu_global, lv.rho_bar_lambda)
+    gens, datum = rep.expanded, lv.datum
+    shift = datum.normalize_weight(vsub(profile.nu_global, lv.rho_bar_lambda))
     if profile.threshold == STANDARD:
         kind = ("rel_int_scaled", ONE)
-        inside = member(gens, ONE, shift, REL_INT, lv.datum.central_directions)
+        inside = member(gens, ONE, shift, REL_INT)
         window = window_points(lv, gens, ONE, shift, inside, twist)
     else:
         kind = ("half_size_eps", eps)
-        window = _half_eps_window(lv, gens, shift, EpsShift(eps, "plus"),
-                                  twist)
+        window = _half_eps_window(
+            lv, gens, shift, EpsShift(datum.normalize_weight(eps), "plus"),
+            twist)
     return SodComponent(0, TRIVIAL, lv, profile.nu_global, kind,
                         tuple(window), coinvariant_rep(rep, lv.lam))
 
@@ -209,10 +212,11 @@ def certify_nccr(rep: RepSpec, lv: LeviDatum, coinv: RepSpec, nu: Vec,
 
     The "set" boundary window holds the points of the plus-minus epsilon
     window that are not in the half-open one.  The "minkowski" one holds the
-    p with 2(p - shift) + v in Z + span(central) for every vertex v of the
-    closed unit zonotope Z.  Z is convex and compact, so no translate of it
-    by a vector outside span(central) fits inside it: that boundary is the
-    window of no generators, the shift point modulo the SL directions.
+    p with 2(p - shift) + v in Z for every vertex v of the closed unit
+    zonotope Z, all in section form.  Z is convex and compact, so no
+    nonzero translate of it fits inside it: that boundary is the window of
+    no generators, the shift point.  The certificate keeps epsilon as
+    given or picked; the windows read its section form.
     """
     if prazno_mode not in ("set", "minkowski"):
         raise InputError(f"unknown prazno mode {prazno_mode!r}")
@@ -221,7 +225,6 @@ def certify_nccr(rep: RepSpec, lv: LeviDatum, coinv: RepSpec, nu: Vec,
     eps = pick_epsilon(lv, gens) if eps is None else vec(eps)
     if not lv.is_invariant(nu):
         raise InputError("nu is not invariant under the Levi Weyl group")
-    central = lv.datum.central_directions
     quasi = is_quasi_symmetric(rep)
     if is_generic(eps, lv, gens):
         eps_status = "Generic"
@@ -229,21 +232,21 @@ def certify_nccr(rep: RepSpec, lv: LeviDatum, coinv: RepSpec, nu: Vec,
         eps_status = "WeaklyGeneric"
     else:
         eps_status = "Fails"
-    shift = vsub(nu, lv.rho_bar_lambda)
+    shift = lv.datum.normalize_weight(vsub(nu, lv.rho_bar_lambda))
+    e = lv.datum.normalize_weight(eps)
     half = Fraction(1, 2)
-    window = tuple(_half_eps_window(lv, gens, shift, EpsShift(eps, "plus"),
+    window = tuple(_half_eps_window(lv, gens, shift, EpsShift(e, "plus"),
                                     twist))
     if prazno_mode == "set":
-        half_open = member(gens, half, shift, HALF_OPEN, central)
-        both_ways = member_eps(gens, half, shift, EpsShift(eps, "plus_minus"),
-                               central)
+        half_open = member(gens, half, shift, HALF_OPEN)
+        both_ways = member_eps(gens, half, shift, EpsShift(e, "plus_minus"))
         prazno_points = tuple(window_points(
             lv, gens, half, shift,
             lambda p: both_ways(p) and not half_open(p), twist))
     else:
         prazno_points = tuple(window_points(
             lv, (), half, shift,
-            member((), half, shift, CLOSED, central), twist))
+            member((), half, shift, CLOSED), twist))
     if not lv.phi_lambda_plus:
         genericity = "CheckedToricRule" if _toric_two_per_side(coinv) else "Unknown"
     elif genericity_assertion:

@@ -12,21 +12,25 @@ each generator's coefficient does, since over an interior u those range
 over a slice through the interior of their box.  Index sets in face
 signatures always refer to the expanded list.
 
-For SL blocks the ambient coordinates carry redundant directions; those are
-passed as ``central`` vectors and enter every membership system as free
-variables, so all sets are effectively computed in the character quotient.
-The genericity tests take a Levi (``full_levi(datum)`` for the whole
-group) and read those directions off its ``datum``.
+Every query takes its generators, shift, points and epsilon in section
+form (``RootDatum.normalize_weight``, each pinned SL coordinate at 0) and
+computes plain ambient geometry of shift + r * Z.  That is the character
+quotient by the SL directions: the section map N is linear with kernel
+their span, so p lies in shift + r * Z + span(SL directions) iff N(p) lies
+in N(shift) + r * Z(N(generators)).  Callers normalize once, where a
+shift or an epsilon is formed; the genericity tests take a Levi
+(``full_levi(datum)`` for the whole group) and normalize epsilon
+themselves.
 
 Epsilon-shifted, closed and half-open membership and genericity read no
-LP.  A facet table is built once per (generators, central, ambient
-dimension) and kept in a process memo.  Its build finds the hyperplane flats of the
+LP.  A facet table is built once per (generators, ambient dimension) and
+kept in a process memo.  Its build finds the hyperplane flats of the
 generator lines by a scan of line subsets and takes both signed normals of
 each, with their support values, as the facets.  Those are the only faces
 the package enumerates: genericity reads the facet normals from the table
 too, as the span of every proper face is an intersection of facet spans,
-each the kernel of its normal within V = span(generators + central).  The
-table holds the facets and an annihilator basis of V, all normals primitive
+each the kernel of its normal within V = span(generators).  The table
+holds the facets and an annihilator basis of V, all normals primitive
 integer vectors; every test of epsilon (parallel to V, generic, weakly
 generic) is an integer pairing with those rows.  ``member_eps`` and the
 closed and half-open variants of ``member`` build one integer predicate per
@@ -39,10 +43,10 @@ side.  So do ``min_radius`` and ``face_signature_at``: a partition builds
 one radius program, and each dominant point solves it with its right-hand
 side and sweeps the optimal face of that solve from its optimal tableau.
 Those are the LPs left, all over the system of ``line_program``; with no
-generators every variant of ``member`` is shift + span(central), decided by
-span arithmetic.  The supporting subgroup of a face solves no LP: Weyl
-symmetry guarantees an antidominant one (see ``supporting_lambda``), and
-the integral search finds the canonical one directly.
+generators every variant of ``member`` is the shift point.  The supporting
+subgroup of a face solves no LP: Weyl symmetry guarantees an antidominant
+one (see ``supporting_lambda``), and the integral search finds the
+canonical one directly.
 """
 
 from __future__ import annotations
@@ -54,14 +58,12 @@ from math import comb
 from operator import mul
 from typing import Callable
 
-from .linalg import (Vec, ZERO, ONE, frac, in_span, int_row, is_zero_vec,
+from .linalg import (Vec, ZERO, ONE, frac, int_row, is_zero_vec,
                      line_decomposition, nullspace, primitive, rank,
                      span_basis, vdot, vec, vneg, vscale, vsub)
 from .linprog import (InputError, LpBuilder, forced_tight,
                       lex_minimal_integral, lp_optimize, strict_feasible)
 from .rootdata import LeviDatum, RootDatum
-
-Central = tuple[Vec, ...]
 
 CLOSED = "closed"
 HALF_OPEN = "half_open"
@@ -112,9 +114,9 @@ def _classes(generators) -> list[tuple[Vec, list[int]]]:
     return sorted(groups.items())
 
 
-def line_program(generators, central, dim, radius=None):
-    """(program, lines, corner) of the equalities  sum_l w_l l + sum_c t_c c
-    = p - shift + r corner, with zero right-hand sides for a caller to set.
+def line_program(generators, dim, radius=None):
+    """(program, lines, corner) of the equalities  sum_l w_l l = p - shift +
+    r corner, with zero right-hand sides for a caller to set.
 
     r Z sums the segments c_v v, c_v in [-r m, 0], of its classes of m
     equal generators v, and those on one line, v = k l for a primitive int
@@ -122,11 +124,10 @@ def line_program(generators, central, dim, radius=None):
     k > 0 and b = sum m |k| over k < 0 (open at both ends if each c_v is).
     ``lines`` is the ``line_decomposition`` of the classes, each with its
     positions, and column j is w_l = u_l + r a for its line j, in [0, r (a
-    + b)]; one free column t_c per central direction follows, and corner =
-    sum_l a l.  With ``radius`` given, the columns are open at both ends
-    (the relative interior).  With ``radius`` None, r is the next column,
-    the objective, and w_l <= r (a + b) one row per line after the
-    equalities.
+    + b)], and corner = sum_l a l.  With ``radius`` given, the columns are
+    open at both ends (the relative interior).  With ``radius`` None, r is
+    the next column, the objective, and w_l <= r (a + b) one row per line
+    after the equalities.
     """
     lines = line_decomposition(_classes(generators), len)
     widths = [a + b for _, a, b in lines.values()]
@@ -138,7 +139,6 @@ def line_program(generators, central, dim, radius=None):
                   lower_open=radius is not None,
                   upper_open=radius is not None)
     terms = [(line, j) for j, line in enumerate(lines)]
-    terms += [(c, b.add_var()) for c in central]
     if radius is None:
         terms.append((vneg(corner), b.add_var(lower=0)))
     for i in range(dim):
@@ -151,8 +151,7 @@ def line_program(generators, central, dim, radius=None):
     return b.build({rcol: ONE}), lines, corner
 
 
-def member(generators, r, shift, variant: str,
-           central: Central = ()) -> Callable[[Vec], bool]:
+def member(generators, r, shift, variant: str) -> Callable[[Vec], bool]:
     """The membership predicate of shift + r * (variant of the zonotope).
 
     Built once per window.  The closed and half-open variants read the
@@ -164,7 +163,7 @@ def member(generators, r, shift, variant: str,
     only.  The relative-interior variant assembles the line program once,
     and each point runs a strict sweep of a copy whose only change is the
     right-hand side p - shift + r corner.  With no generators every variant
-    is shift + span(central), decided without an LP or a table.  The
+    is the shift point, decided without an LP or a table.  The
     predicate takes int or Fraction points.  InputError for an unknown
     variant or r <= 0.
     """
@@ -174,22 +173,21 @@ def member(generators, r, shift, variant: str,
         raise InputError("zonotope radius must be positive")
     shift = vec(shift)
     if not generators:
-        return lambda p: in_span(central, vsub(p, shift))
+        return lambda p: p == shift
     if variant != REL_INT:
-        return _facet_predicate(facet_table(generators, central, len(shift)),
+        return _facet_predicate(facet_table(generators, len(shift)),
                                 r, shift,
                                 lambda lam, h: variant == CLOSED or h == 0)
-    prog, _, corner = line_program(generators, central, len(shift), frac(r))
+    prog, _, corner = line_program(generators, len(shift), frac(r))
     base = vsub(shift, vscale(r, corner))
     return lambda p: strict_feasible(replace(prog, eq_rhs=vsub(p, base)))
 
 
-def min_radius(generators, shift,
-               central: Central = ()) -> Callable[[Vec], Fraction | None]:
+def min_radius(generators, shift) -> Callable[[Vec], Fraction | None]:
     """The least r >= 0 with p in shift + r * (closed zonotope), as a
     function of p; it gives None when p is not reachable at any radius.
 
-    Built once per (generators, shift, central): the radius program (the
+    Built once per (generators, shift): the radius program (the
     line program with r a column, minimized) is assembled once, and each
     point solves it with its own right-hand side p - shift, followed by the
     zero right-hand sides of the radius rows.  For ``face_signature_at`` the
@@ -197,7 +195,7 @@ def min_radius(generators, shift,
     ``lp_optimize`` result, and the program's ``lines``.
     """
     shift = vec(shift)
-    prog, lines, _ = line_program(generators, central, len(shift))
+    prog, lines, _ = line_program(generators, len(shift))
     tail = prog.eq_rhs[len(shift):]
 
     def optimum(p):
@@ -212,13 +210,12 @@ def min_radius(generators, shift,
     return radius
 
 
-def face_signature_at(generators, shift,
-                      central: Central = ()) -> Callable[[Vec], FaceSignature]:
+def face_signature_at(generators, shift) -> Callable[[Vec], FaceSignature]:
     """The unique minimal (r, S+, S-, S0) of a point p, as a function of p:
     r is the minimal radius and the sets collect coefficients pinned at -r
     resp. 0 in every representation of p at that radius.
 
-    Built once per (generators, shift, central) on the radius function.
+    Built once per (generators, shift) on the radius function.
     Each point with r > 0 sweeps the optimal face of its radius program
     from the optimum of the radius solve (``forced_tight`` with that
     optimum): the representations of p at radius r are that face.  Line j
@@ -230,7 +227,7 @@ def face_signature_at(generators, shift,
     zero generators.  The point at the shift gets the trivial signature;
     InputError for a point off the span of the generators.
     """
-    radius = min_radius(generators, shift, central)
+    radius = min_radius(generators, shift)
     zeros = [i for i, g in enumerate(generators) if is_zero_vec(g)]
 
     def signature(p) -> FaceSignature:
@@ -309,16 +306,16 @@ def supporting_lambda(sig: FaceSignature, datum: RootDatum,
 # ---------------------------------------------------------------------------
 # Epsilon-shifted, closed and half-open membership by facet arithmetic.
 #
-# Within V = span(generators + central) the set r * Z + span(central) is cut
-# out by its facets.  Their normals are the functionals lam that vanish on
-# central and on a hyperplane flat of the generator lines (see
-# ``_hyperplane_normals`` below), taken with both signs, and the support
-# function of Z at lam is h(lam) = sum max(0, -<lam, v>) over the expanded
-# generators, summed by line in ``_build_facet_table``.  So d = p - shift is in the closed set iff d pairs to zero
-# with the annihilator of V and <lam, d> <= r * h(lam) on every facet,
-# -eps points into the set at such a d iff <lam, eps> >= 0 on every facet
-# tight at d, and d is in the half-open set iff h(lam) = 0 on every facet
-# tight at d.  For the last: d misses the half-open set iff every
+# Within V = span(generators) the set r * Z is cut out by its facets.  Their
+# normals are the functionals lam that vanish on a hyperplane flat of the
+# generator lines (see ``_hyperplane_normals`` below), taken with both
+# signs, and the support function of Z at lam is h(lam) = sum max(0, -<lam,
+# v>) over the expanded generators, summed by line in
+# ``_build_facet_table``.  So d = p - shift is in the closed set iff d pairs
+# to zero with the annihilator of V and <lam, d> <= r * h(lam) on every
+# facet, -eps points into the set at such a d iff <lam, eps> >= 0 on every
+# facet tight at d, and d is in the half-open set iff h(lam) = 0 on every
+# facet tight at d.  For the last: d misses the half-open set iff every
 # representation pins a coefficient at -r.  A tight facet with h > 0 pins
 # those its normal pairs negatively with.  If there is none, a functional
 # mu in the relative interior of the normal cone of d's minimal face pins
@@ -328,16 +325,16 @@ def supporting_lambda(sig: FaceSignature, datum: RootDatum,
 
 @dataclass(frozen=True)
 class FacetTable:
-    """Z + span(central) by its facets within V: ``annihilator`` spans the
-    functionals vanishing on V, ``facets`` holds one (lam, h(lam)) pair per
-    facet, both signs of the normal of every hyperplane flat, in the order
-    the scan finds those.  The annihilator rows and the normals lam are
-    primitive integer vectors (int tuples), and h(lam) an int at int
-    generators.  No other face is kept: the direction space of every proper
-    face is, with span(central), the intersection of the facet spans
-    containing it, and a facet span is the kernel of its normal within V,
-    so the normals decide genericity (see ``realizable_face_patterns``) and
-    the annihilator decides whether epsilon is parallel to V."""
+    """Z by its facets within V: ``annihilator`` spans the functionals
+    vanishing on V, ``facets`` holds one (lam, h(lam)) pair per facet, both
+    signs of the normal of every hyperplane flat, in the order the scan
+    finds those.  The annihilator rows and the normals lam are primitive
+    integer vectors (int tuples), and h(lam) an int at int generators.  No
+    other face is kept: the direction space of every proper face is the
+    intersection of the facet spans containing it, and a facet span is the
+    kernel of its normal within V, so the normals decide genericity (see
+    ``realizable_face_patterns``) and the annihilator decides whether
+    epsilon is parallel to V."""
 
     annihilator: tuple[tuple[int, ...], ...]
     facets: tuple[tuple[tuple[int, ...], int], ...]
@@ -346,24 +343,23 @@ class FacetTable:
 _FACET_TABLES: dict[tuple, FacetTable] = {}
 
 
-def facet_table(generators, central: Central, dim: int) -> FacetTable:
-    """The facet table of (generators, central) in ambient dimension dim,
-    built once per value and kept for the life of the process."""
-    key = (tuple(map(tuple, generators)), tuple(map(tuple, central)), dim)
+def facet_table(generators, dim: int) -> FacetTable:
+    """The facet table of the generators in ambient dimension dim, built
+    once per value and kept for the life of the process."""
+    key = (tuple(map(tuple, generators)), dim)
     table = _FACET_TABLES.get(key)
     if table is None:
         table = _FACET_TABLES[key] = _build_facet_table(*key)
     return table
 
 
-def _build_facet_table(gens, central, dim) -> FacetTable:
-    central = list(central)
+def _build_facet_table(gens, dim) -> FacetTable:
     # the class k l of m generators adds m k max(0, -<lam, l>) to h(lam)
     # for k > 0 and m |k| max(0, <lam, l>) for k < 0, so h(lam) = sum_l
     # a max(0, -<lam, l>) + b max(0, <lam, l>), and h(-lam) swaps a and b
     lines = line_decomposition(_classes(gens), len)
     facets = []
-    for lam in _hyperplane_normals(sorted(lines), central, dim):
+    for lam in _hyperplane_normals(sorted(lines), dim):
         h = h_neg = 0
         for line, (_, a, b) in lines.items():
             t = sum(map(mul, lam, line))
@@ -373,7 +369,7 @@ def _build_facet_table(gens, central, dim) -> FacetTable:
                 h, h_neg = h + b * t, h_neg + a * t
         facets.append((lam, h))
         facets.append((vneg(lam), h_neg))
-    annihilator = nullspace([*gens, *central], dim)
+    annihilator = nullspace(list(gens), dim)
     return FacetTable(tuple(map(primitive, annihilator)), tuple(facets))
 
 
@@ -410,11 +406,10 @@ def _facet_predicate(table: FacetTable, r, shift: Vec,
     return inside
 
 
-def member_eps(generators, r, shift, e: EpsShift,
-               central: Central = ()) -> Callable[[Vec], bool]:
+def member_eps(generators, r, shift, e: EpsShift) -> Callable[[Vec], bool]:
     """The membership predicate of the eps-shifted region: the part of the
-    closed set shift + r * Z + span(central) that can be pushed along eps
-    (and along -eps in plus_minus mode) while staying inside.
+    closed set shift + r * Z that can be pushed along eps (and along -eps
+    in plus_minus mode) while staying inside.
 
     Built once per window from the facet table of the generators: p must
     pair with each annihilator row as the shift does, and stay at or below
@@ -424,7 +419,7 @@ def member_eps(generators, r, shift, e: EpsShift,
     when eps is not parallel to the zonotope or r <= 0.
     """
     shift = vec(shift)
-    table = facet_table(generators, central, len(shift))
+    table = facet_table(generators, len(shift))
     eps = vec(e.epsilon)
     _check_parallel(table, eps)
     if frac(r) <= 0:
@@ -443,18 +438,17 @@ def member_eps(generators, r, shift, e: EpsShift,
 # Faces as flats of the generator lines, and genericity of epsilon.
 #
 # The direction space of a proper face of the closed zonotope is the span of
-# the generators that a functional lam (vanishing on ``central``) annihilates,
-# and those generator sets are exactly the proper flats of the line
-# configuration modulo ``central`` (Ziegler, Lectures on Polytopes, ch. 7):
-# the sets F of distinct lines holding every line in span(F + central), short
-# of the full set.  Span arithmetic finds the maximal ones, the hyperplane
-# flats, whose normals are the facet normals.  The rest are never
-# enumerated: genericity is decided by pairing epsilon and the invariants
-# with the facet normals alone (see ``realizable_face_patterns``).
+# the generators that a functional lam annihilates, and those generator sets
+# are exactly the proper flats of the line configuration (Ziegler, Lectures
+# on Polytopes, ch. 7): the sets F of distinct lines holding every line in
+# span(F), short of the full set.  Span arithmetic finds the maximal ones,
+# the hyperplane flats, whose normals are the facet normals.  The rest are
+# never enumerated: genericity is decided by pairing epsilon and the
+# invariants with the facet normals alone (see ``realizable_face_patterns``).
 # ---------------------------------------------------------------------------
 
 # Most line subsets the hyperplane scan of ``_hyperplane_normals`` may test,
-# counted as C(lines, D - c - 1) before it starts.  The tests reach 36
+# counted as C(lines, D - 1) before it starts.  The tests reach 36
 # (quasi-symmetric Sp(6) Sym^2; 21 in the random comparisons with the
 # closure search), the golden presets 1 and the benchmark jobs 3;
 # quasi-symmetric Sp(8) Sym^2 needs 560.  At the cap, lines in general
@@ -464,14 +458,12 @@ def member_eps(generators, r, shift, e: EpsShift,
 HYPERPLANE_SCAN_CAP = 10_000
 
 
-def _hyperplane_normals(lines, central, dim):
-    """The primitive normal within V = span(lines + central) of each
-    hyperplane flat of the lines modulo ``central``.  Those flats are
-    spanned with ``central`` by D - c - 1 lines (D = dim V, c =
-    rank(central)), scanned in lexicographic order past the ones inside a
-    flat found."""
-    top = rank(lines + central)
-    size = max(top - rank(central) - 1, 0)
+def _hyperplane_normals(lines, dim):
+    """The primitive normal within V = span(lines) of each hyperplane flat
+    of the lines.  Those flats are spanned by D - 1 lines (D = dim V),
+    scanned in lexicographic order past the ones inside a flat found."""
+    top = rank(lines)
+    size = max(top - 1, 0)
     if comb(len(lines), size) > HYPERPLANE_SCAN_CAP:
         raise InputError(f"hyperplane scan of {comb(len(lines), size)} line "
                          f"subsets exceeds the cap of {HYPERPLANE_SCAN_CAP}")
@@ -479,7 +471,7 @@ def _hyperplane_normals(lines, central, dim):
     for subset in combinations(range(len(lines)), size):
         if subset in covered:  # inside a hyperplane flat already found
             continue
-        rows = [lines[i] for i in subset] + central
+        rows = [lines[i] for i in subset]
         if rank(rows) == top - 1:
             lam = primitive(next(n for n in nullspace(rows, dim)
                                  if any(vdot(n, v) for v in lines)))
@@ -489,26 +481,25 @@ def _hyperplane_normals(lines, central, dim):
     return normals
 
 
-def realizable_face_patterns(generators, central: Central = ()):
-    """The facet normals: the primitive int normal within V = span(generators
-    + central) of each hyperplane flat of the generator lines modulo
-    ``central``, one per facet pair of the table, in its order.  The name
-    is older than this return value; the benchmark's ``EXPECTED_CALLS`` and
+def realizable_face_patterns(generators):
+    """The facet normals: the primitive int normal within V =
+    span(generators) of each hyperplane flat of the generator lines, one per
+    facet pair of the table, in its order.  The name is older than this
+    return value; the benchmark's ``EXPECTED_CALLS`` and
     ``patterns_realized`` counter pin it.
 
-    For a hyperplane flat H with normal lam, span(H + central) is ker lam
-    within V, and the span of a proper flat F with ``central`` is the
-    intersection of those of the hyperplane flats containing F (Oxley,
-    Matroid Theory, ch. 1; Ziegler, Lectures on Polytopes, ch. 7): modulo
-    span(F + central) the lines off F span the quotient, and the normals of
-    the hyperplanes spanned by a basis among them form a dual basis.  So a
-    vector of V lies in some proper face span iff some normal vanishes on
-    it, and an invariant off span(F + central) with eps on it pairs nonzero
-    with some normal that vanishes on eps.
+    For a hyperplane flat H with normal lam, span(H) is ker lam within V,
+    and the span of a proper flat F is the intersection of those of the
+    hyperplane flats containing F (Oxley, Matroid Theory, ch. 1; Ziegler,
+    Lectures on Polytopes, ch. 7): modulo span(F) the lines off F span the
+    quotient, and the normals of the hyperplanes spanned by a basis among
+    them form a dual basis.  So a vector of V lies in some proper face span
+    iff some normal vanishes on it, and an invariant off span(F) with eps on
+    it pairs nonzero with some normal that vanishes on eps.
     """
     if not generators:
         return []
-    table = facet_table(generators, central, len(generators[0]))
+    table = facet_table(generators, len(generators[0]))
     return [lam for lam, _ in table.facets[::2]]
 
 
@@ -519,25 +510,25 @@ def _check_parallel(table: FacetTable, eps: Vec) -> None:
         raise InputError("epsilon is not parallel to the zonotope")
 
 
-def _eps_preconditions(eps: Vec, lv: LeviDatum, generators) -> None:
-    """InputError unless eps is invariant under the Levi and parallel to
-    the zonotope of the generators with the datum's SL directions."""
+def _section_eps(eps, lv: LeviDatum, generators) -> Vec:
+    """eps in section form; InputError unless it is invariant under the
+    Levi and parallel to the zonotope of the generators."""
+    eps = lv.datum.normalize_weight(vec(eps))
     if not lv.is_invariant(eps):
         raise InputError("epsilon is not Weyl-invariant")
-    _check_parallel(facet_table(generators, lv.datum.central_directions,
-                                len(eps)), eps)
+    _check_parallel(facet_table(generators, len(eps)), eps)
+    return eps
 
 
 def is_weakly_generic(eps, lv: LeviDatum, generators) -> bool:
     """Whether eps avoids every face direction space that fails to contain
     the whole invariant subspace (within the span of the zonotope): whether
     every facet normal that vanishes on eps vanishes on every invariant."""
-    eps, central = vec(eps), lv.datum.central_directions
-    _eps_preconditions(eps, lv, generators)
+    eps = _section_eps(eps, lv, generators)
     inv = invariants_in_span(lv, generators)
     if not inv:
         return True  # every face direction space trivially qualifies
-    for lam in realizable_face_patterns(generators, central):
+    for lam in realizable_face_patterns(generators):
         if not vdot(lam, eps) and any(vdot(lam, v) for v in inv):
             return False
     return True
@@ -546,27 +537,21 @@ def is_weakly_generic(eps, lv: LeviDatum, generators) -> bool:
 def is_generic(eps, lv: LeviDatum, generators) -> bool:
     """Whether eps is parallel to the zonotope but to none of its proper
     faces: whether it pairs nonzero with every facet normal."""
-    eps = vec(eps)
-    _eps_preconditions(eps, lv, generators)
-    return all(vdot(lam, eps) for lam in realizable_face_patterns(
-        generators, lv.datum.central_directions))
+    eps = _section_eps(eps, lv, generators)
+    return all(vdot(lam, eps) for lam in realizable_face_patterns(generators))
 
 
 def invariants_in_span(lv: LeviDatum, generators) -> list[Vec]:
-    """Basis of (Levi-invariant subspace) intersect V = span(generators +
-    central), central the SL directions, both taken in ambient coordinates
-    together with the quotient directions, less the vectors of
-    span(central).  The intersection is spanned by the combinations of the
-    invariants and the central directions that the annihilator of V pairs
-    to zero.  The annihilator is the kernel of the generators and central
-    directions, not the facet table's: standard-mode ``sod`` asks this of
-    all the weights (``sod.pick_epsilon``) and must not run a hyperplane
-    scan or its cap."""
-    central, dim = list(lv.datum.central_directions), lv.datum.rank
-    inv_amb = list(lv.invariant_vectors()) + central
-    annihilator = nullspace(list(generators) + central, dim)
-    combos = nullspace([[vdot(a, v) for v in inv_amb] for a in annihilator],
-                       len(inv_amb))
-    points = [tuple(sum((c * v[k] for c, v in zip(co, inv_amb) if c), ZERO)
-                    for k in range(dim)) for co in combos]
-    return [v for v in span_basis(points, dim) if not in_span(central, v)]
+    """Basis of (Levi-invariant subspace) intersect span(generators), both
+    in section form: the combinations of ``lv.invariant_vectors()`` that
+    the annihilator of the span pairs to zero.  The annihilator is the
+    kernel of the generators, not the facet table's: standard-mode ``sod``
+    asks this of all the weights (``sod.pick_epsilon``) and must not run a
+    hyperplane scan or its cap."""
+    dim, inv = lv.datum.rank, lv.invariant_vectors()
+    annihilator = nullspace(list(generators), dim)
+    combos = nullspace([[vdot(a, v) for v in inv] for a in annihilator],
+                       len(inv))
+    return span_basis([tuple(sum((c * v[k] for c, v in zip(co, inv) if c),
+                                 ZERO) for k in range(dim))
+                       for co in combos], dim)

@@ -80,7 +80,7 @@ from sodlab.reps import find_destabilizer
 from sodlab.rootdata import LeviDatum, full_levi, is_dominant, levi
 from sodlab.zonotope import (CLOSED, HALF_OPEN, REL_INT, FaceSignature,
                               FacetTable, face_signature_at,
-                              facet_table, member, signature_classes,
+                              facet_table, signature_classes,
                               supporting_lambda)
 
 F = Fraction
@@ -495,8 +495,7 @@ def partition_region_reference(rep, profile, box_radius):
         raise PreconditionError("no torus-stable point", report)
     datum = rep.datum
     shift = vsub(profile.nu_global, datum.rho_bar)
-    at = face_signature_at(rep.expanded, shift,
-                           central=datum.central_directions)
+    at = face_signature_at(rep.expanded, datum.normalize_weight(shift))
     groups = {}
     for chi in dominant_box_points_reference(rep, box_radius):
         groups.setdefault(at(datum.normalize_weight(chi)), []).append(chi)
@@ -534,12 +533,12 @@ def member_eps_reference(generators, r, shift, e, p, central=()):
     return True
 
 
-def member_eps_facet_reference(generators, r, shift, e, p, central=()):
+def member_eps_facet_reference(generators, r, shift, e, p):
     """The per-point facet test ``member_eps`` builds its predicate from:
     d = p - shift over the facet table in exact rationals, every check
-    repeated for each point."""
+    repeated for each point; all its arguments in section form."""
     shift = vec(shift)
-    table = facet_table(generators, central, len(shift))
+    table = facet_table(generators, len(shift))
     eps = vec(e.epsilon)
     if any(vdot(a, eps) for a in table.annihilator):
         raise InputError("epsilon is not parallel to the zonotope")
@@ -567,8 +566,7 @@ def member_eps_strict_reference(generators, r, shift, e, p, central=()):
     direction, i.e. p - s * direction in the closed set for some s > 0."""
     if not in_span(list(generators) + list(central), vec(e.epsilon)):
         raise InputError("epsilon is not parallel to the zonotope")
-    closed = member(tuple(generators), F(r), vec(shift), CLOSED, central)
-    if not closed(p):
+    if not member_reference(generators, r, shift, CLOSED, p, central):
         return False
     signs = (1, -1) if e.mode == "plus_minus" else (1,)
     for sign in signs:
@@ -847,15 +845,17 @@ def subspace_intersection_reference(basis_a, basis_b, dim):
 
 def invariants_in_span_reference(src, generators, central):
     """The invariants of the Levi ``src`` within span(generators +
-    central), by intersecting the two spans, less the vectors of
-    span(central); the package pairs the invariants with the annihilator
-    of the span instead."""
-    dim = len(central[0]) if central else (
-        len(generators[0]) if generators else src.datum.rank)
+    central) modulo span(central), ``central`` the SL directions of its
+    datum: the intersection of the two spans, each of its vectors put in
+    section form, and the basis of the nonzero images; the package pairs
+    the section-form invariants with the annihilator of the section-form
+    generators instead."""
+    dim = src.datum.rank
     inv_amb = list(src.invariant_vectors()) + list(central)
     span_amb = [vec(g) for g in generators] + list(central)
     inter = subspace_intersection_reference(inv_amb, span_amb, dim)
-    return [v for v in inter if not in_span(list(central), v)]
+    images = [src.datum.normalize_weight(v) for v in inter]
+    return span_basis([v for v in images if any(v)], dim)
 
 
 def facet_normals_reference(generators, central=()):

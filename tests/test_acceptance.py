@@ -77,7 +77,7 @@ def test_criterion_2_determinantal_windows():
             from sodlab.partition import window_box
 
             shift = vsub(vec([0] * n), datum.rho_bar)
-            box = window_box(datum, gens, F(1, 2), shift)
+            box = window_box(gens, F(1, 2), shift)
             pm = EpsShift(eps, "plus_minus")
             ho = member(gens, F(1, 2), shift, HALF_OPEN)
             lo = [int(a) - 1 for a, _ in box]

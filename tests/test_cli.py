@@ -288,14 +288,17 @@ class TestCliProcess:
 
     @pytest.mark.parametrize("entry, want", [
         ([1], "'[1]' (expected an integer or a \"p/q\" string)"),
-        ({"p": 1}, "\"{'p': 1}\" (expected an integer or a \"p/q\" string)"),
-        (None, "'None' (expected an integer or a \"p/q\" string)"),
+        ({"p": 1}, "'{\"p\": 1}' (expected an integer or a \"p/q\" string)"),
+        (None, "'null' (expected an integer or a \"p/q\" string)"),
         (0.5, "'0.5' (floats are not accepted)"),
+        ({"x": True},
+         "'{\"x\": true}' (expected an integer or a \"p/q\" string)"),
     ])
     def test_non_scalar_rational_exits_two(self, tmp_path, capsys, entry,
                                            want):
         """A list, an object or null where a rational belongs is refused
-        as not an integer or a "p/q" string; only a float is named one."""
+        as not an integer or a "p/q" string; only a float is named one.
+        The entry is quoted as the configuration spells it, in JSON."""
         cfg = dict(GL2_CFG, box_radius=1, nu=[entry, "0"])
         assert main(["sod", "--config", write_config(tmp_path, cfg)]) == 2
         err = capsys.readouterr().err
@@ -444,9 +447,8 @@ class TestCliProcess:
         datum, rep, _ = build_objects(parse_config(cfg))
         lv = full_levi(datum)
         shift = vsub(zero_vec(datum.rank), lv.rho_bar_lambda)
-        inside = member(rep.expanded, 1, shift, REL_INT,
-                        datum.central_directions)
-        box = window_box(datum, rep.expanded, 1, shift)
+        inside = member(rep.expanded, 1, shift, REL_INT)
+        box = window_box(rep.expanded, 1, shift)
         monkeypatch.setattr(linprog, "LATTICE_BOX_CAP", 31 ** 3)
         want = enumerate_lattice(
             lambda p: is_dominant(lv, p) and inside(p), box)

@@ -332,10 +332,10 @@ class TestRayScaling:
         chi0 = points[pick % len(points)]
         chi = vadd(shift, vscale(t, vsub(chi0, shift)))
         assume(is_dominant(full_levi(datum), datum.normalize_weight(chi)))
-        central = datum.central_directions
+        section = datum.normalize_weight(shift)
         signature = signature_of(rep, prof)
         try:
-            fresh = face_signature_at(rep.expanded, shift, central)(chi0)
+            fresh = face_signature_at(rep.expanded, section)(chi0)
         except InputError:
             with pytest.raises(InputError):
                 signature(chi0)
@@ -346,7 +346,8 @@ class TestRayScaling:
         want = fresh if fresh.trivial else FaceSignature(
             t * fresh.r, fresh.s_plus, fresh.s_minus, fresh.s_zero)
         assert signature(chi) == want
-        assert want == face_signature_at(rep.expanded, shift, central)(chi)
+        assert want == face_signature_at(rep.expanded, section)(
+            datum.normalize_weight(chi))
 
 
 def _cell_fields(cells):
@@ -502,7 +503,8 @@ def test_window_box_matches_lp_reference(tag):
         for den in (1, 2):
             shift = vec(F(rng.randint(-4, 4), den) for _ in range(datum.rank))
             for r in (F(1, 2), F(1)):
-                assert window_box(datum, gens, r, shift) == \
+                assert window_box(tuple(map(datum.normalize_weight, gens)), r,
+                                  datum.normalize_weight(shift)) == \
                     window_box_reference(datum, gens, r, shift)
 
 

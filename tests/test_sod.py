@@ -195,6 +195,27 @@ class TestCertify:
         for comp in bare:
             assert certs[comp["index"]]["window"] == comp["window"] != []
 
+    def test_default_eps_of_an_sl_component_is_not_the_sl_direction(
+            self, tmp_path):
+        """SL(3) V^3 + V*^3: the neutral weights of component -1 (lam =
+        (-1, 0, 1), Levi T2) span one line modulo the determinant, so its
+        default epsilon is the section form (0, 1, 0) of that line, generic,
+        and the certificate a twisted NCCR; the SL direction (1, 1, 1) is
+        zero in the quotient and generic for no zonotope."""
+        cfg = {"group": "SL(3)", "box_radius": 2, "mode": "quasi_symmetric",
+               "representation": [{"kind": "vector_power", "h": 3},
+                                  {"kind": "dual_vector_power", "h": 3}]}
+        path, out = tmp_path / "sl3.json", tmp_path / "nccr.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["nccr", "--config", str(path), "--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        [comp] = [c for c in doc["sod"]["components"] if c["index"] == -1]
+        assert (comp["lambda"], comp["levi"]) == ([-1, 0, 1], "T2")
+        [cert] = [c["certificate"] for c in doc["nccr"]
+                  if c["component_index"] == -1]
+        assert (cert["epsilon"], cert["eps_status"], cert["verdict"]) == \
+            (["0", "1", "0"], "Generic", "TwistedNCCR")
+
 
 def _logging(log, fn):
     """fn, appending the name of each caller's function to log."""
@@ -286,16 +307,18 @@ def prazno_reference(rep, lv, coinv, nu, eps, twist=None):
     """The set-mode boundary window with the half-open test on the LP: the
     points of the plus-minus epsilon window that the per-point strict sweep
     puts outside the half-open window."""
-    central = rep.datum.central_directions
+    datum = rep.datum
     gens = coinv.expanded
     half = F(1, 2)
     shift = vsub(nu, lv.rho_bar_lambda)
-    both_ways = member_eps(gens, half, shift, EpsShift(eps, "plus_minus"),
-                           central)
+    section = datum.normalize_weight(shift)
+    both_ways = member_eps(gens, half, section, EpsShift(
+        datum.normalize_weight(eps), "plus_minus"))
     return tuple(window_points(
-        lv, gens, half, shift,
+        lv, gens, half, section,
         lambda p: both_ways(p) and not member_reference(
-            gens, half, shift, HALF_OPEN, p, central), twist))
+            gens, half, shift, HALF_OPEN, p, datum.central_directions),
+        twist))
 
 
 def random_quasi_symmetric_torus2(rng):
@@ -493,8 +516,9 @@ MINKOWSKI_GROUPS = ("Torus(1)", "Torus(2)", "SL(2)", "SL(3)",
 def minkowski_reference(datum, gens, central, x):
     """Whether x + v lies in the closed unit zonotope plus span(central) for
     every vertex v of that zonotope."""
-    closed = member(tuple(gens), F(1), (F(0),) * datum.rank, CLOSED, central)
-    return all(closed(vadd(x, v))
+    closed = member(tuple(map(datum.normalize_weight, gens)), F(1),
+                    (F(0),) * datum.rank, CLOSED)
+    return all(closed(datum.normalize_weight(vadd(x, v)))
                for v in zonotope_vertices_reference(gens, central))
 
 
@@ -552,5 +576,5 @@ class TestMinkowski:
             return (is_dominant(lv, p)
                     and minkowski_reference(datum, rep.expanded, central, x))
 
-        box = window_box(datum, rep.expanded, F(1, 2), shift)
+        box = window_box(rep.expanded, F(1, 2), datum.normalize_weight(shift))
         assert cert.prazno_points == tuple(enumerate_lattice(in_boundary, box))

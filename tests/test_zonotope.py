@@ -20,21 +20,22 @@ from oracles import (_coefficient_program, brute_force_signature,
                      member_eps_strict_reference, member_reference,
                      min_radius_reference, proper_flats_reference,
                      random_generators, realizable_face_patterns_reference,
-                     signature_to_value_counts, supporting_lambda_reference,
+                     signature_to_value_counts,
+                     subspace_intersection_reference,
+                     supporting_lambda_reference,
                      support_reference, is_quasi_symmetric_reference,
                      toric_two_per_side_reference)
 from sodlab import linprog, zonotope
 from sodlab.cli import main
 from sodlab.linalg import (in_span, line_decomposition, nullspace, primitive,
-                           span_basis, vadd, vdot, vec, vscale, vsub)
+                           rank, span_basis, vadd, vdot, vec, vscale, vsub)
 from sodlab.linprog import (InputError, feasible_point, forced_tight,
                             strict_feasible)
 from sodlab.partition import make_profile, signature_of
 from sodlab.report import parse_config, render, run_job
 from sodlab.reps import (construct_rep, is_quasi_symmetric, rep_spec,
                          weight_signs)
-from sodlab.rootdata import (build_group, full_levi, invariant_subspace,
-                             levi, make_dominant, orbit)
+from sodlab.rootdata import build_group, full_levi, levi, make_dominant, orbit
 from sodlab.zonotope import (CLOSED, HALF_OPEN, REL_INT, TRIVIAL, EpsShift,
                              FaceSignature, face_signature_at, facet_table,
                              invariants_in_span,
@@ -52,8 +53,15 @@ G22 = (vec([1, 0]), vec([-1, 0]), vec([0, 1]), vec([0, -1]))
 VARIANTS = (CLOSED, HALF_OPEN, REL_INT)
 
 
-def q(gens, r, shift, variant, central=()):
-    return member(tuple(gens), F(r), vec(shift), variant, central)
+def q(gens, r, shift, variant):
+    return member(tuple(gens), F(r), vec(shift), variant)
+
+
+def section(datum, vectors):
+    """Each vector in section form (``RootDatum.normalize_weight``), as the
+    package's zonotope queries take them; the references take the raw
+    vectors with the SL directions."""
+    return tuple(datum.normalize_weight(tuple(v)) for v in vectors)
 
 
 # Catalog groups for the membership predicate, SL groups among them.
@@ -149,7 +157,8 @@ class TestMember:
                                             central)[0].build()
                 lp = feasible_point(prog) is not None if variant == CLOSED \
                     else strict_feasible(prog)
-                got = q((), F(1, 2), shift, variant, central)(p)
+                got = q((), F(1, 2), datum.normalize_weight(shift),
+                        variant)(datum.normalize_weight(p))
                 assert got == lp, (tag, shift, p, variant)
                 verdicts.add(got)
         assert verdicts == {True, False}
@@ -171,8 +180,9 @@ class TestMember:
         shift = vec(F(rng.randint(-2, 2), rng.choice((1, 2, 3)))
                     for _ in range(datum.rank))
         points = member_points(rng, gens, r, shift, central, datum.rank)
-        inside = member(gens, r, shift, variant, central)
-        got = [inside(p) for p in points]
+        inside = member(section(datum, gens), r,
+                        datum.normalize_weight(shift), variant)
+        got = [inside(p) for p in section(datum, points)]
         want = [member_reference(gens, r, shift, variant, p, central)
                 for p in points]
         assert got == want, (tag, gens, r, shift, variant, points)
@@ -216,8 +226,9 @@ class TestHalfOpenFromFacets:
                                  v))
         shift = vsub(nu, lv.rho_bar_lambda)
         points = member_points(rng, gens, r, shift, central, datum.rank)
-        inside = member(gens, r, shift, HALF_OPEN, central)
-        got = [inside(p) for p in points]
+        inside = member(section(datum, gens), r,
+                        datum.normalize_weight(shift), HALF_OPEN)
+        got = [inside(p) for p in section(datum, points)]
         want = [member_reference(gens, r, shift, HALF_OPEN, p, central)
                 for p in points]
         assert got == want, (tag, gens, r, shift, points)
@@ -410,7 +421,7 @@ def signature_draw(rng, tag):
                            shift, central, datum.rank)
     points += [shift, shift]
     rng.shuffle(points)
-    return gens, shift, central, points
+    return datum, gens, shift, points
 
 
 def brute_force_splits(gens):
@@ -427,27 +438,30 @@ def check_signature_functions(rng, tag):
     order.  Returns the kinds of point seen: "trivial", "off span", "face"
     and "brute force" (a face also checked against the sign-pattern
     oracle)."""
-    gens, shift, central, points = signature_draw(rng, tag)
-    radius = min_radius(gens, shift, central)
-    signature = face_signature_at(gens, shift, central)
+    datum, gens, shift, points = signature_draw(rng, tag)
+    central = datum.central_directions
+    gens_s, shift_s = section(datum, gens), datum.normalize_weight(shift)
+    radius = min_radius(gens_s, shift_s)
+    signature = face_signature_at(gens_s, shift_s)
     small = brute_force_splits(gens) <= 100
     kinds, answers = set(), []
     for p in points:
-        r = radius(p)
+        p_s = datum.normalize_weight(p)
+        r = radius(p_s)
         assert r == min_radius_reference(gens, shift, p, central) == \
-            min_radius(gens, shift, central)(p), (tag, gens, shift, p)
+            min_radius(gens_s, shift_s)(p_s), (tag, gens, shift, p)
         if r is None:
-            for build in (signature, face_signature_at(gens, shift, central),
-                          lambda p: face_signature_reference(gens, shift, p,
-                                                             central)):
+            for build in (signature, face_signature_at(gens_s, shift_s)):
                 with pytest.raises(InputError, match="outside the span"):
-                    build(p)
+                    build(p_s)
+            with pytest.raises(InputError, match="outside the span"):
+                face_signature_reference(gens, shift, p, central)
             kinds.add("off span")
             answers.append((r, None))
             continue
-        sig = signature(p)
+        sig = signature(p_s)
         assert sig == face_signature_reference(gens, shift, p, central) == \
-            face_signature_at(gens, shift, central)(p), (tag, gens, shift, p)
+            face_signature_at(gens_s, shift_s)(p_s), (tag, gens, shift, p)
         assert sig.r == r and sig.trivial == (r == 0)
         assert sig.trivial or p != shift
         kinds.add("trivial" if sig.trivial else "face")
@@ -461,7 +475,7 @@ def check_signature_functions(rng, tag):
                 assert oracle == (sig.r,) + signature_to_value_counts(
                     rep, sig), (tag, gens, shift, p)
                 kinds.add("brute force")
-    for p, (r, sig) in zip(points[::-1], answers[::-1]):
+    for p, (r, sig) in zip(section(datum, points[::-1]), answers[::-1]):
         assert radius(p) == r
         if sig is None:
             with pytest.raises(InputError, match="outside the span"):
@@ -530,10 +544,11 @@ def check_line_programs(rng, tag, r):
     shift = vec(F(rng.randint(-2, 2), rng.choice((1, 2, 3)))
                 for _ in range(datum.rank))
     points = member_points(rng, gens, r, shift, central, datum.rank)
-    radius = min_radius(gens, shift, central)
-    signature = face_signature_at(gens, shift, central)
-    closed = member(gens, r, shift, CLOSED, central)
-    rel_int = member(gens, r, shift, REL_INT, central)
+    gens_s, shift_s = section(datum, gens), datum.normalize_weight(shift)
+    radius = min_radius(gens_s, shift_s)
+    signature = face_signature_at(gens_s, shift_s)
+    closed = member(gens_s, r, shift_s, CLOSED)
+    rel_int = member(gens_s, r, shift_s, REL_INT)
     lines = {}
     for i, g in enumerate(gens):
         if any(g):  # the sign of k in g = k * primitive(g)
@@ -543,14 +558,15 @@ def check_line_programs(rng, tag, r):
     kinds = {"fractional"} if any(F(x).denominator > 1 for g in gens
                                   for x in g) else set()
     for p in points + [shift]:
-        assert radius(p) == min_radius_reference(gens, shift, p, central), \
+        p_s = datum.normalize_weight(p)
+        assert radius(p_s) == min_radius_reference(gens, shift, p, central), \
             (tag, gens, shift, p)
-        sig = _outcome(signature, p)
+        sig = _outcome(signature, p_s)
         assert sig == _outcome(face_signature_reference, gens, shift, p,
                                central), (tag, gens, shift, p)
-        assert closed(p) == member_reference(gens, r, shift, CLOSED, p,
-                                             central), (tag, gens, r, shift, p)
-        inside = rel_int(p)
+        assert closed(p_s) == member_reference(
+            gens, r, shift, CLOSED, p, central), (tag, gens, r, shift, p)
+        inside = rel_int(p_s)
         assert inside == member_reference(gens, r, shift, REL_INT, p,
                                           central), (tag, gens, r, shift, p)
         kinds.add("inside" if inside else "outside")
@@ -663,7 +679,7 @@ class TestLineDecomposition:
     def test_support_values_match_per_class_reference(self, case):
         dim, pairs = case
         gens = tuple(w for w, m in pairs for _ in range(m))
-        table = zonotope._build_facet_table(gens, (), dim)
+        table = zonotope._build_facet_table(gens, dim)
         for lam, h in table.facets:
             assert h == support_reference(gens, lam), (gens, lam)
 
@@ -775,7 +791,7 @@ class TestSupportingLambdaWithoutLp:
         datum = build_group(tag)
         rep = construct_rep(datum, random_pieces(rng, datum, tag))
         nu = vec([0] * datum.rank)
-        for v in invariant_subspace(datum):
+        for v in full_levi(datum).invariant_vectors():
             nu = vadd(nu, vscale(rng.randint(-2, 2), v))
         signature = signature_of(rep, make_profile(datum, nu))
         for _ in range(3):
@@ -816,44 +832,51 @@ class TestMemberEps:
         sp4 = build_group("Sp(4)")
         sl2 = build_group("SL(2)")
         cases = [
-            ((vec([1]),) * 3 + (vec([-1]),) * 3, vec([0]), (), [vec([1])]),
-            (G22, vec([0, 0]), (), [vec([1, 0]), vec([1, 1]), vec([2, -1])]),
-            (construct_rep(gl2, [("vector_power", 2),
-                                 ("dual_vector_power", 2)]).expanded,
-             vec([F(-1, 2), F(1, 2)]), (), [vec([1, 1]), vec([1, -1])]),
-            (construct_rep(sp4, [("vector_power", 2)]).expanded,
-             vec([-2, -1]), (), [vec([1, 0]), vec([0, 1])]),
-            (construct_rep(sl2, [("sym_power", 1), ("sym_power", 2)]).expanded,
-             vec([F(-1, 2), F(1, 2)]), sl2.central_directions, [vec([1, 0])]),
+            (T1, (vec([1]),) * 3 + (vec([-1]),) * 3, vec([0]), [vec([1])]),
+            (T2, G22, vec([0, 0]), [vec([1, 0]), vec([1, 1]), vec([2, -1])]),
+            (gl2, construct_rep(gl2, [("vector_power", 2),
+                                      ("dual_vector_power", 2)]).expanded,
+             vec([F(-1, 2), F(1, 2)]), [vec([1, 1]), vec([1, -1])]),
+            (sp4, construct_rep(sp4, [("vector_power", 2)]).expanded,
+             vec([-2, -1]), [vec([1, 0]), vec([0, 1])]),
+            (sl2, construct_rep(sl2, [("sym_power", 1),
+                                      ("sym_power", 2)]).expanded,
+             vec([F(-1, 2), F(1, 2)]), [vec([1, 0])]),
         ]
         verdicts = set()
-        for gens, shift, central, epsilons in cases:
-            dim = len(shift)
+        for datum, gens, shift, epsilons in cases:
+            central = datum.central_directions
             for eps in epsilons:
                 for mode in ("plus", "plus_minus"):
                     e = EpsShift(eps, mode)
+                    inside = {r: member_eps(
+                        section(datum, gens), r, datum.normalize_weight(shift),
+                        EpsShift(datum.normalize_weight(eps), mode))
+                        for r in (F(1), F(1, 2))}
                     for r in (F(1), F(1, 2)):
-                        for p in itertools.product(range(-3, 4), repeat=dim):
+                        for p in itertools.product(range(-3, 4),
+                                                   repeat=datum.rank):
                             p = vec(p)
-                            got = member_eps(gens, r, shift, e, central)(p)
+                            got = inside[r](datum.normalize_weight(p))
                             assert got == member_eps_reference(
                                 gens, r, shift, e, p, central)
                             verdicts.add(got)
         assert verdicts == {False, True}
 
     def test_eps_must_be_parallel(self):
-        central = build_group("SL(2)").central_directions
-        cases = [((vec([1, 0]), vec([-1, 0])), vec([0, 1]), "plus", ()),
-                 ((vec([1, 1]), vec([-1, -1])), vec([1, 0]), "plus_minus", ()),
-                 ((vec([1, 1]), vec([-1, -1])), vec([1, 0]), "plus", central),
-                 ((), vec([1, 0]), "plus", central)]
-        for gens, eps, mode, cen in cases:
+        sl2 = build_group("SL(2)")
+        cases = [((vec([1, 0]), vec([-1, 0])), vec([0, 1]), "plus", T2),
+                 ((vec([1, 1]), vec([-1, -1])), vec([1, 0]), "plus_minus", T2),
+                 ((vec([1, 1]), vec([-1, -1])), vec([1, 0]), "plus", sl2),
+                 ((), vec([1, 0]), "plus", sl2)]
+        for gens, eps, mode, datum in cases:
+            gens = section(datum, gens)
+            e = EpsShift(datum.normalize_weight(eps), mode)
             with pytest.raises(InputError):
-                member_eps(gens, F(1), vec([0, 0]), EpsShift(eps, mode),
-                           cen)(vec([0, 0]))
+                member_eps(gens, F(1), vec([0, 0]), e)(vec([0, 0]))
             # the error fires when the predicate is built, before any point
             with pytest.raises(InputError, match="parallel"):
-                member_eps(gens, F(1), vec([0, 0]), EpsShift(eps, mode), cen)
+                member_eps(gens, F(1), vec([0, 0]), e)
 
     def test_radius_must_be_positive(self):
         for r in (F(0), F(-1, 2), 0):
@@ -863,8 +886,8 @@ class TestMemberEps:
             with pytest.raises(InputError, match="positive"):
                 member_eps(G4, r, vec([0]), EpsShift(vec([1]), "plus"))
         with pytest.raises(InputError):
-            member_eps((), F(0), vec([0, 0]), EpsShift(vec([0, 0]), "plus"),
-                       build_group("SL(2)").central_directions)(vec([0, 0]))
+            member_eps((), F(0), vec([0, 0]),
+                       EpsShift(vec([0, 0]), "plus"))(vec([0, 0]))
 
     @settings(derandomize=True, database=None, max_examples=200,
               deadline=None)
@@ -874,7 +897,7 @@ class TestMemberEps:
         test and the strict-sweep LP reference, at int and Fraction points,
         with shifts moved off the lattice along a generator or anywhere,
         in both modes."""
-        gens, shift, central, epsilons, ranges = data.draw(
+        datum, gens, shift, epsilons, ranges = data.draw(
             st.sampled_from(EPS_CASES))
         small = st.builds(F, st.integers(-3, 3), st.sampled_from((1, 2, 3)))
         move = data.draw(st.sampled_from(("none", "along", "anywhere")))
@@ -886,16 +909,19 @@ class TestMemberEps:
         r = data.draw(st.sampled_from((F(1, 2), F(1), F(3, 2), F(2, 3))))
         e = EpsShift(data.draw(st.sampled_from(epsilons)),
                      data.draw(st.sampled_from(("plus", "plus_minus"))))
-        inside = member_eps(gens, r, shift, e, central)
+        gens_s, shift_s = section(datum, gens), datum.normalize_weight(shift)
+        e_s = EpsShift(datum.normalize_weight(e.epsilon), e.mode)
+        inside = member_eps(gens_s, r, shift_s, e_s)
         p = tuple(data.draw(st.sampled_from(span)) for span in ranges)
         off = tuple(F(data.draw(st.integers(0, 1)), 2) for _ in p)
         for point in (p, vec(p), vadd(vec(p), off)):
-            want = member_eps_facet_reference(gens, r, shift, e, point,
-                                              central)
+            point_s = datum.normalize_weight(point)
+            want = member_eps_facet_reference(gens_s, r, shift_s, e_s,
+                                              point_s)
             case = (gens, r, shift, e, point)
-            assert inside(point) == want, case
+            assert inside(point_s) == want, case
             assert want == member_eps_strict_reference(
-                gens, r, shift, e, point, central), case
+                gens, r, shift, e, point, datum.central_directions), case
 
     def test_facets_match_both_lp_references(self):
         """The facet test equals the push-maximization and the strict-sweep
@@ -904,25 +930,30 @@ class TestMemberEps:
         rng = random.Random(11)
         verdicts = set()
         tight_only = {"plus": 0, "plus_minus": 0}
-        for gens, shift, central, epsilons, ranges in eps_oracle_cases():
-            perm = list(gens)
+        for datum, gens, shift, epsilons, ranges in eps_oracle_cases():
+            central = datum.central_directions
+            perm = list(section(datum, gens))
             rng.shuffle(perm)
+            gens_s = section(datum, gens)
+            shift_s = datum.normalize_weight(shift)
             grid = [vec(p) for p in itertools.product(*ranges)]
             for r in (F(1, 2), F(1), F(3, 2)):
-                closed = q(gens, r, shift, CLOSED, central)
+                closed = q(gens_s, r, shift_s, CLOSED)
                 for p in grid:
-                    in_closed = closed(p)
+                    p_s = datum.normalize_weight(p)
+                    in_closed = closed(p_s)
                     for eps in epsilons:
                         for mode in ("plus", "plus_minus"):
                             e = EpsShift(eps, mode)
-                            got = member_eps(gens, r, shift, e, central)(p)
+                            e_s = EpsShift(datum.normalize_weight(eps), mode)
+                            got = member_eps(gens_s, r, shift_s, e_s)(p_s)
                             case = (gens, central, r, eps, mode, p)
                             assert got == member_eps_reference(
                                 gens, r, shift, e, p, central), case
                             assert got == member_eps_strict_reference(
                                 gens, r, shift, e, p, central), case
                             assert got == member_eps(
-                                perm, r, shift, e, central)(p), case
+                                perm, r, shift_s, e_s)(p_s), case
                             verdicts.add(got)
                             if in_closed and not got:
                                 tight_only[mode] += 1
@@ -931,7 +962,7 @@ class TestMemberEps:
 
 
 def eps_oracle_cases():
-    """(generators, shift, central, epsilons, grid coordinate ranges) with
+    """(datum, generators, shift, epsilons, grid coordinate ranges) with
     repeated, opposite, zero and central-shifted generators, a generator
     span short of the ambient space, and an empty generator list.  The SL
     grids fix the pinned quotient coordinate at zero, since a step along a
@@ -944,29 +975,31 @@ def eps_oracle_cases():
         return tuple(vec(row) for row in rows)
 
     return [
-        (gs([1], [1], [-1], [0], [2]), vec([0]), (),
+        (T1, gs([1], [1], [-1], [0], [2]), vec([0]),
          [vec([1]), vec([-1]), vec([0])], [range(-5, 6)]),
-        (gs([1, 0], [1, 0], [-1, 0], [0, 1], [1, 1], [0, 0], [-1, -1]),
-         vec([0, 0]), (), [vec([1, 0]), vec([1, -1])], [range(-2, 2)] * 2),
-        (gs([1, 1], [1, 1], [-1, -1], [0, 0]), vec([0, 0]), (),
+        (T2, gs([1, 0], [1, 0], [-1, 0], [0, 1], [1, 1], [0, 0], [-1, -1]),
+         vec([0, 0]), [vec([1, 0]), vec([1, -1])], [range(-2, 2)] * 2),
+        (T2, gs([1, 1], [1, 1], [-1, -1], [0, 0]), vec([0, 0]),
          [vec([1, 1])], [range(-3, 4)] * 2),
-        (gs([1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, 1, 0], [0, 0, 1],
-            [1, 1, 1], [0, 0, 0]), vec([0, 0, 0]), (),
+        (build_group("Torus(3)"),
+         gs([1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, 1, 0], [0, 0, 1],
+            [1, 1, 1], [0, 0, 0]), vec([0, 0, 0]),
          [vec([1, 1, 0])], [range(-1, 2)] * 3),
-        (construct_rep(sl2, [("sym_power", 1), ("sym_power", 2)]).expanded,
-         vscale(F(-1), sl2.rho_bar), sl2.central_directions,
+        (sl2, construct_rep(sl2, [("sym_power", 1),
+                                  ("sym_power", 2)]).expanded,
+         vscale(F(-1), sl2.rho_bar),
          [vec([1, 0]), vec([1, -1])], [range(-3, 4), range(0, 1)]),
-        (construct_rep(sl3, [("vector_power", 1),
-                             ("dual_vector_power", 1)]).expanded,
-         vscale(F(-1), sl3.rho_bar), sl3.central_directions,
+        (sl3, construct_rep(sl3, [("vector_power", 1),
+                                  ("dual_vector_power", 1)]).expanded,
+         vscale(F(-1), sl3.rho_bar),
          [vec([1, 0, 0]), vec([1, -1, 0])],
          [range(-1, 2), range(-1, 2), range(0, 1)]),
-        (gs([1, -1, 1], [-1, 1, 1], [0, 0, -1], [0, 0, -1], [2, 0, 0],
-            [0, 0, 0]),
-         vec([0, 0, F(1, 2)]), sl2t.central_directions,
+        (sl2t, gs([1, -1, 1], [-1, 1, 1], [0, 0, -1], [0, 0, -1], [2, 0, 0],
+                  [0, 0, 0]),
+         vec([0, 0, F(1, 2)]),
          [vec([0, 0, 1]), vec([1, -1, 1])],
          [range(-1, 2), range(0, 1), range(-1, 2)]),
-        ((), vec([F(1, 2), F(-1, 2)]), sl2.central_directions,
+        (sl2, (), vec([F(1, 2), F(-1, 2)]),
          [vec([0, 0]), vec([1, 1])], [range(-2, 3)] * 2),
     ]
 
@@ -1057,7 +1090,8 @@ def eps_status(eps, datum, gens):
 
 def candidate_eps(rng, datum, gens, central):
     """Weyl-invariant vectors parallel to the zonotope: zero, central
-    directions, and small combinations of the parallel invariants."""
+    directions, and small combinations of the parallel invariants (of the
+    section-form generators ``gens``)."""
     inv = invariants_in_span(full_levi(datum), gens)
     out = [(F(0),) * datum.rank] + list(central)
     for _ in range(6):
@@ -1086,25 +1120,26 @@ class TestFlats:
             central = datum.central_directions
             for _ in range(8):
                 gens = random_generators(rng, datum)
-                normals = realizable_face_patterns(gens, central)
+                gens_s = section(datum, gens)
+                normals = realizable_face_patterns(gens_s)
                 assert all(type(x) is int for lam in normals for x in lam)
                 ref = [z for _, z in
                        realizable_face_patterns_reference(gens, central)]
-                flats = [[g for g in gens if not vdot(lam, g)]
-                         for lam in normals]
+                flats = [[g for g, g_s in zip(gens, gens_s)
+                          if not vdot(lam, g_s)] for lam in normals]
                 spans = face_spans(flats, central, datum.rank)
                 assert len(set(spans)) == len(spans)
                 assert set(spans) == maximal_spans(
                     face_spans(ref, central, datum.rank)), (tag, gens)
-                ref_normals = facet_normals_reference(gens, central)
+                ref_normals = facet_normals_reference(gens_s)
                 assert sorted(normals) == sorted(ref_normals), (tag, gens)
 
-                eps_list = candidate_eps(rng, datum, gens, central)
-                got = [eps_status(e, datum, gens) for e in eps_list]
+                eps_list = candidate_eps(rng, datum, gens_s, central)
+                got = [eps_status(e, datum, gens_s) for e in eps_list]
                 with monkeypatch.context() as m:
                     m.setattr(zonotope, "realizable_face_patterns",
-                              lambda g, c=(), _ref=ref_normals: _ref)
-                    want = [eps_status(e, datum, gens) for e in eps_list]
+                              lambda g, _ref=ref_normals: _ref)
+                    want = [eps_status(e, datum, gens_s) for e in eps_list]
                 assert got == want, (tag, gens)
                 seen.update(got)
                 cases += len(got)
@@ -1123,12 +1158,12 @@ class TestFlats:
         rng = random.Random(seed)
         datum = build_group(tag)
         central = datum.central_directions
-        gens = random_generators(rng, datum)
-        normals = [lam for lam, _ in
-                   facet_table(gens, central, datum.rank).facets]
+        gens = section(datum, random_generators(rng, datum))
+        normals = [lam for lam, _ in facet_table(gens, datum.rank).facets]
         for eps in candidate_eps(rng, datum, gens, central):
             assert is_generic(eps, full_levi(datum), gens) == all(
-                vdot(lam, eps) != 0 for lam in normals), (tag, gens, eps)
+                vdot(lam, datum.normalize_weight(eps)) != 0
+                for lam in normals), (tag, gens, eps)
 
     def test_genericity_matches_all_flats_reference(self):
         """is_generic and is_weakly_generic, read from the facets, agree with
@@ -1144,9 +1179,10 @@ class TestFlats:
             datum = build_group(tag)
             central = datum.central_directions
             gens = random_generators(rng, datum, max_lines=8)
-            for eps in candidate_eps(rng, datum, gens, central):
-                generic = is_generic(eps, full_levi(datum), gens)
-                weak = is_weakly_generic(eps, full_levi(datum), gens)
+            gens_s = section(datum, gens)
+            for eps in candidate_eps(rng, datum, gens_s, central):
+                generic = is_generic(eps, full_levi(datum), gens_s)
+                weak = is_weakly_generic(eps, full_levi(datum), gens_s)
                 assert generic == is_generic_reference(eps, gens, central), \
                     (tag, gens, eps)
                 assert weak == is_weakly_generic_reference(
@@ -1187,10 +1223,12 @@ INVARIANT_SPAN_GROUPS = FLAT_GROUPS + ("GL(2)", "GL(3)",
 
 
 def test_invariants_in_span_matches_intersection_reference():
-    """invariants_in_span, which pairs the invariants with the annihilator
-    of the zonotope's span, against the intersection of the two spans:
-    random generators (sometimes none), a random Levi of the group and its
-    SL directions as the central ones; the basis and its order agree."""
+    """invariants_in_span, which pairs the section-form invariants with the
+    annihilator of the zonotope's span, against the intersection of the
+    two spans modulo the SL directions: random generators (sometimes none)
+    and a random Levi of the group; the basis and its order agree, and its
+    length is the rank of the intersection less that of the SL directions,
+    which lie in both spans."""
     sizes = Counter()
 
     @settings(derandomize=True, database=None, max_examples=300,
@@ -1207,9 +1245,13 @@ def test_invariants_in_span_matches_intersection_reference():
             if datum.coweight_ok(lam):
                 break
         lv = levi(datum, vec(lam))
-        got = invariants_in_span(lv, gens)
+        got = invariants_in_span(lv, section(datum, gens))
         assert got == invariants_in_span_reference(lv, gens, central), \
             (tag, gens, lam)
+        inter = subspace_intersection_reference(
+            list(lv.invariant_vectors()) + list(central),
+            list(gens) + list(central), datum.rank)
+        assert len(got) == rank(inter) - rank(list(central)), (tag, gens, lam)
         sizes[len(got), bool(gens)] += 1
 
     check()
@@ -1251,6 +1293,20 @@ def _v(*rows):
     return tuple(vec(r) for r in rows)
 
 
+def _section_map(central, dim):
+    """The section map of ``RootDatum.normalize_weight`` for arbitrary
+    central vectors: each RREF row of their span, with its pivot pinned to
+    zero, plays the part of an SL direction and its pinned coordinate."""
+    pairs = [(row, next(k for k, x in enumerate(row) if x))
+             for row in span_basis(list(central), dim)]
+
+    def normalize(v):
+        for c, pin in pairs:
+            v = tuple(x - v[pin] * y for x, y in zip(v, c))
+        return v
+    return normalize
+
+
 class TestHyperplaneFlats:
     @settings(derandomize=True, database=None, max_examples=300,
               deadline=None)
@@ -1269,18 +1325,21 @@ class TestHyperplaneFlats:
     @example((3, _v([1, 0, 0], [0, 1, 0], [1, 1, 0], [0, 0, 1]),
               _v([1, 1, 1])))
     def test_matches_closure_search(self, case):
-        """Same facets (as (normal, h) pairs) and annihilator as the table
-        built from the closure search, and the hyperplane flats of its
-        normals are the maximal flats of that search, each once."""
+        """On the section-form generators, the same facets (as (normal, h)
+        pairs) and annihilator as the table built from the closure search;
+        and the hyperplane flats of its normals are the maximal flats of
+        the raw generator lines modulo the central vectors, each once."""
         dim, gens, central = case
-        got = zonotope._build_facet_table(gens, central, dim)
-        want = facet_table_reference(gens, central, dim)
+        normalize = _section_map(central, dim)
+        gens_s = tuple(map(normalize, gens))
+        got = zonotope._build_facet_table(gens_s, dim)
+        want = facet_table_reference(gens_s, (), dim)
         assert set(got.facets) == set(want.facets)
         assert len(got.facets) == len(want.facets)
         assert got.annihilator == want.annihilator
         lines = sorted({primitive(g) for g in gens if any(g)})
         hyperplanes = [frozenset(i for i, v in enumerate(lines)
-                                 if not vdot(lam, v))
+                                 if not vdot(lam, normalize(v)))
                        for lam, _ in got.facets[::2]]
         flats = [f for f, _ in proper_flats_reference(lines, central, dim)]
         assert len(set(hyperplanes)) == len(hyperplanes)
@@ -1294,18 +1353,22 @@ class TestHyperplaneFlats:
     @example((3, _v([1, 0, 0], [0, 1, 0], [1, 1, 0], [0, 0, 1]),
               _v([1, 1, 1])))
     def test_flat_span_is_the_kernel_of_its_hyperplane_normals(self, case):
-        """For every proper flat F, span(F + central) is the common kernel
-        within V of the table normals whose hyperplane flat contains F: the
-        facets alone decide genericity."""
+        """For every proper flat F of the lines modulo the central vectors,
+        the section form of span(F + central) is the common kernel within V
+        of the table normals whose hyperplane flat contains F: the facets
+        alone decide genericity."""
         dim, gens, central = case
-        table = zonotope._build_facet_table(gens, central, dim)
+        normalize = _section_map(central, dim)
+        table = zonotope._build_facet_table(tuple(map(normalize, gens)), dim)
         normals = [lam for lam, _ in table.facets[::2]]
         lines = sorted({primitive(g) for g in gens if any(g)})
         for flat, base in proper_flats_reference(lines, central, dim):
             through = [lam for lam in normals
-                       if not any(vdot(lam, lines[i]) for i in flat)]
+                       if not any(vdot(lam, normalize(lines[i]))
+                                  for i in flat)]
             kernel = nullspace(list(table.annihilator) + through, dim)
-            assert span_basis(kernel, dim) == base, (case, sorted(flat))
+            assert span_basis(kernel, dim) == span_basis(
+                [normalize(v) for v in base], dim), (case, sorted(flat))
 
     def test_quasi_symmetric_nccr_report_matches_reference_flats(
             self, monkeypatch):
@@ -1319,7 +1382,8 @@ class TestHyperplaneFlats:
         got = render(run_job("nccr", cfg))
         monkeypatch.setattr(zonotope, "_FACET_TABLES", {})
         monkeypatch.setattr(zonotope, "_build_facet_table",
-                            facet_table_reference)
+                            lambda gens, dim: facet_table_reference(gens, (),
+                                                                    dim))
         assert render(run_job("nccr", cfg)) == got
 
 
@@ -1328,13 +1392,13 @@ class TestHyperplaneScanCap:
 
     def test_cap_counts_the_line_subsets(self, monkeypatch):
         monkeypatch.setattr(zonotope, "HYPERPLANE_SCAN_CAP", 6)
-        table = zonotope._build_facet_table(self.GENS, (), 3)
+        table = zonotope._build_facet_table(self.GENS, 3)
         # z = 0, and the plane through e3 and each other line
         assert len(table.facets) == 2 * 4
         monkeypatch.setattr(zonotope, "HYPERPLANE_SCAN_CAP", 5)
         with pytest.raises(InputError, match="6 line subsets exceeds the "
                                              "cap of 5"):
-            zonotope._build_facet_table(self.GENS, (), 3)
+            zonotope._build_facet_table(self.GENS, 3)
 
     def test_nccr_past_the_cap_exits_two(self, monkeypatch, tmp_path,
                                          capsys):
